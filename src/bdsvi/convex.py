@@ -121,17 +121,28 @@ def prox(theta: ConvexFunction, eps, x) -> np.ndarray:
     eps = 0 is the identity.
     """
     eps, x = _check_prox_args(eps, x)
-    if np.all(eps == 0.0):
+    return _prox(theta, eps, x)
+
+
+def _prox(theta: ConvexFunction, eps, x) -> np.ndarray:
+    """prox without the argument checks: the caller ensures finite x and
+    eps >= 0, a scalar or an array broadcastable against the batch axes of x."""
+    oracle = theta.prox_oracle or (lambda e, y: grid_prox_oracle(theta, e, y))
+    zero = np.equal(eps, 0.0)
+    if not zero.any():
+        return np.asarray(oracle(eps, x), dtype=float)
+    if zero.all():
         return x.copy()
-    if theta.prox_oracle is not None:
-        return np.asarray(theta.prox_oracle(eps, x), dtype=float)
-    return grid_prox_oracle(theta, eps, x)
+    moved = ~np.broadcast_to(zero, x.shape[:-1])  # not 0 * theta(y), which is nan off Dom(theta)
+    out = x.copy()
+    out[moved] = oracle(np.broadcast_to(eps, moved.shape)[moved], x[moved])
+    return out
 
 
 def moreau_envelope(theta: ConvexFunction, eps, x) -> np.ndarray:
     """theta_eps(x) = 0.5|x - J_eps(x)|^2 + eps*theta(J_eps(x))."""
     eps, x = _check_prox_args(eps, x)
-    j = prox(theta, eps, x)
+    j = _prox(theta, eps, x)
     return 0.5 * np.sum((x - j) ** 2, axis=-1) + eps * theta.evaluate(j)
 
 
@@ -140,8 +151,8 @@ def yosida_gradient(theta: ConvexFunction, eps, x) -> np.ndarray:
     eps, x = _check_prox_args(eps, x)
     if np.any(eps == 0.0):
         raise ValueError("yosida_gradient requires eps > 0")
-    j = prox(theta, eps, x)
-    return (x - j) / np.asarray(eps)[..., None] if np.ndim(eps) else (x - j) / eps
+    j = _prox(theta, eps, x)
+    return (x - j) / eps[..., None] if eps.ndim else (x - j) / eps
 
 
 def grid_prox_oracle(theta: ConvexFunction, eps, x, resolution: float = 1e-8) -> np.ndarray:

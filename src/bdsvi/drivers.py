@@ -28,14 +28,18 @@ __all__ = [
 @dataclass(frozen=True)
 class TimeGrid:
     nodes: np.ndarray  # strictly increasing, nodes[0] = t0, nodes[-1] = T
+    dt: np.ndarray = field(init=False, repr=False, compare=False)  # read-only step sizes
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a time grid needs at least two nodes")
-        if np.any(np.diff(nodes) <= 0.0):
+        dt = np.diff(nodes)
+        if np.any(dt <= 0.0):
             raise ValueError("time grid nodes must be strictly increasing")
+        dt.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "dt", dt)
 
     @classmethod
     def uniform(cls, t0: float, T: float, n_steps: int) -> "TimeGrid":
@@ -54,10 +58,6 @@ class TimeGrid:
     @property
     def n_steps(self) -> int:
         return self.nodes.size - 1
-
-    @property
-    def dt(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
     @property
     def max_dt(self) -> float:

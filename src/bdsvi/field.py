@@ -125,7 +125,7 @@ def sample_field(
                                     bundle.A, sub_seed, a_attached=False)
                 ens = simulate_reflected(domain, b, sigma, (t, x), sub, bundle)
                 cfg = SolverConfig(sub, eps=config.eps, scheme=config.scheme,
-                                   regression=config.regression, tolerance=config.tolerance)
+                                   regression=config.regression)
                 sol = solve_penalized(coeffs, phi, psi, cfg, bundle, state=ens)
                 y0 = sol.Y[:, 0, 0]
                 per_draw[draw, it, jp] = float(np.mean(y0))

@@ -143,7 +143,6 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             eps=float(raw.get("eps") or sv.get("eps", 1e-3)),
             scheme=sv.get("scheme", "implicit-prox"),
             regression=regression,
-            tolerance=float(sv.get("tolerance", 0.0)),
         )
         domain = None
         if "domain" in raw and raw["domain"]:

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .convex import AssumptionConstants, ConvexFunction, prox, yosida_gradient
+from .convex import AssumptionConstants, ConvexFunction, _prox, prox, yosida_gradient
 from .drivers import PathBundle, TimeGrid
 from .reflected import ReflectedPath
 
@@ -90,7 +90,6 @@ class SolverConfig:
     eps: float = 1e-3
     scheme: str = "implicit-prox"  # or "explicit-yosida"
     regression: Union[str, tuple] = "sample-mean"  # or ("poly", degree) / ("partition", cells)
-    tolerance: float = 0.0
 
     def __post_init__(self):
         if self.scheme not in ("explicit-yosida", "implicit-prox"):
@@ -130,27 +129,34 @@ def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
 
 
 class _Regressor:
-    """Projects per-path targets onto the conditional-expectation estimator."""
+    """Projects per-path targets onto the conditional-expectation estimator.
+    The rows hold `blocks` stacked ensembles (eps rungs) that share x_state;
+    each block is projected on its own."""
 
-    def __init__(self, spec):
+    def __init__(self, spec, blocks: int = 1):
         self.spec = spec
+        self.blocks = blocks
         self.last_cond = None
 
     def project(self, x_state: Optional[np.ndarray], targets: np.ndarray, pathwise_exact: bool) -> np.ndarray:
-        """targets: (n_paths, m).  pathwise_exact marks targets already
+        """targets: (blocks * n_paths, m).  pathwise_exact marks targets already
         measurable at the current time (value updates under sample-mean)."""
+        rows = targets.reshape(self.blocks, -1, targets.shape[-1])
         if self.spec == "sample-mean":
             if pathwise_exact:
                 return targets
-            return np.broadcast_to(np.mean(targets, axis=0), targets.shape).copy()
+            return np.broadcast_to(np.mean(rows, axis=1, keepdims=True), rows.shape).reshape(targets.shape)
         if x_state is None:
             raise ValueError("state-based regression needs a Markov state ensemble")
         kind = self.spec[0]
+        out = np.empty_like(rows)
         if kind == "poly":
             phi = _poly_features(x_state, int(self.spec[1]))
-            coef, _, _, sv = np.linalg.lstsq(phi, targets, rcond=None)
+            for b in range(self.blocks):
+                coef, _, _, sv = np.linalg.lstsq(phi, rows[b], rcond=None)
+                out[b] = phi @ coef
             self.last_cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-            return phi @ coef
+            return out.reshape(targets.shape)
         if kind == "partition":
             cells = int(self.spec[1])
             d = x_state.shape[1]
@@ -159,11 +165,11 @@ class _Regressor:
             for j in range(d):
                 qs = np.quantile(x_state[:, j], np.linspace(0, 1, per_dim + 1)[1:-1])
                 ids = ids * per_dim + np.searchsorted(qs, x_state[:, j])
-            out = np.empty_like(targets)
             for cid in np.unique(ids):
                 mask = ids == cid
-                out[mask] = np.mean(targets[mask], axis=0)
-            return out
+                for b in range(self.blocks):
+                    out[b, mask] = np.mean(rows[b, mask], axis=0)
+            return out.reshape(targets.shape)
         raise ValueError(f"unknown regression spec {self.spec!r}")
 
 
@@ -200,79 +206,94 @@ def solve_penalized(
           implicit-prox:    Y_i = J^psi_dA(J^phi_dt(Ytil)), with the
           multipliers read off the resolvent gaps (V_i = 0 when dA_i = 0).
     """
+    Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise, state)
+    return BdsdeSolution(config.grid, Y[0], Z[0], U[0], V[0], dA, config, conds)
+
+
+def _backward_sweep(coeffs, phi, psi, config, eps_rungs, noise, state):
+    """The recursion of solve_penalized for R = len(eps_rungs) rungs at once,
+    stacked rung-major on the path axis and sharing noise, dA and X.  Each
+    rung is regressed on its own, so it matches a solve on its own.  Returns
+    Y, Z, U, V of shape (R, n_paths, ...), the clipped dA and the conditions."""
     grid = config.grid
     if noise.grid.n_steps != grid.n_steps:
         raise ValueError("noise bundle and solver grid disagree")
-    n_paths = noise.n_paths
-    d = noise.d
-    if state is not None:
-        dA = np.diff(state.A, axis=1)
-        X = state.X
-    else:
-        dA = noise.dA
-        X = None
-    if np.any(dA < -1e-12):
-        raise ValueError("encountered a negative dA increment")
+    n_paths, d = noise.n_paths, noise.d
+    dA, X = (np.diff(state.A, axis=1), state.X) if state is not None else (noise.dA, None)
+    if not np.all(np.isfinite(dA)) or np.any(dA < -1e-12):
+        raise ValueError("dA increments must be finite and >= 0")
     dA = np.maximum(dA, 0.0)
+    explicit = config.scheme == "explicit-yosida"
+    eps = np.asarray(eps_rungs, dtype=float)
+    if explicit and not np.all(np.isfinite(eps) & (eps > 0.0)):
+        raise ValueError("explicit scheme needs finite eps > 0")
 
-    xi = _terminal_values(coeffs, n_paths, state)
+    n_rungs = eps.size
+    rows = n_rungs * n_paths
+    # one rung uses the shared inputs as they are: no copies of a large batch
+    tile =(lambda a: a) if n_rungs == 1 else (lambda a: np.tile(a, (n_rungs,) + (1,) * (a.ndim - 1)))
+    dW, dB, dA_rows = tile(noise.dW), tile(noise.dB), tile(dA)
+    X_rows = tile(X) if X is not None else None
+    xi = tile(_terminal_values(coeffs, n_paths, state))
     k = xi.shape[1]
     n_nodes = grid.n_steps + 1
 
-    Y = np.empty((n_paths, n_nodes, k))
-    Z = np.zeros((n_paths, n_nodes, k, d))
-    U = np.zeros((n_paths, n_nodes, k))
-    V = np.zeros((n_paths, n_nodes, k))
+    Y = np.empty((rows, n_nodes, k))
+    Z = np.zeros((rows, n_nodes, k, d))
+    U = np.zeros((rows, n_nodes, k))
+    V = np.zeros((rows, n_nodes, k))
     Y[:, -1] = xi
-    explicit = config.scheme == "explicit-yosida"
-    eps = config.eps
-    if explicit:
-        U[:, -1] = yosida_gradient(phi, eps, xi)
-        V[:, -1] = yosida_gradient(psi, eps, xi)
+    eps_row = np.repeat(eps, n_paths)
 
-    reg = _Regressor(config.regression)
+    def grad(theta, y):  # the Yosida gradient at each row's eps
+        return (y - _prox(theta, eps_row, y)) / eps_row[:, None]
+
+    if explicit:
+        U[:, -1], V[:, -1] = grad(phi, xi), grad(psi, xi)
+
+    reg = _Regressor(config.regression, n_rungs)
     conds = []
+    dts, t_nodes = grid.dt.tolist(), grid.nodes.tolist()
     for i in range(grid.n_steps - 1, -1, -1):
-        dt = float(grid.dt[i])
-        dw = noise.dW[:, i]
-        db = noise.dB[:, i]
-        da = dA[:, i]
+        dt = dts[i]
+        dw = dW[:, i]
+        db = dB[:, i]
+        da = dA_rows[:, i]
         y_next = Y[:, i + 1]
         x_here = X[:, i] if X is not None else None
-        x_next = X[:, i + 1] if X is not None else None
-        t_next = float(grid.nodes[i + 1])
+        x_next = X_rows[:, i + 1] if X is not None else None
+        t_next = t_nodes[i + 1]
 
-        z_target = (y_next[:, :, None] * dw[:, None, :] / dt).reshape(n_paths, k * d)
-        z_i = reg.project(x_here, z_target, pathwise_exact=False).reshape(n_paths, k, d)
+        z_target = (y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d)
+        z_i = reg.project(x_here, z_target, pathwise_exact=False).reshape(rows, k, d)
         if reg.last_cond is not None:
             conds.append(reg.last_cond)
 
-        fv = np.asarray(coeffs.f(t_next, x_next, y_next, z_i), dtype=float).reshape(n_paths, k)
-        gv = np.asarray(coeffs.g(t_next, x_next, y_next), dtype=float).reshape(n_paths, k)
-        hv = np.asarray(coeffs.h(t_next, x_next, y_next, z_i), dtype=float).reshape(n_paths, k, d)
+        fv = np.asarray(coeffs.f(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k)
+        gv = np.asarray(coeffs.g(t_next, x_next, y_next), dtype=float).reshape(rows, k)
+        hv = np.asarray(coeffs.h(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k, d)
         target = y_next + fv * dt + gv * da[:, None] + np.einsum("pkd,pd->pk", hv, db)
         y_til = reg.project(x_here, target, pathwise_exact=True)
+        if not np.isfinite(y_til).all():
+            raise ValueError(f"non-finite Y at step {i}: prox input x must be finite")
 
         if explicit:
-            gp = yosida_gradient(phi, eps, y_til)
-            gq = yosida_gradient(psi, eps, y_til)
-            y_i = y_til - gp * dt - gq * da[:, None]
-            Y[:, i] = y_i
-            U[:, i] = yosida_gradient(phi, eps, y_i)
-            V[:, i] = yosida_gradient(psi, eps, y_i)
+            y_i = y_til - grad(phi, y_til) * dt - grad(psi, y_til) * da[:, None]
+            U[:, i], V[:, i] = grad(phi, y_i), grad(psi, y_i)
         else:
-            j_phi = prox(phi, dt, y_til)
+            j_phi = _prox(phi, dt, y_til)
             U[:, i] = (y_til - j_phi) / dt
             active = da > 0.0
             y_i = j_phi.copy()
             if np.any(active):
-                j_psi = prox(psi, da[active], j_phi[active])
+                j_psi = _prox(psi, da[active], j_phi[active])
                 V[active, i] = (j_phi[active] - j_psi) / da[active, None]
                 y_i[active] = j_psi
-            Y[:, i] = y_i
+        if not np.isfinite(y_i).all():
+            raise ValueError(f"non-finite Y at step {i}: prox input x must be finite")
+        Y[:, i] = y_i
         Z[:, i] = z_i
-
-    return BdsdeSolution(grid, Y, Z, U, V, dA, config, conds)
+    return [a.reshape((n_rungs, n_paths) + a.shape[1:]) for a in (Y, Z, U, V)] + [dA, conds]
 
 
 def _weights(grid: TimeGrid, A: np.ndarray, lam: float, mu: float) -> np.ndarray:
@@ -392,22 +413,17 @@ def cauchy_study(
         raise ValueError("eps ladder needs at least two entries")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-    sols = []
-    for e in ladder:
-        cfg = SolverConfig(base_config.grid, eps=e, scheme="explicit-yosida",
-                           regression=base_config.regression, tolerance=base_config.tolerance)
-        sols.append(solve_penalized(coeffs, phi, psi, cfg, noise, state))
-    A = sols[0].A
-    w = _weights(base_config.grid, A, lam, mu)
-    pairs, gaps = [], []
-    for (ea, sa), (eb, sb) in zip(zip(ladder, sols), zip(ladder[1:], sols[1:])):
-        diff2 = np.sum((sa.Y - sb.Y) ** 2, axis=-1)
-        gaps.append(float(np.mean(np.max(w * diff2, axis=1))))
-        pairs.append((ea, eb))
+    cfg = SolverConfig(base_config.grid, eps=ladder[-1], scheme="explicit-yosida",
+                       regression=base_config.regression)
+    Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, noise, state)
+    limit = BdsdeSolution(cfg.grid, Y[-1], Z[-1], U[-1], V[-1], dA, cfg, conds)
+    w = _weights(cfg.grid, limit.A, lam, mu)
+    pairs = list(zip(ladder, ladder[1:]))
+    gaps = [float(np.mean(np.max(w * np.sum((ya - yb) ** 2, axis=-1), axis=1))) for ya, yb in zip(Y, Y[1:])]
     x = np.log([a + b for a, b in pairs])
     y = 0.5 * np.log(gaps)  # log of the unsquared weighted sup gap
     slope = float(np.polyfit(x, y, 1)[0])
-    return CauchyReport(pairs, gaps, slope, sols[-1])
+    return CauchyReport(pairs, gaps, slope, limit)
 
 
 def verify_vi_inclusion(sol: BdsdeSolution, phi: ConvexFunction, psi: ConvexFunction,

@@ -51,6 +51,19 @@ def test_prox_rejects_bad_inputs():
         prox(q, 1.0, _arr(np.nan))
 
 
+
+@pytest.mark.parametrize("lattice", [False, True])
+def test_prox_zero_eps_entries_are_identity(lattice):
+    """eps = 0 entries of an eps array return x unchanged, also where the
+    oracle would meet 0 * theta = 0 * inf off the domain."""
+    box = make_convex("indicator_box(-1,1)")
+    if lattice:
+        box = replace(box, prox_oracle=None)
+    with np.errstate(all="raise"):
+        out = prox(box, _arr(0.0, 0.5), np.array([[2.0], [2.0]]))
+    assert out[0, 0] == 2.0
+    assert out[1, 0] == pytest.approx(1.0, abs=1e-7)
+
 # ---------------------------------------------------------------- envelope
 
 def test_envelope_quadratic():

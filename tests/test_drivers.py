@@ -20,6 +20,15 @@ def test_grid_uniform():
     assert g.max_dt == pytest.approx(0.25)
 
 
+
+def test_grid_dt_computed_once_and_read_only():
+    g = TimeGrid(np.array([0.0, 0.1, 0.4, 1.0]))
+    assert g.dt is g.dt
+    assert np.allclose(g.dt, [0.1, 0.3, 0.6])
+    assert not g.dt.flags.writeable
+    with pytest.raises(ValueError):
+        g.dt[0] = 1.0
+
 def test_grid_rejects_nonmonotone():
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.5, 0.4]))

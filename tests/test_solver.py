@@ -9,6 +9,7 @@ from bdsvi import (
     cauchy_study,
     generate_paths,
     make_convex,
+    make_domain,
     penalization_diagnostics,
     simulate_reflected,
     solve_penalized,
@@ -160,6 +161,89 @@ def test_cauchy_validates_ladder():
     with pytest.raises(ValueError):
         cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid), [1e-2, 1e-1], noise)
 
+
+
+def _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, state, lam, mu):
+    """The ladder study as one solve_penalized per rung."""
+    sols = [solve_penalized(coeffs, phi, psi,
+                            SolverConfig(grid, eps=e, scheme="explicit-yosida", regression=regression),
+                            noise, state) for e in ladder]
+    w = np.exp(lam * grid.nodes[None, :] + mu * sols[0].A)
+    gaps = [float(np.mean(np.max(w * np.sum((a.Y - b.Y) ** 2, axis=-1), axis=1)))
+            for a, b in zip(sols, sols[1:])]
+    x = np.log([a + b for a, b in zip(ladder, ladder[1:])])
+    return sols[-1], gaps, float(np.polyfit(x, 0.5 * np.log(gaps), 1)[0])
+
+
+def _assert_batched_ladder_matches(coeffs, phi, psi, grid, regression, noise, state=None):
+    ladder = [1e-1, 1e-2, 5e-3]
+    rep = cauchy_study(coeffs, phi, psi, SolverConfig(grid, regression=regression), ladder,
+                       noise, state, lam=3.0, mu=1.5)
+    limit, gaps, slope = _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, state, 3.0, 1.5)
+    assert rep.eps_pairs == [(1e-1, 1e-2), (1e-2, 5e-3)]
+    assert rep.gaps_sq == gaps
+    assert rep.slope == slope
+    for name in ("Y", "Z", "U", "V", "dA"):
+        assert np.array_equal(getattr(rep.limit, name), getattr(limit, name)), name
+    assert rep.limit.condition_numbers == limit.condition_numbers
+    assert rep.limit.config.eps == 5e-3 and rep.limit.config.scheme == "explicit-yosida"
+
+
+def test_batched_ladder_matches_per_rung_solves_state_free():
+    grid, noise = _bundle(n_steps=400, n_paths=6, seed=4, a="time")
+    coeffs = _coeffs(f=lambda t, x, y, z: np.ones_like(y),
+                     g=lambda t, x, y: np.full_like(y, 0.2),
+                     h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3))
+    _assert_batched_ladder_matches(coeffs, make_convex("indicator_box(-inf,0.5)"), make_convex("abs"),
+                                   grid, "sample-mean", noise)
+
+
+@pytest.mark.parametrize("regression", [("poly", 2), ("partition", 4)])
+def test_batched_ladder_matches_per_rung_solves_reflected(regression):
+    grid = TimeGrid.uniform(0, 1, 200)
+    noise = generate_paths(grid, 1, 150, seed=5, shared_backward=True)
+    state = simulate_reflected(make_domain("interval", lo=-1.0, hi=1.0), 0.0, 1.0,
+                               (0.0, np.zeros(1)), grid, noise)
+    coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.1 * x,
+                     g=lambda t, x, y: np.full_like(y, 0.1),
+                     terminal=lambda x: x[:, 0] ** 2)
+    _assert_batched_ladder_matches(coeffs, make_convex("indicator_box(-inf,0.5)"), make_convex("abs"),
+                                   grid, regression, noise, state)
+
+
+def test_regressor_projects_each_block_on_its_own():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1, 1, (40, 1))
+    targets = rng.normal(size=(3 * 40, 2))
+    for spec in ("sample-mean", ("poly", 2), ("partition", 4)):
+        out = _Regressor(spec, blocks=3).project(x, targets, pathwise_exact=False)
+        for b in range(3):
+            rows = slice(40 * b, 40 * (b + 1))
+            assert np.array_equal(out[rows], _Regressor(spec).project(x, targets[rows], pathwise_exact=False))
+
+
+def _blows_up(t, x, y, z):
+    return np.full_like(y, np.inf if t > 0.5 else 1.0)
+
+
+@pytest.mark.parametrize("run", ["explicit", "implicit", "ladder", "unstable"])
+def test_non_finite_value_in_sweep_raises(run):
+    """A value that turns non-finite during the sweep raises ValueError
+    (exit code 2 in the CLI), whichever scheme or study runs it."""
+    grid, noise = _bundle(n_steps=100, n_paths=4)
+    phi = make_convex("indicator_box(-inf,0.5)")
+    coeffs = _coeffs(f=_blows_up)
+    runs = {
+        "explicit": lambda: solve_penalized(coeffs, phi, ZERO,
+                                            SolverConfig(grid, eps=2e-2, scheme="explicit-yosida"), noise),
+        "implicit": lambda: solve_penalized(coeffs, phi, ZERO, SolverConfig(grid), noise),
+        "ladder": lambda: cauchy_study(coeffs, phi, ZERO, SolverConfig(grid), [1e-1, 2e-2], noise),
+        # dt * Lip(grad phi_eps) = 0.01 * 5e5: the explicit step overflows
+        "unstable": lambda: solve_penalized(_coeffs(terminal=1.0), make_convex("quadratic(1e6)"), ZERO,
+                                            SolverConfig(grid, eps=1e-6, scheme="explicit-yosida"), noise),
+    }
+    with pytest.raises(ValueError, match="must be finite"), np.errstate(all="ignore"):
+        runs[run]()
 
 # ---------------------------------------------------------------- diagnostics
 
