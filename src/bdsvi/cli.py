@@ -15,12 +15,11 @@ import sys
 import numpy as np
 
 from .convex import check_compatibility, make_convex, prox_property_suite, validate_weights
-from .drivers import generate_paths
-from .field import FieldGrid, boundary_residual, continuity_diagnostic, interior_residual, sample_field
+from .drivers import generate_paths, load_a_table
+from .field import FieldGrid, continuity_diagnostic, sample_field
 from .reflected import local_time_identity_residual, simulate_reflected
 from .scenarios import Scenario, ScenarioError, load_scenario
 from .solver import (
-    SolverConfig,
     cauchy_study,
     penalization_diagnostics,
     solve_penalized,
@@ -64,8 +63,6 @@ def _build_run(scn: Scenario):
     elif scn.a_process == "none":
         a_spec = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     else:
-        from .drivers import load_a_table
-
         a_spec = load_a_table(scn.a_process)
     return generate_paths(scn.grid, d, scn.n_paths, scn.seed, a_spec=a_spec), None
 

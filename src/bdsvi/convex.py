@@ -7,7 +7,7 @@ sentinel (numpy's inf already saturates under ordering and addition).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,9 +28,6 @@ __all__ = [
     "make_convex",
     "CATALOG",
 ]
-
-# h-ladder for one-sided derivative extrapolation
-_H_LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 # golden-section ratio 1/phi for the k = 1 prox search
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -140,10 +137,13 @@ def _prox(theta: ConvexFunction, eps, x) -> np.ndarray:
 
 
 def moreau_envelope(theta: ConvexFunction, eps, x) -> np.ndarray:
-    """theta_eps(x) = 0.5|x - J_eps(x)|^2 + eps*theta(J_eps(x))."""
+    """theta_eps(x) = 0.5|x - J_eps(x)|^2 + eps*theta(J_eps(x)); theta_0 = theta."""
     eps, x = _check_prox_args(eps, x)
     j = _prox(theta, eps, x)
-    return 0.5 * np.sum((x - j) ** 2, axis=-1) + eps * theta.evaluate(j)
+    t = theta.evaluate(j)
+    with np.errstate(invalid="ignore"):  # 0 * inf = nan off Dom(theta); np.where keeps theta there
+        pen = np.where(eps == 0.0, t, eps * t)
+    return 0.5 * np.sum((x - j) ** 2, axis=-1) + pen
 
 
 def yosida_gradient(theta: ConvexFunction, eps, x) -> np.ndarray:
@@ -267,24 +267,19 @@ def _golden_prox_1d(theta, eps, x, lo, hi, width):
 def one_sided_derivatives(theta: ConvexFunction, y: float) -> tuple[float, float]:
     """Left and right derivatives of a one-dimensional theta at y.
 
-    Difference quotients over a fixed h-ladder; by convexity the left
-    quotients increase and the right quotients decrease as h shrinks, so the
-    smallest finite-h quotient is taken.  Returns -inf/+inf sentinels at
-    domain boundaries.  Raises if y itself is outside Dom(theta).
+    Difference quotients with h = 1e-6.  By convexity the left quotient is
+    at most the left derivative and the right quotient at least the right
+    derivative, each within O(h) where theta is C^2 on that side.  Returns
+    -inf/+inf sentinels at domain boundaries.  Raises if y itself is outside
+    Dom(theta).
     """
     y = float(y)
     val = float(theta.evaluate(np.array([y])))
     if not np.isfinite(val):
         raise ValueError(f"{y} lies outside Dom({theta.label or 'theta'})")
-    left = -np.inf
-    right = np.inf
-    for h in _H_LADDER:
-        vl = float(theta.evaluate(np.array([y - h])))
-        vr = float(theta.evaluate(np.array([y + h])))
-        ql = (val - vl) / h  # -inf when y-h is outside the domain
-        qr = (vr - val) / h  # +inf when y+h is outside the domain
-        left = ql
-        right = qr
+    h = 1e-6
+    left = (val - float(theta.evaluate(np.array([y - h])))) / h  # -inf when y-h is outside the domain
+    right = (float(theta.evaluate(np.array([y + h]))) - val) / h  # +inf when y+h is outside the domain
     return left, right
 
 

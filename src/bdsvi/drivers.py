@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -167,12 +167,11 @@ def forward_ito(integrand_left: np.ndarray, dW: np.ndarray) -> np.ndarray:
 
 
 def backward_ito(integrand_right: np.ndarray, dB: np.ndarray) -> np.ndarray:
-    """Right-endpoint sum  sum_i zeta(t_{i+1}) dB_i  (backward convention)."""
-    integrand_right = np.asarray(integrand_right, dtype=float)
-    dB = np.asarray(dB, dtype=float)
-    if integrand_right.shape[-1] != dB.shape[-1]:
-        raise ValueError("integrand and increment step counts differ")
-    return np.sum(integrand_right * dB, axis=-1)
+    """Right-endpoint sum  sum_i zeta(t_{i+1}) dB_i  (backward convention).
+
+    The sum is forward_ito's; the conventions differ only in which node
+    values the caller passes (here the right endpoints of the steps)."""
+    return forward_ito(integrand_right, dB)
 
 
 def stratonovich_backward(integrand: Callable, dB: np.ndarray, y_terminal=0.0):

@@ -9,7 +9,7 @@ fields and keeps them available.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .convex import ConvexFunction, yosida_gradient
 from .drivers import PathBundle, TimeGrid, _substream, generate_paths
 from .reflected import DomainSpec, simulate_reflected
-from .solver import BdsdeSolution, CoefficientSet, SolverConfig, solve_penalized
+from .solver import CoefficientSet, SolverConfig, solve_penalized
 
 __all__ = [
     "FieldGrid",

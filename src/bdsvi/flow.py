@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .convex import ConvexFunction, yosida_gradient
-from .reflected import DomainSpec
+from .reflected import DomainSpec, _coefficients, _generator
 
 __all__ = [
     "FlowSpec",
@@ -170,19 +170,14 @@ def transform_coefficients(
     t, x, y, z = point
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    d = x.size
-    sig = sigma(x) if callable(sigma) else np.asarray(sigma, dtype=float)
-    if np.ndim(sig) == 0:
-        sig = float(sig) * np.eye(d)
-    bv = b(x) if callable(b) else np.broadcast_to(np.asarray(b, dtype=float), (d,))
-
+    bv, sig = _coefficients(b, sigma, x, x.size)
     base, d_x, d_xx, d_xy, d_yy = _flow_derivatives(spec, x, y, times, B, fd_step)
     eta = float(base.eta)
     dy = float(base.d_y_eta)
     if dy <= 1e-12:
         raise RuntimeError("degenerate flow derivative")
 
-    l_x = 0.5 * float(np.trace(sig @ sig.T @ d_xx)) + float(np.dot(bv, d_x))
+    l_x = float(_generator(sig, bv, d_x, d_xx))
     hu = spec.h(t, x, eta) * spec.du(t, x, eta)
     z_arg = sig.T @ d_x + dy * z
     f_tilde = (f(t, x, eta, z_arg) - 0.5 * hu + l_x

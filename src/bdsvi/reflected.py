@@ -118,13 +118,9 @@ def ellipsoid(semi_axes) -> DomainSpec:
         return raw(x) / _gnorm(x)
 
     def gradient(x):
-        h = 1e-6
-        out = np.empty(x.shape)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            out[..., i] = (level(x + e) - level(x - e)) / (2.0 * h)
-        return out
+        # level = raw / g, with grad g = (-2 grad raw / a^2 + raw grad raw) / g
+        r, gr, g = raw(x)[..., None], raw_grad(x), _gnorm(x)[..., None]
+        return gr / g - r * (-2.0 * gr / a2 + r * gr) / (g * g * g)
 
     def hessian(x):
         h = 1e-5
@@ -147,6 +143,24 @@ def make_domain(kind: str, **params) -> DomainSpec:
     if kind == "ellipsoid":
         return ellipsoid(params["semi_axes"])
     raise KeyError(f"unknown domain kind {kind!r}")
+
+
+def _coefficients(b, sigma, x, d: int):
+    """Drift and diffusion at the points x, broadcast to (..., d) and
+    (..., d, d).  Either may be a callable of x or a constant; a scalar sigma
+    means sigma * I."""
+    bv = b(x) if callable(b) else np.asarray(b, dtype=float)
+    sig = sigma(x) if callable(sigma) else np.asarray(sigma, dtype=float)
+    if np.ndim(sig) == 0:
+        sig = float(sig) * np.eye(d)
+    batch = np.shape(x)[:-1]
+    return np.broadcast_to(bv, batch + (d,)), np.broadcast_to(sig, batch + (d, d))
+
+
+def _generator(sig, bv, grad, hess):
+    """L v = 0.5 Tr(sigma sigma^T D^2 v) + <b, grad v>, batched over the
+    leading axes of its arguments."""
+    return 0.5 * np.einsum("...ij,...kj,...ik->...", sig, sig, hess) + np.einsum("...i,...i->...", bv, grad)
 
 
 def _project_out(domain: DomainSpec, x_star: np.ndarray, step_scale: float):
@@ -207,26 +221,14 @@ def simulate_reflected(
         raise ValueError("noise bundle and grid disagree on step count")
     n_paths = noise.n_paths
     d = domain.d
-
-    def eval_b(x):
-        v = b(x) if callable(b) else np.asarray(b, dtype=float)
-        return np.broadcast_to(v, x.shape)
-
-    def eval_sigma(x):
-        v = sigma(x) if callable(sigma) else np.asarray(sigma, dtype=float)
-        if np.ndim(v) == 0:
-            v = float(v) * np.eye(d)
-        return np.broadcast_to(v, x.shape[:-1] + (d, d))
-
     X = np.empty((n_paths, grid.n_steps + 1, d))
     A = np.zeros((n_paths, grid.n_steps + 1))
     X[:, 0] = x0
-    sig_scale = float(np.max(np.abs(eval_sigma(x0[None, :]))))
     for i in range(grid.n_steps):
-        dt = grid.dt[i]
         x = X[:, i]
-        drift = eval_b(x) * dt
-        sw = np.einsum("pij,pj->pi", eval_sigma(x), noise.dW[:, i])
+        bv, sig = _coefficients(b, sigma, x, d)
+        drift = bv * grid.dt[i]
+        sw = np.einsum("pij,pj->pi", sig, noise.dW[:, i])
         x_star = x + drift + sw
         step_scale = float(np.max(np.linalg.norm(drift + sw, axis=-1), initial=1e-12))
         x_new, delta = _project_out(domain, x_star, step_scale)
@@ -263,28 +265,15 @@ def local_time_identity_residual(path: ReflectedPath, domain: DomainSpec, b, sig
         raise ValueError("path must retain its noise bundle")
     X = path.X
     grid = path.grid
-    d = domain.d
     n_paths, n_nodes = path.A.shape
-
-    def eval_b(x):
-        v = b(x) if callable(b) else np.asarray(b, dtype=float)
-        return np.broadcast_to(v, x.shape)
-
-    def eval_sigma(x):
-        v = sigma(x) if callable(sigma) else np.asarray(sigma, dtype=float)
-        if np.ndim(v) == 0:
-            v = float(v) * np.eye(d)
-        return np.broadcast_to(v, x.shape[:-1] + (d, d))
-
     lv = domain.level(X)
     recon = np.zeros((n_paths, n_nodes))
     acc = np.zeros(n_paths)
     for i in range(grid.n_steps):
         x = X[:, i]
-        sig = eval_sigma(x)
+        bv, sig = _coefficients(b, sigma, x, domain.d)
         grad = domain.gradient(x)
-        hess = domain.hessian(x)
-        gen = 0.5 * np.einsum("pij,pkj,pik->p", sig, sig, hess) + np.einsum("pi,pi->p", eval_b(x), grad)
+        gen = _generator(sig, bv, grad, domain.hessian(x))
         mart = np.einsum("pi,pij,pj->p", grad, sig, path.noise.dW[:, i])
         acc = acc + gen * grid.dt[i] + mart
         recon[:, i + 1] = lv[:, i + 1] - lv[:, 0] - acc
@@ -321,14 +310,8 @@ def boundary_inequality_check(domain: DomainSpec, pairs, tol: float = 1e-6) -> d
 def generator_apply(sigma, b, grad_v, hess_v, x) -> float:
     """L v(x) = 0.5 Tr(sigma sigma^T D^2 v) + <b, grad v>."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-    sig = sigma(x) if callable(sigma) else np.asarray(sigma, dtype=float)
-    if np.ndim(sig) == 0:
-        sig = float(sig) * np.eye(d)
-    bv = b(x) if callable(b) else np.broadcast_to(np.asarray(b, dtype=float), (d,))
-    H = np.asarray(hess_v(x), dtype=float)
-    g = np.asarray(grad_v(x), dtype=float)
-    return float(0.5 * np.trace(sig @ sig.T @ H) + np.dot(bv, g))
+    bv, sig = _coefficients(b, sigma, x, x.size)
+    return float(_generator(sig, bv, np.asarray(grad_v(x), dtype=float), np.asarray(hess_v(x), dtype=float)))
 
 
 def normal_derivative(domain: DomainSpec, grad_v, x, tol: float = 1e-7) -> float:

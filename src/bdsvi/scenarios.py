@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .convex import AssumptionConstants, ConvexFunction, make_convex
+from .convex import AssumptionConstants, ConvexFunction, make_convex, validate_weights
 from .drivers import TimeGrid
 from .reflected import DomainSpec, make_domain
 from .solver import CoefficientSet, SolverConfig
@@ -168,8 +168,6 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         )
     except (KeyError, TypeError) as exc:
         raise ScenarioError(str(exc)) from exc
-    from .convex import validate_weights
-
     wr = validate_weights(constants)
     if not wr.ok:
         # sufficient-not-necessary inequalities: warn, do not abort

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .convex import AssumptionConstants, ConvexFunction, _prox, prox, yosida_gradient
+from .convex import AssumptionConstants, ConvexFunction, _prox, prox
 from .drivers import PathBundle, TimeGrid
 from .reflected import ReflectedPath
 
@@ -366,10 +366,12 @@ def penalization_diagnostics(sol: BdsdeSolution, phi: ConvexFunction, psi: Conve
     A = sol.A
     w = _weights(sol.grid, A, lam, mu)
     dA = sol.dA
+    if eps == 0.0:
+        raise ValueError("penalization_diagnostics requires eps > 0")
     j_phi = prox(phi, eps, sol.Y)
     j_psi = prox(psi, eps, sol.Y)
-    gp2 = np.sum(yosida_gradient(phi, eps, sol.Y) ** 2, axis=-1)
-    gq2 = np.sum(yosida_gradient(psi, eps, sol.Y) ** 2, axis=-1)
+    gp2 = np.sum(((sol.Y - j_phi) / eps) ** 2, axis=-1)  # Yosida gradients from the same resolvents
+    gq2 = np.sum(((sol.Y - j_psi) / eps) ** 2, axis=-1)
     phi_j = phi.evaluate(j_phi)
     psi_j = psi.evaluate(j_psi)
     dist_phi = np.sum((sol.Y - j_phi) ** 2, axis=-1)

@@ -85,6 +85,17 @@ def test_envelope_abs_grid_value():
     assert moreau_envelope(ab, 0.5, _arr(2.0)) == pytest.approx(0.875)
 
 
+def test_envelope_zero_eps_is_theta_off_domain():
+    # theta_0 = theta: +inf outside Dom(theta), not 0 * inf = nan
+    box = make_convex("indicator_box(-1,1)")
+    with np.errstate(all="raise"):
+        off = moreau_envelope(box, 0.0, _arr(2.0))
+        mixed = moreau_envelope(box, _arr(0.0, 0.5), np.array([[2.0], [2.0]]))
+    assert off == np.inf
+    assert mixed[0] == np.inf
+    assert mixed[1] == pytest.approx(0.5)
+
+
 # ---------------------------------------------------------------- gradient
 
 def test_yosida_gradient_quadratic():

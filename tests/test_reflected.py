@@ -52,9 +52,18 @@ def test_ellipsoid_unit_normal_on_boundary():
     theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     pts = np.stack([2.0 * np.cos(theta), 0.5 * np.sin(theta)], axis=-1)
     assert np.max(np.abs(dom.level(pts))) < 1e-9
-    assert np.allclose(np.linalg.norm(dom.gradient(pts), axis=-1), 1.0, atol=1e-5)
+    assert np.allclose(np.linalg.norm(dom.gradient(pts), axis=-1), 1.0, rtol=0.0, atol=1e-12)
     assert float(dom.level(np.zeros(2))) > 0.0
     assert float(dom.level(np.array([3.0, 0.0]))) < 0.0
+
+
+def test_ellipsoid_gradient_matches_level_differences():
+    dom = ellipsoid([2.0, 0.5])
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 2)) * np.array([2.0, 0.5])
+    pts = pts[dom.level(pts) > 0.0]
+    h = 1e-6
+    fd = np.stack([(dom.level(pts + e) - dom.level(pts - e)) / (2.0 * h) for e in h * np.eye(2)], axis=-1)
+    assert np.max(np.abs(dom.gradient(pts) - fd)) < 1e-8
 
 
 def test_make_domain_dispatch():
@@ -193,6 +202,10 @@ def test_generator_on_quadratic():
     val = generator_apply(1.0, np.array([1.0, 2.0]),
                           lambda p: 2.0 * p, lambda p: 2.0 * np.eye(2), x)
     assert val == pytest.approx(2.0 + 2.0 * (0.3 - 0.8))
+    # callable full sigma and callable b
+    sig = lambda p: np.array([[1.0, p[0]], [0.5, 2.0]])
+    val = generator_apply(sig, lambda p: p[::-1], lambda p: 2.0 * p, lambda p: 2.0 * np.eye(2), x)
+    assert val == pytest.approx(np.sum(sig(x) ** 2) + 2.0 * np.dot(x[::-1], x))
 
 
 def test_normal_derivative_on_ball():
