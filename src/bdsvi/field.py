@@ -9,15 +9,15 @@ fields and keeps them available.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .convex import ConvexFunction, yosida_gradient
 from .drivers import PathBundle, TimeGrid, _substream, generate_paths
-from .reflected import DomainSpec, simulate_reflected
-from .solver import CoefficientSet, SolverConfig, solve_penalized
+from .reflected import DomainSpec, _coefficients, simulate_reflected
+from .solver import CoefficientSet, SolverConfig, _backward_sweep, _terminal_values
 
 __all__ = [
     "FieldGrid",
@@ -65,11 +65,7 @@ class FieldEstimate:
 def manufactured_field(u: Callable, fgrid: FieldGrid) -> FieldEstimate:
     """Exact field injected from an analytic u(t, x); zero standard error.
     Used to verify the residual stencils on manufactured solutions."""
-    nt, npts = fgrid.times.size, fgrid.points.shape[0]
-    vals = np.empty((nt, npts))
-    for i, t in enumerate(fgrid.times):
-        for j in range(npts):
-            vals[i, j] = float(u(float(t), fgrid.points[j]))
+    vals = np.array([[float(u(float(t), x)) for x in fgrid.points] for t in fgrid.times])
     return FieldEstimate(fgrid, vals, np.zeros_like(vals), vals[None], n_paths=0)
 
 
@@ -91,45 +87,39 @@ def sample_field(
     Lattice times are snapped to the master grid of the solver config.  The
     backward increments of one draw are generated once on the master grid and
     shared by every path and lattice node (common noise); the forward noise
-    gets an independent substream per node.  The terminal slice is the exact
-    terminal map.
+    gets an independent substream per node.  The nodes of one lattice time
+    run as one stacked ensemble (point jp on rows jp * n_paths ...) through one
+    reflected simulation and one backward sweep, which regresses each node on
+    its own paths.  The terminal slice is the exact terminal map.
     """
     master = config.grid
     nodes = master.nodes
     nt, npts = fgrid.times.size, fgrid.points.shape[0]
-    if not callable(coeffs.terminal):
-        xi = float(np.atleast_1d(np.asarray(coeffs.terminal, dtype=float))[0])
-        coeffs = CoefficientSet(coeffs.f, coeffs.g, coeffs.h,
-                                lambda x: np.full(x.shape[:-1], xi), coeffs.constants)
     per_draw = np.empty((n_b_draws, nt, npts))
-    per_draw_se = np.empty((n_b_draws, nt, npts))
+    per_draw_se = np.zeros((n_b_draws, nt, npts))
     d = domain.d
+    starts = np.repeat(fgrid.points, n_paths, axis=0)
 
     t_index = np.searchsorted(nodes, fgrid.times - 1e-12)
     sqdt = np.sqrt(master.dt)[:, None]
     for draw in range(n_b_draws):
         db_master = _substream(seed, 2**63 + draw).standard_normal((master.n_steps, d)) * sqdt
         for it, j0 in enumerate(t_index):
-            t = float(nodes[j0])
-            for jp in range(npts):
-                x = fgrid.points[jp]
-                if j0 == master.n_steps:
-                    per_draw[draw, it, jp] = float(np.atleast_1d(coeffs.terminal(x[None, :]))[0])
-                    per_draw_se[draw, it, jp] = 0.0
-                    continue
-                sub = TimeGrid(nodes[j0:])
-                sub_seed = (seed * 1000003 + draw * 262147 + it * 9176 + jp * 31 + 7) % (2**63)
-                bundle = generate_paths(sub, d, n_paths, sub_seed)
-                bundle = PathBundle(sub, d, n_paths, bundle.dW,
-                                    np.broadcast_to(db_master[j0:], (n_paths, sub.n_steps, d)).copy(),
-                                    bundle.A, sub_seed, a_attached=False)
-                ens = simulate_reflected(domain, b, sigma, (t, x), sub, bundle)
-                cfg = SolverConfig(sub, eps=config.eps, scheme=config.scheme,
-                                   regression=config.regression)
-                sol = solve_penalized(coeffs, phi, psi, cfg, bundle, state=ens)
-                y0 = sol.Y[:, 0, 0]
-                per_draw[draw, it, jp] = float(np.mean(y0))
-                per_draw_se[draw, it, jp] = float(np.std(y0, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+            if j0 == master.n_steps:
+                per_draw[draw, it] = _terminal_values(coeffs, npts, fgrid.points)[:, 0]
+                continue
+            sub = TimeGrid(nodes[j0:])
+            dW = np.concatenate([
+                generate_paths(sub, d, n_paths,
+                               (seed * 1000003 + draw * 262147 + it * 9176 + jp * 31 + 7) % (2**63)).dW
+                for jp in range(npts)])
+            noise = PathBundle(sub, d, len(dW), dW, np.broadcast_to(db_master[j0:], dW.shape),
+                               np.broadcast_to(0.0, (len(dW), sub.n_steps + 1)), seed, a_attached=False)
+            ens = simulate_reflected(domain, b, sigma, (sub.t0, starts), sub, noise)
+            cfg = replace(config, grid=sub)
+            y0 = _backward_sweep(coeffs, phi, psi, cfg, [config.eps] * npts, noise, ens)[0][:, :, 0, 0]
+            per_draw[draw, it] = np.mean(y0, axis=1)
+            per_draw_se[draw, it] = np.std(y0, axis=1, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
     values = np.mean(per_draw, axis=0)
     within = np.sqrt(np.mean(per_draw_se ** 2, axis=0) / n_b_draws)
     across = np.std(per_draw, axis=0, ddof=1) / np.sqrt(n_b_draws) if n_b_draws > 1 else 0.0
@@ -189,7 +179,9 @@ def interior_residual(fld: FieldEstimate, coeffs: CoefficientSet, phi: ConvexFun
         du/dt + 0.5 sigma^2 u_xx + b u_x + f(t, x, u, sigma u_x)
               - grad phi_eps(u)
 
-    on interior lattice nodes (deterministic reduction, backward noise off)."""
+    on interior lattice nodes (deterministic reduction, backward noise off).
+    sigma and b take the contract of simulate_reflected and are evaluated at
+    every lattice point."""
     x = _require_line_lattice(fld)
     times = fld.grid.times
     u = fld.values
@@ -197,8 +189,8 @@ def interior_residual(fld: FieldEstimate, coeffs: CoefficientSet, phi: ConvexFun
     interior[0] = interior[-1] = False
     if not np.any(interior):
         raise ValueError("no interior nodes on the lattice")
-    sig = float(sigma(x[:1]) if callable(sigma) else sigma)
-    bv = float(b(x[:1]) if callable(b) else b)
+    bv, sig = _coefficients(b, sigma, x[:, None], 1)
+    bv, sig = bv[:, 0], sig[:, 0, 0]
     res = np.full((times.size - 1, x.size), np.nan)
     for i in range(times.size - 1):
         dt = times[i + 1] - times[i]
@@ -224,19 +216,16 @@ def boundary_residual(fld: FieldEstimate, coeffs: CoefficientSet, psi: ConvexFun
     x = _require_line_lattice(fld)
     times = fld.grid.times
     u = fld.values
-    bmask = fld.grid.boundary_mask
-    if not np.any(bmask):
+    jb = np.nonzero(fld.grid.boundary_mask)[0]
+    if jb.size == 0:
         raise ValueError("no boundary nodes on the lattice")
-    worst = 0.0
+    xb = x[jb, None]
+    n_in = domain.gradient(xb)[:, 0]
     res = np.full((times.size, x.size), np.nan)
     for i, t in enumerate(times):
         u_x = np.gradient(u[i], x, edge_order=2)
-        for j in np.nonzero(bmask)[0]:
-            xq = x[j: j + 1]
-            n_in = float(domain.gradient(xq[:, None])[0, 0])
-            y = np.array([[u[i, j]]])
-            gv = float(np.asarray(coeffs.g(float(t), xq[:, None], y)).reshape(-1)[0])
-            pen = float(yosida_gradient(psi, eps, y)[0, 0]) if eps > 0 else 0.0
-            res[i, j] = n_in * u_x[j] + gv - pen
-            worst = max(worst, abs(res[i, j]))
-    return {"max_abs": worst, "residual": res}
+        y = u[i, jb, None]
+        gv = np.asarray(coeffs.g(float(t), xb, y), dtype=float).reshape(-1)
+        pen = yosida_gradient(psi, eps, y)[:, 0] if eps > 0 else 0.0
+        res[i, jb] = n_in * u_x[jb] + gv - pen
+    return {"max_abs": float(np.max(np.abs(res[:, jb]))), "residual": res}

@@ -167,6 +167,11 @@ def transform_coefficients(
                     + <sigma^T Dxy_eta, z> + 0.5 Dyy_eta |z|^2 ]
       g~ = (1/Dy) ( g(t, x, eta) - <grad level(x), Dx_eta> )
     """
+    return _transform(spec, f, g, domain, sigma, b, point, times, B, fd_step)[:2]
+
+
+def _transform(spec, f, g, domain, sigma, b, point, times, B, fd_step):
+    """(f~, g~) of transform_coefficients plus the flow sample at the point."""
     t, x, y, z = point
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -183,7 +188,7 @@ def transform_coefficients(
     f_tilde = (f(t, x, eta, z_arg) - 0.5 * hu + l_x
                + float(np.dot(sig.T @ d_xy, z)) + 0.5 * d_yy * float(np.dot(z, z))) / dy
     g_tilde = (g(t, x, eta) - float(np.dot(domain.gradient(x), d_x))) / dy
-    return float(f_tilde), float(g_tilde)
+    return float(f_tilde), float(g_tilde), base
 
 
 def transform_penalized(
@@ -205,9 +210,7 @@ def transform_penalized(
     the flow derivative."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    t, x, y, z = point
-    f_tilde, g_tilde = transform_coefficients(spec, f, g, domain, sigma, b, point, times, B, fd_step)
-    s = flow(spec, np.atleast_1d(np.asarray(x, dtype=float)), y, times, B)
+    f_tilde, g_tilde, s = _transform(spec, f, g, domain, sigma, b, point, times, B, fd_step)
     eta = np.atleast_1d(np.asarray(s.eta, dtype=float))
     dy = float(s.d_y_eta)
     gp = float(yosida_gradient(phi, delta, eta)[0])

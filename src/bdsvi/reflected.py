@@ -163,12 +163,12 @@ def _generator(sig, bv, grad, hess):
     return 0.5 * np.einsum("...ij,...kj,...ik->...", sig, sig, hess) + np.einsum("...i,...i->...", bv, grad)
 
 
-def _project_out(domain: DomainSpec, x_star: np.ndarray, step_scale: float):
+def _project_out(domain: DomainSpec, x_star: np.ndarray, step_scale: np.ndarray):
     """Push points with level < 0 back along the level gradient.
 
     Returns (projected points, push distances).  The push distance delta is
     the smallest delta >= 0 with level(x* + delta*grad) >= 0, found by
-    bracketing and bisection along the normal ray.
+    bracketing from step_scale (one per point) and bisection along the ray.
     """
     lv = domain.level(x_star)
     viol = lv < 0.0
@@ -177,7 +177,7 @@ def _project_out(domain: DomainSpec, x_star: np.ndarray, step_scale: float):
         return x_star, delta
     xv = x_star[viol]
     n = domain.gradient(xv)
-    hi = np.full(xv.shape[0], max(step_scale, 1e-12))
+    hi = step_scale[viol]
     for _ in range(60):
         ok = domain.level(xv + hi[:, None] * n) >= 0.0
         if np.all(ok):
@@ -207,15 +207,18 @@ def simulate_reflected(
 ) -> ReflectedPath:
     """Projection-Euler simulation of the reflected pair (X, A) from (t, x).
 
-    b(x) -> (..., d) drift, sigma(x) -> (..., d, d) diffusion matrix; both may
-    also be constants.  The grid must start at t.  A is the accumulated
+    x is one point (d,) or one per path (n_paths, d).  The paths launched from
+    one point form an ensemble that runs exactly as if simulated alone: its
+    projection brackets start at its own largest step.  b(x) -> (..., d)
+    drift, sigma(x) -> (..., d, d) diffusion matrix; both may also be
+    constants.  The grid must start at t.  A is the accumulated
     projection distance (the boundary local time of the scheme).
     """
     t0, x0 = start
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if abs(grid.t0 - t0) > 1e-12:
         raise ValueError("grid must start at the launch time")
-    if float(domain.level(x0)) < -_BOUNDARY_TOL:
+    if np.any(domain.level(x0) < -_BOUNDARY_TOL):
         raise ValueError("start point lies outside the closure of the domain")
     if noise.grid.n_steps != grid.n_steps:
         raise ValueError("noise bundle and grid disagree on step count")
@@ -224,14 +227,16 @@ def simulate_reflected(
     X = np.empty((n_paths, grid.n_steps + 1, d))
     A = np.zeros((n_paths, grid.n_steps + 1))
     X[:, 0] = x0
+    ens = np.unique(X[:, 0], axis=0, return_inverse=True)[1].reshape(-1)
     for i in range(grid.n_steps):
         x = X[:, i]
         bv, sig = _coefficients(b, sigma, x, d)
         drift = bv * grid.dt[i]
         sw = np.einsum("pij,pj->pi", sig, noise.dW[:, i])
         x_star = x + drift + sw
-        step_scale = float(np.max(np.linalg.norm(drift + sw, axis=-1), initial=1e-12))
-        x_new, delta = _project_out(domain, x_star, step_scale)
+        step_scale = np.full(ens.max() + 1, 1e-12)
+        np.maximum.at(step_scale, ens, np.linalg.norm(drift + sw, axis=-1))
+        x_new, delta = _project_out(domain, x_star, step_scale[ens])
         X[:, i + 1] = x_new
         A[:, i + 1] = A[:, i] + delta
     return ReflectedPath(grid, X, A, (t0, x0), noise)

@@ -22,7 +22,7 @@ Conditional expectations:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -130,7 +130,7 @@ def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
 
 class _Regressor:
     """Projects per-path targets onto the conditional-expectation estimator.
-    The rows hold `blocks` stacked ensembles (eps rungs) that share x_state;
+    The rows hold `blocks` stacked ensembles, each with its own state rows;
     each block is projected on its own."""
 
     def __init__(self, spec, blocks: int = 1):
@@ -139,8 +139,9 @@ class _Regressor:
         self.last_cond = None
 
     def project(self, x_state: Optional[np.ndarray], targets: np.ndarray, pathwise_exact: bool) -> np.ndarray:
-        """targets: (blocks * n_paths, m).  pathwise_exact marks targets already
-        measurable at the current time (value updates under sample-mean)."""
+        """x_state: (blocks * n_paths, d) and targets: (blocks * n_paths, m),
+        row for row.  pathwise_exact marks targets already measurable at the
+        current time (value updates under sample-mean)."""
         rows = targets.reshape(self.blocks, -1, targets.shape[-1])
         if self.spec == "sample-mean":
             if pathwise_exact:
@@ -148,38 +149,38 @@ class _Regressor:
             return np.broadcast_to(np.mean(rows, axis=1, keepdims=True), rows.shape).reshape(targets.shape)
         if x_state is None:
             raise ValueError("state-based regression needs a Markov state ensemble")
+        states = x_state.reshape(self.blocks, -1, x_state.shape[-1])
         kind = self.spec[0]
         out = np.empty_like(rows)
         if kind == "poly":
-            phi = _poly_features(x_state, int(self.spec[1]))
-            for b in range(self.blocks):
-                coef, _, _, sv = np.linalg.lstsq(phi, rows[b], rcond=None)
-                out[b] = phi @ coef
-            self.last_cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+            self.last_cond = 0.0  # the worst block's condition number
+            for xb, tb, ob in zip(states, rows, out):
+                phi = _poly_features(xb, int(self.spec[1]))
+                coef, _, _, sv = np.linalg.lstsq(phi, tb, rcond=None)
+                ob[:] = phi @ coef
+                self.last_cond = max(self.last_cond, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf)
             return out.reshape(targets.shape)
         if kind == "partition":
             cells = int(self.spec[1])
             d = x_state.shape[1]
             per_dim = max(1, int(round(cells ** (1.0 / d))))
-            ids = np.zeros(x_state.shape[0], dtype=int)
-            for j in range(d):
-                qs = np.quantile(x_state[:, j], np.linspace(0, 1, per_dim + 1)[1:-1])
-                ids = ids * per_dim + np.searchsorted(qs, x_state[:, j])
-            for cid in np.unique(ids):
-                mask = ids == cid
-                for b in range(self.blocks):
-                    out[b, mask] = np.mean(rows[b, mask], axis=0)
+            for xb, tb, ob in zip(states, rows, out):
+                ids = np.zeros(len(xb), dtype=int)
+                for j in range(d):
+                    qs = np.quantile(xb[:, j], np.linspace(0, 1, per_dim + 1)[1:-1])
+                    ids = ids * per_dim + np.searchsorted(qs, xb[:, j])
+                for cid in np.unique(ids):
+                    mask = ids == cid
+                    ob[mask] = np.mean(tb[mask], axis=0)
             return out.reshape(targets.shape)
         raise ValueError(f"unknown regression spec {self.spec!r}")
 
 
-def _terminal_values(coeffs: CoefficientSet, n_paths: int, state: Optional[ReflectedPath]):
+def _terminal_values(coeffs: CoefficientSet, n_paths: int, X_T: Optional[np.ndarray]):
     if callable(coeffs.terminal):
-        if state is None:
+        if X_T is None:
             raise ValueError("terminal map chi needs a state ensemble")
-        xi = np.asarray(coeffs.terminal(state.X[:, -1]), dtype=float)
-        if xi.ndim == 1:
-            xi = xi[:, None]
+        xi = np.asarray(coeffs.terminal(X_T), dtype=float).reshape(len(X_T), -1)
     else:
         xi = np.atleast_1d(np.asarray(coeffs.terminal, dtype=float))
         xi = np.broadcast_to(xi, (n_paths, xi.size)).copy()
@@ -207,34 +208,31 @@ def solve_penalized(
           multipliers read off the resolvent gaps (V_i = 0 when dA_i = 0).
     """
     Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise, state)
-    return BdsdeSolution(config.grid, Y[0], Z[0], U[0], V[0], dA, config, conds)
+    return BdsdeSolution(config.grid, Y[0], Z[0], U[0], V[0], dA[0], config, conds)
 
 
-def _backward_sweep(coeffs, phi, psi, config, eps_rungs, noise, state):
-    """The recursion of solve_penalized for R = len(eps_rungs) rungs at once,
-    stacked rung-major on the path axis and sharing noise, dA and X.  Each
-    rung is regressed on its own, so it matches a solve on its own.  Returns
-    Y, Z, U, V of shape (R, n_paths, ...), the clipped dA and the conditions."""
+def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
+    """The recursion of solve_penalized for B = len(eps_blocks) independent
+    ensembles stacked block-major on the rows of noise and state.  Block b
+    runs at eps_blocks[b] and is regressed on its own rows, so it matches a
+    solve on its own.  Returns Y, Z, U, V, dA (clipped) of shape (B, n_paths,
+    ...) and the worst block's condition number per step."""
     grid = config.grid
     if noise.grid.n_steps != grid.n_steps:
         raise ValueError("noise bundle and solver grid disagree")
-    n_paths, d = noise.n_paths, noise.d
+    rows, d = noise.n_paths, noise.d
     dA, X = (np.diff(state.A, axis=1), state.X) if state is not None else (noise.dA, None)
     if not np.all(np.isfinite(dA)) or np.any(dA < -1e-12):
         raise ValueError("dA increments must be finite and >= 0")
     dA = np.maximum(dA, 0.0)
     explicit = config.scheme == "explicit-yosida"
-    eps = np.asarray(eps_rungs, dtype=float)
+    eps = np.asarray(eps_blocks, dtype=float)
     if explicit and not np.all(np.isfinite(eps) & (eps > 0.0)):
         raise ValueError("explicit scheme needs finite eps > 0")
+    n_blocks = eps.size
+    n_paths = rows // n_blocks
 
-    n_rungs = eps.size
-    rows = n_rungs * n_paths
-    # one rung uses the shared inputs as they are: no copies of a large batch
-    tile =(lambda a: a) if n_rungs == 1 else (lambda a: np.tile(a, (n_rungs,) + (1,) * (a.ndim - 1)))
-    dW, dB, dA_rows = tile(noise.dW), tile(noise.dB), tile(dA)
-    X_rows = tile(X) if X is not None else None
-    xi = tile(_terminal_values(coeffs, n_paths, state))
+    xi = _terminal_values(coeffs, rows, X[:, -1] if X is not None else None)
     k = xi.shape[1]
     n_nodes = grid.n_steps + 1
 
@@ -251,17 +249,17 @@ def _backward_sweep(coeffs, phi, psi, config, eps_rungs, noise, state):
     if explicit:
         U[:, -1], V[:, -1] = grad(phi, xi), grad(psi, xi)
 
-    reg = _Regressor(config.regression, n_rungs)
+    reg = _Regressor(config.regression, n_blocks)
     conds = []
     dts, t_nodes = grid.dt.tolist(), grid.nodes.tolist()
     for i in range(grid.n_steps - 1, -1, -1):
         dt = dts[i]
-        dw = dW[:, i]
-        db = dB[:, i]
-        da = dA_rows[:, i]
+        dw = noise.dW[:, i]
+        db = noise.dB[:, i]
+        da = dA[:, i]
         y_next = Y[:, i + 1]
         x_here = X[:, i] if X is not None else None
-        x_next = X_rows[:, i + 1] if X is not None else None
+        x_next = X[:, i + 1] if X is not None else None
         t_next = t_nodes[i + 1]
 
         z_target = (y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d)
@@ -293,7 +291,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_rungs, noise, state):
             raise ValueError(f"non-finite Y at step {i}: prox input x must be finite")
         Y[:, i] = y_i
         Z[:, i] = z_i
-    return [a.reshape((n_rungs, n_paths) + a.shape[1:]) for a in (Y, Z, U, V)] + [dA, conds]
+    return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V, dA)] + [conds]
 
 
 def _weights(grid: TimeGrid, A: np.ndarray, lam: float, mu: float) -> np.ndarray:
@@ -335,9 +333,9 @@ def estimate_lambda(coeffs: CoefficientSet, phi, psi, noise: PathBundle,
     normalizes the a-priori bounds: terminal data plus coefficient magnitudes
     at the origin under the exponential weight."""
     grid = noise.grid
-    A = state.A if state is not None else noise.A
+    A, X = (state.A, state.X) if state is not None else (noise.A, None)
     n_paths = noise.n_paths
-    xi = _terminal_values(coeffs, n_paths, state)
+    xi = _terminal_values(coeffs, n_paths, X[:, -1] if X is not None else None)
     k = xi.shape[1]
     wT = np.exp(lam * grid.T + mu * A[:, -1])
     phi_xi = phi.evaluate(xi)
@@ -349,7 +347,6 @@ def estimate_lambda(coeffs: CoefficientSet, phi, psi, noise: PathBundle,
     f2 = np.empty((n_paths, grid.nodes.size))
     h2 = np.empty_like(f2)
     g2 = np.empty_like(f2)
-    X = state.X if state is not None else None
     for j, t in enumerate(grid.nodes):
         xj = X[:, j] if X is not None else None
         f2[:, j] = np.sum(np.asarray(coeffs.f(float(t), xj, y0, z0)).reshape(n_paths, k) ** 2, axis=-1)
@@ -417,8 +414,13 @@ def cauchy_study(
         raise ValueError("eps ladder must be strictly decreasing")
     cfg = SolverConfig(base_config.grid, eps=ladder[-1], scheme="explicit-yosida",
                        regression=base_config.regression)
-    Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, noise, state)
-    limit = BdsdeSolution(cfg.grid, Y[-1], Z[-1], U[-1], V[-1], dA, cfg, conds)
+    tile = lambda a: np.tile(a, (len(ladder),) + (1,) * (a.ndim - 1))  # one block per rung
+    rungs = replace(noise, n_paths=len(ladder) * noise.n_paths,
+                    dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A))
+    if state is not None:
+        state = replace(state, X=tile(state.X), A=tile(state.A), noise=rungs)
+    Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs, state)
+    limit = BdsdeSolution(cfg.grid, Y[-1], Z[-1], U[-1], V[-1], dA[-1], cfg, conds)
     w = _weights(cfg.grid, limit.A, lam, mu)
     pairs = list(zip(ladder, ladder[1:]))
     gaps = [float(np.mean(np.max(w * np.sum((ya - yb) ** 2, axis=-1), axis=1))) for ya, yb in zip(Y, Y[1:])]

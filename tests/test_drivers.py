@@ -144,8 +144,8 @@ def test_stratonovich_backward_constant():
     dB = b.dB[:, :, 0]
     y0, integral = stratonovich_backward(lambda y: 0.7 * np.ones_like(y), dB, y_terminal=1.3)
     B_total = np.sum(dB, axis=1)
-    assert np.allclose(y0, 1.3 + 0.7 * B_total, atol=1e-12)
-    assert np.allclose(integral, 0.7 * B_total, atol=1e-12)
+    assert np.allclose(y0, 1.3 + 0.7 * B_total, rtol=0.0, atol=1e-12)
+    assert np.allclose(integral, 0.7 * B_total, rtol=0.0, atol=1e-12)
 
 
 def test_stratonovich_backward_linear_vs_exponential():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,23 @@ from bdsvi import (
     AssumptionConstants,
     CoefficientSet,
     FieldGrid,
+    PathBundle,
     SolverConfig,
     TimeGrid,
     boundary_residual,
     continuity_diagnostic,
+    generate_paths,
     interior_residual,
     make_convex,
     manufactured_field,
     sample_field,
+    simulate_reflected,
     smoothed_interval,
+    solve_penalized,
+    unit_ball,
+    yosida_gradient,
 )
+from bdsvi.drivers import _substream
 
 ZERO = make_convex("zero")
 DOM = smoothed_interval(-1.0, 1.0)
@@ -85,6 +94,86 @@ def test_field_determinism():
     assert np.array_equal(a.values, b.values)
 
 
+def _per_node_field(domain, coeffs, phi, psi, config, fgrid, n_paths, seed, sigma, b, n_b_draws):
+    """sample_field rebuilt node by node from public calls: one forward
+    substream, reflected ensemble and backward solve per lattice node."""
+    master = config.grid
+    d = domain.d
+    t_index = np.searchsorted(master.nodes, fgrid.times - 1e-12)
+    shape = (n_b_draws, fgrid.times.size, fgrid.points.shape[0])
+    per_draw, per_draw_se = np.empty(shape), np.zeros(shape)
+    for draw in range(n_b_draws):
+        db = _substream(seed, 2**63 + draw).standard_normal((master.n_steps, d)) * np.sqrt(master.dt)[:, None]
+        for it, j0 in enumerate(t_index):
+            for jp, x in enumerate(fgrid.points):
+                if j0 == master.n_steps:
+                    xi = coeffs.terminal(x[None]) if callable(coeffs.terminal) else coeffs.terminal
+                    per_draw[draw, it, jp] = np.atleast_1d(xi)[0]
+                    continue
+                sub = TimeGrid(master.nodes[j0:])
+                sub_seed = (seed * 1000003 + draw * 262147 + it * 9176 + jp * 31 + 7) % (2**63)
+                fwd = generate_paths(sub, d, n_paths, sub_seed)
+                noise = PathBundle(sub, d, n_paths, fwd.dW, np.broadcast_to(db[j0:], fwd.dW.shape).copy(),
+                                   fwd.A, sub_seed, a_attached=False)
+                ens = simulate_reflected(domain, b, sigma, (sub.t0, x), sub, noise)
+                y0 = solve_penalized(coeffs, phi, psi, replace(config, grid=sub), noise, ens).Y[:, 0, 0]
+                per_draw[draw, it, jp] = np.mean(y0)
+                per_draw_se[draw, it, jp] = np.std(y0, ddof=1) / np.sqrt(n_paths)
+    within = np.sqrt(np.mean(per_draw_se ** 2, axis=0) / n_b_draws)
+    across = np.std(per_draw, axis=0, ddof=1) / np.sqrt(n_b_draws)
+    return np.mean(per_draw, axis=0), np.sqrt(within ** 2 + np.square(across)), per_draw
+
+
+def _affine_sigma(x):
+    return (1.0 + 0.25 * x)[..., None]
+
+
+def _mean_reverting(x):
+    return -0.3 * x
+
+
+@pytest.mark.parametrize("regression", [("poly", 2), ("partition", 4), "sample-mean"])
+@pytest.mark.parametrize("terminal", ["callable", "constant"])
+def test_stacked_field_matches_per_node_solves(regression, terminal):
+    """One stacked ensemble per lattice time gives, bit for bit, the field of
+    one reflected simulation and one solve per node.  g and psi make the
+    local time enter the values; sigma and b depend on the state."""
+    coeffs = CoefficientSet(
+        f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.1 * x,
+        g=lambda t, x, y: np.full_like(y, 0.2),
+        h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3),
+        terminal=(lambda x: x[:, 0] ** 2) if terminal == "callable" else 0.4,
+        constants=AssumptionConstants(),
+    )
+    phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
+    cfg = _config(40, regression)
+    fg = FieldGrid.build(DOM, [0.0, 0.35, 0.8, 1.0], np.linspace(-1, 1, 4)[:, None])
+    est = sample_field(DOM, coeffs, phi, psi, cfg, fg, 30, 4, _affine_sigma, _mean_reverting, n_b_draws=2)
+    values, stderr, per_draw = _per_node_field(DOM, coeffs, phi, psi, cfg, fg, 30, 4,
+                                               _affine_sigma, _mean_reverting, 2)
+    assert np.array_equal(est.values, values)
+    assert np.array_equal(est.stderr, stderr)
+    assert np.array_equal(est.per_draw, per_draw)
+
+
+def test_stacked_field_matches_per_node_solves_on_ball():
+    dom = unit_ball(2)
+    coeffs = CoefficientSet(
+        f=lambda t, x, y, z: 1.0 - 0.5 * y,
+        g=lambda t, x, y: np.full_like(y, 0.2),
+        h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3),
+        terminal=lambda x: np.sum(x * x, axis=-1),
+        constants=AssumptionConstants(),
+    )
+    cfg = _config(30, ("poly", 2))
+    fg = FieldGrid.build(dom, [0.0, 0.5], [[0.0, 0.0], [0.5, -0.2], [0.0, 1.0]])
+    est = sample_field(dom, coeffs, ZERO, make_convex("abs"), cfg, fg, 25, 8, 0.8, 0.0, n_b_draws=2)
+    values, stderr, per_draw = _per_node_field(dom, coeffs, ZERO, make_convex("abs"), cfg, fg, 25, 8, 0.8, 0.0, 2)
+    assert np.array_equal(est.per_draw, per_draw)
+    assert np.array_equal(est.values, values)
+    assert np.array_equal(est.stderr, stderr)
+
+
 def test_continuity_diagnostic_flags_nothing_on_smooth_field():
     fg = _fgrid(6, 6)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)) + t, fg)
@@ -101,6 +190,24 @@ def test_manufactured_quadratic_interior_residual():
     assert out["max_abs"] < 1e-12
 
 
+def test_interior_residual_state_dependent_sigma():
+    # u = x^2 with sigma(x) = 1 + 0.25 x: 0.5 sigma^2 u_xx = sigma^2, so f = -sigma^2
+    fg = _fgrid(20, 20)
+    est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
+    out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -(1.0 + 0.25 * x) ** 2),
+                            ZERO, 0.0, DOM, sigma=_affine_sigma)
+    assert out["max_abs"] <= 1e-12
+
+
+def test_interior_residual_state_dependent_drift():
+    # b(x) = 0.5 x adds b u_x = x^2, so f = -1 - x^2
+    fg = _fgrid(20, 20)
+    est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
+    out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -1.0 - x * x),
+                            ZERO, 0.0, DOM, b=lambda x: 0.5 * x)
+    assert out["max_abs"] <= 1e-12
+
+
 def test_manufactured_quadratic_boundary_residual():
     # <grad level, u_x> = -2 at both endpoints, so g = 2 closes the relation
     fg = _fgrid(20, 20)
@@ -108,6 +215,23 @@ def test_manufactured_quadratic_boundary_residual():
     out = boundary_residual(est, _coeffs(g=lambda t, x, y: 2.0 * np.ones_like(y)),
                             ZERO, 0.0, DOM)
     assert out["max_abs"] < 1e-12
+
+
+def test_boundary_residual_matches_per_node_loop():
+    fg = _fgrid(6, 9)
+    est = manufactured_field(lambda t, x: float(np.sin(3.0 * x[0]) + t), fg)
+    coeffs = _coeffs(g=lambda t, x, y: 0.3 * y + x + t)
+    psi, eps = make_convex("abs"), 0.1
+    out = boundary_residual(est, coeffs, psi, eps, DOM)
+    x = fg.points[:, 0]
+    for i, t in enumerate(fg.times):
+        u_x = np.gradient(est.values[i], x, edge_order=2)
+        for j in np.nonzero(fg.boundary_mask)[0]:
+            y = np.array([[est.values[i, j]]])
+            expect = (DOM.gradient(x[j: j + 1, None])[0, 0] * u_x[j]
+                      + coeffs.g(float(t), x[j: j + 1, None], y)[0, 0] - yosida_gradient(psi, eps, y)[0, 0])
+            assert out["residual"][i, j] == expect
+    assert out["max_abs"] == np.nanmax(np.abs(out["residual"]))
 
 
 def test_residual_detects_wrong_source():

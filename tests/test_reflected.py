@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdsvi import (
     DomainSpec,
+    PathBundle,
     TimeGrid,
     boundary_band,
     boundary_inequality_check,
@@ -35,7 +36,7 @@ def test_ball_unit_normal_on_boundary():
     theta = np.linspace(0, 2 * np.pi, 32, endpoint=False)
     pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     assert np.allclose(dom.level(pts), 0.0, atol=1e-12)
-    assert np.allclose(np.linalg.norm(dom.gradient(pts), axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(dom.gradient(pts), axis=-1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_interval_unit_slope_at_endpoints():
@@ -141,6 +142,30 @@ def test_simulate_rejects_grid_time_mismatch():
     noise = generate_paths(grid, 2, 2, seed=0)
     with pytest.raises(ValueError):
         simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), grid, noise)
+
+
+def test_per_path_starts_match_separate_runs():
+    """Paths launched from one point form one ensemble: stacking ensembles
+    from several start points reproduces each run on its own, bit for bit."""
+    dom = unit_ball(2)
+    grid = TimeGrid.uniform(0, 1, 200)
+    starts = np.array([[0.0, 0.0], [0.6, 0.0], [0.0, -0.9]])
+    alone = [simulate_reflected(dom, 0.1, 1.0, (0.0, x), grid, generate_paths(grid, 2, 100, seed=j))
+             for j, x in enumerate(starts)]
+    noise = generate_paths(grid, 2, 300, seed=0)
+    noise = PathBundle(grid, 2, 300, np.concatenate([p.noise.dW for p in alone]), noise.dB, noise.A, 0)
+    stacked = simulate_reflected(dom, 0.1, 1.0, (0.0, np.repeat(starts, 100, axis=0)), grid, noise)
+    assert np.array_equal(stacked.X, np.concatenate([p.X for p in alone]))
+    assert np.array_equal(stacked.A, np.concatenate([p.A for p in alone]))
+    assert np.any(stacked.A[:, -1] > 0.0)
+
+
+def test_simulate_rejects_outside_per_path_start():
+    dom = unit_ball(2)
+    grid = TimeGrid.uniform(0, 1, 10)
+    noise = generate_paths(grid, 2, 2, seed=0)
+    with pytest.raises(ValueError):
+        simulate_reflected(dom, 0.0, 1.0, (0.0, np.array([[0.0, 0.0], [2.0, 0.0]])), grid, noise)
 
 
 def test_reflection_determinism():

@@ -213,13 +213,14 @@ def test_batched_ladder_matches_per_rung_solves_reflected(regression):
 
 def test_regressor_projects_each_block_on_its_own():
     rng = np.random.default_rng(3)
-    x = rng.uniform(-1, 1, (40, 1))
+    x = rng.uniform(-1, 1, (3 * 40, 1))  # each block has its own state rows
     targets = rng.normal(size=(3 * 40, 2))
     for spec in ("sample-mean", ("poly", 2), ("partition", 4)):
         out = _Regressor(spec, blocks=3).project(x, targets, pathwise_exact=False)
         for b in range(3):
             rows = slice(40 * b, 40 * (b + 1))
-            assert np.array_equal(out[rows], _Regressor(spec).project(x, targets[rows], pathwise_exact=False))
+            alone = _Regressor(spec).project(x[rows], targets[rows], pathwise_exact=False)
+            assert np.array_equal(out[rows], alone)
 
 
 def _blows_up(t, x, y, z):
