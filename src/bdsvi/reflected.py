@@ -178,11 +178,13 @@ def _project_out(domain: DomainSpec, x_star: np.ndarray, step_scale: np.ndarray)
     xv = x_star[viol]
     n = domain.gradient(xv)
     hi = step_scale[viol]
+    todo = np.arange(hi.size)  # points not yet bracketed
     for _ in range(60):
-        ok = domain.level(xv + hi[:, None] * n) >= 0.0
-        if np.all(ok):
+        ok = domain.level(xv[todo] + hi[todo, None] * n[todo]) >= 0.0
+        todo = todo[~ok]
+        if todo.size == 0:
             break
-        hi[~ok] *= 2.0
+        hi[todo] *= 2.0
     else:
         raise RuntimeError("projection bracket not found; reduce the time step")
     lo = np.zeros_like(hi)

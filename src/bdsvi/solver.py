@@ -5,7 +5,9 @@ next value plus the dt, dA and backward-noise contributions is projected onto
 the chosen conditional-expectation estimator, the Z component is extracted
 from the correlation with the forward increments, and the penalization is
 applied either explicitly (Yosida gradient step) or implicitly (resolvent
-step, the stable surrogate of the small-eps limit).
+step, the stable surrogate of the small-eps limit).  The estimator is fitted
+once per node and shared by the Z and Y targets; for ``poly`` its condition
+number is s_max/s_min of the worst block's design.
 
 Conditional expectations:
 
@@ -117,63 +119,64 @@ class BdsdeSolution:
 
 
 def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
-    n, d = x.shape
-    cols = [np.ones(n)]
+    """Monomials of x (..., d) up to degree, stacked on a new last axis."""
+    cols = [np.ones(x.shape[:-1])]
     for deg in range(1, degree + 1):
-        for combo in itertools.combinations_with_replacement(range(d), deg):
-            col = np.ones(n)
+        for combo in itertools.combinations_with_replacement(range(x.shape[-1]), deg):
+            col = np.ones(x.shape[:-1])
             for j in combo:
-                col = col * x[:, j]
+                col = col * x[..., j]
             cols.append(col)
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=-1)
 
 
-class _Regressor:
-    """Projects per-path targets onto the conditional-expectation estimator.
-    The rows hold `blocks` stacked ensembles, each with its own state rows;
-    each block is projected on its own."""
+def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
+    """The conditional-expectation estimator at one node, fitted once and
+    shared by the Z and Y targets.
 
-    def __init__(self, spec, blocks: int = 1):
-        self.spec = spec
-        self.blocks = blocks
-        self.last_cond = None
+    x_state holds `blocks` stacked ensembles, (blocks * n_paths, d), and each
+    block is fitted on its own rows.  Returns (project, cond): project maps
+    targets (blocks * n_paths, m), row for row with x_state, to their fitted
+    values, and cond is the worst block's s_max/s_min of its poly design
+    (inf when s_min = 0; None for the other estimators).
+    """
+    if spec == "sample-mean":
+        def project(t):
+            rows = t.reshape(blocks, -1, t.shape[-1])
+            return np.broadcast_to(np.mean(rows, axis=1, keepdims=True), rows.shape).reshape(t.shape)
+        return project, None
+    if x_state is None:
+        raise ValueError("state-based regression needs a Markov state ensemble")
+    states = x_state.reshape(blocks, -1, x_state.shape[-1])
+    kind = spec[0]
+    if kind == "poly":
+        features = _poly_features(states, int(spec[1]))
+        u, s, _ = np.linalg.svd(features, full_matrices=False)
+        # keep the directions lstsq keeps: s > s_max * eps_mach * max(n, p)
+        q = u * (s > s[:, :1] * np.finfo(float).eps * max(features.shape[1:]))[:, None, :]
+        cond = np.divide(s[:, 0], s[:, -1], out=np.full(blocks, np.inf), where=s[:, -1] > 0)
 
-    def project(self, x_state: Optional[np.ndarray], targets: np.ndarray, pathwise_exact: bool) -> np.ndarray:
-        """x_state: (blocks * n_paths, d) and targets: (blocks * n_paths, m),
-        row for row.  pathwise_exact marks targets already measurable at the
-        current time (value updates under sample-mean)."""
-        rows = targets.reshape(self.blocks, -1, targets.shape[-1])
-        if self.spec == "sample-mean":
-            if pathwise_exact:
-                return targets
-            return np.broadcast_to(np.mean(rows, axis=1, keepdims=True), rows.shape).reshape(targets.shape)
-        if x_state is None:
-            raise ValueError("state-based regression needs a Markov state ensemble")
-        states = x_state.reshape(self.blocks, -1, x_state.shape[-1])
-        kind = self.spec[0]
-        out = np.empty_like(rows)
-        if kind == "poly":
-            self.last_cond = 0.0  # the worst block's condition number
-            for xb, tb, ob in zip(states, rows, out):
-                phi = _poly_features(xb, int(self.spec[1]))
-                coef, _, _, sv = np.linalg.lstsq(phi, tb, rcond=None)
-                ob[:] = phi @ coef
-                self.last_cond = max(self.last_cond, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf)
-            return out.reshape(targets.shape)
-        if kind == "partition":
-            cells = int(self.spec[1])
-            d = x_state.shape[1]
-            per_dim = max(1, int(round(cells ** (1.0 / d))))
-            for xb, tb, ob in zip(states, rows, out):
-                ids = np.zeros(len(xb), dtype=int)
-                for j in range(d):
-                    qs = np.quantile(xb[:, j], np.linspace(0, 1, per_dim + 1)[1:-1])
-                    ids = ids * per_dim + np.searchsorted(qs, xb[:, j])
-                for cid in np.unique(ids):
-                    mask = ids == cid
-                    ob[mask] = np.mean(tb[mask], axis=0)
-            return out.reshape(targets.shape)
-        raise ValueError(f"unknown regression spec {self.spec!r}")
+        def project(t):
+            rows = t.reshape(blocks, -1, t.shape[-1])
+            return (q @ (q.transpose(0, 2, 1) @ rows)).reshape(t.shape)
+        return project, float(np.max(cond))
+    if kind == "partition":
+        d = states.shape[-1]
+        per_dim = max(1, int(round(int(spec[1]) ** (1.0 / d))))
+        ids = np.arange(blocks)[:, None]  # the block index leads, so cells never span blocks
+        for j in range(d):
+            qs = np.quantile(states[..., j], np.linspace(0, 1, per_dim + 1)[1:-1], axis=1).T
+            ids = ids * per_dim + np.sum(qs[:, None, :] < states[..., j, None], axis=-1)
+        ids = ids.ravel()
+        cells = [ids == c for c in np.unique(ids)]
+
+        def project(t):
+            out = np.empty_like(t)
+            for mask in cells:
+                out[mask] = np.mean(t[mask], axis=0)
+            return out
+        return project, None
+    raise ValueError(f"unknown regression spec {spec!r}")
 
 
 def _terminal_values(coeffs: CoefficientSet, n_paths: int, X_T: Optional[np.ndarray]):
@@ -249,7 +252,6 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
     if explicit:
         U[:, -1], V[:, -1] = grad(phi, xi), grad(psi, xi)
 
-    reg = _Regressor(config.regression, n_blocks)
     conds = []
     dts, t_nodes = grid.dt.tolist(), grid.nodes.tolist()
     for i in range(grid.n_steps - 1, -1, -1):
@@ -262,16 +264,18 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
         x_next = X[:, i + 1] if X is not None else None
         t_next = t_nodes[i + 1]
 
+        project, cond = _projector(config.regression, x_here, n_blocks)
+        if cond is not None:
+            conds.append(cond)
         z_target = (y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d)
-        z_i = reg.project(x_here, z_target, pathwise_exact=False).reshape(rows, k, d)
-        if reg.last_cond is not None:
-            conds.append(reg.last_cond)
+        z_i = project(z_target).reshape(rows, k, d)
 
         fv = np.asarray(coeffs.f(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k)
         gv = np.asarray(coeffs.g(t_next, x_next, y_next), dtype=float).reshape(rows, k)
         hv = np.asarray(coeffs.h(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k, d)
         target = y_next + fv * dt + gv * da[:, None] + np.einsum("pkd,pd->pk", hv, db)
-        y_til = reg.project(x_here, target, pathwise_exact=True)
+        # under sample-mean the target is already measurable at t_i (module docstring)
+        y_til = target if config.regression == "sample-mean" else project(target)
         if not np.isfinite(y_til).all():
             raise ValueError(f"non-finite Y at step {i}: prox input x must be finite")
 
@@ -325,34 +329,6 @@ def weighted_norms(sol: BdsdeSolution, lam: float, mu: float, A: Optional[np.nda
         "U_M2": _m_norm2(sol.grid, w, u2),
         "V_Mbar2": _mbar_norm2(w, v2, dA),
     }
-
-
-def estimate_lambda(coeffs: CoefficientSet, phi, psi, noise: PathBundle,
-                    state: Optional[ReflectedPath], lam: float, mu: float) -> float:
-    """Monte-Carlo estimate of the weighted integrability functional that
-    normalizes the a-priori bounds: terminal data plus coefficient magnitudes
-    at the origin under the exponential weight."""
-    grid = noise.grid
-    A, X = (state.A, state.X) if state is not None else (noise.A, None)
-    n_paths = noise.n_paths
-    xi = _terminal_values(coeffs, n_paths, X[:, -1] if X is not None else None)
-    k = xi.shape[1]
-    wT = np.exp(lam * grid.T + mu * A[:, -1])
-    phi_xi = phi.evaluate(xi)
-    psi_xi = psi.evaluate(xi)
-    head = float(np.mean(wT * (np.sum(xi ** 2, axis=-1) + phi_xi + psi_xi)))
-    w = _weights(grid, A, lam, mu)
-    y0 = np.zeros((n_paths, k))
-    z0 = np.zeros((n_paths, k, noise.d))
-    f2 = np.empty((n_paths, grid.nodes.size))
-    h2 = np.empty_like(f2)
-    g2 = np.empty_like(f2)
-    for j, t in enumerate(grid.nodes):
-        xj = X[:, j] if X is not None else None
-        f2[:, j] = np.sum(np.asarray(coeffs.f(float(t), xj, y0, z0)).reshape(n_paths, k) ** 2, axis=-1)
-        h2[:, j] = np.sum(np.asarray(coeffs.h(float(t), xj, y0, z0)).reshape(n_paths, k, -1) ** 2, axis=(-2, -1))
-        g2[:, j] = np.sum(np.asarray(coeffs.g(float(t), xj, y0)).reshape(n_paths, k) ** 2, axis=-1)
-    return head + _m_norm2(grid, w, f2 + h2) + _mbar_norm2(w, g2, np.diff(A, axis=1))
 
 
 def penalization_diagnostics(sol: BdsdeSolution, phi: ConvexFunction, psi: ConvexFunction,

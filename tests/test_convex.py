@@ -143,7 +143,7 @@ def test_grid_oracle_agrees_with_closed_form(name):
     rng = np.random.default_rng(0)
     x = rng.uniform(-3, 3, (50, 1))
     eps = rng.uniform(0.05, 1.0, 50)
-    assert np.allclose(grid_prox_oracle(theta, eps, x), theta.prox_oracle(eps, x), atol=1e-6)
+    assert np.allclose(grid_prox_oracle(theta, eps, x), theta.prox_oracle(eps, x), rtol=0.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -164,7 +164,7 @@ def test_grid_oracle_k1_small_eps_within_stated_bound(name):
 def test_grid_oracle_two_dim():
     q = make_convex("quadratic(2.0)")
     x = np.array([[1.0, -2.0]])
-    assert np.allclose(grid_prox_oracle(q, 0.5, x), x / 2.0, atol=1e-6)
+    assert np.allclose(grid_prox_oracle(q, 0.5, x), x / 2.0, rtol=0.0, atol=1e-6)
 
 
 def test_grid_oracle_rejects_high_dim():

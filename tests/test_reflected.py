@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from bdsvi import (
     smoothed_interval,
     unit_ball,
 )
+from bdsvi.reflected import _project_out
 
 
 def _run(domain, n_paths=200, n_steps=200, seed=1, sigma=1.0, b=0.0, x0=None, T=1.0):
@@ -166,6 +169,28 @@ def test_simulate_rejects_outside_per_path_start():
     noise = generate_paths(grid, 2, 2, seed=0)
     with pytest.raises(ValueError):
         simulate_reflected(dom, 0.0, 1.0, (0.0, np.array([[0.0, 0.0], [2.0, 0.0]])), grid, noise)
+
+
+def test_projection_brackets_only_unbracketed_points():
+    """Bracket doubling evaluates level only at points still outside their
+    bracket: one far-out point must not drag the shallow ones through its
+    doubling rounds."""
+    base = unit_ball(1)
+    evals = []
+
+    def level(x):
+        evals.append(len(x))
+        return base.level(x)
+
+    dom = dataclasses.replace(base, level=level)
+    x_star = np.array([[1.01], [1.02], [-1.03], [20.0]])
+    out, delta = _project_out(dom, x_star, np.full(4, 0.0625))
+    # far point: 0.0625 -> 1 is 4 doublings, so 5 bracket rounds; shallow points: 1
+    assert sum(evals) == 4 + (4 + 4 * 1) + 60 * 4
+    assert np.all(base.level(out) >= 0.0) and np.all(delta > 0.0)
+    for j in range(4):  # each point is projected as if alone
+        alone = _project_out(base, x_star[j:j + 1], np.full(1, 0.0625))
+        assert np.array_equal(out[j:j + 1], alone[0]) and np.array_equal(delta[j:j + 1], alone[1])
 
 
 def test_reflection_determinism():

@@ -17,7 +17,7 @@ from bdsvi import (
     verify_vi_inclusion,
     weighted_norms,
 )
-from bdsvi.solver import _Regressor, estimate_lambda
+from bdsvi.solver import _poly_features, _projector
 
 ZERO = make_convex("zero")
 
@@ -216,10 +216,10 @@ def test_regressor_projects_each_block_on_its_own():
     x = rng.uniform(-1, 1, (3 * 40, 1))  # each block has its own state rows
     targets = rng.normal(size=(3 * 40, 2))
     for spec in ("sample-mean", ("poly", 2), ("partition", 4)):
-        out = _Regressor(spec, blocks=3).project(x, targets, pathwise_exact=False)
+        out = _projector(spec, x, 3)[0](targets)
         for b in range(3):
             rows = slice(40 * b, 40 * (b + 1))
-            alone = _Regressor(spec).project(x[rows], targets[rows], pathwise_exact=False)
+            alone = _projector(spec, x[rows], 1)[0](targets[rows])
             assert np.array_equal(out[rows], alone)
 
 
@@ -290,12 +290,6 @@ def test_vi_inclusion_on_oracle_run():
     assert out["phi_infinite_nodes"] == 0
 
 
-def test_estimate_lambda_zero_data():
-    grid, noise = _bundle(n_paths=5)
-    val = estimate_lambda(_coeffs(terminal=0.0), ZERO, ZERO, noise, None, 1.0, 1.0)
-    assert val == pytest.approx(0.0, abs=1e-15)
-
-
 def test_spot_check_bounds_hold_for_linear_coeffs():
     coeffs = _coeffs(f=lambda t, x, y, z: -0.5 * y + 0.1 * np.sum(z, axis=-1),
                      g=lambda t, x, y: -0.3 * y,
@@ -309,35 +303,54 @@ def test_spot_check_bounds_hold_for_linear_coeffs():
 # ---------------------------------------------------------------- regression backends
 
 def test_sample_mean_projects_z_targets():
-    reg = _Regressor("sample-mean")
-    t = np.array([[1.0], [3.0]])
-    out = reg.project(None, t, pathwise_exact=False)
+    project, cond = _projector("sample-mean", None, 1)
+    out = project(np.array([[1.0], [3.0]]))
     assert np.allclose(out, 2.0)
-    assert np.array_equal(reg.project(None, t, pathwise_exact=True), t)
+    assert cond is None
 
 
 def test_poly_regression_recovers_linear_map():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4000, 1))
     targets = (2.0 * x[:, 0] + 1.0 + 0.01 * rng.normal(size=4000))[:, None]
-    reg = _Regressor(("poly", 1))
-    out = reg.project(x, targets, pathwise_exact=False)
+    project, cond = _projector(("poly", 1), x, 1)
+    out = project(targets)
     assert np.max(np.abs(out[:, 0] - (2.0 * x[:, 0] + 1.0))) < 0.01
-    assert reg.last_cond is not None
+    assert cond is not None
+
+
+def test_poly_projector_matches_lstsq_per_block():
+    """The stacked SVD projector equals a per-block lstsq fit, on a
+    well-conditioned design and on a start node where every row of a block
+    sits at one point (there the fit is the block mean), and it is idempotent."""
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.uniform(-1, 1, (2 * 300, 2)), np.tile([0.3, -0.2], (300, 1))])
+    targets = rng.normal(size=(3 * 300, 3))
+    project, cond = _projector(("poly", 2), x, 3)
+    out = project(targets)
+    conds = []
+    for b in range(3):
+        rows = slice(300 * b, 300 * (b + 1))
+        phi = _poly_features(x[rows], 2)
+        coef, _, _, sv = np.linalg.lstsq(phi, targets[rows], rcond=None)
+        assert np.max(np.abs(out[rows] - phi @ coef)) < 1e-12
+        conds.append(sv[0] / sv[-1] if sv[-1] > 0 else np.inf)
+    assert np.max(np.abs(out[600:] - np.mean(targets[600:], axis=0))) < 1e-12
+    assert max(conds[:2]) < 1e3 and conds[2] > 1e12 and cond > 1e12  # huge or inf at the start node
+    assert _projector(("poly", 2), x[:600], 2)[1] == pytest.approx(max(conds[:2]), rel=1e-10)
+    assert np.max(np.abs(project(out) - out)) < 1e-12
 
 
 def test_partition_regression_piecewise_means():
     x = np.linspace(-1, 1, 1000)[:, None]
     targets = np.where(x[:, 0] > 0, 1.0, -1.0)[:, None]
-    reg = _Regressor(("partition", 2))
-    out = reg.project(x, targets, pathwise_exact=False)
+    out = _projector(("partition", 2), x, 1)[0](targets)
     assert np.max(np.abs(out - targets)) < 1e-12
 
 
 def test_state_regression_requires_state():
-    reg = _Regressor(("poly", 2))
     with pytest.raises(ValueError):
-        reg.project(None, np.zeros((4, 1)), pathwise_exact=False)
+        _projector(("poly", 2), None, 1)
 
 
 def test_markov_solve_with_reflected_state():
