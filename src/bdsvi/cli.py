@@ -176,6 +176,8 @@ def cmd_cauchy(scn: Scenario, out_dir: str, quiet: bool) -> int:
     weighted sup gap in (eps + delta) should sit near one."""
     if len(scn.eps_ladder) < 2:
         raise ScenarioError("cauchy needs an eps_ladder with at least two entries")
+    if scn.solver.scheme != "explicit-yosida":
+        raise ScenarioError(f"cauchy runs the explicit-yosida scheme only, not {scn.solver.scheme!r}")
     noise, state = _build_run(scn)
     rep = cauchy_study(scn.coeffs, scn.phi, scn.psi, scn.solver, scn.eps_ladder, noise, state,
                        lam=scn.coeffs.constants.lam, mu=scn.coeffs.constants.mu)

@@ -4,7 +4,9 @@ The domain is the sublevel set {level > 0} of a C^2 function whose gradient
 has unit norm on the boundary (the inward normal).  Reflection is realized by
 the projection-Euler scheme: an unconstrained Euler step that exits the
 closure is pushed back along the level gradient, and the push distance is the
-local-time increment.
+local-time increment.  The ball and the interval push by a closed form,
+rounded inward so the pushed point lies in the closure exactly; the
+ellipsoid finds the push by bisection along the ray.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
+_PUSH_ROUNDS = 8  # inward-rounding rounds of a closed-form push
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,9 @@ class DomainSpec:
     """Level-set description of the domain: interior {level > 0}.
 
     level maps (..., d) -> (...); gradient and hessian return (..., d) and
-    (..., d, d).  |gradient| must equal 1 on {level = 0}.
+    (..., d, d).  |gradient| must equal 1 on {level = 0}.  push, if set, maps
+    outside points x (m, d) and their gradients n (m, d) to the distance delta
+    (m,) that puts x + delta*n on the boundary; else bisection finds delta.
     """
 
     level: Callable[[np.ndarray], np.ndarray]
@@ -48,6 +53,7 @@ class DomainSpec:
     bounding_box: tuple
     d: int
     name: str = ""
+    push: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,11 @@ def unit_ball(d: int, radius: float = 1.0) -> DomainSpec:
     def hessian(x):
         return np.broadcast_to(-np.eye(d) / r, x.shape[:-1] + (d, d))
 
-    return DomainSpec(level, gradient, hessian, (-r * np.ones(d), r * np.ones(d)), d, f"ball(d={d},r={r})")
+    def push(x, n):
+        # x (1 - delta/r) lands on the sphere |x| = r
+        return r * (1.0 - r / np.linalg.norm(x, axis=-1))
+
+    return DomainSpec(level, gradient, hessian, (-r * np.ones(d), r * np.ones(d)), d, f"ball(d={d},r={r})", push)
 
 
 def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
@@ -91,7 +101,12 @@ def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
     def hessian(x):
         return np.broadcast_to(np.array([[-2.0 / width]]), x.shape[:-1] + (1, 1))
 
-    return DomainSpec(level, gradient, hessian, (np.array([lo]), np.array([hi])), 1, f"interval({lo},{hi})")
+    def push(x, n):
+        # back to the endpoint the point left by
+        edge = np.where(x[..., 0] > 0.5 * (lo + hi), hi, lo)
+        return (edge - x[..., 0]) / n[..., 0]
+
+    return DomainSpec(level, gradient, hessian, (np.array([lo]), np.array([hi])), 1, f"interval({lo},{hi})", push)
 
 
 def ellipsoid(semi_axes) -> DomainSpec:
@@ -163,12 +178,15 @@ def _generator(sig, bv, grad, hess):
     return 0.5 * np.einsum("...ij,...kj,...ik->...", sig, sig, hess) + np.einsum("...i,...i->...", bv, grad)
 
 
-def _project_out(domain: DomainSpec, x_star: np.ndarray, step_scale: np.ndarray):
+def _project_out(domain: DomainSpec, x_star: np.ndarray, step_scale: Optional[np.ndarray] = None):
     """Push points with level < 0 back along the level gradient.
 
     Returns (projected points, push distances).  The push distance delta is
-    the smallest delta >= 0 with level(x* + delta*grad) >= 0, found by
-    bracketing from step_scale (one per point) and bisection along the ray.
+    the smallest delta >= 0 with level(x* + delta*grad) >= 0.  A closed form
+    (domain.push: the ball and the interval) is rounded inward, raised by
+    spacing(max|x*|) until level >= 0 holds exactly, as the inside end of a
+    bisection bracket does.  Otherwise (the ellipsoid) delta is bracketed by
+    doubling from step_scale (one per point) and bisected along the ray.
     """
     lv = domain.level(x_star)
     viol = lv < 0.0
@@ -177,22 +195,27 @@ def _project_out(domain: DomainSpec, x_star: np.ndarray, step_scale: np.ndarray)
         return x_star, delta
     xv = x_star[viol]
     n = domain.gradient(xv)
-    hi = step_scale[viol]
-    todo = np.arange(hi.size)  # points not yet bracketed
-    for _ in range(60):
+    closed = domain.push is not None
+    if closed:
+        hi, rounds, ulp = domain.push(xv, n), _PUSH_ROUNDS, np.spacing(np.max(np.abs(xv), axis=-1))
+    else:
+        hi, rounds = step_scale[viol], 60
+    todo = np.arange(hi.size)  # points that x* + hi*n leaves outside
+    for _ in range(rounds):
         ok = domain.level(xv[todo] + hi[todo, None] * n[todo]) >= 0.0
         todo = todo[~ok]
         if todo.size == 0:
             break
-        hi[todo] *= 2.0
+        hi[todo] = hi[todo] + ulp[todo] if closed else 2.0 * hi[todo]
     else:
-        raise RuntimeError("projection bracket not found; reduce the time step")
-    lo = np.zeros_like(hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        inside = domain.level(xv + mid[:, None] * n) >= 0.0
-        hi = np.where(inside, mid, hi)
-        lo = np.where(inside, lo, mid)
+        raise RuntimeError("projection did not reach the closed domain; reduce the time step")
+    if not closed:
+        lo = np.zeros_like(hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            inside = domain.level(xv + mid[:, None] * n) >= 0.0
+            hi = np.where(inside, mid, hi)
+            lo = np.where(inside, lo, mid)
     out = x_star.copy()
     out[viol] = xv + hi[:, None] * n
     delta[viol] = hi
@@ -213,8 +236,9 @@ def simulate_reflected(
     one point form an ensemble that runs exactly as if simulated alone: its
     projection brackets start at its own largest step.  b(x) -> (..., d)
     drift, sigma(x) -> (..., d, d) diffusion matrix; both may also be
-    constants.  The grid must start at t.  A is the accumulated
-    projection distance (the boundary local time of the scheme).
+    constants, and a scalar sigma means sigma * I.  The grid must start at t.
+    A is the accumulated projection distance (the boundary local time of the
+    scheme).
     """
     t0, x0 = start
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -229,16 +253,21 @@ def simulate_reflected(
     X = np.empty((n_paths, grid.n_steps + 1, d))
     A = np.zeros((n_paths, grid.n_steps + 1))
     X[:, 0] = x0
+    scalar_sigma = not callable(sigma) and np.ndim(sigma) == 0
     ens = np.unique(X[:, 0], axis=0, return_inverse=True)[1].reshape(-1)
+    step_scale = None  # a closed-form push reads no bracket
     for i in range(grid.n_steps):
         x = X[:, i]
         bv, sig = _coefficients(b, sigma, x, d)
         drift = bv * grid.dt[i]
-        sw = np.einsum("pij,pj->pi", sig, noise.dW[:, i])
+        # sigma * I adds only exact zeros off the diagonal: the product is bit-identical
+        sw = sigma * noise.dW[:, i] if scalar_sigma else np.einsum("pij,pj->pi", sig, noise.dW[:, i])
         x_star = x + drift + sw
-        step_scale = np.full(ens.max() + 1, 1e-12)
-        np.maximum.at(step_scale, ens, np.linalg.norm(drift + sw, axis=-1))
-        x_new, delta = _project_out(domain, x_star, step_scale[ens])
+        if domain.push is None:
+            step_scale = np.full(ens.max() + 1, 1e-12)
+            np.maximum.at(step_scale, ens, np.linalg.norm(drift + sw, axis=-1))
+            step_scale = step_scale[ens]
+        x_new, delta = _project_out(domain, x_star, step_scale)
         X[:, i + 1] = x_new
         A[:, i + 1] = A[:, i] + delta
     return ReflectedPath(grid, X, A, (t0, x0), noise)

@@ -148,6 +148,10 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         if "domain" in raw and raw["domain"]:
             dspec = dict(raw["domain"])
             domain = make_domain(dspec.pop("kind"), **dspec)
+        if regression == "sample-mean" and (domain is not None or callable(coeffs.terminal)):
+            # the pathwise value update it takes holds only for state-free data
+            raise ScenarioError("regression sample-mean needs a constant terminal and no domain;"
+                                " use poly or partition")
         ladder = [float(e) for e in raw.get("eps_ladder", [])]
         scn = Scenario(
             name=name,

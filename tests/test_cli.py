@@ -121,6 +121,36 @@ def test_cauchy_command_small(tmp_path):
     assert "PASS slope" in (tmp_path / "cauchy.txt").read_text()
 
 
+def _variant(tmp_path, name, edit):
+    raw = yaml.safe_load(open(_scn(name)))
+    edit(raw)
+    p = tmp_path / name
+    p.write_text(yaml.safe_dump(raw))
+    return str(p)
+
+
+def test_cauchy_rejects_non_explicit_scheme(tmp_path):
+    p = _variant(tmp_path, "cauchy.yaml", lambda raw: raw["solver"].update(scheme="implicit-prox"))
+    assert run(["cauchy", "--scenario", p, "--out", str(tmp_path), "--steps", "200", "--quiet"]) == 2
+    assert not (tmp_path / "cauchy.csv").exists()
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("field.yaml", lambda raw: raw["solver"].update(regression="sample-mean")),  # Markov state
+    ("zero.yaml", lambda raw: raw["coefficients"].update(terminal={"kind": "quadratic_norm"})),  # callable terminal
+], ids=["domain", "callable-terminal"])
+def test_sample_mean_rejects_state_dependent_data(tmp_path, name, edit):
+    with pytest.raises(ScenarioError, match="sample-mean"):
+        load_scenario(_variant(tmp_path, name, edit))
+
+
+def test_shipped_scenarios_load():
+    names = sorted(f for f in os.listdir(SCEN) if f.endswith(".yaml"))
+    assert names
+    for name in names:
+        load_scenario(_scn(name))
+
+
 def test_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

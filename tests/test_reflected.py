@@ -182,15 +182,60 @@ def test_projection_brackets_only_unbracketed_points():
         evals.append(len(x))
         return base.level(x)
 
-    dom = dataclasses.replace(base, level=level)
+    dom = dataclasses.replace(base, level=level, push=None)
     x_star = np.array([[1.01], [1.02], [-1.03], [20.0]])
     out, delta = _project_out(dom, x_star, np.full(4, 0.0625))
     # far point: 0.0625 -> 1 is 4 doublings, so 5 bracket rounds; shallow points: 1
     assert sum(evals) == 4 + (4 + 4 * 1) + 60 * 4
     assert np.all(base.level(out) >= 0.0) and np.all(delta > 0.0)
     for j in range(4):  # each point is projected as if alone
-        alone = _project_out(base, x_star[j:j + 1], np.full(1, 0.0625))
+        alone = _project_out(dom, x_star[j:j + 1], np.full(1, 0.0625))
         assert np.array_equal(out[j:j + 1], alone[0]) and np.array_equal(delta[j:j + 1], alone[1])
+
+
+def _outside_points(dom, rng):
+    """Shallow, far-out (|x| = 20) and just-outside (1 + 1e-15) points,
+    radially around the domain's centre, scaled by its half-width."""
+    lo, hi = dom.bounding_box
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    u = rng.normal(size=(300, dom.d))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    scale = np.concatenate([1.0 + rng.uniform(1e-6, 0.2, 100), np.full(100, 20.0), np.full(100, 1.0 + 1e-15)])
+    return centre + half * u * scale[:, None]
+
+
+@pytest.mark.parametrize("dom", [unit_ball(1), unit_ball(2), unit_ball(3), smoothed_interval()],
+                         ids=lambda dom: dom.name)
+def test_closed_form_push_matches_bisection(dom):
+    """The closed-form push, rounded inward, lands where bisection does and
+    leaves every point in the closed domain exactly."""
+    assert dom.push is not None
+    x_star = _outside_points(dom, np.random.default_rng(dom.d))
+    out, delta = _project_out(dom, x_star)
+    # bracket from just above the closed form, so far-out rays cannot overshoot
+    ref, ref_delta = _project_out(dataclasses.replace(dom, push=None), x_star, np.maximum(delta * (1 + 1e-9), 1e-12))
+    assert np.max(np.abs(out - ref)) <= 1e-13
+    assert np.max(np.abs(delta - ref_delta)) <= 1e-13
+    assert np.min(dom.level(out)) >= 0.0 and np.min(dom.level(ref)) >= 0.0
+    outside = dom.level(x_star) < 0.0
+    assert np.all(delta[outside] > 0.0) and np.all(delta[~outside] == 0.0)
+    assert np.array_equal(out[~outside], x_star[~outside])
+
+
+def test_ellipsoid_projects_by_bisection():
+    base = ellipsoid([2.0, 0.5])
+    assert base.push is None
+    evals = []
+
+    def level(x):
+        evals.append(len(x))
+        return base.level(x)
+
+    x_star = np.array([[2.1, 0.0], [0.0, -0.55], [1.5, 0.4]])
+    out, delta = _project_out(dataclasses.replace(base, level=level), x_star, np.full(3, 0.0625))
+    assert len(evals) > 60  # the bisection halvings ran
+    assert np.min(base.level(out)) >= 0.0 and np.all(delta > 0.0)
+    assert np.max(np.abs(base.level(out))) < 1e-12
 
 
 def test_reflection_determinism():
