@@ -4,9 +4,8 @@ The domain is the sublevel set {level > 0} of a C^2 function whose gradient
 has unit norm on the boundary (the inward normal).  Reflection is realized by
 the projection-Euler scheme: an unconstrained Euler step that exits the
 closure is pushed back along the level gradient, and the push distance is the
-local-time increment.  The ball and the interval push by a closed form,
-rounded inward so the pushed point lies in the closure exactly; the
-ellipsoid finds the push by bisection along the ray.
+local-time increment.  Every domain pushes by a closed form, rounded inward
+so the pushed point lies in the closure exactly; there is no bisection.
 """
 from __future__ import annotations
 
@@ -42,9 +41,10 @@ class DomainSpec:
     """Level-set description of the domain: interior {level > 0}.
 
     level maps (..., d) -> (...); gradient and hessian return (..., d) and
-    (..., d, d).  |gradient| must equal 1 on {level = 0}.  push, if set, maps
-    outside points x (m, d) and their gradients n (m, d) to the distance delta
-    (m,) that puts x + delta*n on the boundary; else bisection finds delta.
+    (..., d, d).  |gradient| must equal 1 on {level = 0}.  push maps outside
+    points x (m, d) and their gradients n (m, d) to the closed-form distance
+    delta (m,) that puts x + delta*n on the boundary where the ray enters the
+    domain, or NaN where it never does.
     """
 
     level: Callable[[np.ndarray], np.ndarray]
@@ -52,8 +52,8 @@ class DomainSpec:
     hessian: Callable[[np.ndarray], np.ndarray]
     bounding_box: tuple
     d: int
+    push: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
-    push: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def unit_ball(d: int, radius: float = 1.0) -> DomainSpec:
         # x (1 - delta/r) lands on the sphere |x| = r
         return r * (1.0 - r / np.linalg.norm(x, axis=-1))
 
-    return DomainSpec(level, gradient, hessian, (-r * np.ones(d), r * np.ones(d)), d, f"ball(d={d},r={r})", push)
+    return DomainSpec(level, gradient, hessian, (-r * np.ones(d), r * np.ones(d)), d, push, f"ball(d={d},r={r})")
 
 
 def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
@@ -106,7 +106,7 @@ def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
         edge = np.where(x[..., 0] > 0.5 * (lo + hi), hi, lo)
         return (edge - x[..., 0]) / n[..., 0]
 
-    return DomainSpec(level, gradient, hessian, (np.array([lo]), np.array([hi])), 1, f"interval({lo},{hi})", push)
+    return DomainSpec(level, gradient, hessian, (np.array([lo]), np.array([hi])), 1, push, f"interval({lo},{hi})")
 
 
 def ellipsoid(semi_axes) -> DomainSpec:
@@ -146,8 +146,15 @@ def ellipsoid(semi_axes) -> DomainSpec:
             out[..., i, :] = (gradient(x + e) - gradient(x - e)) / (2.0 * h)
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
+    def push(x, n):
+        # level >= 0 exactly where raw >= 0.  Along the ray raw = -(A delta^2 + 2b delta + c), c > 0:
+        # both roots share a sign, and the entry (smaller) root is positive only if b < 0
+        A, b, c = np.sum(n * n / a2, axis=-1), np.sum(x * n / a2, axis=-1), -raw(x)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(b < 0.0, c / (np.sqrt(b * b - A * c) - b), np.nan)
+
     box = (-a, a)
-    return DomainSpec(level, gradient, hessian, box, d, f"ellipsoid({list(a)})")
+    return DomainSpec(level, gradient, hessian, box, d, push, f"ellipsoid({a.tolist()})")
 
 
 def make_domain(kind: str, **params) -> DomainSpec:
@@ -178,15 +185,14 @@ def _generator(sig, bv, grad, hess):
     return 0.5 * np.einsum("...ij,...kj,...ik->...", sig, sig, hess) + np.einsum("...i,...i->...", bv, grad)
 
 
-def _project_out(domain: DomainSpec, x_star: np.ndarray, step_scale: Optional[np.ndarray] = None):
+def _project_out(domain: DomainSpec, x_star: np.ndarray):
     """Push points with level < 0 back along the level gradient.
 
     Returns (projected points, push distances).  The push distance delta is
-    the smallest delta >= 0 with level(x* + delta*grad) >= 0.  A closed form
-    (domain.push: the ball and the interval) is rounded inward, raised by
-    spacing(max|x*|) until level >= 0 holds exactly, as the inside end of a
-    bisection bracket does.  Otherwise (the ellipsoid) delta is bracketed by
-    doubling from step_scale (one per point) and bisected along the ray.
+    the smallest delta >= 0 with level(x* + delta*grad) >= 0: the closed form
+    domain.push, rounded inward, raised by spacing(max|x*|) until level >= 0
+    holds exactly.  A point still outside after _PUSH_ROUNDS raises, as does
+    a ray that never enters the domain (NaN push).
     """
     lv = domain.level(x_star)
     viol = lv < 0.0
@@ -195,27 +201,16 @@ def _project_out(domain: DomainSpec, x_star: np.ndarray, step_scale: Optional[np
         return x_star, delta
     xv = x_star[viol]
     n = domain.gradient(xv)
-    closed = domain.push is not None
-    if closed:
-        hi, rounds, ulp = domain.push(xv, n), _PUSH_ROUNDS, np.spacing(np.max(np.abs(xv), axis=-1))
-    else:
-        hi, rounds = step_scale[viol], 60
+    hi, ulp = domain.push(xv, n), np.spacing(np.max(np.abs(xv), axis=-1))
     todo = np.arange(hi.size)  # points that x* + hi*n leaves outside
-    for _ in range(rounds):
+    for _ in range(_PUSH_ROUNDS):
         ok = domain.level(xv[todo] + hi[todo, None] * n[todo]) >= 0.0
         todo = todo[~ok]
         if todo.size == 0:
             break
-        hi[todo] = hi[todo] + ulp[todo] if closed else 2.0 * hi[todo]
+        hi[todo] = hi[todo] + ulp[todo]
     else:
         raise RuntimeError("projection did not reach the closed domain; reduce the time step")
-    if not closed:
-        lo = np.zeros_like(hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            inside = domain.level(xv + mid[:, None] * n) >= 0.0
-            hi = np.where(inside, mid, hi)
-            lo = np.where(inside, lo, mid)
     out = x_star.copy()
     out[viol] = xv + hi[:, None] * n
     delta[viol] = hi
@@ -232,11 +227,11 @@ def simulate_reflected(
 ) -> ReflectedPath:
     """Projection-Euler simulation of the reflected pair (X, A) from (t, x).
 
-    x is one point (d,) or one per path (n_paths, d).  The paths launched from
-    one point form an ensemble that runs exactly as if simulated alone: its
-    projection brackets start at its own largest step.  b(x) -> (..., d)
-    drift, sigma(x) -> (..., d, d) diffusion matrix; both may also be
-    constants, and a scalar sigma means sigma * I.  The grid must start at t.
+    x is one point (d,) or one per path (n_paths, d).  Each path is projected
+    on its own, so paths stacked from several start points run exactly as if
+    simulated apart.  b(x) -> (..., d) drift, sigma(x) -> (..., d, d)
+    diffusion matrix; both may also be constants, and a scalar sigma means
+    sigma * I.  The grid must start at t.
     A is the accumulated projection distance (the boundary local time of the
     scheme).
     """
@@ -254,20 +249,12 @@ def simulate_reflected(
     A = np.zeros((n_paths, grid.n_steps + 1))
     X[:, 0] = x0
     scalar_sigma = not callable(sigma) and np.ndim(sigma) == 0
-    ens = np.unique(X[:, 0], axis=0, return_inverse=True)[1].reshape(-1)
-    step_scale = None  # a closed-form push reads no bracket
     for i in range(grid.n_steps):
         x = X[:, i]
         bv, sig = _coefficients(b, sigma, x, d)
-        drift = bv * grid.dt[i]
         # sigma * I adds only exact zeros off the diagonal: the product is bit-identical
         sw = sigma * noise.dW[:, i] if scalar_sigma else np.einsum("pij,pj->pi", sig, noise.dW[:, i])
-        x_star = x + drift + sw
-        if domain.push is None:
-            step_scale = np.full(ens.max() + 1, 1e-12)
-            np.maximum.at(step_scale, ens, np.linalg.norm(drift + sw, axis=-1))
-            step_scale = step_scale[ens]
-        x_new, delta = _project_out(domain, x_star, step_scale)
+        x_new, delta = _project_out(domain, x + bv * grid.dt[i] + sw)
         X[:, i + 1] = x_new
         A[:, i + 1] = A[:, i] + delta
     return ReflectedPath(grid, X, A, (t0, x0), noise)

@@ -277,7 +277,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
         # under sample-mean the target is already measurable at t_i (module docstring)
         y_til = target if config.regression == "sample-mean" else project(target)
         if not np.isfinite(y_til).all():
-            raise ValueError(f"non-finite Y at step {i}: prox input x must be finite")
+            raise FloatingPointError(f"non-finite Y at step {i}")
 
         if explicit:
             y_i = y_til - grad(phi, y_til) * dt - grad(psi, y_til) * da[:, None]
@@ -292,7 +292,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
                 V[active, i] = (j_phi[active] - j_psi) / da[active, None]
                 y_i[active] = j_psi
         if not np.isfinite(y_i).all():
-            raise ValueError(f"non-finite Y at step {i}: prox input x must be finite")
+            raise FloatingPointError(f"non-finite Y at step {i}")
         Y[:, i] = y_i
         Z[:, i] = z_i
     return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V, dA)] + [conds]

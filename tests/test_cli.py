@@ -170,6 +170,16 @@ def test_bad_scenario_is_validation_error(tmp_path):
     assert run(["solve", "--scenario", str(p), "--out", str(tmp_path), "--quiet"]) == 2
 
 
+def test_non_finite_value_is_numerical_error(tmp_path, capsys):
+    """A coefficient f that overflows Y is a numerical failure (exit 3), not bad input."""
+    p = _variant(tmp_path, "zero.yaml", lambda raw: raw["coefficients"].update(
+        f={"kind": "linear", "a_y": 1.0e308}, terminal={"kind": "constant", "value": 1.0}))
+    with np.errstate(all="ignore"):
+        code = run(["solve", "--scenario", p, "--out", str(tmp_path), "--quiet"])
+    assert code == 3
+    assert '"error": "numerical"' in capsys.readouterr().err
+
+
 def test_field_without_domain_is_validation_error(tmp_path):
     assert run(["field", "--scenario", _scn("zero.yaml"),
                 "--out", str(tmp_path), "--quiet"]) == 2

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,8 +146,8 @@ def test_simulate_rejects_grid_time_mismatch():
 
 
 def test_per_path_starts_match_separate_runs():
-    """Paths launched from one point form one ensemble: stacking ensembles
-    from several start points reproduces each run on its own, bit for bit."""
+    """Each path is projected on its own: stacking paths from several start
+    points reproduces each run on its own, bit for bit."""
     dom = unit_ball(2)
     grid = TimeGrid.uniform(0, 1, 200)
     starts = np.array([[0.0, 0.0], [0.6, 0.0], [0.0, -0.9]])
@@ -171,28 +169,6 @@ def test_simulate_rejects_outside_per_path_start():
         simulate_reflected(dom, 0.0, 1.0, (0.0, np.array([[0.0, 0.0], [2.0, 0.0]])), grid, noise)
 
 
-def test_projection_brackets_only_unbracketed_points():
-    """Bracket doubling evaluates level only at points still outside their
-    bracket: one far-out point must not drag the shallow ones through its
-    doubling rounds."""
-    base = unit_ball(1)
-    evals = []
-
-    def level(x):
-        evals.append(len(x))
-        return base.level(x)
-
-    dom = dataclasses.replace(base, level=level, push=None)
-    x_star = np.array([[1.01], [1.02], [-1.03], [20.0]])
-    out, delta = _project_out(dom, x_star, np.full(4, 0.0625))
-    # far point: 0.0625 -> 1 is 4 doublings, so 5 bracket rounds; shallow points: 1
-    assert sum(evals) == 4 + (4 + 4 * 1) + 60 * 4
-    assert np.all(base.level(out) >= 0.0) and np.all(delta > 0.0)
-    for j in range(4):  # each point is projected as if alone
-        alone = _project_out(dom, x_star[j:j + 1], np.full(1, 0.0625))
-        assert np.array_equal(out[j:j + 1], alone[0]) and np.array_equal(delta[j:j + 1], alone[1])
-
-
 def _outside_points(dom, rng):
     """Shallow, far-out (|x| = 20) and just-outside (1 + 1e-15) points,
     radially around the domain's centre, scaled by its half-width."""
@@ -204,38 +180,76 @@ def _outside_points(dom, rng):
     return centre + half * u * scale[:, None]
 
 
-@pytest.mark.parametrize("dom", [unit_ball(1), unit_ball(2), unit_ball(3), smoothed_interval()],
-                         ids=lambda dom: dom.name)
-def test_closed_form_push_matches_bisection(dom):
-    """The closed-form push, rounded inward, lands where bisection does and
-    leaves every point in the closed domain exactly."""
-    assert dom.push is not None
-    x_star = _outside_points(dom, np.random.default_rng(dom.d))
-    out, delta = _project_out(dom, x_star)
-    # bracket from just above the closed form, so far-out rays cannot overshoot
-    ref, ref_delta = _project_out(dataclasses.replace(dom, push=None), x_star, np.maximum(delta * (1 + 1e-9), 1e-12))
+def _assert_entry_points(dom, x_star, out):
+    """out is where the ray from each outside x* enters the domain, checked
+    from geometry alone: the radial point of the ball, the edge the point
+    left by for the interval.  For the ellipsoid, out lies on {raw = 0} and
+    the ray is still outside halfway there: the entry root, not the exit."""
+    if dom.name.startswith("ellipsoid"):
+        assert np.max(np.abs(_raw(dom, out))) <= 1e-13
+        assert np.all(_raw(dom, 0.5 * (x_star + out)) < 0.0)
+        return
+    lo, hi = dom.bounding_box[0][0], dom.bounding_box[1][0]
+    if dom.name.startswith("ball"):
+        ref = hi * x_star / np.linalg.norm(x_star, axis=-1, keepdims=True)
+    else:
+        ref = np.where(x_star > 0.5 * (lo + hi), hi, lo)
     assert np.max(np.abs(out - ref)) <= 1e-13
-    assert np.max(np.abs(delta - ref_delta)) <= 1e-13
-    assert np.min(dom.level(out)) >= 0.0 and np.min(dom.level(ref)) >= 0.0
+
+
+def _raw(dom, x):
+    return 1.0 - np.sum(x * x / dom.bounding_box[1] ** 2, axis=-1)
+
+
+def _ellipsoid_ray_misses(dom, x_star):
+    """True where the gradient ray from x* never enters the ellipsoid: its
+    point nearest the centre, in the metric of the semi-axes, lies outside."""
+    n, a2 = dom.gradient(x_star), dom.bounding_box[1] ** 2
+    t = np.maximum(-np.sum(x_star * n / a2, axis=-1) / np.sum(n * n / a2, axis=-1), 0.0)
+    return _raw(dom, x_star + t[:, None] * n) < 0.0
+
+
+@pytest.mark.parametrize("dom", [unit_ball(1), unit_ball(2), unit_ball(3), smoothed_interval(),
+                                 ellipsoid([2.0, 0.5])], ids=lambda dom: dom.name)
+def test_closed_form_push_matches_bisection(dom):
+    """The closed-form push, rounded inward, lands where the ray enters the
+    domain (checked against geometry, not against another projection),
+    leaves every point in the closed domain exactly, and projects each point
+    bit for bit as if alone.  Far-out ellipsoid points are left out: many of
+    their rays miss the domain.  A few shallow ones near the long axis miss
+    it too; each of those must raise."""
+    x_star = _outside_points(dom, np.random.default_rng(dom.d))
+    if dom.name.startswith("ellipsoid"):
+        x_star = np.concatenate([x_star[:100], x_star[200:]])  # shallow and just outside
+        misses = _ellipsoid_ray_misses(dom, x_star)
+        for x in x_star[misses]:
+            with pytest.raises(RuntimeError, match="did not reach the closed domain"):
+                _project_out(dom, x[None])
+        x_star = x_star[~misses]
+    out, delta = _project_out(dom, x_star)
     outside = dom.level(x_star) < 0.0
+    _assert_entry_points(dom, x_star[outside], out[outside])
+    assert np.min(dom.level(out)) >= 0.0
     assert np.all(delta[outside] > 0.0) and np.all(delta[~outside] == 0.0)
     assert np.array_equal(out[~outside], x_star[~outside])
+    for j in range(len(x_star)):
+        alone = _project_out(dom, x_star[j:j + 1])
+        assert np.array_equal(out[j:j + 1], alone[0]) and np.array_equal(delta[j:j + 1], alone[1])
 
 
-def test_ellipsoid_projects_by_bisection():
-    base = ellipsoid([2.0, 0.5])
-    assert base.push is None
-    evals = []
-
-    def level(x):
-        evals.append(len(x))
-        return base.level(x)
-
-    x_star = np.array([[2.1, 0.0], [0.0, -0.55], [1.5, 0.4]])
-    out, delta = _project_out(dataclasses.replace(base, level=level), x_star, np.full(3, 0.0625))
-    assert len(evals) > 60  # the bisection halvings ran
-    assert np.min(base.level(out)) >= 0.0 and np.all(delta > 0.0)
-    assert np.max(np.abs(base.level(out))) < 1e-12
+def test_ellipsoid_push_takes_entry_root_or_raises():
+    """(0, -3) on the (2, 0.5) ellipsoid enters at (0, -0.5), a push of about
+    26.9 along its short gradient.  The gradient ray from (3, 1) never
+    enters the domain: it raises.  Nor does the ray from (3, 0) along +x,
+    whose line meets the ellipse only behind the point: push gives NaN, not
+    the negative root."""
+    dom = ellipsoid([2.0, 0.5])
+    out, delta = _project_out(dom, np.array([[0.0, -3.0]]))
+    assert np.max(np.abs(out - [[0.0, -0.5]])) <= 1e-13
+    assert dom.level(out)[0] >= 0.0 and delta[0] == pytest.approx(26.897, abs=1e-3)
+    with pytest.raises(RuntimeError, match="did not reach the closed domain"):
+        _project_out(dom, np.array([[3.0, 1.0]]))
+    assert np.isnan(dom.push(np.array([[3.0, 0.0]]), np.array([[1.0, 0.0]])))
 
 
 def test_reflection_determinism():
@@ -284,6 +298,7 @@ def test_boundary_inequality_finite_alpha_nonconvex():
         hessian=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
         bounding_box=(np.array([0.0, -1.0]), np.array([1.0, 1.0])),
         d=2,
+        push=lambda x, n: -x[..., 0] / n[..., 0],
     )
     out = boundary_inequality_check(dom, [(np.array([0.0, 1.0]), np.array([0.5, 0.0]))])
     assert np.isfinite(out["alpha_max"])

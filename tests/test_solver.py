@@ -229,8 +229,9 @@ def _blows_up(t, x, y, z):
 
 @pytest.mark.parametrize("run", ["explicit", "implicit", "ladder", "unstable"])
 def test_non_finite_value_in_sweep_raises(run):
-    """A value that turns non-finite during the sweep raises ValueError
-    (exit code 2 in the CLI), whichever scheme or study runs it."""
+    """A value that turns non-finite during the sweep raises
+    FloatingPointError (exit code 3 in the CLI, a numerical failure rather
+    than bad input), whichever scheme or study runs it."""
     grid, noise = _bundle(n_steps=100, n_paths=4)
     phi = make_convex("indicator_box(-inf,0.5)")
     coeffs = _coeffs(f=_blows_up)
@@ -243,7 +244,7 @@ def test_non_finite_value_in_sweep_raises(run):
         "unstable": lambda: solve_penalized(_coeffs(terminal=1.0), make_convex("quadratic(1e6)"), ZERO,
                                             SolverConfig(grid, eps=1e-6, scheme="explicit-yosida"), noise),
     }
-    with pytest.raises(ValueError, match="must be finite"), np.errstate(all="ignore"):
+    with pytest.raises(FloatingPointError, match="non-finite Y at step"), np.errstate(all="ignore"):
         runs[run]()
 
 # ---------------------------------------------------------------- diagnostics
