@@ -31,7 +31,7 @@ def main():
     print(f"{'steps':>6} {'min level':>12} {'mean A_T':>10} {'support':>8} {'rms resid':>10}")
     for n in (int(s) for s in args.steps.split(",")):
         grid = TimeGrid.uniform(0.0, 1.0, n)
-        noise = generate_paths(grid, args.dim, args.paths, seed=args.seed)
+        noise = generate_paths(grid, args.dim, args.paths, seed=args.seed, shared_backward=True)
         path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(args.dim)), grid, noise)
         band = boundary_band(dom, 1.0, grid.max_dt)
         res = local_time_identity_residual(path, dom, 0.0, 1.0)

@@ -13,7 +13,6 @@ from .convex import (
     grid_prox_oracle,
     make_convex,
     moreau_envelope,
-    one_sided_derivatives,
     prox,
     prox_property_suite,
     validate_weights,
@@ -22,11 +21,8 @@ from .convex import (
 from .drivers import (
     PathBundle,
     TimeGrid,
-    backward_ito,
-    forward_ito,
     generate_paths,
     load_a_table,
-    stratonovich_backward,
 )
 from .field import (
     FieldEstimate,
@@ -42,13 +38,10 @@ from .reflected import (
     DomainSpec,
     ReflectedPath,
     boundary_band,
-    boundary_inequality_check,
     ellipsoid,
-    generator_apply,
     local_time_identity_residual,
     local_time_support_fraction,
     make_domain,
-    normal_derivative,
     simulate_reflected,
     smoothed_interval,
     unit_ball,

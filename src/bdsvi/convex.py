@@ -19,7 +19,6 @@ __all__ = [
     "moreau_envelope",
     "yosida_gradient",
     "grid_prox_oracle",
-    "one_sided_derivatives",
     "prox_property_suite",
     "check_compatibility",
     "CompatibilityReport",
@@ -262,25 +261,6 @@ def _golden_prox_1d(theta, eps, x, lo, hi, width):
     # the lower interior point is the best golden-section point evaluated
     best, best_f = np.where(fc <= fd, c, d), np.minimum(fc, fd)
     return np.where(best_f < f_anchor, best, anchor)
-
-
-def one_sided_derivatives(theta: ConvexFunction, y: float) -> tuple[float, float]:
-    """Left and right derivatives of a one-dimensional theta at y.
-
-    Difference quotients with h = 1e-6.  By convexity the left quotient is
-    at most the left derivative and the right quotient at least the right
-    derivative, each within O(h) where theta is C^2 on that side.  Returns
-    -inf/+inf sentinels at domain boundaries.  Raises if y itself is outside
-    Dom(theta).
-    """
-    y = float(y)
-    val = float(theta.evaluate(np.array([y])))
-    if not np.isfinite(val):
-        raise ValueError(f"{y} lies outside Dom({theta.label or 'theta'})")
-    h = 1e-6
-    left = (val - float(theta.evaluate(np.array([y - h])))) / h  # -inf when y-h is outside the domain
-    right = (float(theta.evaluate(np.array([y + h]))) - val) / h  # +inf when y+h is outside the domain
-    return left, right
 
 
 def prox_property_suite(

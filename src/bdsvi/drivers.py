@@ -1,10 +1,14 @@
-"""Brownian drivers, the increasing weight process, and discrete Ito conventions.
+"""Brownian drivers and the increasing weight process.
 
-Two independent d-dimensional Brownian motions are sampled per path: W enters
+Two independent d-dimensional Brownian motions drive the equation: W enters
 through forward (left-endpoint) sums and B through backward (right-endpoint)
-sums.  Each path owns a counter-based Philox substream keyed by
-(seed, path index), so bundles are bit-identical regardless of how path
-generation is scheduled.
+sums.  Every random stream of the package comes from one key packer,
+`_stream(seed, tag, *ids)`, which packs its arguments injectively into the
+2x64-bit key of a counter-based Philox generator (Salmon et al., SC'11).  Its
+four tags are W (path i), B (path i), B_SHARED (backward-noise draw) and
+FIELD_W (field node draw, lattice time, lattice point).  A stream depends on
+its key only, so bundles are bit-identical regardless of batch size, ordering
+or scheduling.
 """
 from __future__ import annotations
 
@@ -19,9 +23,6 @@ __all__ = [
     "PathBundle",
     "generate_paths",
     "load_a_table",
-    "forward_ito",
-    "backward_ito",
-    "stratonovich_backward",
 ]
 
 
@@ -110,8 +111,30 @@ def load_a_table(path) -> Callable[[np.ndarray], np.ndarray]:
     return lambda t: np.interp(t, ts, vals)
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+# key word 1 is tag << 62 | payload; the payload packs the ids, first id highest
+_STREAM_TAGS = {"W": (0, (62,)), "B": (1, (62,)), "B_SHARED": (2, (62,)), "FIELD_W": (3, (22, 20, 20))}
+
+
+def _stream(seed: int, tag: str, *ids: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed, tag, ids).
+
+    Word 0 of the key is the seed.  Word 1 is the tag's two bits over its
+    payload: W and B carry a path index, B_SHARED a backward-noise draw (62
+    bits each), FIELD_W a field node (draw << 40 | it << 20 | jp).  A seed
+    outside [0, 2**64) or an id wider than its field raises ValueError, so
+    distinct arguments never share a key.
+    """
+    code, widths = _STREAM_TAGS[tag]
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    if len(ids) != len(widths):
+        raise ValueError(f"stream {tag} takes {len(widths)} ids, got {len(ids)}")
+    word = code
+    for i, bits in zip(ids, widths):
+        if not 0 <= i < 1 << bits:
+            raise ValueError(f"stream {tag} id {i} does not fit in {bits} bits")
+        word = word << bits | int(i)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
 
 
 def generate_paths(
@@ -133,18 +156,19 @@ def generate_paths(
         raise ValueError("n_paths must be >= 1")
     n_steps = grid.n_steps
     sqdt = np.sqrt(grid.dt)[:, None]
-    dW = np.empty((n_paths, n_steps, d))
-    dB = np.empty((n_paths, n_steps, d))
+
+    def per_path(tag):
+        z = np.empty((n_paths, n_steps, d))
+        for i in range(n_paths):
+            _stream(seed, tag, i).standard_normal((n_steps, d), out=z[i])
+        z *= sqdt
+        return z
+
+    dW = per_path("W")
     if shared_backward:
-        # path substreams draw only W; B comes from a dedicated substream
-        for i in range(n_paths):
-            dW[i] = _substream(seed, i).standard_normal((n_steps, d)) * sqdt
-        dB[:] = _substream(seed, 2**63).standard_normal((n_steps, d)) * sqdt
+        dB = np.repeat(_stream(seed, "B_SHARED", 0).standard_normal((1, n_steps, d)) * sqdt, n_paths, axis=0)
     else:
-        for i in range(n_paths):
-            z = _substream(seed, i).standard_normal((n_steps, 2 * d))
-            dW[i] = z[:, :d] * sqdt
-            dB[i] = z[:, d:] * sqdt
+        dB = per_path("B")
 
     A = np.zeros((n_paths, n_steps + 1))
     attached = a_spec is not None
@@ -154,40 +178,3 @@ def generate_paths(
             raise ValueError("a_spec must be nondecreasing on the grid")
         A[:] = vals - vals[0]
     return PathBundle(grid, d, n_paths, dW, dB, A, seed, a_attached=attached)
-
-
-def forward_ito(integrand_left: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Left-endpoint sum  sum_i zeta(t_i) dW_i  over the step axis (axis -1
-    after broadcasting; arrays must share the number of steps)."""
-    integrand_left = np.asarray(integrand_left, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    if integrand_left.shape[-1] != dW.shape[-1]:
-        raise ValueError("integrand and increment step counts differ")
-    return np.sum(integrand_left * dW, axis=-1)
-
-
-def backward_ito(integrand_right: np.ndarray, dB: np.ndarray) -> np.ndarray:
-    """Right-endpoint sum  sum_i zeta(t_{i+1}) dB_i  (backward convention).
-
-    The sum is forward_ito's; the conventions differ only in which node
-    values the caller passes (here the right endpoints of the steps)."""
-    return forward_ito(integrand_right, dB)
-
-
-def stratonovich_backward(integrand: Callable, dB: np.ndarray, y_terminal=0.0):
-    """Heun (midpoint-corrected) backward Stratonovich integration.
-
-    Solves the scalar state recursion y_j = y_{j+1} + 0.5*(h(y_{j+1}) +
-    h(y*)) dB_j with predictor y* = y_{j+1} + h(y_{j+1}) dB_j, traversing the
-    steps from the terminal end down to the initial one.  Returns
-    (y_initial, integral_value) where integral_value = y_initial - y_terminal.
-    Strong order >= 1 on smooth integrands.
-    """
-    dB = np.asarray(dB, dtype=float)
-    y = np.asarray(y_terminal, dtype=float) + np.zeros(dB.shape[:-1])
-    for j in range(dB.shape[-1] - 1, -1, -1):
-        db = dB[..., j]
-        hy = integrand(y)
-        pred = y + hy * db
-        y = y + 0.5 * (hy + integrand(pred)) * db
-    return y, y - np.asarray(y_terminal, dtype=float)

@@ -5,7 +5,9 @@ local time feeds the backward solver as the increasing weight process, and
 the field value is the ensemble estimate of the solution at the initial node.
 One backward-noise draw defines one field sample (the field is a random
 object of the backward noise); the reported field averages the per-draw
-fields and keeps them available.
+fields and keeps them available.  Both noises come from the key packer of
+`drivers`: a draw's backward increments from its B_SHARED stream, shared by
+every node, and a node's forward increments from its own FIELD_W stream.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .convex import ConvexFunction, yosida_gradient
-from .drivers import PathBundle, TimeGrid, _substream, generate_paths
+from .drivers import PathBundle, TimeGrid, _stream
 from .reflected import DomainSpec, _coefficients, simulate_reflected
 from .solver import CoefficientSet, SolverConfig, _backward_sweep, _terminal_values
 
@@ -86,12 +88,16 @@ def sample_field(
 
     Lattice times are snapped to the master grid of the solver config.  The
     backward increments of one draw are generated once on the master grid and
-    shared by every path and lattice node (common noise); the forward noise
-    gets an independent substream per node.  The nodes of one lattice time
-    run as one stacked ensemble (point jp on rows jp * n_paths ...) through one
-    reflected simulation and one backward sweep, which regresses each node on
-    its own paths.  The terminal slice is the exact terminal map.
+    shared by every path and lattice node (common noise).  Node (draw, it, jp)
+    draws its forward increments as one (n_paths, steps, d) block from its own
+    stream, path p on row p, so a node's paths are prefix-stable in n_paths.
+    The nodes of one lattice time run as one stacked ensemble (point jp on
+    rows jp * n_paths ...) through one reflected simulation and one backward
+    sweep, which regresses each node on its own paths.  The terminal slice is
+    the exact terminal map.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     master = config.grid
     nodes = master.nodes
     nt, npts = fgrid.times.size, fgrid.points.shape[0]
@@ -103,16 +109,14 @@ def sample_field(
     t_index = np.searchsorted(nodes, fgrid.times - 1e-12)
     sqdt = np.sqrt(master.dt)[:, None]
     for draw in range(n_b_draws):
-        db_master = _substream(seed, 2**63 + draw).standard_normal((master.n_steps, d)) * sqdt
+        db_master = _stream(seed, "B_SHARED", draw).standard_normal((master.n_steps, d)) * sqdt
         for it, j0 in enumerate(t_index):
             if j0 == master.n_steps:
                 per_draw[draw, it] = _terminal_values(coeffs, npts, fgrid.points)[:, 0]
                 continue
             sub = TimeGrid(nodes[j0:])
-            dW = np.concatenate([
-                generate_paths(sub, d, n_paths,
-                               (seed * 1000003 + draw * 262147 + it * 9176 + jp * 31 + 7) % (2**63)).dW
-                for jp in range(npts)])
+            dW = np.concatenate([_stream(seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d))
+                                 for jp in range(npts)]) * sqdt[j0:]
             noise = PathBundle(sub, d, len(dW), dW, np.broadcast_to(db_master[j0:], dW.shape),
                                np.broadcast_to(0.0, (len(dW), sub.n_steps + 1)), seed, a_attached=False)
             ens = simulate_reflected(domain, b, sigma, (sub.t0, starts), sub, noise)

@@ -27,9 +27,6 @@ __all__ = [
     "boundary_band",
     "local_time_support_fraction",
     "local_time_identity_residual",
-    "boundary_inequality_check",
-    "generator_apply",
-    "normal_derivative",
 ]
 
 _BOUNDARY_TOL = 1e-9
@@ -307,40 +304,3 @@ def local_time_identity_residual(path: ReflectedPath, domain: DomainSpec, b, sig
         "max": float(np.max(res)),
         "mean": float(np.mean(res)),
     }
-
-
-def boundary_inequality_check(domain: DomainSpec, pairs, tol: float = 1e-6) -> dict:
-    """Largest constant alpha with |x-x'|^2 + alpha <x'-x, grad level(x)> >= 0
-    on the sampled (boundary x, interior x') pairs.
-
-    Pairs with a nonnegative inner product impose no constraint; if every
-    pair is unconstrained the bound is the +inf sentinel.  The inner product
-    uses the level gradient at x (the only dimensionally consistent reading
-    of the pairing with the scalar level).
-    """
-    best = np.inf
-    for x, xp in pairs:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xp = np.atleast_1d(np.asarray(xp, dtype=float))
-        if abs(float(domain.level(x))) > tol:
-            raise ValueError("first element of each pair must lie on the boundary")
-        s = float(np.dot(xp - x, domain.gradient(x)))
-        if s < 0.0:
-            best = min(best, float(np.sum((x - xp) ** 2)) / (-s))
-    return {"alpha_max": best, "unconstrained": not np.isfinite(best)}
-
-
-def generator_apply(sigma, b, grad_v, hess_v, x) -> float:
-    """L v(x) = 0.5 Tr(sigma sigma^T D^2 v) + <b, grad v>."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    bv, sig = _coefficients(b, sigma, x, x.size)
-    return float(_generator(sig, bv, np.asarray(grad_v(x), dtype=float), np.asarray(hess_v(x), dtype=float)))
-
-
-def normal_derivative(domain: DomainSpec, grad_v, x, tol: float = 1e-7) -> float:
-    """Inward-normal derivative <grad level(x), grad v(x)> at a boundary x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if abs(float(domain.level(x))) > tol:
-        raise ValueError("x is not on the boundary")
-    g = np.asarray(grad_v(x), dtype=float)
-    return float(np.dot(domain.gradient(x), g))

@@ -204,9 +204,8 @@ def solve_penalized(
       (a) Z_i from the regression of Y_{i+1} dW_i^T / dt_i;
       (b) Ytil_i = E_i[Y_{i+1} + f dt + g dA + h dB] (coefficients at the
           right endpoint in (t, x, y), current Z);
-      (c) explicit-yosida:  Y_i = Ytil - grad phi_eps(Ytil) dt
-                                        - grad psi_eps(Ytil) dA,
-          with U_i = grad phi_eps(Y_i), V_i = grad psi_eps(Y_i);
+      (c) explicit-yosida:  Y_i = Ytil - U_i dt - V_i dA, with the applied
+          multipliers U_i = grad phi_eps(Ytil), V_i = grad psi_eps(Ytil);
           implicit-prox:    Y_i = J^psi_dA(J^phi_dt(Ytil)), with the
           multipliers read off the resolvent gaps (V_i = 0 when dA_i = 0).
     """
@@ -280,8 +279,8 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
             raise FloatingPointError(f"non-finite Y at step {i}")
 
         if explicit:
-            y_i = y_til - grad(phi, y_til) * dt - grad(psi, y_til) * da[:, None]
-            U[:, i], V[:, i] = grad(phi, y_i), grad(psi, y_i)
+            U[:, i], V[:, i] = grad(phi, y_til), grad(psi, y_til)
+            y_i = y_til - U[:, i] * dt - V[:, i] * da[:, None]
         else:
             j_phi = _prox(phi, dt, y_til)
             U[:, i] = (y_til - j_phi) / dt

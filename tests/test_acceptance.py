@@ -39,7 +39,7 @@ from bdsvi import (
     unit_ball,
     verify_vi_inclusion,
 )
-from bdsvi.drivers import _substream
+from bdsvi.drivers import _stream
 
 ZERO = make_convex("zero")
 CATALOG_NAMES = ["zero", "quadratic(1.0)", "abs", "indicator_box(-1,1)", "hinge_sq"]
@@ -173,7 +173,7 @@ def test_06_reflected_diffusion():
     t0 = time.perf_counter()
     dom = unit_ball(2)
     grid = TimeGrid.uniform(0, 1, 1000)
-    noise = generate_paths(grid, 2, 10_000, seed=5)
+    noise = generate_paths(grid, 2, 10_000, seed=5, shared_backward=True)
     path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), grid, noise)
     containment = float(np.min(dom.level(path.X)))
     band = boundary_band(dom, 1.0, grid.max_dt)
@@ -182,10 +182,10 @@ def test_06_reflected_diffusion():
     grid2 = TimeGrid.uniform(0, 1, 2000)
     r1 = local_time_identity_residual(
         simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), grid,
-                           generate_paths(grid, 2, 2000, seed=6)), dom, 0.0, 1.0)
+                           generate_paths(grid, 2, 2000, seed=6, shared_backward=True)), dom, 0.0, 1.0)
     r2 = local_time_identity_residual(
         simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), grid2,
-                           generate_paths(grid2, 2, 2000, seed=6)), dom, 0.0, 1.0)
+                           generate_paths(grid2, 2, 2000, seed=6, shared_backward=True)), dom, 0.0, 1.0)
     shrink = r1["rms"] / r2["rms"]
     elapsed = time.perf_counter() - t0
     ok = containment >= -1e-12 and support == 0.0 and shrink >= 1.3 and elapsed < 60.0
@@ -351,7 +351,7 @@ def test_12_field_backward_noise_oracle():
         j = np.searchsorted(grid.nodes, fg.times - 1e-12)
         err = gap = 0.0
         for draw in range(draws):
-            dB = _substream(seed, 2**63 + draw).standard_normal(grid.n_steps) * np.sqrt(grid.dt)
+            dB = _stream(seed, "B_SHARED", draw).standard_normal(grid.n_steps) * np.sqrt(grid.dt)
             exact = np.array([xi * np.prod(1.0 + c * dB[k:]) for k in j])
             continuum = xi * np.exp(np.array([c * dB[k:].sum() for k in j]) - c * c * (1.0 - grid.nodes[j]) / 2)
             err = max(err, float(np.max(np.abs(est.per_draw[draw] - exact[:, None]))))

@@ -170,6 +170,15 @@ def test_bad_scenario_is_validation_error(tmp_path):
     assert run(["solve", "--scenario", str(p), "--out", str(tmp_path), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_out_of_range_seed_is_validation_error(tmp_path, capsys, seed):
+    """A seed outside [0, 2**64) cannot key a stream: exit 2 with a JSON record."""
+    code = run(["solve", "--scenario", _scn("vi_oracle.yaml"), "--seed", seed,
+                "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert '"error": "validation"' in capsys.readouterr().err
+
+
 def test_non_finite_value_is_numerical_error(tmp_path, capsys):
     """A coefficient f that overflows Y is a numerical failure (exit 3), not bad input."""
     p = _variant(tmp_path, "zero.yaml", lambda raw: raw["coefficients"].update(

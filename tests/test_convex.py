@@ -9,7 +9,6 @@ from bdsvi import (
     grid_prox_oracle,
     make_convex,
     moreau_envelope,
-    one_sided_derivatives,
     prox,
     prox_property_suite,
     validate_weights,
@@ -171,32 +170,6 @@ def test_grid_oracle_rejects_high_dim():
     q = make_convex("quadratic(1.0)")
     with pytest.raises(ValueError):
         grid_prox_oracle(q, 1.0, np.zeros((2, 3)))
-
-
-# ---------------------------------------------------------------- one-sided derivatives
-
-def test_one_sided_abs_kink():
-    l, r = one_sided_derivatives(make_convex("abs"), 0.0)
-    assert l == pytest.approx(-1.0, abs=1e-6)
-    assert r == pytest.approx(1.0, abs=1e-6)
-
-
-def test_one_sided_smooth_point():
-    l, r = one_sided_derivatives(make_convex("quadratic(1.0)"), 3.0)
-    assert l == pytest.approx(3.0, abs=1e-4)
-    assert r == pytest.approx(3.0, abs=1e-4)
-    assert l <= r
-
-
-def test_one_sided_domain_boundary_sentinel():
-    l, r = one_sided_derivatives(make_convex("indicator_box(-inf,0)"), 0.0)
-    assert l == pytest.approx(0.0)
-    assert r == np.inf
-
-
-def test_one_sided_outside_domain_raises():
-    with pytest.raises(ValueError):
-        one_sided_derivatives(make_convex("indicator_box(-1,1)"), 2.0)
 
 
 # ---------------------------------------------------------------- catalog invariants

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bdsvi import (
-    TimeGrid,
-    backward_ito,
-    forward_ito,
-    generate_paths,
-    load_a_table,
-    stratonovich_backward,
-)
-from bdsvi.drivers import _substream
+from bdsvi import TimeGrid, generate_paths, load_a_table
+from bdsvi.drivers import _STREAM_TAGS, _stream
 
 
 def test_grid_uniform():
@@ -66,9 +59,50 @@ def test_path_substreams_independent_of_batch_size():
 def test_path_substreams_match_manual_keying():
     g = TimeGrid.uniform(0, 1, 10)
     b = generate_paths(g, 1, 4, seed=13)
+    shared = generate_paths(g, 1, 4, seed=13, shared_backward=True)
+    sqdt = np.sqrt(g.dt)[:, None]
     for i in (3, 1, 2, 0):  # scrambled order on purpose
-        z = _substream(13, i).standard_normal((10, 2))
-        assert np.array_equal(b.dW[i], z[:, :1] * np.sqrt(g.dt)[:, None])
+        dw = _stream(13, "W", i).standard_normal((10, 1)) * sqdt
+        assert np.array_equal(b.dW[i], dw)
+        assert np.array_equal(shared.dW[i], dw)  # W draws only what it reads, with or without B
+        assert np.array_equal(b.dB[i], _stream(13, "B", i).standard_normal((10, 1)) * sqdt)
+    assert np.array_equal(shared.dB[2], _stream(13, "B_SHARED", 0).standard_normal((10, 1)) * sqdt)
+
+
+def _key(seed, tag, *ids):
+    return tuple(_stream(seed, tag, *ids).bit_generator.state["state"]["key"].tolist())
+
+
+def test_stream_keys_distinct_over_large_lattice():
+    # jp >= 297 covers the colliding nodes (it=1, jp=0) / (it=0, jp=296) of an
+    # earlier additive field sub-seed, where 9176 = 31 * 296
+    ids = [("W", i) for i in range(2000)] + [("B", i) for i in range(2000)]
+    ids += [("B_SHARED", i) for i in range(2000)]
+    ids += [("FIELD_W", draw, it, jp) for draw in range(2) for it in range(6) for jp in range(400)]
+    assert len({_key(4, *a) for a in ids}) == len(ids)
+
+
+_stream_args = st.sampled_from(sorted(_STREAM_TAGS)).flatmap(
+    lambda tag: st.tuples(st.integers(0, 2**64 - 1), st.just(tag),
+                          *[st.integers(0, 2**w - 1) for w in _STREAM_TAGS[tag][1]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_stream_args, b=_stream_args)
+@example(a=(4, "FIELD_W", 0, 1, 0), b=(4, "FIELD_W", 0, 0, 296))
+@example(a=(4, "W", 7), b=(4, "B", 7))
+def test_stream_key_injective_property(a, b):
+    assert (_key(*a) == _key(*b)) == (a == b)
+
+
+@pytest.mark.parametrize("args", [
+    (-1, "W", 0), (2**64, "W", 0), (0, "W", -1), (0, "W", 2**62), (0, "B", 2**62),
+    (0, "B_SHARED", 2**62), (0, "FIELD_W", 2**22, 0, 0), (0, "FIELD_W", 0, 2**20, 0),
+    (0, "FIELD_W", 0, 0, 2**20), (0, "FIELD_W", 0, 0), (0, "W", 0, 0),
+])
+def test_stream_rejects_out_of_range_keys(args):
+    with pytest.raises(ValueError):
+        _stream(*args)
 
 
 def test_shared_backward_noise():
@@ -120,42 +154,15 @@ def test_load_a_table(tmp_path):
         load_a_table(p2)
 
 
-def test_forward_ito_constant_integrand():
-    g = TimeGrid.uniform(0, 1, 100)
-    b = generate_paths(g, 1, 10, seed=3)
-    w_T = np.sum(b.dW[:, :, 0], axis=1)
-    assert np.allclose(forward_ito(np.ones((10, 100)), b.dW[:, :, 0]), w_T)
-
-
 def test_endpoint_conventions_differ_by_quadratic_variation():
     # sum B_{i+1} dB - sum B_i dB = sum (dB)^2 -> T in the mean
     g = TimeGrid.uniform(0, 1, 200)
     b = generate_paths(g, 1, 4000, seed=8)
     dB = b.dB[:, :, 0]
     B = np.concatenate([np.zeros((4000, 1)), np.cumsum(dB, axis=1)], axis=1)
-    fwd = forward_ito(B[:, :-1], dB)
-    bwd = backward_ito(B[:, 1:], dB)
+    fwd = np.sum(B[:, :-1] * dB, axis=1)
+    bwd = np.sum(B[:, 1:] * dB, axis=1)
     assert np.mean(bwd - fwd) == pytest.approx(1.0, abs=0.05)
-
-
-def test_stratonovich_backward_constant():
-    g = TimeGrid.uniform(0, 1, 128)
-    b = generate_paths(g, 1, 50, seed=4)
-    dB = b.dB[:, :, 0]
-    y0, integral = stratonovich_backward(lambda y: 0.7 * np.ones_like(y), dB, y_terminal=1.3)
-    B_total = np.sum(dB, axis=1)
-    assert np.allclose(y0, 1.3 + 0.7 * B_total, rtol=0.0, atol=1e-12)
-    assert np.allclose(integral, 0.7 * B_total, rtol=0.0, atol=1e-12)
-
-
-def test_stratonovich_backward_linear_vs_exponential():
-    # y' = y o dB has the pathwise solution y_t = y_T * exp(B_T - B_t)
-    g = TimeGrid.uniform(0, 1, 4096)
-    b = generate_paths(g, 1, 20, seed=6)
-    dB = b.dB[:, :, 0]
-    y0, _ = stratonovich_backward(lambda y: y, dB, y_terminal=0.8)
-    exact = 0.8 * np.exp(np.sum(dB, axis=1))
-    assert np.max(np.abs(y0 - exact)) < 5e-3
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,6 @@ from bdsvi import (
     TimeGrid,
     boundary_residual,
     continuity_diagnostic,
-    generate_paths,
     interior_residual,
     make_convex,
     manufactured_field,
@@ -23,7 +22,7 @@ from bdsvi import (
     unit_ball,
     yosida_gradient,
 )
-from bdsvi.drivers import _substream
+from bdsvi.drivers import _stream
 
 ZERO = make_convex("zero")
 DOM = smoothed_interval(-1.0, 1.0)
@@ -96,14 +95,14 @@ def test_field_determinism():
 
 def _per_node_field(domain, coeffs, phi, psi, config, fgrid, n_paths, seed, sigma, b, n_b_draws):
     """sample_field rebuilt node by node from public calls: one forward
-    substream, reflected ensemble and backward solve per lattice node."""
+    stream, reflected ensemble and backward solve per lattice node."""
     master = config.grid
     d = domain.d
     t_index = np.searchsorted(master.nodes, fgrid.times - 1e-12)
     shape = (n_b_draws, fgrid.times.size, fgrid.points.shape[0])
     per_draw, per_draw_se = np.empty(shape), np.zeros(shape)
     for draw in range(n_b_draws):
-        db = _substream(seed, 2**63 + draw).standard_normal((master.n_steps, d)) * np.sqrt(master.dt)[:, None]
+        db = _stream(seed, "B_SHARED", draw).standard_normal((master.n_steps, d)) * np.sqrt(master.dt)[:, None]
         for it, j0 in enumerate(t_index):
             for jp, x in enumerate(fgrid.points):
                 if j0 == master.n_steps:
@@ -111,10 +110,10 @@ def _per_node_field(domain, coeffs, phi, psi, config, fgrid, n_paths, seed, sigm
                     per_draw[draw, it, jp] = np.atleast_1d(xi)[0]
                     continue
                 sub = TimeGrid(master.nodes[j0:])
-                sub_seed = (seed * 1000003 + draw * 262147 + it * 9176 + jp * 31 + 7) % (2**63)
-                fwd = generate_paths(sub, d, n_paths, sub_seed)
-                noise = PathBundle(sub, d, n_paths, fwd.dW, np.broadcast_to(db[j0:], fwd.dW.shape).copy(),
-                                   fwd.A, sub_seed, a_attached=False)
+                dW = (_stream(seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d))
+                      * np.sqrt(sub.dt)[:, None])
+                noise = PathBundle(sub, d, n_paths, dW, np.broadcast_to(db[j0:], dW.shape).copy(),
+                                   np.zeros((n_paths, sub.n_steps + 1)), seed, a_attached=False)
                 ens = simulate_reflected(domain, b, sigma, (sub.t0, x), sub, noise)
                 y0 = solve_penalized(coeffs, phi, psi, replace(config, grid=sub), noise, ens).Y[:, 0, 0]
                 per_draw[draw, it, jp] = np.mean(y0)

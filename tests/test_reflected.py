@@ -3,23 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdsvi import (
-    DomainSpec,
     PathBundle,
     TimeGrid,
     boundary_band,
-    boundary_inequality_check,
     ellipsoid,
     generate_paths,
-    generator_apply,
     local_time_identity_residual,
     local_time_support_fraction,
     make_domain,
-    normal_derivative,
     simulate_reflected,
     smoothed_interval,
     unit_ball,
 )
-from bdsvi.reflected import _project_out
+from bdsvi.reflected import _coefficients, _generator, _project_out
 
 
 def _run(domain, n_paths=200, n_steps=200, seed=1, sigma=1.0, b=0.0, x0=None, T=1.0):
@@ -270,58 +266,17 @@ def test_containment_property(seed, sigma):
     assert float(np.min(dom.level(path.X))) >= -1e-12
 
 
-# ---------------------------------------------------------------- diagnostics
-
-def test_boundary_inequality_convex_domain_unconstrained():
-    dom = unit_ball(2)
-    rng = np.random.default_rng(0)
-    theta = rng.uniform(0, 2 * np.pi, 40)
-    xs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    r = np.sqrt(rng.uniform(0, 1, 40))
-    phi2 = rng.uniform(0, 2 * np.pi, 40)
-    xps = np.stack([r * np.cos(phi2), r * np.sin(phi2)], axis=-1)
-    out = boundary_inequality_check(dom, list(zip(xs, xps)))
-    assert out["unconstrained"]
-
-
-def test_boundary_inequality_requires_boundary_point():
-    dom = unit_ball(2)
-    with pytest.raises(ValueError):
-        boundary_inequality_check(dom, [(np.zeros(2), np.zeros(2))])
-
-
-def test_boundary_inequality_finite_alpha_nonconvex():
-    # a synthetic level with outward-bending normal produces a real constraint
-    dom = DomainSpec(
-        level=lambda x: x[..., 0],
-        gradient=lambda x: np.stack([np.ones(x.shape[:-1]), 2.0 * x[..., 1]], axis=-1),
-        hessian=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
-        bounding_box=(np.array([0.0, -1.0]), np.array([1.0, 1.0])),
-        d=2,
-        push=lambda x, n: -x[..., 0] / n[..., 0],
-    )
-    out = boundary_inequality_check(dom, [(np.array([0.0, 1.0]), np.array([0.5, 0.0]))])
-    assert np.isfinite(out["alpha_max"])
-    # |x-x'|^2 = 0.25 + 1, <x'-x, grad> = 0.5 - 2
-    assert out["alpha_max"] == pytest.approx(1.25 / 1.5)
-
+# ---------------------------------------------------------------- generator
 
 def test_generator_on_quadratic():
     # v = |x|^2: grad = 2x, hess = 2I, Lv = tr(sigma sigma^T) + 2<b, x>
     x = np.array([0.3, -0.4])
-    val = generator_apply(1.0, np.array([1.0, 2.0]),
-                          lambda p: 2.0 * p, lambda p: 2.0 * np.eye(2), x)
-    assert val == pytest.approx(2.0 + 2.0 * (0.3 - 0.8))
+
+    def lv(sigma, b):
+        bv, sig = _coefficients(b, sigma, x, x.size)
+        return float(_generator(sig, bv, 2.0 * x, 2.0 * np.eye(2)))
+
+    assert lv(1.0, np.array([1.0, 2.0])) == pytest.approx(2.0 + 2.0 * (0.3 - 0.8))
     # callable full sigma and callable b
     sig = lambda p: np.array([[1.0, p[0]], [0.5, 2.0]])
-    val = generator_apply(sig, lambda p: p[::-1], lambda p: 2.0 * p, lambda p: 2.0 * np.eye(2), x)
-    assert val == pytest.approx(np.sum(sig(x) ** 2) + 2.0 * np.dot(x[::-1], x))
-
-
-def test_normal_derivative_on_ball():
-    dom = unit_ball(2)
-    xb = np.array([1.0, 0.0])
-    nd = normal_derivative(dom, lambda p: 2.0 * p, xb)
-    assert nd == pytest.approx(-2.0)
-    with pytest.raises(ValueError):
-        normal_derivative(dom, lambda p: p, np.array([0.2, 0.0]))
+    assert lv(sig, lambda p: p[::-1]) == pytest.approx(np.sum(sig(x) ** 2) + 2.0 * np.dot(x[::-1], x))

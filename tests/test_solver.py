@@ -140,6 +140,29 @@ def test_dA_penalization_uses_psi():
     assert np.all(sol.U == 0.0)
 
 
+@pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
+def test_step_closes_with_recorded_multipliers(scheme):
+    """Y_i = Ytil_i - U_i dt - V_i dA_i: U and V are the multipliers the step
+    applied.  State-free sample-mean, so Ytil_i is the pathwise target
+    Y_{i+1} + f dt + g dA + h dB at the right endpoint with the step's Z."""
+    grid, noise = _bundle(n_steps=100, n_paths=50, seed=3, a="time")
+    coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.2 * z[..., 0],
+                     g=lambda t, x, y: 0.4 + 0.1 * y,
+                     h=lambda t, x, y, z: 0.3 * y[..., None],
+                     terminal=0.8)
+    phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
+    sol = solve_penalized(coeffs, phi, psi, SolverConfig(grid, eps=0.05, scheme=scheme), noise)
+    assert np.max(np.abs(sol.U[:, :-1])) > 0.1 and np.max(np.abs(sol.V[:, :-1])) > 0.1
+    worst = 0.0
+    for i in range(grid.n_steps):
+        t, dt, da = grid.nodes[i + 1], grid.dt[i], sol.dA[:, i, None]
+        y, z = sol.Y[:, i + 1], sol.Z[:, i]
+        y_til = (y + coeffs.f(t, None, y, z) * dt + coeffs.g(t, None, y) * da
+                 + np.einsum("pkd,pd->pk", coeffs.h(t, None, y, z), noise.dB[:, i]))
+        worst = max(worst, float(np.max(np.abs(sol.Y[:, i] - (y_til - sol.U[:, i] * dt - sol.V[:, i] * da)))))
+    assert worst <= 1e-12
+
+
 # ---------------------------------------------------------------- cauchy
 
 def test_cauchy_slope_near_one():
