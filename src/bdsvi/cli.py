@@ -149,13 +149,16 @@ def _solve_scenario(scn: Scenario):
 def cmd_solve(scn: Scenario, out_dir: str, quiet: bool) -> int:
     noise, state, sol = _solve_scenario(scn)
     A = state.A if state is not None else noise.A
-    rows = []
-    for j, t in enumerate(scn.grid.nodes):
-        rows.append((float(t),
-                     float(np.mean(sol.Y[:, j, 0])), float(np.std(sol.Y[:, j, 0])),
-                     float(np.mean(np.linalg.norm(sol.Z[:, j, 0], axis=-1))),
-                     float(np.mean(sol.U[:, j, 0])), float(np.mean(sol.V[:, j, 0])),
-                     float(np.mean(A[:, j]))))
+    # node-major copies, so each node's mean is the pairwise sum over its paths as a 1-d np.mean;
+    # a pass takes as many nodes as keep each copy near 64 KiB, so the peak memory stays put
+    rows, width = [], max(1, 8192 // len(A))
+    for j in range(0, len(scn.grid.nodes), width):
+        c = slice(j, j + width)
+        y, abs_z, u, v, a = (np.ascontiguousarray(q.T) for q in (
+            sol.Y[:, c, 0], np.linalg.norm(sol.Z[:, c, 0], axis=-1), sol.U[:, c, 0], sol.V[:, c, 0], A[:, c]))
+        rows += zip(scn.grid.nodes[c].tolist(), y.mean(axis=1).tolist(), y.std(axis=1).tolist(),
+                    abs_z.mean(axis=1).tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
+                    a.mean(axis=1).tolist())
     _write_csv(os.path.join(out_dir, "solve.csv"),
                ["t", "mean_Y", "std_Y", "mean_abs_Z", "mean_U", "mean_V", "mean_A"], rows)
     lines = [f"solve: scenario {scn.name!r}, scheme {scn.solver.scheme}, eps {scn.solver.eps:g}",

@@ -120,10 +120,16 @@ def prox(theta: ConvexFunction, eps, x) -> np.ndarray:
     return _prox(theta, eps, x)
 
 
+def _oracle(theta: ConvexFunction):
+    """The resolvent map (eps, x) -> J_eps(x) for eps > 0: the closed form
+    when theta has one, otherwise the lattice oracle over domain_hint."""
+    return theta.prox_oracle or (lambda e, y: grid_prox_oracle(theta, e, y))
+
+
 def _prox(theta: ConvexFunction, eps, x) -> np.ndarray:
     """prox without the argument checks: the caller ensures finite x and
     eps >= 0, a scalar or an array broadcastable against the batch axes of x."""
-    oracle = theta.prox_oracle or (lambda e, y: grid_prox_oracle(theta, e, y))
+    oracle = _oracle(theta)
     zero = np.equal(eps, 0.0)
     if not zero.any():
         return np.asarray(oracle(eps, x), dtype=float)

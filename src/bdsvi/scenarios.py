@@ -21,6 +21,11 @@ from .solver import CoefficientSet, SolverConfig
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "make_f", "make_g", "make_h", "make_terminal"]
 
 
+# libyaml's parser when PyYAML was built with it; both loaders resolve and
+# construct with the same safe Python code, so they yield equal documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ScenarioError(ValueError):
     """Raised when a scenario file fails validation."""
 
@@ -105,7 +110,7 @@ class Scenario:
 
 def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=_YAML_LOADER)
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must be a mapping")
     overrides = overrides or {}

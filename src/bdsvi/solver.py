@@ -6,8 +6,11 @@ the chosen conditional-expectation estimator, the Z component is extracted
 from the correlation with the forward increments, and the penalization is
 applied either explicitly (Yosida gradient step) or implicitly (resolvent
 step, the stable surrogate of the small-eps limit).  The estimator is fitted
-once per node and shared by the Z and Y targets; for ``poly`` its condition
-number is s_max/s_min of the worst block's design.
+once per node and shared by the Z and Y targets, and once for all blocks
+when they share one state ensemble; for ``poly`` its condition number is
+s_max/s_min of the worst block's design.  The state-free ``sample-mean``
+estimator and the explicit scheme's resolvent oracles are resolved once per
+sweep, not per step.
 
 Conditional expectations:
 
@@ -29,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .convex import AssumptionConstants, ConvexFunction, _prox, prox
+from .convex import AssumptionConstants, ConvexFunction, _oracle, _prox, prox
 from .drivers import PathBundle, TimeGrid
 from .reflected import ReflectedPath
 
@@ -134,20 +137,25 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
     """The conditional-expectation estimator at one node, fitted once and
     shared by the Z and Y targets.
 
-    x_state holds `blocks` stacked ensembles, (blocks * n_paths, d), and each
-    block is fitted on its own rows.  Returns (project, cond): project maps
-    targets (blocks * n_paths, m), row for row with x_state, to their fitted
-    values, and cond is the worst block's s_max/s_min of its poly design
-    (inf when s_min = 0; None for the other estimators).
+    sample-mean maps targets (blocks * n, m) to each block's mean.  For
+    poly/partition, x_state holds `blocks` stacked ensembles of n rows,
+    (blocks * n, d), and each block is fitted on its own rows.  project maps
+    targets (B * n, m) row for row to their fitted values: target block b is
+    fitted on state block b when B = blocks, and every target block on the
+    one state when blocks = 1 (a state shared by all blocks is fitted once).
+    cond is the worst block's s_max/s_min of its poly design (inf when
+    s_min = 0; None for the other estimators).
     """
     if spec == "sample-mean":
         def project(t):
             rows = t.reshape(blocks, -1, t.shape[-1])
-            return np.broadcast_to(np.mean(rows, axis=1, keepdims=True), rows.shape).reshape(t.shape)
+            n = rows.shape[1]  # add.reduce / n is np.mean bit for bit, without its per-call overhead
+            return (np.add.reduce(rows, axis=1, keepdims=True) / n).repeat(n, axis=1).reshape(t.shape)
         return project, None
     if x_state is None:
         raise ValueError("state-based regression needs a Markov state ensemble")
     states = x_state.reshape(blocks, -1, x_state.shape[-1])
+    n = states.shape[1]
     kind = spec[0]
     if kind == "poly":
         features = _poly_features(states, int(spec[1]))
@@ -157,24 +165,25 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
         cond = np.divide(s[:, 0], s[:, -1], out=np.full(blocks, np.inf), where=s[:, -1] > 0)
 
         def project(t):
-            rows = t.reshape(blocks, -1, t.shape[-1])
+            rows = t.reshape(-1, n, t.shape[-1])
             return (q @ (q.transpose(0, 2, 1) @ rows)).reshape(t.shape)
         return project, float(np.max(cond))
     if kind == "partition":
         d = states.shape[-1]
         per_dim = max(1, int(round(int(spec[1]) ** (1.0 / d))))
-        ids = np.arange(blocks)[:, None]  # the block index leads, so cells never span blocks
+        ids = np.zeros((blocks, n), dtype=np.intp)
         for j in range(d):
             qs = np.quantile(states[..., j], np.linspace(0, 1, per_dim + 1)[1:-1], axis=1).T
             ids = ids * per_dim + np.sum(qs[:, None, :] < states[..., j, None], axis=-1)
-        ids = ids.ravel()
-        cells = [ids == c for c in np.unique(ids)]
+        cells = [[row == c for c in np.unique(row)] for row in ids]
 
         def project(t):
-            out = np.empty_like(t)
-            for mask in cells:
-                out[mask] = np.mean(t[mask], axis=0)
-            return out
+            rows = t.reshape(-1, n, t.shape[-1])
+            out = np.empty_like(rows)
+            for b, block in enumerate(rows):
+                for mask in cells[b % blocks]:
+                    out[b, mask] = np.mean(block[mask], axis=0)
+            return out.reshape(t.shape)
         return project, None
     raise ValueError(f"unknown regression spec {spec!r}")
 
@@ -215,10 +224,16 @@ def solve_penalized(
 
 def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
     """The recursion of solve_penalized for B = len(eps_blocks) independent
-    ensembles stacked block-major on the rows of noise and state.  Block b
-    runs at eps_blocks[b] and is regressed on its own rows, so it matches a
-    solve on its own.  Returns Y, Z, U, V, dA (clipped) of shape (B, n_paths,
-    ...) and the worst block's condition number per step."""
+    ensembles stacked block-major on the rows of noise.  Block b runs at
+    eps_blocks[b] and is regressed on its own rows, so it matches a solve on
+    its own.  The state holds either one ensemble per block, row for row with
+    noise, or one ensemble shared by every block, which is then fitted once
+    per step.  Returns Y, Z, U, V, dA (clipped) of shape (B, n_paths, ...)
+    and the worst block's condition number per step.
+
+    What does not change from step to step is set up once here: the
+    sample-mean estimator, the explicit scheme's resolvent oracles (eps > 0
+    on every row, so no row is the identity) and the per-row eps column."""
     grid = config.grid
     if noise.grid.n_steps != grid.n_steps:
         raise ValueError("noise bundle and solver grid disagree")
@@ -233,6 +248,11 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
         raise ValueError("explicit scheme needs finite eps > 0")
     n_blocks = eps.size
     n_paths = rows // n_blocks
+    X_fit, fit_blocks = X, n_blocks
+    if X is not None and len(X) != rows:
+        if len(X) != n_paths:
+            raise ValueError("state ensemble must match the noise rows or one block of them")
+        X, dA, fit_blocks = np.tile(X, (n_blocks, 1, 1)), np.tile(dA, (n_blocks, 1)), 1
 
     xi = _terminal_values(coeffs, rows, X[:, -1] if X is not None else None)
     k = xi.shape[1]
@@ -243,13 +263,18 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
     U = np.zeros((rows, n_nodes, k))
     V = np.zeros((rows, n_nodes, k))
     Y[:, -1] = xi
-    eps_row = np.repeat(eps, n_paths)
-
-    def grad(theta, y):  # the Yosida gradient at each row's eps
-        return (y - _prox(theta, eps_row, y)) / eps_row[:, None]
-
+    sample_mean = config.regression == "sample-mean"
+    if sample_mean:
+        project = _projector("sample-mean", None, n_blocks)[0]
     if explicit:
-        U[:, -1], V[:, -1] = grad(phi, xi), grad(psi, xi)
+        eps_row = np.repeat(eps, n_paths)
+        eps_col = eps_row[:, None]
+        oracles = _oracle(phi), _oracle(psi)
+
+        def grads(y):  # the Yosida gradients of phi and psi at each row's eps
+            return [(y - np.asarray(oracle(eps_row, y), dtype=float)) / eps_col for oracle in oracles]
+
+        U[:, -1], V[:, -1] = grads(xi)
 
     conds = []
     dts, t_nodes = grid.dt.tolist(), grid.nodes.tolist()
@@ -257,39 +282,36 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
         dt = dts[i]
         dw = noise.dW[:, i]
         db = noise.dB[:, i]
-        da = dA[:, i]
+        da = dA[:, i, None]
         y_next = Y[:, i + 1]
-        x_here = X[:, i] if X is not None else None
         x_next = X[:, i + 1] if X is not None else None
         t_next = t_nodes[i + 1]
 
-        project, cond = _projector(config.regression, x_here, n_blocks)
-        if cond is not None:
-            conds.append(cond)
+        if not sample_mean:
+            project, cond = _projector(config.regression, X_fit[:, i], fit_blocks)
+            if cond is not None:
+                conds.append(cond)
         z_target = (y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d)
         z_i = project(z_target).reshape(rows, k, d)
 
         fv = np.asarray(coeffs.f(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k)
         gv = np.asarray(coeffs.g(t_next, x_next, y_next), dtype=float).reshape(rows, k)
         hv = np.asarray(coeffs.h(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k, d)
-        target = y_next + fv * dt + gv * da[:, None] + np.einsum("pkd,pd->pk", hv, db)
+        target = y_next + fv * dt + gv * da + np.einsum("pkd,pd->pk", hv, db)
         # under sample-mean the target is already measurable at t_i (module docstring)
-        y_til = target if config.regression == "sample-mean" else project(target)
+        y_til = target if sample_mean else project(target)
         if not np.isfinite(y_til).all():
             raise FloatingPointError(f"non-finite Y at step {i}")
 
         if explicit:
-            U[:, i], V[:, i] = grad(phi, y_til), grad(psi, y_til)
-            y_i = y_til - U[:, i] * dt - V[:, i] * da[:, None]
+            u, v = grads(y_til)
+            y_i = y_til - u * dt - v * da
+            U[:, i], V[:, i] = u, v
         else:
             j_phi = _prox(phi, dt, y_til)
+            y_i = _prox(psi, da[:, 0], j_phi)  # the identity on rows with dA_i = 0
             U[:, i] = (y_til - j_phi) / dt
-            active = da > 0.0
-            y_i = j_phi.copy()
-            if np.any(active):
-                j_psi = _prox(psi, da[active], j_phi[active])
-                V[active, i] = (j_phi[active] - j_psi) / da[active, None]
-                y_i[active] = j_psi
+            np.divide(j_phi - y_i, da, out=V[:, i], where=da > 0.0)
         if not np.isfinite(y_i).all():
             raise FloatingPointError(f"non-finite Y at step {i}")
         Y[:, i] = y_i
@@ -392,8 +414,7 @@ def cauchy_study(
     tile = lambda a: np.tile(a, (len(ladder),) + (1,) * (a.ndim - 1))  # one block per rung
     rungs = replace(noise, n_paths=len(ladder) * noise.n_paths,
                     dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A))
-    if state is not None:
-        state = replace(state, X=tile(state.X), A=tile(state.A), noise=rungs)
+    # the rungs share the state, so the sweep fits one design per step for all of them
     Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs, state)
     limit = BdsdeSolution(cfg.grid, Y[-1], Z[-1], U[-1], V[-1], dA[-1], cfg, conds)
     w = _weights(cfg.grid, limit.A, lam, mu)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bdsvi.cli import run
+from bdsvi.cli import _solve_scenario, run
 from bdsvi.scenarios import ScenarioError, load_scenario, make_f, make_g, make_h, make_terminal
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -148,7 +148,9 @@ def test_shipped_scenarios_load():
     names = sorted(f for f in os.listdir(SCEN) if f.endswith(".yaml"))
     assert names
     for name in names:
-        load_scenario(_scn(name))
+        scn = load_scenario(_scn(name))
+        with open(_scn(name)) as fh:
+            assert scn.raw == yaml.safe_load(fh)  # the libyaml parser reads what the pure one reads
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -157,6 +159,23 @@ def test_rerun_byte_identical(tmp_path):
         assert run(["solve", "--scenario", _scn("zero.yaml"), "--out", str(out),
                     "--paths", "64", "--quiet"]) == 0
     assert (a / "solve.csv").read_bytes() == (b / "solve.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["ball.yaml", "zero.yaml"])
+def test_solve_csv_matches_per_node_reductions(tmp_path, name):
+    """solve.csv reduces node-major copies, 8 nodes per pass at 1000 paths;
+    each value equals the per-node 1-d reduction bit for bit."""
+    overrides = {"paths": 1000, "steps": 12, "seed": 4}
+    assert run(["solve", "--scenario", _scn(name), "--out", str(tmp_path), "--quiet"]
+               + [f"--{k}={v}" for k, v in overrides.items()]) == 0
+    noise, state, sol = _solve_scenario(load_scenario(_scn(name), overrides))
+    A = state.A if state is not None else noise.A
+    lines = (tmp_path / "solve.csv").read_text().splitlines()[1:]
+    for j, t in enumerate(sol.grid.nodes):
+        ref = (t, np.mean(sol.Y[:, j, 0]), np.std(sol.Y[:, j, 0]),
+               np.mean(np.linalg.norm(sol.Z[:, j, 0], axis=-1)),
+               np.mean(sol.U[:, j, 0]), np.mean(sol.V[:, j, 0]), np.mean(A[:, j]))
+        assert lines[j] == ",".join("%.17g" % v for v in ref)
 
 
 def test_missing_scenario_is_validation_error(tmp_path):

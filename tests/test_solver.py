@@ -246,6 +246,34 @@ def test_regressor_projects_each_block_on_its_own():
             assert np.array_equal(out[rows], alone)
 
 
+@pytest.mark.parametrize("blocks", [1, 3, 5])
+def test_sample_mean_projector_is_np_mean_bit_for_bit(blocks):
+    rng = np.random.default_rng(blocks)
+    for n in (1, 2, 7, 8, 9, 17, 128, 129, 2000):
+        for m in (1, 2):
+            targets = rng.normal(size=(blocks * n, m)) * rng.uniform(0.1, 1e3, size=(blocks * n, 1))
+            out = _projector("sample-mean", None, blocks)[0](targets)
+            for b in range(blocks):
+                rows = slice(n * b, n * (b + 1))
+                assert np.array_equal(out[rows], np.broadcast_to(np.mean(targets[rows], axis=0), (n, m)))
+
+
+@pytest.mark.parametrize("spec", [("poly", 2), ("poly", 4), ("partition", 4), ("partition", 9)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_shared_state_fit_matches_tiled_state(spec, d):
+    """One state ensemble shared by B target blocks is fitted once and gives
+    bit for bit what fitting the tiled state block by block gives."""
+    rng = np.random.default_rng(11 + d)
+    n, blocks = 150, 3
+    x = rng.uniform(-1, 1, (n, d))
+    for m in (1, 2):
+        targets = rng.normal(size=(blocks * n, m))
+        shared, cond = _projector(spec, x, 1)
+        tiled, tiled_cond = _projector(spec, np.tile(x, (blocks, 1)), blocks)
+        assert np.array_equal(shared(targets), tiled(targets))
+        assert cond == tiled_cond
+
+
 def _blows_up(t, x, y, z):
     return np.full_like(y, np.inf if t > 0.5 else 1.0)
 
@@ -392,3 +420,7 @@ def test_markov_solve_with_reflected_state():
                           SolverConfig(grid, regression=("poly", 2)), noise, state)
     assert np.mean(sol.Y[:, 0, 0]) == pytest.approx(1.0, abs=0.02)
     assert np.all(np.diff(sol.A, axis=1) >= 0.0)
+    short = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)), grid,
+                               generate_paths(grid, 1, 200, seed=2, shared_backward=True))
+    with pytest.raises(ValueError, match="state ensemble"):  # neither the noise rows nor one block of them
+        solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=("poly", 2)), noise, short)
