@@ -435,7 +435,7 @@ def _indicator_box(lo, hi) -> ConvexFunction:
         return np.where(inside, 0.0, np.inf)
 
     def px(eps, x):
-        return np.clip(x, lo, hi)
+        return x.clip(lo, hi)
 
     glo = np.where(np.isfinite(lo), lo, -10.0) - 1.0
     ghi = np.where(np.isfinite(hi), hi, 10.0) + 1.0

@@ -75,7 +75,6 @@ class PathBundle:
     dW: np.ndarray  # (n_paths, n_steps, d)
     dB: np.ndarray  # (n_paths, n_steps, d)
     A: np.ndarray   # (n_paths, n_nodes), nondecreasing, A[:, 0] = 0
-    seed: int
     a_attached: bool = True
 
     def with_a(self, A: np.ndarray) -> "PathBundle":
@@ -86,7 +85,7 @@ class PathBundle:
         if np.any(np.diff(A, axis=1) < -1e-12):
             raise ValueError("A must be nondecreasing along each path")
         return PathBundle(self.grid, self.d, self.n_paths, self.dW, self.dB,
-                          A - A[:, :1], self.seed, a_attached=True)
+                          A - A[:, :1], a_attached=True)
 
     @property
     def dA(self) -> np.ndarray:
@@ -177,4 +176,4 @@ def generate_paths(
         if np.any(np.diff(vals) < 0):
             raise ValueError("a_spec must be nondecreasing on the grid")
         A[:] = vals - vals[0]
-    return PathBundle(grid, d, n_paths, dW, dB, A, seed, a_attached=attached)
+    return PathBundle(grid, d, n_paths, dW, dB, A, a_attached=attached)

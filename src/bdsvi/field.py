@@ -118,7 +118,7 @@ def sample_field(
             dW = np.concatenate([_stream(seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d))
                                  for jp in range(npts)]) * sqdt[j0:]
             noise = PathBundle(sub, d, len(dW), dW, np.broadcast_to(db_master[j0:], dW.shape),
-                               np.broadcast_to(0.0, (len(dW), sub.n_steps + 1)), seed, a_attached=False)
+                               np.broadcast_to(0.0, (len(dW), sub.n_steps + 1)), a_attached=False)
             ens = simulate_reflected(domain, b, sigma, (sub.t0, starts), sub, noise)
             cfg = replace(config, grid=sub)
             y0 = _backward_sweep(coeffs, phi, psi, cfg, [config.eps] * npts, noise, ens)[0][:, :, 0, 0]

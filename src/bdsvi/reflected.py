@@ -2,10 +2,11 @@
 
 The domain is the sublevel set {level > 0} of a C^2 function whose gradient
 has unit norm on the boundary (the inward normal).  Reflection is realized by
-the projection-Euler scheme: an unconstrained Euler step that exits the
-closure is pushed back along the level gradient, and the push distance is the
-local-time increment.  Every domain pushes by a closed form, rounded inward
-so the pushed point lies in the closure exactly; there is no bisection.
+the projection-Euler scheme (Slominski 1994; Lepingle 1995): an Euler step
+x* that exits the closure is mapped to its Euclidean projection p onto the
+closed convex domain, and |x* - p| is the local-time increment (the discrete
+Skorokhod map).  Every domain projects by a closed form, rounded inward so
+the projected point lies in the closure exactly.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
-_PUSH_ROUNDS = 8  # inward-rounding rounds of a closed-form push
+_PUSH_ROUNDS = 8  # inward-rounding rounds of a closed-form projection
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,8 @@ class DomainSpec:
     """Level-set description of the domain: interior {level > 0}.
 
     level maps (..., d) -> (...); gradient and hessian return (..., d) and
-    (..., d, d).  |gradient| must equal 1 on {level = 0}.  push maps outside
-    points x (m, d) and their gradients n (m, d) to the closed-form distance
-    delta (m,) that puts x + delta*n on the boundary where the ray enters the
-    domain, or NaN where it never does.
+    (..., d, d).  |gradient| must equal 1 on {level = 0}.  project maps
+    outside points (m, d) to their nearest points of the closed domain.
     """
 
     level: Callable[[np.ndarray], np.ndarray]
@@ -49,7 +48,7 @@ class DomainSpec:
     hessian: Callable[[np.ndarray], np.ndarray]
     bounding_box: tuple
     d: int
-    push: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    project: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
 
@@ -58,7 +57,6 @@ class ReflectedPath:
     grid: TimeGrid
     X: np.ndarray  # (n_paths, n_nodes, d)
     A: np.ndarray  # (n_paths, n_nodes)
-    start: tuple   # (t, x)
     noise: Optional[PathBundle] = None
 
 
@@ -76,11 +74,10 @@ def unit_ball(d: int, radius: float = 1.0) -> DomainSpec:
     def hessian(x):
         return np.broadcast_to(-np.eye(d) / r, x.shape[:-1] + (d, d))
 
-    def push(x, n):
-        # x (1 - delta/r) lands on the sphere |x| = r
-        return r * (1.0 - r / np.linalg.norm(x, axis=-1))
+    def project(x):
+        return x * (r / np.sqrt(np.einsum("...i,...i->...", x, x)))[..., None]
 
-    return DomainSpec(level, gradient, hessian, (-r * np.ones(d), r * np.ones(d)), d, push, f"ball(d={d},r={r})")
+    return DomainSpec(level, gradient, hessian, (-r * np.ones(d), r * np.ones(d)), d, project, f"ball(d={d},r={r})")
 
 
 def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
@@ -98,12 +95,10 @@ def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
     def hessian(x):
         return np.broadcast_to(np.array([[-2.0 / width]]), x.shape[:-1] + (1, 1))
 
-    def push(x, n):
-        # back to the endpoint the point left by
-        edge = np.where(x[..., 0] > 0.5 * (lo + hi), hi, lo)
-        return (edge - x[..., 0]) / n[..., 0]
+    def project(x):
+        return x.clip(lo, hi)
 
-    return DomainSpec(level, gradient, hessian, (np.array([lo]), np.array([hi])), 1, push, f"interval({lo},{hi})")
+    return DomainSpec(level, gradient, hessian, (np.array([lo]), np.array([hi])), 1, project, f"interval({lo},{hi})")
 
 
 def ellipsoid(semi_axes) -> DomainSpec:
@@ -137,21 +132,23 @@ def ellipsoid(semi_axes) -> DomainSpec:
     def hessian(x):
         h = 1e-5
         out = np.empty(x.shape[:-1] + (d, d))
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
+        for i, e in enumerate(h * np.eye(d)):
             out[..., i, :] = (gradient(x + e) - gradient(x - e)) / (2.0 * h)
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
-    def push(x, n):
-        # level >= 0 exactly where raw >= 0.  Along the ray raw = -(A delta^2 + 2b delta + c), c > 0:
-        # both roots share a sign, and the entry (smaller) root is positive only if b < 0
-        A, b, c = np.sum(n * n / a2, axis=-1), np.sum(x * n / a2, axis=-1), -raw(x)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(b < 0.0, c / (np.sqrt(b * b - A * c) - b), np.nan)
+    def project(x):
+        # p = a^2 x / (a^2 + lam), lam the root of F = sum a^2 x^2 / (a^2 + lam)^2 - 1.  F is convex
+        # and decreasing on lam >= 0 and F(0) > 0 outside, so Newton from 0 rises to the root
+        # (Eberly, "Distance from a point to an ellipse, an ellipsoid, or a hyperellipsoid")
+        ax2, lam = a2 * x * x, np.zeros(x.shape[:-1] + (1,))
+        while True:
+            q = ax2 / (a2 + lam) ** 2  # F = sum q - 1, F' = -2 sum q / (a^2 + lam)
+            step = (np.sum(q, axis=-1, keepdims=True) - 1.0) / (2.0 * np.sum(q / (a2 + lam), axis=-1, keepdims=True))
+            if not np.any(lam + step > lam):
+                return a2 * x / (a2 + lam)
+            lam = np.maximum(lam + step, lam)
 
-    box = (-a, a)
-    return DomainSpec(level, gradient, hessian, box, d, push, f"ellipsoid({a.tolist()})")
+    return DomainSpec(level, gradient, hessian, (-a, a), d, project, f"ellipsoid({a.tolist()})")
 
 
 def make_domain(kind: str, **params) -> DomainSpec:
@@ -183,34 +180,36 @@ def _generator(sig, bv, grad, hess):
 
 
 def _project_out(domain: DomainSpec, x_star: np.ndarray):
-    """Push points with level < 0 back along the level gradient.
+    """Map points with level < 0 to their Euclidean projection p.
 
-    Returns (projected points, push distances).  The push distance delta is
-    the smallest delta >= 0 with level(x* + delta*grad) >= 0: the closed form
-    domain.push, rounded inward, raised by spacing(max|x*|) until level >= 0
-    holds exactly.  A point still outside after _PUSH_ROUNDS raises, as does
-    a ray that never enters the domain (NaN push).
+    Returns (projected points, distances |x* - p|).  Where p = domain.project
+    rounds outside, it moves on by spacing(max|x*|) until level >= 0 holds
+    exactly; a point still outside after _PUSH_ROUNDS raises.
     """
-    lv = domain.level(x_star)
-    viol = lv < 0.0
-    delta = np.zeros(lv.shape)
+    viol = domain.level(x_star) < 0.0
+    delta = np.zeros(viol.shape)
     if not np.any(viol):
         return x_star, delta
     xv = x_star[viol]
-    n = domain.gradient(xv)
-    hi, ulp = domain.push(xv, n), np.spacing(np.max(np.abs(xv), axis=-1))
-    todo = np.arange(hi.size)  # points that x* + hi*n leaves outside
-    for _ in range(_PUSH_ROUNDS):
-        ok = domain.level(xv[todo] + hi[todo, None] * n[todo]) >= 0.0
-        todo = todo[~ok]
-        if todo.size == 0:
-            break
-        hi[todo] = hi[todo] + ulp[todo]
-    else:
-        raise RuntimeError("projection did not reach the closed domain; reduce the time step")
+    p = domain.project(xv)
+    gap = p - xv
+    dist = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+    todo = np.flatnonzero(domain.level(p) < 0.0)
+    if todo.size:  # move on along p - x*, or toward the centre where x* is so close that p = x*
+        lo, hi = domain.bounding_box
+        gap = np.where(dist[todo, None] > 0.0, gap[todo], 0.5 * (lo + hi) - p[todo])
+        step = gap * (np.spacing(np.abs(xv[todo]).max(axis=-1)) / np.sqrt(np.einsum("ij,ij->i", gap, gap)))[:, None]
+        for _ in range(_PUSH_ROUNDS):
+            p[todo] += step
+            still = domain.level(p[todo]) < 0.0
+            todo, step = todo[still], step[still]
+            if todo.size == 0:
+                break
+        else:
+            raise RuntimeError("projection did not reach the closed domain; reduce the time step")
     out = x_star.copy()
-    out[viol] = xv + hi[:, None] * n
-    delta[viol] = hi
+    out[viol] = p
+    delta[viol] = dist
     return out, delta
 
 
@@ -229,8 +228,8 @@ def simulate_reflected(
     simulated apart.  b(x) -> (..., d) drift, sigma(x) -> (..., d, d)
     diffusion matrix; both may also be constants, and a scalar sigma means
     sigma * I.  The grid must start at t.
-    A is the accumulated projection distance (the boundary local time of the
-    scheme).
+    A is the accumulated projection distance |x* - p| (the boundary local
+    time of the scheme).
     """
     t0, x0 = start
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -240,8 +239,7 @@ def simulate_reflected(
         raise ValueError("start point lies outside the closure of the domain")
     if noise.grid.n_steps != grid.n_steps:
         raise ValueError("noise bundle and grid disagree on step count")
-    n_paths = noise.n_paths
-    d = domain.d
+    n_paths, d = noise.n_paths, domain.d
     X = np.empty((n_paths, grid.n_steps + 1, d))
     A = np.zeros((n_paths, grid.n_steps + 1))
     X[:, 0] = x0
@@ -254,7 +252,9 @@ def simulate_reflected(
         x_new, delta = _project_out(domain, x + bv * grid.dt[i] + sw)
         X[:, i + 1] = x_new
         A[:, i + 1] = A[:, i] + delta
-    return ReflectedPath(grid, X, A, (t0, x0), noise)
+    if not (np.isfinite(X[:, -1]).all() and np.isfinite(A[:, -1]).all()):  # non-finite values persist
+        raise FloatingPointError("non-finite reflected path; reduce the time step")
+    return ReflectedPath(grid, X, A, noise)
 
 
 def boundary_band(domain: DomainSpec, sigma_sup: float, dt: float) -> float:

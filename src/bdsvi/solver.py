@@ -246,6 +246,11 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
     eps = np.asarray(eps_blocks, dtype=float)
     if explicit and not np.all(np.isfinite(eps) & (eps > 0.0)):
         raise ValueError("explicit scheme needs finite eps > 0")
+    # the explicit phi step is stable while dt * Lip(grad phi_eps) = dt / eps <= 1; the slack is
+    # the rounding of the grid's dt, so dt = eps passes
+    ratio = grid.max_dt / eps.min() if explicit and phi.label != "zero" else 0.0
+    if ratio > 1.0 + 1e-9:
+        raise FloatingPointError(f"explicit scheme unstable: max dt / min eps = {ratio:.3g} > 1")
     n_blocks = eps.size
     n_paths = rows // n_blocks
     X_fit, fit_blocks = X, n_blocks

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from bdsvi import (
     AssumptionConstants,
@@ -39,6 +40,7 @@ from bdsvi import (
     unit_ball,
     verify_vi_inclusion,
 )
+from bdsvi.cli import run
 from bdsvi.drivers import _stream
 
 ZERO = make_convex("zero")
@@ -362,3 +364,42 @@ def test_12_field_backward_noise_oracle():
     _report(12, "field-backward-noise-oracle", ok,
             f"product err {errs[0]:.1e}/{errs[1]:.1e}, continuum gap {gaps[0]:.3f}/{gaps[1]:.3f} "
             f"(50/400 steps)")
+
+
+def test_13_local_time_oracle(tmp_path):
+    """Brownian motion reflected at 0 on the wide interval [0, 10], T = 1:
+    E[L_T] = sqrt(2/pi), and the discrete Skorokhod map undershoots it by
+    the continuity correction 0.5826 sqrt(dt) (Broadie, Glasserman & Kou
+    1997).  E[A_T] over 20000 paths lies within 3 standard errors of
+    sqrt(2/pi) - 0.5826 sqrt(dt) at 100 and 400 steps.  bdsvi solve with
+    g = 1, f = h = 0 and terminal 0 returns Y_0 = E[A_T] on the same paths."""
+    t0 = time.perf_counter()
+    dom, seed, n_paths = smoothed_interval(0.0, 10.0), 13, 20_000
+    zs, means = [], {}
+    for steps in (100, 400):
+        grid = TimeGrid.uniform(0, 1, steps)
+        noise = generate_paths(grid, 1, n_paths, seed=seed, shared_backward=True)
+        a_T = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)), grid, noise).A[:, -1]
+        means[steps] = float(np.mean(a_T))
+        target = np.sqrt(2.0 / np.pi) - 0.5826 * np.sqrt(grid.max_dt)
+        zs.append(abs(means[steps] - target) / (np.std(a_T, ddof=1) / np.sqrt(n_paths)))
+
+    scenario = {
+        "name": "local-time-oracle", "phi": "zero", "psi": "zero",
+        "coefficients": {"f": {"kind": "zero"}, "g": {"kind": "constant", "value": 1.0},
+                         "h": {"kind": "zero"}, "terminal": {"kind": "constant", "value": 0.0}},
+        "constants": {"beta1": 0.0, "beta2": 0.0, "K": 0.0, "alpha": 0.5, "lam": 3.0, "mu": 1.5},
+        "domain": {"kind": "interval", "lo": 0.0, "hi": 10.0}, "start": [0.0], "sigma": 1.0, "drift": 0.0,
+        "grid": {"t0": 0.0, "T": 1.0, "steps": 100},
+        "solver": {"eps": 1.0e-3, "scheme": "implicit-prox", "regression": {"kind": "poly", "degree": 2}},
+        "paths": n_paths, "seed": seed,
+    }
+    path = tmp_path / "oracle.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    code = run(["solve", "--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    y0 = float(np.loadtxt(tmp_path / "out" / "solve.csv", delimiter=",", skiprows=1)[0, 1])
+    elapsed = time.perf_counter() - t0
+    ok = max(zs) <= 3.0 and code == 0 and abs(y0 - means[100]) <= 1e-10 and elapsed < 60.0
+    _report(13, "local-time-oracle", ok,
+            f"E[A_T] {means[100]:.4f}/{means[400]:.4f} at {zs[0]:.2f}/{zs[1]:.2f} SE (100/400 steps), "
+            f"solve Y_0 gap {abs(y0 - means[100]):.1e}, {elapsed:.1f}s")

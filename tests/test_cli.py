@@ -208,6 +208,18 @@ def test_non_finite_value_is_numerical_error(tmp_path, capsys):
     assert '"error": "numerical"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps, code", [(100, 3), (10_000, 0)])
+def test_explicit_scheme_past_its_stability_bound_is_numerical_error(tmp_path, capsys, steps, code):
+    """The barrier oracle with the explicit scheme at eps = 1e-4: 100 steps
+    put dt / eps at 100, where the step used to return Y_0 = 0 (truth 0.5)
+    with exit 0.  It is now a numerical failure naming the ratio; at
+    dt = eps the run goes through."""
+    p = _variant(tmp_path, "vi_oracle.yaml", lambda raw: raw["solver"].update(scheme="explicit-yosida"))
+    assert run(["solve", "--scenario", p, "--steps", str(steps), "--out", str(tmp_path), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert ('"error": "numerical"' in err and "max dt / min eps = 100 > 1" in err) == (code == 3)
+
+
 def test_field_without_domain_is_validation_error(tmp_path):
     assert run(["field", "--scenario", _scn("zero.yaml"),
                 "--out", str(tmp_path), "--quiet"]) == 2

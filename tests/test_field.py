@@ -113,7 +113,7 @@ def _per_node_field(domain, coeffs, phi, psi, config, fgrid, n_paths, seed, sigm
                 dW = (_stream(seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d))
                       * np.sqrt(sub.dt)[:, None])
                 noise = PathBundle(sub, d, n_paths, dW, np.broadcast_to(db[j0:], dW.shape).copy(),
-                                   np.zeros((n_paths, sub.n_steps + 1)), seed, a_attached=False)
+                                   np.zeros((n_paths, sub.n_steps + 1)), a_attached=False)
                 ens = simulate_reflected(domain, b, sigma, (sub.t0, x), sub, noise)
                 y0 = solve_penalized(coeffs, phi, psi, replace(config, grid=sub), noise, ens).Y[:, 0, 0]
                 per_draw[draw, it, jp] = np.mean(y0)

@@ -150,11 +150,21 @@ def test_per_path_starts_match_separate_runs():
     alone = [simulate_reflected(dom, 0.1, 1.0, (0.0, x), grid, generate_paths(grid, 2, 100, seed=j))
              for j, x in enumerate(starts)]
     noise = generate_paths(grid, 2, 300, seed=0)
-    noise = PathBundle(grid, 2, 300, np.concatenate([p.noise.dW for p in alone]), noise.dB, noise.A, 0)
+    noise = PathBundle(grid, 2, 300, np.concatenate([p.noise.dW for p in alone]), noise.dB, noise.A)
     stacked = simulate_reflected(dom, 0.1, 1.0, (0.0, np.repeat(starts, 100, axis=0)), grid, noise)
     assert np.array_equal(stacked.X, np.concatenate([p.X for p in alone]))
     assert np.array_equal(stacked.A, np.concatenate([p.A for p in alone]))
     assert np.any(stacked.A[:, -1] > 0.0)
+
+
+@pytest.mark.parametrize("dom", [unit_ball(2), ellipsoid([2.0, 0.5])], ids=lambda dom: dom.name)
+def test_non_finite_step_raises(dom):
+    """A drift that overflows the Euler step is a numerical failure, not a
+    path of NaN or infinite local time."""
+    grid = TimeGrid.uniform(0, 1, 10)
+    with pytest.raises(FloatingPointError, match="non-finite reflected path"), np.errstate(all="ignore"):
+        simulate_reflected(dom, lambda x: np.where(x[:, :1] > 0.5, np.inf, 10.0), 1.0, (0.0, np.zeros(2)),
+                           grid, generate_paths(grid, 2, 20, seed=0))
 
 
 def test_simulate_rejects_outside_per_path_start():
@@ -166,86 +176,89 @@ def test_simulate_rejects_outside_per_path_start():
 
 
 def _outside_points(dom, rng):
-    """Shallow, far-out (|x| = 20) and just-outside (1 + 1e-15) points,
-    radially around the domain's centre, scaled by its half-width."""
+    """Shallow, far-out (50x) and just-outside (1 + 1e-15) points, radially
+    around the domain's centre, scaled by its half-width."""
     lo, hi = dom.bounding_box
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     u = rng.normal(size=(300, dom.d))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    scale = np.concatenate([1.0 + rng.uniform(1e-6, 0.2, 100), np.full(100, 20.0), np.full(100, 1.0 + 1e-15)])
+    scale = np.concatenate([1.0 + rng.uniform(1e-6, 0.2, 100), np.full(100, 50.0), np.full(100, 1.0 + 1e-15)])
     return centre + half * u * scale[:, None]
 
 
-def _assert_entry_points(dom, x_star, out):
-    """out is where the ray from each outside x* enters the domain, checked
-    from geometry alone: the radial point of the ball, the edge the point
-    left by for the interval.  For the ellipsoid, out lies on {raw = 0} and
-    the ray is still outside halfway there: the entry root, not the exit."""
-    if dom.name.startswith("ellipsoid"):
-        assert np.max(np.abs(_raw(dom, out))) <= 1e-13
-        assert np.all(_raw(dom, 0.5 * (x_star + out)) < 0.0)
-        return
-    lo, hi = dom.bounding_box[0][0], dom.bounding_box[1][0]
-    if dom.name.startswith("ball"):
-        ref = hi * x_star / np.linalg.norm(x_star, axis=-1, keepdims=True)
-    else:
-        ref = np.where(x_star > 0.5 * (lo + hi), hi, lo)
-    assert np.max(np.abs(out - ref)) <= 1e-13
-
-
-def _raw(dom, x):
-    return 1.0 - np.sum(x * x / dom.bounding_box[1] ** 2, axis=-1)
-
-
-def _ellipsoid_ray_misses(dom, x_star):
-    """True where the gradient ray from x* never enters the ellipsoid: its
-    point nearest the centre, in the metric of the semi-axes, lies outside."""
-    n, a2 = dom.gradient(x_star), dom.bounding_box[1] ** 2
-    t = np.maximum(-np.sum(x_star * n / a2, axis=-1) / np.sum(n * n / a2, axis=-1), 0.0)
-    return _raw(dom, x_star + t[:, None] * n) < 0.0
-
-
-@pytest.mark.parametrize("dom", [unit_ball(1), unit_ball(2), unit_ball(3), smoothed_interval(),
-                                 ellipsoid([2.0, 0.5])], ids=lambda dom: dom.name)
-def test_closed_form_push_matches_bisection(dom):
-    """The closed-form push, rounded inward, lands where the ray enters the
-    domain (checked against geometry, not against another projection),
-    leaves every point in the closed domain exactly, and projects each point
-    bit for bit as if alone.  Far-out ellipsoid points are left out: many of
-    their rays miss the domain.  A few shallow ones near the long axis miss
-    it too; each of those must raise."""
-    x_star = _outside_points(dom, np.random.default_rng(dom.d))
-    if dom.name.startswith("ellipsoid"):
-        x_star = np.concatenate([x_star[:100], x_star[200:]])  # shallow and just outside
-        misses = _ellipsoid_ray_misses(dom, x_star)
-        for x in x_star[misses]:
-            with pytest.raises(RuntimeError, match="did not reach the closed domain"):
-                _project_out(dom, x[None])
-        x_star = x_star[~misses]
+def _assert_projected_exactly(dom, x_star):
+    """Every point lands in the closed domain exactly, inside points stay put
+    with delta = 0, outside ones move by delta > 0, and each point projects
+    bit for bit as if alone.  Returns the outside mask, points and deltas."""
     out, delta = _project_out(dom, x_star)
     outside = dom.level(x_star) < 0.0
-    _assert_entry_points(dom, x_star[outside], out[outside])
     assert np.min(dom.level(out)) >= 0.0
     assert np.all(delta[outside] > 0.0) and np.all(delta[~outside] == 0.0)
     assert np.array_equal(out[~outside], x_star[~outside])
     for j in range(len(x_star)):
         alone = _project_out(dom, x_star[j:j + 1])
         assert np.array_equal(out[j:j + 1], alone[0]) and np.array_equal(delta[j:j + 1], alone[1])
+    return outside, out, delta
 
 
-def test_ellipsoid_push_takes_entry_root_or_raises():
-    """(0, -3) on the (2, 0.5) ellipsoid enters at (0, -0.5), a push of about
-    26.9 along its short gradient.  The gradient ray from (3, 1) never
-    enters the domain: it raises.  Nor does the ray from (3, 0) along +x,
-    whose line meets the ellipse only behind the point: push gives NaN, not
-    the negative root."""
+@pytest.mark.parametrize("dom", [unit_ball(1), unit_ball(2), unit_ball(3), smoothed_interval()],
+                         ids=lambda dom: dom.name)
+def test_closed_form_push_matches_bisection(dom):
+    """The closed-form projection, rounded inward, is the nearest point of
+    the domain, checked from geometry alone: the radial point of the ball,
+    the edge the point left by for the interval; delta is the distance to it."""
+    x_star = _outside_points(dom, np.random.default_rng(dom.d))
+    outside, out, delta = _assert_projected_exactly(dom, x_star)
+    lo, hi = dom.bounding_box[0][0], dom.bounding_box[1][0]
+    if dom.name.startswith("ball"):
+        ref = hi * x_star / np.linalg.norm(x_star, axis=-1, keepdims=True)
+    else:
+        ref = np.where(x_star > 0.5 * (lo + hi), hi, lo)
+    assert np.max(np.abs(out[outside] - ref[outside])) <= 1e-13
+    assert np.max(np.abs(delta[outside] - np.linalg.norm(x_star - ref, axis=-1)[outside])) <= 1e-12
+
+
+def test_ellipsoid_projection_is_normal_to_the_boundary():
+    """Shallow, far-out and just-outside points of the (2, 0.5) ellipsoid
+    never raise.  Each lands on {raw = 0} to 1e-13 with level >= 0, and
+    x* - p is parallel to the normal at p, the optimality condition of the
+    Euclidean projection."""
     dom = ellipsoid([2.0, 0.5])
-    out, delta = _project_out(dom, np.array([[0.0, -3.0]]))
-    assert np.max(np.abs(out - [[0.0, -0.5]])) <= 1e-13
-    assert dom.level(out)[0] >= 0.0 and delta[0] == pytest.approx(26.897, abs=1e-3)
-    with pytest.raises(RuntimeError, match="did not reach the closed domain"):
-        _project_out(dom, np.array([[3.0, 1.0]]))
-    assert np.isnan(dom.push(np.array([[3.0, 0.0]]), np.array([[1.0, 0.0]])))
+    a2 = dom.bounding_box[1] ** 2
+    x_star = _outside_points(dom, np.random.default_rng(2))
+    outside, out, delta = _assert_projected_exactly(dom, x_star)
+    assert np.max(np.abs(1.0 - np.sum(out * out / a2, axis=-1))) <= 1e-13
+    far = delta >= 1e-6
+    n = out[far] / a2
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    gap = x_star[far] - out[far]
+    sin = np.linalg.norm(gap - np.sum(gap * n, axis=-1, keepdims=True) * n, axis=-1) / delta[far]
+    assert np.all(outside) and np.max(sin) <= 1e-12
+
+
+def test_point_projecting_onto_itself_moves_toward_the_centre():
+    """An x* an ulp or two outside the sphere can have r x*/|x*| round to x*
+    itself.  It still lands in the closed domain, moved toward the centre,
+    with delta = 0 and no NaN."""
+    dom = unit_ball(2)
+    u = np.random.default_rng(5).normal(size=(2000, 2))
+    x = u / np.linalg.norm(u, axis=-1, keepdims=True) * (1.0 + np.arange(2000)[:, None] % 4 * 2.0 ** -53)
+    stuck = x[(dom.level(x) < 0.0) & np.all(dom.project(x) == x, axis=-1)]
+    out, delta = _project_out(dom, stuck)
+    assert len(stuck) > 0 and np.all(np.isfinite(out)) and np.min(dom.level(out)) >= 0.0
+    assert np.all(delta == 0.0)
+
+
+@pytest.mark.parametrize("n_steps", [25, 100, 400, 1600])
+def test_local_time_is_the_discrete_skorokhod_map(n_steps):
+    """Brownian motion reflected at 0 on a wide interval: the projection is
+    the discrete Skorokhod map, so A_k = max(0, max_j -W_j) pathwise."""
+    dom = smoothed_interval(0.0, 10.0)
+    path, _ = _run(dom, n_paths=200, n_steps=n_steps, seed=4)
+    W = np.cumsum(path.noise.dW[:, :, 0], axis=1)
+    skorokhod = np.maximum(np.maximum.accumulate(-W, axis=1), 0.0)
+    assert np.max(path.X) < 10.0
+    assert np.max(np.abs(path.A[:, 1:] - skorokhod)) <= 1e-12
 
 
 def test_reflection_determinism():
