@@ -32,7 +32,7 @@ def main():
     for n in (int(s) for s in args.steps.split(",")):
         grid = TimeGrid.uniform(0.0, 1.0, n)
         noise = generate_paths(grid, args.dim, args.paths, seed=args.seed, shared_backward=True)
-        path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(args.dim)), grid, noise)
+        path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(args.dim)), noise)
         band = boundary_band(dom, 1.0, grid.max_dt)
         res = local_time_identity_residual(path, dom, 0.0, 1.0)
         print(f"{n:>6} {float(np.min(dom.level(path.X))):>12.2e} "

@@ -36,7 +36,6 @@ from .field import (
 from .flow import FlowSample, FlowSpec, flow, flow_inverse, transform_coefficients, transform_penalized
 from .reflected import (
     DomainSpec,
-    ReflectedPath,
     boundary_band,
     ellipsoid,
     local_time_identity_residual,

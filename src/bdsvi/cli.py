@@ -51,12 +51,11 @@ def _emit(lines, out_dir, name, quiet):
 
 
 def _build_run(scn: Scenario):
-    """Noise bundle plus optional reflected state ensemble for a scenario."""
+    """The ensemble of a scenario: reflected in its domain when it has one."""
     if scn.domain is not None:
         noise = generate_paths(scn.grid, scn.domain.d, scn.n_paths, scn.seed, shared_backward=True)
         x0 = np.asarray(scn.raw.get("start", np.zeros(scn.domain.d)), dtype=float).reshape(-1)
-        state = simulate_reflected(scn.domain, scn.drift, scn.sigma, (scn.grid.t0, x0), scn.grid, noise)
-        return noise, state
+        return simulate_reflected(scn.domain, scn.drift, scn.sigma, (scn.grid.t0, x0), noise)
     d = int(scn.raw.get("dim", 1))
     if scn.a_process == "time":
         a_spec = lambda t: np.asarray(t, dtype=float)
@@ -64,7 +63,7 @@ def _build_run(scn: Scenario):
         a_spec = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     else:
         a_spec = load_a_table(scn.a_process)
-    return generate_paths(scn.grid, d, scn.n_paths, scn.seed, a_spec=a_spec), None
+    return generate_paths(scn.grid, d, scn.n_paths, scn.seed, a_spec=a_spec)
 
 
 def _status(ok):
@@ -119,15 +118,15 @@ def cmd_sde_sim(scn: Scenario, out_dir: str, quiet: bool) -> int:
     """Reflected-diffusion ensemble with containment and local-time checks."""
     if scn.domain is None:
         raise ScenarioError("sde-sim needs a domain section")
-    noise, state = _build_run(scn)
-    lv = scn.domain.level(state.X)
+    run = _build_run(scn)
+    lv = scn.domain.level(run.X)
     contained = float(np.min(lv))
-    res = local_time_identity_residual(state, scn.domain, scn.drift, scn.sigma)
+    res = local_time_identity_residual(run, scn.domain, scn.drift, scn.sigma)
     rows = []
     for j, t in enumerate(scn.grid.nodes):
         rows.append((float(t),
                      float(np.mean(lv[:, j])), float(np.min(lv[:, j])),
-                     float(np.mean(state.A[:, j])), float(np.max(state.A[:, j]))))
+                     float(np.mean(run.A[:, j])), float(np.max(run.A[:, j]))))
     _write_csv(os.path.join(out_dir, "sde_sim.csv"),
                ["t", "mean_level", "min_level", "mean_A", "max_A"], rows)
     ok = contained >= -1e-12
@@ -141,21 +140,19 @@ def cmd_sde_sim(scn: Scenario, out_dir: str, quiet: bool) -> int:
 
 
 def _solve_scenario(scn: Scenario):
-    noise, state = _build_run(scn)
-    sol = solve_penalized(scn.coeffs, scn.phi, scn.psi, scn.solver, noise, state)
-    return noise, state, sol
+    run = _build_run(scn)
+    return run, solve_penalized(scn.coeffs, scn.phi, scn.psi, scn.solver, run)
 
 
 def cmd_solve(scn: Scenario, out_dir: str, quiet: bool) -> int:
-    noise, state, sol = _solve_scenario(scn)
-    A = state.A if state is not None else noise.A
+    run, sol = _solve_scenario(scn)
     # node-major copies, so each node's mean is the pairwise sum over its paths as a 1-d np.mean;
     # a pass takes as many nodes as keep each copy near 64 KiB, so the peak memory stays put
-    rows, width = [], max(1, 8192 // len(A))
+    rows, width = [], max(1, 8192 // run.n_paths)
     for j in range(0, len(scn.grid.nodes), width):
         c = slice(j, j + width)
         y, abs_z, u, v, a = (np.ascontiguousarray(q.T) for q in (
-            sol.Y[:, c, 0], np.linalg.norm(sol.Z[:, c, 0], axis=-1), sol.U[:, c, 0], sol.V[:, c, 0], A[:, c]))
+            sol.Y[:, c, 0], np.linalg.norm(sol.Z[:, c, 0], axis=-1), sol.U[:, c, 0], sol.V[:, c, 0], run.A[:, c]))
         rows += zip(scn.grid.nodes[c].tolist(), y.mean(axis=1).tolist(), y.std(axis=1).tolist(),
                     abs_z.mean(axis=1).tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
                     a.mean(axis=1).tolist())
@@ -181,8 +178,7 @@ def cmd_cauchy(scn: Scenario, out_dir: str, quiet: bool) -> int:
         raise ScenarioError("cauchy needs an eps_ladder with at least two entries")
     if scn.solver.scheme != "explicit-yosida":
         raise ScenarioError(f"cauchy runs the explicit-yosida scheme only, not {scn.solver.scheme!r}")
-    noise, state = _build_run(scn)
-    rep = cauchy_study(scn.coeffs, scn.phi, scn.psi, scn.solver, scn.eps_ladder, noise, state,
+    rep = cauchy_study(scn.coeffs, scn.phi, scn.psi, scn.solver, scn.eps_ladder, _build_run(scn),
                        lam=scn.coeffs.constants.lam, mu=scn.coeffs.constants.mu)
     rows = [(float(a), float(b), float(g)) for (a, b), g in zip(rep.eps_pairs, rep.gaps_sq)]
     _write_csv(os.path.join(out_dir, "cauchy.csv"), ["eps", "delta", "sup_gap_sq"], rows)
@@ -229,10 +225,10 @@ def cmd_field(scn: Scenario, out_dir: str, quiet: bool) -> int:
 def cmd_report(scn: Scenario, out_dir: str, quiet: bool) -> int:
     """Full diagnostic pass: solve, weighted norms, penalization energies,
     and the subgradient-inequality audit."""
-    noise, state, sol = _solve_scenario(scn)
+    run, sol = _solve_scenario(scn)
     c = scn.coeffs.constants
     wr = validate_weights(c)
-    norms = weighted_norms(sol, c.lam, c.mu, A=(state.A if state is not None else noise.A))
+    norms = weighted_norms(sol, c.lam, c.mu, A=run.A)
     diag = penalization_diagnostics(sol, scn.phi, scn.psi, max(scn.solver.eps, 1e-12), c.lam, c.mu)
     test_points = scn.raw.get("vi_test_points", [-1.0, 0.0, 0.25, 0.5])
     vi = verify_vi_inclusion(sol, scn.phi, scn.psi, test_points)

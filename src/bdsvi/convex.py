@@ -179,7 +179,11 @@ def grid_prox_oracle(theta: ConvexFunction, eps, x, resolution: float = 1e-8) ->
     which rounding to a few ulps of |F*| cannot resolve: the floor is about
     sqrt(8*ulp(|F*|)/c), about 6e-8 for |F*| ~ 3.  So the k = 1 result lies
     within resolution/100 plus this floor of y*.  The k = 2 lattice meets the
-    same floor, so its error is of the order of resolution plus the floor.
+    same floor, so its error is of the order of resolution plus the floor
+    (about 4e-8 from the catalog's closed forms).  The gradient laws of
+    prox_property_suite divide that error by eps, so on this oracle they
+    read up to about 1.2e-5 at k = 2 and eps >= 1e-3; a 1e-5 law bound holds
+    for k = 1 only.
     """
     eps, x = _check_prox_args(eps, x)
     if theta.domain_hint is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -67,25 +67,23 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Per-path increments of (W, B) and node samples of the increasing A."""
+    """One ensemble of the equation: per-path increments of (W, B), node
+    samples of the increasing A and, for a reflected ensemble, its state X
+    (A is then the boundary local time of X)."""
 
     grid: TimeGrid
-    d: int
-    n_paths: int
     dW: np.ndarray  # (n_paths, n_steps, d)
     dB: np.ndarray  # (n_paths, n_steps, d)
     A: np.ndarray   # (n_paths, n_nodes), nondecreasing, A[:, 0] = 0
-    a_attached: bool = True
+    X: Optional[np.ndarray] = None  # (n_paths, n_nodes, d), the reflected state
 
-    def with_a(self, A: np.ndarray) -> "PathBundle":
-        """Return a copy carrying an externally supplied increasing process."""
-        A = np.asarray(A, dtype=float)
-        if A.shape != (self.n_paths, self.grid.nodes.size):
-            raise ValueError(f"A must have shape {(self.n_paths, self.grid.nodes.size)}")
-        if np.any(np.diff(A, axis=1) < -1e-12):
-            raise ValueError("A must be nondecreasing along each path")
-        return PathBundle(self.grid, self.d, self.n_paths, self.dW, self.dB,
-                          A - A[:, :1], a_attached=True)
+    @property
+    def n_paths(self) -> int:
+        return self.dW.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.dW.shape[2]
 
     @property
     def dA(self) -> np.ndarray:
@@ -147,9 +145,9 @@ def generate_paths(
     """Sample Gaussian increments dW, dB with variance dt per component.
 
     a_spec: a nondecreasing map t -> A(t) applied to the grid nodes, or None
-    to leave A = 0 with a_attached=False (attach later, e.g. boundary local
-    time from a reflected simulation).  shared_backward draws a single B
-    substream used by every path (common backward noise).
+    to leave A = 0 (simulate_reflected fills in the boundary local time).
+    shared_backward draws a single B substream used by every path (common
+    backward noise).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -170,10 +168,9 @@ def generate_paths(
         dB = per_path("B")
 
     A = np.zeros((n_paths, n_steps + 1))
-    attached = a_spec is not None
-    if attached:
+    if a_spec is not None:
         vals = np.asarray(a_spec(grid.nodes), dtype=float)
         if np.any(np.diff(vals) < 0):
             raise ValueError("a_spec must be nondecreasing on the grid")
         A[:] = vals - vals[0]
-    return PathBundle(grid, d, n_paths, dW, dB, A, a_attached=attached)
+    return PathBundle(grid, dW, dB, A)

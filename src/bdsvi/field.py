@@ -117,11 +117,11 @@ def sample_field(
             sub = TimeGrid(nodes[j0:])
             dW = np.concatenate([_stream(seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d))
                                  for jp in range(npts)]) * sqdt[j0:]
-            noise = PathBundle(sub, d, len(dW), dW, np.broadcast_to(db_master[j0:], dW.shape),
-                               np.broadcast_to(0.0, (len(dW), sub.n_steps + 1)), a_attached=False)
-            ens = simulate_reflected(domain, b, sigma, (sub.t0, starts), sub, noise)
+            noise = PathBundle(sub, dW, np.broadcast_to(db_master[j0:], dW.shape),
+                               np.broadcast_to(0.0, (len(dW), sub.n_steps + 1)))
+            ens = simulate_reflected(domain, b, sigma, (sub.t0, starts), noise)
             cfg = replace(config, grid=sub)
-            y0 = _backward_sweep(coeffs, phi, psi, cfg, [config.eps] * npts, noise, ens)[0][:, :, 0, 0]
+            y0 = _backward_sweep(coeffs, phi, psi, cfg, [config.eps] * npts, ens)[0][:, :, 0, 0]
             per_draw[draw, it] = np.mean(y0, axis=1)
             per_draw_se[draw, it] = np.std(y0, axis=1, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
     values = np.mean(per_draw, axis=0)

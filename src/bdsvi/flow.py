@@ -85,15 +85,24 @@ def flow(spec: FlowSpec, x, y, times: np.ndarray, B: np.ndarray) -> FlowSample:
 
 
 def flow_inverse(spec: FlowSpec, x, target, times, B, tol: float = 1e-11, max_iter: int = 100):
-    """Solve eta(t, x, y) = target for y by Newton on the monotone flow."""
+    """Solve eta(t, x, y) = target for y by Newton on the monotone flow.
+
+    eta is increasing in y, so the sign of each residual brackets its root;
+    a Newton step that leaves the bracket is replaced by the bracket's
+    midpoint (safeguarded Newton, "rtsafe": Press et al., Numerical Recipes,
+    section 9.4).  An accepted Newton step costs no extra flow pass.
+    """
     target = np.asarray(target, dtype=float)
     y = target + 0.0
+    lo, hi = np.full(y.shape, -np.inf), np.full(y.shape, np.inf)
     for _ in range(max_iter):
         s = flow(spec, x, y, times, B)
         resid = s.eta - target
         if np.max(np.abs(resid)) <= tol:
             return y
-        y = y - resid / s.d_y_eta
+        lo, hi = np.where(resid < 0.0, y, lo), np.where(resid > 0.0, y, hi)
+        newton = y - resid / s.d_y_eta
+        y = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
     s = flow(spec, x, y, times, B)
     if np.max(np.abs(s.eta - target)) <= 1e-10:
         return y

@@ -10,16 +10,15 @@ the projected point lies in the closure exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .drivers import PathBundle, TimeGrid
+from .drivers import PathBundle
 
 __all__ = [
     "DomainSpec",
-    "ReflectedPath",
     "unit_ball",
     "ellipsoid",
     "smoothed_interval",
@@ -50,14 +49,6 @@ class DomainSpec:
     d: int
     project: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-
-
-@dataclass(frozen=True)
-class ReflectedPath:
-    grid: TimeGrid
-    X: np.ndarray  # (n_paths, n_nodes, d)
-    A: np.ndarray  # (n_paths, n_nodes)
-    noise: Optional[PathBundle] = None
 
 
 def unit_ball(d: int, radius: float = 1.0) -> DomainSpec:
@@ -122,7 +113,11 @@ def ellipsoid(semi_axes) -> DomainSpec:
         return np.sqrt(np.sum(raw_grad(x) ** 2, axis=-1) + raw(x) ** 2)
 
     def level(x):
-        return raw(x) / _gnorm(x)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r = raw(x)
+            # past |raw| = 1 the squares in _gnorm overflow first, so divide through by |raw| there
+            far = np.sign(r) / np.sqrt(1.0 + np.sum((raw_grad(x) / r[..., None]) ** 2, axis=-1))
+            return np.where(np.abs(r) > 1.0, far, r / _gnorm(x))
 
     def gradient(x):
         # level = raw / g, with grad g = (-2 grad raw / a^2 + raw grad raw) / g
@@ -218,27 +213,26 @@ def simulate_reflected(
     b: Callable,
     sigma: Callable,
     start: tuple,
-    grid: TimeGrid,
     noise: PathBundle,
-) -> ReflectedPath:
-    """Projection-Euler simulation of the reflected pair (X, A) from (t, x).
+) -> PathBundle:
+    """Projection-Euler simulation of the reflected pair (X, A) from (t, x),
+    driven by the forward increments of noise on its grid.
 
     x is one point (d,) or one per path (n_paths, d).  Each path is projected
     on its own, so paths stacked from several start points run exactly as if
     simulated apart.  b(x) -> (..., d) drift, sigma(x) -> (..., d, d)
     diffusion matrix; both may also be constants, and a scalar sigma means
-    sigma * I.  The grid must start at t.
-    A is the accumulated projection distance |x* - p| (the boundary local
-    time of the scheme).
+    sigma * I.  The grid of noise must start at t.
+    Returns noise with X filled in and A replaced by the accumulated
+    projection distance |x* - p| (the boundary local time of the scheme).
     """
     t0, x0 = start
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    grid = noise.grid
     if abs(grid.t0 - t0) > 1e-12:
         raise ValueError("grid must start at the launch time")
     if np.any(domain.level(x0) < -_BOUNDARY_TOL):
         raise ValueError("start point lies outside the closure of the domain")
-    if noise.grid.n_steps != grid.n_steps:
-        raise ValueError("noise bundle and grid disagree on step count")
     n_paths, d = noise.n_paths, domain.d
     X = np.empty((n_paths, grid.n_steps + 1, d))
     A = np.zeros((n_paths, grid.n_steps + 1))
@@ -254,7 +248,7 @@ def simulate_reflected(
         A[:, i + 1] = A[:, i] + delta
     if not (np.isfinite(X[:, -1]).all() and np.isfinite(A[:, -1]).all()):  # non-finite values persist
         raise FloatingPointError("non-finite reflected path; reduce the time step")
-    return ReflectedPath(grid, X, A, noise)
+    return replace(noise, A=A, X=X)
 
 
 def boundary_band(domain: DomainSpec, sigma_sup: float, dt: float) -> float:
@@ -263,17 +257,16 @@ def boundary_band(domain: DomainSpec, sigma_sup: float, dt: float) -> float:
     return 2.0 * np.sqrt(dt) * sigma_sup
 
 
-def local_time_support_fraction(path: ReflectedPath, domain: DomainSpec, band: float) -> float:
+def local_time_support_fraction(path: PathBundle, domain: DomainSpec, band: float) -> float:
     """Fraction of steps whose local-time increment is positive while the
     step-end position sits deeper than the boundary band.  The increment is
     recorded at the step end, where the projection leaves the path exactly on
     the boundary, so this fraction must vanish for a sound scheme."""
-    dA = np.diff(path.A, axis=1)
     lv_end = domain.level(path.X[:, 1:])
-    return float(np.mean((dA > 0.0) & (lv_end > band)))
+    return float(np.mean((path.dA > 0.0) & (lv_end > band)))
 
 
-def local_time_identity_residual(path: ReflectedPath, domain: DomainSpec, b, sigma) -> dict:
+def local_time_identity_residual(path: PathBundle, domain: DomainSpec, b, sigma) -> dict:
     """Residual between simulated A and its pathwise reconstruction
 
         A_s = level(X_s) - level(x0) - int L(level) dr - int grad(level)^T sigma dW,
@@ -281,8 +274,6 @@ def local_time_identity_residual(path: ReflectedPath, domain: DomainSpec, b, sig
     with left-endpoint sums.  Returns per-ensemble summary statistics of the
     per-path sup-norm residuals.
     """
-    if path.noise is None:
-        raise ValueError("path must retain its noise bundle")
     X = path.X
     grid = path.grid
     n_paths, n_nodes = path.A.shape
@@ -294,7 +285,7 @@ def local_time_identity_residual(path: ReflectedPath, domain: DomainSpec, b, sig
         bv, sig = _coefficients(b, sigma, x, domain.d)
         grad = domain.gradient(x)
         gen = _generator(sig, bv, grad, domain.hessian(x))
-        mart = np.einsum("pi,pij,pj->p", grad, sig, path.noise.dW[:, i])
+        mart = np.einsum("pi,pij,pj->p", grad, sig, path.dW[:, i])
         acc = acc + gen * grid.dt[i] + mart
         recon[:, i + 1] = lv[:, i + 1] - lv[:, 0] - acc
     res = np.max(np.abs(path.A - recon), axis=1)

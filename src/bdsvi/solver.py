@@ -34,7 +34,6 @@ import numpy as np
 
 from .convex import AssumptionConstants, ConvexFunction, _oracle, _prox, prox
 from .drivers import PathBundle, TimeGrid
-from .reflected import ReflectedPath
 
 __all__ = [
     "CoefficientSet",
@@ -205,9 +204,9 @@ def solve_penalized(
     psi: ConvexFunction,
     config: SolverConfig,
     noise: PathBundle,
-    state: Optional[ReflectedPath] = None,
 ) -> BdsdeSolution:
-    """Backward recursion for the penalized equation.
+    """Backward recursion for the penalized equation, driven by the W, B and
+    A of noise and regressed on its state X when it carries one.
 
     Per step i:
       (a) Z_i from the regression of Y_{i+1} dW_i^T / dt_i;
@@ -218,18 +217,18 @@ def solve_penalized(
           implicit-prox:    Y_i = J^psi_dA(J^phi_dt(Ytil)), with the
           multipliers read off the resolvent gaps (V_i = 0 when dA_i = 0).
     """
-    Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise, state)
+    Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise)
     return BdsdeSolution(config.grid, Y[0], Z[0], U[0], V[0], dA[0], config, conds)
 
 
-def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
+def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     """The recursion of solve_penalized for B = len(eps_blocks) independent
     ensembles stacked block-major on the rows of noise.  Block b runs at
     eps_blocks[b] and is regressed on its own rows, so it matches a solve on
-    its own.  The state holds either one ensemble per block, row for row with
-    noise, or one ensemble shared by every block, which is then fitted once
-    per step.  Returns Y, Z, U, V, dA (clipped) of shape (B, n_paths, ...)
-    and the worst block's condition number per step.
+    its own.  The state noise.X holds either one ensemble per block, row for
+    row with the noise, or one ensemble shared by every block, which is then
+    fitted once per step.  Returns Y, Z, U, V, dA (clipped) of shape
+    (B, n_paths, ...) and the worst block's condition number per step.
 
     What does not change from step to step is set up once here: the
     sample-mean estimator, the explicit scheme's resolvent oracles (eps > 0
@@ -238,7 +237,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
     if noise.grid.n_steps != grid.n_steps:
         raise ValueError("noise bundle and solver grid disagree")
     rows, d = noise.n_paths, noise.d
-    dA, X = (np.diff(state.A, axis=1), state.X) if state is not None else (noise.dA, None)
+    dA, X = noise.dA, noise.X
     if not np.all(np.isfinite(dA)) or np.any(dA < -1e-12):
         raise ValueError("dA increments must be finite and >= 0")
     dA = np.maximum(dA, 0.0)
@@ -257,7 +256,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise, state):
     if X is not None and len(X) != rows:
         if len(X) != n_paths:
             raise ValueError("state ensemble must match the noise rows or one block of them")
-        X, dA, fit_blocks = np.tile(X, (n_blocks, 1, 1)), np.tile(dA, (n_blocks, 1)), 1
+        X, fit_blocks = np.tile(X, (n_blocks, 1, 1)), 1
 
     xi = _terminal_values(coeffs, rows, X[:, -1] if X is not None else None)
     k = xi.shape[1]
@@ -398,16 +397,15 @@ def cauchy_study(
     base_config: SolverConfig,
     eps_ladder,
     noise: PathBundle,
-    state: Optional[ReflectedPath] = None,
     lam: float = 0.0,
     mu: float = 0.0,
 ) -> CauchyReport:
     """Coupled-run convergence study along a decreasing eps ladder.
 
-    All runs share the noise and grid.  For consecutive (eps, delta) the
-    weighted expected sup of the squared gap is estimated and the rate
-    exponent is fitted as the slope of log(gap) vs log(eps + delta), where
-    gap is the square root of the estimate.
+    All runs share the noise, the grid and the state.  For consecutive
+    (eps, delta) the weighted expected sup of the squared gap is estimated
+    and the rate exponent is fitted as the slope of log(gap) vs
+    log(eps + delta), where gap is the square root of the estimate.
     """
     ladder = [float(e) for e in eps_ladder]
     if len(ladder) < 2:
@@ -417,10 +415,9 @@ def cauchy_study(
     cfg = SolverConfig(base_config.grid, eps=ladder[-1], scheme="explicit-yosida",
                        regression=base_config.regression)
     tile = lambda a: np.tile(a, (len(ladder),) + (1,) * (a.ndim - 1))  # one block per rung
-    rungs = replace(noise, n_paths=len(ladder) * noise.n_paths,
-                    dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A))
-    # the rungs share the state, so the sweep fits one design per step for all of them
-    Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs, state)
+    # the rungs share the state X, so the sweep fits one design per step for all of them
+    rungs = replace(noise, dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A))
+    Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs)
     limit = BdsdeSolution(cfg.grid, Y[-1], Z[-1], U[-1], V[-1], dA[-1], cfg, conds)
     w = _weights(cfg.grid, limit.A, lam, mu)
     pairs = list(zip(ladder, ladder[1:]))

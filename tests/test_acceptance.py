@@ -176,17 +176,17 @@ def test_06_reflected_diffusion():
     dom = unit_ball(2)
     grid = TimeGrid.uniform(0, 1, 1000)
     noise = generate_paths(grid, 2, 10_000, seed=5, shared_backward=True)
-    path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), grid, noise)
+    path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), noise)
     containment = float(np.min(dom.level(path.X)))
     band = boundary_band(dom, 1.0, grid.max_dt)
     support = local_time_support_fraction(path, dom, band)
 
     grid2 = TimeGrid.uniform(0, 1, 2000)
     r1 = local_time_identity_residual(
-        simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), grid,
+        simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)),
                            generate_paths(grid, 2, 2000, seed=6, shared_backward=True)), dom, 0.0, 1.0)
     r2 = local_time_identity_residual(
-        simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), grid2,
+        simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)),
                            generate_paths(grid2, 2, 2000, seed=6, shared_backward=True)), dom, 0.0, 1.0)
     shrink = r1["rms"] / r2["rms"]
     elapsed = time.perf_counter() - t0
@@ -379,7 +379,7 @@ def test_13_local_time_oracle(tmp_path):
     for steps in (100, 400):
         grid = TimeGrid.uniform(0, 1, steps)
         noise = generate_paths(grid, 1, n_paths, seed=seed, shared_backward=True)
-        a_T = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)), grid, noise).A[:, -1]
+        a_T = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)), noise).A[:, -1]
         means[steps] = float(np.mean(a_T))
         target = np.sqrt(2.0 / np.pi) - 0.5826 * np.sqrt(grid.max_dt)
         zs.append(abs(means[steps] - target) / (np.std(a_T, ddof=1) / np.sqrt(n_paths)))

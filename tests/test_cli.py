@@ -168,13 +168,12 @@ def test_solve_csv_matches_per_node_reductions(tmp_path, name):
     overrides = {"paths": 1000, "steps": 12, "seed": 4}
     assert run(["solve", "--scenario", _scn(name), "--out", str(tmp_path), "--quiet"]
                + [f"--{k}={v}" for k, v in overrides.items()]) == 0
-    noise, state, sol = _solve_scenario(load_scenario(_scn(name), overrides))
-    A = state.A if state is not None else noise.A
+    ens, sol = _solve_scenario(load_scenario(_scn(name), overrides))
     lines = (tmp_path / "solve.csv").read_text().splitlines()[1:]
     for j, t in enumerate(sol.grid.nodes):
         ref = (t, np.mean(sol.Y[:, j, 0]), np.std(sol.Y[:, j, 0]),
                np.mean(np.linalg.norm(sol.Z[:, j, 0], axis=-1)),
-               np.mean(sol.U[:, j, 0]), np.mean(sol.V[:, j, 0]), np.mean(A[:, j]))
+               np.mean(sol.U[:, j, 0]), np.mean(sol.V[:, j, 0]), np.mean(ens.A[:, j]))
         assert lines[j] == ",".join("%.17g" % v for v in ref)
 
 

@@ -122,24 +122,9 @@ def test_increment_variance_scales_with_dt():
 def test_a_spec_attachment_and_normalization():
     g = TimeGrid.uniform(0.5, 1.5, 10)
     b = generate_paths(g, 1, 3, seed=0, a_spec=lambda t: 2.0 * np.asarray(t))
-    assert b.a_attached
     assert np.allclose(b.A[:, 0], 0.0)
     assert np.allclose(b.A[:, -1], 2.0)
     assert np.all(b.dA >= 0)
-
-
-def test_with_a_validation():
-    g = TimeGrid.uniform(0, 1, 5)
-    b = generate_paths(g, 1, 2, seed=0)
-    good = np.cumsum(np.abs(np.random.default_rng(0).normal(size=(2, 6))), axis=1)
-    nb = b.with_a(good)
-    assert nb.a_attached and np.allclose(nb.A[:, 0], 0.0)
-    with pytest.raises(ValueError):
-        b.with_a(good[:, :-1])
-    bad = good.copy()
-    bad[0, 3] = -5.0
-    with pytest.raises(ValueError):
-        b.with_a(bad)
 
 
 def test_load_a_table(tmp_path):

@@ -112,10 +112,10 @@ def _per_node_field(domain, coeffs, phi, psi, config, fgrid, n_paths, seed, sigm
                 sub = TimeGrid(master.nodes[j0:])
                 dW = (_stream(seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d))
                       * np.sqrt(sub.dt)[:, None])
-                noise = PathBundle(sub, d, n_paths, dW, np.broadcast_to(db[j0:], dW.shape).copy(),
-                                   np.zeros((n_paths, sub.n_steps + 1)), a_attached=False)
-                ens = simulate_reflected(domain, b, sigma, (sub.t0, x), sub, noise)
-                y0 = solve_penalized(coeffs, phi, psi, replace(config, grid=sub), noise, ens).Y[:, 0, 0]
+                noise = PathBundle(sub, dW, np.broadcast_to(db[j0:], dW.shape).copy(),
+                                   np.zeros((n_paths, sub.n_steps + 1)))
+                ens = simulate_reflected(domain, b, sigma, (sub.t0, x), noise)
+                y0 = solve_penalized(coeffs, phi, psi, replace(config, grid=sub), ens).Y[:, 0, 0]
                 per_draw[draw, it, jp] = np.mean(y0)
                 per_draw_se[draw, it, jp] = np.std(y0, ddof=1) / np.sqrt(n_paths)
     within = np.sqrt(np.mean(per_draw_se ** 2, axis=0) / n_b_draws)

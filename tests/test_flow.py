@@ -82,6 +82,18 @@ def test_round_trip_inverse():
     assert np.max(np.abs(back - y)) < 1e-9
 
 
+def test_round_trip_inverse_nonlinear():
+    """A backward path along which dEta/dy ranges from 0.3 to 3: plain Newton
+    from the target diverges at y = 0.1; the bracketed step converges."""
+    spec = FlowSpec(h=lambda t, x, u: 0.5 * np.sin(u) + 0.2, d_u=lambda t, x, u: 0.5 * np.cos(u))
+    times = np.linspace(0.3, 1, 201)
+    dB = np.random.default_rng(382).normal(size=200) * np.sqrt(np.diff(times))
+    B = np.concatenate([[0.0], np.cumsum(dB)])
+    y = np.linspace(-2, 2, 41)
+    back = flow_inverse(spec, np.zeros(1), flow(spec, np.zeros(1), y, times, B).eta, times, B)
+    assert np.max(np.abs(back - y)) <= 1e-9
+
+
 def test_flow_monotone_in_y():
     times, B = _path(seed=7)
     spec = FlowSpec(h=lambda t, x, u: np.sin(np.asarray(u)))

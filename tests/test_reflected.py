@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ def _run(domain, n_paths=200, n_steps=200, seed=1, sigma=1.0, b=0.0, x0=None, T=
     noise = generate_paths(grid, domain.d, n_paths, seed=seed)
     if x0 is None:
         x0 = np.zeros(domain.d)
-    return simulate_reflected(domain, b, sigma, (0.0, x0), grid, noise), grid
+    return simulate_reflected(domain, b, sigma, (0.0, x0), noise), grid
 
 
 # ---------------------------------------------------------------- domains
@@ -130,7 +132,7 @@ def test_simulate_rejects_outside_start():
     grid = TimeGrid.uniform(0, 1, 10)
     noise = generate_paths(grid, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        simulate_reflected(dom, 0.0, 1.0, (0.0, np.array([2.0, 0.0])), grid, noise)
+        simulate_reflected(dom, 0.0, 1.0, (0.0, np.array([2.0, 0.0])), noise)
 
 
 def test_simulate_rejects_grid_time_mismatch():
@@ -138,7 +140,7 @@ def test_simulate_rejects_grid_time_mismatch():
     grid = TimeGrid.uniform(0.5, 1, 10)
     noise = generate_paths(grid, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), grid, noise)
+        simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), noise)
 
 
 def test_per_path_starts_match_separate_runs():
@@ -147,14 +149,43 @@ def test_per_path_starts_match_separate_runs():
     dom = unit_ball(2)
     grid = TimeGrid.uniform(0, 1, 200)
     starts = np.array([[0.0, 0.0], [0.6, 0.0], [0.0, -0.9]])
-    alone = [simulate_reflected(dom, 0.1, 1.0, (0.0, x), grid, generate_paths(grid, 2, 100, seed=j))
+    alone = [simulate_reflected(dom, 0.1, 1.0, (0.0, x), generate_paths(grid, 2, 100, seed=j))
              for j, x in enumerate(starts)]
     noise = generate_paths(grid, 2, 300, seed=0)
-    noise = PathBundle(grid, 2, 300, np.concatenate([p.noise.dW for p in alone]), noise.dB, noise.A)
-    stacked = simulate_reflected(dom, 0.1, 1.0, (0.0, np.repeat(starts, 100, axis=0)), grid, noise)
+    noise = PathBundle(grid, np.concatenate([p.dW for p in alone]), noise.dB, noise.A)
+    stacked = simulate_reflected(dom, 0.1, 1.0, (0.0, np.repeat(starts, 100, axis=0)), noise)
     assert np.array_equal(stacked.X, np.concatenate([p.X for p in alone]))
     assert np.array_equal(stacked.A, np.concatenate([p.A for p in alone]))
     assert np.any(stacked.A[:, -1] > 0.0)
+
+
+def test_reflected_bundle_shares_its_noise():
+    """simulate_reflected returns the bundle that drove it, with X and the
+    local time A filled in: W, B and the grid are the input bundle's own arrays."""
+    dom = unit_ball(2)
+    grid = TimeGrid.uniform(0, 1, 30)
+    noise = generate_paths(grid, 2, 40, seed=3, shared_backward=True)
+    path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), noise)
+    assert noise.X is None and path.X.shape == (40, 31, 2)
+    assert path.dW is noise.dW and path.dB is noise.dB and path.grid is noise.grid
+    assert path.A is not noise.A and np.any(path.A[:, -1] > 0.0) and np.all(noise.A == 0.0)
+    assert (path.n_paths, path.d) == (40, 2)
+    small = PathBundle(grid, noise.dW[:7, :, :1], noise.dB[:7, :, :1], noise.A[:7])
+    assert (small.n_paths, small.d) == (7, 1)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e154, 1e155, 1e300])
+def test_far_out_ellipsoid_point_is_outside(scale):
+    """Far outside the ellipsoid the squares of the raw level overflow.  The
+    level still reads -1 there with no warning, so a runaway Euler step is
+    not taken for an inside point and passed through with delta = 0."""
+    dom = ellipsoid([2.0, 0.5])
+    x = np.array([[scale, scale]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dom.level(x)[0] == -1.0
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="did not reach the closed domain"):
+        _project_out(dom, x)
 
 
 @pytest.mark.parametrize("dom", [unit_ball(2), ellipsoid([2.0, 0.5])], ids=lambda dom: dom.name)
@@ -164,7 +195,7 @@ def test_non_finite_step_raises(dom):
     grid = TimeGrid.uniform(0, 1, 10)
     with pytest.raises(FloatingPointError, match="non-finite reflected path"), np.errstate(all="ignore"):
         simulate_reflected(dom, lambda x: np.where(x[:, :1] > 0.5, np.inf, 10.0), 1.0, (0.0, np.zeros(2)),
-                           grid, generate_paths(grid, 2, 20, seed=0))
+                           generate_paths(grid, 2, 20, seed=0))
 
 
 def test_simulate_rejects_outside_per_path_start():
@@ -172,7 +203,7 @@ def test_simulate_rejects_outside_per_path_start():
     grid = TimeGrid.uniform(0, 1, 10)
     noise = generate_paths(grid, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        simulate_reflected(dom, 0.0, 1.0, (0.0, np.array([[0.0, 0.0], [2.0, 0.0]])), grid, noise)
+        simulate_reflected(dom, 0.0, 1.0, (0.0, np.array([[0.0, 0.0], [2.0, 0.0]])), noise)
 
 
 def _outside_points(dom, rng):
@@ -255,7 +286,7 @@ def test_local_time_is_the_discrete_skorokhod_map(n_steps):
     the discrete Skorokhod map, so A_k = max(0, max_j -W_j) pathwise."""
     dom = smoothed_interval(0.0, 10.0)
     path, _ = _run(dom, n_paths=200, n_steps=n_steps, seed=4)
-    W = np.cumsum(path.noise.dW[:, :, 0], axis=1)
+    W = np.cumsum(path.dW[:, :, 0], axis=1)
     skorokhod = np.maximum(np.maximum.accumulate(-W, axis=1), 0.0)
     assert np.max(path.X) < 10.0
     assert np.max(np.abs(path.A[:, 1:] - skorokhod)) <= 1e-12
@@ -275,7 +306,7 @@ def test_containment_property(seed, sigma):
     dom = unit_ball(1)
     grid = TimeGrid.uniform(0, 0.5, 50)
     noise = generate_paths(grid, 1, 8, seed=seed)
-    path = simulate_reflected(dom, 0.0, sigma, (0.0, np.zeros(1)), grid, noise)
+    path = simulate_reflected(dom, 0.0, sigma, (0.0, np.zeros(1)), noise)
     assert float(np.min(dom.level(path.X))) >= -1e-12
 
 

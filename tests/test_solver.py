@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,11 +188,11 @@ def test_cauchy_validates_ladder():
 
 
 
-def _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, state, lam, mu):
+def _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, lam, mu):
     """The ladder study as one solve_penalized per rung."""
     sols = [solve_penalized(coeffs, phi, psi,
                             SolverConfig(grid, eps=e, scheme="explicit-yosida", regression=regression),
-                            noise, state) for e in ladder]
+                            noise) for e in ladder]
     w = np.exp(lam * grid.nodes[None, :] + mu * sols[0].A)
     gaps = [float(np.mean(np.max(w * np.sum((a.Y - b.Y) ** 2, axis=-1), axis=1)))
             for a, b in zip(sols, sols[1:])]
@@ -198,11 +200,11 @@ def _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, state, la
     return sols[-1], gaps, float(np.polyfit(x, 0.5 * np.log(gaps), 1)[0])
 
 
-def _assert_batched_ladder_matches(coeffs, phi, psi, grid, regression, noise, state=None):
+def _assert_batched_ladder_matches(coeffs, phi, psi, grid, regression, noise):
     ladder = [1e-1, 1e-2, 5e-3]
     rep = cauchy_study(coeffs, phi, psi, SolverConfig(grid, regression=regression), ladder,
-                       noise, state, lam=3.0, mu=1.5)
-    limit, gaps, slope = _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, state, 3.0, 1.5)
+                       noise, lam=3.0, mu=1.5)
+    limit, gaps, slope = _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, 3.0, 1.5)
     assert rep.eps_pairs == [(1e-1, 1e-2), (1e-2, 5e-3)]
     assert rep.gaps_sq == gaps
     assert rep.slope == slope
@@ -226,12 +228,12 @@ def test_batched_ladder_matches_per_rung_solves_reflected(regression):
     grid = TimeGrid.uniform(0, 1, 200)
     noise = generate_paths(grid, 1, 150, seed=5, shared_backward=True)
     state = simulate_reflected(make_domain("interval", lo=-1.0, hi=1.0), 0.0, 1.0,
-                               (0.0, np.zeros(1)), grid, noise)
+                               (0.0, np.zeros(1)), noise)
     coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.1 * x,
                      g=lambda t, x, y: np.full_like(y, 0.1),
                      terminal=lambda x: x[:, 0] ** 2)
     _assert_batched_ladder_matches(coeffs, make_convex("indicator_box(-inf,0.5)"), make_convex("abs"),
-                                   grid, regression, noise, state)
+                                   grid, regression, state)
 
 
 def test_regressor_projects_each_block_on_its_own():
@@ -410,7 +412,7 @@ def test_markov_solve_with_reflected_state():
     dom = unit_ball(1)
     grid = TimeGrid.uniform(0, 1, 50)
     noise = generate_paths(grid, 1, 300, seed=2, shared_backward=True)
-    state = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)), grid, noise)
+    state = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)), noise)
     coeffs = CoefficientSet(
         f=lambda t, x, y, z: np.ones_like(y),
         g=lambda t, x, y: np.zeros_like(y),
@@ -418,10 +420,10 @@ def test_markov_solve_with_reflected_state():
         terminal=lambda x: np.zeros(x.shape[0]),
     )
     sol = solve_penalized(coeffs, ZERO, ZERO,
-                          SolverConfig(grid, regression=("poly", 2)), noise, state)
+                          SolverConfig(grid, regression=("poly", 2)), state)
     assert np.mean(sol.Y[:, 0, 0]) == pytest.approx(1.0, abs=0.02)
     assert np.all(np.diff(sol.A, axis=1) >= 0.0)
-    short = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)), grid,
+    short = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)),
                                generate_paths(grid, 1, 200, seed=2, shared_backward=True))
     with pytest.raises(ValueError, match="state ensemble"):  # neither the noise rows nor one block of them
-        solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=("poly", 2)), noise, short)
+        solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=("poly", 2)), replace(state, X=short.X))
