@@ -243,8 +243,8 @@ def cmd_report(scn: Scenario, out_dir: str, quiet: bool) -> int:
     lines.append("penalization energies at the run eps:")
     for key, v in diag.items():
         lines.append(f"  {key} = {v:.6g}")
-    lines.append(f"subgradient-inequality audit: worst dt-violation {vi['worst_phi']:.3e}, "
-                 f"worst dA-violation {vi['worst_psi']:.3e}")
+    dA_line = f"worst dA-violation {vi['worst_psi']:.3e}" if vi["worst_psi"] > -np.inf else "no active dA"
+    lines.append(f"subgradient-inequality audit: worst dt-violation {vi['worst_phi']:.3e}, {dA_line}")
     rows = ([("norm:" + key, float(v)) for key, v in norms.items()]
             + [("penalization:" + key, float(v)) for key, v in diag.items()]
             + [("vi:worst_phi", float(vi["worst_phi"])), ("vi:worst_psi", float(vi["worst_psi"]))])

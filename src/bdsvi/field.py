@@ -12,7 +12,7 @@ every node, and a node's forward increments from its own FIELD_W stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class FieldEstimate:
     stderr: np.ndarray          # (nt, npts)
     per_draw: np.ndarray        # (n_draws, nt, npts)
     n_paths: int
-    config: Optional[SolverConfig] = None
 
 
 def manufactured_field(u: Callable, fgrid: FieldGrid) -> FieldEstimate:
@@ -128,7 +127,7 @@ def sample_field(
     within = np.sqrt(np.mean(per_draw_se ** 2, axis=0) / n_b_draws)
     across = np.std(per_draw, axis=0, ddof=1) / np.sqrt(n_b_draws) if n_b_draws > 1 else 0.0
     stderr = np.sqrt(within ** 2 + np.square(across))
-    return FieldEstimate(fgrid, values, stderr, per_draw, n_paths, config)
+    return FieldEstimate(fgrid, values, stderr, per_draw, n_paths)
 
 
 def continuity_diagnostic(fld: FieldEstimate) -> dict:

@@ -30,20 +30,24 @@ __all__ = [
     "transform_penalized",
 ]
 
+_DU_STEP = 1e-6  # central-difference step of the d_u fallback
+_FD_STEP = 1e-4  # central-difference step of the transforms' flow derivatives
+
 
 @dataclass(frozen=True)
 class FlowSpec:
     """Scalar noise coefficient h(t, x, u) with an optional derivative oracle
-    d_u h; the derivative falls back to central differences."""
+    d_u h; the derivative falls back to central differences of step 1e-6 in u.
+    The transforms take their x- and y-derivatives of the flow from central
+    differences of step 1e-4."""
 
     h: Callable
     d_u: Optional[Callable] = None
-    fd_step: float = 1e-6
 
     def du(self, t, x, u):
         if self.d_u is not None:
             return self.d_u(t, x, u)
-        e = self.fd_step
+        e = _DU_STEP
         return (self.h(t, x, u + e) - self.h(t, x, u - e)) / (2.0 * e)
 
 
@@ -109,49 +113,28 @@ def flow_inverse(spec: FlowSpec, x, target, times, B, tol: float = 1e-11, max_it
     raise RuntimeError("flow inversion did not converge")
 
 
-def _flow_derivatives(spec: FlowSpec, x, y, times, B, fd_step: float):
+def _flow_derivatives(spec: FlowSpec, x, y, times, B):
     """Flow value plus first/second derivatives in x and y at one point.
 
     Spatial derivatives come from central differences of the flow on the same
-    noise path; the pure y-derivative comes from the variational recursion.
+    noise path, over the stencil x, x +- e_i, x +- e_i +- e_j (i < j) and then
+    y +- h; the pure y-derivative comes from the variational recursion.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-    h = fd_step
-    base = flow(spec, x, y, times, B)
-
-    eta_xp = np.empty(d)
-    eta_xm = np.empty(d)
-    dy_xp = np.empty(d)
-    dy_xm = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        sp = flow(spec, x + e, y, times, B)
-        sm = flow(spec, x - e, y, times, B)
-        eta_xp[i], dy_xp[i] = float(sp.eta), float(sp.d_y_eta)
-        eta_xm[i], dy_xm[i] = float(sm.eta), float(sm.d_y_eta)
-    d_x = (eta_xp - eta_xm) / (2.0 * h)
-    d_xy = (dy_xp - dy_xm) / (2.0 * h)
-
-    d_xx = np.empty((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        d_xx[i, i] = (eta_xp[i] - 2.0 * float(base.eta) + eta_xm[i]) / (h * h)
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            spp = flow(spec, x + ei + ej, y, times, B).eta
-            spm = flow(spec, x + ei - ej, y, times, B).eta
-            smp = flow(spec, x - ei + ej, y, times, B).eta
-            smm = flow(spec, x - ei - ej, y, times, B).eta
-            d_xx[i, j] = d_xx[j, i] = float(spp - spm - smp + smm) / (4.0 * h * h)
-
-    syp = flow(spec, x, y + h, times, B)
-    sym = flow(spec, x, y - h, times, B)
-    d_yy = (float(syp.d_y_eta) - float(sym.d_y_eta)) / (2.0 * h)
-    return base, d_x, d_xx, d_xy, d_yy
+    d, h = x.size, _FD_STEP
+    e = h * np.eye(d)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    xs = ([x] + [x + s * e[i] for i in range(d) for s in (1, -1)]
+          + [x + si * e[i] + sj * e[j] for i, j in pairs for si in (1, -1) for sj in (1, -1)])
+    runs = [flow(spec, p, y, times, B) for p in xs] + [flow(spec, x, y + s * h, times, B) for s in (1, -1)]
+    eta = np.array([float(r.eta) for r in runs])
+    dy = np.array([float(r.d_y_eta) for r in runs])
+    xp, xm = eta[1:2 * d + 1:2], eta[2:2 * d + 1:2]
+    d_xx = np.diag((xp - 2.0 * eta[0] + xm) / (h * h))
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, eta[2 * d + 1:-2].reshape(-1, 4)):
+        d_xx[i, j] = d_xx[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+    d_xy = (dy[1:2 * d + 1:2] - dy[2:2 * d + 1:2]) / (2.0 * h)
+    return runs[0], (xp - xm) / (2.0 * h), d_xx, d_xy, (dy[-2] - dy[-1]) / (2.0 * h)
 
 
 def transform_coefficients(
@@ -164,7 +147,6 @@ def transform_coefficients(
     point,
     times,
     B,
-    fd_step: float = 1e-4,
 ) -> tuple[float, float]:
     """Transformed drift and boundary coefficients at point = (t, x, y, z).
 
@@ -176,16 +158,16 @@ def transform_coefficients(
                     + <sigma^T Dxy_eta, z> + 0.5 Dyy_eta |z|^2 ]
       g~ = (1/Dy) ( g(t, x, eta) - <grad level(x), Dx_eta> )
     """
-    return _transform(spec, f, g, domain, sigma, b, point, times, B, fd_step)[:2]
+    return _transform(spec, f, g, domain, sigma, b, point, times, B)[:2]
 
 
-def _transform(spec, f, g, domain, sigma, b, point, times, B, fd_step):
+def _transform(spec, f, g, domain, sigma, b, point, times, B):
     """(f~, g~) of transform_coefficients plus the flow sample at the point."""
     t, x, y, z = point
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     bv, sig = _coefficients(b, sigma, x, x.size)
-    base, d_x, d_xx, d_xy, d_yy = _flow_derivatives(spec, x, y, times, B, fd_step)
+    base, d_x, d_xx, d_xy, d_yy = _flow_derivatives(spec, x, y, times, B)
     eta = float(base.eta)
     dy = float(base.d_y_eta)
     if dy <= 1e-12:
@@ -213,13 +195,12 @@ def transform_penalized(
     point,
     times,
     B,
-    fd_step: float = 1e-4,
 ) -> tuple[float, float]:
     """Penalized transforms: subtract the Yosida gradients at eta, scaled by
     the flow derivative."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    f_tilde, g_tilde, s = _transform(spec, f, g, domain, sigma, b, point, times, B, fd_step)
+    f_tilde, g_tilde, s = _transform(spec, f, g, domain, sigma, b, point, times, B)
     eta = np.atleast_1d(np.asarray(s.eta, dtype=float))
     dy = float(s.d_y_eta)
     gp = float(yosida_gradient(phi, delta, eta)[0])

@@ -7,6 +7,7 @@ scenario seed.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,7 +19,7 @@ from .drivers import TimeGrid
 from .reflected import DomainSpec, make_domain
 from .solver import CoefficientSet, SolverConfig
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "make_f", "make_g", "make_h", "make_terminal"]
+__all__ = ["Scenario", "ScenarioError", "load_scenario", "make_coefficients", "make_terminal"]
 
 
 # libyaml's parser when PyYAML was built with it; both loaders resolve and
@@ -30,51 +31,34 @@ class ScenarioError(ValueError):
     """Raised when a scenario file fails validation."""
 
 
-def _zeros_like_y(t, x, y, z=None):
-    return np.zeros_like(y)
-
-
-def make_f(spec: dict):
+def _affine(spec: dict, noise: bool):
     kind = spec.get("kind", "zero")
-    if kind == "zero":
-        return _zeros_like_y
+    if kind not in ("zero", "constant", "linear"):
+        raise ScenarioError(f"unknown coefficient kind {kind!r}")
+    a_y, a_z, c = (float(spec.get(key, 0.0)) if kind == "linear" else 0.0 for key in ("a_y", "a_z", "c"))
     if kind == "constant":
         c = float(spec["value"])
-        return lambda t, x, y, z: np.full_like(y, c)
-    if kind == "linear":
-        a_y = float(spec.get("a_y", 0.0))
-        c = float(spec.get("c", 0.0))
-        a_z = float(spec.get("a_z", 0.0))
-        return lambda t, x, y, z: a_y * y + a_z * np.sum(z, axis=-1) + c
-    raise ScenarioError(f"unknown f kind {kind!r}")
+    if not (a_y or a_z):  # zero and constant: one fill and no arithmetic pass
+        fill = np.zeros if c == 0.0 else lambda shape: np.full(shape, c)
+        if noise:
+            return lambda t, x, y, z: fill(y.shape + (z.shape[-1],))
+        return lambda t, x, y, z=None: fill(y.shape)
+
+    def affine(t, x, y, z=None):
+        v = a_y * y + a_z * np.sum(z, axis=-1) + c if a_z and z is not None else a_y * y + c
+        return v[..., None] * np.ones(z.shape[-1]) if noise else v
+    return affine
 
 
-def make_g(spec: dict):
-    kind = spec.get("kind", "zero")
-    if kind == "zero":
-        return lambda t, x, y: np.zeros_like(y)
-    if kind == "constant":
-        c = float(spec["value"])
-        return lambda t, x, y: np.full_like(y, c)
-    if kind == "linear":
-        a_y = float(spec.get("a_y", 0.0))
-        c = float(spec.get("c", 0.0))
-        return lambda t, x, y: a_y * y + c
-    raise ScenarioError(f"unknown g kind {kind!r}")
+def make_coefficients(co: dict):
+    """The maps f, g and h that a coefficients section spells.
 
-
-def make_h(spec: dict):
-    kind = spec.get("kind", "zero")
-    if kind == "zero":
-        return lambda t, x, y, z: np.zeros(y.shape + (z.shape[-1],))
-    if kind == "constant":
-        c = float(spec["value"])
-        return lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), c)
-    if kind == "linear":
-        a_y = float(spec.get("a_y", 0.0))
-        c = float(spec.get("c", 0.0))
-        return lambda t, x, y, z: (a_y * y + c)[..., None] * np.ones(z.shape[-1])
-    raise ScenarioError(f"unknown h kind {kind!r}")
+    Each is the affine map a_y y + a_z sum(z) + c: kind zero (the default) is
+    the map 0, constant the map `value`, and linear reads a_y, a_z and c, each
+    0 when absent.  g takes no z, and h repeats its value along the last axis
+    of z, as CoefficientSet expects.
+    """
+    return tuple(_affine(co.get(role, {}), role == "h") for role in ("f", "g", "h"))
 
 
 def make_terminal(spec: dict):
@@ -102,7 +86,7 @@ class Scenario:
     domain: Optional[DomainSpec] = None
     sigma: float = 1.0
     drift: float = 0.0
-    a_process: str = "time"  # "time" | "none" | Markov local time when a domain is set
+    a_process: str = "time"  # "time" | "none" | a CSV table's path; Markov local time when a domain is set
     lattice: Optional[dict] = None
     weight_warning: Optional[str] = None
     raw: dict = field(default_factory=dict)
@@ -113,8 +97,11 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         raw = yaml.load(fh, Loader=_YAML_LOADER)
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must be a mapping")
-    overrides = overrides or {}
-    raw.update({k: v for k, v in overrides.items() if v is not None})
+    raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
+
+    def top(key, section, default):  # a top-level key, such as a CLI override, wins over its section's
+        return raw[key] if raw.get(key) is not None else section.get(key, default)
+
     try:
         name = raw.get("name", "unnamed")
         phi = make_convex(raw.get("phi", "zero"))
@@ -129,23 +116,18 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             mu=float(cs.get("mu", 1.5)),
         )
         co = raw.get("coefficients", {})
-        coeffs = CoefficientSet(
-            f=make_f(co.get("f", {"kind": "zero"})),
-            g=make_g(co.get("g", {"kind": "zero"})),
-            h=make_h(co.get("h", {"kind": "zero"})),
-            terminal=make_terminal(co.get("terminal", {"kind": "constant"})),
-            constants=constants,
-        )
+        f, g, h = make_coefficients(co)
+        coeffs = CoefficientSet(f, g, h, make_terminal(co.get("terminal", {"kind": "constant"})), constants)
         gs = raw.get("grid", {})
         grid = TimeGrid.uniform(float(gs.get("t0", 0.0)), float(gs.get("T", 1.0)),
-                                int(raw.get("steps") or gs.get("steps", 100)))
+                                int(top("steps", gs, 100)))
         sv = raw.get("solver", {})
         regression = sv.get("regression", "sample-mean")
         if isinstance(regression, dict):
             regression = (regression["kind"], regression.get("degree", regression.get("cells", 2)))
         solver = SolverConfig(
             grid=grid,
-            eps=float(raw.get("eps") or sv.get("eps", 1e-3)),
+            eps=float(top("eps", sv, 1e-3)),
             scheme=sv.get("scheme", "implicit-prox"),
             regression=regression,
         )
@@ -158,6 +140,9 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             raise ScenarioError("regression sample-mean needs a constant terminal and no domain;"
                                 " use poly or partition")
         ladder = [float(e) for e in raw.get("eps_ladder", [])]
+        a_process = raw.get("a_process", "time")
+        if a_process not in ("time", "none"):  # a table path, relative to the scenario file
+            a_process = os.path.join(os.path.dirname(os.path.abspath(path)), a_process)
         scn = Scenario(
             name=name,
             phi=phi,
@@ -171,7 +156,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             domain=domain,
             sigma=float(raw.get("sigma", 1.0)),
             drift=float(raw.get("drift", 0.0)),
-            a_process=raw.get("a_process", "time"),
+            a_process=a_process,
             lattice=raw.get("lattice"),
             raw=raw,
         )

@@ -19,7 +19,8 @@ Conditional expectations:
   measurable with respect to the backward noise, which is *known* at the
   current time under the two-sided filtration, so the value update is exact
   pathwise; only the Z extraction averages across paths (where the forward
-  expectation genuinely acts).
+  expectation genuinely acts).  The sweep rejects it for an ensemble that
+  carries a state X or for a terminal map.
 * ``poly``/``partition`` regress on the Markov state.  They assume the
   ensemble shares one backward-noise draw (common noise), which is how the
   field sampler builds its ensembles.
@@ -61,31 +62,6 @@ class CoefficientSet:
     h: Callable
     terminal: Union[float, np.ndarray, Callable]
     constants: AssumptionConstants = field(default_factory=AssumptionConstants)
-
-    def spot_check(self, rng: np.random.Generator, k: int = 1, d: int = 1, n: int = 64) -> dict:
-        """Sampled validation of monotonicity/Lipschitz structure:
-        monotonicity of f and g in y, Lipschitz of f in z, and the
-        contraction bound ||dh||^2 <= K|dy|^2 + alpha||dz||^2."""
-        c = self.constants
-        t = 0.3
-        y = rng.normal(size=(n, k))
-        y2 = rng.normal(size=(n, k))
-        z = rng.normal(size=(n, k, d))
-        z2 = rng.normal(size=(n, k, d))
-        worst = {"f_mono": -np.inf, "f_lip_z": -np.inf, "g_mono": -np.inf, "h_contract": -np.inf}
-        dy = y - y2
-        df = self.f(t, None, y, z) - self.f(t, None, y2, z)
-        worst["f_mono"] = float(np.max(np.sum(dy * df, axis=-1) - c.beta1 * np.sum(dy * dy, axis=-1)))
-        dfz = self.f(t, None, y, z) - self.f(t, None, y, z2)
-        dz = np.sqrt(np.sum((z - z2) ** 2, axis=(-2, -1)))
-        worst["f_lip_z"] = float(np.max(np.sqrt(np.sum(dfz ** 2, axis=-1)) - c.K * dz))
-        dg = self.g(t, None, y) - self.g(t, None, y2)
-        worst["g_mono"] = float(np.max(np.sum(dy * dg, axis=-1) - c.beta2 * np.sum(dy * dy, axis=-1)))
-        dh = self.h(t, None, y, z) - self.h(t, None, y2, z2)
-        lhs = np.sum(dh ** 2, axis=(-2, -1))
-        rhs = c.K * np.sum(dy * dy, axis=-1) + c.alpha * dz ** 2
-        worst["h_contract"] = float(np.max(lhs - rhs))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -238,6 +214,11 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         raise ValueError("noise bundle and solver grid disagree")
     rows, d = noise.n_paths, noise.d
     dA, X = noise.dA, noise.X
+    sample_mean = config.regression == "sample-mean"
+    if sample_mean and (X is not None or callable(coeffs.terminal)):
+        # the pathwise value update it takes holds only for state-free data (module docstring)
+        raise ValueError("regression sample-mean needs a constant terminal and no state ensemble;"
+                         " use poly or partition")
     if not np.all(np.isfinite(dA)) or np.any(dA < -1e-12):
         raise ValueError("dA increments must be finite and >= 0")
     dA = np.maximum(dA, 0.0)
@@ -267,7 +248,6 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     U = np.zeros((rows, n_nodes, k))
     V = np.zeros((rows, n_nodes, k))
     Y[:, -1] = xi
-    sample_mean = config.regression == "sample-mean"
     if sample_mean:
         project = _projector("sample-mean", None, n_blocks)[0]
     if explicit:

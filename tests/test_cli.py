@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from bdsvi.cli import _solve_scenario, run
-from bdsvi.scenarios import ScenarioError, load_scenario, make_f, make_g, make_h, make_terminal
+from bdsvi.scenarios import ScenarioError, load_scenario, make_coefficients, make_terminal
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -52,18 +52,43 @@ def test_unknown_catalog_name_raises(tmp_path):
 
 
 def test_coefficient_builders():
-    y = np.ones((4, 1))
-    z = np.ones((4, 1, 2))
-    f = make_f({"kind": "linear", "a_y": 2.0, "c": 1.0})
-    assert np.allclose(f(0.0, None, y, z), 3.0)
-    g = make_g({"kind": "constant", "value": -1.0})
-    assert np.allclose(g(0.0, None, y), -1.0)
-    h = make_h({"kind": "constant", "value": 0.5})
-    assert h(0.0, None, y, z).shape == (4, 1, 2)
+    y = np.array([[1.0], [-2.0], [0.5], [3.0]])
+    z = np.arange(8.0).reshape(4, 1, 2)
+    f, g, h = make_coefficients({"f": {"kind": "linear", "a_y": 2.0, "c": 1.0},
+                                 "g": {"kind": "constant", "value": -1.0},
+                                 "h": {"kind": "constant", "value": 0.5}})
+    assert np.array_equal(f(0.0, None, y, z), 2.0 * y + 1.0)
+    assert np.array_equal(g(0.0, None, y), np.full((4, 1), -1.0))
+    assert np.array_equal(h(0.0, None, y, z), np.full((4, 1, 2), 0.5))
+    f, g, h = make_coefficients({"f": {"kind": "linear", "a_y": -0.5, "a_z": 0.25, "c": 0.3},
+                                 "g": {"kind": "linear", "a_y": -0.2}, "h": {"kind": "linear", "c": 0.1}})
+    assert np.array_equal(f(0.0, None, y, z), -0.5 * y + 0.25 * np.sum(z, axis=-1) + 0.3)
+    assert np.array_equal(g(0.0, None, y), -0.2 * y + 0.0)
+    assert np.array_equal(h(0.0, None, y, z), np.full((4, 1, 2), 0.1))
+    for m, args in zip(make_coefficients({}), [(y, z), (y,), (y, z)]):  # every kind defaults to zero
+        assert not np.any(m(0.0, None, *args)) and m(0.0, None, *args).shape[:2] == (4, 1)
     chi = make_terminal({"kind": "quadratic_norm"})
     assert np.allclose(chi(np.array([[3.0, 4.0]])), 25.0)
     with pytest.raises(ScenarioError):
-        make_f({"kind": "cubic"})
+        make_coefficients({"f": {"kind": "cubic"}})
+
+
+def test_zero_overrides_apply(tmp_path):
+    """An override of 0 is applied, not read as absent."""
+    assert load_scenario(_scn("vi_oracle.yaml"), {"eps": 0.0}).solver.eps == 0.0
+    assert run(["solve", "--scenario", _scn("vi_oracle.yaml"), "--out", str(tmp_path), "--steps", "50",
+                "--eps", "0", "--quiet"]) == 0
+    assert (tmp_path / "solve.txt").read_text().splitlines()[0].endswith(", eps 0")
+
+
+def test_a_table_path_is_relative_to_the_scenario(tmp_path, monkeypatch):
+    (tmp_path / "scn").mkdir()
+    (tmp_path / "scn" / "a.csv").write_text("t,A\n0.0,0.0\n1.0,2.0\n")
+    p = _variant(tmp_path / "scn", "zero.yaml", lambda raw: raw.update(a_process="a.csv"))
+    monkeypatch.chdir(tmp_path)
+    assert load_scenario(p).a_process == str(tmp_path / "scn" / "a.csv")
+    assert run(["solve", "--scenario", p, "--out", str(tmp_path / "out"), "--paths", "20", "--quiet"]) == 0
+    assert np.loadtxt(tmp_path / "out" / "solve.csv", delimiter=",", skiprows=1)[-1, 6] == 2.0
 
 
 # ---------------------------------------------------------------- commands
@@ -111,7 +136,9 @@ def test_report_command(tmp_path):
     rc = run(["report", "--scenario", _scn("vi_oracle.yaml"), "--out", str(tmp_path),
               "--steps", "100", "--quiet"])
     assert rc == 0
-    assert "subgradient-inequality audit" in (tmp_path / "report.txt").read_text()
+    text = (tmp_path / "report.txt").read_text()
+    assert "subgradient-inequality audit" in text
+    assert "no active dA" in text and "-inf" not in text  # a_process none: dA = 0 at every node
 
 
 def test_cauchy_command_small(tmp_path):

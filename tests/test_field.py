@@ -131,7 +131,7 @@ def _mean_reverting(x):
     return -0.3 * x
 
 
-@pytest.mark.parametrize("regression", [("poly", 2), ("partition", 4), "sample-mean"])
+@pytest.mark.parametrize("regression", [("poly", 2), ("partition", 4)])
 @pytest.mark.parametrize("terminal", ["callable", "constant"])
 def test_stacked_field_matches_per_node_solves(regression, terminal):
     """One stacked ensemble per lattice time gives, bit for bit, the field of
@@ -153,6 +153,14 @@ def test_stacked_field_matches_per_node_solves(regression, terminal):
     assert np.array_equal(est.values, values)
     assert np.array_equal(est.stderr, stderr)
     assert np.array_equal(est.per_draw, per_draw)
+
+
+def test_sample_field_rejects_sample_mean():
+    """Every field ensemble carries its reflected state, which sample-mean
+    cannot use."""
+    with pytest.raises(ValueError, match="sample-mean"):
+        sample_field(DOM, _coeffs(g=lambda t, x, y: np.full_like(y, 0.2)), ZERO, ZERO,
+                     _config(20, "sample-mean"), _fgrid(3, 3), 20, 1)
 
 
 def test_stacked_field_matches_per_node_solves_on_ball():

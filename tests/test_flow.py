@@ -164,3 +164,27 @@ def test_transform_penalized_subtracts_scaled_gradients():
     assert gt - gtd == pytest.approx(grad_psi, abs=1e-9)
     with pytest.raises(ValueError):
         transform_penalized(CONST, f, g, phi, psi, 0.0, dom, 1.0, 0.0, point, times, B)
+
+
+def test_transform_x_derivatives_closed_form():
+    """h = c x0 x1 does not depend on u, so eta = y + c x0 x1 (B_T - B_t) and
+    D_y eta = 1.  With a non-diagonal sigma, b != 0 and f depending on z, the
+    transforms have closed forms in D_x eta = c dB (x1, x0) and the cross term
+    of D_x^2 eta = c dB [[0, 1], [1, 0]]: L_x eta = 0.5 c dB + <b, D_x eta>,
+    and on the unit ball <grad level, D_x eta> = -2 c dB x0 x1."""
+    c = 0.8
+    spec = FlowSpec(h=lambda t, x, u: c * x[0] * x[1] + 0.0 * np.asarray(u),
+                    d_u=lambda t, x, u: 0.0 * np.asarray(u))
+    times, B = _path(seed=11)
+    dB = B[-1] - B[0]
+    sigma = np.array([[1.0, 0.5], [0.0, 1.0]])
+    b = np.array([0.3, -0.2])
+    a = np.array([0.4, -0.2])
+    f = lambda t, x, y, z: 0.3 * y + float(np.dot(a, z)) + 0.1 * x[0]
+    g = lambda t, x, y: 0.2 * y - 0.5
+    x, y, z = np.array([0.3, -0.6]), 0.7, np.array([0.2, -0.1])
+    ft, gt = transform_coefficients(spec, f, g, unit_ball(2), sigma, b, (0.3, x, y, z), times, B)
+    eta = y + c * x[0] * x[1] * dB
+    d_x = c * dB * np.array([x[1], x[0]])
+    assert ft == pytest.approx(f(0.3, x, eta, sigma.T @ d_x + z) + 0.5 * c * dB + float(b @ d_x), abs=1e-6)
+    assert gt == pytest.approx(g(0.3, x, eta) + 2.0 * c * dB * x[0] * x[1], abs=1e-6)

@@ -345,16 +345,6 @@ def test_vi_inclusion_on_oracle_run():
     assert out["phi_infinite_nodes"] == 0
 
 
-def test_spot_check_bounds_hold_for_linear_coeffs():
-    coeffs = _coeffs(f=lambda t, x, y, z: -0.5 * y + 0.1 * np.sum(z, axis=-1),
-                     g=lambda t, x, y: -0.3 * y,
-                     h=lambda t, x, y, z: (0.2 * y)[..., None] * np.ones(z.shape[-1]),
-                     terminal=0.0,
-                     beta1=-0.5, beta2=-0.3, K=0.5, alpha=0.5, lam=6.0, mu=1.0)
-    worst = coeffs.spot_check(np.random.default_rng(0))
-    assert max(worst.values()) <= 1e-10
-
-
 # ---------------------------------------------------------------- regression backends
 
 def test_sample_mean_projects_z_targets():
@@ -406,6 +396,20 @@ def test_partition_regression_piecewise_means():
 def test_state_regression_requires_state():
     with pytest.raises(ValueError):
         _projector(("poly", 2), None, 1)
+
+
+def test_sample_mean_rejects_state_dependent_data():
+    """The pathwise value update of sample-mean holds only for state-free
+    data.  On a reflected ensemble it used to return a Y_0 that spread across
+    paths where the true Y_0 is deterministic."""
+    grid = TimeGrid.uniform(0, 1, 50)
+    noise = generate_paths(grid, 2, 200, seed=3, shared_backward=True)
+    state = simulate_reflected(unit_ball(2), 0.0, 1.0, (0.0, np.zeros(2)), noise)
+    cfg = SolverConfig(grid, regression="sample-mean")
+    with pytest.raises(ValueError, match="sample-mean"):
+        solve_penalized(_coeffs(g=lambda t, x, y: np.full_like(y, 0.1)), ZERO, ZERO, cfg, state)
+    with pytest.raises(ValueError, match="sample-mean"):
+        solve_penalized(_coeffs(terminal=lambda x: np.sum(x * x, axis=-1)), ZERO, ZERO, cfg, noise)
 
 
 def test_markov_solve_with_reflected_state():
