@@ -146,16 +146,15 @@ def _solve_scenario(scn: Scenario):
 
 def cmd_solve(scn: Scenario, out_dir: str, quiet: bool) -> int:
     run, sol = _solve_scenario(scn)
-    # node-major copies, so each node's mean is the pairwise sum over its paths as a 1-d np.mean;
-    # a pass takes as many nodes as keep each copy near 64 KiB, so the peak memory stays put
-    rows, width = [], max(1, 8192 // run.n_paths)
-    for j in range(0, len(scn.grid.nodes), width):
-        c = slice(j, j + width)
-        y, abs_z, u, v, a = (np.ascontiguousarray(q.T) for q in (
-            sol.Y[:, c, 0], np.linalg.norm(sol.Z[:, c, 0], axis=-1), sol.U[:, c, 0], sol.V[:, c, 0], run.A[:, c]))
-        rows += zip(scn.grid.nodes[c].tolist(), y.mean(axis=1).tolist(), y.std(axis=1).tolist(),
-                    abs_z.mean(axis=1).tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
-                    a.mean(axis=1).tolist())
+    A = run.A
+    del run  # frees the noise, so the whole-array temporaries below fit in the memory it held
+    # node-major arrays: each node's paths are one contiguous row of q.T, so its mean is the
+    # pairwise sum of a 1-d np.mean
+    y, abs_z, u, v, a = (q.T for q in (
+        sol.Y[:, :, 0], np.linalg.norm(sol.Z[:, :, 0], axis=-1), sol.U[:, :, 0], sol.V[:, :, 0], A))
+    rows = zip(scn.grid.nodes.tolist(), y.mean(axis=1).tolist(), y.std(axis=1).tolist(),
+               abs_z.mean(axis=1).tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
+               a.mean(axis=1).tolist())
     _write_csv(os.path.join(out_dir, "solve.csv"),
                ["t", "mean_Y", "std_Y", "mean_abs_Z", "mean_U", "mean_V", "mean_A"], rows)
     lines = [f"solve: scenario {scn.name!r}, scheme {scn.solver.scheme}, eps {scn.solver.eps:g}",

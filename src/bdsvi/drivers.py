@@ -69,7 +69,13 @@ class TimeGrid:
 class PathBundle:
     """One ensemble of the equation: per-path increments of (W, B), node
     samples of the increasing A and, for a reflected ensemble, its state X
-    (A is then the boundary local time of X)."""
+    (A is then the boundary local time of X).
+
+    The shapes put paths first, but the arrays the package builds are stored
+    node-major (time axis outermost in memory), so the per-node slice
+    arr[:, i] that the forward and backward loops read is one contiguous
+    block.  No consumer may assume C-contiguous path-major storage; a bundle
+    built by hand in any layout gives the same numbers, only more slowly."""
 
     grid: TimeGrid
     dW: np.ndarray  # (n_paths, n_steps, d)
@@ -88,6 +94,12 @@ class PathBundle:
     @property
     def dA(self) -> np.ndarray:
         return np.diff(self.A, axis=1)
+
+
+def _node_major(n_paths: int, n_nodes: int, *tail: int) -> np.ndarray:
+    """A zero float array of shape (n_paths, n_nodes, *tail) whose time axis
+    is outermost in memory, so each [:, i] is C-contiguous."""
+    return np.zeros((n_nodes, n_paths) + tail).swapaxes(0, 1)
 
 
 def load_a_table(path) -> Callable[[np.ndarray], np.ndarray]:
@@ -154,20 +166,27 @@ def generate_paths(
     n_steps = grid.n_steps
     sqdt = np.sqrt(grid.dt)[:, None]
 
+    # standard_normal(out=) fills only contiguous blocks: draw a few paths into a buffer of about
+    # 256 KiB, then scale it into place, so each node takes one contiguous run of them per block
+    buf = np.empty((max(1, min(n_paths, 32768 // max(1, n_steps * d))), n_steps, d))
+
     def per_path(tag):
-        z = np.empty((n_paths, n_steps, d))
-        for i in range(n_paths):
-            _stream(seed, tag, i).standard_normal((n_steps, d), out=z[i])
-        z *= sqdt
+        z = _node_major(n_paths, n_steps, d)
+        for i0 in range(0, n_paths, len(buf)):
+            block = buf[:n_paths - i0]
+            for j, row in enumerate(block):
+                _stream(seed, tag, i0 + j).standard_normal((n_steps, d), out=row)
+            np.multiply(block, sqdt, out=z[i0:i0 + len(block)])
         return z
 
     dW = per_path("W")
     if shared_backward:
-        dB = np.repeat(_stream(seed, "B_SHARED", 0).standard_normal((1, n_steps, d)) * sqdt, n_paths, axis=0)
+        dB = _node_major(n_paths, n_steps, d)
+        dB[:] = _stream(seed, "B_SHARED", 0).standard_normal((n_steps, d)) * sqdt
     else:
         dB = per_path("B")
 
-    A = np.zeros((n_paths, n_steps + 1))
+    A = _node_major(n_paths, n_steps + 1)
     if a_spec is not None:
         vals = np.asarray(a_spec(grid.nodes), dtype=float)
         if np.any(np.diff(vals) < 0):

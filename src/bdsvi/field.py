@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .convex import ConvexFunction, yosida_gradient
-from .drivers import PathBundle, TimeGrid, _stream
+from .drivers import PathBundle, TimeGrid, _node_major, _stream
 from .reflected import DomainSpec, _coefficients, simulate_reflected
 from .solver import CoefficientSet, SolverConfig, _backward_sweep, _terminal_values
 
@@ -114,8 +114,10 @@ def sample_field(
                 per_draw[draw, it] = _terminal_values(coeffs, npts, fgrid.points)[:, 0]
                 continue
             sub = TimeGrid(nodes[j0:])
-            dW = np.concatenate([_stream(seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d))
-                                 for jp in range(npts)]) * sqdt[j0:]
+            dW = _node_major(npts * n_paths, sub.n_steps, d)
+            for jp in range(npts):
+                np.multiply(_stream(seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d)),
+                            sqdt[j0:], out=dW[jp * n_paths:(jp + 1) * n_paths])
             noise = PathBundle(sub, dW, np.broadcast_to(db_master[j0:], dW.shape),
                                np.broadcast_to(0.0, (len(dW), sub.n_steps + 1)))
             ens = simulate_reflected(domain, b, sigma, (sub.t0, starts), noise)

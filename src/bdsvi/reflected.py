@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .drivers import PathBundle
+from .drivers import PathBundle, _node_major
 
 __all__ = [
     "DomainSpec",
@@ -132,15 +132,18 @@ def ellipsoid(semi_axes) -> DomainSpec:
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     def project(x):
-        # p = a^2 x / (a^2 + lam), lam the root of F = sum a^2 x^2 / (a^2 + lam)^2 - 1.  F is convex
-        # and decreasing on lam >= 0 and F(0) > 0 outside, so Newton from 0 rises to the root
-        # (Eberly, "Distance from a point to an ellipse, an ellipsoid, or a hyperellipsoid")
-        ax2, lam = a2 * x * x, np.zeros(x.shape[:-1] + (1,))
+        # p = a^2 x / (a^2 + lam) = a r, lam the root of F = sum r^2 - 1 with r = a x / (a^2 + lam)
+        # (Eberly, "Distance from a point to an ellipse, an ellipsoid, or a hyperellipsoid").  F is
+        # convex and decreasing on lam >= 0, and r_k^2 <= F + 1 = 1 at the root bounds it below by
+        # max(0, max_k a_k |x_k| - a_k^2).  Newton from that bound rises to the root with every
+        # |r_k| <= 1 on the way, so no square overflows however far out x lies
+        lam = np.maximum(np.max(a * np.abs(x) - a2, axis=-1, keepdims=True), 0.0)
         while True:
-            q = ax2 / (a2 + lam) ** 2  # F = sum q - 1, F' = -2 sum q / (a^2 + lam)
+            r = x * (a / (a2 + lam))
+            q = r * r  # F = sum q - 1, F' = -2 sum q / (a^2 + lam)
             step = (np.sum(q, axis=-1, keepdims=True) - 1.0) / (2.0 * np.sum(q / (a2 + lam), axis=-1, keepdims=True))
             if not np.any(lam + step > lam):
-                return a2 * x / (a2 + lam)
+                return a * r
             lam = np.maximum(lam + step, lam)
 
     return DomainSpec(level, gradient, hessian, (-a, a), d, project, f"ellipsoid({a.tolist()})")
@@ -174,6 +177,15 @@ def _generator(sig, bv, grad, hess):
     return 0.5 * np.einsum("...ij,...kj,...ik->...", sig, sig, hess) + np.einsum("...i,...i->...", bv, grad)
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """|v| over the last axis.  v is scaled by a power of two before it is
+    squared, so no square overflows, and wherever sqrt(sum v^2) does not
+    overflow or underflow the scaling is exact and the result the same."""
+    e = np.frexp(np.max(np.abs(v), axis=-1))[1]
+    w = np.ldexp(v, -e[..., None])
+    return np.ldexp(np.sqrt(np.einsum("...i,...i->...", w, w)), e)
+
+
 def _project_out(domain: DomainSpec, x_star: np.ndarray):
     """Map points with level < 0 to their Euclidean projection p.
 
@@ -188,12 +200,12 @@ def _project_out(domain: DomainSpec, x_star: np.ndarray):
     xv = x_star[viol]
     p = domain.project(xv)
     gap = p - xv
-    dist = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+    dist = _norm(gap)
     todo = np.flatnonzero(domain.level(p) < 0.0)
     if todo.size:  # move on along p - x*, or toward the centre where x* is so close that p = x*
         lo, hi = domain.bounding_box
         gap = np.where(dist[todo, None] > 0.0, gap[todo], 0.5 * (lo + hi) - p[todo])
-        step = gap * (np.spacing(np.abs(xv[todo]).max(axis=-1)) / np.sqrt(np.einsum("ij,ij->i", gap, gap)))[:, None]
+        step = gap * (np.spacing(np.abs(xv[todo]).max(axis=-1)) / _norm(gap))[:, None]
         for _ in range(_PUSH_ROUNDS):
             p[todo] += step
             still = domain.level(p[todo]) < 0.0
@@ -234,8 +246,8 @@ def simulate_reflected(
     if np.any(domain.level(x0) < -_BOUNDARY_TOL):
         raise ValueError("start point lies outside the closure of the domain")
     n_paths, d = noise.n_paths, domain.d
-    X = np.empty((n_paths, grid.n_steps + 1, d))
-    A = np.zeros((n_paths, grid.n_steps + 1))
+    X = _node_major(n_paths, grid.n_steps + 1, d)
+    A = _node_major(n_paths, grid.n_steps + 1)
     X[:, 0] = x0
     scalar_sigma = not callable(sigma) and np.ndim(sigma) == 0
     for i in range(grid.n_steps):
@@ -278,7 +290,7 @@ def local_time_identity_residual(path: PathBundle, domain: DomainSpec, b, sigma)
     grid = path.grid
     n_paths, n_nodes = path.A.shape
     lv = domain.level(X)
-    recon = np.zeros((n_paths, n_nodes))
+    recon = _node_major(n_paths, n_nodes)
     acc = np.zeros(n_paths)
     for i in range(grid.n_steps):
         x = X[:, i]

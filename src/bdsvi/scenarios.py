@@ -55,9 +55,11 @@ def make_coefficients(co: dict):
 
     Each is the affine map a_y y + a_z sum(z) + c: kind zero (the default) is
     the map 0, constant the map `value`, and linear reads a_y, a_z and c, each
-    0 when absent.  g takes no z, and h repeats its value along the last axis
-    of z, as CoefficientSet expects.
+    0 when absent.  g takes no z, so an a_z on g is a ScenarioError, and h
+    repeats its value along the last axis of z, as CoefficientSet expects.
     """
+    if "a_z" in co.get("g", {}):
+        raise ScenarioError("coefficient g takes no z, so it has no a_z")
     return tuple(_affine(co.get(role, {}), role == "h") for role in ("f", "g", "h"))
 
 

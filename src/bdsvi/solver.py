@@ -34,7 +34,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .convex import AssumptionConstants, ConvexFunction, _oracle, _prox, prox
-from .drivers import PathBundle, TimeGrid
+from .drivers import PathBundle, TimeGrid, _node_major
 
 __all__ = [
     "CoefficientSet",
@@ -80,6 +80,10 @@ class SolverConfig:
 
 @dataclass
 class BdsdeSolution:
+    """Solution arrays of one backward sweep.  Y, Z, U, V and dA are stored
+    node-major like the arrays of PathBundle, so each [:, i] is contiguous;
+    no consumer may assume C-contiguous path-major storage."""
+
     grid: TimeGrid
     Y: np.ndarray  # (n_paths, n_nodes, k)
     Z: np.ndarray  # (n_paths, n_nodes, k, d)
@@ -243,10 +247,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     k = xi.shape[1]
     n_nodes = grid.n_steps + 1
 
-    Y = np.empty((rows, n_nodes, k))
-    Z = np.zeros((rows, n_nodes, k, d))
-    U = np.zeros((rows, n_nodes, k))
-    V = np.zeros((rows, n_nodes, k))
+    Y, Z, U, V = (_node_major(rows, n_nodes, *tail) for tail in ((k,), (k, d), (k,), (k,)))
     Y[:, -1] = xi
     if sample_mean:
         project = _projector("sample-mean", None, n_blocks)[0]
@@ -308,13 +309,15 @@ def _weights(grid: TimeGrid, A: np.ndarray, lam: float, mu: float) -> np.ndarray
 
 
 def _m_norm2(grid: TimeGrid, w: np.ndarray, q2: np.ndarray) -> float:
-    """E int w |q|^2 dt by trapezoid.  q2: (n_paths, n_nodes) squared norms."""
-    return float(np.mean(np.trapezoid(w * q2, grid.nodes, axis=1)))
+    """E int w |q|^2 dt by trapezoid.  q2: (n_paths, n_nodes) squared norms.
+    The node sums run on a path-major copy, so their order of addition does
+    not follow the layout of the solution arrays (here and in _mbar_norm2)."""
+    return float(np.mean(np.trapezoid(np.ascontiguousarray(w * q2), grid.nodes, axis=1)))
 
 
 def _mbar_norm2(w: np.ndarray, q2: np.ndarray, dA: np.ndarray) -> float:
     v = w * q2
-    return float(np.mean(np.sum(0.5 * (v[:, :-1] + v[:, 1:]) * dA, axis=1)))
+    return float(np.mean(np.sum(np.ascontiguousarray(0.5 * (v[:, :-1] + v[:, 1:]) * dA), axis=1)))
 
 
 def weighted_norms(sol: BdsdeSolution, lam: float, mu: float, A: Optional[np.ndarray] = None) -> dict:

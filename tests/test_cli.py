@@ -190,8 +190,8 @@ def test_rerun_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("name", ["ball.yaml", "zero.yaml"])
 def test_solve_csv_matches_per_node_reductions(tmp_path, name):
-    """solve.csv reduces node-major copies, 8 nodes per pass at 1000 paths;
-    each value equals the per-node 1-d reduction bit for bit."""
+    """solve.csv reduces whole node-major arrays at once; each value equals
+    the per-node 1-d reduction bit for bit."""
     overrides = {"paths": 1000, "steps": 12, "seed": 4}
     assert run(["solve", "--scenario", _scn(name), "--out", str(tmp_path), "--quiet"]
                + [f"--{k}={v}" for k, v in overrides.items()]) == 0
@@ -244,6 +244,14 @@ def test_explicit_scheme_past_its_stability_bound_is_numerical_error(tmp_path, c
     assert run(["solve", "--scenario", p, "--steps", str(steps), "--out", str(tmp_path), "--quiet"]) == code
     err = capsys.readouterr().err
     assert ('"error": "numerical"' in err and "max dt / min eps = 100 > 1" in err) == (code == 3)
+
+
+def test_a_z_on_g_is_validation_error(tmp_path, capsys):
+    """g takes no z, so an a_z on it is rejected (exit 2), not silently dropped."""
+    p = _variant(tmp_path, "zero.yaml", lambda raw: raw["coefficients"].update(
+        g={"kind": "linear", "a_y": 1.0, "a_z": 5.0}))
+    assert run(["solve", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
+    assert "no a_z" in capsys.readouterr().err
 
 
 def test_field_without_domain_is_validation_error(tmp_path):

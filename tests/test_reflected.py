@@ -178,14 +178,19 @@ def test_reflected_bundle_shares_its_noise():
 def test_far_out_ellipsoid_point_is_outside(scale):
     """Far outside the ellipsoid the squares of the raw level overflow.  The
     level still reads -1 there with no warning, so a runaway Euler step is
-    not taken for an inside point and passed through with delta = 0."""
+    not taken for an inside point and passed through with delta = 0.  The
+    projection squares no coordinate of x either: with no warning it lands
+    on the boundary point whose normal is parallel to (1, 1), and delta is
+    the distance to it."""
     dom = ellipsoid([2.0, 0.5])
     x = np.array([[scale, scale]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert dom.level(x)[0] == -1.0
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="did not reach the closed domain"):
-        _project_out(dom, x)
+        out, delta = _project_out(dom, x)
+    assert dom.level(out)[0] >= 0.0
+    assert np.max(np.abs(out[0] - np.array([16.0, 1.0]) / np.sqrt(68.0))) <= 1e-13
+    assert delta[0] == pytest.approx(np.hypot(*(x[0] - out[0])), rel=1e-15)
 
 
 @pytest.mark.parametrize("dom", [unit_ball(2), ellipsoid([2.0, 0.5])], ids=lambda dom: dom.name)

@@ -431,3 +431,53 @@ def test_markov_solve_with_reflected_state():
                                generate_paths(grid, 1, 200, seed=2, shared_backward=True))
     with pytest.raises(ValueError, match="state ensemble"):  # neither the noise rows nor one block of them
         solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=("poly", 2)), replace(state, X=short.X))
+
+
+# ---------------------------------------------------------------- storage layout
+
+def _path_major(bundle):
+    """The bundle with each array copied C-contiguous, paths outermost."""
+    arrays = {name: np.ascontiguousarray(getattr(bundle, name)) for name in ("dW", "dB", "A", "X")
+              if getattr(bundle, name) is not None}
+    return replace(bundle, **arrays)
+
+
+def _node_slices_contiguous(a):
+    return all(a[:, i].flags.c_contiguous for i in range(a.shape[1]))
+
+
+@pytest.mark.parametrize("regression, scheme", [
+    (("poly", 2), "implicit-prox"), (("partition", 4), "implicit-prox"),
+    ("sample-mean", "implicit-prox"), (("poly", 2), "explicit-yosida"),
+], ids=["poly", "partition", "sample-mean", "explicit-yosida"])
+def test_node_major_storage_matches_path_major_copies(regression, scheme):
+    """generate_paths, simulate_reflected and solve_penalized store their
+    arrays node-major, so every [:, i] is C-contiguous.  Path-major copies of
+    the same bundle give the same X, A, Y, Z, U and V bit for bit: a bundle
+    built by hand in either layout gets the same numbers."""
+    grid = TimeGrid.uniform(0, 1, 40)
+    state_free = regression == "sample-mean"
+    noise = generate_paths(grid, 2, 60, seed=7, shared_backward=not state_free,
+                           a_spec=(lambda t: np.asarray(t, float)) if state_free else None)
+    assert all(_node_slices_contiguous(a) for a in (noise.dW, noise.dB, noise.A))
+    copy = _path_major(noise)
+    assert not copy.dW[:, 0].flags.c_contiguous and np.array_equal(copy.dW, noise.dW)
+    if not state_free:
+        dom = unit_ball(2)
+        noise, ref = (simulate_reflected(dom, 0.3, 1.0, (0.0, np.zeros(2)), b) for b in (noise, copy))
+        assert _node_slices_contiguous(noise.X) and _node_slices_contiguous(noise.A)
+        assert np.array_equal(noise.X, ref.X) and np.array_equal(noise.A, ref.A)
+        assert np.any(noise.A[:, -1] > 0.0)
+        copy = _path_major(noise)
+    coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.2 * z[..., 0] + (0 if x is None else 0.1 * x[:, :1]),
+                     g=lambda t, x, y: 0.4 + 0.1 * y,
+                     h=lambda t, x, y, z: 0.3 * y[..., None] * np.ones(z.shape[-1]),
+                     terminal=0.8 if state_free else (lambda x: np.sum(x * x, axis=-1)))
+    cfg = SolverConfig(grid, eps=0.05, scheme=scheme, regression=regression)
+    phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
+    sol, ref = (solve_penalized(coeffs, phi, psi, cfg, b) for b in (noise, copy))
+    assert np.max(np.abs(sol.U[:, :-1])) > 0.0 and np.max(np.abs(sol.V[:, :-1])) > 0.0
+    for name in ("Y", "Z", "U", "V", "dA"):
+        assert _node_slices_contiguous(getattr(sol, name)), name
+        assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+    assert sol.condition_numbers == ref.condition_numbers
