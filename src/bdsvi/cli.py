@@ -71,8 +71,8 @@ def _status(ok):
 
 
 def cmd_prox_check(scn: Scenario, out_dir: str, quiet: bool) -> int:
-    """Resolvent/gradient law suite over the built-in catalog plus the
-    scenario's own (phi, psi)."""
+    """Resolvent/gradient law suite over a fixed catalog of five functions;
+    the scenario's own (phi, psi) are not checked, only its seed is used."""
     names = ["zero", "quadratic(1.0)", "abs", "indicator_box(-1,1)", "hinge_sq"]
     tol = 1e-9
     lines = ["prox-check: resolvent nonexpansiveness, gradient Lipschitz/monotone laws,"
@@ -122,11 +122,10 @@ def cmd_sde_sim(scn: Scenario, out_dir: str, quiet: bool) -> int:
     lv = scn.domain.level(run.X)
     contained = float(np.min(lv))
     res = local_time_identity_residual(run, scn.domain, scn.drift, scn.sigma)
-    rows = []
-    for j, t in enumerate(scn.grid.nodes):
-        rows.append((float(t),
-                     float(np.mean(lv[:, j])), float(np.min(lv[:, j])),
-                     float(np.mean(run.A[:, j])), float(np.max(run.A[:, j]))))
+    # node-major arrays: each node's paths are one contiguous row of lv.T and run.A.T
+    lv_t, a_t = lv.T, run.A.T
+    rows = zip(scn.grid.nodes.tolist(), lv_t.mean(axis=1).tolist(), lv_t.min(axis=1).tolist(),
+               a_t.mean(axis=1).tolist(), a_t.max(axis=1).tolist())
     _write_csv(os.path.join(out_dir, "sde_sim.csv"),
                ["t", "mean_level", "min_level", "mean_A", "max_A"], rows)
     ok = contained >= -1e-12
@@ -140,18 +139,15 @@ def cmd_sde_sim(scn: Scenario, out_dir: str, quiet: bool) -> int:
 
 
 def _solve_scenario(scn: Scenario):
-    run = _build_run(scn)
-    return run, solve_penalized(scn.coeffs, scn.phi, scn.psi, scn.solver, run)
+    return solve_penalized(scn.coeffs, scn.phi, scn.psi, scn.solver, _build_run(scn))
 
 
 def cmd_solve(scn: Scenario, out_dir: str, quiet: bool) -> int:
-    run, sol = _solve_scenario(scn)
-    A = run.A
-    del run  # frees the noise, so the whole-array temporaries below fit in the memory it held
+    sol = _solve_scenario(scn)  # holds only the A of its noise, so the temporaries below reuse the rest
     # node-major arrays: each node's paths are one contiguous row of q.T, so its mean is the
     # pairwise sum of a 1-d np.mean
     y, abs_z, u, v, a = (q.T for q in (
-        sol.Y[:, :, 0], np.linalg.norm(sol.Z[:, :, 0], axis=-1), sol.U[:, :, 0], sol.V[:, :, 0], A))
+        sol.Y[:, :, 0], np.linalg.norm(sol.Z[:, :, 0], axis=-1), sol.U[:, :, 0], sol.V[:, :, 0], sol.A))
     rows = zip(scn.grid.nodes.tolist(), y.mean(axis=1).tolist(), y.std(axis=1).tolist(),
                abs_z.mean(axis=1).tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
                a.mean(axis=1).tolist())
@@ -224,10 +220,10 @@ def cmd_field(scn: Scenario, out_dir: str, quiet: bool) -> int:
 def cmd_report(scn: Scenario, out_dir: str, quiet: bool) -> int:
     """Full diagnostic pass: solve, weighted norms, penalization energies,
     and the subgradient-inequality audit."""
-    run, sol = _solve_scenario(scn)
+    sol = _solve_scenario(scn)
     c = scn.coeffs.constants
     wr = validate_weights(c)
-    norms = weighted_norms(sol, c.lam, c.mu, A=run.A)
+    norms = weighted_norms(sol, c.lam, c.mu)
     diag = penalization_diagnostics(sol, scn.phi, scn.psi, max(scn.solver.eps, 1e-12), c.lam, c.mu)
     test_points = scn.raw.get("vi_test_points", [-1.0, 0.0, 0.25, 0.5])
     vi = verify_vi_inclusion(sol, scn.phi, scn.psi, test_points)

@@ -31,6 +31,7 @@ __all__ = [
 # golden-section ratio 1/phi for the k = 1 prox search
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _BLOCK_1D = 4096
+_RESOLUTION = 1e-8  # the grid prox oracle's final lattice spacing (k = 2) or 100x its bracket (k = 1)
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,10 @@ def yosida_gradient(theta: ConvexFunction, eps, x) -> np.ndarray:
     if np.any(eps == 0.0):
         raise ValueError("yosida_gradient requires eps > 0")
     j = _prox(theta, eps, x)
-    return (x - j) / eps[..., None] if eps.ndim else (x - j) / eps
+    return (x - j) / eps[..., None]
 
 
-def grid_prox_oracle(theta: ConvexFunction, eps, x, resolution: float = 1e-8) -> np.ndarray:
+def grid_prox_oracle(theta: ConvexFunction, eps, x) -> np.ndarray:
     """Minimizer of F(y) = 0.5|x-y|^2 + eps*theta(y) over domain_hint, by search.
 
     Restricted to k <= 2.  Both paths start from a lattice over domain_hint
@@ -169,17 +170,17 @@ def grid_prox_oracle(theta: ConvexFunction, eps, x, resolution: float = 1e-8) ->
 
     k = 1: F is convex, so its minimizer lies within one cell of the lattice
     argmin.  That bracket is shrunk by golden section to a width of at most
-    resolution/100, and the best evaluated point is returned.
+    1e-10, and the best evaluated point is returned.
     k = 2: the lattice is refined in stages (each stage keeps a window of a
     few coarse cells around the current minimizer) down to a spacing of at
-    most resolution, and the lattice minimizer is returned.
+    most 1e-8, and the lattice minimizer is returned.
 
     The search compares values of F only.  Near a smooth minimizer y*, F
     exceeds its minimum F* by only 0.5*c*|y - y*|^2 (c >= 1 the curvature),
     which rounding to a few ulps of |F*| cannot resolve: the floor is about
     sqrt(8*ulp(|F*|)/c), about 6e-8 for |F*| ~ 3.  So the k = 1 result lies
-    within resolution/100 plus this floor of y*.  The k = 2 lattice meets the
-    same floor, so its error is of the order of resolution plus the floor
+    within 1e-10 plus this floor of y*.  The k = 2 lattice meets the same
+    floor, so its error is of the order of its spacing plus the floor
     (about 4e-8 from the catalog's closed forms).  The gradient laws of
     prox_property_suite divide that error by eps, so on this oracle they
     read up to about 1.2e-5 at k = 2 and eps >= 1e-3; a 1e-5 law bound holds
@@ -188,8 +189,6 @@ def grid_prox_oracle(theta: ConvexFunction, eps, x, resolution: float = 1e-8) ->
     eps, x = _check_prox_args(eps, x)
     if theta.domain_hint is None:
         raise ValueError(f"grid oracle for {theta.label!r} needs a domain_hint")
-    if not resolution > 0.0:
-        raise ValueError(f"resolution must be > 0, got {resolution}")
     k = x.shape[-1]
     if k > 2:
         raise ValueError(f"grid oracle supports k <= 2, got k={k}")
@@ -203,7 +202,7 @@ def grid_prox_oracle(theta: ConvexFunction, eps, x, resolution: float = 1e-8) ->
         out = np.empty_like(x1)
         for s in range(0, x1.size, _BLOCK_1D):
             blk = slice(s, s + _BLOCK_1D)
-            out[blk] = _golden_prox_1d(theta, eps1[blk], x1[blk], lo[0], hi[0], resolution / 100.0)
+            out[blk] = _golden_prox_1d(theta, eps1[blk], x1[blk], lo[0], hi[0], _RESOLUTION / 100.0)
         return out.reshape(batch + (1,))
 
     lo_b = np.broadcast_to(lo, batch + (k,)).copy()
@@ -227,7 +226,7 @@ def grid_prox_oracle(theta: ConvexFunction, eps, x, resolution: float = 1e-8) ->
             np.max((hi_b[..., 0] - lo_b[..., 0]) / (n_pts - 1)),
             np.max((hi_b[..., 1] - lo_b[..., 1]) / (n_pts - 1)),
         )
-        if step <= resolution:
+        if step <= _RESOLUTION:
             return np.stack([best0, best1], axis=-1)
         for dim, best in ((0, best0), (1, best1)):
             half = 2.0 * (hi_b[..., dim] - lo_b[..., dim]) / (n_pts - 1)
@@ -277,13 +276,12 @@ def prox_property_suite(
     theta: ConvexFunction,
     n_samples: int,
     seed: int,
-    span: float = 3.0,
-    eps_range: tuple = (1e-3, 1.0),
     k: int = 1,
 ) -> dict:
     """Worst violations of the resolvent/gradient laws on random samples.
 
-    Checks, for random x, y in [-span, span]^k and log-uniform eps, delta:
+    Checks, for random x, y in [-3, 3]^k and eps, delta log-uniform in
+    [1e-3, 1]:
       nonexpansive     |J_eps(x) - J_eps(y)| <= |x - y|
       lipschitz        |grad theta_eps(x) - grad theta_eps(y)| <= |x-y|/eps
       monotone         <grad theta_eps(x) - grad theta_eps(y), x-y> >= 0
@@ -297,9 +295,9 @@ def prox_property_suite(
     Returns a dict of worst signed violations (<= 0 means the law holds).
     """
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-span, span, (n_samples, k))
-    y = rng.uniform(-span, span, (n_samples, k))
-    lo, hi = np.log10(eps_range[0]), np.log10(eps_range[1])
+    x = rng.uniform(-3.0, 3.0, (n_samples, k))
+    y = rng.uniform(-3.0, 3.0, (n_samples, k))
+    lo, hi = -3.0, 0.0  # log10 of the eps range
     eps = 10.0 ** rng.uniform(lo, hi, n_samples)
     delta = 10.0 ** rng.uniform(lo, hi, n_samples)
 
@@ -324,7 +322,7 @@ def prox_property_suite(
     finite = np.isfinite(tx)
     worst["sandwich_upper"] = float(np.max(env[finite] / eps[finite] - tx[finite])) if np.any(finite) else 0.0
     sub = -np.inf
-    for r in (np.full(k, -0.5 * span), np.zeros(k), np.full(k, 0.5 * span)):
+    for r in (np.full(k, -1.5), np.zeros(k), np.full(k, 1.5)):
         tr = float(theta.evaluate(r))
         vio = np.sum(gx * (r - jx), -1) + t_jx - tr
         sub = max(sub, float(np.max(vio)))
@@ -340,7 +338,6 @@ class CompatibilityReport:
     worst_i: float
     worst_ii: float
     worst_iii: float
-    tolerance: float
 
     @property
     def worst(self) -> float:
@@ -354,7 +351,6 @@ def check_compatibility(
     g: Callable,
     eps_ladder,
     samples,
-    tolerance: float = 1e-9,
 ) -> CompatibilityReport:
     """Sampled validator of the three coupling inequalities between phi, psi
     and the coefficients:
@@ -364,8 +360,8 @@ def check_compatibility(
         (iii) <grad psi_eps(y), f(t,y,z)> <= <grad phi_eps(y), f(t,y,z)>^+
 
     samples is an iterable of (t, y, z) with y, z arrays of shape (k,),
-    (k, d).  Worst positive violations are reported; pass iff all are within
-    tolerance.  This is a spot check on the given samples, not a proof.
+    (k, d).  Worst positive violations are reported; pass iff all are at
+    most 1e-9.  This is a spot check on the given samples, not a proof.
     """
     worst = [0.0, 0.0, 0.0]
     for eps in eps_ladder:
@@ -383,11 +379,10 @@ def check_compatibility(
             rhs = max(float(np.dot(gp, fv)), 0.0)
             worst[2] = max(worst[2], lhs - rhs)
     return CompatibilityReport(
-        ok=max(worst) <= tolerance,
+        ok=max(worst) <= 1e-9,
         worst_i=worst[0],
         worst_ii=worst[1],
         worst_iii=worst[2],
-        tolerance=tolerance,
     )
 
 
@@ -412,7 +407,7 @@ def _quadratic(a: float = 1.0) -> ConvexFunction:
         return 0.5 * a * np.sum(x * x, axis=-1)
 
     def px(eps, x):
-        return x / (1.0 + np.asarray(eps)[..., None] * a) if np.ndim(eps) else x / (1.0 + eps * a)
+        return x / (1.0 + np.asarray(eps)[..., None] * a)
 
     return ConvexFunction(ev, px, (-10.0, 10.0), f"quadratic({a})")
 
@@ -422,8 +417,7 @@ def _abs() -> ConvexFunction:
         return np.sum(np.abs(x), axis=-1)
 
     def px(eps, x):
-        e = np.asarray(eps)[..., None] if np.ndim(eps) else eps
-        return np.sign(x) * np.maximum(np.abs(x) - e, 0.0)
+        return np.sign(x) * np.maximum(np.abs(x) - np.asarray(eps)[..., None], 0.0)
 
     return ConvexFunction(ev, px, (-10.0, 10.0), "abs")
 
@@ -451,8 +445,7 @@ def _hinge_sq() -> ConvexFunction:
         return np.sum(np.maximum(x, 0.0) ** 2, axis=-1)
 
     def px(eps, x):
-        e = np.asarray(eps)[..., None] if np.ndim(eps) else eps
-        return np.where(x > 0.0, x / (1.0 + 2.0 * e), x)
+        return np.where(x > 0.0, x / (1.0 + 2.0 * np.asarray(eps)[..., None]), x)
 
     return ConvexFunction(ev, px, (-10.0, 10.0), "hinge_sq")
 

@@ -40,18 +40,18 @@ class FieldGrid:
 
     times: np.ndarray          # (nt,)
     points: np.ndarray         # (npts, d)
-    boundary_mask: np.ndarray  # (npts,) True where |level| <= tol
+    boundary_mask: np.ndarray  # (npts,) True where |level| <= 1e-7
 
     @classmethod
-    def build(cls, domain: DomainSpec, times, points, tol: float = 1e-7) -> "FieldGrid":
+    def build(cls, domain: DomainSpec, times, points) -> "FieldGrid":
         times = np.asarray(times, dtype=float)
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != domain.d:
-            points = points.reshape(-1, domain.d)
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != domain.d:
+            raise ValueError(f"lattice points must have shape (n, {domain.d}), got {points.shape}")
         lv = domain.level(points)
         if np.any(lv < -_TOL):
             raise ValueError("lattice point outside the closure of the domain")
-        return cls(times, points, np.abs(lv) <= tol)
+        return cls(times, points, np.abs(lv) <= 1e-7)
 
 
 @dataclass
@@ -85,9 +85,10 @@ def sample_field(
 ) -> FieldEstimate:
     """Estimate u(t, x) at every lattice node.
 
-    Lattice times are snapped to the master grid of the solver config.  The
-    backward increments of one draw are generated once on the master grid and
-    shared by every path and lattice node (common noise).  Node (draw, it, jp)
+    Lattice times are snapped up to the master grid of the solver config,
+    and the estimate's grid carries the snapped times.  The backward
+    increments of one draw are generated once on the master grid and shared
+    by every path and lattice node (common noise).  Node (draw, it, jp)
     draws its forward increments as one (n_paths, steps, d) block from its own
     stream, path p on row p, so a node's paths are prefix-stable in n_paths.
     The nodes of one lattice time run as one stacked ensemble (point jp on
@@ -129,7 +130,7 @@ def sample_field(
     within = np.sqrt(np.mean(per_draw_se ** 2, axis=0) / n_b_draws)
     across = np.std(per_draw, axis=0, ddof=1) / np.sqrt(n_b_draws) if n_b_draws > 1 else 0.0
     stderr = np.sqrt(within ** 2 + np.square(across))
-    return FieldEstimate(fgrid, values, stderr, per_draw, n_paths)
+    return FieldEstimate(replace(fgrid, times=nodes[t_index]), values, stderr, per_draw, n_paths)
 
 
 def continuity_diagnostic(fld: FieldEstimate) -> dict:

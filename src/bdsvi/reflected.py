@@ -57,7 +57,8 @@ def unit_ball(d: int, radius: float = 1.0) -> DomainSpec:
     r = float(radius)
 
     def level(x):
-        return (r * r - np.sum(x * x, axis=-1)) / (2.0 * r)
+        with np.errstate(over="ignore"):  # far out |x|^2 overflows, and the level reads -inf
+            return (r * r - np.sum(x * x, axis=-1)) / (2.0 * r)
 
     def gradient(x):
         return -x / r
@@ -66,7 +67,7 @@ def unit_ball(d: int, radius: float = 1.0) -> DomainSpec:
         return np.broadcast_to(-np.eye(d) / r, x.shape[:-1] + (d, d))
 
     def project(x):
-        return x * (r / np.sqrt(np.einsum("...i,...i->...", x, x)))[..., None]
+        return x * (r / _norm(x))[..., None]
 
     return DomainSpec(level, gradient, hessian, (-r * np.ones(d), r * np.ones(d)), d, project, f"ball(d={d},r={r})")
 

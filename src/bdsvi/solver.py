@@ -6,11 +6,10 @@ the chosen conditional-expectation estimator, the Z component is extracted
 from the correlation with the forward increments, and the penalization is
 applied either explicitly (Yosida gradient step) or implicitly (resolvent
 step, the stable surrogate of the small-eps limit).  The estimator is fitted
-once per node and shared by the Z and Y targets, and once for all blocks
-when they share one state ensemble; for ``poly`` its condition number is
-s_max/s_min of the worst block's design.  The state-free ``sample-mean``
-estimator and the explicit scheme's resolvent oracles are resolved once per
-sweep, not per step.
+once per node and shared by the Z and Y targets; for ``poly`` its condition
+number is s_max/s_min of the worst block's design.  The state-free
+``sample-mean`` estimator and the explicit scheme's resolvent oracles are
+resolved once per sweep, not per step.
 
 Conditional expectations:
 
@@ -80,24 +79,25 @@ class SolverConfig:
 
 @dataclass
 class BdsdeSolution:
-    """Solution arrays of one backward sweep.  Y, Z, U, V and dA are stored
+    """Solution arrays of one backward sweep.  Y, Z, U and V are stored
     node-major like the arrays of PathBundle, so each [:, i] is contiguous;
-    no consumer may assume C-contiguous path-major storage."""
+    no consumer may assume C-contiguous path-major storage.  A is a view of
+    the A of the bundle that drove the sweep, and dA its increments as the
+    sweep applied them."""
 
     grid: TimeGrid
     Y: np.ndarray  # (n_paths, n_nodes, k)
     Z: np.ndarray  # (n_paths, n_nodes, k, d)
     U: np.ndarray  # (n_paths, n_nodes, k)
     V: np.ndarray  # (n_paths, n_nodes, k)
-    dA: np.ndarray  # (n_paths, n_steps)
+    A: np.ndarray  # (n_paths, n_nodes)
     config: SolverConfig
     condition_numbers: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def A(self) -> np.ndarray:
-        n_paths = self.dA.shape[0]
-        return np.concatenate([np.zeros((n_paths, 1)), np.cumsum(self.dA, axis=1)], axis=1)
+    def dA(self) -> np.ndarray:  # (n_paths, n_steps)
+        return np.maximum(np.diff(self.A, axis=1), 0.0)
 
 
 def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
@@ -118,12 +118,10 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
 
     sample-mean maps targets (blocks * n, m) to each block's mean.  For
     poly/partition, x_state holds `blocks` stacked ensembles of n rows,
-    (blocks * n, d), and each block is fitted on its own rows.  project maps
-    targets (B * n, m) row for row to their fitted values: target block b is
-    fitted on state block b when B = blocks, and every target block on the
-    one state when blocks = 1 (a state shared by all blocks is fitted once).
-    cond is the worst block's s_max/s_min of its poly design (inf when
-    s_min = 0; None for the other estimators).
+    (blocks * n, d), and project maps targets (blocks * n, m) row for row to
+    their fitted values, target block b fitted on state block b.  cond is the
+    worst block's s_max/s_min of its poly design (inf when s_min = 0; None
+    for the other estimators).
     """
     if spec == "sample-mean":
         def project(t):
@@ -160,7 +158,7 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
             rows = t.reshape(-1, n, t.shape[-1])
             out = np.empty_like(rows)
             for b, block in enumerate(rows):
-                for mask in cells[b % blocks]:
+                for mask in cells[b]:
                     out[b, mask] = np.mean(block[mask], axis=0)
             return out.reshape(t.shape)
         return project, None
@@ -197,18 +195,17 @@ def solve_penalized(
           implicit-prox:    Y_i = J^psi_dA(J^phi_dt(Ytil)), with the
           multipliers read off the resolvent gaps (V_i = 0 when dA_i = 0).
     """
-    Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise)
-    return BdsdeSolution(config.grid, Y[0], Z[0], U[0], V[0], dA[0], config, conds)
+    Y, Z, U, V, A, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise)
+    return BdsdeSolution(config.grid, Y[0], Z[0], U[0], V[0], A[0], config, conds)
 
 
 def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     """The recursion of solve_penalized for B = len(eps_blocks) independent
     ensembles stacked block-major on the rows of noise.  Block b runs at
-    eps_blocks[b] and is regressed on its own rows, so it matches a solve on
-    its own.  The state noise.X holds either one ensemble per block, row for
-    row with the noise, or one ensemble shared by every block, which is then
-    fitted once per step.  Returns Y, Z, U, V, dA (clipped) of shape
-    (B, n_paths, ...) and the worst block's condition number per step.
+    eps_blocks[b] and is regressed on its own rows of the state noise.X, so
+    it matches a solve on its own.  Returns Y, Z, U, V and a view of noise.A,
+    each of shape (B, n_paths, ...), and the worst block's condition number
+    per step.
 
     What does not change from step to step is set up once here: the
     sample-mean estimator, the explicit scheme's resolvent oracles (eps > 0
@@ -237,11 +234,8 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         raise FloatingPointError(f"explicit scheme unstable: max dt / min eps = {ratio:.3g} > 1")
     n_blocks = eps.size
     n_paths = rows // n_blocks
-    X_fit, fit_blocks = X, n_blocks
     if X is not None and len(X) != rows:
-        if len(X) != n_paths:
-            raise ValueError("state ensemble must match the noise rows or one block of them")
-        X, fit_blocks = np.tile(X, (n_blocks, 1, 1)), 1
+        raise ValueError("state ensemble must match the noise rows")
 
     xi = _terminal_values(coeffs, rows, X[:, -1] if X is not None else None)
     k = xi.shape[1]
@@ -273,7 +267,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         t_next = t_nodes[i + 1]
 
         if not sample_mean:
-            project, cond = _projector(config.regression, X_fit[:, i], fit_blocks)
+            project, cond = _projector(config.regression, X[:, i], n_blocks)
             if cond is not None:
                 conds.append(cond)
         z_target = (y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d)
@@ -301,7 +295,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
             raise FloatingPointError(f"non-finite Y at step {i}")
         Y[:, i] = y_i
         Z[:, i] = z_i
-    return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V, dA)] + [conds]
+    return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V, noise.A)] + [conds]
 
 
 def _weights(grid: TimeGrid, A: np.ndarray, lam: float, mu: float) -> np.ndarray:
@@ -320,15 +314,14 @@ def _mbar_norm2(w: np.ndarray, q2: np.ndarray, dA: np.ndarray) -> float:
     return float(np.mean(np.sum(np.ascontiguousarray(0.5 * (v[:, :-1] + v[:, 1:]) * dA), axis=1)))
 
 
-def weighted_norms(sol: BdsdeSolution, lam: float, mu: float, A: Optional[np.ndarray] = None) -> dict:
+def weighted_norms(sol: BdsdeSolution, lam: float, mu: float) -> dict:
     """Monte-Carlo weighted norms with weight exp(lam*t + mu*A_t)."""
-    A = sol.A if A is None else np.asarray(A, dtype=float)
-    w = _weights(sol.grid, A, lam, mu)
+    w = _weights(sol.grid, sol.A, lam, mu)
     y2 = np.sum(sol.Y ** 2, axis=-1)
     z2 = np.sum(sol.Z ** 2, axis=(-2, -1))
     u2 = np.sum(sol.U ** 2, axis=-1)
     v2 = np.sum(sol.V ** 2, axis=-1)
-    dA = np.diff(A, axis=1)
+    dA = sol.dA
     return {
         "Y_M2": _m_norm2(sol.grid, w, y2),
         "Y_Mbar2": _mbar_norm2(w, y2, dA),
@@ -385,7 +378,9 @@ def cauchy_study(
 ) -> CauchyReport:
     """Coupled-run convergence study along a decreasing eps ladder.
 
-    All runs share the noise, the grid and the state.  For consecutive
+    All runs share the noise, the grid and the state.  The ladder always
+    runs the explicit-yosida scheme, whatever base_config.scheme says; only
+    the grid and the regression are taken from base_config.  For consecutive
     (eps, delta) the weighted expected sup of the squared gap is estimated
     and the rate exponent is fitted as the slope of log(gap) vs
     log(eps + delta), where gap is the square root of the estimate.
@@ -397,11 +392,10 @@ def cauchy_study(
         raise ValueError("eps ladder must be strictly decreasing")
     cfg = SolverConfig(base_config.grid, eps=ladder[-1], scheme="explicit-yosida",
                        regression=base_config.regression)
-    tile = lambda a: np.tile(a, (len(ladder),) + (1,) * (a.ndim - 1))  # one block per rung
-    # the rungs share the state X, so the sweep fits one design per step for all of them
-    rungs = replace(noise, dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A))
-    Y, Z, U, V, dA, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs)
-    limit = BdsdeSolution(cfg.grid, Y[-1], Z[-1], U[-1], V[-1], dA[-1], cfg, conds)
+    tile = lambda a: None if a is None else np.tile(a, (len(ladder),) + (1,) * (a.ndim - 1))  # a block per rung
+    rungs = replace(noise, dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A), X=tile(noise.X))
+    Y, Z, U, V, A, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs)
+    limit = BdsdeSolution(cfg.grid, Y[-1], Z[-1], U[-1], V[-1], A[-1], cfg, conds)
     w = _weights(cfg.grid, limit.A, lam, mu)
     pairs = list(zip(ladder, ladder[1:]))
     gaps = [float(np.mean(np.max(w * np.sum((ya - yb) ** 2, axis=-1), axis=1))) for ya, yb in zip(Y, Y[1:])]
@@ -415,30 +409,43 @@ def verify_vi_inclusion(sol: BdsdeSolution, phi: ConvexFunction, psi: ConvexFunc
                         test_points) -> dict:
     """Worst violation of the subgradient inequality
 
-        <U_t, r - Y_t> + phi(Y_t) - phi(r) <= 0
+        <U_t, r - J_t> + phi(J_t) - phi(r) <= 0
 
     over nodes, paths and test points r, plus the dA-weighted analogue for
-    (V, psi) restricted to nodes with positive dA, and counts of
-    finiteness failures phi(Y) = +inf (dt nodes) / psi(Y) = +inf (dA nodes).
+    (V, psi) restricted to nodes with positive dA, and counts of finiteness
+    failures phi(J) = +inf (dt nodes) / psi(J) = +inf (dA nodes).
+
+    J_t is the resolvent point at which the scheme puts U_t in dphi, since
+    grad theta_eps(x) lies in dtheta(J_eps x).  It is rebuilt from the step
+    input Ytil = Y + U dt + V dA (dt = dA = 0 at the terminal node):
+    explicit-yosida audits U at J^phi_eps(Ytil) and V at J^psi_eps(Ytil),
+    implicit-prox U at J^phi_dt(Ytil) and V at Y.
     """
     Y = sol.Y
-    phi_y = phi.evaluate(Y)
-    psi_y = psi.evaluate(Y)
-    active = np.concatenate([sol.dA > 0.0, np.zeros((Y.shape[0], 1), dtype=bool)], axis=1)
+    dt = np.append(sol.grid.dt, 0.0)
+    dA = np.pad(sol.dA, ((0, 0), (0, 1)))
+    y_til = Y + sol.U * dt[:, None] + sol.V * dA[..., None]
+    if sol.config.scheme == "explicit-yosida":
+        j_phi, j_psi = prox(phi, sol.config.eps, y_til), prox(psi, sol.config.eps, y_til)
+    else:
+        j_phi, j_psi = prox(phi, dt, y_til), Y
+    phi_j = phi.evaluate(j_phi)
+    psi_j = psi.evaluate(j_psi)
+    active = dA > 0.0
     worst_phi = -np.inf
     worst_psi = -np.inf
     for r in test_points:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         phi_r = float(phi.evaluate(r))
         psi_r = float(psi.evaluate(r))
-        vio_phi = np.sum(sol.U * (r - Y), axis=-1) + phi_y - phi_r
+        vio_phi = np.sum(sol.U * (r - j_phi), axis=-1) + phi_j - phi_r
         worst_phi = max(worst_phi, float(np.max(vio_phi)))
         if np.any(active):
-            vio_psi = np.sum(sol.V * (r - Y), axis=-1) + psi_y - psi_r
+            vio_psi = np.sum(sol.V * (r - j_psi), axis=-1) + psi_j - psi_r
             worst_psi = max(worst_psi, float(np.max(vio_psi[active])))
     return {
         "worst_phi": worst_phi,
         "worst_psi": worst_psi,
-        "phi_infinite_nodes": int(np.sum(~np.isfinite(phi_y))),
-        "psi_infinite_nodes": int(np.sum(~np.isfinite(psi_y[active]))) if np.any(active) else 0,
+        "phi_infinite_nodes": int(np.sum(~np.isfinite(phi_j))),
+        "psi_infinite_nodes": int(np.sum(~np.isfinite(psi_j[active]))) if np.any(active) else 0,
     }

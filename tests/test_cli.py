@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bdsvi.cli import _solve_scenario, run
+from bdsvi.cli import _build_run, _solve_scenario, run
 from bdsvi.scenarios import ScenarioError, load_scenario, make_coefficients, make_terminal
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -141,6 +141,16 @@ def test_report_command(tmp_path):
     assert "no active dA" in text and "-inf" not in text  # a_process none: dA = 0 at every node
 
 
+@pytest.mark.parametrize("name", ["cauchy.yaml", "penalization.yaml"])
+def test_report_audit_is_finite_on_explicit_runs(tmp_path, name):
+    """The explicit Y lies outside Dom phi by O(eps); the audit reads its
+    multipliers at the resolvent points, where they are subgradients."""
+    assert run(["report", "--scenario", _scn(name), "--out", str(tmp_path), "--quiet"]) == 0
+    rows = dict(line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines()[1:])
+    assert float(rows["vi:worst_phi"]) <= 1e-12
+    assert "inf" not in (tmp_path / "report.txt").read_text()
+
+
 def test_cauchy_command_small(tmp_path):
     rc = run(["cauchy", "--scenario", _scn("cauchy.yaml"), "--out", str(tmp_path),
               "--steps", "2000", "--eps", "1e-1,1e-2,1e-3", "--quiet"])
@@ -195,12 +205,28 @@ def test_solve_csv_matches_per_node_reductions(tmp_path, name):
     overrides = {"paths": 1000, "steps": 12, "seed": 4}
     assert run(["solve", "--scenario", _scn(name), "--out", str(tmp_path), "--quiet"]
                + [f"--{k}={v}" for k, v in overrides.items()]) == 0
-    ens, sol = _solve_scenario(load_scenario(_scn(name), overrides))
+    sol = _solve_scenario(load_scenario(_scn(name), overrides))
     lines = (tmp_path / "solve.csv").read_text().splitlines()[1:]
     for j, t in enumerate(sol.grid.nodes):
         ref = (t, np.mean(sol.Y[:, j, 0]), np.std(sol.Y[:, j, 0]),
                np.mean(np.linalg.norm(sol.Z[:, j, 0], axis=-1)),
-               np.mean(sol.U[:, j, 0]), np.mean(sol.V[:, j, 0]), np.mean(ens.A[:, j]))
+               np.mean(sol.U[:, j, 0]), np.mean(sol.V[:, j, 0]), np.mean(sol.A[:, j]))
+        assert lines[j] == ",".join("%.17g" % v for v in ref)
+
+
+@pytest.mark.parametrize("name", ["ball.yaml", "field.yaml"])
+def test_sde_sim_csv_matches_per_node_reductions(tmp_path, name):
+    """sde_sim.csv reduces whole node-major arrays at once; each value equals
+    the per-node 1-d reduction bit for bit."""
+    overrides = {"paths": 1000, "steps": 12, "seed": 4}
+    assert run(["sde-sim", "--scenario", _scn(name), "--out", str(tmp_path), "--quiet"]
+               + [f"--{k}={v}" for k, v in overrides.items()]) == 0
+    scn = load_scenario(_scn(name), overrides)
+    ens = _build_run(scn)
+    lv = scn.domain.level(ens.X)
+    lines = (tmp_path / "sde_sim.csv").read_text().splitlines()[1:]
+    for j, t in enumerate(scn.grid.nodes):
+        ref = (t, np.mean(lv[:, j]), np.min(lv[:, j]), np.mean(ens.A[:, j]), np.max(ens.A[:, j]))
         assert lines[j] == ",".join("%.17g" % v for v in ref)
 
 

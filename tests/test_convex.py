@@ -123,7 +123,7 @@ def test_yosida_gradient_requires_positive_eps():
 
 def test_grid_oracle_matches_quadratic():
     q = make_convex("quadratic(1.0)")
-    assert grid_prox_oracle(q, 1.0, _arr(2.0), resolution=1e-4) == pytest.approx(1.0, abs=1e-4)
+    assert grid_prox_oracle(q, 1.0, _arr(2.0)) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_grid_oracle_hinge_flat_side():
@@ -133,7 +133,7 @@ def test_grid_oracle_hinge_flat_side():
 
 def test_grid_oracle_abs_negative_branch():
     ab = make_convex("abs")
-    assert grid_prox_oracle(ab, 0.5, _arr(-2.0), resolution=1e-4) == pytest.approx(-1.5, abs=1e-4)
+    assert grid_prox_oracle(ab, 0.5, _arr(-2.0)) == pytest.approx(-1.5, abs=1e-4)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -148,7 +148,7 @@ def test_grid_oracle_agrees_with_closed_form(name):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_grid_oracle_k1_small_eps_within_stated_bound(name):
     # down to eps = 1e-3, where the law suite scales prox error by 1/eps;
-    # bound from the docstring: resolution/100 + sqrt(8 ulp(|F*|)), curvature >= 1
+    # bound from the docstring: 1e-8/100 + sqrt(8 ulp(|F*|)), curvature >= 1
     theta = make_convex(name)
     rng = np.random.default_rng(4)
     x = rng.uniform(-3, 3, (5000, 1))
@@ -156,7 +156,7 @@ def test_grid_oracle_k1_small_eps_within_stated_bound(name):
     exact = theta.prox_oracle(eps, x)
     f_min = 0.5 * (x[:, 0] - exact[:, 0]) ** 2 + eps * theta.evaluate(exact)
     bound = 1e-8 / 100 + np.sqrt(8.0 * np.spacing(np.abs(f_min)))
-    err = np.abs(grid_prox_oracle(theta, eps, x, resolution=1e-8) - exact)[:, 0]
+    err = np.abs(grid_prox_oracle(theta, eps, x) - exact)[:, 0]
     assert np.all(err <= bound), float(np.max(err - bound))
 
 

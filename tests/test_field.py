@@ -57,6 +57,26 @@ def test_field_grid_rejects_exterior_points():
         FieldGrid.build(DOM, [0.0], np.array([[1.5]]))
 
 
+def test_field_grid_rejects_misshapen_points():
+    """Two 2-d points on the interval are an error, not four 1-d points."""
+    with pytest.raises(ValueError, match="shape"):
+        FieldGrid.build(DOM, [0.0], np.array([[0.1, 0.2], [0.3, 0.4]]))
+    with pytest.raises(ValueError, match="shape"):
+        FieldGrid.build(DOM, [0.0], np.linspace(-1, 1, 5))
+
+
+def test_sample_field_labels_the_snapped_times():
+    """On a 50-step grid the lattice time 0.35 is snapped up to the node
+    0.36, and the estimate carries the node times its values belong to:
+    with f = 1 and a zero terminal, u = 1 - t at each of them."""
+    fg = FieldGrid.build(DOM, [0.0, 0.35, 1.0], np.linspace(-1, 1, 3)[:, None])
+    est = sample_field(DOM, _coeffs(f=lambda t, x, y, z: np.ones_like(y)), ZERO, ZERO,
+                       _config(50, ("poly", 1)), fg, n_paths=20, seed=1)
+    assert np.allclose(est.grid.times, [0.0, 0.36, 1.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(est.values, 1.0 - est.grid.times[:, None], rtol=0.0, atol=1e-12)
+    assert np.array_equal(est.grid.points, fg.points)
+
+
 def test_constant_scenario_exact():
     fg = _fgrid()
     est = sample_field(DOM, _coeffs(terminal=0.7), ZERO, ZERO, _config(), fg,

@@ -193,6 +193,22 @@ def test_far_out_ellipsoid_point_is_outside(scale):
     assert delta[0] == pytest.approx(np.hypot(*(x[0] - out[0])), rel=1e-15)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", [1e154, 1e155, 1e300])
+def test_far_out_ball_point_projects_radially(scale, d):
+    """Far outside the ball |x|^2 overflows.  The level then reads -inf, and
+    the projection scales x before it squares, so with no warning the point
+    lands at r x / |x|, not at the centre."""
+    dom = unit_ball(d, radius=0.5)
+    x = np.full((1, d), scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, delta = _project_out(dom, x)
+        assert dom.level(out)[0] >= 0.0
+    assert np.max(np.abs(out[0] - 0.5 / np.sqrt(d))) <= 1e-15
+    assert delta[0] == pytest.approx(scale * np.sqrt(d), rel=1e-15)
+
+
 @pytest.mark.parametrize("dom", [unit_ball(2), ellipsoid([2.0, 0.5])], ids=lambda dom: dom.name)
 def test_non_finite_step_raises(dom):
     """A drift that overflows the Euler step is a numerical failure, not a

@@ -260,22 +260,6 @@ def test_sample_mean_projector_is_np_mean_bit_for_bit(blocks):
                 assert np.array_equal(out[rows], np.broadcast_to(np.mean(targets[rows], axis=0), (n, m)))
 
 
-@pytest.mark.parametrize("spec", [("poly", 2), ("poly", 4), ("partition", 4), ("partition", 9)])
-@pytest.mark.parametrize("d", [1, 2])
-def test_shared_state_fit_matches_tiled_state(spec, d):
-    """One state ensemble shared by B target blocks is fitted once and gives
-    bit for bit what fitting the tiled state block by block gives."""
-    rng = np.random.default_rng(11 + d)
-    n, blocks = 150, 3
-    x = rng.uniform(-1, 1, (n, d))
-    for m in (1, 2):
-        targets = rng.normal(size=(blocks * n, m))
-        shared, cond = _projector(spec, x, 1)
-        tiled, tiled_cond = _projector(spec, np.tile(x, (blocks, 1)), blocks)
-        assert np.array_equal(shared(targets), tiled(targets))
-        assert cond == tiled_cond
-
-
 def _blows_up(t, x, y, z):
     return np.full_like(y, np.inf if t > 0.5 else 1.0)
 
@@ -318,10 +302,10 @@ def test_weighted_norms_constant_solution():
 def test_weighted_norms_with_weight_and_a():
     grid, noise = _bundle(n_paths=5, a="time")
     sol = solve_penalized(_coeffs(terminal=1.0), ZERO, ZERO, SolverConfig(grid), noise)
-    norms = weighted_norms(sol, lam=1.0, mu=0.0, A=noise.A)
+    norms = weighted_norms(sol, lam=1.0, mu=0.0)
     # int_0^1 e^t dt = e - 1 (trapezoid on 100 steps)
     assert norms["Y_M2"] == pytest.approx(np.e - 1.0, rel=1e-4)
-    norms2 = weighted_norms(sol, lam=0.0, mu=1.0, A=noise.A)
+    norms2 = weighted_norms(sol, lam=0.0, mu=1.0)
     assert norms2["Y_Mbar2"] == pytest.approx(np.e - 1.0, rel=1e-3)
 
 
@@ -343,6 +327,23 @@ def test_vi_inclusion_on_oracle_run():
     out = verify_vi_inclusion(sol, phi, ZERO, [-1.0, 0.0, 0.25, 0.5])
     assert out["worst_phi"] <= 1e-10
     assert out["phi_infinite_nodes"] == 0
+
+
+@pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
+def test_vi_inclusion_at_the_resolvent_point(scheme):
+    """U and V are both active.  The explicit Y lies outside Dom psi by
+    O(eps), where psi(Y) = +inf, and the implicit U belongs to the phi
+    resolvent, not to the psi resolvent Y.  The audit takes each multiplier
+    at the resolvent point where the scheme puts it in the subdifferential."""
+    grid, noise = _bundle(n_steps=200, n_paths=8, seed=5, a="time")
+    phi, psi = make_convex("abs"), make_convex("indicator_box(-inf,0.3)")
+    coeffs = _coeffs(f=lambda t, x, y, z: np.ones_like(y), g=lambda t, x, y: np.ones_like(y),
+                     h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3))
+    sol = solve_penalized(coeffs, phi, psi, SolverConfig(grid, eps=1e-2, scheme=scheme), noise)
+    assert np.max(sol.U) > 0.0 and np.max(sol.V) > 0.0
+    out = verify_vi_inclusion(sol, phi, psi, [-1.0, 0.0, 0.25, 0.3, 0.5])
+    assert out["phi_infinite_nodes"] == 0 and out["psi_infinite_nodes"] == 0
+    assert out["worst_phi"] <= 1e-12 and out["worst_psi"] <= 1e-12
 
 
 # ---------------------------------------------------------------- regression backends
@@ -427,9 +428,10 @@ def test_markov_solve_with_reflected_state():
                           SolverConfig(grid, regression=("poly", 2)), state)
     assert np.mean(sol.Y[:, 0, 0]) == pytest.approx(1.0, abs=0.02)
     assert np.all(np.diff(sol.A, axis=1) >= 0.0)
+    assert np.shares_memory(sol.A, state.A)  # one A: the solution keeps a view of the bundle's
     short = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)),
                                generate_paths(grid, 1, 200, seed=2, shared_backward=True))
-    with pytest.raises(ValueError, match="state ensemble"):  # neither the noise rows nor one block of them
+    with pytest.raises(ValueError, match="state ensemble"):  # not one state row per noise row
         solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=("poly", 2)), replace(state, X=short.X))
 
 
