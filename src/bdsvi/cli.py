@@ -1,9 +1,12 @@
 """Scenario-driven command line.
 
 Commands: prox-check | compat-check | sde-sim | solve | cauchy | field | report.
-Every run derives all randomness from the scenario seed; artifacts are CSV
-files written with a fixed float format so reruns are byte-identical.  Exit
-codes: 0 success, 2 validation failure, 3 numerical failure.
+Each command is a pure function of the Scenario that `load_scenario`, the only
+reader of the file, builds; it returns (CSV header, CSV rows, report lines,
+pass).  `run` alone writes the artifacts, `<command>.csv` then `<command>.txt`
+(`-` as `_`), with a fixed float format so reruns are byte-identical.  Every
+run derives all randomness from the scenario seed.  Exit codes: 0 success,
+2 validation failure, 3 numerical failure or a failed check.
 """
 from __future__ import annotations
 
@@ -15,8 +18,8 @@ import sys
 import numpy as np
 
 from .convex import check_compatibility, make_convex, prox_property_suite, validate_weights
-from .drivers import generate_paths, load_a_table
-from .field import FieldGrid, continuity_diagnostic, sample_field
+from .drivers import generate_paths
+from .field import continuity_diagnostic, sample_field
 from .reflected import local_time_identity_residual, simulate_reflected
 from .scenarios import Scenario, ScenarioError, load_scenario
 from .solver import (
@@ -32,45 +35,19 @@ __all__ = ["main", "run"]
 _FMT = "%.17g"
 
 
-def _write_csv(path, header, rows):
-    """Deterministic CSV: fixed float format, '\\n' line endings."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
-def _emit(lines, out_dir, name, quiet):
-    os.makedirs(out_dir, exist_ok=True)
-    text = "\n".join(lines) + "\n"
-    with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        fh.write(text)
-    if not quiet:
-        sys.stdout.write(text)
-
-
 def _build_run(scn: Scenario):
     """The ensemble of a scenario: reflected in its domain when it has one."""
-    if scn.domain is not None:
-        noise = generate_paths(scn.grid, scn.domain.d, scn.n_paths, scn.seed, shared_backward=True)
-        x0 = np.asarray(scn.raw.get("start", np.zeros(scn.domain.d)), dtype=float).reshape(-1)
-        return simulate_reflected(scn.domain, scn.drift, scn.sigma, (scn.grid.t0, x0), noise)
-    d = int(scn.raw.get("dim", 1))
-    if scn.a_process == "time":
-        a_spec = lambda t: np.asarray(t, dtype=float)
-    elif scn.a_process == "none":
-        a_spec = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    else:
-        a_spec = load_a_table(scn.a_process)
-    return generate_paths(scn.grid, d, scn.n_paths, scn.seed, a_spec=a_spec)
+    if scn.domain is None:
+        return generate_paths(scn.grid, scn.d, scn.n_paths, scn.seed, a_spec=scn.a_spec)
+    noise = generate_paths(scn.grid, scn.d, scn.n_paths, scn.seed, shared_backward=True)
+    return simulate_reflected(scn.domain, scn.drift, scn.sigma, (scn.grid.t0, scn.start), noise)
 
 
 def _status(ok):
     return "PASS" if ok else "FAIL"
 
 
-def cmd_prox_check(scn: Scenario, out_dir: str, quiet: bool) -> int:
+def cmd_prox_check(scn: Scenario):
     """Resolvent/gradient law suite over a fixed catalog of five functions;
     the scenario's own (phi, psi) are not checked, only its seed is used."""
     names = ["zero", "quadratic(1.0)", "abs", "indicator_box(-1,1)", "hinge_sq"]
@@ -87,12 +64,10 @@ def cmd_prox_check(scn: Scenario, out_dir: str, quiet: bool) -> int:
         ok = max(worst.values()) <= tol
         all_ok &= ok
         lines.append(f"{_status(ok)} {name}: worst violation {max(worst.values()):.3e} (tol {tol:.0e})")
-    _write_csv(os.path.join(out_dir, "prox_check.csv"), ["function", "property", "worst_violation"], rows)
-    _emit(lines, out_dir, "prox_check.txt", quiet)
-    return 0 if all_ok else 3
+    return ["function", "property", "worst_violation"], rows, lines, all_ok
 
 
-def cmd_compat_check(scn: Scenario, out_dir: str, quiet: bool) -> int:
+def cmd_compat_check(scn: Scenario):
     """Coupling inequalities between (phi, psi) and (f, g) on a sample grid."""
     ladder = scn.eps_ladder or [1e-1, 1e-2, 1e-3]
     rng = np.random.default_rng(scn.seed)
@@ -107,14 +82,11 @@ def cmd_compat_check(scn: Scenario, out_dir: str, quiet: bool) -> int:
         f"{_status(rep.ok)} phi-gradient vs g bound: worst {rep.worst_ii:.3e}",
         f"{_status(rep.ok)} psi-gradient vs f bound: worst {rep.worst_iii:.3e}",
     ]
-    _write_csv(os.path.join(out_dir, "compat_check.csv"),
-               ["inequality", "worst_violation"],
-               [("grad_product", rep.worst_i), ("phi_vs_g", rep.worst_ii), ("psi_vs_f", rep.worst_iii)])
-    _emit(lines, out_dir, "compat_check.txt", quiet)
-    return 0 if rep.ok else 3
+    rows = [("grad_product", rep.worst_i), ("phi_vs_g", rep.worst_ii), ("psi_vs_f", rep.worst_iii)]
+    return ["inequality", "worst_violation"], rows, lines, rep.ok
 
 
-def cmd_sde_sim(scn: Scenario, out_dir: str, quiet: bool) -> int:
+def cmd_sde_sim(scn: Scenario):
     """Reflected-diffusion ensemble with containment and local-time checks."""
     if scn.domain is None:
         raise ScenarioError("sde-sim needs a domain section")
@@ -126,23 +98,20 @@ def cmd_sde_sim(scn: Scenario, out_dir: str, quiet: bool) -> int:
     lv_t, a_t = lv.T, run.A.T
     rows = zip(scn.grid.nodes.tolist(), lv_t.mean(axis=1).tolist(), lv_t.min(axis=1).tolist(),
                a_t.mean(axis=1).tolist(), a_t.max(axis=1).tolist())
-    _write_csv(os.path.join(out_dir, "sde_sim.csv"),
-               ["t", "mean_level", "min_level", "mean_A", "max_A"], rows)
     ok = contained >= -1e-12
     lines = [
         "sde-sim: projection-Euler reflected ensemble",
         f"{_status(ok)} containment in the closed domain: min level {contained:.3e}",
         f"local-time reconstruction residual: rms {res['rms']:.3e}, max {res['max']:.3e}",
     ]
-    _emit(lines, out_dir, "sde_sim.txt", quiet)
-    return 0 if ok else 3
+    return ["t", "mean_level", "min_level", "mean_A", "max_A"], rows, lines, ok
 
 
 def _solve_scenario(scn: Scenario):
     return solve_penalized(scn.coeffs, scn.phi, scn.psi, scn.solver, _build_run(scn))
 
 
-def cmd_solve(scn: Scenario, out_dir: str, quiet: bool) -> int:
+def cmd_solve(scn: Scenario):
     sol = _solve_scenario(scn)  # holds only the A of its noise, so the temporaries below reuse the rest
     # node-major arrays: each node's paths are one contiguous row of q.T, so its mean is the
     # pairwise sum of a 1-d np.mean
@@ -151,8 +120,6 @@ def cmd_solve(scn: Scenario, out_dir: str, quiet: bool) -> int:
     rows = zip(scn.grid.nodes.tolist(), y.mean(axis=1).tolist(), y.std(axis=1).tolist(),
                abs_z.mean(axis=1).tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
                a.mean(axis=1).tolist())
-    _write_csv(os.path.join(out_dir, "solve.csv"),
-               ["t", "mean_Y", "std_Y", "mean_abs_Z", "mean_U", "mean_V", "mean_A"], rows)
     lines = [f"solve: scenario {scn.name!r}, scheme {scn.solver.scheme}, eps {scn.solver.eps:g}",
              f"Y at the initial node: mean {np.mean(sol.Y[:, 0, 0]):.10g}, std {np.std(sol.Y[:, 0, 0]):.3e}"]
     if not callable(scn.coeffs.terminal):
@@ -162,11 +129,10 @@ def cmd_solve(scn: Scenario, out_dir: str, quiet: bool) -> int:
                      f"{float(np.max(np.abs(sol.Y[:, -1, 0] - xi))):.3e}")
     if scn.weight_warning:
         lines.append(f"WARN {scn.weight_warning}")
-    _emit(lines, out_dir, "solve.txt", quiet)
-    return 0
+    return ["t", "mean_Y", "std_Y", "mean_abs_Z", "mean_U", "mean_V", "mean_A"], rows, lines, True
 
 
-def cmd_cauchy(scn: Scenario, out_dir: str, quiet: bool) -> int:
+def cmd_cauchy(scn: Scenario):
     """Coupled eps-ladder convergence study; the rate exponent of the
     weighted sup gap in (eps + delta) should sit near one."""
     if len(scn.eps_ladder) < 2:
@@ -176,48 +142,31 @@ def cmd_cauchy(scn: Scenario, out_dir: str, quiet: bool) -> int:
     rep = cauchy_study(scn.coeffs, scn.phi, scn.psi, scn.solver, scn.eps_ladder, _build_run(scn),
                        lam=scn.coeffs.constants.lam, mu=scn.coeffs.constants.mu)
     rows = [(float(a), float(b), float(g)) for (a, b), g in zip(rep.eps_pairs, rep.gaps_sq)]
-    _write_csv(os.path.join(out_dir, "cauchy.csv"), ["eps", "delta", "sup_gap_sq"], rows)
     ok = 0.75 <= rep.slope <= 1.25
     lines = [
         "cauchy: weighted sup-gap between coupled penalized runs along the eps ladder",
         f"fitted log-log slope of the sup gap vs (eps + delta): {rep.slope:.4f}",
         f"{_status(ok)} slope within [0.75, 1.25]",
     ]
-    _emit(lines, out_dir, "cauchy.txt", quiet)
-    return 0 if ok else 3
+    return ["eps", "delta", "sup_gap_sq"], rows, lines, ok
 
 
-def cmd_field(scn: Scenario, out_dir: str, quiet: bool) -> int:
-    if scn.domain is None or scn.lattice is None:
+def cmd_field(scn: Scenario):
+    if scn.lattice is None:
         raise ScenarioError("field needs domain and lattice sections")
-    lat = scn.lattice
-    nt = int(lat.get("times", 5))
-    npts = int(lat.get("points", 5))
-    draws = int(lat.get("draws", 1))
-    idx = np.linspace(0, scn.grid.n_steps, nt).round().astype(int)
-    times = scn.grid.nodes[idx]
-    lo, hi = scn.domain.bounding_box
-    pts = np.linspace(float(lo[0]), float(hi[0]), npts)[:, None]
-    if scn.domain.d != 1:
-        raise ScenarioError("field lattices are one-dimensional")
-    fgrid = FieldGrid.build(scn.domain, times, pts)
-    est = sample_field(scn.domain, scn.coeffs, scn.phi, scn.psi, scn.solver, fgrid,
+    est = sample_field(scn.domain, scn.coeffs, scn.phi, scn.psi, scn.solver, scn.lattice,
                        n_paths=scn.n_paths, seed=scn.seed, sigma=scn.sigma, b=scn.drift,
-                       n_b_draws=draws)
-    rows = []
-    for i, t in enumerate(times):
-        for j in range(npts):
-            rows.append((float(t), float(pts[j, 0]), float(est.values[i, j]), float(est.stderr[i, j])))
-    _write_csv(os.path.join(out_dir, "field.csv"), ["t", "x", "u", "stderr"], rows)
+                       n_b_draws=scn.draws)
     cont = continuity_diagnostic(est)
+    t, x = np.meshgrid(est.grid.times, est.grid.points[:, 0], indexing="ij")
+    rows = zip(t.ravel().tolist(), x.ravel().tolist(), est.values.ravel().tolist(), est.stderr.ravel().tolist())
     lines = ["field: Monte-Carlo value field on the space-time lattice",
              f"{_status(not cont['blowup'])} continuity modulus stable across strides "
              f"(fine {cont['worst_fine']:.3g}, coarse {cont['worst_coarse']:.3g})"]
-    _emit(lines, out_dir, "field.txt", quiet)
-    return 0 if not cont["blowup"] else 3
+    return ["t", "x", "u", "stderr"], rows, lines, not cont["blowup"]
 
 
-def cmd_report(scn: Scenario, out_dir: str, quiet: bool) -> int:
+def cmd_report(scn: Scenario):
     """Full diagnostic pass: solve, weighted norms, penalization energies,
     and the subgradient-inequality audit."""
     sol = _solve_scenario(scn)
@@ -225,8 +174,7 @@ def cmd_report(scn: Scenario, out_dir: str, quiet: bool) -> int:
     wr = validate_weights(c)
     norms = weighted_norms(sol, c.lam, c.mu)
     diag = penalization_diagnostics(sol, scn.phi, scn.psi, max(scn.solver.eps, 1e-12), c.lam, c.mu)
-    test_points = scn.raw.get("vi_test_points", [-1.0, 0.0, 0.25, 0.5])
-    vi = verify_vi_inclusion(sol, scn.phi, scn.psi, test_points)
+    vi = verify_vi_inclusion(sol, scn.phi, scn.psi, scn.vi_test_points)
     lines = [
         f"report: scenario {scn.name!r}",
         f"{_status(wr.ok)} weight exponents beyond the sufficient bounds "
@@ -243,9 +191,7 @@ def cmd_report(scn: Scenario, out_dir: str, quiet: bool) -> int:
     rows = ([("norm:" + key, float(v)) for key, v in norms.items()]
             + [("penalization:" + key, float(v)) for key, v in diag.items()]
             + [("vi:worst_phi", float(vi["worst_phi"])), ("vi:worst_psi", float(vi["worst_psi"]))])
-    _write_csv(os.path.join(out_dir, "report.csv"), ["quantity", "value"], rows)
-    _emit(lines, out_dir, "report.txt", quiet)
-    return 0
+    return ["quantity", "value"], rows, lines, True
 
 
 _COMMANDS = {
@@ -286,7 +232,19 @@ def run(argv=None) -> int:
         scn = load_scenario(args.scenario, overrides)
         if scn.weight_warning and not args.quiet:
             sys.stderr.write(f"WARN {scn.weight_warning}\n")
-        return _COMMANDS[args.command](scn, args.out, args.quiet)
+        header, rows, lines, ok = _COMMANDS[args.command](scn)
+        stem = os.path.join(args.out, args.command.replace("-", "_"))
+        os.makedirs(args.out, exist_ok=True)
+        with open(stem + ".csv", "w", newline="") as fh:  # fixed float format, '\n' line endings
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row) + "\n")
+        text = "\n".join(lines) + "\n"
+        with open(stem + ".txt", "w", newline="") as fh:
+            fh.write(text)
+        if not args.quiet:
+            sys.stdout.write(text)
+        return 0 if ok else 3
     except (ScenarioError, KeyError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": "validation", "detail": str(exc)}) + "\n")
         return 2

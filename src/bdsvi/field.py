@@ -60,14 +60,13 @@ class FieldEstimate:
     values: np.ndarray          # (nt, npts), mean over backward draws
     stderr: np.ndarray          # (nt, npts)
     per_draw: np.ndarray        # (n_draws, nt, npts)
-    n_paths: int
 
 
 def manufactured_field(u: Callable, fgrid: FieldGrid) -> FieldEstimate:
     """Exact field injected from an analytic u(t, x); zero standard error.
     Used to verify the residual stencils on manufactured solutions."""
     vals = np.array([[float(u(float(t), x)) for x in fgrid.points] for t in fgrid.times])
-    return FieldEstimate(fgrid, vals, np.zeros_like(vals), vals[None], n_paths=0)
+    return FieldEstimate(fgrid, vals, np.zeros_like(vals), vals[None])
 
 
 def sample_field(
@@ -130,7 +129,7 @@ def sample_field(
     within = np.sqrt(np.mean(per_draw_se ** 2, axis=0) / n_b_draws)
     across = np.std(per_draw, axis=0, ddof=1) / np.sqrt(n_b_draws) if n_b_draws > 1 else 0.0
     stderr = np.sqrt(within ** 2 + np.square(across))
-    return FieldEstimate(replace(fgrid, times=nodes[t_index]), values, stderr, per_draw, n_paths)
+    return FieldEstimate(replace(fgrid, times=nodes[t_index]), values, stderr, per_draw)
 
 
 def continuity_diagnostic(fld: FieldEstimate) -> dict:

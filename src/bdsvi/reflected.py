@@ -191,7 +191,7 @@ def _project_out(domain: DomainSpec, x_star: np.ndarray):
     """Map points with level < 0 to their Euclidean projection p.
 
     Returns (projected points, distances |x* - p|).  Where p = domain.project
-    rounds outside, it moves on by spacing(max|x*|) until level >= 0 holds
+    rounds outside, it moves on by spacing(max|p|) until level >= 0 holds
     exactly; a point still outside after _PUSH_ROUNDS raises.
     """
     viol = domain.level(x_star) < 0.0
@@ -206,7 +206,7 @@ def _project_out(domain: DomainSpec, x_star: np.ndarray):
     if todo.size:  # move on along p - x*, or toward the centre where x* is so close that p = x*
         lo, hi = domain.bounding_box
         gap = np.where(dist[todo, None] > 0.0, gap[todo], 0.5 * (lo + hi) - p[todo])
-        step = gap * (np.spacing(np.abs(xv[todo]).max(axis=-1)) / _norm(gap))[:, None]
+        step = gap * (np.spacing(np.abs(p[todo]).max(axis=-1)) / _norm(gap))[:, None]
         for _ in range(_PUSH_ROUNDS):
             p[todo] += step
             still = domain.level(p[todo]) < 0.0

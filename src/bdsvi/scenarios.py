@@ -3,19 +3,21 @@
 One scenario file describes one experiment: the convex pair (phi, psi), the
 coefficient selections, structural constants, optional domain, grid, solver
 settings, eps ladder, and seed.  All randomness in a run derives from the
-scenario seed.
+scenario seed.  `load_scenario` is the only reader of the file: it builds
+every object a command uses, so a bad section fails at load for every command.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import yaml
 
 from .convex import AssumptionConstants, ConvexFunction, make_convex, validate_weights
-from .drivers import TimeGrid
+from .drivers import TimeGrid, load_a_table
+from .field import FieldGrid
 from .reflected import DomainSpec, make_domain
 from .solver import CoefficientSet, SolverConfig
 
@@ -85,13 +87,16 @@ class Scenario:
     seed: int
     n_paths: int
     eps_ladder: list
-    domain: Optional[DomainSpec] = None
-    sigma: float = 1.0
-    drift: float = 0.0
-    a_process: str = "time"  # "time" | "none" | a CSV table's path; Markov local time when a domain is set
-    lattice: Optional[dict] = None
+    domain: Optional[DomainSpec]
+    d: int  # the domain's dimension, else the file's dim
+    start: np.ndarray  # (d,) launch point of a reflected ensemble
+    sigma: float
+    drift: float
+    a_spec: Optional[Callable]  # A = t, None for A = 0, or a table; the local time replaces it in a domain
+    lattice: Optional[FieldGrid]  # the field lattice, its times on grid nodes
+    draws: int  # backward-noise draws of the field
+    vi_test_points: list
     weight_warning: Optional[str] = None
-    raw: dict = field(default_factory=dict)
 
 
 def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
@@ -134,17 +139,31 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             regression=regression,
         )
         domain = None
-        if "domain" in raw and raw["domain"]:
+        if raw.get("domain"):
             dspec = dict(raw["domain"])
             domain = make_domain(dspec.pop("kind"), **dspec)
+        d = domain.d if domain is not None else int(raw.get("dim", 1))
         if regression == "sample-mean" and (domain is not None or callable(coeffs.terminal)):
             # the pathwise value update it takes holds only for state-free data
             raise ScenarioError("regression sample-mean needs a constant terminal and no domain;"
                                 " use poly or partition")
         ladder = [float(e) for e in raw.get("eps_ladder", [])]
         a_process = raw.get("a_process", "time")
-        if a_process not in ("time", "none"):  # a table path, relative to the scenario file
-            a_process = os.path.join(os.path.dirname(os.path.abspath(path)), a_process)
+        if a_process == "time":
+            a_spec = lambda t: np.asarray(t, dtype=float)
+        elif a_process == "none":
+            a_spec = None
+        else:  # a table path, relative to the scenario file
+            a_spec = load_a_table(os.path.join(os.path.dirname(os.path.abspath(path)), a_process))
+        lattice, draws, lat = None, 1, raw.get("lattice")
+        if lat is not None:
+            if domain is None or domain.d != 1:
+                raise ScenarioError("a field lattice needs a one-dimensional domain")
+            idx = np.linspace(0, grid.n_steps, int(lat.get("times", 5))).round().astype(int)
+            lo, hi = domain.bounding_box
+            pts = np.linspace(float(lo[0]), float(hi[0]), int(lat.get("points", 5)))[:, None]
+            lattice = FieldGrid.build(domain, grid.nodes[idx], pts)
+            draws = int(lat.get("draws", 1))
         scn = Scenario(
             name=name,
             phi=phi,
@@ -156,13 +175,16 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             n_paths=int(raw.get("paths", 100)),
             eps_ladder=ladder,
             domain=domain,
+            d=d,
+            start=np.asarray(raw.get("start", np.zeros(d)), dtype=float).reshape(-1),
             sigma=float(raw.get("sigma", 1.0)),
             drift=float(raw.get("drift", 0.0)),
-            a_process=a_process,
-            lattice=raw.get("lattice"),
-            raw=raw,
+            a_spec=a_spec,
+            lattice=lattice,
+            draws=draws,
+            vi_test_points=raw.get("vi_test_points", [-1.0, 0.0, 0.25, 0.5]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ScenarioError(str(exc)) from exc
     wr = validate_weights(constants)
     if not wr.ok:

@@ -93,7 +93,6 @@ class BdsdeSolution:
     A: np.ndarray  # (n_paths, n_nodes)
     config: SolverConfig
     condition_numbers: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def dA(self) -> np.ndarray:  # (n_paths, n_steps)
@@ -211,7 +210,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     sample-mean estimator, the explicit scheme's resolvent oracles (eps > 0
     on every row, so no row is the identity) and the per-row eps column."""
     grid = config.grid
-    if noise.grid.n_steps != grid.n_steps:
+    if not np.array_equal(noise.grid.nodes, grid.nodes):
         raise ValueError("noise bundle and solver grid disagree")
     rows, d = noise.n_paths, noise.d
     dA, X = noise.dA, noise.X

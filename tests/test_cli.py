@@ -5,7 +5,8 @@ import pytest
 import yaml
 
 from bdsvi.cli import _build_run, _solve_scenario, run
-from bdsvi.scenarios import ScenarioError, load_scenario, make_coefficients, make_terminal
+from bdsvi.field import sample_field
+from bdsvi.scenarios import _YAML_LOADER, ScenarioError, load_scenario, make_coefficients, make_terminal
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -86,9 +87,21 @@ def test_a_table_path_is_relative_to_the_scenario(tmp_path, monkeypatch):
     (tmp_path / "scn" / "a.csv").write_text("t,A\n0.0,0.0\n1.0,2.0\n")
     p = _variant(tmp_path / "scn", "zero.yaml", lambda raw: raw.update(a_process="a.csv"))
     monkeypatch.chdir(tmp_path)
-    assert load_scenario(p).a_process == str(tmp_path / "scn" / "a.csv")
+    assert load_scenario(p).a_spec([0.5]) == 1.0
     assert run(["solve", "--scenario", p, "--out", str(tmp_path / "out"), "--paths", "20", "--quiet"]) == 0
     assert np.loadtxt(tmp_path / "out" / "solve.csv", delimiter=",", skiprows=1)[-1, 6] == 2.0
+
+
+@pytest.mark.parametrize("name, lattice", [("ball.yaml", {"times": 3, "points": 3}), ("field.yaml", [5, 5])],
+                         ids=["planar-ball", "not-a-mapping"])
+def test_bad_lattice_fails_at_load(tmp_path, name, lattice):
+    """Field lattices are one-dimensional mappings; a lattice section on the
+    planar ball, or one that is not a mapping, fails at load, whatever the
+    command."""
+    p = _variant(tmp_path, name, lambda raw: raw.update(lattice=lattice))
+    with pytest.raises(ScenarioError):
+        load_scenario(p)
+    assert run(["sde-sim", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
 
 
 # ---------------------------------------------------------------- commands
@@ -185,9 +198,10 @@ def test_shipped_scenarios_load():
     names = sorted(f for f in os.listdir(SCEN) if f.endswith(".yaml"))
     assert names
     for name in names:
-        scn = load_scenario(_scn(name))
+        load_scenario(_scn(name))
         with open(_scn(name)) as fh:
-            assert scn.raw == yaml.safe_load(fh)  # the libyaml parser reads what the pure one reads
+            text = fh.read()
+        assert yaml.load(text, Loader=_YAML_LOADER) == yaml.safe_load(text)  # libyaml reads what pure Python reads
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -228,6 +242,31 @@ def test_sde_sim_csv_matches_per_node_reductions(tmp_path, name):
     for j, t in enumerate(scn.grid.nodes):
         ref = (t, np.mean(lv[:, j]), np.min(lv[:, j]), np.mean(ens.A[:, j]), np.max(ens.A[:, j]))
         assert lines[j] == ",".join("%.17g" % v for v in ref)
+
+
+def test_field_csv_matches_per_node_rows(tmp_path):
+    """field.csv writes the lattice as whole-array rows; each row equals the
+    node of a per-node loop bit for bit."""
+    overrides = {"paths": 30, "steps": 20, "seed": 4}
+    assert run(["field", "--scenario", _scn("field.yaml"), "--out", str(tmp_path), "--quiet"]
+               + [f"--{k}={v}" for k, v in overrides.items()]) == 0
+    scn = load_scenario(_scn("field.yaml"), overrides)
+    est = sample_field(scn.domain, scn.coeffs, scn.phi, scn.psi, scn.solver, scn.lattice, scn.n_paths,
+                       scn.seed, scn.sigma, scn.drift, scn.draws)
+    lines = (tmp_path / "field.csv").read_text().splitlines()[1:]
+    times, pts = scn.lattice.times, scn.lattice.points
+    ref = [(times[i], pts[j, 0], est.values[i, j], est.stderr[i, j])
+           for i in range(len(times)) for j in range(len(pts))]
+    assert lines == [",".join("%.17g" % v for v in row) for row in ref]
+
+
+def test_field_lattice_too_small_leaves_no_artifact(tmp_path):
+    """A lattice with no neighbours has no continuity pairs: exit 2, and no
+    field.csv is written before the check fails."""
+    p = _variant(tmp_path, "field.yaml", lambda raw: raw.update(lattice={"times": 1, "points": 1}))
+    out = tmp_path / "out"
+    assert run(["field", "--scenario", p, "--out", str(out), "--paths", "10", "--quiet"]) == 2
+    assert not (out / "field.csv").exists()
 
 
 def test_missing_scenario_is_validation_error(tmp_path):

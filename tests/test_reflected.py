@@ -209,6 +209,18 @@ def test_far_out_ball_point_projects_radially(scale, d):
     assert delta[0] == pytest.approx(scale * np.sqrt(d), rel=1e-15)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", [1e10, 1e150])
+def test_far_out_push_is_sized_by_the_projected_point(scale, d):
+    """Where r x*/|x*| rounds outside, the inward push moves it by an ulp of
+    the projected point, not of x*: an ulp of x* is a jump far past the
+    sphere (1.9e-6 inside at 1e10) or out of the domain (a raise at 1e150)."""
+    dom = unit_ball(d)
+    out, _ = _project_out(dom, np.full((1, d), scale))
+    assert dom.level(out)[0] >= 0.0
+    assert abs(np.linalg.norm(out[0]) - 1.0) <= 2.3e-16
+
+
 @pytest.mark.parametrize("dom", [unit_ball(2), ellipsoid([2.0, 0.5])], ids=lambda dom: dom.name)
 def test_non_finite_step_raises(dom):
     """A drift that overflows the Euler step is a numerical failure, not a

@@ -50,6 +50,15 @@ def test_constant_terminal_zero_coeffs():
     assert np.all(sol.U == 0.0) and np.all(sol.V == 0.0)
 
 
+def test_noise_on_another_grid_with_the_same_step_count_raises():
+    """A bundle on [0, 4] under a solver grid on [0, 1] would sum dt over one
+    horizon and dA over the other; the sweep compares the grid nodes."""
+    noise = generate_paths(TimeGrid.uniform(0, 4, 10), 1, 5, seed=0, a_spec=lambda t: np.asarray(t, float))
+    coeffs = _coeffs(f=lambda t, x, y, z: np.ones_like(y), g=lambda t, x, y: np.ones_like(y))
+    with pytest.raises(ValueError, match="disagree"):
+        solve_penalized(coeffs, ZERO, ZERO, SolverConfig(TimeGrid.uniform(0, 1, 10)), noise)
+
+
 def test_constant_drift_matches_linear_profile():
     grid, noise = _bundle(a="time")
     coeffs = _coeffs(f=lambda t, x, y, z: 0.7 * np.ones_like(y),
