@@ -33,7 +33,7 @@ def main():
         grid = TimeGrid.uniform(0.0, 1.0, n)
         noise = generate_paths(grid, args.dim, args.paths, seed=args.seed, shared_backward=True)
         path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(args.dim)), noise)
-        band = boundary_band(dom, 1.0, grid.max_dt)
+        band = boundary_band(1.0, grid.max_dt)
         res = local_time_identity_residual(path, dom, 0.0, 1.0)
         print(f"{n:>6} {float(np.min(dom.level(path.X))):>12.2e} "
               f"{float(np.mean(path.A[:, -1])):>10.4f} "

@@ -71,10 +71,8 @@ def cmd_compat_check(scn: Scenario):
     """Coupling inequalities between (phi, psi) and (f, g) on a sample grid."""
     ladder = scn.eps_ladder or [1e-1, 1e-2, 1e-3]
     rng = np.random.default_rng(scn.seed)
-    samples = [(0.5, y, z) for y, z in zip(rng.uniform(-3, 3, 64), rng.uniform(-3, 3, 64))]
-    f = lambda t, y, z: scn.coeffs.f(t, None, np.atleast_1d(y)[None, :], np.atleast_1d(z)[None, :, None])[0]
-    g = lambda t, y: scn.coeffs.g(t, None, np.atleast_1d(y)[None, :])[0]
-    rep = check_compatibility(scn.phi, scn.psi, f, g, ladder, samples)
+    y, z = rng.uniform(-3, 3, 64)[:, None], rng.uniform(-3, 3, 64)[:, None, None]
+    rep = check_compatibility(scn.phi, scn.psi, scn.coeffs.f, scn.coeffs.g, ladder, 0.5, y, z)
     lines = [
         "compat-check: gradient-product positivity and the two one-sided"
         " coupling bounds between the convex pair and (f, g)",
@@ -135,10 +133,6 @@ def cmd_solve(scn: Scenario):
 def cmd_cauchy(scn: Scenario):
     """Coupled eps-ladder convergence study; the rate exponent of the
     weighted sup gap in (eps + delta) should sit near one."""
-    if len(scn.eps_ladder) < 2:
-        raise ScenarioError("cauchy needs an eps_ladder with at least two entries")
-    if scn.solver.scheme != "explicit-yosida":
-        raise ScenarioError(f"cauchy runs the explicit-yosida scheme only, not {scn.solver.scheme!r}")
     rep = cauchy_study(scn.coeffs, scn.phi, scn.psi, scn.solver, scn.eps_ladder, _build_run(scn),
                        lam=scn.coeffs.constants.lam, mu=scn.coeffs.constants.mu)
     rows = [(float(a), float(b), float(g)) for (a, b), g in zip(rep.eps_pairs, rep.gaps_sq)]
@@ -245,7 +239,7 @@ def run(argv=None) -> int:
         if not args.quiet:
             sys.stdout.write(text)
         return 0 if ok else 3
-    except (ScenarioError, KeyError, FileNotFoundError, ValueError) as exc:
+    except (KeyError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": "validation", "detail": str(exc)}) + "\n")
         return 2
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -272,6 +272,17 @@ def _golden_prox_1d(theta, eps, x, lo, hi, width):
     return np.where(best_f < f_anchor, best, anchor)
 
 
+def _subgradient_violation(theta: ConvexFunction, u, j, theta_j, test_points) -> float:
+    """Worst <u, r - j> + theta(j) - theta(r) over the test points r, for
+    multipliers u (..., k) at points j (..., k) with values theta_j = theta(j):
+    u lies in dtheta(j) when it is <= 0 for every r in Dom(theta)."""
+    worst = -np.inf
+    for r in test_points:
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        worst = max(worst, float(np.max(np.sum(u * (r - j), axis=-1) + theta_j - float(theta.evaluate(r)))))
+    return worst
+
+
 def prox_property_suite(
     theta: ConvexFunction,
     n_samples: int,
@@ -321,12 +332,8 @@ def prox_property_suite(
     tx = theta.evaluate(x)
     finite = np.isfinite(tx)
     worst["sandwich_upper"] = float(np.max(env[finite] / eps[finite] - tx[finite])) if np.any(finite) else 0.0
-    sub = -np.inf
-    for r in (np.full(k, -1.5), np.zeros(k), np.full(k, 1.5)):
-        tr = float(theta.evaluate(r))
-        vio = np.sum(gx * (r - jx), -1) + t_jx - tr
-        sub = max(sub, float(np.max(vio)))
-    worst["subgradient"] = sub
+    test_points = (np.full(k, -1.5), np.zeros(k), np.full(k, 1.5))
+    worst["subgradient"] = _subgradient_violation(theta, gx, jx, t_jx, test_points)
     g0 = yosida_gradient(theta, eps, np.zeros((n_samples, k)))
     worst["grad_at_zero"] = float(np.max(np.abs(g0)))
     return worst
@@ -350,7 +357,9 @@ def check_compatibility(
     f: Callable,
     g: Callable,
     eps_ladder,
-    samples,
+    t: float,
+    y: np.ndarray,
+    z: np.ndarray,
 ) -> CompatibilityReport:
     """Sampled validator of the three coupling inequalities between phi, psi
     and the coefficients:
@@ -359,31 +368,25 @@ def check_compatibility(
         (ii)  <grad phi_eps(y), g(t,y)>  <= <grad psi_eps(y), g(t,y)>^+
         (iii) <grad psi_eps(y), f(t,y,z)> <= <grad phi_eps(y), f(t,y,z)>^+
 
-    samples is an iterable of (t, y, z) with y, z arrays of shape (k,),
-    (k, d).  Worst positive violations are reported; pass iff all are at
-    most 1e-9.  This is a spot check on the given samples, not a proof.
+    f and g are the batched maps of a CoefficientSet, called in the state-free
+    regime as f(t, None, y, z) and g(t, None, y) on the samples y (m, k) and
+    z (m, k, d); every rung of eps_ladder and every sample is evaluated in one
+    pass.  Worst positive violations are reported; pass iff all are at most
+    1e-9.  This is a spot check on the given samples, not a proof.
     """
-    worst = [0.0, 0.0, 0.0]
-    for eps in eps_ladder:
-        for (t, y, z) in samples:
-            y = np.atleast_1d(np.asarray(y, dtype=float))
-            gp = yosida_gradient(phi, eps, y)
-            gq = yosida_gradient(psi, eps, y)
-            worst[0] = max(worst[0], -float(np.dot(gp, gq)))
-            gv = np.atleast_1d(np.asarray(g(t, y), dtype=float))
-            lhs = float(np.dot(gp, gv))
-            rhs = max(float(np.dot(gq, gv)), 0.0)
-            worst[1] = max(worst[1], lhs - rhs)
-            fv = np.atleast_1d(np.asarray(f(t, y, z), dtype=float))
-            lhs = float(np.dot(gq, fv))
-            rhs = max(float(np.dot(gp, fv)), 0.0)
-            worst[2] = max(worst[2], lhs - rhs)
-    return CompatibilityReport(
-        ok=max(worst) <= 1e-9,
-        worst_i=worst[0],
-        worst_ii=worst[1],
-        worst_iii=worst[2],
-    )
+    y = np.asarray(y, dtype=float)
+    eps = np.asarray(eps_ladder, dtype=float)[:, None]  # one row per rung, against the sample axis
+    rungs = np.broadcast_to(y, (len(eps),) + y.shape)
+    gp, gq = yosida_gradient(phi, eps, rungs), yosida_gradient(psi, eps, rungs)
+    gv = np.asarray(g(t, None, y), dtype=float)
+    fv = np.asarray(f(t, None, y, z), dtype=float)
+    dot = lambda a, b: np.sum(a * b, axis=-1)
+    worst = [max(0.0, float(np.max(v))) for v in (
+        -dot(gp, gq),
+        dot(gp, gv) - np.maximum(dot(gq, gv), 0.0),
+        dot(gq, fv) - np.maximum(dot(gp, fv), 0.0),
+    )]
+    return CompatibilityReport(max(worst) <= 1e-9, *worst)
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,8 @@ def sample_field(
     sweep, which regresses each node on its own paths.  The terminal slice is
     the exact terminal map.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    if n_paths < 1 or n_b_draws < 1:
+        raise ValueError("n_paths and n_b_draws must be >= 1")
     master = config.grid
     nodes = master.nodes
     nt, npts = fgrid.times.size, fgrid.points.shape[0]
@@ -178,7 +178,7 @@ def _require_line_lattice(fld: FieldEstimate):
 
 
 def interior_residual(fld: FieldEstimate, coeffs: CoefficientSet, phi: ConvexFunction,
-                      eps: float, domain: DomainSpec, sigma=1.0, b=0.0) -> dict:
+                      eps: float, sigma=1.0, b=0.0) -> dict:
     """Finite-difference residual of the penalized interior equation
 
         du/dt + 0.5 sigma^2 u_xx + b u_x + f(t, x, u, sigma u_x)

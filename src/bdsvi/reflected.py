@@ -264,7 +264,7 @@ def simulate_reflected(
     return replace(noise, A=A, X=X)
 
 
-def boundary_band(domain: DomainSpec, sigma_sup: float, dt: float) -> float:
+def boundary_band(sigma_sup: float, dt: float) -> float:
     """Default width of the band in which local-time increments may occur:
     one diffusion step from the boundary."""
     return 2.0 * np.sqrt(dt) * sigma_sup

@@ -113,15 +113,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         name = raw.get("name", "unnamed")
         phi = make_convex(raw.get("phi", "zero"))
         psi = make_convex(raw.get("psi", "zero"))
-        cs = raw.get("constants", {})
-        constants = AssumptionConstants(
-            beta1=float(cs.get("beta1", 0.0)),
-            beta2=float(cs.get("beta2", 0.0)),
-            K=float(cs.get("K", 0.0)),
-            alpha=float(cs.get("alpha", 0.5)),
-            lam=float(cs.get("lam", 3.0)),
-            mu=float(cs.get("mu", 1.5)),
-        )
+        constants = AssumptionConstants(**{k: float(v) for k, v in raw.get("constants", {}).items()})
         co = raw.get("coefficients", {})
         f, g, h = make_coefficients(co)
         coeffs = CoefficientSet(f, g, h, make_terminal(co.get("terminal", {"kind": "constant"})), constants)
@@ -143,6 +135,9 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             dspec = dict(raw["domain"])
             domain = make_domain(dspec.pop("kind"), **dspec)
         d = domain.d if domain is not None else int(raw.get("dim", 1))
+        start = np.atleast_1d(np.asarray(raw.get("start", np.zeros(d)), dtype=float))
+        if start.shape != (d,):
+            raise ScenarioError(f"start must be a point of dimension {d}, got shape {start.shape}")
         if regression == "sample-mean" and (domain is not None or callable(coeffs.terminal)):
             # the pathwise value update it takes holds only for state-free data
             raise ScenarioError("regression sample-mean needs a constant terminal and no domain;"
@@ -176,7 +171,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             eps_ladder=ladder,
             domain=domain,
             d=d,
-            start=np.asarray(raw.get("start", np.zeros(d)), dtype=float).reshape(-1),
+            start=start,
             sigma=float(raw.get("sigma", 1.0)),
             drift=float(raw.get("drift", 0.0)),
             a_spec=a_spec,

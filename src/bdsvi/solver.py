@@ -6,10 +6,10 @@ the chosen conditional-expectation estimator, the Z component is extracted
 from the correlation with the forward increments, and the penalization is
 applied either explicitly (Yosida gradient step) or implicitly (resolvent
 step, the stable surrogate of the small-eps limit).  The estimator is fitted
-once per node and shared by the Z and Y targets; for ``poly`` its condition
-number is s_max/s_min of the worst block's design.  The state-free
-``sample-mean`` estimator and the explicit scheme's resolvent oracles are
-resolved once per sweep, not per step.
+once per node and shared by the Z and Y targets; for ``poly`` and
+``partition`` its condition number is s_max/s_min of the worst block's
+design.  The state-free ``sample-mean`` estimator and the explicit scheme's
+resolvent oracles are resolved once per sweep, not per step.
 
 Conditional expectations:
 
@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .convex import AssumptionConstants, ConvexFunction, _oracle, _prox, prox
+from .convex import AssumptionConstants, ConvexFunction, _oracle, _prox, _subgradient_violation, prox
 from .drivers import PathBundle, TimeGrid, _node_major
 
 __all__ = [
@@ -118,9 +118,10 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
     sample-mean maps targets (blocks * n, m) to each block's mean.  For
     poly/partition, x_state holds `blocks` stacked ensembles of n rows,
     (blocks * n, d), and project maps targets (blocks * n, m) row for row to
-    their fitted values, target block b fitted on state block b.  cond is the
-    worst block's s_max/s_min of its poly design (inf when s_min = 0; None
-    for the other estimators).
+    their least-squares fit on the block's features: its monomials (poly), or
+    the indicators of its quantile cells (partition), on which the fit is
+    each cell's mean.  cond is the worst block's s_max/s_min of its design
+    (inf when s_min = 0, as for an empty cell; None for sample-mean).
     """
     if spec == "sample-mean":
         def project(t):
@@ -131,37 +132,27 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
     if x_state is None:
         raise ValueError("state-based regression needs a Markov state ensemble")
     states = x_state.reshape(blocks, -1, x_state.shape[-1])
-    n = states.shape[1]
-    kind = spec[0]
-    if kind == "poly":
+    n, d = states.shape[1:]
+    if spec[0] == "poly":
         features = _poly_features(states, int(spec[1]))
-        u, s, _ = np.linalg.svd(features, full_matrices=False)
-        # keep the directions lstsq keeps: s > s_max * eps_mach * max(n, p)
-        q = u * (s > s[:, :1] * np.finfo(float).eps * max(features.shape[1:]))[:, None, :]
-        cond = np.divide(s[:, 0], s[:, -1], out=np.full(blocks, np.inf), where=s[:, -1] > 0)
-
-        def project(t):
-            rows = t.reshape(-1, n, t.shape[-1])
-            return (q @ (q.transpose(0, 2, 1) @ rows)).reshape(t.shape)
-        return project, float(np.max(cond))
-    if kind == "partition":
-        d = states.shape[-1]
+    elif spec[0] == "partition":
         per_dim = max(1, int(round(int(spec[1]) ** (1.0 / d))))
         ids = np.zeros((blocks, n), dtype=np.intp)
-        for j in range(d):
+        for j in range(d):  # per_dim cells per axis, cut at the block's own quantiles
             qs = np.quantile(states[..., j], np.linspace(0, 1, per_dim + 1)[1:-1], axis=1).T
             ids = ids * per_dim + np.sum(qs[:, None, :] < states[..., j, None], axis=-1)
-        cells = [[row == c for c in np.unique(row)] for row in ids]
+        features = (ids[..., None] == np.arange(per_dim ** d)).astype(float)
+    else:
+        raise ValueError(f"unknown regression spec {spec!r}")
+    u, s, _ = np.linalg.svd(features, full_matrices=False)
+    # keep the directions lstsq keeps: s > s_max * eps_mach * max(n, p)
+    q = u * (s > s[:, :1] * np.finfo(float).eps * max(features.shape[1:]))[:, None, :]
+    cond = np.divide(s[:, 0], s[:, -1], out=np.full(blocks, np.inf), where=s[:, -1] > 0)
 
-        def project(t):
-            rows = t.reshape(-1, n, t.shape[-1])
-            out = np.empty_like(rows)
-            for b, block in enumerate(rows):
-                for mask in cells[b]:
-                    out[b, mask] = np.mean(block[mask], axis=0)
-            return out.reshape(t.shape)
-        return project, None
-    raise ValueError(f"unknown regression spec {spec!r}")
+    def project(t):
+        rows = t.reshape(-1, n, t.shape[-1])
+        return (q @ (q.transpose(0, 2, 1) @ rows)).reshape(t.shape)
+    return project, float(np.max(cond))
 
 
 def _terminal_values(coeffs: CoefficientSet, n_paths: int, X_T: Optional[np.ndarray]):
@@ -267,8 +258,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
 
         if not sample_mean:
             project, cond = _projector(config.regression, X[:, i], n_blocks)
-            if cond is not None:
-                conds.append(cond)
+            conds.append(cond)
         z_target = (y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d)
         z_i = project(z_target).reshape(rows, k, d)
 
@@ -377,20 +367,21 @@ def cauchy_study(
 ) -> CauchyReport:
     """Coupled-run convergence study along a decreasing eps ladder.
 
-    All runs share the noise, the grid and the state.  The ladder always
-    runs the explicit-yosida scheme, whatever base_config.scheme says; only
-    the grid and the regression are taken from base_config.  For consecutive
+    All runs share the noise, the grid and the state.  Each rung runs
+    base_config at its own eps; base_config must be explicit-yosida, the one
+    scheme whose step uses eps (ValueError otherwise).  For consecutive
     (eps, delta) the weighted expected sup of the squared gap is estimated
     and the rate exponent is fitted as the slope of log(gap) vs
     log(eps + delta), where gap is the square root of the estimate.
     """
     ladder = [float(e) for e in eps_ladder]
     if len(ladder) < 2:
-        raise ValueError("eps ladder needs at least two entries")
+        raise ValueError("cauchy needs an eps_ladder with at least two entries")
+    if base_config.scheme != "explicit-yosida":
+        raise ValueError(f"cauchy runs the explicit-yosida scheme only, not {base_config.scheme!r}")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-    cfg = SolverConfig(base_config.grid, eps=ladder[-1], scheme="explicit-yosida",
-                       regression=base_config.regression)
+    cfg = replace(base_config, eps=ladder[-1])
     tile = lambda a: None if a is None else np.tile(a, (len(ladder),) + (1,) * (a.ndim - 1))  # a block per rung
     rungs = replace(noise, dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A), X=tile(noise.X))
     Y, Z, U, V, A, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs)
@@ -431,20 +422,12 @@ def verify_vi_inclusion(sol: BdsdeSolution, phi: ConvexFunction, psi: ConvexFunc
     phi_j = phi.evaluate(j_phi)
     psi_j = psi.evaluate(j_psi)
     active = dA > 0.0
-    worst_phi = -np.inf
-    worst_psi = -np.inf
-    for r in test_points:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        phi_r = float(phi.evaluate(r))
-        psi_r = float(psi.evaluate(r))
-        vio_phi = np.sum(sol.U * (r - j_phi), axis=-1) + phi_j - phi_r
-        worst_phi = max(worst_phi, float(np.max(vio_phi)))
-        if np.any(active):
-            vio_psi = np.sum(sol.V * (r - j_psi), axis=-1) + psi_j - psi_r
-            worst_psi = max(worst_psi, float(np.max(vio_psi[active])))
+    worst_phi = _subgradient_violation(phi, sol.U, j_phi, phi_j, test_points)
+    worst_psi = (_subgradient_violation(psi, sol.V[active], j_psi[active], psi_j[active], test_points)
+                 if np.any(active) else -np.inf)
     return {
         "worst_phi": worst_phi,
         "worst_psi": worst_psi,
         "phi_infinite_nodes": int(np.sum(~np.isfinite(phi_j))),
-        "psi_infinite_nodes": int(np.sum(~np.isfinite(psi_j[active]))) if np.any(active) else 0,
+        "psi_infinite_nodes": int(np.sum(~np.isfinite(psi_j[active]))),
     }

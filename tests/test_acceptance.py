@@ -141,7 +141,7 @@ def test_04_cauchy_rate():
     grid = TimeGrid.uniform(0, 1, 20000)  # explicit scheme needs dt <= min eps
     noise = generate_paths(grid, 1, 2, seed=7, a_spec=_flat_a)
     phi = make_convex("indicator_box(-inf,0.5)")
-    rep = cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid, eps=1e-1),
+    rep = cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid, eps=1e-1, scheme="explicit-yosida"),
                        [1e-1, 1e-2, 1e-3, 1e-4], noise, lam=3.0, mu=1.5)
     elapsed = time.perf_counter() - t0
     ok = 0.75 <= rep.slope <= 1.25 and elapsed < 60.0
@@ -178,7 +178,7 @@ def test_06_reflected_diffusion():
     noise = generate_paths(grid, 2, 10_000, seed=5, shared_backward=True)
     path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), noise)
     containment = float(np.min(dom.level(path.X)))
-    band = boundary_band(dom, 1.0, grid.max_dt)
+    band = boundary_band(1.0, grid.max_dt)
     support = local_time_support_fraction(path, dom, band)
 
     grid2 = TimeGrid.uniform(0, 1, 2000)
@@ -254,8 +254,7 @@ def test_08_field_sampler():
 
     fg20 = FieldGrid.build(dom, np.linspace(0, 1, 20), np.linspace(-1, 1, 20)[:, None])
     manu = manufactured_field(lambda t, x: float(np.sum(x * x)), fg20)
-    ir = interior_residual(manu, _coeffs(f=lambda t, x, y, z: -np.ones_like(y)),
-                           ZERO, 0.0, dom)
+    ir = interior_residual(manu, _coeffs(f=lambda t, x, y, z: -np.ones_like(y)), ZERO, 0.0)
     br = boundary_residual(manu, _coeffs(g=lambda t, x, y: 2.0 * np.ones_like(y)),
                            ZERO, 0.0, dom)
     ok = (const_err <= 1e-12 and lin_err <= 2 * cfg.grid.max_dt

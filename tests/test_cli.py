@@ -319,6 +319,45 @@ def test_a_z_on_g_is_validation_error(tmp_path, capsys):
     assert "no a_z" in capsys.readouterr().err
 
 
+def test_unknown_constant_fails_at_load(tmp_path, capsys):
+    """A key under constants that AssumptionConstants does not name is a
+    validation error (exit 2), not silently ignored."""
+    p = _variant(tmp_path, "zero.yaml", lambda raw: raw["constants"].update(gamma=1.0))
+    with pytest.raises(ScenarioError, match="gamma"):
+        load_scenario(p)
+    assert run(["solve", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
+    assert '"error": "validation"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", [[0.5], [0.0, 0.0, 0.0]], ids=["too-short", "too-long"])
+def test_start_of_the_wrong_dimension_fails_at_load(tmp_path, start):
+    """The launch point of the planar ball has two coordinates; one or three
+    are a validation error at load, not a broadcast or a silent run."""
+    p = _variant(tmp_path, "ball.yaml", lambda raw: raw.update(start=start))
+    with pytest.raises(ScenarioError, match="start"):
+        load_scenario(p)
+    out = tmp_path / "out"
+    assert run(["solve", "--scenario", p, "--out", str(out), "--paths", "20", "--quiet"]) == 2
+    assert not (out / "solve.csv").exists()
+
+
+def test_field_with_no_backward_draws_is_validation_error(tmp_path):
+    """draws: 0 averages no field: exit 2 and no field.csv, not an all-nan
+    field that passes the continuity check."""
+    p = _variant(tmp_path, "field.yaml", lambda raw: raw["lattice"].update(draws=0))
+    out = tmp_path / "out"
+    assert run(["field", "--scenario", p, "--out", str(out), "--paths", "10", "--quiet"]) == 2
+    assert not (out / "field.csv").exists()
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(SCEN) if f.endswith(".yaml")))
+def test_compat_check_writes_no_negative_zero(tmp_path, name):
+    """A violation that is never positive is written as 0, never as -0."""
+    assert run(["compat-check", "--scenario", _scn(name), "--out", str(tmp_path), "--quiet"]) == 0
+    values = [line.split(",")[1] for line in (tmp_path / "compat_check.csv").read_text().splitlines()[1:]]
+    assert "-0" not in values
+
+
 def test_field_without_domain_is_validation_error(tmp_path):
     assert run(["field", "--scenario", _scn("zero.yaml"),
                 "--out", str(tmp_path), "--quiet"]) == 2

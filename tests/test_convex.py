@@ -15,6 +15,7 @@ from bdsvi import (
     yosida_gradient,
 )
 from bdsvi.convex import CATALOG
+from bdsvi.scenarios import make_coefficients
 
 CATALOG_NAMES = ["zero", "quadratic(1.0)", "abs", "indicator_box(-1,1)", "hinge_sq"]
 
@@ -256,33 +257,68 @@ def test_weight_alpha_validation():
 # ---------------------------------------------------------------- compatibility
 
 def _samples(n=32, seed=5):
+    """t and the sample arrays y (n, 1), z (n, 1, 1) of check_compatibility."""
     rng = np.random.default_rng(seed)
-    return [(0.3, rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+    return 0.3, rng.uniform(-3, 3, (n, 1)), rng.uniform(-3, 3, (n, 1, 1))
+
+
+ONES_F = lambda t, x, y, z: np.ones_like(y)
+ONES_G = lambda t, x, y: np.ones_like(y)
 
 
 def test_compat_identical_functions():
     q = make_convex("quadratic(1.0)")
-    rep = check_compatibility(q, q, lambda t, y, z: 1.0, lambda t, y: 1.0,
-                              [0.1, 0.01], _samples())
+    rep = check_compatibility(q, q, ONES_F, ONES_G, [0.1, 0.01], *_samples())
     assert rep.worst_i <= 1e-12
 
 
 def test_compat_zero_pair():
+    """All three products are -0.0 here; the report holds +0.0, so the CLI
+    never writes -0."""
     z = make_convex("zero")
-    rep = check_compatibility(z, z, lambda t, y, z_: 1.0, lambda t, y: 1.0,
-                              [0.1, 0.01], _samples())
+    rep = check_compatibility(z, z, ONES_F, ONES_G, [0.1, 0.01], *_samples())
     assert rep.ok
     assert rep.worst == 0.0
+    assert all(np.copysign(1.0, w) == 1.0 for w in (rep.worst_i, rep.worst_ii, rep.worst_iii))
 
 
 def test_compat_abs_vs_quadratic_reports():
-    rep = check_compatibility(make_convex("abs"), make_convex("quadratic(1.0)"),
-                              lambda t, y, z: 1.0, lambda t, y: 1.0,
-                              [0.1, 0.01], _samples())
+    rep = check_compatibility(make_convex("abs"), make_convex("quadratic(1.0)"), ONES_F, ONES_G,
+                              [0.1, 0.01], *_samples())
     # signs of the two gradients always agree here, so (i) holds; the
     # one-sided bounds may or may not, the report just has to quantify them
     assert rep.worst_i <= 1e-12
     assert np.isfinite(rep.worst)
+
+
+def _compat_per_sample(phi, psi, f, g, eps_ladder, t, y, z):
+    """The three coupling violations one rung and one sample at a time."""
+    worst = [0.0, 0.0, 0.0]
+    for eps in eps_ladder:
+        for yi, zi in zip(y, z):
+            gp, gq = yosida_gradient(phi, eps, yi), yosida_gradient(psi, eps, yi)
+            gv, fv = g(t, None, yi[None])[0], f(t, None, yi[None], zi[None])[0]
+            worst[0] = max(worst[0], -float(np.dot(gp, gq)))
+            worst[1] = max(worst[1], float(np.dot(gp, gv)) - max(float(np.dot(gq, gv)), 0.0))
+            worst[2] = max(worst[2], float(np.dot(gq, fv)) - max(float(np.dot(gp, fv)), 0.0))
+    return worst
+
+
+@pytest.mark.parametrize("phi, psi", [("abs", "quadratic(1.0)"), ("hinge_sq", "indicator_box(-1,1)"),
+                                      ("indicator_box(-inf,0.5)", "abs")])
+def test_batched_compat_matches_per_sample_loop(phi, psi):
+    """One pass over every rung and sample gives the per-sample loop's
+    worst violations bit for bit, on pairs with affine f and g that violate
+    the coupling bounds."""
+    f, g, _ = make_coefficients({"f": {"kind": "linear", "a_y": 0.7, "a_z": -0.4, "c": 0.3},
+                                 "g": {"kind": "linear", "a_y": -1.2, "c": 0.5}})
+    phi, psi = make_convex(phi), make_convex(psi)
+    ladder = [1e-1, 1e-2, 1e-3]
+    rep = check_compatibility(phi, psi, f, g, ladder, *_samples(n=64, seed=11))
+    ref = _compat_per_sample(phi, psi, f, g, ladder, *_samples(n=64, seed=11))
+    assert [rep.worst_i, rep.worst_ii, rep.worst_iii] == ref
+    assert rep.ok == (max(ref) <= 1e-9)
+    assert max(ref) > 0.0  # the check has something to compare
 
 
 def test_make_convex_rejects_unknown():

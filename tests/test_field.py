@@ -213,7 +213,7 @@ def test_manufactured_quadratic_interior_residual():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -np.ones_like(y)),
-                            ZERO, 0.0, DOM)
+                            ZERO, 0.0)
     assert out["max_abs"] < 1e-12
 
 
@@ -222,7 +222,7 @@ def test_interior_residual_state_dependent_sigma():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -(1.0 + 0.25 * x) ** 2),
-                            ZERO, 0.0, DOM, sigma=_affine_sigma)
+                            ZERO, 0.0, sigma=_affine_sigma)
     assert out["max_abs"] <= 1e-12
 
 
@@ -231,7 +231,7 @@ def test_interior_residual_state_dependent_drift():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -1.0 - x * x),
-                            ZERO, 0.0, DOM, b=lambda x: 0.5 * x)
+                            ZERO, 0.0, b=lambda x: 0.5 * x)
     assert out["max_abs"] <= 1e-12
 
 
@@ -265,7 +265,7 @@ def test_residual_detects_wrong_source():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: np.zeros_like(y)),
-                            ZERO, 0.0, DOM)
+                            ZERO, 0.0)
     assert out["max_abs"] == pytest.approx(1.0)
 
 
@@ -276,7 +276,7 @@ def test_residual_includes_penalization_term():
     phi = make_convex("indicator_box(-inf,0.5)")
     eps = 0.1
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: np.full_like(y, 3.0)),
-                            phi, eps, DOM)
+                            phi, eps)
     assert out["max_abs"] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -284,4 +284,4 @@ def test_residual_requires_line_lattice():
     fg = _fgrid(2, 2)
     est = manufactured_field(lambda t, x: 0.0, fg)
     with pytest.raises(ValueError):
-        interior_residual(est, _coeffs(), ZERO, 0.0, DOM)
+        interior_residual(est, _coeffs(), ZERO, 0.0)

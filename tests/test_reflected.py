@@ -105,7 +105,7 @@ def test_interior_run_has_zero_local_time():
 def test_local_time_support_fraction_vanishes():
     dom = unit_ball(2)
     path, grid = _run(dom, sigma=1.2)
-    band = boundary_band(dom, 1.2, grid.max_dt)
+    band = boundary_band(1.2, grid.max_dt)
     assert local_time_support_fraction(path, dom, band) == 0.0
 
 

@@ -181,19 +181,28 @@ def test_cauchy_slope_near_one():
     noise = generate_paths(grid, 1, 2, seed=1,
                            a_spec=lambda t: np.zeros_like(np.asarray(t, float)))
     phi = make_convex("indicator_box(-inf,0.5)")
-    rep = cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid, eps=1e-1),
+    rep = cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid, eps=1e-1, scheme="explicit-yosida"),
                        [1e-1, 1e-2, 1e-3], noise)
     assert 0.75 <= rep.slope <= 1.25
     assert all(g2 > g1 for g1, g2 in zip(rep.gaps_sq[1:], rep.gaps_sq[:-1]))
+
+
+def test_cauchy_runs_the_explicit_scheme_only():
+    """The ladder study varies the eps of the explicit step; an implicit-prox
+    config is an error, not silently replaced."""
+    grid, noise = _bundle(n_steps=10, n_paths=2)
+    phi = make_convex("indicator_box(-inf,0.5)")
+    with pytest.raises(ValueError, match="explicit-yosida scheme only, not 'implicit-prox'"):
+        cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid), [1e-1, 1e-2], noise)
 
 
 def test_cauchy_validates_ladder():
     grid, noise = _bundle(n_steps=10, n_paths=2)
     phi = make_convex("indicator_box(-inf,0.5)")
     with pytest.raises(ValueError):
-        cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid), [1e-1], noise)
+        cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid, scheme="explicit-yosida"), [1e-1], noise)
     with pytest.raises(ValueError):
-        cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid), [1e-2, 1e-1], noise)
+        cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid, scheme="explicit-yosida"), [1e-2, 1e-1], noise)
 
 
 
@@ -211,8 +220,8 @@ def _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, lam, mu):
 
 def _assert_batched_ladder_matches(coeffs, phi, psi, grid, regression, noise):
     ladder = [1e-1, 1e-2, 5e-3]
-    rep = cauchy_study(coeffs, phi, psi, SolverConfig(grid, regression=regression), ladder,
-                       noise, lam=3.0, mu=1.5)
+    rep = cauchy_study(coeffs, phi, psi, SolverConfig(grid, scheme="explicit-yosida", regression=regression),
+                       ladder, noise, lam=3.0, mu=1.5)
     limit, gaps, slope = _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, 3.0, 1.5)
     assert rep.eps_pairs == [(1e-1, 1e-2), (1e-2, 5e-3)]
     assert rep.gaps_sq == gaps
@@ -285,7 +294,8 @@ def test_non_finite_value_in_sweep_raises(run):
         "explicit": lambda: solve_penalized(coeffs, phi, ZERO,
                                             SolverConfig(grid, eps=2e-2, scheme="explicit-yosida"), noise),
         "implicit": lambda: solve_penalized(coeffs, phi, ZERO, SolverConfig(grid), noise),
-        "ladder": lambda: cauchy_study(coeffs, phi, ZERO, SolverConfig(grid), [1e-1, 2e-2], noise),
+        "ladder": lambda: cauchy_study(coeffs, phi, ZERO, SolverConfig(grid, scheme="explicit-yosida"),
+                                       [1e-1, 2e-2], noise),
         # dt * Lip(grad phi_eps) = 0.01 * 5e5: the explicit step overflows
         "unstable": lambda: solve_penalized(_coeffs(terminal=1.0), make_convex("quadratic(1e6)"), ZERO,
                                             SolverConfig(grid, eps=1e-6, scheme="explicit-yosida"), noise),
@@ -401,6 +411,50 @@ def test_partition_regression_piecewise_means():
     targets = np.where(x[:, 0] > 0, 1.0, -1.0)[:, None]
     out = _projector(("partition", 2), x, 1)[0](targets)
     assert np.max(np.abs(out - targets)) < 1e-12
+
+
+def _cell_means(x, targets, cells):
+    """Per-cell np.mean of targets (n, m) over the quantile cells of one
+    block's states x (n, d), and whether a cell is empty."""
+    n, d = x.shape
+    per_dim = max(1, int(round(cells ** (1.0 / d))))
+    ids = np.zeros(n, dtype=int)
+    for j in range(d):
+        cuts = np.quantile(x[:, j], np.linspace(0, 1, per_dim + 1)[1:-1])
+        ids = ids * per_dim + np.searchsorted(cuts, x[:, j], side="left")  # cuts strictly below x
+    out = np.empty_like(targets)
+    for c in np.unique(ids):
+        out[ids == c] = np.mean(targets[ids == c], axis=0)
+    return out, np.unique(ids).size < per_dim ** d
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_partition_projector_is_the_per_cell_mean(d):
+    """Least squares on the cell indicators is each cell's mean, for three
+    stacked blocks: spread states, tied states, and states that leave a cell
+    empty, where the condition number is inf."""
+    rng = np.random.default_rng(d)
+    n = 90
+    spread = rng.uniform(-1, 1, (n, d))
+    tied = rng.integers(0, 3, (n, d)) / 2.0
+    if d == 1:
+        lopsided = np.full((n, 1), 0.25)  # one point: every row in the first cell
+    else:
+        lopsided = np.repeat(rng.uniform(-1, 1, (n, 1)), 2, axis=1)  # x_1 = x_2: the off-diagonal cells are empty
+    x = np.concatenate([spread, tied, lopsided])
+    targets = rng.normal(size=(3 * n, 3))
+    project, cond = _projector(("partition", 4), x, 3)
+    out = project(targets)
+    empty = []
+    for b in range(3):
+        rows = slice(n * b, n * (b + 1))
+        ref, has_empty = _cell_means(x[rows], targets[rows], 4)
+        assert np.max(np.abs(out[rows] - ref)) < 1e-12, b
+        empty.append(has_empty)
+    assert isinstance(cond, float)
+    assert empty[2] and cond == np.inf
+    spread_cond = _projector(("partition", 4), spread, 1)[1]
+    assert not empty[0] and np.isfinite(spread_cond)
 
 
 def test_state_regression_requires_state():
