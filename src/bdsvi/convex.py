@@ -136,9 +136,10 @@ def _prox(theta: ConvexFunction, eps, x) -> np.ndarray:
         return np.asarray(oracle(eps, x), dtype=float)
     if zero.all():
         return x.copy()
-    moved = ~np.broadcast_to(zero, x.shape[:-1])  # not 0 * theta(y), which is nan off Dom(theta)
+    # not 0 * theta(y), which is nan off Dom(theta); indices, since a gather or scatter by index beats a mask
+    moved = np.nonzero(~np.broadcast_to(zero, x.shape[:-1]))
     out = x.copy()
-    out[moved] = oracle(np.broadcast_to(eps, moved.shape)[moved], x[moved])
+    out[moved] = oracle(np.broadcast_to(eps, x.shape[:-1])[moved], x[moved])
     return out
 
 
@@ -301,6 +302,7 @@ def prox_property_suite(
       sandwich_lower   (1/(2 eps))|x - J_eps(x)|^2 <= theta_eps(x)/eps
       sandwich_upper   theta_eps(x)/eps <= theta(x)   (finite theta(x) only)
       subgradient      <grad theta_eps(x), r - J_eps(x)> + theta(J_eps(x)) <= theta(r)
+                         at r = (v, ..., v), v in linspace(-1.5, 1.5, 7)
       grad_at_zero     |grad theta_eps(0)| = 0
 
     Returns a dict of worst signed violations (<= 0 means the law holds).
@@ -332,7 +334,7 @@ def prox_property_suite(
     tx = theta.evaluate(x)
     finite = np.isfinite(tx)
     worst["sandwich_upper"] = float(np.max(env[finite] / eps[finite] - tx[finite])) if np.any(finite) else 0.0
-    test_points = (np.full(k, -1.5), np.zeros(k), np.full(k, 1.5))
+    test_points = [np.full(k, v) for v in np.linspace(-1.5, 1.5, 7)]
     worst["subgradient"] = _subgradient_violation(theta, gx, jx, t_jx, test_points)
     g0 = yosida_gradient(theta, eps, np.zeros((n_samples, k)))
     worst["grad_at_zero"] = float(np.max(np.abs(g0)))

@@ -3,16 +3,19 @@
 Two independent d-dimensional Brownian motions drive the equation: W enters
 through forward (left-endpoint) sums and B through backward (right-endpoint)
 sums.  Every random stream of the package comes from one key packer,
-`_stream(seed, tag, *ids)`, which packs its arguments injectively into the
+`_stream_key(seed, tag, *ids)`, which packs its arguments injectively into the
 2x64-bit key of a counter-based Philox generator (Salmon et al., SC'11).  Its
 four tags are W (path i), B (path i), B_SHARED (backward-noise draw) and
-FIELD_W (field node draw, lattice time, lattice point).  A stream depends on
-its key only, so bundles are bit-identical regardless of batch size, ordering
-or scheduling.
+FIELD_W (field node draw, lattice time, lattice point).  A call that draws
+many streams makes one generator and re-keys it for each (`_rekey`), which
+draws what a new generator on that key (`_stream`) draws.  No generator is
+shared across calls, and a stream depends on its key only, so bundles are
+bit-identical regardless of batch size, ordering, scheduling or thread count.
 """
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -124,16 +127,20 @@ def load_a_table(path) -> Callable[[np.ndarray], np.ndarray]:
 _STREAM_TAGS = {"W": (0, (62,)), "B": (1, (62,)), "B_SHARED": (2, (62,)), "FIELD_W": (3, (22, 20, 20))}
 
 
-def _stream(seed: int, tag: str, *ids: int) -> np.random.Generator:
-    """The Philox generator keyed by (seed, tag, ids).
+def _stream_key(seed: int, tag: str, *ids: int) -> tuple:
+    """The Philox key (seed, word) of the stream (seed, tag, ids).
 
     Word 0 of the key is the seed.  Word 1 is the tag's two bits over its
     payload: W and B carry a path index, B_SHARED a backward-noise draw (62
-    bits each), FIELD_W a field node (draw << 40 | it << 20 | jp).  A seed
-    outside [0, 2**64) or an id wider than its field raises ValueError, so
-    distinct arguments never share a key.
+    bits each), FIELD_W a field node (draw << 40 | it << 20 | jp).  A seed or
+    id that is not an integer, a seed outside [0, 2**64) or an id wider than
+    its field raises ValueError, so distinct arguments never share a key.
     """
     code, widths = _STREAM_TAGS[tag]
+    try:
+        seed, ids = operator.index(seed), [operator.index(i) for i in ids]
+    except TypeError:
+        raise ValueError(f"stream {tag} takes an integer seed and ids, got {seed!r}, {ids!r}") from None
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     if len(ids) != len(widths):
@@ -142,8 +149,23 @@ def _stream(seed: int, tag: str, *ids: int) -> np.random.Generator:
     for i, bits in zip(ids, widths):
         if not 0 <= i < 1 << bits:
             raise ValueError(f"stream {tag} id {i} does not fit in {bits} bits")
-        word = word << bits | int(i)
-    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
+        word = word << bits | i
+    return seed, word
+
+
+def _stream(seed: int, tag: str, *ids: int) -> np.random.Generator:
+    """A new Philox generator keyed by (seed, tag, ids), see _stream_key."""
+    return np.random.Generator(np.random.Philox(key=np.array(_stream_key(seed, tag, *ids), dtype=np.uint64)))
+
+
+def _rekey(gen: np.random.Generator, seed: int, tag: str, *ids: int) -> np.random.Generator:
+    """gen with its Philox set to the fresh state of the key of (seed, tag,
+    ids): counter 0, empty buffer, no cached half word.  Its draws are then
+    those of _stream(seed, tag, *ids), without the cost of a new generator."""
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0),
+                               "key": _stream_key(seed, tag, *ids)}, "buffer": (0, 0, 0, 0),
+                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def generate_paths(
@@ -170,19 +192,21 @@ def generate_paths(
     # 256 KiB, then scale it into place, so each node takes one contiguous run of them per block
     buf = np.empty((max(1, min(n_paths, 32768 // max(1, n_steps * d))), n_steps, d))
 
+    gen = _stream(seed, "W", 0)  # re-keyed for every stream below
+
     def per_path(tag):
         z = _node_major(n_paths, n_steps, d)
         for i0 in range(0, n_paths, len(buf)):
             block = buf[:n_paths - i0]
             for j, row in enumerate(block):
-                _stream(seed, tag, i0 + j).standard_normal((n_steps, d), out=row)
+                _rekey(gen, seed, tag, i0 + j).standard_normal((n_steps, d), out=row)
             np.multiply(block, sqdt, out=z[i0:i0 + len(block)])
         return z
 
     dW = per_path("W")
     if shared_backward:
         dB = _node_major(n_paths, n_steps, d)
-        dB[:] = _stream(seed, "B_SHARED", 0).standard_normal((n_steps, d)) * sqdt
+        dB[:] = _rekey(gen, seed, "B_SHARED", 0).standard_normal((n_steps, d)) * sqdt
     else:
         dB = per_path("B")
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .convex import ConvexFunction, yosida_gradient
-from .drivers import PathBundle, TimeGrid, _node_major, _stream
+from .drivers import PathBundle, TimeGrid, _node_major, _rekey, _stream
 from .reflected import DomainSpec, _coefficients, simulate_reflected
 from .solver import CoefficientSet, SolverConfig, _backward_sweep, _terminal_values
 
@@ -107,8 +107,9 @@ def sample_field(
 
     t_index = np.searchsorted(nodes, fgrid.times - 1e-12)
     sqdt = np.sqrt(master.dt)[:, None]
+    gen = _stream(seed, "B_SHARED", 0)  # re-keyed for every stream below
     for draw in range(n_b_draws):
-        db_master = _stream(seed, "B_SHARED", draw).standard_normal((master.n_steps, d)) * sqdt
+        db_master = _rekey(gen, seed, "B_SHARED", draw).standard_normal((master.n_steps, d)) * sqdt
         for it, j0 in enumerate(t_index):
             if j0 == master.n_steps:
                 per_draw[draw, it] = _terminal_values(coeffs, npts, fgrid.points)[:, 0]
@@ -116,7 +117,7 @@ def sample_field(
             sub = TimeGrid(nodes[j0:])
             dW = _node_major(npts * n_paths, sub.n_steps, d)
             for jp in range(npts):
-                np.multiply(_stream(seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d)),
+                np.multiply(_rekey(gen, seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d)),
                             sqdt[j0:], out=dW[jp * n_paths:(jp + 1) * n_paths])
             noise = PathBundle(sub, dW, np.broadcast_to(db_master[j0:], dW.shape),
                                np.broadcast_to(0.0, (len(dW), sub.n_steps + 1)))

@@ -56,8 +56,10 @@ def unit_ball(d: int, radius: float = 1.0) -> DomainSpec:
     normal -x/r on the boundary."""
     r = float(radius)
 
-    def level(x):
-        with np.errstate(over="ignore"):  # far out |x|^2 overflows, and the level reads -inf
+    def level(x):  # far out |x|^2 overflows, and the level reads -inf
+        if d <= 2:  # two squares add with one rounding in any order: np.sum's value, with no overflow warning
+            return (r * r - np.einsum("...i,...i->...", x, x)) / (2.0 * r)
+        with np.errstate(over="ignore"):  # einsum would add three or more in an order of its own
             return (r * r - np.sum(x * x, axis=-1)) / (2.0 * r)
 
     def gradient(x):
@@ -182,7 +184,7 @@ def _norm(v: np.ndarray) -> np.ndarray:
     """|v| over the last axis.  v is scaled by a power of two before it is
     squared, so no square overflows, and wherever sqrt(sum v^2) does not
     overflow or underflow the scaling is exact and the result the same."""
-    e = np.frexp(np.max(np.abs(v), axis=-1))[1]
+    e = np.frexp(np.abs(v).max(axis=-1))[1]
     w = np.ldexp(v, -e[..., None])
     return np.ldexp(np.sqrt(np.einsum("...i,...i->...", w, w)), e)
 
@@ -194,23 +196,25 @@ def _project_out(domain: DomainSpec, x_star: np.ndarray):
     rounds outside, it moves on by spacing(max|p|) until level >= 0 holds
     exactly; a point still outside after _PUSH_ROUNDS raises.
     """
-    viol = domain.level(x_star) < 0.0
-    delta = np.zeros(viol.shape)
-    if not np.any(viol):
+    viol = np.flatnonzero(domain.level(x_star) < 0.0)  # indices: a gather or scatter by index beats a mask
+    delta = np.zeros(len(x_star))
+    if viol.size == 0:
         return x_star, delta
-    xv = x_star[viol]
+    xv = x_star.take(viol, axis=0)
     p = domain.project(xv)
     gap = p - xv
     dist = _norm(gap)
     todo = np.flatnonzero(domain.level(p) < 0.0)
     if todo.size:  # move on along p - x*, or toward the centre where x* is so close that p = x*
         lo, hi = domain.bounding_box
-        gap = np.where(dist[todo, None] > 0.0, gap[todo], 0.5 * (lo + hi) - p[todo])
-        step = gap * (np.spacing(np.abs(p[todo]).max(axis=-1)) / _norm(gap))[:, None]
+        pt = p.take(todo, axis=0)  # the points still outside, moved here and written back to p
+        gap = np.where(dist[todo, None] > 0.0, gap.take(todo, axis=0), 0.5 * (lo + hi) - pt)
+        step = gap * (np.spacing(np.abs(pt).max(axis=-1)) / _norm(gap))[:, None]
         for _ in range(_PUSH_ROUNDS):
-            p[todo] += step
-            still = domain.level(p[todo]) < 0.0
-            todo, step = todo[still], step[still]
+            pt += step
+            p[todo] = pt
+            still = domain.level(pt) < 0.0
+            todo, step, pt = todo[still], step[still], pt[still]
             if todo.size == 0:
                 break
         else:
@@ -251,14 +255,16 @@ def simulate_reflected(
     A = _node_major(n_paths, grid.n_steps + 1)
     X[:, 0] = x0
     scalar_sigma = not callable(sigma) and np.ndim(sigma) == 0
+    # constant coefficients are broadcast once, not at every step
+    fixed = None if callable(b) or callable(sigma) else _coefficients(b, sigma, X[:, 0], d)
     for i in range(grid.n_steps):
         x = X[:, i]
-        bv, sig = _coefficients(b, sigma, x, d)
+        bv, sig = fixed or _coefficients(b, sigma, x, d)
         # sigma * I adds only exact zeros off the diagonal: the product is bit-identical
         sw = sigma * noise.dW[:, i] if scalar_sigma else np.einsum("pij,pj->pi", sig, noise.dW[:, i])
         x_new, delta = _project_out(domain, x + bv * grid.dt[i] + sw)
         X[:, i + 1] = x_new
-        A[:, i + 1] = A[:, i] + delta
+        np.add(A[:, i], delta, out=A[:, i + 1])
     if not (np.isfinite(X[:, -1]).all() and np.isfinite(A[:, -1]).all()):  # non-finite values persist
         raise FloatingPointError("non-finite reflected path; reduce the time step")
     return replace(noise, A=A, X=X)

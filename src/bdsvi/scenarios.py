@@ -150,6 +150,9 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             a_spec = None
         else:  # a table path, relative to the scenario file
             a_spec = load_a_table(os.path.join(os.path.dirname(os.path.abspath(path)), a_process))
+        seed = raw.get("seed", 0)
+        if isinstance(seed, float) and not seed.is_integer():  # int() would truncate it to another seed's streams
+            raise ScenarioError(f"seed must be a whole number, got {seed!r}")
         lattice, draws, lat = None, 1, raw.get("lattice")
         if lat is not None:
             if domain is None or domain.d != 1:
@@ -166,7 +169,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             coeffs=coeffs,
             grid=grid,
             solver=solver,
-            seed=int(raw.get("seed", 0)),
+            seed=int(seed),
             n_paths=int(raw.get("paths", 100)),
             eps_ladder=ladder,
             domain=domain,

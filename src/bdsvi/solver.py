@@ -100,15 +100,20 @@ class BdsdeSolution:
 
 
 def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
-    """Monomials of x (..., d) up to degree, stacked on a new last axis."""
-    cols = [np.ones(x.shape[:-1])]
+    """Monomials of x (..., d) up to degree, stacked on a new last axis: the
+    constant, then each degree's index combinations with replacement in
+    order.  Each column is its prefix's column times one more coordinate, so
+    a monomial is the product (1 * x_a) * x_b * ... taken left to right.  The
+    columns are contiguous in memory, which svd reads without a transposing
+    copy."""
+    combos = [()]
     for deg in range(1, degree + 1):
-        for combo in itertools.combinations_with_replacement(range(x.shape[-1]), deg):
-            col = np.ones(x.shape[:-1])
-            for j in combo:
-                col = col * x[..., j]
-            cols.append(col)
-    return np.stack(cols, axis=-1)
+        combos += itertools.combinations_with_replacement(range(x.shape[-1]), deg)
+    cols = np.empty((len(combos),) + x.shape[:-1])
+    cols[0] = 1.0
+    for k, combo in enumerate(combos[1:], 1):
+        np.multiply(cols[combos.index(combo[:-1])], x[..., combo[-1]], out=cols[k])
+    return np.moveaxis(cols, 0, -1)
 
 
 def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
@@ -145,8 +150,10 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
     else:
         raise ValueError(f"unknown regression spec {spec!r}")
     u, s, _ = np.linalg.svd(features, full_matrices=False)
-    # keep the directions lstsq keeps: s > s_max * eps_mach * max(n, p)
-    q = u * (s > s[:, :1] * np.finfo(float).eps * max(features.shape[1:]))[:, None, :]
+    # keep the directions lstsq keeps: s > s_max * eps_mach * max(n, p); u * 1 is u, so a design of
+    # full rank skips the pass
+    keep = s > s[:, :1] * np.finfo(float).eps * max(features.shape[1:])
+    q = u if keep.all() else u * keep[:, None, :]
     cond = np.divide(s[:, 0], s[:, -1], out=np.full(blocks, np.inf), where=s[:, -1] > 0)
 
     def project(t):

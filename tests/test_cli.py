@@ -289,6 +289,20 @@ def test_out_of_range_seed_is_validation_error(tmp_path, capsys, seed):
     assert '"error": "validation"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [1.5, 0.999, float("inf"), float("nan")])
+def test_fractional_seed_in_file_is_validation_error(tmp_path, capsys, seed):
+    """seed: 1.5 used to load as seed 1, the streams of another run."""
+    p = _variant(tmp_path, "vi_oracle.yaml", lambda raw: raw.update(seed=seed))
+    with pytest.raises(ScenarioError, match="whole number"):
+        load_scenario(p)
+    assert run(["solve", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
+    assert '"error": "validation"' in capsys.readouterr().err
+
+
+def test_whole_float_seed_in_file_loads():
+    assert load_scenario(_scn("vi_oracle.yaml"), {"seed": 7.0}).seed == 7
+
+
 def test_non_finite_value_is_numerical_error(tmp_path, capsys):
     """A coefficient f that overflows Y is a numerical failure (exit 3), not bad input."""
     p = _variant(tmp_path, "zero.yaml", lambda raw: raw["coefficients"].update(

@@ -226,6 +226,16 @@ def test_property_suite_grid_oracle(name):
     assert max(worst.values()) <= 1e-5, worst
 
 
+def test_property_suite_catches_a_box_prox_that_stops_short():
+    """A resolvent of the indicator of [-1, 1] that clips to [-0.5, 0.5]
+    leaves the multiplier (x - 0.5) / eps at j = 0.5, which is no subgradient
+    there: the law fails at the test point r = 1 inside the box."""
+    box = make_convex("indicator_box(-1,1)")
+    wrong = replace(box, prox_oracle=lambda eps, x: np.clip(x, -0.5, 0.5))
+    assert prox_property_suite(wrong, n_samples=2000, seed=0)["subgradient"] > 100.0
+    assert prox_property_suite(box, n_samples=2000, seed=0)["subgradient"] <= 1e-9
+
+
 # ---------------------------------------------------------------- weights
 
 def test_weight_bounds_k1():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bdsvi import TimeGrid, generate_paths, load_a_table
-from bdsvi.drivers import _STREAM_TAGS, _stream
+from bdsvi.drivers import _STREAM_TAGS, _rekey, _stream
 
 
 def test_grid_uniform():
@@ -69,6 +69,36 @@ def test_path_substreams_match_manual_keying():
     assert np.array_equal(shared.dB[2], _stream(13, "B_SHARED", 0).standard_normal((10, 1)) * sqdt)
 
 
+@pytest.mark.parametrize("n_steps, d", [(3, 1), (7, 3)])
+def test_rekeyed_paths_equal_fresh_streams(n_steps, d):
+    """generate_paths re-keys one generator per call.  n_steps * d is odd,
+    so each path leaves the Philox buffer partly used: the next path must
+    still draw exactly what a new generator with its key draws, for W and B,
+    and a smaller ensemble is a prefix of a larger one."""
+    g = TimeGrid.uniform(0, 1, n_steps)
+    sqdt = np.sqrt(g.dt)[:, None]
+    big = generate_paths(g, d, 40, seed=11)
+    for i in range(40):
+        assert np.array_equal(big.dW[i], _stream(11, "W", i).standard_normal((n_steps, d)) * sqdt)
+        assert np.array_equal(big.dB[i], _stream(11, "B", i).standard_normal((n_steps, d)) * sqdt)
+    for n in (1, 2, 17):
+        small = generate_paths(g, d, n, seed=11)
+        assert np.array_equal(small.dW, big.dW[:n]) and np.array_equal(small.dB, big.dB[:n])
+
+
+def test_rekey_resets_counter_buffer_and_cached_half_word():
+    gen = _stream(3, "W", 0)
+    gen.standard_normal(5)
+    gen.integers(0, 2**32, size=1, dtype=np.uint32)  # caches the other half of a 64-bit word
+    assert gen.bit_generator.state["has_uint32"] == 1
+    _rekey(gen, 2**64 - 1, "FIELD_W", 1, 2, 3)
+    fresh = _stream(2**64 - 1, "FIELD_W", 1, 2, 3)
+    assert gen.bit_generator.state["state"]["key"].tolist() == fresh.bit_generator.state["state"]["key"].tolist()
+    assert np.array_equal(gen.standard_normal(9), fresh.standard_normal(9))
+    assert np.array_equal(gen.integers(0, 2**32, size=3, dtype=np.uint32),
+                          fresh.integers(0, 2**32, size=3, dtype=np.uint32))
+
+
 def _key(seed, tag, *ids):
     return tuple(_stream(seed, tag, *ids).bit_generator.state["state"]["key"].tolist())
 
@@ -103,6 +133,26 @@ def test_stream_key_injective_property(a, b):
 def test_stream_rejects_out_of_range_keys(args):
     with pytest.raises(ValueError):
         _stream(*args)
+
+
+@pytest.mark.parametrize("args", [
+    (1.5, "W", 0), (np.float64(1.9), "W", 0), (1.0, "W", 0), (0, "W", 2.7), (0, "B", np.float64(2.0)),
+    (0, "FIELD_W", 0, 1.5, 0), ("1", "W", 0),
+])
+def test_stream_rejects_non_integer_seed_and_ids(args):
+    """Truncating a fraction would give 1 and 1.5 the same key."""
+    with pytest.raises(ValueError, match="integer"):
+        _stream(*args)
+
+
+def test_generate_paths_rejects_fractional_seed():
+    with pytest.raises(ValueError, match="integer"):
+        generate_paths(TimeGrid.uniform(0, 1, 2), 1, 1, seed=1.5)
+
+
+def test_stream_accepts_numpy_integers():
+    assert _key(np.uint64(2**64 - 1), "W", np.int64(3)) == _key(2**64 - 1, "W", 3)
+    assert _key(np.int32(4), "FIELD_W", np.int8(1), np.uint16(2), np.int64(3)) == _key(4, "FIELD_W", 1, 2, 3)
 
 
 def test_shared_backward_noise():

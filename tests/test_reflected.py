@@ -30,6 +30,29 @@ def _run(domain, n_paths=200, n_steps=200, seed=1, sigma=1.0, b=0.0, x0=None, T=
 
 # ---------------------------------------------------------------- domains
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_level_is_the_sum_of_squares_form(d):
+    """The ball's level, bit for bit (r^2 - np.sum(x * x, -1)) / (2r), on
+    random points stored row-major and node-major."""
+    r = 0.7
+    dom = unit_ball(d, radius=r)
+    x = np.random.default_rng(d).normal(size=(500, d)) * np.geomspace(1e-3, 2.0, 500)[:, None]
+    node_major = np.empty((5, 100, d)).swapaxes(0, 1)
+    node_major[:] = x.reshape(100, 5, d)
+    for pts in (x, node_major, x[0]):
+        assert np.array_equal(dom.level(pts), (r * r - np.sum(pts * pts, axis=-1)) / (2.0 * r))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_level_far_out_is_minus_inf_without_warning(d):
+    dom = unit_ball(d)
+    pts = np.array([np.full(d, v) for v in (1e155, -1e200, np.inf, -np.inf)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lv = dom.level(pts)
+    assert np.all(lv == -np.inf)
+
+
 def test_ball_unit_normal_on_boundary():
     dom = unit_ball(2)
     theta = np.linspace(0, 2 * np.pi, 32, endpoint=False)

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -382,6 +383,32 @@ def test_poly_regression_recovers_linear_map():
     out = project(targets)
     assert np.max(np.abs(out[:, 0] - (2.0 * x[:, 0] + 1.0))) < 0.01
     assert cond is not None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_poly_features_match_the_per_column_products(d, degree):
+    """The one-pass design equals, bit for bit, its columns built one by one
+    as products 1 * x_a * x_b * ... taken left to right, for one ensemble
+    and for stacked blocks, and is a (..., p) array for svd either way."""
+    x = np.random.default_rng(10 * d + degree).normal(size=(3, 50, d)) * 1e3
+
+    def loop(x):
+        cols = [np.ones(x.shape[:-1])]
+        for deg in range(1, degree + 1):
+            for combo in itertools.combinations_with_replacement(range(d), deg):
+                col = np.ones(x.shape[:-1])
+                for j in combo:
+                    col = col * x[..., j]
+                cols.append(col)
+        return np.stack(cols, axis=-1)
+
+    for pts in (x, x[0]):
+        ref = loop(pts)
+        out = _poly_features(pts, degree)
+        assert out.shape == ref.shape and np.array_equal(out, ref)
+        assert all(np.array_equal(a, b) for a, b in zip(np.linalg.svd(out, full_matrices=False),
+                                                         np.linalg.svd(ref, full_matrices=False)))
 
 
 def test_poly_projector_matches_lstsq_per_block():
