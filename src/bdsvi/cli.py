@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .convex import check_compatibility, make_convex, prox_property_suite, validate_weights
+from .convex import _sum_last, check_compatibility, make_convex, prox_property_suite, validate_weights
 from .drivers import generate_paths
 from .field import continuity_diagnostic, sample_field
 from .reflected import local_time_identity_residual, simulate_reflected
@@ -114,7 +114,7 @@ def cmd_solve(scn: Scenario):
     # node-major arrays: each node's paths are one contiguous row of q.T, so its mean is the
     # pairwise sum of a 1-d np.mean
     y, abs_z, u, v, a = (q.T for q in (
-        sol.Y[:, :, 0], np.linalg.norm(sol.Z[:, :, 0], axis=-1), sol.U[:, :, 0], sol.V[:, :, 0], sol.A))
+        sol.Y[:, :, 0], np.sqrt(_sum_last(sol.Z[:, :, 0] ** 2)), sol.U[:, :, 0], sol.V[:, :, 0], sol.A))
     rows = zip(scn.grid.nodes.tolist(), y.mean(axis=1).tolist(), y.std(axis=1).tolist(),
                abs_z.mean(axis=1).tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
                a.mean(axis=1).tolist())

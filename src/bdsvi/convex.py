@@ -100,6 +100,22 @@ def validate_weights(c: AssumptionConstants) -> WeightReport:
     )
 
 
+def _sum_last(v):
+    """np.sum(v, axis=-1) for a short last axis, bit for bit and in v's layout.
+
+    numpy reduces fewer than 8 components left to right from +0.0 in every
+    layout, so adding the slices in that order gives the same value, 10-20x
+    faster on a trailing axis of length 1-3; from 8 on numpy sums pairwise.
+    """
+    k = v.shape[-1]
+    if not 0 < k < 8:
+        return np.sum(v, axis=-1)
+    s = v[..., 0] + 0.0  # -0.0 becomes +0.0, and a new array in v's layout, as np.sum
+    for i in range(1, k):
+        s = s + v[..., i]
+    return s
+
+
 def _check_prox_args(eps, x):
     x = np.asarray(x, dtype=float)
     eps = np.asarray(eps, dtype=float)
@@ -150,7 +166,7 @@ def moreau_envelope(theta: ConvexFunction, eps, x) -> np.ndarray:
     t = theta.evaluate(j)
     with np.errstate(invalid="ignore"):  # 0 * inf = nan off Dom(theta); np.where keeps theta there
         pen = np.where(eps == 0.0, t, eps * t)
-    return 0.5 * np.sum((x - j) ** 2, axis=-1) + pen
+    return 0.5 * _sum_last((x - j) ** 2) + pen
 
 
 def yosida_gradient(theta: ConvexFunction, eps, x) -> np.ndarray:
@@ -262,8 +278,7 @@ def _golden_prox_1d(theta, eps, x, lo, hi, width):
         tie = fc == fd
         if tie.any():
             left |= tie & (anchor <= c)
-        np.copyto(b, d, where=left)
-        np.copyto(a, c, where=~left)
+        b, a = np.where(left, d, b), np.where(left, a, c)  # faster than a masked copyto
         y = a + np.where(left, 1.0 - _INVPHI, _INVPHI) * (b - a)
         fy = objective(y)
         c, d = np.where(left, y, d), np.where(left, c, y)
@@ -280,7 +295,7 @@ def _subgradient_violation(theta: ConvexFunction, u, j, theta_j, test_points) ->
     worst = -np.inf
     for r in test_points:
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        worst = max(worst, float(np.max(np.sum(u * (r - j), axis=-1) + theta_j - float(theta.evaluate(r)))))
+        worst = max(worst, float(np.max(_sum_last(u * (r - j)) + theta_j - float(theta.evaluate(r)))))
     return worst
 
 
@@ -314,29 +329,29 @@ def prox_property_suite(
     eps = 10.0 ** rng.uniform(lo, hi, n_samples)
     delta = 10.0 ** rng.uniform(lo, hi, n_samples)
 
-    jx = prox(theta, eps, x)
-    jy = prox(theta, eps, y)
-    gx = (x - jx) / eps[:, None]
-    gy = (y - jy) / eps[:, None]
-    gyd = yosida_gradient(theta, delta, y)
-    dxy = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+    # one resolvent pass over the stacked points [x; y; y; 0] with eps [eps; eps; delta; eps]
+    pts = np.concatenate([x, y, y, np.zeros((n_samples, k))])
+    lam = np.concatenate([eps, eps, delta, eps])
+    j = prox(theta, lam, pts)
+    jx, jy = j[:n_samples], j[n_samples:2 * n_samples]
+    gx, gy, gyd, g0 = ((pts - j) / lam[:, None]).reshape(4, n_samples, k)  # as yosida_gradient
+    dxy = np.sqrt(_sum_last((x - y) ** 2))
 
     worst = {}
-    worst["nonexpansive"] = float(np.max(np.sqrt(np.sum((jx - jy) ** 2, -1)) - dxy))
-    worst["lipschitz"] = float(np.max(np.sqrt(np.sum((gx - gy) ** 2, -1)) - dxy / eps))
-    worst["monotone"] = float(np.max(-np.sum((gx - gy) * (x - y), -1)))
+    worst["nonexpansive"] = float(np.max(np.sqrt(_sum_last((jx - jy) ** 2)) - dxy))
+    worst["lipschitz"] = float(np.max(np.sqrt(_sum_last((gx - gy) ** 2)) - dxy / eps))
+    worst["monotone"] = float(np.max(-_sum_last((gx - gy) * (x - y))))
     worst["cross_eps"] = float(np.max(
-        -(np.sum((gx - gyd) * (x - y), -1) + (eps + delta) * np.sum(gx * gyd, -1))
+        -(_sum_last((gx - gyd) * (x - y)) + (eps + delta) * _sum_last(gx * gyd))
     ))
     t_jx = theta.evaluate(jx)
-    env = 0.5 * np.sum((x - jx) ** 2, -1) + eps * t_jx  # theta_eps(x), as moreau_envelope
-    worst["sandwich_lower"] = float(np.max(0.5 * np.sum((x - jx) ** 2, -1) - env))
+    env = 0.5 * _sum_last((x - jx) ** 2) + eps * t_jx  # theta_eps(x), as moreau_envelope
+    worst["sandwich_lower"] = float(np.max(0.5 * _sum_last((x - jx) ** 2) - env))
     tx = theta.evaluate(x)
     finite = np.isfinite(tx)
     worst["sandwich_upper"] = float(np.max(env[finite] / eps[finite] - tx[finite])) if np.any(finite) else 0.0
     test_points = [np.full(k, v) for v in np.linspace(-1.5, 1.5, 7)]
     worst["subgradient"] = _subgradient_violation(theta, gx, jx, t_jx, test_points)
-    g0 = yosida_gradient(theta, eps, np.zeros((n_samples, k)))
     worst["grad_at_zero"] = float(np.max(np.abs(g0)))
     return worst
 
@@ -382,7 +397,7 @@ def check_compatibility(
     gp, gq = yosida_gradient(phi, eps, rungs), yosida_gradient(psi, eps, rungs)
     gv = np.asarray(g(t, None, y), dtype=float)
     fv = np.asarray(f(t, None, y, z), dtype=float)
-    dot = lambda a, b: np.sum(a * b, axis=-1)
+    dot = lambda a, b: _sum_last(a * b)
     worst = [max(0.0, float(np.max(v))) for v in (
         -dot(gp, gq),
         dot(gp, gv) - np.maximum(dot(gq, gv), 0.0),
@@ -409,7 +424,7 @@ def _quadratic(a: float = 1.0) -> ConvexFunction:
         raise ValueError("quadratic coefficient must be >= 0")
 
     def ev(x):
-        return 0.5 * a * np.sum(x * x, axis=-1)
+        return 0.5 * a * _sum_last(x * x)
 
     def px(eps, x):
         return x / (1.0 + np.asarray(eps)[..., None] * a)
@@ -419,7 +434,7 @@ def _quadratic(a: float = 1.0) -> ConvexFunction:
 
 def _abs() -> ConvexFunction:
     def ev(x):
-        return np.sum(np.abs(x), axis=-1)
+        return _sum_last(np.abs(x))
 
     def px(eps, x):
         return np.sign(x) * np.maximum(np.abs(x) - np.asarray(eps)[..., None], 0.0)
@@ -447,7 +462,7 @@ def _indicator_box(lo, hi) -> ConvexFunction:
 
 def _hinge_sq() -> ConvexFunction:
     def ev(x):
-        return np.sum(np.maximum(x, 0.0) ** 2, axis=-1)
+        return _sum_last(np.maximum(x, 0.0) ** 2)
 
     def px(eps, x):
         return np.where(x > 0.0, x / (1.0 + 2.0 * np.asarray(eps)[..., None]), x)

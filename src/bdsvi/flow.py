@@ -72,15 +72,18 @@ def flow(spec: FlowSpec, x, y, times: np.ndarray, B: np.ndarray) -> FlowSample:
         raise ValueError("times and B must align with at least two nodes")
     eta = np.asarray(y, dtype=float) + 0.0
     dy = np.ones_like(eta)
+    # Python floats and callables bound once: the same IEEE operations, without per-step indexing
+    h, du = spec.h, spec.du if spec.d_u is None else spec.d_u
+    t_nodes, b_nodes = times.ravel().tolist(), B.ravel().tolist()
     for j in range(times.size - 2, -1, -1):
-        db = B[j + 1] - B[j]
-        t1 = times[j + 1]
-        t0 = times[j]
-        h1 = spec.h(t1, x, eta)
-        d1 = spec.du(t1, x, eta)
+        db = b_nodes[j + 1] - b_nodes[j]
+        t1 = t_nodes[j + 1]
+        t0 = t_nodes[j]
+        h1 = h(t1, x, eta)
+        d1 = du(t1, x, eta)
         pred = eta + h1 * db
-        h2 = spec.h(t0, x, pred)
-        d2 = spec.du(t0, x, pred)
+        h2 = h(t0, x, pred)
+        d2 = du(t0, x, pred)
         eta = eta + 0.5 * (h1 + h2) * db
         dy = dy * (1.0 + 0.5 * (d1 + d2 * (1.0 + d1 * db)) * db)
     if np.any(dy <= 0.0):

@@ -33,6 +33,14 @@ class ScenarioError(ValueError):
     """Raised when a scenario file fails validation."""
 
 
+def _whole(value, key):
+    """A count or seed setting as an int: 7.0 loads as 7, but int() would truncate
+    7.9 to another run's setting, so a fraction, inf or nan fails."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _affine(spec: dict, noise: bool):
     kind = spec.get("kind", "zero")
     if kind not in ("zero", "constant", "linear"):
@@ -119,11 +127,12 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         coeffs = CoefficientSet(f, g, h, make_terminal(co.get("terminal", {"kind": "constant"})), constants)
         gs = raw.get("grid", {})
         grid = TimeGrid.uniform(float(gs.get("t0", 0.0)), float(gs.get("T", 1.0)),
-                                int(top("steps", gs, 100)))
+                                _whole(top("steps", gs, 100), "steps"))
         sv = raw.get("solver", {})
         regression = sv.get("regression", "sample-mean")
         if isinstance(regression, dict):
-            regression = (regression["kind"], regression.get("degree", regression.get("cells", 2)))
+            regression = (regression["kind"], _whole(regression.get("degree", regression.get("cells", 2)),
+                                                     "regression degree or cells"))
         solver = SolverConfig(
             grid=grid,
             eps=float(top("eps", sv, 1e-3)),
@@ -133,8 +142,10 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         domain = None
         if raw.get("domain"):
             dspec = dict(raw["domain"])
+            if "dim" in dspec:
+                dspec["dim"] = _whole(dspec["dim"], "domain dim")
             domain = make_domain(dspec.pop("kind"), **dspec)
-        d = domain.d if domain is not None else int(raw.get("dim", 1))
+        d = domain.d if domain is not None else _whole(raw.get("dim", 1), "dim")
         start = np.atleast_1d(np.asarray(raw.get("start", np.zeros(d)), dtype=float))
         if start.shape != (d,):
             raise ScenarioError(f"start must be a point of dimension {d}, got shape {start.shape}")
@@ -150,18 +161,16 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             a_spec = None
         else:  # a table path, relative to the scenario file
             a_spec = load_a_table(os.path.join(os.path.dirname(os.path.abspath(path)), a_process))
-        seed = raw.get("seed", 0)
-        if isinstance(seed, float) and not seed.is_integer():  # int() would truncate it to another seed's streams
-            raise ScenarioError(f"seed must be a whole number, got {seed!r}")
         lattice, draws, lat = None, 1, raw.get("lattice")
         if lat is not None:
             if domain is None or domain.d != 1:
                 raise ScenarioError("a field lattice needs a one-dimensional domain")
-            idx = np.linspace(0, grid.n_steps, int(lat.get("times", 5))).round().astype(int)
+            n_times, n_points = (_whole(lat.get(key, 5), f"lattice {key}") for key in ("times", "points"))
+            idx = np.linspace(0, grid.n_steps, n_times).round().astype(int)
             lo, hi = domain.bounding_box
-            pts = np.linspace(float(lo[0]), float(hi[0]), int(lat.get("points", 5)))[:, None]
+            pts = np.linspace(float(lo[0]), float(hi[0]), n_points)[:, None]
             lattice = FieldGrid.build(domain, grid.nodes[idx], pts)
-            draws = int(lat.get("draws", 1))
+            draws = _whole(lat.get("draws", 1), "lattice draws")
         scn = Scenario(
             name=name,
             phi=phi,
@@ -169,8 +178,8 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             coeffs=coeffs,
             grid=grid,
             solver=solver,
-            seed=int(seed),
-            n_paths=int(raw.get("paths", 100)),
+            seed=_whole(raw.get("seed", 0), "seed"),
+            n_paths=_whole(raw.get("paths", 100), "paths"),
             eps_ladder=ladder,
             domain=domain,
             d=d,

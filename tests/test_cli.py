@@ -375,3 +375,45 @@ def test_compat_check_writes_no_negative_zero(tmp_path, name):
 def test_field_without_domain_is_validation_error(tmp_path):
     assert run(["field", "--scenario", _scn("zero.yaml"),
                 "--out", str(tmp_path), "--quiet"]) == 2
+
+
+def _set(section, key, value):
+    def edit(raw):
+        (raw.setdefault(section, {}) if section else raw)[key] = value
+    return edit
+
+
+_COUNTS = [  # (scenario, section, key, command): every whole-number setting the reader takes
+    ("zero.yaml", None, "paths", "solve"),
+    ("zero.yaml", "grid", "steps", "solve"),
+    ("zero.yaml", None, "dim", "solve"),
+    ("ball.yaml", "domain", "dim", "sde-sim"),
+    ("field.yaml", "lattice", "times", "field"),
+    ("field.yaml", "lattice", "points", "field"),
+    ("field.yaml", "lattice", "draws", "field"),
+]
+
+
+@pytest.mark.parametrize("name, section, key, command", _COUNTS + [
+    ("ball.yaml", "regression", "degree", "solve")], ids=lambda v: str(v))
+def test_fractional_count_in_file_is_validation_error(tmp_path, capsys, name, section, key, command):
+    """int() truncated these: paths: 7.9 ran 7 paths and steps: 10.6 ran 10 steps, with exit 0."""
+    edit = (lambda raw: raw["solver"]["regression"].update(degree=2.5)) if section == "regression" \
+        else _set(section, key, 2.5)
+    p = _variant(tmp_path, name, edit)
+    with pytest.raises(ScenarioError, match="whole number"):
+        load_scenario(p)
+    assert run([command, "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
+    assert '"error": "validation"' in capsys.readouterr().err
+
+
+_LOADED = {"paths": lambda scn: scn.n_paths, "steps": lambda scn: scn.grid.n_steps, "dim": lambda scn: scn.d,
+           "times": lambda scn: scn.lattice.times.size, "points": lambda scn: scn.lattice.points.shape[0],
+           "draws": lambda scn: scn.draws}
+
+
+@pytest.mark.parametrize("name, section, key, command", _COUNTS, ids=lambda v: str(v))
+def test_whole_float_count_in_file_loads(tmp_path, name, section, key, command):
+    whole = {"zero.yaml": 1.0, "ball.yaml": 2.0}[name] if key == "dim" else 3.0
+    scn = load_scenario(_variant(tmp_path, name, _set(section, key, whole)))
+    assert _LOADED[key](scn) == int(whole)

@@ -343,3 +343,114 @@ def test_indicator_box_must_contain_zero():
 
 def test_catalog_is_complete():
     assert set(CATALOG) == {"zero", "quadratic", "abs", "indicator_box", "hinge_sq"}
+
+
+# ---------------------------------------------------------------- short last-axis sums
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+def _layouts(k, seed=0):
+    """(50, 30, k) values with signed zeros, infinities and nans in C, F and
+    node-major layouts, plus an all -0.0 block."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(50, 30, k))
+    for frac, v in ((0.2, -0.0), (0.05, 0.0), (0.02, np.inf), (0.02, -np.inf), (0.02, np.nan)):
+        a[rng.random(a.shape) < frac] = v
+    return {"C": a, "F": np.asfortranarray(a),
+            "node-major": np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2),
+            "negative-zeros": np.full((5, 3, k), -0.0)}
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_sum_last_is_np_sum_bit_for_bit(k):
+    """np.sum over a last axis of 0 < k < 8 adds left to right from +0.0 in
+    every layout; from k = 8 on it sums pairwise, and _sum_last falls back to
+    it, as it does for an empty axis."""
+    from bdsvi.convex import _sum_last
+    for name, v in _layouts(k).items():
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            ref, got = np.sum(v, axis=-1), _sum_last(v)
+        assert _bits(got) == _bits(ref), (name, k)
+        assert got.strides == ref.strides, (name, k)  # later reductions add in this layout's order
+        assert not np.shares_memory(got, v)
+    if k < 8:  # a sum of -0.0 terms starts from +0.0
+        assert not np.signbit(_sum_last(np.full((3, k), -0.0))).any()
+
+
+def _old_evaluate(name, x):
+    """The catalog's evaluate maps in their np.sum / np.all form."""
+    if name == "zero":
+        return np.zeros(x.shape[:-1])
+    if name == "quadratic(1.0)":
+        return 0.5 * 1.0 * np.sum(x * x, axis=-1)
+    if name == "abs":
+        return np.sum(np.abs(x), axis=-1)
+    if name == "indicator_box(-1,1)":
+        return np.where(np.all((x >= -1.0) & (x <= 1.0), axis=-1), 0.0, np.inf)
+    return np.sum(np.maximum(x, 0.0) ** 2, axis=-1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_evaluate_matches_the_reduction_form(name, k):
+    theta = make_convex(name)
+    for layout, v in _layouts(k, seed=k).items():
+        v = np.where(np.isnan(v), 0.5, v)  # evaluate's inputs are numbers, +-inf at most
+        with np.errstate(invalid="ignore"):
+            assert _bits(theta.evaluate(v)) == _bits(_old_evaluate(name, v)), layout
+
+
+def _four_call_suite(theta, n_samples, seed, k):
+    """prox_property_suite as two prox and two yosida_gradient calls, the form
+    the stacked resolvent pass replaces."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, (n_samples, k))
+    y = rng.uniform(-3.0, 3.0, (n_samples, k))
+    eps = 10.0 ** rng.uniform(-3.0, 0.0, n_samples)
+    delta = 10.0 ** rng.uniform(-3.0, 0.0, n_samples)
+    jx = prox(theta, eps, x)
+    jy = prox(theta, eps, y)
+    gx = (x - jx) / eps[:, None]
+    gy = (y - jy) / eps[:, None]
+    gyd = yosida_gradient(theta, delta, y)
+    dxy = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+    worst = {}
+    worst["nonexpansive"] = float(np.max(np.sqrt(np.sum((jx - jy) ** 2, -1)) - dxy))
+    worst["lipschitz"] = float(np.max(np.sqrt(np.sum((gx - gy) ** 2, -1)) - dxy / eps))
+    worst["monotone"] = float(np.max(-np.sum((gx - gy) * (x - y), -1)))
+    worst["cross_eps"] = float(np.max(
+        -(np.sum((gx - gyd) * (x - y), -1) + (eps + delta) * np.sum(gx * gyd, -1))))
+    t_jx = theta.evaluate(jx)
+    env = 0.5 * np.sum((x - jx) ** 2, -1) + eps * t_jx
+    worst["sandwich_lower"] = float(np.max(0.5 * np.sum((x - jx) ** 2, -1) - env))
+    tx = theta.evaluate(x)
+    finite = np.isfinite(tx)
+    worst["sandwich_upper"] = float(np.max(env[finite] / eps[finite] - tx[finite])) if np.any(finite) else 0.0
+    sub = -np.inf
+    for v in np.linspace(-1.5, 1.5, 7):
+        r = np.full(k, v)
+        sub = max(sub, float(np.max(np.sum(gx * (r - jx), axis=-1) + t_jx - float(theta.evaluate(r)))))
+    worst["subgradient"] = sub
+    worst["grad_at_zero"] = float(np.max(np.abs(yosida_gradient(theta, eps, np.zeros((n_samples, k))))))
+    return worst
+
+
+@pytest.mark.parametrize("k, n_samples", [(1, 500), (2, 60)])
+@pytest.mark.parametrize("lattice", [False, True], ids=["closed-form", "lattice"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_stacked_suite_matches_the_four_call_form(name, lattice, k, n_samples):
+    """One prox pass over [x; y; y; 0] gives the same bits as four calls: the
+    k = 1 golden-section search is pointwise with a batch-free iteration
+    count, and the k = 2 lattice stops on the widest window, the same in
+    every batch that holds an unclamped point."""
+    theta = make_convex(name)
+    if lattice:
+        theta = replace(theta, prox_oracle=None)
+    got = prox_property_suite(theta, n_samples=n_samples, seed=17, k=k)
+    ref = _four_call_suite(theta, n_samples, 17, k)
+    assert list(got) == list(ref)
+    for law in ref:
+        assert _bits(got[law]) == _bits(ref[law]), law

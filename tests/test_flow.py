@@ -188,3 +188,38 @@ def test_transform_x_derivatives_closed_form():
     d_x = c * dB * np.array([x[1], x[0]])
     assert ft == pytest.approx(f(0.3, x, eta, sigma.T @ d_x + z) + 0.5 * c * dB + float(b @ d_x), abs=1e-6)
     assert gt == pytest.approx(g(0.3, x, eta) + 2.0 * c * dB * x[0] * x[1], abs=1e-6)
+
+
+def _per_index_flow(spec, x, y, times, B):
+    """flow's Heun loop as it indexed the node arrays and called spec.du at every step."""
+    times = np.asarray(times, dtype=float)
+    B = np.asarray(B, dtype=float)
+    eta = np.asarray(y, dtype=float) + 0.0
+    dy = np.ones_like(eta)
+    for j in range(times.size - 2, -1, -1):
+        db = B[j + 1] - B[j]
+        t1 = times[j + 1]
+        t0 = times[j]
+        h1 = spec.h(t1, x, eta)
+        d1 = spec.du(t1, x, eta)
+        pred = eta + h1 * db
+        h2 = spec.h(t0, x, pred)
+        d2 = spec.du(t0, x, pred)
+        eta = eta + 0.5 * (h1 + h2) * db
+        dy = dy * (1.0 + 0.5 * (d1 + d2 * (1.0 + d1 * db)) * db)
+    return eta, dy
+
+
+SIN = FlowSpec(h=lambda t, x, u: 0.5 * np.sin(u) + 0.2, d_u=lambda t, x, u: 0.5 * np.cos(u))
+
+
+@pytest.mark.parametrize("spec", [CONST, LINEAR, SIN, FlowSpec(h=SIN.h)],
+                         ids=["constant", "linear", "sin", "sin-fd"])
+@pytest.mark.parametrize("y", [0.3, np.linspace(-2.0, 2.0, 41)], ids=["scalar", "batched"])
+def test_flow_matches_the_per_index_loop(spec, y):
+    times, B = _path(n_steps=150, seed=4)
+    s = flow(spec, np.zeros(1), y, times, B)
+    eta, dy = _per_index_flow(spec, np.zeros(1), y, times, B)
+    for got, ref in ((s.eta, eta), (s.d_y_eta, dy)):
+        assert type(got) is type(ref)
+        assert np.shape(got) == np.shape(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
