@@ -3,6 +3,8 @@
 Each lattice node launches a reflected ensemble from (t, x); its boundary
 local time feeds the backward solver as the increasing weight process, and
 the field value is the ensemble estimate of the solution at the initial node.
+The nodes alive between two lattice times run as one stacked ensemble, one
+stretch of the grid at a time (see sample_field).
 One backward-noise draw defines one field sample (the field is a random
 object of the backward noise); the reported field averages the per-draw
 fields and keeps them available.  Both noises come from the key packer of
@@ -11,6 +13,7 @@ every node, and a node's forward increments from its own FIELD_W stream.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -85,47 +88,72 @@ def sample_field(
     """Estimate u(t, x) at every lattice node.
 
     Lattice times are snapped up to the master grid of the solver config,
-    and the estimate's grid carries the snapped times.  The backward
-    increments of one draw are generated once on the master grid and shared
-    by every path and lattice node (common noise).  Node (draw, it, jp)
-    draws its forward increments as one (n_paths, steps, d) block from its own
-    stream, path p on row p, so a node's paths are prefix-stable in n_paths.
-    The nodes of one lattice time run as one stacked ensemble (point jp on
-    rows jp * n_paths ...) through one reflected simulation and one backward
-    sweep, which regresses each node on its own paths.  The terminal slice is
-    the exact terminal map.
+    and the estimate's grid carries the snapped times; a time outside the
+    grid raises ValueError.  The backward increments of one draw are
+    generated once on the master grid and shared by every path and lattice
+    node (common noise).  Node (draw, it, jp) draws its forward increments as
+    one (n_paths, steps, d) block from its own stream, path p on row p, so a
+    node's paths are prefix-stable in n_paths.
+
+    The master grid is cut at the snapped times, and each stretch between
+    two cuts runs once for every node alive on it.  Forward, one stacked
+    reflected ensemble holds the rows carried from the stretch before, whose
+    X and A go on from there, then the rows of the times launched at the
+    stretch's first node, in index order (point jp of a time on rows
+    jp * n_paths ...).  Backward, the stretch's sweep takes the Y carried
+    from the stretch after as its terminal value (the dynamic programming
+    principle), regresses each node on its own paths and reads off the times
+    launched at its first node.  So each node gets, bit for bit, the solve of
+    its own ensemble from its time to T.  The terminal slice is the exact
+    terminal map.
     """
     if n_paths < 1 or n_b_draws < 1:
         raise ValueError("n_paths and n_b_draws must be >= 1")
     master = config.grid
-    nodes = master.nodes
-    nt, npts = fgrid.times.size, fgrid.points.shape[0]
-    per_draw = np.empty((n_b_draws, nt, npts))
-    per_draw_se = np.zeros((n_b_draws, nt, npts))
-    d = domain.d
+    nodes, n = master.nodes, master.n_steps
+    for t in fgrid.times:
+        if not master.t0 - 1e-12 <= t <= master.T + 1e-12:
+            raise ValueError(f"lattice time {t} lies outside the grid [{master.t0}, {master.T}]")
+    npts, d = fgrid.points.shape[0], domain.d
+    shape = (n_b_draws, fgrid.times.size, npts)
+    per_draw, per_draw_se = np.empty(shape), np.zeros(shape)
     starts = np.repeat(fgrid.points, n_paths, axis=0)
 
     t_index = np.searchsorted(nodes, fgrid.times - 1e-12)
+    cuts = np.append(np.unique(t_index[t_index < n]), n)
+    launched = [np.flatnonzero(t_index == j) for j in cuts[:-1]]  # the lattice times launched at each cut
+    per_draw[:, t_index == n] = _terminal_values(coeffs, npts, fgrid.points)[:, 0]
     sqdt = np.sqrt(master.dt)[:, None]
     gen = _stream(seed, "B_SHARED", 0)  # re-keyed for every stream below
+    alive = np.cumsum([len(its) for its in launched]) * npts * n_paths  # the rows of each stretch
     for draw in range(n_b_draws):
-        db_master = _rekey(gen, seed, "B_SHARED", draw).standard_normal((master.n_steps, d)) * sqdt
-        for it, j0 in enumerate(t_index):
-            if j0 == master.n_steps:
-                per_draw[draw, it] = _terminal_values(coeffs, npts, fgrid.points)[:, 0]
-                continue
-            sub = TimeGrid(nodes[j0:])
-            dW = _node_major(npts * n_paths, sub.n_steps, d)
-            for jp in range(npts):
-                np.multiply(_rekey(gen, seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, sub.n_steps, d)),
-                            sqdt[j0:], out=dW[jp * n_paths:(jp + 1) * n_paths])
-            noise = PathBundle(sub, dW, np.broadcast_to(db_master[j0:], dW.shape),
-                               np.broadcast_to(0.0, (len(dW), sub.n_steps + 1)))
-            ens = simulate_reflected(domain, b, sigma, (sub.t0, starts), noise)
-            cfg = replace(config, grid=sub)
-            y0 = _backward_sweep(coeffs, phi, psi, cfg, [config.eps] * npts, ens)[0][:, :, 0, 0]
-            per_draw[draw, it] = np.mean(y0, axis=1)
-            per_draw_se[draw, it] = np.std(y0, axis=1, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
+        db_master = _rekey(gen, seed, "B_SHARED", draw).standard_normal((n, d)) * sqdt
+        dWs = [_node_major(r, j1 - j0, d) for r, j0, j1 in zip(alive, cuts, cuts[1:])]
+        rows, ens, x, a = 0, [], np.empty((0, d)), np.empty(0)
+        for s, (j0, j1, its) in enumerate(zip(cuts, cuts[1:], launched)):
+            for it, jp in itertools.product(its, range(npts)):
+                z = _rekey(gen, seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, n - j0, d))
+                for dw, k0, k1 in zip(dWs[s:], cuts[s:], cuts[s + 1:]):
+                    np.multiply(z[:, k0 - j0:k1 - j0], sqdt[k0:k1], out=dw[rows:rows + n_paths])
+                rows += n_paths
+            sub = TimeGrid(nodes[j0:j1 + 1])
+            x0, a0 = np.concatenate([x] + [starts] * len(its)), np.pad(a, (0, rows - len(a)))[:, None]
+            ens.append(simulate_reflected(domain, b, sigma, (sub.t0, x0), PathBundle(
+                sub, dWs[s], np.broadcast_to(db_master[j0:j1], (rows, j1 - j0, d)),
+                np.broadcast_to(a0, (rows, j1 - j0 + 1)))))
+            x, a = ens[-1].X[:, -1], ens[-1].A[:, -1]
+        del dWs  # each stretch's dW lives on in its bundle alone, freed after its sweep
+        terminal = coeffs.terminal
+        for its in launched[::-1]:
+            e = ens.pop()
+            Y = _backward_sweep(replace(coeffs, terminal=terminal), phi, psi, replace(config, grid=e.grid),
+                                [config.eps] * (e.n_paths // n_paths), e)[0][:, :, 0]
+            kept = len(Y) - len(its) * npts  # the blocks carried from the stretch before
+            y0 = Y[kept:, :, 0].reshape(len(its), npts, n_paths)
+            per_draw[draw, its] = np.mean(y0, axis=2)
+            per_draw_se[draw, its] = np.std(y0, axis=2, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
+            terminal = lambda _, y=Y[:kept].reshape(-1, Y.shape[-1]).copy(): y
+            del Y, y0  # the sweep's arrays go before the next sweep makes its own
     values = np.mean(per_draw, axis=0)
     within = np.sqrt(np.mean(per_draw_se ** 2, axis=0) / n_b_draws)
     across = np.std(per_draw, axis=0, ddof=1) / np.sqrt(n_b_draws) if n_b_draws > 1 else 0.0

@@ -240,8 +240,9 @@ def simulate_reflected(
     simulated apart.  b(x) -> (..., d) drift, sigma(x) -> (..., d, d)
     diffusion matrix; both may also be constants, and a scalar sigma means
     sigma * I.  The grid of noise must start at t.
-    Returns noise with X filled in and A replaced by the accumulated
-    projection distance |x* - p| (the boundary local time of the scheme).
+    Returns noise with X filled in and A replaced by noise.A[:, 0] plus the
+    accumulated projection distance |x* - p| (the boundary local time of the
+    scheme), so a path carried on from an earlier call goes on with its A.
     """
     t0, x0 = start
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -253,7 +254,7 @@ def simulate_reflected(
     n_paths, d = noise.n_paths, domain.d
     X = _node_major(n_paths, grid.n_steps + 1, d)
     A = _node_major(n_paths, grid.n_steps + 1)
-    X[:, 0] = x0
+    X[:, 0], A[:, 0] = x0, noise.A[:, 0]
     scalar_sigma = not callable(sigma) and np.ndim(sigma) == 0
     # constant coefficients are broadcast once, not at every step
     fixed = None if callable(b) or callable(sigma) else _coefficients(b, sigma, X[:, 0], d)

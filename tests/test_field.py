@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from bdsvi import (
     unit_ball,
     yosida_gradient,
 )
+from bdsvi import field
 from bdsvi.drivers import _stream
+from bdsvi.scenarios import load_scenario
 
 ZERO = make_convex("zero")
 DOM = smoothed_interval(-1.0, 1.0)
@@ -199,6 +202,65 @@ def test_stacked_field_matches_per_node_solves_on_ball():
     assert np.array_equal(est.per_draw, per_draw)
     assert np.array_equal(est.values, values)
     assert np.array_equal(est.stderr, stderr)
+
+
+def test_stretched_field_matches_per_node_solves_on_an_unsorted_lattice():
+    """The stretch cut orders lattice times by snapped node with a stable
+    sort and writes each time's values back to its own index: unsorted
+    times, 0.34 and 0.35 on the same node, times at t0 and T, the explicit
+    scheme and two backward draws."""
+    coeffs = CoefficientSet(
+        f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.1 * x,
+        g=lambda t, x, y: np.full_like(y, 0.2),
+        h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3),
+        terminal=lambda x: x[:, 0] ** 2,
+        constants=AssumptionConstants(),
+    )
+    phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
+    cfg = SolverConfig(TimeGrid.uniform(0, 1, 40), eps=0.05, scheme="explicit-yosida", regression=("poly", 2))
+    fg = FieldGrid.build(DOM, [0.8, 1.0, 0.34, 0.0, 0.35, 0.6], np.linspace(-1, 1, 4)[:, None])
+    est = sample_field(DOM, coeffs, phi, psi, cfg, fg, 20, 6, _affine_sigma, _mean_reverting, n_b_draws=2)
+    values, stderr, per_draw = _per_node_field(DOM, coeffs, phi, psi, cfg, fg, 20, 6,
+                                               _affine_sigma, _mean_reverting, 2)
+    assert np.allclose(est.grid.times, [0.8, 1.0, 0.35, 0.0, 0.35, 0.6], rtol=0.0, atol=1e-15)
+    assert np.array_equal(est.per_draw, per_draw)
+    assert np.array_equal(est.values, values)
+    assert np.array_equal(est.stderr, stderr)
+
+
+@pytest.mark.parametrize("times, bad", [([-0.1, 0.5], "-0.1"), ([0.5, 1.2], "1.2"), ([0.0, np.nan], "nan")])
+def test_sample_field_rejects_times_outside_the_grid(times, bad):
+    """A lattice time before t0 is not moved to t0, and one after T does not
+    fail deep inside the sweep: both name the time."""
+    fg = FieldGrid.build(DOM, times, np.linspace(-1, 1, 3)[:, None])
+    with pytest.raises(ValueError, match=f"lattice time {bad} lies outside"):
+        sample_field(DOM, _coeffs(), ZERO, ZERO, _config(20), fg, n_paths=5, seed=1)
+
+
+def test_field_runs_each_stretch_of_the_grid_once(monkeypatch):
+    """On scenarios/field.yaml the reflected simulations and backward sweeps
+    of one draw tile the master grid once from the first lattice time: 50
+    steps each, not one ensemble per lattice time from its own time to T."""
+    scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "field.yaml")
+    grids = {"forward": [], "backward": []}
+
+    def recording(kernel, key, grid_of):
+        def wrapped(*args):
+            grids[key].append(grid_of(args).nodes)
+            return kernel(*args)
+        return wrapped
+
+    monkeypatch.setattr(field, "simulate_reflected", recording(field.simulate_reflected, "forward",
+                                                               lambda args: args[4].grid))
+    monkeypatch.setattr(field, "_backward_sweep", recording(field._backward_sweep, "backward",
+                                                            lambda args: args[3].grid))
+    sample_field(scn.domain, scn.coeffs, scn.phi, scn.psi, scn.solver, scn.lattice, scn.n_paths, scn.seed,
+                 scn.sigma, scn.drift, scn.draws)
+    master = scn.solver.grid.nodes
+    assert scn.draws == 1 and scn.lattice.times[0] == master[0]
+    for nodes in (grids["forward"], grids["backward"][::-1]):
+        assert sum(g.size - 1 for g in nodes) == master.size - 1 == 50
+        assert np.array_equal(np.concatenate([nodes[0]] + [g[1:] for g in nodes[1:]]), master)
 
 
 def test_continuity_diagnostic_flags_nothing_on_smooth_field():

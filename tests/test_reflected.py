@@ -182,6 +182,27 @@ def test_per_path_starts_match_separate_runs():
     assert np.any(stacked.A[:, -1] > 0.0)
 
 
+def test_split_run_carrying_x_and_a_matches_one_run():
+    """A goes on from noise.A[:, 0]: a run split at one node, with the second
+    call launched from the first one's last X and A, equals one run bit for
+    bit, local time included."""
+    dom = unit_ball(2)
+    grid = TimeGrid.uniform(0, 1, 60)
+    noise = generate_paths(grid, 2, 80, seed=11)
+    x0 = np.array([0.7, -0.3])
+    whole = simulate_reflected(dom, 0.2, 1.0, (0.0, x0), noise)
+    m = 23
+    first = simulate_reflected(dom, 0.2, 1.0, (0.0, x0), PathBundle(
+        TimeGrid(grid.nodes[:m + 1]), noise.dW[:, :m], noise.dB[:, :m], noise.A[:, :m + 1]))
+    a = np.zeros((80, grid.n_steps - m + 1))
+    a[:, 0] = first.A[:, -1]
+    second = simulate_reflected(dom, 0.2, 1.0, (grid.nodes[m], first.X[:, -1]), PathBundle(
+        TimeGrid(grid.nodes[m:]), noise.dW[:, m:], noise.dB[:, m:], a))
+    assert np.any(first.A[:, -1] > 0.0) and np.any(second.A[:, -1] > first.A[:, -1])
+    assert np.array_equal(np.concatenate([first.X, second.X[:, 1:]], axis=1), whole.X)
+    assert np.array_equal(np.concatenate([first.A, second.A[:, 1:]], axis=1), whole.A)
+
+
 def test_reflected_bundle_shares_its_noise():
     """simulate_reflected returns the bundle that drove it, with X and the
     local time A filled in: W, B and the grid are the input bundle's own arrays."""
