@@ -33,7 +33,7 @@ from .field import (
     manufactured_field,
     sample_field,
 )
-from .flow import FlowSample, FlowSpec, flow, flow_inverse, transform_coefficients, transform_penalized
+from .flow import FlowSample, FlowSpec, flow, flow_inverse, transform_penalized
 from .reflected import (
     DomainSpec,
     boundary_band,

@@ -11,13 +11,14 @@ run derives all randomness from the scenario seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 
 import numpy as np
 
-from .convex import _sum_last, check_compatibility, make_convex, prox_property_suite, validate_weights
+from .convex import _sum_last, check_compatibility, prox_property_suite, validate_weights
 from .drivers import generate_paths
 from .field import continuity_diagnostic, sample_field
 from .reflected import local_time_identity_residual, simulate_reflected
@@ -48,19 +49,15 @@ def _status(ok):
 
 
 def cmd_prox_check(scn: Scenario):
-    """Resolvent/gradient law suite over a fixed catalog of five functions;
-    the scenario's own (phi, psi) are not checked, only its seed is used."""
-    names = ["zero", "quadratic(1.0)", "abs", "indicator_box(-1,1)", "hinge_sq"]
+    """Resolvent/gradient law suite on the scenario's own phi and psi."""
     tol = 1e-9
     lines = ["prox-check: resolvent nonexpansiveness, gradient Lipschitz/monotone laws,"
              " cross-eps product bound, envelope sandwich, subgradient membership"]
-    rows = []
-    all_ok = True
-    for i, name in enumerate(names):
-        theta = make_convex(name)
+    rows, all_ok = [], True
+    for i, (role, theta) in enumerate((("phi", scn.phi), ("psi", scn.psi))):
+        name = f"{role}={theta.label}"
         worst = prox_property_suite(theta, n_samples=2000, seed=scn.seed + i)
-        for prop, v in worst.items():
-            rows.append((name, prop, float(v)))
+        rows += [(name, prop, float(v)) for prop, v in worst.items()]
         ok = max(worst.values()) <= tol
         all_ok &= ok
         lines.append(f"{_status(ok)} {name}: worst violation {max(worst.values()):.3e} (tol {tol:.0e})")
@@ -122,9 +119,8 @@ def cmd_solve(scn: Scenario):
              f"Y at the initial node: mean {np.mean(sol.Y[:, 0, 0]):.10g}, std {np.std(sol.Y[:, 0, 0]):.3e}"]
     if not callable(scn.coeffs.terminal):
         xi = float(np.atleast_1d(scn.coeffs.terminal)[0])
-        term_ok = float(np.max(np.abs(sol.Y[:, -1, 0] - xi))) <= 1e-15
-        lines.append(f"{_status(term_ok)} terminal exactness: max |Y_T - xi| = "
-                     f"{float(np.max(np.abs(sol.Y[:, -1, 0] - xi))):.3e}")
+        gap = float(np.max(np.abs(sol.Y[:, -1, 0] - xi)))
+        lines.append(f"{_status(gap <= 1e-15)} terminal exactness: max |Y_T - xi| = {gap:.3e}")
     if scn.weight_warning:
         lines.append(f"WARN {scn.weight_warning}")
     return ["t", "mean_Y", "std_Y", "mean_abs_Z", "mean_U", "mean_V", "mean_A"], rows, lines, True
@@ -230,9 +226,9 @@ def run(argv=None) -> int:
         stem = os.path.join(args.out, args.command.replace("-", "_"))
         os.makedirs(args.out, exist_ok=True)
         with open(stem + ".csv", "w", newline="") as fh:  # fixed float format, '\n' line endings
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row) + "\n")
+            out = csv.writer(fh, lineterminator="\n")  # quotes only a field that holds a comma
+            out.writerow(header)
+            out.writerows([_FMT % v if isinstance(v, float) else v for v in row] for row in rows)
         text = "\n".join(lines) + "\n"
         with open(stem + ".txt", "w", newline="") as fh:
             fh.write(text)

@@ -83,7 +83,7 @@ class PathBundle:
     grid: TimeGrid
     dW: np.ndarray  # (n_paths, n_steps, d)
     dB: np.ndarray  # (n_paths, n_steps, d)
-    A: np.ndarray   # (n_paths, n_nodes), nondecreasing, A[:, 0] = 0
+    A: np.ndarray   # (n_paths, n_nodes), nondecreasing; A[:, 0] is 0 from generate_paths, or a carried path's A
     X: Optional[np.ndarray] = None  # (n_paths, n_nodes, d), the reflected state
 
     @property

@@ -26,7 +26,6 @@ __all__ = [
     "FlowSample",
     "flow",
     "flow_inverse",
-    "transform_coefficients",
     "transform_penalized",
 ]
 
@@ -141,10 +140,13 @@ def _flow_derivatives(spec: FlowSpec, x, y, times, B):
     return runs[0], (xp - xm) / (2.0 * h), d_xx, d_xy, (dy[-2] - dy[-1]) / (2.0 * h)
 
 
-def transform_coefficients(
+def transform_penalized(
     spec: FlowSpec,
     f: Callable,
     g: Callable,
+    phi: ConvexFunction,
+    psi: ConvexFunction,
+    delta: float,
     domain: DomainSpec,
     sigma,
     b,
@@ -152,21 +154,23 @@ def transform_coefficients(
     times,
     B,
 ) -> tuple[float, float]:
-    """Transformed drift and boundary coefficients at point = (t, x, y, z).
+    """Transformed drift and boundary coefficients at point = (t, x, y, z) of
+    the equation penalized by the Yosida gradients of (phi, psi) at delta.
 
     With eta = eta(t,x,y), Dy = d eta/dy > 0, and L_x the generator acting on
     the frozen-y flow:
 
       f~ = (1/Dy) [ f(t, x, eta, sigma^T Dx_eta + Dy z)
                     - 0.5 (h d_u h)(t, x, eta) + L_x eta
-                    + <sigma^T Dxy_eta, z> + 0.5 Dyy_eta |z|^2 ]
-      g~ = (1/Dy) ( g(t, x, eta) - <grad level(x), Dx_eta> )
+                    + <sigma^T Dxy_eta, z> + 0.5 Dyy_eta |z|^2
+                    - grad phi_delta(eta) ]
+      g~ = (1/Dy) ( g(t, x, eta) - <grad level(x), Dx_eta> - grad psi_delta(eta) )
+
+    With phi = psi = zero the Yosida gradients are exactly 0, and (f~, g~)
+    are the unpenalized transforms.
     """
-    return _transform(spec, f, g, domain, sigma, b, point, times, B)[:2]
-
-
-def _transform(spec, f, g, domain, sigma, b, point, times, B):
-    """(f~, g~) of transform_coefficients plus the flow sample at the point."""
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
     t, x, y, z = point
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -183,30 +187,5 @@ def _transform(spec, f, g, domain, sigma, b, point, times, B):
     f_tilde = (f(t, x, eta, z_arg) - 0.5 * hu + l_x
                + float(np.dot(sig.T @ d_xy, z)) + 0.5 * d_yy * float(np.dot(z, z))) / dy
     g_tilde = (g(t, x, eta) - float(np.dot(domain.gradient(x), d_x))) / dy
-    return float(f_tilde), float(g_tilde), base
-
-
-def transform_penalized(
-    spec: FlowSpec,
-    f: Callable,
-    g: Callable,
-    phi: ConvexFunction,
-    psi: ConvexFunction,
-    delta: float,
-    domain: DomainSpec,
-    sigma,
-    b,
-    point,
-    times,
-    B,
-) -> tuple[float, float]:
-    """Penalized transforms: subtract the Yosida gradients at eta, scaled by
-    the flow derivative."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    f_tilde, g_tilde, s = _transform(spec, f, g, domain, sigma, b, point, times, B)
-    eta = np.atleast_1d(np.asarray(s.eta, dtype=float))
-    dy = float(s.d_y_eta)
-    gp = float(yosida_gradient(phi, delta, eta)[0])
-    gq = float(yosida_gradient(psi, delta, eta)[0])
-    return f_tilde - gp / dy, g_tilde - gq / dy
+    gp, gq = (float(yosida_gradient(theta, delta, np.atleast_1d(eta))[0]) for theta in (phi, psi))
+    return float(f_tilde) - gp / dy, float(g_tilde) - gq / dy

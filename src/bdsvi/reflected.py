@@ -51,13 +51,13 @@ class DomainSpec:
     name: str = ""
 
 
-def unit_ball(d: int, radius: float = 1.0) -> DomainSpec:
+def unit_ball(dim: int, radius: float = 1.0) -> DomainSpec:
     """Ball of given radius; level = (r^2 - |x|^2) / (2r) has a unit inward
     normal -x/r on the boundary."""
     r = float(radius)
 
     def level(x):  # far out |x|^2 overflows, and the level reads -inf
-        if d <= 2:  # two squares add with one rounding in any order: np.sum's value, with no overflow warning
+        if dim <= 2:  # two squares add with one rounding in any order: np.sum's value, with no overflow warning
             return (r * r - np.einsum("...i,...i->...", x, x)) / (2.0 * r)
         with np.errstate(over="ignore"):  # einsum would add three or more in an order of its own
             return (r * r - np.sum(x * x, axis=-1)) / (2.0 * r)
@@ -66,12 +66,13 @@ def unit_ball(d: int, radius: float = 1.0) -> DomainSpec:
         return -x / r
 
     def hessian(x):
-        return np.broadcast_to(-np.eye(d) / r, x.shape[:-1] + (d, d))
+        return np.broadcast_to(-np.eye(dim) / r, x.shape[:-1] + (dim, dim))
 
     def project(x):
         return x * (r / _norm(x))[..., None]
 
-    return DomainSpec(level, gradient, hessian, (-r * np.ones(d), r * np.ones(d)), d, project, f"ball(d={d},r={r})")
+    return DomainSpec(level, gradient, hessian, (-r * np.ones(dim), r * np.ones(dim)), dim, project,
+                      f"ball(d={dim},r={r})")
 
 
 def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
@@ -153,13 +154,11 @@ def ellipsoid(semi_axes) -> DomainSpec:
 
 
 def make_domain(kind: str, **params) -> DomainSpec:
-    if kind == "ball":
-        return unit_ball(int(params.get("dim", 1)), float(params.get("radius", 1.0)))
-    if kind == "interval":
-        return smoothed_interval(float(params.get("lo", 0.0)), float(params.get("hi", 1.0)))
-    if kind == "ellipsoid":
-        return ellipsoid(params["semi_axes"])
-    raise KeyError(f"unknown domain kind {kind!r}")
+    """The builder of kind called with the section's keys: the defaults live in its signature alone."""
+    build = {"ball": unit_ball, "interval": smoothed_interval, "ellipsoid": ellipsoid}.get(kind)
+    if build is None:
+        raise KeyError(f"unknown domain kind {kind!r}")
+    return build(**params)
 
 
 def _coefficients(b, sigma, x, d: int):

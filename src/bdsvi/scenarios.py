@@ -41,10 +41,27 @@ def _whole(value, key):
     return int(value)
 
 
-def _affine(spec: dict, noise: bool):
-    kind = spec.get("kind", "zero")
-    if kind not in ("zero", "constant", "linear"):
-        raise ScenarioError(f"unknown coefficient kind {kind!r}")
+def _keys(spec, where, *known):
+    """spec, its keys all known: a misspelled key fails at load instead of leaving its default in force."""
+    unknown = sorted(map(str, spec.keys() - known))
+    if unknown:
+        raise ScenarioError(f"unknown {where} key(s) {', '.join(unknown)}; known: {', '.join(known)}")
+    return spec
+
+
+def _kind(spec, where, default, kinds):
+    """The kind a section names, with its other keys checked against that kind's."""
+    kind = spec.get("kind", default)
+    if kind not in kinds:
+        raise ScenarioError(f"unknown {where} kind {kind!r}")
+    _keys(spec, where, "kind", *kinds[kind])
+    return kind
+
+
+def _affine(spec: dict, role: str):
+    kind = _kind(spec, f"coefficient {role}", "zero",
+                 {"zero": (), "constant": ("value",), "linear": ("a_y", "a_z", "c")})
+    noise = role == "h"
     a_y, a_z, c = (float(spec.get(key, 0.0)) if kind == "linear" else 0.0 for key in ("a_y", "a_z", "c"))
     if kind == "constant":
         c = float(spec["value"])
@@ -65,23 +82,21 @@ def make_coefficients(co: dict):
 
     Each is the affine map a_y y + a_z sum(z) + c: kind zero (the default) is
     the map 0, constant the map `value`, and linear reads a_y, a_z and c, each
-    0 when absent.  g takes no z, so an a_z on g is a ScenarioError, and h
-    repeats its value along the last axis of z, as CoefficientSet expects.
+    0 when absent; any other key is a ScenarioError.  g takes no z, so an a_z
+    on g is one too, and h repeats its value along the last axis of z.
     """
     if "a_z" in co.get("g", {}):
         raise ScenarioError("coefficient g takes no z, so it has no a_z")
-    return tuple(_affine(co.get(role, {}), role == "h") for role in ("f", "g", "h"))
+    return tuple(_affine(co.get(role, {}), role) for role in ("f", "g", "h"))
 
 
 def make_terminal(spec: dict):
-    kind = spec.get("kind", "constant")
+    kind = _kind(spec, "terminal", "constant", {"constant": ("value",), "quadratic_norm": (), "identity": ()})
     if kind == "constant":
         return float(spec.get("value", 0.0))
     if kind == "quadratic_norm":
         return lambda x: np.sum(x * x, axis=-1)
-    if kind == "identity":
-        return lambda x: x[..., 0]
-    raise ScenarioError(f"unknown terminal kind {kind!r}")
+    return lambda x: x[..., 0]
 
 
 @dataclass
@@ -118,19 +133,22 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         return raw[key] if raw.get(key) is not None else section.get(key, default)
 
     try:
+        _keys(raw, "scenario", *"""name phi psi constants coefficients grid solver domain dim start sigma drift
+              eps_ladder a_process lattice seed paths vi_test_points steps eps""".split())
         name = raw.get("name", "unnamed")
         phi = make_convex(raw.get("phi", "zero"))
         psi = make_convex(raw.get("psi", "zero"))
         constants = AssumptionConstants(**{k: float(v) for k, v in raw.get("constants", {}).items()})
-        co = raw.get("coefficients", {})
+        co = _keys(raw.get("coefficients", {}), "coefficients", "f", "g", "h", "terminal")
         f, g, h = make_coefficients(co)
         coeffs = CoefficientSet(f, g, h, make_terminal(co.get("terminal", {"kind": "constant"})), constants)
-        gs = raw.get("grid", {})
+        gs = _keys(raw.get("grid", {}), "grid", "t0", "T", "steps")
         grid = TimeGrid.uniform(float(gs.get("t0", 0.0)), float(gs.get("T", 1.0)),
                                 _whole(top("steps", gs, 100), "steps"))
-        sv = raw.get("solver", {})
+        sv = _keys(raw.get("solver", {}), "solver", "eps", "scheme", "regression")
         regression = sv.get("regression", "sample-mean")
         if isinstance(regression, dict):
+            _keys(regression, "regression", "kind", "degree", "cells")
             regression = (regression["kind"], _whole(regression.get("degree", regression.get("cells", 2)),
                                                      "regression degree or cells"))
         solver = SolverConfig(
@@ -163,6 +181,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             a_spec = load_a_table(os.path.join(os.path.dirname(os.path.abspath(path)), a_process))
         lattice, draws, lat = None, 1, raw.get("lattice")
         if lat is not None:
+            _keys(lat, "lattice", "times", "points", "draws")
             if domain is None or domain.d != 1:
                 raise ScenarioError("a field lattice needs a one-dimensional domain")
             n_times, n_points = (_whole(lat.get(key, 5), f"lattice {key}") for key in ("times", "points"))

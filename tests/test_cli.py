@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import yaml
 
 from bdsvi.cli import _build_run, _solve_scenario, run
+from bdsvi.convex import prox_property_suite
 from bdsvi.field import sample_field
 from bdsvi.scenarios import _YAML_LOADER, ScenarioError, load_scenario, make_coefficients, make_terminal
 
@@ -121,6 +123,32 @@ def test_prox_check(tmp_path):
               "--out", str(tmp_path), "--quiet"])
     assert rc == 0
     assert "FAIL" not in (tmp_path / "prox_check.txt").read_text()
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_prox_check_audits_the_scenarios_pair(tmp_path):
+    """prox-check runs the law suite on the scenario's own phi (seed) and psi
+    (seed + 1), not on a fixed catalog."""
+    scn = load_scenario(_scn("cauchy.yaml"))
+    assert run(["prox-check", "--scenario", _scn("cauchy.yaml"), "--out", str(tmp_path), "--quiet"]) == 0
+    header, *rows = _csv_rows(tmp_path / "prox_check.csv")
+    assert header == ["function", "property", "worst_violation"]
+    assert [r[0] for r in rows] == ["phi=indicator_box(-inf,0.5)"] * 8 + ["psi=zero"] * 8
+    expected = [(prop, v) for theta, seed in ((scn.phi, 7), (scn.psi, 8))
+                for prop, v in prox_property_suite(theta, n_samples=2000, seed=seed).items()]
+    assert [(r[1], float(r[2])) for r in rows] == expected
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(SCEN) if f.endswith(".yaml")))
+def test_prox_check_csv_parses_to_three_fields(tmp_path, name):
+    """A function label such as indicator_box(-inf,0.5) holds a comma, so the
+    writer quotes it, and every row reads back as three fields."""
+    assert run(["prox-check", "--scenario", _scn(name), "--out", str(tmp_path), "--quiet"]) == 0
+    assert {len(row) for row in _csv_rows(tmp_path / "prox_check.csv")} == {3}
 
 
 def test_compat_check(tmp_path):
@@ -417,3 +445,51 @@ def test_whole_float_count_in_file_loads(tmp_path, name, section, key, command):
     whole = {"zero.yaml": 1.0, "ball.yaml": 2.0}[name] if key == "dim" else 3.0
     scn = load_scenario(_variant(tmp_path, name, _set(section, key, whole)))
     assert _LOADED[key](scn) == int(whole)
+
+
+_MISSPELLED = [  # (scenario, section path, key the reader does not take there, command)
+    ("zero.yaml", (), "pahts", "solve"),
+    ("zero.yaml", ("grid",), "step", "solve"),
+    ("zero.yaml", ("solver",), "shceme", "solve"),
+    ("ball.yaml", ("solver", "regression"), "degre", "solve"),
+    ("zero.yaml", ("coefficients",), "terminl", "solve"),
+    ("zero.yaml", ("coefficients", "f"), "ay", "solve"),
+    ("zero.yaml", ("coefficients", "g"), "cc", "solve"),
+    ("zero.yaml", ("coefficients", "h"), "vlaue", "solve"),
+    ("field.yaml", ("coefficients", "f"), "a_y", "field"),  # a key of linear on a constant
+    ("zero.yaml", ("coefficients", "terminal"), "vlaue", "solve"),
+    ("ball.yaml", ("coefficients", "terminal"), "value", "solve"),  # quadratic_norm has no value
+    ("ball.yaml", ("domain",), "raduis", "sde-sim"),
+    ("field.yaml", ("lattice",), "drawz", "field"),
+    ("zero.yaml", ("constants",), "lamb", "solve"),
+]
+
+
+@pytest.mark.parametrize("name, section, key, command", _MISSPELLED, ids=lambda v: str(v))
+def test_misspelled_key_fails_at_load(tmp_path, capsys, name, section, key, command):
+    """A key the reader does not take is a validation error that names it
+    (exit 2), not a run with that setting's default: raduis: 0.5 ran a ball of
+    radius 1, ay: -0.5 ran f = c and pahts: 7 ran the file's paths."""
+    def edit(raw):
+        spec = raw
+        for part in section:
+            spec = spec[part]
+        spec[key] = 0.5
+    p = _variant(tmp_path, name, edit)
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(p)
+    out = tmp_path / "out"
+    assert run([command, "--scenario", p, "--out", str(out), "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, edit", [("ball.yaml", lambda raw: [raw["domain"].pop("dim"), raw.pop("start")]),
+                                        ("field.yaml", lambda raw: raw["domain"].update(dim=1))],
+                         ids=["ball-without-dim", "interval-with-dim"])
+def test_domain_section_keys_are_its_builders(tmp_path, name, edit):
+    """The domain section's keys go to its builder, whose signature holds the
+    defaults: a ball names its dim (without it, it was one-dimensional), and
+    an interval takes none."""
+    with pytest.raises(ScenarioError, match="'dim'"):
+        load_scenario(_variant(tmp_path, name, edit))

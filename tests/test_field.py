@@ -157,8 +157,9 @@ def _mean_reverting(x):
 @pytest.mark.parametrize("regression", [("poly", 2), ("partition", 4)])
 @pytest.mark.parametrize("terminal", ["callable", "constant"])
 def test_stacked_field_matches_per_node_solves(regression, terminal):
-    """One stacked ensemble per lattice time gives, bit for bit, the field of
-    one reflected simulation and one solve per node.  g and psi make the
+    """One stacked ensemble per stretch of the grid between lattice times
+    gives, bit for bit, the field of one reflected simulation and one solve
+    per node.  g and psi make the
     local time enter the values; sigma and b depend on the state."""
     coeffs = CoefficientSet(
         f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.1 * x,

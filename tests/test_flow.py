@@ -7,7 +7,6 @@ from bdsvi import (
     flow_inverse,
     make_convex,
     smoothed_interval,
-    transform_coefficients,
     transform_penalized,
     unit_ball,
 )
@@ -22,6 +21,7 @@ def _path(n_steps=200, seed=0, t0=0.3, T=1.0):
 
 CONST = FlowSpec(h=lambda t, x, u: 0.7 + 0.0 * np.asarray(u),
                  d_u=lambda t, x, u: 0.0 * np.asarray(u))
+ZERO = make_convex("zero")  # Yosida gradient exactly 0: the unpenalized transforms
 LINEAR = FlowSpec(h=lambda t, x, u: np.asarray(u, dtype=float),
                   d_u=lambda t, x, u: np.ones_like(np.asarray(u, dtype=float)))
 
@@ -127,7 +127,7 @@ def test_transform_identity_when_h_zero():
     f = lambda t, x, y, z: 0.3 * y + 0.1 * float(np.sum(z))
     g = lambda t, x, y: 0.2 * y
     point = (0.3, np.array([0.2]), 0.7, np.array([0.4]))
-    ft, gt = transform_coefficients(spec, f, g, dom, 1.0, 0.0, point, times, B)
+    ft, gt = transform_penalized(spec, f, g, ZERO, ZERO, 1.0, dom, 1.0, 0.0, point, times, B)
     assert ft == pytest.approx(f(0.3, point[1], 0.7, point[3]), abs=1e-6)
     assert gt == pytest.approx(g(0.3, point[1], 0.7), abs=1e-6)
 
@@ -140,7 +140,7 @@ def test_transform_constant_h_shifts_argument():
     f = lambda t, x, y, z: y
     g = lambda t, x, y: 2.0 * y
     point = (0.3, np.array([0.0]), -0.4, np.array([0.0]))
-    ft, gt = transform_coefficients(CONST, f, g, dom, 1.0, 0.0, point, times, B)
+    ft, gt = transform_penalized(CONST, f, g, ZERO, ZERO, 1.0, dom, 1.0, 0.0, point, times, B)
     eta = -0.4 + c * (B[-1] - B[0])
     assert ft == pytest.approx(eta, abs=1e-6)
     assert gt == pytest.approx(2.0 * eta, abs=1e-6)
@@ -155,7 +155,7 @@ def test_transform_penalized_subtracts_scaled_gradients():
     g = lambda t, x, y: 0.0
     point = (0.3, np.array([0.0]), 0.5, np.array([0.0]))
     delta = 0.2
-    ft, gt = transform_coefficients(CONST, f, g, dom, 1.0, 0.0, point, times, B)
+    ft, gt = transform_penalized(CONST, f, g, ZERO, ZERO, 1.0, dom, 1.0, 0.0, point, times, B)
     ftd, gtd = transform_penalized(CONST, f, g, phi, psi, delta, dom, 1.0, 0.0, point, times, B)
     eta = 0.5 + 0.7 * (B[-1] - B[0])
     grad_phi = eta / (1 + delta)           # quadratic Yosida gradient
@@ -183,7 +183,7 @@ def test_transform_x_derivatives_closed_form():
     f = lambda t, x, y, z: 0.3 * y + float(np.dot(a, z)) + 0.1 * x[0]
     g = lambda t, x, y: 0.2 * y - 0.5
     x, y, z = np.array([0.3, -0.6]), 0.7, np.array([0.2, -0.1])
-    ft, gt = transform_coefficients(spec, f, g, unit_ball(2), sigma, b, (0.3, x, y, z), times, B)
+    ft, gt = transform_penalized(spec, f, g, ZERO, ZERO, 1.0, unit_ball(2), sigma, b, (0.3, x, y, z), times, B)
     eta = y + c * x[0] * x[1] * dB
     d_x = c * dB * np.array([x[1], x[0]])
     assert ft == pytest.approx(f(0.3, x, eta, sigma.T @ d_x + z) + 0.5 * c * dB + float(b @ d_x), abs=1e-6)

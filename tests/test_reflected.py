@@ -97,6 +97,16 @@ def test_make_domain_dispatch():
         make_domain("torus")
 
 
+def test_make_domain_rejects_a_key_its_builder_lacks():
+    """The builders' signatures hold the defaults; a key a builder does not
+    take raises instead of being dropped."""
+    assert make_domain("interval").name == smoothed_interval().name == "interval(0.0,1.0)"
+    with pytest.raises(TypeError, match="radius"):
+        make_domain("interval", lo=0, hi=1, radius=2)
+    with pytest.raises(TypeError, match="dim"):
+        make_domain("ellipsoid", semi_axes=[1.0, 2.0], dim=2)
+
+
 # ---------------------------------------------------------------- simulation
 
 def test_containment_ball():
