@@ -27,19 +27,14 @@ from .drivers import (
 from .field import (
     FieldEstimate,
     FieldGrid,
-    boundary_residual,
     continuity_diagnostic,
-    interior_residual,
-    manufactured_field,
     sample_field,
 )
 from .flow import FlowSample, FlowSpec, flow, flow_inverse, transform_penalized
 from .reflected import (
     DomainSpec,
-    boundary_band,
     ellipsoid,
     local_time_identity_residual,
-    local_time_support_fraction,
     make_domain,
     simulate_reflected,
     smoothed_interval,

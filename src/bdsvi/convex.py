@@ -50,9 +50,6 @@ class ConvexFunction:
     domain_hint: Optional[tuple] = None  # (lo, hi) arrays of length k
     label: str = ""
 
-    def __call__(self, x):
-        return self.evaluate(np.asarray(x, dtype=float))
-
 
 @dataclass(frozen=True)
 class AssumptionConstants:

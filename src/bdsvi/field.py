@@ -15,23 +15,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .convex import ConvexFunction, yosida_gradient
+from .convex import ConvexFunction
 from .drivers import PathBundle, TimeGrid, _node_major, _rekey, _stream
-from .reflected import DomainSpec, _coefficients, simulate_reflected
+from .reflected import DomainSpec, simulate_reflected
 from .solver import CoefficientSet, SolverConfig, _backward_sweep, _terminal_values
 
 __all__ = [
     "FieldGrid",
     "FieldEstimate",
     "sample_field",
-    "manufactured_field",
     "continuity_diagnostic",
-    "interior_residual",
-    "boundary_residual",
 ]
 
 _TOL = 1e-9
@@ -39,11 +35,12 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Evaluation lattice: times in [0, T] and points in the closure."""
+    """Evaluation lattice: times in [0, T] and points in the closure of the
+    domain it is built on.  Which points lie on the boundary is the domain's
+    level there, so the grid does not store it."""
 
-    times: np.ndarray          # (nt,)
-    points: np.ndarray         # (npts, d)
-    boundary_mask: np.ndarray  # (npts,) True where |level| <= 1e-7
+    times: np.ndarray   # (nt,)
+    points: np.ndarray  # (npts, d)
 
     @classmethod
     def build(cls, domain: DomainSpec, times, points) -> "FieldGrid":
@@ -51,10 +48,9 @@ class FieldGrid:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != domain.d:
             raise ValueError(f"lattice points must have shape (n, {domain.d}), got {points.shape}")
-        lv = domain.level(points)
-        if np.any(lv < -_TOL):
+        if np.any(domain.level(points) < -_TOL):
             raise ValueError("lattice point outside the closure of the domain")
-        return cls(times, points, np.abs(lv) <= 1e-7)
+        return cls(times, points)
 
 
 @dataclass
@@ -63,13 +59,6 @@ class FieldEstimate:
     values: np.ndarray          # (nt, npts), mean over backward draws
     stderr: np.ndarray          # (nt, npts)
     per_draw: np.ndarray        # (n_draws, nt, npts)
-
-
-def manufactured_field(u: Callable, fgrid: FieldGrid) -> FieldEstimate:
-    """Exact field injected from an analytic u(t, x); zero standard error.
-    Used to verify the residual stencils on manufactured solutions."""
-    vals = np.array([[float(u(float(t), x)) for x in fgrid.points] for t in fgrid.times])
-    return FieldEstimate(fgrid, vals, np.zeros_like(vals), vals[None])
 
 
 def sample_field(
@@ -192,74 +181,3 @@ def continuity_diagnostic(fld: FieldEstimate) -> dict:
         "worst_coarse": worst_coarse,
         "blowup": worst_fine > 10.0 * max(worst_coarse, 1e-12),
     }
-
-
-def _require_line_lattice(fld: FieldEstimate):
-    pts = fld.grid.points
-    if pts.shape[1] != 1:
-        raise ValueError("residual stencils support one-dimensional lattices")
-    x = pts[:, 0]
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("lattice points must be sorted")
-    if x.size < 3 or fld.grid.times.size < 2:
-        raise ValueError("lattice too coarse for the stencil")
-    return x
-
-
-def interior_residual(fld: FieldEstimate, coeffs: CoefficientSet, phi: ConvexFunction,
-                      eps: float, sigma=1.0, b=0.0) -> dict:
-    """Finite-difference residual of the penalized interior equation
-
-        du/dt + 0.5 sigma^2 u_xx + b u_x + f(t, x, u, sigma u_x)
-              - grad phi_eps(u)
-
-    on interior lattice nodes (deterministic reduction, backward noise off).
-    sigma and b take the contract of simulate_reflected and are evaluated at
-    every lattice point."""
-    x = _require_line_lattice(fld)
-    times = fld.grid.times
-    u = fld.values
-    interior = ~fld.grid.boundary_mask
-    interior[0] = interior[-1] = False
-    if not np.any(interior):
-        raise ValueError("no interior nodes on the lattice")
-    bv, sig = _coefficients(b, sigma, x[:, None], 1)
-    bv, sig = bv[:, 0], sig[:, 0, 0]
-    res = np.full((times.size - 1, x.size), np.nan)
-    for i in range(times.size - 1):
-        dt = times[i + 1] - times[i]
-        u_t = (u[i + 1] - u[i]) / dt
-        u_x = np.gradient(u[i], x, edge_order=2)
-        u_xx = np.gradient(u_x, x, edge_order=2)
-        y = u[i][:, None]
-        z = (sig * u_x)[:, None, None]
-        fv = np.asarray(coeffs.f(float(times[i]), x[:, None], y, z), dtype=float).reshape(-1)
-        pen = yosida_gradient(phi, eps, y)[:, 0] if eps > 0 else 0.0
-        res[i] = u_t + 0.5 * sig * sig * u_xx + bv * u_x + fv - pen
-    worst = float(np.nanmax(np.abs(res[:, interior])))
-    return {"max_abs": worst, "residual": res, "interior_mask": interior}
-
-
-def boundary_residual(fld: FieldEstimate, coeffs: CoefficientSet, psi: ConvexFunction,
-                      eps: float, domain: DomainSpec) -> dict:
-    """One-sided residual of the penalized boundary relation
-
-        <grad level(x), grad u> + g(t, x, u) - grad psi_eps(u)
-
-    at boundary-tagged lattice nodes."""
-    x = _require_line_lattice(fld)
-    times = fld.grid.times
-    u = fld.values
-    jb = np.nonzero(fld.grid.boundary_mask)[0]
-    if jb.size == 0:
-        raise ValueError("no boundary nodes on the lattice")
-    xb = x[jb, None]
-    n_in = domain.gradient(xb)[:, 0]
-    res = np.full((times.size, x.size), np.nan)
-    for i, t in enumerate(times):
-        u_x = np.gradient(u[i], x, edge_order=2)
-        y = u[i, jb, None]
-        gv = np.asarray(coeffs.g(float(t), xb, y), dtype=float).reshape(-1)
-        pen = yosida_gradient(psi, eps, y)[:, 0] if eps > 0 else 0.0
-        res[i, jb] = n_in * u_x[jb] + gv - pen
-    return {"max_abs": float(np.max(np.abs(res[:, jb]))), "residual": res}

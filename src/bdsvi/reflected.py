@@ -24,8 +24,6 @@ __all__ = [
     "smoothed_interval",
     "make_domain",
     "simulate_reflected",
-    "boundary_band",
-    "local_time_support_fraction",
     "local_time_identity_residual",
 ]
 
@@ -268,21 +266,6 @@ def simulate_reflected(
     if not (np.isfinite(X[:, -1]).all() and np.isfinite(A[:, -1]).all()):  # non-finite values persist
         raise FloatingPointError("non-finite reflected path; reduce the time step")
     return replace(noise, A=A, X=X)
-
-
-def boundary_band(sigma_sup: float, dt: float) -> float:
-    """Default width of the band in which local-time increments may occur:
-    one diffusion step from the boundary."""
-    return 2.0 * np.sqrt(dt) * sigma_sup
-
-
-def local_time_support_fraction(path: PathBundle, domain: DomainSpec, band: float) -> float:
-    """Fraction of steps whose local-time increment is positive while the
-    step-end position sits deeper than the boundary band.  The increment is
-    recorded at the step end, where the projection leaves the path exactly on
-    the boundary, so this fraction must vanish for a sound scheme."""
-    lv_end = domain.level(path.X[:, 1:])
-    return float(np.mean((path.dA > 0.0) & (lv_end > band)))
 
 
 def local_time_identity_residual(path: PathBundle, domain: DomainSpec, b, sigma) -> dict:

@@ -41,9 +41,16 @@ def _whole(value, key):
     return int(value)
 
 
+def _mapping(spec, where):
+    """spec, which must be a mapping: a list or a number would fail later, with a message naming no section."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {type(spec).__name__} {spec!r}")
+    return spec
+
+
 def _keys(spec, where, *known):
     """spec, its keys all known: a misspelled key fails at load instead of leaving its default in force."""
-    unknown = sorted(map(str, spec.keys() - known))
+    unknown = sorted(map(str, _mapping(spec, where).keys() - known))
     if unknown:
         raise ScenarioError(f"unknown {where} key(s) {', '.join(unknown)}; known: {', '.join(known)}")
     return spec
@@ -51,7 +58,7 @@ def _keys(spec, where, *known):
 
 def _kind(spec, where, default, kinds):
     """The kind a section names, with its other keys checked against that kind's."""
-    kind = spec.get("kind", default)
+    kind = _mapping(spec, where).get("kind", default)
     if kind not in kinds:
         raise ScenarioError(f"unknown {where} kind {kind!r}")
     _keys(spec, where, "kind", *kinds[kind])
@@ -85,7 +92,7 @@ def make_coefficients(co: dict):
     0 when absent; any other key is a ScenarioError.  g takes no z, so an a_z
     on g is one too, and h repeats its value along the last axis of z.
     """
-    if "a_z" in co.get("g", {}):
+    if "a_z" in _mapping(co.get("g", {}), "coefficient g"):
         raise ScenarioError("coefficient g takes no z, so it has no a_z")
     return tuple(_affine(co.get(role, {}), role) for role in ("f", "g", "h"))
 
@@ -138,7 +145,8 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         name = raw.get("name", "unnamed")
         phi = make_convex(raw.get("phi", "zero"))
         psi = make_convex(raw.get("psi", "zero"))
-        constants = AssumptionConstants(**{k: float(v) for k, v in raw.get("constants", {}).items()})
+        constants = AssumptionConstants(**{k: float(v) for k, v in
+                                           _mapping(raw.get("constants", {}), "constants").items()})
         co = _keys(raw.get("coefficients", {}), "coefficients", "f", "g", "h", "terminal")
         f, g, h = make_coefficients(co)
         coeffs = CoefficientSet(f, g, h, make_terminal(co.get("terminal", {"kind": "constant"})), constants)
@@ -147,10 +155,10 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
                                 _whole(top("steps", gs, 100), "steps"))
         sv = _keys(raw.get("solver", {}), "solver", "eps", "scheme", "regression")
         regression = sv.get("regression", "sample-mean")
-        if isinstance(regression, dict):
-            _keys(regression, "regression", "kind", "degree", "cells")
-            regression = (regression["kind"], _whole(regression.get("degree", regression.get("cells", 2)),
-                                                     "regression degree or cells"))
+        if regression != "sample-mean":  # a poly or partition mapping, its count key named by its kind
+            kind = _kind(regression, "regression", None, {"poly": ("degree",), "partition": ("cells",)})
+            count = {"poly": "degree", "partition": "cells"}[kind]
+            regression = (kind, _whole(regression.get(count, 2), f"regression {count}"))
         solver = SolverConfig(
             grid=grid,
             eps=float(top("eps", sv, 1e-3)),
@@ -159,7 +167,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         )
         domain = None
         if raw.get("domain"):
-            dspec = dict(raw["domain"])
+            dspec = dict(_mapping(raw["domain"], "domain"))
             if "dim" in dspec:
                 dspec["dim"] = _whole(dspec["dim"], "domain dim")
             domain = make_domain(dspec.pop("kind"), **dspec)

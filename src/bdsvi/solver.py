@@ -4,12 +4,13 @@ The recursion runs from the terminal node to the start.  At each step the
 next value plus the dt, dA and backward-noise contributions is projected onto
 the chosen conditional-expectation estimator, the Z component is extracted
 from the correlation with the forward increments, and the penalization is
-applied either explicitly (Yosida gradient step) or implicitly (resolvent
-step, the stable surrogate of the small-eps limit).  The estimator is fitted
-once per node and shared by the Z and Y targets; for ``poly`` and
-``partition`` its condition number is s_max/s_min of the worst block's
-design.  The state-free ``sample-mean`` estimator and the explicit scheme's
-resolvent oracles are resolved once per sweep, not per step.
+applied either explicitly (a Yosida gradient step for phi, then the resolvent
+of the envelope psi_eps over dA, nonexpansive for any dA) or implicitly
+(resolvent steps, the stable surrogate of the small-eps limit).  The estimator
+is fitted once per node and shared by the Z and Y targets; for ``poly`` and
+``partition`` its condition number is s_max/s_min of the worst block's design.
+The state-free ``sample-mean`` estimator and the explicit scheme's resolvent
+oracles are resolved once per sweep, not per step.
 
 Conditional expectations:
 
@@ -187,8 +188,8 @@ def solve_penalized(
       (a) Z_i from the regression of Y_{i+1} dW_i^T / dt_i;
       (b) Ytil_i = E_i[Y_{i+1} + f dt + g dA + h dB] (coefficients at the
           right endpoint in (t, x, y), current Z);
-      (c) explicit-yosida:  Y_i = Ytil - U_i dt - V_i dA, with the applied
-          multipliers U_i = grad phi_eps(Ytil), V_i = grad psi_eps(Ytil);
+      (c) explicit-yosida:  j = Ytil - U_i dt with U_i = grad phi_eps(Ytil), then
+          Y_i = prox_{dA psi_eps}(j) = j - V_i dA with V_i = grad psi_{eps+dA}(j);
           implicit-prox:    Y_i = J^psi_dA(J^phi_dt(Ytil)), with the
           multipliers read off the resolvent gaps (V_i = 0 when dA_i = 0).
     """
@@ -244,13 +245,12 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         project = _projector("sample-mean", None, n_blocks)[0]
     if explicit:
         eps_row = np.repeat(eps, n_paths)
-        eps_col = eps_row[:, None]
-        oracles = _oracle(phi), _oracle(psi)
+        res_phi, res_psi = _oracle(phi), _oracle(psi)
 
-        def grads(y):  # the Yosida gradients of phi and psi at each row's eps
-            return [(y - np.asarray(oracle(eps_row, y), dtype=float)) / eps_col for oracle in oracles]
+        def grad(resolvent, e, y):  # the Yosida gradient (y - J_e(y)) / e at the per-row scale e
+            return (y - np.asarray(resolvent(e, y), dtype=float)) / e[:, None]
 
-        U[:, -1], V[:, -1] = grads(xi)
+        U[:, -1], V[:, -1] = grad(res_phi, eps_row, xi), grad(res_psi, eps_row, xi)
 
     conds = []
     dts, t_nodes = grid.dt.tolist(), grid.nodes.tolist()
@@ -279,8 +279,11 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
             raise FloatingPointError(f"non-finite Y at step {i}")
 
         if explicit:
-            u, v = grads(y_til)
-            y_i = y_til - u * dt - v * da
+            u = grad(res_phi, eps_row, y_til)
+            j_phi = y_til - u * dt
+            # j - dA grad psi_{eps+dA}(j) = prox_{dA psi_eps}(j): nonexpansive for any dA
+            v = grad(res_psi, eps_row + da[:, 0], j_phi)
+            y_i = j_phi - v * da
             U[:, i], V[:, i] = u, v
         else:
             j_phi = _prox(phi, dt, y_til)
@@ -415,15 +418,15 @@ def verify_vi_inclusion(sol: BdsdeSolution, phi: ConvexFunction, psi: ConvexFunc
     J_t is the resolvent point at which the scheme puts U_t in dphi, since
     grad theta_eps(x) lies in dtheta(J_eps x).  It is rebuilt from the step
     input Ytil = Y + U dt + V dA (dt = dA = 0 at the terminal node):
-    explicit-yosida audits U at J^phi_eps(Ytil) and V at J^psi_eps(Ytil),
-    implicit-prox U at J^phi_dt(Ytil) and V at Y.
+    explicit-yosida audits U at J^phi_eps(Ytil) and V at
+    J^psi_{eps+dA}(Y + V dA), implicit-prox U at J^phi_dt(Ytil) and V at Y.
     """
     Y = sol.Y
     dt = np.append(sol.grid.dt, 0.0)
     dA = np.pad(sol.dA, ((0, 0), (0, 1)))
     y_til = Y + sol.U * dt[:, None] + sol.V * dA[..., None]
     if sol.config.scheme == "explicit-yosida":
-        j_phi, j_psi = prox(phi, sol.config.eps, y_til), prox(psi, sol.config.eps, y_til)
+        j_phi, j_psi = prox(phi, sol.config.eps, y_til), prox(psi, sol.config.eps + dA, Y + sol.V * dA[..., None])
     else:
         j_phi, j_psi = prox(phi, dt, y_til), Y
     phi_j = phi.evaluate(j_phi)

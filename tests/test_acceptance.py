@@ -20,17 +20,12 @@ from bdsvi import (
     FlowSpec,
     SolverConfig,
     TimeGrid,
-    boundary_band,
-    boundary_residual,
     cauchy_study,
     flow,
     flow_inverse,
     generate_paths,
-    interior_residual,
     local_time_identity_residual,
-    local_time_support_fraction,
     make_convex,
-    manufactured_field,
     penalization_diagnostics,
     prox_property_suite,
     sample_field,
@@ -42,6 +37,7 @@ from bdsvi import (
 )
 from bdsvi.cli import run
 from bdsvi.drivers import _stream
+from field_stencils import boundary_residual, interior_residual, manufactured_field
 
 ZERO = make_convex("zero")
 CATALOG_NAMES = ["zero", "quadratic(1.0)", "abs", "indicator_box(-1,1)", "hinge_sq"]
@@ -170,16 +166,16 @@ def test_05_penalization_distance():
 
 
 def test_06_reflected_diffusion():
-    """Unit-ball reflection: containment, local-time support in the boundary
-    band, and first-order shrinkage of the pathwise reconstruction residual."""
+    """Unit-ball reflection: containment, every step with dA > 0 ending on
+    the boundary (0 <= level <= 1e-12), and first-order shrinkage of the
+    pathwise reconstruction residual."""
     t0 = time.perf_counter()
     dom = unit_ball(2)
     grid = TimeGrid.uniform(0, 1, 1000)
     noise = generate_paths(grid, 2, 10_000, seed=5, shared_backward=True)
     path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), noise)
     containment = float(np.min(dom.level(path.X)))
-    band = boundary_band(1.0, grid.max_dt)
-    support = local_time_support_fraction(path, dom, band)
+    pushed = dom.level(path.X[:, 1:])[path.dA > 0.0]  # the step-end levels of the local-time steps
 
     grid2 = TimeGrid.uniform(0, 1, 2000)
     r1 = local_time_identity_residual(
@@ -190,9 +186,11 @@ def test_06_reflected_diffusion():
                            generate_paths(grid2, 2, 2000, seed=6, shared_backward=True)), dom, 0.0, 1.0)
     shrink = r1["rms"] / r2["rms"]
     elapsed = time.perf_counter() - t0
-    ok = containment >= -1e-12 and support == 0.0 and shrink >= 1.3 and elapsed < 60.0
+    lo, hi = float(np.min(pushed, initial=np.inf)), float(np.max(pushed, initial=-np.inf))
+    on_boundary = pushed.size > 0 and 0.0 <= lo and hi <= 1e-12
+    ok = containment >= -1e-12 and on_boundary and shrink >= 1.3 and elapsed < 60.0
     _report(6, "reflected-diffusion", ok,
-            f"min level {containment:.1e}, support fraction {support}, "
+            f"min level {containment:.1e}, {pushed.size} local-time steps end at level [{lo:.1e}, {hi:.1e}], "
             f"residual shrink {shrink:.2f}x, {elapsed:.1f}s")
 
 
@@ -254,7 +252,7 @@ def test_08_field_sampler():
 
     fg20 = FieldGrid.build(dom, np.linspace(0, 1, 20), np.linspace(-1, 1, 20)[:, None])
     manu = manufactured_field(lambda t, x: float(np.sum(x * x)), fg20)
-    ir = interior_residual(manu, _coeffs(f=lambda t, x, y, z: -np.ones_like(y)), ZERO, 0.0)
+    ir = interior_residual(manu, _coeffs(f=lambda t, x, y, z: -np.ones_like(y)), ZERO, 0.0, dom)
     br = boundary_residual(manu, _coeffs(g=lambda t, x, y: 2.0 * np.ones_like(y)),
                            ZERO, 0.0, dom)
     ok = (const_err <= 1e-12 and lin_err <= 2 * cfg.grid.max_dt
@@ -309,8 +307,11 @@ def test_11_psi_local_time_oracle():
     psi barrier at 0.5 caps Y0 at 0.5 with multiplier V = 1 where it binds
     and U = 0; with barriers at 0.5 and 0.3 on phi and psi, in either order,
     Y0 = 0.3 and only the binding channel carries the multiplier 1 (implicit
-    prox, 1000 steps).  explicit-yosida settles where a step of the drift
-    meets one penalty step: Y0 = 0.5 + eps - dt = 0.50005 at 20000 steps."""
+    prox, 1000 steps).  explicit-yosida takes its psi step as the resolvent
+    of the envelope psi_eps over dA = dt, so it settles on the plateau of the
+    continuous penalized equation, where the drift 1 meets the Yosida
+    gradient (Y - 0.5) / eps: Y0 = 0.5 + eps = 0.5001 at 20000 steps, with no
+    dt bias."""
     t0 = time.perf_counter()
     grid = TimeGrid.uniform(0, 1, 1000)
     noise = generate_paths(grid, 1, 4, seed=7, a_spec=_time_a)
@@ -325,7 +326,7 @@ def test_11_psi_local_time_oracle():
     eps, fine = 1e-4, TimeGrid.uniform(0, 1, 20000)
     sol = solve_penalized(_vi_coeffs(), ZERO, hi, SolverConfig(fine, eps=eps, scheme="explicit-yosida"),
                           generate_paths(fine, 1, 2, seed=7, a_spec=_time_a))
-    explicit = abs(float(sol.Y[0, 0, 0]) - (0.5 + eps - fine.max_dt))
+    explicit = abs(float(sol.Y[0, 0, 0]) - (0.5 + eps))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and explicit <= 1e-12 and elapsed < 30.0
     _report(11, "psi-local-time-oracle", ok,

@@ -101,9 +101,39 @@ def test_bad_lattice_fails_at_load(tmp_path, name, lattice):
     planar ball, or one that is not a mapping, fails at load, whatever the
     command."""
     p = _variant(tmp_path, name, lambda raw: raw.update(lattice=lattice))
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="lattice"):
         load_scenario(p)
     assert run(["sde-sim", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("section, value, named", [
+    ("grid", 5, "grid"), ("solver", 3, "solver"), ("coefficients", {"f": "zero"}, "coefficient f"),
+    ("coefficients", {"g": 2}, "coefficient g"), ("constants", 3, "constants"), ("domain", [1, 2], "domain")],
+    ids=["grid", "solver", "coefficient-f", "coefficient-g", "constants", "domain"])
+def test_section_that_is_not_a_mapping_names_itself(tmp_path, capsys, section, value, named):
+    """A list or a number where a mapping belongs failed with "'list' object
+    has no attribute 'keys'"; the validation error names the section."""
+    p = _variant(tmp_path, "ball.yaml", lambda raw: raw.update({section: value}))
+    with pytest.raises(ScenarioError, match=f"^{named} must be a mapping"):
+        load_scenario(p)
+    assert run(["solve", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
+    assert f"{named} must be a mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["prox-check", "solve"])
+@pytest.mark.parametrize("regression, message", [
+    ({"kind": "poly", "cells": 3}, "unknown regression key(s) cells"),
+    ({"kind": "partition", "degree": 4}, "unknown regression key(s) degree"),
+    ({"kind": "banana"}, "unknown regression kind 'banana'"),
+    ({"degree": 2}, "unknown regression kind None"),
+    ("poly", "regression must be a mapping")], ids=["poly-cells", "partition-degree", "banana", "no-kind", "string"])
+def test_regression_fails_at_load_by_its_kind(tmp_path, capsys, regression, message, command):
+    """poly takes a degree and partition cells: poly with cells: 3 ran degree
+    3 and partition with degree: 4 ran 4 cells, and an unknown kind passed
+    prox-check, all with exit 0."""
+    p = _variant(tmp_path, "ball.yaml", lambda raw: raw["solver"].update(regression=regression))
+    assert run([command, "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- commands

@@ -11,11 +11,8 @@ from bdsvi import (
     PathBundle,
     SolverConfig,
     TimeGrid,
-    boundary_residual,
     continuity_diagnostic,
-    interior_residual,
     make_convex,
-    manufactured_field,
     sample_field,
     simulate_reflected,
     smoothed_interval,
@@ -26,6 +23,7 @@ from bdsvi import (
 from bdsvi import field
 from bdsvi.drivers import _stream
 from bdsvi.scenarios import load_scenario
+from field_stencils import boundary_mask, boundary_residual, interior_residual, manufactured_field
 
 ZERO = make_convex("zero")
 DOM = smoothed_interval(-1.0, 1.0)
@@ -52,7 +50,7 @@ def _config(n_steps=50, regression=("poly", 2)):
 
 def test_field_grid_boundary_tagging():
     fg = _fgrid()
-    assert fg.boundary_mask.tolist() == [True, False, False, False, True]
+    assert boundary_mask(DOM, fg).tolist() == [True, False, False, False, True]
 
 
 def test_field_grid_rejects_exterior_points():
@@ -276,7 +274,7 @@ def test_manufactured_quadratic_interior_residual():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -np.ones_like(y)),
-                            ZERO, 0.0)
+                            ZERO, 0.0, DOM)
     assert out["max_abs"] < 1e-12
 
 
@@ -285,7 +283,7 @@ def test_interior_residual_state_dependent_sigma():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -(1.0 + 0.25 * x) ** 2),
-                            ZERO, 0.0, sigma=_affine_sigma)
+                            ZERO, 0.0, DOM, sigma=_affine_sigma)
     assert out["max_abs"] <= 1e-12
 
 
@@ -294,7 +292,7 @@ def test_interior_residual_state_dependent_drift():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -1.0 - x * x),
-                            ZERO, 0.0, b=lambda x: 0.5 * x)
+                            ZERO, 0.0, DOM, b=lambda x: 0.5 * x)
     assert out["max_abs"] <= 1e-12
 
 
@@ -316,7 +314,7 @@ def test_boundary_residual_matches_per_node_loop():
     x = fg.points[:, 0]
     for i, t in enumerate(fg.times):
         u_x = np.gradient(est.values[i], x, edge_order=2)
-        for j in np.nonzero(fg.boundary_mask)[0]:
+        for j in np.nonzero(boundary_mask(DOM, fg))[0]:
             y = np.array([[est.values[i, j]]])
             expect = (DOM.gradient(x[j: j + 1, None])[0, 0] * u_x[j]
                       + coeffs.g(float(t), x[j: j + 1, None], y)[0, 0] - yosida_gradient(psi, eps, y)[0, 0])
@@ -328,7 +326,7 @@ def test_residual_detects_wrong_source():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: np.zeros_like(y)),
-                            ZERO, 0.0)
+                            ZERO, 0.0, DOM)
     assert out["max_abs"] == pytest.approx(1.0)
 
 
@@ -339,7 +337,7 @@ def test_residual_includes_penalization_term():
     phi = make_convex("indicator_box(-inf,0.5)")
     eps = 0.1
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: np.full_like(y, 3.0)),
-                            phi, eps)
+                            phi, eps, DOM)
     assert out["max_abs"] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -347,4 +345,4 @@ def test_residual_requires_line_lattice():
     fg = _fgrid(2, 2)
     est = manufactured_field(lambda t, x: 0.0, fg)
     with pytest.raises(ValueError):
-        interior_residual(est, _coeffs(), ZERO, 0.0)
+        interior_residual(est, _coeffs(), ZERO, 0.0, DOM)

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from bdsvi import (
     PathBundle,
     TimeGrid,
-    boundary_band,
     ellipsoid,
     generate_paths,
     local_time_identity_residual,
-    local_time_support_fraction,
     make_domain,
     simulate_reflected,
     smoothed_interval,
@@ -135,11 +133,13 @@ def test_interior_run_has_zero_local_time():
     assert np.all(path.A == 0.0)
 
 
-def test_local_time_support_fraction_vanishes():
+def test_local_time_steps_end_on_the_boundary():
+    """The increment is recorded where the projection leaves the path: on the
+    boundary, inside the closure, to rounding."""
     dom = unit_ball(2)
-    path, grid = _run(dom, sigma=1.2)
-    band = boundary_band(1.2, grid.max_dt)
-    assert local_time_support_fraction(path, dom, band) == 0.0
+    path, _ = _run(dom, sigma=1.2)
+    level = dom.level(path.X[:, 1:])[path.dA > 0.0]
+    assert level.size > 0 and np.all((level >= 0.0) & (level <= 1e-12))
 
 
 def test_identity_residual_shrinks_with_dt():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import replace
 
@@ -364,6 +365,41 @@ def test_vi_inclusion_at_the_resolvent_point(scheme):
     out = verify_vi_inclusion(sol, phi, psi, [-1.0, 0.0, 0.25, 0.3, 0.5])
     assert out["phi_infinite_nodes"] == 0 and out["psi_infinite_nodes"] == 0
     assert out["worst_phi"] <= 1e-12 and out["worst_psi"] <= 1e-12
+
+
+@functools.lru_cache(maxsize=1)
+def _disc_ensemble():
+    """Reflected Brownian motion in the unit disc from (0.3, 0): 2000 paths,
+    200 steps, one shared backward draw."""
+    grid = TimeGrid.uniform(0, 1, 200)
+    noise = generate_paths(grid, 2, 2000, seed=5, shared_backward=True)
+    return simulate_reflected(unit_ball(2), 0.0, 1.0, (0.0, np.array([0.3, 0.0])), noise)
+
+
+# one rounding slack, fixed before any run: 64 ulp of the O(1) values |x|^2 <= 1
+_ROUNDING_SLACK = 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("regression", [("poly", 2), ("poly", 3), ("partition", 9)], ids=str)
+@pytest.mark.parametrize("psi", ["indicator_box(-inf,0.5)", "abs"])
+@pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
+def test_backward_step_never_widens_the_gap(scheme, psi, regression):
+    """Two solves on one noise with f = g = h = 0 and terminals |x|^2 and
+    |x|^2 + 1e-3 cos(3 x_0).  The fit is an orthogonal projection in the
+    empirical norm and each penalty step a resolvent, so the empirical L2 gap
+    |Y_i - Y'_i| never exceeds |Y_{i+1} - Y'_{i+1}| (Pardoux and Rascanu's
+    a-priori estimate in discrete form), at an eps where dA >> eps on the
+    boundary rows."""
+    state = _disc_ensemble()
+    phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex(psi)
+    cfg = SolverConfig(state.grid, eps=1e-2, scheme=scheme, regression=regression)
+    quad = lambda x: np.sum(x * x, axis=-1)
+    Ys = [solve_penalized(_coeffs(terminal=chi), phi, psi, cfg, state).Y[..., 0]
+          for chi in (quad, lambda x: quad(x) + 1e-3 * np.cos(3.0 * x[:, 0]))]
+    gap = np.sqrt(np.mean((Ys[0] - Ys[1]) ** 2, axis=0))
+    assert np.max(state.dA) > 10 * cfg.eps and gap[-1] > 1e-4
+    excess = gap[:-1] - gap[1:]
+    assert np.max(excess) <= _ROUNDING_SLACK, (np.max(gap[:-1] / gap[1:]), np.max(excess))
 
 
 # ---------------------------------------------------------------- regression backends
