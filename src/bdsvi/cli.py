@@ -38,10 +38,11 @@ _FMT = "%.17g"
 
 def _build_run(scn: Scenario):
     """The ensemble of a scenario: reflected in its domain when it has one."""
+    grid = scn.solver.grid
     if scn.domain is None:
-        return generate_paths(scn.grid, scn.d, scn.n_paths, scn.seed, a_spec=scn.a_spec)
-    noise = generate_paths(scn.grid, scn.d, scn.n_paths, scn.seed, shared_backward=True)
-    return simulate_reflected(scn.domain, scn.drift, scn.sigma, (scn.grid.t0, scn.start), noise)
+        return generate_paths(grid, scn.d, scn.n_paths, scn.seed, a_spec=scn.a_spec)
+    noise = generate_paths(grid, scn.d, scn.n_paths, scn.seed, shared_backward=True)
+    return simulate_reflected(scn.domain, scn.drift, scn.sigma, (grid.t0, scn.start), noise)
 
 
 def _status(ok):
@@ -70,14 +71,11 @@ def cmd_compat_check(scn: Scenario):
     rng = np.random.default_rng(scn.seed)
     y, z = rng.uniform(-3, 3, 64)[:, None], rng.uniform(-3, 3, 64)[:, None, None]
     rep = check_compatibility(scn.phi, scn.psi, scn.coeffs.f, scn.coeffs.g, ladder, 0.5, y, z)
-    lines = [
-        "compat-check: gradient-product positivity and the two one-sided"
-        " coupling bounds between the convex pair and (f, g)",
-        f"{_status(rep.ok)} gradient product >= 0: worst {rep.worst_i:.3e}",
-        f"{_status(rep.ok)} phi-gradient vs g bound: worst {rep.worst_ii:.3e}",
-        f"{_status(rep.ok)} psi-gradient vs f bound: worst {rep.worst_iii:.3e}",
-    ]
     rows = [("grad_product", rep.worst_i), ("phi_vs_g", rep.worst_ii), ("psi_vs_f", rep.worst_iii)]
+    labels = ("gradient product >= 0", "phi-gradient vs g bound", "psi-gradient vs f bound")
+    lines = ["compat-check: gradient-product positivity and the two one-sided"
+             " coupling bounds between the convex pair and (f, g)"]
+    lines += [f"{_status(w <= 1e-9)} {label}: worst {w:.3e}" for label, (_, w) in zip(labels, rows)]
     return ["inequality", "worst_violation"], rows, lines, rep.ok
 
 
@@ -91,7 +89,7 @@ def cmd_sde_sim(scn: Scenario):
     res = local_time_identity_residual(run, scn.domain, scn.drift, scn.sigma)
     # node-major arrays: each node's paths are one contiguous row of lv.T and run.A.T
     lv_t, a_t = lv.T, run.A.T
-    rows = zip(scn.grid.nodes.tolist(), lv_t.mean(axis=1).tolist(), lv_t.min(axis=1).tolist(),
+    rows = zip(scn.solver.grid.nodes.tolist(), lv_t.mean(axis=1).tolist(), lv_t.min(axis=1).tolist(),
                a_t.mean(axis=1).tolist(), a_t.max(axis=1).tolist())
     ok = contained >= -1e-12
     lines = [
@@ -112,7 +110,7 @@ def cmd_solve(scn: Scenario):
     # pairwise sum of a 1-d np.mean
     y, abs_z, u, v, a = (q.T for q in (
         sol.Y[:, :, 0], np.sqrt(_sum_last(sol.Z[:, :, 0] ** 2)), sol.U[:, :, 0], sol.V[:, :, 0], sol.A))
-    rows = zip(scn.grid.nodes.tolist(), y.mean(axis=1).tolist(), y.std(axis=1).tolist(),
+    rows = zip(scn.solver.grid.nodes.tolist(), y.mean(axis=1).tolist(), y.std(axis=1).tolist(),
                abs_z.mean(axis=1).tolist(), u.mean(axis=1).tolist(), v.mean(axis=1).tolist(),
                a.mean(axis=1).tolist())
     lines = [f"solve: scenario {scn.name!r}, scheme {scn.solver.scheme}, eps {scn.solver.eps:g}",
@@ -211,14 +209,14 @@ def _parser():
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     overrides = {"seed": args.seed, "paths": args.paths, "steps": args.steps}
-    if args.eps is not None:
-        vals = [float(v) for v in str(args.eps).split(",") if v.strip()]
-        if len(vals) == 1:
-            overrides["eps"] = vals[0]
-        else:
-            overrides["eps_ladder"] = vals
-            overrides["eps"] = vals[-1]
     try:
+        if args.eps is not None:  # one value sets eps; a list sets the ladder and eps to its last rung
+            vals = [float(v) for v in args.eps.split(",") if v.strip()]
+            if not vals:
+                raise ValueError(f"--eps needs at least one value, got {args.eps!r}")
+            overrides["eps"] = vals[-1]
+            if len(vals) > 1:
+                overrides["eps_ladder"] = vals
         scn = load_scenario(args.scenario, overrides)
         if scn.weight_warning and not args.quiet:
             sys.stderr.write(f"WARN {scn.weight_warning}\n")

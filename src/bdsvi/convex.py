@@ -360,10 +360,6 @@ class CompatibilityReport:
     worst_ii: float
     worst_iii: float
 
-    @property
-    def worst(self) -> float:
-        return max(self.worst_i, self.worst_ii, self.worst_iii)
-
 
 def check_compatibility(
     phi: ConvexFunction,

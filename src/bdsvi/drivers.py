@@ -74,11 +74,13 @@ class PathBundle:
     samples of the increasing A and, for a reflected ensemble, its state X
     (A is then the boundary local time of X).
 
-    The shapes put paths first, but the arrays the package builds are stored
-    node-major (time axis outermost in memory), so the per-node slice
+    The shapes put paths first.  A per-path array the package builds is
+    stored node-major (time axis outermost in memory), so the per-node slice
     arr[:, i] that the forward and backward loops read is one contiguous
-    block.  No consumer may assume C-contiguous path-major storage; a bundle
-    built by hand in any layout gives the same numbers, only more slowly."""
+    block; an array every path shares (a shared dB, a field stretch's dB and
+    carried A) is one read-only row broadcast over the paths.  No consumer
+    may write into a bundle or assume C-contiguous path-major storage; a
+    bundle built by hand in any layout gives the same numbers, only slower."""
 
     grid: TimeGrid
     dW: np.ndarray  # (n_paths, n_steps, d)
@@ -181,7 +183,7 @@ def generate_paths(
     a_spec: a nondecreasing map t -> A(t) applied to the grid nodes, or None
     to leave A = 0 (simulate_reflected fills in the boundary local time).
     shared_backward draws a single B substream used by every path (common
-    backward noise).
+    backward noise), one read-only row broadcast over the paths.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -205,8 +207,8 @@ def generate_paths(
 
     dW = per_path("W")
     if shared_backward:
-        dB = _node_major(n_paths, n_steps, d)
-        dB[:] = _rekey(gen, seed, "B_SHARED", 0).standard_normal((n_steps, d)) * sqdt
+        dB = np.broadcast_to(_rekey(gen, seed, "B_SHARED", 0).standard_normal((n_steps, d)) * sqdt,
+                             (n_paths, n_steps, d))
     else:
         dB = per_path("B")
 

@@ -14,7 +14,7 @@ round-trip identity certifies it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -29,25 +29,17 @@ __all__ = [
     "transform_penalized",
 ]
 
-_DU_STEP = 1e-6  # central-difference step of the d_u fallback
 _FD_STEP = 1e-4  # central-difference step of the transforms' flow derivatives
 
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Scalar noise coefficient h(t, x, u) with an optional derivative oracle
-    d_u h; the derivative falls back to central differences of step 1e-6 in u.
+    """Scalar noise coefficient h(t, x, u) and its derivative d_u h(t, x, u).
     The transforms take their x- and y-derivatives of the flow from central
     differences of step 1e-4."""
 
     h: Callable
-    d_u: Optional[Callable] = None
-
-    def du(self, t, x, u):
-        if self.d_u is not None:
-            return self.d_u(t, x, u)
-        e = _DU_STEP
-        return (self.h(t, x, u + e) - self.h(t, x, u - e)) / (2.0 * e)
+    d_u: Callable
 
 
 @dataclass(frozen=True)
@@ -72,7 +64,7 @@ def flow(spec: FlowSpec, x, y, times: np.ndarray, B: np.ndarray) -> FlowSample:
     eta = np.asarray(y, dtype=float) + 0.0
     dy = np.ones_like(eta)
     # Python floats and callables bound once: the same IEEE operations, without per-step indexing
-    h, du = spec.h, spec.du if spec.d_u is None else spec.d_u
+    h, du = spec.h, spec.d_u
     t_nodes, b_nodes = times.ravel().tolist(), B.ravel().tolist()
     for j in range(times.size - 2, -1, -1):
         db = b_nodes[j + 1] - b_nodes[j]
@@ -182,7 +174,7 @@ def transform_penalized(
         raise RuntimeError("degenerate flow derivative")
 
     l_x = float(_generator(sig, bv, d_x, d_xx))
-    hu = spec.h(t, x, eta) * spec.du(t, x, eta)
+    hu = spec.h(t, x, eta) * spec.d_u(t, x, eta)
     z_arg = sig.T @ d_x + dy * z
     f_tilde = (f(t, x, eta, z_arg) - 0.5 * hu + l_x
                + float(np.dot(sig.T @ d_xy, z)) + 0.5 * d_yy * float(np.dot(z, z))) / dy

@@ -112,8 +112,7 @@ class Scenario:
     phi: ConvexFunction
     psi: ConvexFunction
     coeffs: CoefficientSet
-    grid: TimeGrid
-    solver: SolverConfig
+    solver: SolverConfig  # its grid is the scenario's
     seed: int
     n_paths: int
     eps_ladder: list
@@ -203,7 +202,6 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             phi=phi,
             psi=psi,
             coeffs=coeffs,
-            grid=grid,
             solver=solver,
             seed=_whole(raw.get("seed", 0), "seed"),
             n_paths=_whole(raw.get("paths", 100), "paths"),

@@ -9,8 +9,8 @@ of the envelope psi_eps over dA, nonexpansive for any dA) or implicitly
 (resolvent steps, the stable surrogate of the small-eps limit).  The estimator
 is fitted once per node and shared by the Z and Y targets; for ``poly`` and
 ``partition`` its condition number is s_max/s_min of the worst block's design.
-The state-free ``sample-mean`` estimator and the explicit scheme's resolvent
-oracles are resolved once per sweep, not per step.
+The state-free ``sample-mean`` estimator and the resolvent oracles are
+resolved once per sweep, not per step.
 
 Conditional expectations:
 
@@ -82,11 +82,10 @@ class SolverConfig:
 class BdsdeSolution:
     """Solution arrays of one backward sweep.  Y, Z, U and V are stored
     node-major like the arrays of PathBundle, so each [:, i] is contiguous;
-    no consumer may assume C-contiguous path-major storage.  A is a view of
-    the A of the bundle that drove the sweep, and dA its increments as the
-    sweep applied them."""
+    no consumer may assume C-contiguous path-major storage.  A is the A of
+    the bundle that drove the sweep, dA its increments as the sweep applied
+    them, and grid the grid of config."""
 
-    grid: TimeGrid
     Y: np.ndarray  # (n_paths, n_nodes, k)
     Z: np.ndarray  # (n_paths, n_nodes, k, d)
     U: np.ndarray  # (n_paths, n_nodes, k)
@@ -94,6 +93,10 @@ class BdsdeSolution:
     A: np.ndarray  # (n_paths, n_nodes)
     config: SolverConfig
     condition_numbers: list = field(default_factory=list)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.config.grid
 
     @property
     def dA(self) -> np.ndarray:  # (n_paths, n_steps)
@@ -193,21 +196,21 @@ def solve_penalized(
           implicit-prox:    Y_i = J^psi_dA(J^phi_dt(Ytil)), with the
           multipliers read off the resolvent gaps (V_i = 0 when dA_i = 0).
     """
-    Y, Z, U, V, A, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise)
-    return BdsdeSolution(config.grid, Y[0], Z[0], U[0], V[0], A[0], config, conds)
+    Y, Z, U, V, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise)
+    return BdsdeSolution(Y[0], Z[0], U[0], V[0], noise.A, config, conds)
 
 
 def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     """The recursion of solve_penalized for B = len(eps_blocks) independent
     ensembles stacked block-major on the rows of noise.  Block b runs at
     eps_blocks[b] and is regressed on its own rows of the state noise.X, so
-    it matches a solve on its own.  Returns Y, Z, U, V and a view of noise.A,
-    each of shape (B, n_paths, ...), and the worst block's condition number
-    per step.
+    it matches a solve on its own.  Returns Y, Z, U and V, each of shape
+    (B, n_paths, ...), and the worst block's condition number per step.
 
     What does not change from step to step is set up once here: the
-    sample-mean estimator, the explicit scheme's resolvent oracles (eps > 0
-    on every row, so no row is the identity) and the per-row eps column."""
+    sample-mean estimator, the resolvent oracles of phi and psi and the
+    explicit scheme's per-row eps column.  Only the implicit psi step, where
+    dA can be 0, goes through _prox; every other eps is positive on every row."""
     grid = config.grid
     if not np.array_equal(noise.grid.nodes, grid.nodes):
         raise ValueError("noise bundle and solver grid disagree")
@@ -243,9 +246,9 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     Y[:, -1] = xi
     if sample_mean:
         project = _projector("sample-mean", None, n_blocks)[0]
+    res_phi, res_psi = _oracle(phi), _oracle(psi)
     if explicit:
         eps_row = np.repeat(eps, n_paths)
-        res_phi, res_psi = _oracle(phi), _oracle(psi)
 
         def grad(resolvent, e, y):  # the Yosida gradient (y - J_e(y)) / e at the per-row scale e
             return (y - np.asarray(resolvent(e, y), dtype=float)) / e[:, None]
@@ -286,7 +289,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
             y_i = j_phi - v * da
             U[:, i], V[:, i] = u, v
         else:
-            j_phi = _prox(phi, dt, y_til)
+            j_phi = np.asarray(res_phi(dt, y_til), dtype=float)
             y_i = _prox(psi, da[:, 0], j_phi)  # the identity on rows with dA_i = 0
             U[:, i] = (y_til - j_phi) / dt
             np.divide(j_phi - y_i, da, out=V[:, i], where=da > 0.0)
@@ -294,7 +297,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
             raise FloatingPointError(f"non-finite Y at step {i}")
         Y[:, i] = y_i
         Z[:, i] = z_i
-    return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V, noise.A)] + [conds]
+    return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V)] + [conds]
 
 
 def _weights(grid: TimeGrid, A: np.ndarray, lam: float, mu: float) -> np.ndarray:
@@ -394,8 +397,8 @@ def cauchy_study(
     cfg = replace(base_config, eps=ladder[-1])
     tile = lambda a: None if a is None else np.tile(a, (len(ladder),) + (1,) * (a.ndim - 1))  # a block per rung
     rungs = replace(noise, dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A), X=tile(noise.X))
-    Y, Z, U, V, A, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs)
-    limit = BdsdeSolution(cfg.grid, Y[-1], Z[-1], U[-1], V[-1], A[-1], cfg, conds)
+    Y, Z, U, V, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs)
+    limit = BdsdeSolution(Y[-1], Z[-1], U[-1], V[-1], noise.A, cfg, conds)
     w = _weights(cfg.grid, limit.A, lam, mu)
     pairs = list(zip(ladder, ladder[1:]))
     gaps = [float(np.mean(np.max(w * np.sum((ya - yb) ** 2, axis=-1), axis=1))) for ya, yb in zip(Y, Y[1:])]

@@ -23,14 +23,14 @@ def test_load_zero_scenario():
     scn = load_scenario(_scn("zero.yaml"))
     assert scn.name == "zero-penalty-linear"
     assert scn.phi.label == "zero"
-    assert scn.grid.n_steps == 100
+    assert scn.solver.grid.n_steps == 100
     assert scn.n_paths == 1000
     assert scn.weight_warning is None
 
 
 def test_overrides_apply():
     scn = load_scenario(_scn("zero.yaml"), {"steps": 10, "paths": 7, "seed": 5, "eps": 0.5})
-    assert scn.grid.n_steps == 10
+    assert scn.solver.grid.n_steps == 10
     assert scn.n_paths == 7
     assert scn.seed == 5
     assert scn.solver.eps == 0.5
@@ -187,6 +187,24 @@ def test_compat_check(tmp_path):
     assert rc == 0
 
 
+def test_compat_check_lines_report_their_own_inequality(tmp_path):
+    """With g = 1 only the phi-gradient vs g bound fails; the other two lines
+    pass, and the run exits 3."""
+    p = _variant(tmp_path, "vi_oracle.yaml",
+                 lambda raw: raw["coefficients"].update(g={"kind": "constant", "value": 1.0}))
+    assert run(["compat-check", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 3
+    lines = (tmp_path / "compat_check.txt").read_text().splitlines()[1:]
+    assert [line.split()[0] for line in lines] == ["PASS", "FAIL", "PASS"]
+
+
+@pytest.mark.parametrize("eps", ["abc", "", ","])
+def test_malformed_eps_is_a_validation_error(tmp_path, capsys, eps):
+    out = tmp_path / "o"
+    assert run(["solve", "--scenario", _scn("vi_oracle.yaml"), "--out", str(out), "--eps", eps, "--quiet"]) == 2
+    assert '"error": "validation"' in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sde_sim(tmp_path):
     rc = run(["sde-sim", "--scenario", _scn("ball.yaml"), "--out", str(tmp_path),
               "--paths", "50", "--steps", "100", "--quiet"])
@@ -297,7 +315,7 @@ def test_sde_sim_csv_matches_per_node_reductions(tmp_path, name):
     ens = _build_run(scn)
     lv = scn.domain.level(ens.X)
     lines = (tmp_path / "sde_sim.csv").read_text().splitlines()[1:]
-    for j, t in enumerate(scn.grid.nodes):
+    for j, t in enumerate(scn.solver.grid.nodes):
         ref = (t, np.mean(lv[:, j]), np.min(lv[:, j]), np.mean(ens.A[:, j]), np.max(ens.A[:, j]))
         assert lines[j] == ",".join("%.17g" % v for v in ref)
 
@@ -465,7 +483,7 @@ def test_fractional_count_in_file_is_validation_error(tmp_path, capsys, name, se
     assert '"error": "validation"' in capsys.readouterr().err
 
 
-_LOADED = {"paths": lambda scn: scn.n_paths, "steps": lambda scn: scn.grid.n_steps, "dim": lambda scn: scn.d,
+_LOADED = {"paths": lambda scn: scn.n_paths, "steps": lambda scn: scn.solver.grid.n_steps, "dim": lambda scn: scn.d,
            "times": lambda scn: scn.lattice.times.size, "points": lambda scn: scn.lattice.points.shape[0],
            "draws": lambda scn: scn.draws}
 

@@ -21,6 +21,7 @@ from bdsvi import (
     verify_vi_inclusion,
     weighted_norms,
 )
+from bdsvi.scenarios import make_coefficients
 from bdsvi.solver import _poly_features, _projector
 
 ZERO = make_convex("zero")
@@ -380,26 +381,60 @@ def _disc_ensemble():
 _ROUNDING_SLACK = 64 * np.finfo(float).eps
 
 
+def _gap_of_two_solves(scheme, psi, regression, **fgh):
+    """Y - Y' of two solves on the disc ensemble with terminals |x|^2 and
+    |x|^2 + 1e-3 cos(3 x_0), phi = indicator_box(-inf,0.5) and eps 1e-2, at
+    which dA >> eps on the boundary rows."""
+    state = _disc_ensemble()
+    cfg = SolverConfig(state.grid, eps=1e-2, scheme=scheme, regression=regression)
+    quad = lambda x: np.sum(x * x, axis=-1)
+    Ys = [solve_penalized(_coeffs(terminal=chi, **fgh), make_convex("indicator_box(-inf,0.5)"),
+                          make_convex(psi), cfg, state).Y[..., 0]
+          for chi in (quad, lambda x: quad(x) + 1e-3 * np.cos(3.0 * x[:, 0]))]
+    assert np.max(state.dA) > 10 * cfg.eps
+    return state, Ys[0] - Ys[1]
+
+
+def _l2(a):
+    """The empirical L2 norm over paths, per node."""
+    return np.sqrt(np.mean(a ** 2, axis=0))
+
+
 @pytest.mark.parametrize("regression", [("poly", 2), ("poly", 3), ("partition", 9)], ids=str)
 @pytest.mark.parametrize("psi", ["indicator_box(-inf,0.5)", "abs"])
 @pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
 def test_backward_step_never_widens_the_gap(scheme, psi, regression):
-    """Two solves on one noise with f = g = h = 0 and terminals |x|^2 and
-    |x|^2 + 1e-3 cos(3 x_0).  The fit is an orthogonal projection in the
-    empirical norm and each penalty step a resolvent, so the empirical L2 gap
-    |Y_i - Y'_i| never exceeds |Y_{i+1} - Y'_{i+1}| (Pardoux and Rascanu's
-    a-priori estimate in discrete form), at an eps where dA >> eps on the
-    boundary rows."""
-    state = _disc_ensemble()
-    phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex(psi)
-    cfg = SolverConfig(state.grid, eps=1e-2, scheme=scheme, regression=regression)
-    quad = lambda x: np.sum(x * x, axis=-1)
-    Ys = [solve_penalized(_coeffs(terminal=chi), phi, psi, cfg, state).Y[..., 0]
-          for chi in (quad, lambda x: quad(x) + 1e-3 * np.cos(3.0 * x[:, 0]))]
-    gap = np.sqrt(np.mean((Ys[0] - Ys[1]) ** 2, axis=0))
-    assert np.max(state.dA) > 10 * cfg.eps and gap[-1] > 1e-4
+    """Two solves on one noise with f = g = h = 0.  The fit is an orthogonal
+    projection in the empirical norm and each penalty step a resolvent, so
+    the empirical L2 gap |Y_i - Y'_i| never exceeds |Y_{i+1} - Y'_{i+1}|
+    (Pardoux and Rascanu's a-priori estimate in discrete form)."""
+    gap = _l2(_gap_of_two_solves(scheme, psi, regression)[1])
+    assert gap[-1] > 1e-4
     excess = gap[:-1] - gap[1:]
     assert np.max(excess) <= _ROUNDING_SLACK, (np.max(gap[:-1] / gap[1:]), np.max(excess))
+
+
+@pytest.mark.parametrize("regression", [("poly", 2), ("poly", 3), ("partition", 9)], ids=str)
+@pytest.mark.parametrize("psi", ["indicator_box(-inf,0.5)", "abs"])
+@pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
+def test_affine_step_bound(scheme, psi, regression):
+    """The two solves under f = -0.5y + 0.4 sum z + 0.3, g = 0.2y - 0.1 and
+    h = 0.3y + 0.1 sum z + 0.1.  The target's gap is m_i dY_{i+1} plus
+    c_i P[dY_{i+1} sum_j dW_{i,j}], with m_i = 1 + a_y^f dt + a_y^g dA_i +
+    a_y^h sum_j dB_{i,j} per row and c_i = a_z^f + a_z^h sum_j dB_{i,j} / dt,
+    one number per step since every path shares the B draw.  The fit P is an
+    orthogonal projection in the empirical norm and each penalty step
+    nonexpansive, so |dY_i| <= |m_i dY_{i+1}| + |c_i| |dY_{i+1} sum_j dW_{i,j}|."""
+    f, g, h = make_coefficients({"f": {"kind": "linear", "a_y": -0.5, "a_z": 0.4, "c": 0.3},
+                                 "g": {"kind": "linear", "a_y": 0.2, "c": -0.1},
+                                 "h": {"kind": "linear", "a_y": 0.3, "a_z": 0.1, "c": 0.1}})
+    state, dY = _gap_of_two_solves(scheme, psi, regression, f=f, g=g, h=h)
+    assert np.ptp(state.dB, axis=0).max() == 0.0 and _l2(dY)[-1] > 1e-4  # one B draw for every path
+    sum_db, sum_dw, dt = state.dB[0].sum(axis=-1), state.dW.sum(axis=-1), state.grid.dt
+    m = 1.0 - 0.5 * dt + 0.2 * state.dA + 0.3 * sum_db
+    c = 0.4 + 0.1 * sum_db / dt
+    excess = _l2(dY[:, :-1]) - (_l2(m * dY[:, 1:]) + np.abs(c) * _l2(dY[:, 1:] * sum_dw))
+    assert np.max(excess) <= _ROUNDING_SLACK, np.max(excess)
 
 
 # ---------------------------------------------------------------- regression backends
@@ -580,14 +615,17 @@ def _node_slices_contiguous(a):
 ], ids=["poly", "partition", "sample-mean", "explicit-yosida"])
 def test_node_major_storage_matches_path_major_copies(regression, scheme):
     """generate_paths, simulate_reflected and solve_penalized store their
-    arrays node-major, so every [:, i] is C-contiguous.  Path-major copies of
-    the same bundle give the same X, A, Y, Z, U and V bit for bit: a bundle
-    built by hand in either layout gets the same numbers."""
+    per-path arrays node-major, so every [:, i] is C-contiguous; a shared dB
+    is one row with stride 0 on the path axis.  Path-major copies of the same
+    bundle give the same X, A, Y, Z, U and V bit for bit: a bundle built by
+    hand in either layout gets the same numbers."""
     grid = TimeGrid.uniform(0, 1, 40)
     state_free = regression == "sample-mean"
     noise = generate_paths(grid, 2, 60, seed=7, shared_backward=not state_free,
                            a_spec=(lambda t: np.asarray(t, float)) if state_free else None)
-    assert all(_node_slices_contiguous(a) for a in (noise.dW, noise.dB, noise.A))
+    assert all(_node_slices_contiguous(a) for a in (noise.dW, noise.A))
+    # shared: one row, stride 0 on the path axis; per path: node-major
+    assert noise.dB.strides[0] == 0 if not state_free else _node_slices_contiguous(noise.dB)
     copy = _path_major(noise)
     assert not copy.dW[:, 0].flags.c_contiguous and np.array_equal(copy.dW, noise.dW)
     if not state_free:
