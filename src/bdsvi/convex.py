@@ -30,7 +30,9 @@ __all__ = [
 
 # golden-section ratio 1/phi for the k = 1 prox search
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_BLOCK_1D = 4096
+_BLOCK_1D = 4096  # points per golden-section search (k = 1)
+_BLOCK_LATTICE = 512  # points per pass over the 65-point lattice (k = 1)
+_BLOCK_2D = 64  # points per lattice stage (k = 2)
 _RESOLUTION = 1e-8  # the grid prox oracle's final lattice spacing (k = 2) or 100x its bracket (k = 1)
 
 
@@ -189,6 +191,13 @@ def grid_prox_oracle(theta: ConvexFunction, eps, x) -> np.ndarray:
     few coarse cells around the current minimizer) down to a spacing of at
     most 1e-8, and the lattice minimizer is returned.
 
+    Both run over blocks of points (the k = 1 lattice pass in blocks of 512
+    inside golden-section blocks of 4096, the k = 2 stages in blocks of 64),
+    so each block's value table stays in cache.  Every operation is
+    elementwise in the point, and the k = 2 stop rule is batch-wide (every
+    point runs the stages the widest window needs), so a point's result does
+    not depend on the batch or block it is solved in.
+
     The search compares values of F only.  Near a smooth minimizer y*, F
     exceeds its minimum F* by only 0.5*c*|y - y*|^2 (c >= 1 the curvature),
     which rounding to a few ulps of |F*| cannot resolve: the floor is about
@@ -219,33 +228,32 @@ def grid_prox_oracle(theta: ConvexFunction, eps, x) -> np.ndarray:
             out[blk] = _golden_prox_1d(theta, eps1[blk], x1[blk], lo[0], hi[0], _RESOLUTION / 100.0)
         return out.reshape(batch + (1,))
 
-    lo_b = np.broadcast_to(lo, batch + (k,)).copy()
-    hi_b = np.broadcast_to(hi, batch + (k,)).copy()
+    # the stop rule reads every point's window, so each point runs as many stages as the widest needs
+    x2, eps2 = x.reshape(-1, k), eps_b.reshape(-1)
+    lo_b = np.broadcast_to(lo, x2.shape).copy()
+    hi_b = np.broadcast_to(hi, x2.shape).copy()
+    best = np.empty_like(x2)
     n_pts = 17
+    t = np.linspace(0.0, 1.0, n_pts)
     while True:
-        t = np.linspace(0.0, 1.0, n_pts)
-        g0 = lo_b[..., 0, None] + (hi_b[..., 0, None] - lo_b[..., 0, None]) * t
-        g1 = lo_b[..., 1, None] + (hi_b[..., 1, None] - lo_b[..., 1, None]) * t
-        y0 = g0[..., :, None]
-        y1 = g1[..., None, :]
-        pts = np.stack(np.broadcast_arrays(y0, y1), axis=-1)
-        dist = (x[..., 0, None, None] - y0) ** 2 + (x[..., 1, None, None] - y1) ** 2
-        vals = 0.5 * dist + eps_b[..., None, None] * theta.evaluate(pts)
-        flat = vals.reshape(batch + (n_pts * n_pts,))
-        idx = np.argmin(flat, axis=-1)
-        i0, i1 = np.unravel_index(idx, (n_pts, n_pts))
-        best0 = np.take_along_axis(g0, i0[..., None], axis=-1)[..., 0]
-        best1 = np.take_along_axis(g1, i1[..., None], axis=-1)[..., 0]
-        step = max(
-            np.max((hi_b[..., 0] - lo_b[..., 0]) / (n_pts - 1)),
-            np.max((hi_b[..., 1] - lo_b[..., 1]) / (n_pts - 1)),
-        )
+        step = max(np.max((hi_b[:, 0] - lo_b[:, 0]) / (n_pts - 1)),
+                   np.max((hi_b[:, 1] - lo_b[:, 1]) / (n_pts - 1)))
+        for s in range(0, len(x2), _BLOCK_2D):
+            blk = slice(s, s + _BLOCK_2D)
+            lo_k, width = lo_b[blk], hi_b[blk] - lo_b[blk]
+            g = lo_k[:, :, None] + width[:, :, None] * t  # (points, k, n_pts): each axis's lattice
+            pts = np.empty(g.shape[:1] + (n_pts, n_pts, k))
+            pts[..., 0], pts[..., 1] = g[:, 0, :, None], g[:, 1, None, :]
+            d2 = (x2[blk, :, None] - g) ** 2
+            vals = 0.5 * (d2[:, 0, :, None] + d2[:, 1, None, :]) + eps2[blk, None, None] * theta.evaluate(pts)
+            idx = np.argmin(vals.reshape(-1, n_pts * n_pts), axis=-1)
+            best[blk] = lo_k + width * t[np.stack(np.divmod(idx, n_pts), axis=-1)]  # g at the argmin
+            if step > _RESOLUTION:
+                half = 2.0 * width / (n_pts - 1)
+                lo_b[blk] = np.maximum(lo, best[blk] - half)
+                hi_b[blk] = np.minimum(hi, best[blk] + half)
         if step <= _RESOLUTION:
-            return np.stack([best0, best1], axis=-1)
-        for dim, best in ((0, best0), (1, best1)):
-            half = 2.0 * (hi_b[..., dim] - lo_b[..., dim]) / (n_pts - 1)
-            lo_b[..., dim] = np.maximum(lo[dim], best - half)
-            hi_b[..., dim] = np.minimum(hi[dim], best + half)
+            return best.reshape(batch + (k,))
 
 
 def _golden_prox_1d(theta, eps, x, lo, hi, width):
@@ -256,11 +264,15 @@ def _golden_prox_1d(theta, eps, x, lo, hi, width):
 
     n_pts = 65
     grid = lo + (hi - lo) * np.linspace(0.0, 1.0, n_pts)
-    vals = 0.5 * (x[..., None] - grid) ** 2 + eps[..., None] * theta.evaluate(grid[:, None])
-    idx = np.argmin(vals, axis=-1)
+    theta_grid = theta.evaluate(grid[:, None])
+    idx = np.empty(x.shape, dtype=np.intp)
+    f_anchor = np.empty_like(x)
+    for s in range(0, x.size, _BLOCK_LATTICE):  # sub-blocks, so the (points, 65) table stays in cache
+        blk = slice(s, s + _BLOCK_LATTICE)
+        vals = 0.5 * (x[blk, None] - grid) ** 2 + eps[blk, None] * theta_grid
+        idx[blk] = np.argmin(vals, axis=-1)
+        f_anchor[blk] = np.take_along_axis(vals, idx[blk, None], axis=-1)[:, 0]
     anchor = grid[idx]
-    f_anchor = np.take_along_axis(vals, idx[..., None], axis=-1)[..., 0]
-    del vals
     a = grid[np.maximum(idx - 1, 0)]
     b = grid[np.minimum(idx + 1, n_pts - 1)]
     c = b - _INVPHI * (b - a)

@@ -53,6 +53,8 @@ def flow(spec: FlowSpec, x, y, times: np.ndarray, B: np.ndarray) -> FlowSample:
 
     times: node times covering [t, T]; B: backward-Brownian values at those
     nodes (both one-dimensional).  y may be a scalar or an array (batched).
+    A scalar y runs on Python floats while h and d_u return 0-d values, with
+    the same IEEE operations as the array loop, and returns np.float64 values.
     The y-derivative is propagated by the exact derivative of the discrete
     update, so it is the Jacobian of the computed map, positive for any
     step size when h is smooth enough.
@@ -61,25 +63,53 @@ def flow(spec: FlowSpec, x, y, times: np.ndarray, B: np.ndarray) -> FlowSample:
     B = np.asarray(B, dtype=float)
     if times.size != B.size or times.size < 2:
         raise ValueError("times and B must align with at least two nodes")
-    eta = np.asarray(y, dtype=float) + 0.0
-    dy = np.ones_like(eta)
     # Python floats and callables bound once: the same IEEE operations, without per-step indexing
     h, du = spec.h, spec.d_u
     t_nodes, b_nodes = times.ravel().tolist(), B.ravel().tolist()
-    for j in range(times.size - 2, -1, -1):
+    eta = np.asarray(y, dtype=float) + 0.0
+    scalar = _scalar_flow(h, du, x, float(eta), t_nodes, b_nodes) if np.ndim(eta) == 0 else None
+    if scalar is not None:
+        eta, dy = np.float64(scalar[0]), np.float64(scalar[1])
+    else:
+        dy = np.ones_like(eta)
+        for j in range(times.size - 2, -1, -1):
+            db = b_nodes[j + 1] - b_nodes[j]
+            t1 = t_nodes[j + 1]
+            t0 = t_nodes[j]
+            h1 = h(t1, x, eta)
+            d1 = du(t1, x, eta)
+            pred = eta + h1 * db
+            h2 = h(t0, x, pred)
+            d2 = du(t0, x, pred)
+            eta = eta + 0.5 * (h1 + h2) * db
+            dy = dy * (1.0 + 0.5 * (d1 + d2 * (1.0 + d1 * db)) * db)
+    if np.any(dy <= 0.0):
+        raise RuntimeError("flow derivative lost positivity; refine the integration grid")
+    return FlowSample(eta=eta, d_y_eta=dy)
+
+
+def _scalar_flow(h, du, x, eta, t_nodes, b_nodes):
+    """flow's Heun loop for one query on Python floats: (eta, d_y eta), or None as
+    soon as h or d_u returns a value that is not 0-d, which the array loop keeps."""
+    dy = 1.0
+    for j in range(len(t_nodes) - 2, -1, -1):
         db = b_nodes[j + 1] - b_nodes[j]
         t1 = t_nodes[j + 1]
         t0 = t_nodes[j]
         h1 = h(t1, x, eta)
         d1 = du(t1, x, eta)
+        if getattr(h1, "ndim", 0) or getattr(d1, "ndim", 0):  # a Python float has no ndim
+            return None
+        h1, d1 = float(h1), float(d1)
         pred = eta + h1 * db
         h2 = h(t0, x, pred)
         d2 = du(t0, x, pred)
+        if getattr(h2, "ndim", 0) or getattr(d2, "ndim", 0):
+            return None
+        h2, d2 = float(h2), float(d2)
         eta = eta + 0.5 * (h1 + h2) * db
         dy = dy * (1.0 + 0.5 * (d1 + d2 * (1.0 + d1 * db)) * db)
-    if np.any(dy <= 0.0):
-        raise RuntimeError("flow derivative lost positivity; refine the integration grid")
-    return FlowSample(eta=eta, d_y_eta=dy)
+    return eta, dy
 
 
 def flow_inverse(spec: FlowSpec, x, target, times, B):

@@ -74,7 +74,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("explicit-yosida", "implicit-prox"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "explicit-yosida" and self.eps <= 0.0:
+        if not (np.isfinite(self.eps) and self.eps >= 0.0):
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+        if self.scheme == "explicit-yosida" and self.eps == 0.0:
             raise ValueError("explicit scheme needs eps > 0")
 
 
@@ -385,7 +387,8 @@ def cauchy_study(
     scheme whose step uses eps (ValueError otherwise).  For consecutive
     (eps, delta) the weighted expected sup of the squared gap is estimated
     and the rate exponent is fitted as the slope of log(gap) vs
-    log(eps + delta), where gap is the square root of the estimate.
+    log(eps + delta), where gap is the square root of the estimate.  A zero
+    gap leaves no rate to fit: FloatingPointError.
     """
     ladder = [float(e) for e in eps_ladder]
     if len(ladder) < 2:
@@ -395,13 +398,23 @@ def cauchy_study(
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
     cfg = replace(base_config, eps=ladder[-1])
-    tile = lambda a: None if a is None else np.tile(a, (len(ladder),) + (1,) * (a.ndim - 1))  # a block per rung
+
+    def tile(a):  # a block of rows per rung; a shared draw (stride 0 on the path axis) stays one row
+        if a is None:
+            return None
+        if a.strides[0] == 0:
+            return np.broadcast_to(a[:1], (len(ladder) * len(a),) + a.shape[1:])
+        return np.tile(a, (len(ladder),) + (1,) * (a.ndim - 1))
+
     rungs = replace(noise, dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A), X=tile(noise.X))
     Y, Z, U, V, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs)
     limit = BdsdeSolution(Y[-1], Z[-1], U[-1], V[-1], noise.A, cfg, conds)
     w = _weights(cfg.grid, limit.A, lam, mu)
     pairs = list(zip(ladder, ladder[1:]))
     gaps = [float(np.mean(np.max(w * np.sum((ya - yb) ** 2, axis=-1), axis=1))) for ya, yb in zip(Y, Y[1:])]
+    if min(gaps) == 0.0:
+        a, b = pairs[gaps.index(0.0)]
+        raise FloatingPointError(f"rungs eps = {a:g} and {b:g} give the same Y: no rate to fit")
     x = np.log([a + b for a, b in pairs])
     y = 0.5 * np.log(gaps)  # log of the unsquared weighted sup gap
     slope = float(np.polyfit(x, y, 1)[0])

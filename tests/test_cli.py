@@ -1,5 +1,7 @@
 import csv
+import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +261,38 @@ def test_cauchy_rejects_non_explicit_scheme(tmp_path):
     p = _variant(tmp_path, "cauchy.yaml", lambda raw: raw["solver"].update(scheme="implicit-prox"))
     assert run(["cauchy", "--scenario", p, "--out", str(tmp_path), "--steps", "200", "--quiet"]) == 2
     assert not (tmp_path / "cauchy.csv").exists()
+
+
+@pytest.mark.parametrize("command, override", [("solve", "--eps=nan"), ("report", "--eps=-1"),
+                                               ("solve", "--eps=inf"), ("solve", None)],
+                         ids=["solve-nan", "report-negative", "solve-inf", "scenario-negative"])
+def test_eps_must_be_finite_and_non_negative(tmp_path, capsys, command, override):
+    """Every scheme rejects a non-finite or negative eps at load, with a
+    validation record and no artifact; eps = 0 stays valid for implicit-prox."""
+    scenario = _scn("vi_oracle.yaml")
+    if override is None:
+        scenario = _variant(tmp_path, "vi_oracle.yaml", lambda raw: raw["solver"].update(eps=-1))
+    argv = [command, "--scenario", scenario, "--out", str(tmp_path / "out"), "--steps", "20", "--quiet"]
+    assert run(argv + ([override] if override else [])) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "validation" and "eps must be finite and >= 0" in record["detail"]
+    assert not (tmp_path / "out").exists()
+    assert load_scenario(_scn("vi_oracle.yaml"), {"eps": 0.0}).solver.eps == 0.0
+
+
+@pytest.mark.parametrize("warning_mode", ["default", "error"])
+def test_cauchy_with_equal_rungs_exits_3(tmp_path, capsys, warning_mode):
+    """phi = psi = zero: every rung gives the same Y, so every gap is 0 and no
+    rate can be fitted.  The run says so and exits 3, also when a numpy
+    RuntimeWarning is an error."""
+    p = _variant(tmp_path, "cauchy.yaml", lambda raw: raw.update(phi="zero", psi="zero"))
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_mode, RuntimeWarning)
+        rc = run(["cauchy", "--scenario", p, "--out", str(tmp_path / "out"), "--steps", "2000", "--quiet"])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "numerical" and "same Y: no rate to fit" in record["detail"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, edit", [

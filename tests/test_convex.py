@@ -16,6 +16,7 @@ from bdsvi import (
 )
 from bdsvi.convex import CATALOG
 from bdsvi.scenarios import make_coefficients
+from prox_reference import unblocked_grid_prox_oracle
 
 CATALOG_NAMES = ["zero", "quadratic(1.0)", "abs", "indicator_box(-1,1)", "hinge_sq"]
 
@@ -165,6 +166,45 @@ def test_grid_oracle_two_dim():
     q = make_convex("quadratic(2.0)")
     x = np.array([[1.0, -2.0]])
     assert np.allclose(grid_prox_oracle(q, 0.5, x), x / 2.0, rtol=0.0, atol=1e-6)
+
+
+def _edge_heavy_points(rng, n, k):
+    """Points over [-3, 3]^k, a third of them near the domain hint's edges at +-2 of
+    indicator_box(-1,1), where the search windows are clipped at the hint."""
+    x = rng.uniform(-3.0, 3.0, (n, k))
+    near = rng.uniform(1.9, 2.4, (n // 3, k)) * rng.choice([-1.0, 1.0], (n // 3, k))
+    x[: n // 3] = near
+    return rng.permutation(x)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_grid_oracle_k1_matches_the_unblocked_passes(name):
+    # 5000 points: two golden-section blocks, each of several lattice sub-blocks
+    theta = replace(make_convex(name), prox_oracle=None)
+    rng = np.random.default_rng(11)
+    x = _edge_heavy_points(rng, 5000, 1)
+    eps = 10.0 ** rng.uniform(-4.0, 1.0, 5000)
+    got = grid_prox_oracle(theta, eps, x)
+    assert got.tobytes() == unblocked_grid_prox_oracle(theta, eps, x).tobytes()
+    got = grid_prox_oracle(theta, eps.reshape(50, 100), x.reshape(50, 100, 1))  # batch axes in front
+    assert got.shape == (50, 100, 1) and got.tobytes() == unblocked_grid_prox_oracle(theta, eps, x).tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_grid_oracle_k2_matches_the_unblocked_stages(name):
+    """Several stage blocks with mixed eps.  Windows clipped at the hint are
+    narrower than the rest, so a per-block or per-point stop rule would end
+    their stages early; the batch-wide rule keeps them to the same bits."""
+    theta = replace(make_convex(name), prox_oracle=None)
+    rng = np.random.default_rng(12)
+    x = _edge_heavy_points(rng, 150, 2)
+    eps = 10.0 ** rng.uniform(-3.0, 0.5, 150)
+    ref = unblocked_grid_prox_oracle(theta, eps, x)
+    assert grid_prox_oracle(theta, eps, x).tobytes() == ref.tobytes()
+    got = grid_prox_oracle(theta, eps.reshape(3, 50), x.reshape(3, 50, 2))
+    assert got.shape == (3, 50, 2) and got.tobytes() == ref.tobytes()
+    one = grid_prox_oracle(theta, eps[0], x[0])  # a single point, no batch axis
+    assert one.shape == (2,) and one.tobytes() == unblocked_grid_prox_oracle(theta, eps[0], x[0]).tobytes()
 
 
 def test_grid_oracle_rejects_high_dim():

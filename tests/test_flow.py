@@ -203,14 +203,18 @@ def _per_index_flow(spec, x, y, times, B):
 
 
 SIN = FlowSpec(h=lambda t, x, u: 0.5 * np.sin(u) + 0.2, d_u=lambda t, x, u: 0.5 * np.cos(u))
+# x of shape (1,) makes h(t, x, u) an array of shape (1,) for a scalar u: the scalar
+# query then keeps the array loop, whose eta has shape (1,)
+X_TIMES_U = FlowSpec(h=lambda t, x, u: 0.4 * x * u + 0.1, d_u=lambda t, x, u: 0.4 * x + 0.0 * u)
 
 
-@pytest.mark.parametrize("spec", [CONST, LINEAR, SIN], ids=["constant", "linear", "sin"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [CONST, LINEAR, SIN, X_TIMES_U], ids=["constant", "linear", "sin", "x-times-u"])
 @pytest.mark.parametrize("y", [0.3, np.linspace(-2.0, 2.0, 41)], ids=["scalar", "batched"])
 def test_flow_matches_the_per_index_loop(spec, y):
     times, B = _path(n_steps=150, seed=4)
-    s = flow(spec, np.zeros(1), y, times, B)
-    eta, dy = _per_index_flow(spec, np.zeros(1), y, times, B)
+    s = flow(spec, np.full(1, 0.8), y, times, B)
+    eta, dy = _per_index_flow(spec, np.full(1, 0.8), y, times, B)
     for got, ref in ((s.eta, eta), (s.d_y_eta, dy)):
         assert type(got) is type(ref)
         assert np.shape(got) == np.shape(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()

@@ -21,6 +21,7 @@ from bdsvi import (
     verify_vi_inclusion,
     weighted_norms,
 )
+from bdsvi import solver as solver_module
 from bdsvi.scenarios import make_coefficients
 from bdsvi.solver import _poly_features, _projector
 
@@ -255,6 +256,45 @@ def test_batched_ladder_matches_per_rung_solves_reflected(regression):
                      terminal=lambda x: x[:, 0] ** 2)
     _assert_batched_ladder_matches(coeffs, make_convex("indicator_box(-inf,0.5)"), make_convex("abs"),
                                    grid, regression, state)
+
+
+def test_cauchy_keeps_a_shared_dB_as_one_broadcast_row(monkeypatch):
+    """The rungs read one broadcast dB row, not a copy per path and rung, and the
+    report equals that of the same ensemble with dB written out in full."""
+    grid = TimeGrid.uniform(0, 1, 200)
+    noise = generate_paths(grid, 1, 150, seed=5, shared_backward=True)
+    state = simulate_reflected(make_domain("interval", lo=-1.0, hi=1.0), 0.0, 1.0,
+                               (0.0, np.zeros(1)), noise)
+    assert state.dB.strides[0] == 0
+    coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.1 * x,
+                     g=lambda t, x, y: np.full_like(y, 0.1),
+                     h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3),
+                     terminal=lambda x: x[:, 0] ** 2)
+    phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
+    config = SolverConfig(grid, scheme="explicit-yosida", regression=("poly", 2))
+    ladder = [1e-1, 1e-2, 5e-3]
+    seen = []
+    sweep = solver_module._backward_sweep
+    monkeypatch.setattr(solver_module, "_backward_sweep",
+                        lambda *args: seen.append(args[-1]) or sweep(*args))
+    shared = cauchy_study(coeffs, phi, psi, config, ladder, state, lam=3.0, mu=1.5)
+    tiled = cauchy_study(coeffs, phi, psi, config, ladder, replace(state, dB=np.array(state.dB)),
+                         lam=3.0, mu=1.5)
+    assert seen[0].dB.shape == (3 * 150, 200, 1) and seen[0].dB.strides[0] == 0
+    assert seen[1].dB.strides[0] != 0
+    assert shared.eps_pairs == tiled.eps_pairs and shared.gaps_sq == tiled.gaps_sq
+    assert shared.slope == tiled.slope
+    for name in ("Y", "Z", "U", "V", "A"):
+        assert getattr(shared.limit, name).tobytes() == getattr(tiled.limit, name).tobytes(), name
+    assert shared.limit.condition_numbers == tiled.limit.condition_numbers
+
+
+def test_cauchy_with_equal_rungs_has_no_rate_to_fit():
+    """With phi = psi = zero every rung gives the same Y, so every gap is 0."""
+    grid, noise = _bundle(n_steps=50, n_paths=2)
+    with pytest.raises(FloatingPointError, match="same Y: no rate to fit"):
+        cauchy_study(_vi_coeffs(), ZERO, ZERO, SolverConfig(grid, scheme="explicit-yosida"),
+                     [1e-1, 1e-2], noise)
 
 
 def test_regressor_projects_each_block_on_its_own():
