@@ -7,10 +7,14 @@
 
 The base is extracted with `git archive` into a scratch directory, and the
 change is the checkout's working tree: its tracked and untracked, not
-ignored, files, copied beside it.  For each workload, pair i runs `perfbench/run.py` with
-seed first_seed + i on both trees, one after the other, alternating which
-side runs first.  An A/A round then runs the base against a second copy of
-itself on the same seeds and as many pairs, the same way.
+ignored, files, copied beside it once at the start.  For each workload, pair
+i runs `perfbench/run.py` with seed first_seed + i on both trees, one after
+the other.  Each pair runs in fresh copies of the two trees, `side-a` and
+`side-b`, names of equal length in one directory.  Which side runs first
+alternates every pair, and which side is copied first alternates every
+second pair, so neither order favours a side.  An A/A round then runs the
+base against a second copy of itself on the same seeds and as many pairs,
+the same way.
 
 The file holds every raw result line and, per workload and end-to-end
 metric of BENCHMARK.json:
@@ -29,6 +33,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -81,15 +86,20 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _round(a: Path, b: Path, workload: str, pairs: int, first_seed: int, seconds: float, label: str):
-    """pairs of (a, b) runs on seeds first_seed + i, alternating which side runs first."""
+    """pairs of runs of the trees a and b on seeds first_seed + i, each pair in fresh copies of
+    them; the side run first alternates every pair, the side copied first every second pair."""
     out = []
+    sides = (a.parent / "side-a", a.parent / "side-b")
     for i in range(pairs):
         seed = first_seed + i
-        order = ((0, a), (1, b)) if i % 2 == 0 else ((1, b), (0, a))
+        for side in ((0, 1) if i // 2 % 2 == 0 else (1, 0)):
+            shutil.rmtree(sides[side], ignore_errors=True)
+            shutil.copytree((a, b)[side], sides[side])
         pair = [None, None]
-        for side, tree in order:
-            pair[side] = _run(tree, workload, seed, seconds)
-        out.append({"seed": seed, "first": "a" if i % 2 == 0 else "b", "a": pair[0], "b": pair[1]})
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            pair[side] = _run(sides[side], workload, seed, seconds)
+        out.append({"seed": seed, "first": "a" if i % 2 == 0 else "b", "copied_first": "a" if i // 2 % 2 == 0 else "b",
+                    "a": pair[0], "b": pair[1]})
         print(f"{label} {workload} seed {seed}: " + ", ".join(
             f"{s}={_value(pair[k], 'op_s_min')}" for k, s in ((0, "a"), (1, "b"))), file=sys.stderr, flush=True)
     return out
@@ -149,9 +159,8 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
 
     with tempfile.TemporaryDirectory(prefix="bench-trajectory-") as tmp:
-        base, copy, head = Path(tmp, "base"), Path(tmp, "base-copy"), Path(tmp, "head")
+        base, head = Path(tmp, "base"), Path(tmp, "head")
         labels = {"base": _extract(args.base, base), "head": _extract(None, head)}
-        _extract(args.base, copy)
         doc = {"pr": args.pr, "base": labels["base"], "head": labels["head"], "seconds": args.seconds,
                "first_seed": args.first_seed, "pairs": args.pairs,
                "command": ["python3", "perfbench/run.py", "--workload", "<w>", "--seed", "<seed>",
@@ -159,7 +168,7 @@ def main(argv=None):
                "workloads": {}}
         for w in workloads:
             paired = _round(base, head, w, args.pairs, args.first_seed, args.seconds, "base/head")
-            aa = _round(base, copy, w, args.pairs, args.first_seed, args.seconds, "base/copy")
+            aa = _round(base, base, w, args.pairs, args.first_seed, args.seconds, "base/copy")
             rows = {}
             for m in spec["end_to_end"]:
                 row = _summary(paired, m)

@@ -161,7 +161,8 @@ def cmd_report(scn: Scenario):
     c = scn.coeffs.constants
     wr = validate_weights(c)
     norms = weighted_norms(sol, c.lam, c.mu)
-    diag = penalization_diagnostics(sol, scn.phi, scn.psi, max(scn.solver.eps, 1e-12), c.lam, c.mu)
+    eps = scn.solver.eps  # eps = 0 (implicit-prox) has no Yosida envelope, so no energies
+    diag = penalization_diagnostics(sol, scn.phi, scn.psi, eps, c.lam, c.mu) if eps > 0.0 else {}
     vi = verify_vi_inclusion(sol, scn.phi, scn.psi, scn.vi_test_points)
     lines = [
         f"report: scenario {scn.name!r}",
@@ -171,7 +172,7 @@ def cmd_report(scn: Scenario):
     ]
     for key, v in norms.items():
         lines.append(f"  {key} = {v:.6g}")
-    lines.append("penalization energies at the run eps:")
+    lines.append("penalization energies at the run eps:" if diag else "penalization energies: not defined at eps = 0")
     for key, v in diag.items():
         lines.append(f"  {key} = {v:.6g}")
     dA_line = f"worst dA-violation {vi['worst_psi']:.3e}" if vi["worst_psi"] > -np.inf else "no active dA"

@@ -483,6 +483,12 @@ CATALOG = {
     "hinge_sq": _hinge_sq,
 }
 
+
+def _is_zero(theta: ConvexFunction) -> bool:
+    """Whether theta is the catalog's zero function, whose resolvent is the identity and whose
+    Yosida gradient is 0 at every eps; the one rule for treating a penalty as absent."""
+    return theta.label == "zero"
+
 _NAME_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*(?:\(([^)]*)\))?\s*$")
 
 

@@ -9,8 +9,10 @@ of the envelope psi_eps over dA, nonexpansive for any dA) or implicitly
 (resolvent steps, the stable surrogate of the small-eps limit).  The estimator
 is fitted once per node and shared by the Z and Y targets; for ``poly`` and
 ``partition`` its condition number is s_max/s_min of the worst block's design.
-The state-free ``sample-mean`` estimator and the resolvent oracles are
-resolved once per sweep, not per step.
+The state-free ``sample-mean`` estimator, the resolvent oracles and which
+penalties are zero are resolved once per sweep, not per step: a zero
+penalty's step is the identity with multiplier 0, so it is skipped.  Each
+node's Z fit is written in place into the solution array.
 
 Conditional expectations:
 
@@ -33,7 +35,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .convex import AssumptionConstants, ConvexFunction, _oracle, _prox, _subgradient_violation, prox
+from .convex import AssumptionConstants, ConvexFunction, _is_zero, _oracle, _prox, _subgradient_violation, prox
 from .drivers import PathBundle, TimeGrid, _node_major
 
 __all__ = [
@@ -126,19 +128,20 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
     """The conditional-expectation estimator at one node, fitted once and
     shared by the Z and Y targets.
 
-    sample-mean maps targets (blocks * n, m) to each block's mean.  For
-    poly/partition, x_state holds `blocks` stacked ensembles of n rows,
-    (blocks * n, d), and project maps targets (blocks * n, m) row for row to
-    their least-squares fit on the block's features: its monomials (poly), or
+    project(t, out) writes the fit of targets t, (blocks * n, m), into out, a
+    C-contiguous array of t's shape that may be t itself, and returns out.
+    sample-mean fits each block's mean.  For poly/partition, x_state holds
+    `blocks` stacked ensembles of n rows, (blocks * n, d), and each row's fit
+    is the least-squares fit on its block's features: the monomials (poly), or
     the indicators of its quantile cells (partition), on which the fit is
     each cell's mean.  cond is the worst block's s_max/s_min of its design
     (inf when s_min = 0, as for an empty cell; None for sample-mean).
     """
     if spec == "sample-mean":
-        def project(t):
-            rows = t.reshape(blocks, -1, t.shape[-1])
-            n = rows.shape[1]  # add.reduce / n is np.mean bit for bit, without its per-call overhead
-            return (np.add.reduce(rows, axis=1, keepdims=True) / n).repeat(n, axis=1).reshape(t.shape)
+        def project(t, out):
+            rows = t.reshape(blocks, -1, t.shape[-1])  # add.reduce / n is np.mean bit for bit, without its overhead
+            np.divide(np.add.reduce(rows, axis=1, keepdims=True), rows.shape[1], out=out.reshape(rows.shape))
+            return out
         return project, None
     if x_state is None:
         raise ValueError("state-based regression needs a Markov state ensemble")
@@ -162,9 +165,10 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
     q = u if keep.all() else u * keep[:, None, :]
     cond = np.divide(s[:, 0], s[:, -1], out=np.full(blocks, np.inf), where=s[:, -1] > 0)
 
-    def project(t):
+    def project(t, out):
         rows = t.reshape(-1, n, t.shape[-1])
-        return (q @ (q.transpose(0, 2, 1) @ rows)).reshape(t.shape)
+        np.matmul(q, q.transpose(0, 2, 1) @ rows, out=out.reshape(rows.shape))
+        return out
     return project, float(np.max(cond))
 
 
@@ -210,9 +214,14 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     (B, n_paths, ...), and the worst block's condition number per step.
 
     What does not change from step to step is set up once here: the
-    sample-mean estimator, the resolvent oracles of phi and psi and the
-    explicit scheme's per-row eps column.  Only the implicit psi step, where
-    dA can be 0, goes through _prox; every other eps is positive on every row."""
+    sample-mean estimator, the resolvent oracles of phi and psi, the explicit
+    scheme's per-row eps column, and which penalties are zero.  A zero
+    penalty's step is the identity and its multiplier exactly 0, so its
+    resolvent, gradient and U or V store are skipped and the allocated zeros
+    stay; for finite input the generic step gives the same bits (+0.0
+    multipliers, and j - 0 * dA = j).  Only the implicit psi step, where dA
+    can be 0, goes through _prox; every other eps is positive on every row.
+    Each node's Z fit is written straight into Z[:, i]."""
     grid = config.grid
     if not np.array_equal(noise.grid.nodes, grid.nodes):
         raise ValueError("noise bundle and solver grid disagree")
@@ -232,7 +241,8 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         raise ValueError("explicit scheme needs finite eps > 0")
     # the explicit phi step is stable while dt * Lip(grad phi_eps) = dt / eps <= 1; the slack is
     # the rounding of the grid's dt, so dt = eps passes
-    ratio = grid.max_dt / eps.min() if explicit and phi.label != "zero" else 0.0
+    move_phi, move_psi = not _is_zero(phi), not _is_zero(psi)
+    ratio = grid.max_dt / eps.min() if explicit and move_phi else 0.0
     if ratio > 1.0 + 1e-9:
         raise FloatingPointError(f"explicit scheme unstable: max dt / min eps = {ratio:.3g} > 1")
     n_blocks = eps.size
@@ -255,7 +265,10 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         def grad(resolvent, e, y):  # the Yosida gradient (y - J_e(y)) / e at the per-row scale e
             return (y - np.asarray(resolvent(e, y), dtype=float)) / e[:, None]
 
-        U[:, -1], V[:, -1] = grad(res_phi, eps_row, xi), grad(res_psi, eps_row, xi)
+        if move_phi:
+            U[:, -1] = grad(res_phi, eps_row, xi)
+        if move_psi:
+            V[:, -1] = grad(res_psi, eps_row, xi)
 
     conds = []
     dts, t_nodes = grid.dt.tolist(), grid.nodes.tolist()
@@ -271,34 +284,36 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         if not sample_mean:
             project, cond = _projector(config.regression, X[:, i], n_blocks)
             conds.append(cond)
-        z_target = (y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d)
-        z_i = project(z_target).reshape(rows, k, d)
+        z_i = Z[:, i]
+        project((y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d), z_i.reshape(rows, k * d))
 
         fv = np.asarray(coeffs.f(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k)
         gv = np.asarray(coeffs.g(t_next, x_next, y_next), dtype=float).reshape(rows, k)
         hv = np.asarray(coeffs.h(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k, d)
         target = y_next + fv * dt + gv * da + np.einsum("pkd,pd->pk", hv, db)
         # under sample-mean the target is already measurable at t_i (module docstring)
-        y_til = target if sample_mean else project(target)
+        y_til = target if sample_mean else project(target, target)
         if not np.isfinite(y_til).all():
             raise FloatingPointError(f"non-finite Y at step {i}")
 
-        if explicit:
-            u = grad(res_phi, eps_row, y_til)
+        j_phi = y_til
+        if move_phi and explicit:
+            U[:, i] = u = grad(res_phi, eps_row, y_til)
             j_phi = y_til - u * dt
-            # j - dA grad psi_{eps+dA}(j) = prox_{dA psi_eps}(j): nonexpansive for any dA
-            v = grad(res_psi, eps_row + da[:, 0], j_phi)
-            y_i = j_phi - v * da
-            U[:, i], V[:, i] = u, v
-        else:
+        elif move_phi:
             j_phi = np.asarray(res_phi(dt, y_til), dtype=float)
-            y_i = _prox(psi, da[:, 0], j_phi)  # the identity on rows with dA_i = 0
             U[:, i] = (y_til - j_phi) / dt
+        y_i = j_phi
+        if move_psi and explicit:
+            # j - dA grad psi_{eps+dA}(j) = prox_{dA psi_eps}(j): nonexpansive for any dA
+            V[:, i] = v = grad(res_psi, eps_row + da[:, 0], j_phi)
+            y_i = j_phi - v * da
+        elif move_psi:
+            y_i = _prox(psi, da[:, 0], j_phi)  # the identity on rows with dA_i = 0
             np.divide(j_phi - y_i, da, out=V[:, i], where=da > 0.0)
         if not np.isfinite(y_i).all():
             raise FloatingPointError(f"non-finite Y at step {i}")
         Y[:, i] = y_i
-        Z[:, i] = z_i
     return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V)] + [conds]
 
 

@@ -232,6 +232,21 @@ def test_report_command(tmp_path):
     assert "no active dA" in text and "-inf" not in text  # a_process none: dA = 0 at every node
 
 
+def test_report_at_eps_zero_has_no_penalization_energies(tmp_path):
+    """eps = 0 is valid for implicit-prox, but the Yosida envelopes and their
+    energies are not defined there: the report says so and writes no
+    penalization rows, instead of energies taken at another eps."""
+    argv = ["report", "--scenario", _scn("vi_oracle.yaml"), "--eps=0", "--steps", "100", "--quiet"]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    text = (tmp_path / "report.txt").read_text()
+    assert "penalization energies: not defined at eps = 0" in text and "at the run eps" not in text
+    rows = dict(line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines()[1:])
+    assert not [key for key in rows if key.startswith("penalization:")]
+    assert "norm:Y_M2" in rows and "vi:worst_phi" in rows
+    assert run(argv[:3] + ["--eps=1e-4"] + argv[4:] + ["--out", str(tmp_path / "pos")]) == 0
+    assert "penalization:grad_energy" in (tmp_path / "pos" / "report.csv").read_text()
+
+
 @pytest.mark.parametrize("name", ["cauchy.yaml", "penalization.yaml"])
 def test_report_audit_is_finite_on_explicit_runs(tmp_path, name):
     """The explicit Y lies outside Dom phi by O(eps); the audit reads its

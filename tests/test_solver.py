@@ -22,6 +22,7 @@ from bdsvi import (
     weighted_norms,
 )
 from bdsvi import solver as solver_module
+from bdsvi.drivers import _node_major
 from bdsvi.scenarios import make_coefficients
 from bdsvi.solver import _poly_features, _projector
 
@@ -178,6 +179,51 @@ def test_step_closes_with_recorded_multipliers(scheme):
     assert worst <= 1e-12
 
 
+def _interval_ensemble():
+    """Reflected Brownian motion on [-1, 1] from 0: 150 paths, 100 steps, one
+    shared backward draw; its local time increases on the boundary rows."""
+    grid = TimeGrid.uniform(0, 1, 100)
+    noise = generate_paths(grid, 1, 150, seed=5, shared_backward=True)
+    return simulate_reflected(make_domain("interval", lo=-1.0, hi=1.0), 0.0, 1.0, (0.0, np.zeros(1)), noise)
+
+
+def _resolvent_must_not_run(eps, x):
+    raise AssertionError("the zero penalty's resolvent ran")
+
+
+@pytest.mark.parametrize("pair", [("zero", "zero"), ("indicator_box(-inf,0.5)", "zero"), ("zero", "abs")], ids=str)
+@pytest.mark.parametrize("regression", ["sample-mean", ("poly", 2), ("partition", 4)], ids=str)
+@pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
+def test_zero_penalty_step_is_the_generic_step_bit_for_bit(scheme, regression, pair):
+    """A zero penalty is resolved once per sweep: its resolvent never runs and
+    its multiplier stays the allocated +0.0.  Y, Z, U and V have the bytes of
+    the same zero function relabelled onto the generic step (sign of zero
+    included), as do the condition numbers, on an ensemble with dA > 0."""
+    f = lambda t, x, y, z: 1.0 - 0.5 * y + 0.2 * z[..., 0] + (0.0 if x is None else 0.1 * x)
+    coeffs = _coeffs(f=f, g=lambda t, x, y: 0.4 + 0.1 * y, h=lambda t, x, y, z: 0.3 * y[..., None],
+                     terminal=0.8 if regression == "sample-mean" else (lambda x: x[:, 0] ** 2))
+    noise = _bundle(n_paths=50, seed=3, a="time")[1] if regression == "sample-mean" else _interval_ensemble()
+    assert np.max(noise.dA) > 0.0
+    config = SolverConfig(noise.grid, eps=0.05, scheme=scheme, regression=regression)
+    fast, generic = [], []
+    for name in pair:
+        theta = make_convex(name)
+        if name == "zero":
+            theta = replace(theta, prox_oracle=_resolvent_must_not_run)
+            generic.append(replace(ZERO, label="zero on the generic step"))
+        else:
+            generic.append(theta)
+        fast.append(theta)
+    a = solve_penalized(coeffs, *fast, config, noise)
+    b = solve_penalized(coeffs, *generic, config, noise)
+    for name in ("Y", "Z", "U", "V"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.condition_numbers == b.condition_numbers
+    assert np.max(np.abs(a.Z)) > 0.0
+    if pair != ("zero", "zero"):
+        assert np.max(np.abs(a.U) + np.abs(a.V)) > 0.0  # the non-zero penalty acts
+
+
 # ---------------------------------------------------------------- cauchy
 
 def test_cauchy_slope_near_one():
@@ -297,55 +343,77 @@ def test_cauchy_with_equal_rungs_has_no_rate_to_fit():
                      [1e-1, 1e-2], noise)
 
 
+def _fit(project, targets):
+    """The estimator's fit of targets, written into a new array."""
+    return project(targets, np.empty_like(targets))
+
+
 def test_regressor_projects_each_block_on_its_own():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, (3 * 40, 1))  # each block has its own state rows
     targets = rng.normal(size=(3 * 40, 2))
     for spec in ("sample-mean", ("poly", 2), ("partition", 4)):
-        out = _projector(spec, x, 3)[0](targets)
+        out = _fit(_projector(spec, x, 3)[0], targets)
         for b in range(3):
             rows = slice(40 * b, 40 * (b + 1))
-            alone = _projector(spec, x[rows], 1)[0](targets[rows])
+            alone = _fit(_projector(spec, x[rows], 1)[0], targets[rows])
             assert np.array_equal(out[rows], alone)
 
 
 @pytest.mark.parametrize("blocks", [1, 3, 5])
 def test_sample_mean_projector_is_np_mean_bit_for_bit(blocks):
+    """The sample-mean fit, written as the sweep writes Z into one node of a
+    node-major array, or in place over its targets, is each block's np.mean."""
     rng = np.random.default_rng(blocks)
+    project = _projector("sample-mean", None, blocks)[0]
     for n in (1, 2, 7, 8, 9, 17, 128, 129, 2000):
         for m in (1, 2):
             targets = rng.normal(size=(blocks * n, m)) * rng.uniform(0.1, 1e3, size=(blocks * n, 1))
-            out = _projector("sample-mean", None, blocks)[0](targets)
+            node = _node_major(blocks * n, 3, m)[:, 1]
+            assert project(targets, node) is node
+            in_place = targets.copy()
+            project(in_place, in_place)
             for b in range(blocks):
                 rows = slice(n * b, n * (b + 1))
-                assert np.array_equal(out[rows], np.broadcast_to(np.mean(targets[rows], axis=0), (n, m)))
+                mean = np.broadcast_to(np.mean(targets[rows], axis=0), (n, m))
+                assert np.array_equal(node[rows], mean) and np.array_equal(in_place[rows], mean)
 
 
 def _blows_up(t, x, y, z):
     return np.full_like(y, np.inf if t > 0.5 else 1.0)
 
 
-@pytest.mark.parametrize("run", ["explicit", "implicit", "ladder", "unstable"])
+@pytest.mark.parametrize("run", ["explicit", "implicit", "ladder", "unstable", "explicit-phi-overflows"])
 def test_non_finite_value_in_sweep_raises(run):
     """A value that turns non-finite during the sweep raises
     FloatingPointError (exit code 3 in the CLI, a numerical failure rather
-    than bad input), whichever scheme or study runs it."""
+    than bad input), whichever scheme or study runs it.  With psi = zero the
+    run raises at the step where the generic psi step, run on the same zero
+    function relabelled, raises."""
     grid, noise = _bundle(n_steps=100, n_paths=4)
     phi = make_convex("indicator_box(-inf,0.5)")
     coeffs = _coeffs(f=_blows_up)
+    explicit = SolverConfig(grid, eps=2e-2, scheme="explicit-yosida")
     runs = {
-        "explicit": lambda: solve_penalized(coeffs, phi, ZERO,
-                                            SolverConfig(grid, eps=2e-2, scheme="explicit-yosida"), noise),
-        "implicit": lambda: solve_penalized(coeffs, phi, ZERO, SolverConfig(grid), noise),
-        "ladder": lambda: cauchy_study(coeffs, phi, ZERO, SolverConfig(grid, scheme="explicit-yosida"),
-                                       [1e-1, 2e-2], noise),
+        "explicit": lambda psi: solve_penalized(coeffs, phi, psi, explicit, noise),
+        "implicit": lambda psi: solve_penalized(coeffs, phi, psi, SolverConfig(grid), noise),
+        "ladder": lambda psi: cauchy_study(coeffs, phi, psi, SolverConfig(grid, scheme="explicit-yosida"),
+                                           [1e-1, 2e-2], noise),
         # dt * Lip(grad phi_eps) = 0.01 * 5e5: the explicit step overflows
-        "unstable": lambda: solve_penalized(_coeffs(terminal=1.0), make_convex("quadratic(1e6)"), ZERO,
-                                            SolverConfig(grid, eps=1e-6, scheme="explicit-yosida"), noise),
+        "unstable": lambda psi: solve_penalized(_coeffs(terminal=1.0), make_convex("quadratic(1e6)"), psi,
+                                                SolverConfig(grid, eps=1e-6, scheme="explicit-yosida"), noise),
+        # Ytil = 1e308 is finite, but grad phi_eps(Ytil) = Ytil / (1 + eps) / eps is not: the value
+        # turns non-finite in the phi step, and the step's own check raises
+        "explicit-phi-overflows": lambda psi: solve_penalized(_coeffs(terminal=1e308), make_convex("quadratic(1e3)"),
+                                                              psi, explicit, noise),
     }
     message = "explicit scheme unstable" if run == "unstable" else "non-finite Y at step"
-    with pytest.raises(FloatingPointError, match=message), np.errstate(all="ignore"):
-        runs[run]()
+    raised = []
+    for psi in (ZERO, replace(ZERO, label="zero on the generic step")):
+        with pytest.raises(FloatingPointError, match=message) as caught, np.errstate(all="ignore"):
+            runs[run](psi)
+        raised.append(str(caught.value))
+    assert raised[0] == raised[1]
 
 # ---------------------------------------------------------------- diagnostics
 
@@ -481,7 +549,7 @@ def test_affine_step_bound(scheme, psi, regression):
 
 def test_sample_mean_projects_z_targets():
     project, cond = _projector("sample-mean", None, 1)
-    out = project(np.array([[1.0], [3.0]]))
+    out = _fit(project, np.array([[1.0], [3.0]]))
     assert np.allclose(out, 2.0)
     assert cond is None
 
@@ -491,7 +559,7 @@ def test_poly_regression_recovers_linear_map():
     x = rng.normal(size=(4000, 1))
     targets = (2.0 * x[:, 0] + 1.0 + 0.01 * rng.normal(size=4000))[:, None]
     project, cond = _projector(("poly", 1), x, 1)
-    out = project(targets)
+    out = _fit(project, targets)
     assert np.max(np.abs(out[:, 0] - (2.0 * x[:, 0] + 1.0))) < 0.01
     assert cond is not None
 
@@ -530,7 +598,7 @@ def test_poly_projector_matches_lstsq_per_block():
     x = np.concatenate([rng.uniform(-1, 1, (2 * 300, 2)), np.tile([0.3, -0.2], (300, 1))])
     targets = rng.normal(size=(3 * 300, 3))
     project, cond = _projector(("poly", 2), x, 3)
-    out = project(targets)
+    out = _fit(project, targets)
     conds = []
     for b in range(3):
         rows = slice(300 * b, 300 * (b + 1))
@@ -541,13 +609,13 @@ def test_poly_projector_matches_lstsq_per_block():
     assert np.max(np.abs(out[600:] - np.mean(targets[600:], axis=0))) < 1e-12
     assert max(conds[:2]) < 1e3 and conds[2] > 1e12 and cond > 1e12  # huge or inf at the start node
     assert _projector(("poly", 2), x[:600], 2)[1] == pytest.approx(max(conds[:2]), rel=1e-10)
-    assert np.max(np.abs(project(out) - out)) < 1e-12
+    assert np.max(np.abs(_fit(project, out) - out)) < 1e-12
 
 
 def test_partition_regression_piecewise_means():
     x = np.linspace(-1, 1, 1000)[:, None]
     targets = np.where(x[:, 0] > 0, 1.0, -1.0)[:, None]
-    out = _projector(("partition", 2), x, 1)[0](targets)
+    out = _fit(_projector(("partition", 2), x, 1)[0], targets)
     assert np.max(np.abs(out - targets)) < 1e-12
 
 
@@ -582,7 +650,7 @@ def test_partition_projector_is_the_per_cell_mean(d):
     x = np.concatenate([spread, tied, lopsided])
     targets = rng.normal(size=(3 * n, 3))
     project, cond = _projector(("partition", 4), x, 3)
-    out = project(targets)
+    out = _fit(project, targets)
     empty = []
     for b in range(3):
         rows = slice(n * b, n * (b + 1))
