@@ -19,7 +19,7 @@ from .convex import AssumptionConstants, ConvexFunction, make_convex, validate_w
 from .drivers import TimeGrid, load_a_table
 from .field import FieldGrid
 from .reflected import DomainSpec, make_domain
-from .solver import CoefficientSet, SolverConfig
+from .solver import CoefficientSet, SolverConfig, _Affine
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "make_coefficients", "make_terminal"]
 
@@ -65,23 +65,13 @@ def _kind(spec, where, default, kinds):
     return kind
 
 
-def _affine(spec: dict, role: str):
+def _affine(spec: dict, role: str) -> _Affine:
     kind = _kind(spec, f"coefficient {role}", "zero",
                  {"zero": (), "constant": ("value",), "linear": ("a_y", "a_z", "c")})
-    noise = role == "h"
     a_y, a_z, c = (float(spec.get(key, 0.0)) if kind == "linear" else 0.0 for key in ("a_y", "a_z", "c"))
     if kind == "constant":
         c = float(spec["value"])
-    if not (a_y or a_z):  # zero and constant: one fill and no arithmetic pass
-        fill = np.zeros if c == 0.0 else lambda shape: np.full(shape, c)
-        if noise:
-            return lambda t, x, y, z: fill(y.shape + (z.shape[-1],))
-        return lambda t, x, y, z=None: fill(y.shape)
-
-    def affine(t, x, y, z=None):
-        v = a_y * y + a_z * np.sum(z, axis=-1) + c if a_z and z is not None else a_y * y + c
-        return v[..., None] * np.ones(z.shape[-1]) if noise else v
-    return affine
+    return _Affine(a_y, a_z, c, role == "h")
 
 
 def make_coefficients(co: dict):

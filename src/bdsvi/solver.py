@@ -9,10 +9,11 @@ of the envelope psi_eps over dA, nonexpansive for any dA) or implicitly
 (resolvent steps, the stable surrogate of the small-eps limit).  The estimator
 is fitted once per node and shared by the Z and Y targets; for ``poly`` and
 ``partition`` its condition number is s_max/s_min of the worst block's design.
-The state-free ``sample-mean`` estimator, the resolvent oracles and which
-penalties are zero are resolved once per sweep, not per step: a zero
-penalty's step is the identity with multiplier 0, so it is skipped.  Each
-node's Z fit is written in place into the solution array.
+The state-free ``sample-mean`` estimator, the resolvent oracles, the zero
+penalties (skipped) and the zero or constant scenario coefficients are
+resolved once per sweep, not per step.  Each node's Z fit is written in place
+into the solution array, under ``sample-mean`` in one pass after the sweep
+when neither f nor h reads z.
 
 Conditional expectations:
 
@@ -57,6 +58,9 @@ class CoefficientSet:
     f(t, x, y, z) -> (n, k);  g(t, x, y) -> (n, k);  h(t, x, y, z) -> (n, k, d).
     x is the Markov state (n, d) or None in the state-free regime.
     terminal is a constant xi (scalar or length-k) or a map chi(x_T).
+    A map that is an _Affine (as a scenario's are) is read by the sweep: a
+    zero or constant one is never called there.  Any other callable is called
+    at every step.
     """
 
     f: Callable
@@ -64,6 +68,31 @@ class CoefficientSet:
     h: Callable
     terminal: Union[float, np.ndarray, Callable]
     constants: AssumptionConstants = field(default_factory=AssumptionConstants)
+
+
+@dataclass(frozen=True)
+class _Affine:
+    """The coefficient a_y y + a_z sum(z) + c, for h (noise) repeated along the
+    last axis of z.  g is called without z; f and h read z only when a_z != 0
+    and h its last axis.  A map with a_y = a_z = 0 is the constant c."""
+
+    a_y: float
+    a_z: float
+    c: float
+    noise: bool
+
+    def __post_init__(self):  # a zero constant is +0.0, the term the sweep skips
+        if not (self.a_y or self.a_z):
+            object.__setattr__(self, "c", self.c or 0.0)
+
+    def __call__(self, t, x, y, *z):
+        if self.a_z:
+            v = self.a_y * y + self.a_z * np.sum(z[0], axis=-1) + self.c
+        elif self.a_y:
+            v = self.a_y * y + self.c
+        else:
+            v = np.full(y.shape, self.c)
+        return v[..., None] * np.ones(z[0].shape[-1]) if self.noise else v
 
 
 @dataclass(frozen=True)
@@ -214,14 +243,19 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     (B, n_paths, ...), and the worst block's condition number per step.
 
     What does not change from step to step is set up once here: the
-    sample-mean estimator, the resolvent oracles of phi and psi, the explicit
-    scheme's per-row eps column, and which penalties are zero.  A zero
-    penalty's step is the identity and its multiplier exactly 0, so its
-    resolvent, gradient and U or V store are skipped and the allocated zeros
-    stay; for finite input the generic step gives the same bits (+0.0
-    multipliers, and j - 0 * dA = j).  Only the implicit psi step, where dA
-    can be 0, goes through _prox; every other eps is positive on every row.
-    Each node's Z fit is written straight into Z[:, i]."""
+    finiteness of dW, dB and dA, the sample-mean estimator, the resolvent
+    oracles of phi and psi, the explicit scheme's per-row eps column, which
+    penalties are zero, and which coefficients are zero or constant _Affine
+    maps.  A zero penalty's step is the identity and its multiplier exactly
+    0, so its resolvent, gradient and U or V store are skipped (for finite
+    input the generic step gives the same bits: +0.0 multipliers, and
+    j - 0 * dA = j).  Only the implicit psi step, where dA can be 0, goes
+    through _prox.  A constant f adds the float c dt, a zero g or h term is
+    skipped, a constant h is filled once, and any other map is called at every
+    step.  A skipped term is +0.0, which only turns a -0.0 sum into +0.0, so
+    such a sweep adds 0.0 once.  Each node's Z fit is written into Z[:, i];
+    under sample-mean, when neither f nor h reads z, no step reads Z, and the
+    fits are one pass over Z[:, :-1] after the sweep, in the step's layout."""
     grid = config.grid
     if not np.array_equal(noise.grid.nodes, grid.nodes):
         raise ValueError("noise bundle and solver grid disagree")
@@ -232,6 +266,10 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         # the pathwise value update it takes holds only for state-free data (module docstring)
         raise ValueError("regression sample-mean needs a constant terminal and no state ensemble;"
                          " use poly or partition")
+    shared = noise.dB.strides[0] == 0  # one row, broadcast over the paths
+    for name, inc in (("dW", noise.dW), ("dB", noise.dB[:1] if shared else noise.dB)):
+        if not np.isfinite(inc).all():
+            raise ValueError(f"{name} increments must be finite")
     if not np.all(np.isfinite(dA)) or np.any(dA < -1e-12):
         raise ValueError("dA increments must be finite and >= 0")
     dA = np.maximum(dA, 0.0)
@@ -256,6 +294,12 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
 
     Y, Z, U, V = (_node_major(rows, n_nodes, *tail) for tail in ((k,), (k, d), (k,), (k,)))
     Y[:, -1] = xi
+    # c of a map that reads neither y nor z, None for a map the sweep calls
+    f_c, g_c, h_c = (m.c if isinstance(m, _Affine) and not (m.a_y or m.a_z) else None
+                     for m in (coeffs.f, coeffs.g, coeffs.h))
+    plus_zero = g_c == 0.0 or h_c == 0.0  # a skipped +0.0 term: add 0.0 once, into c dt when f is constant
+    h_fill = np.full((rows, k, d), h_c) if h_c else None
+    z_after = sample_mean and all(isinstance(m, _Affine) and not m.a_z for m in (coeffs.f, coeffs.h))
     if sample_mean:
         project = _projector("sample-mean", None, n_blocks)[0]
     res_phi, res_psi = _oracle(phi), _oracle(psi)
@@ -284,13 +328,23 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         if not sample_mean:
             project, cond = _projector(config.regression, X[:, i], n_blocks)
             conds.append(cond)
-        z_i = Z[:, i]
-        project((y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d), z_i.reshape(rows, k * d))
+        z_i = Z[:, i]  # all zeros until the pass after the sweep when z_after
+        if not z_after:
+            project((y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d), z_i.reshape(rows, k * d))
 
-        fv = np.asarray(coeffs.f(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k)
-        gv = np.asarray(coeffs.g(t_next, x_next, y_next), dtype=float).reshape(rows, k)
-        hv = np.asarray(coeffs.h(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k, d)
-        target = y_next + fv * dt + gv * da + np.einsum("pkd,pd->pk", hv, db)
+        if f_c is None:
+            target = y_next + np.asarray(coeffs.f(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k) * dt
+        else:
+            target = y_next + (f_c * dt + 0.0 if plus_zero else f_c * dt)
+        if g_c is None:
+            target += np.asarray(coeffs.g(t_next, x_next, y_next), dtype=float).reshape(rows, k) * da
+        elif g_c:
+            target += g_c * da
+        if h_c != 0.0:
+            hv = h_fill if h_c else np.asarray(coeffs.h(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k, d)
+            target += np.einsum("pkd,pd->pk", hv, db)
+        if plus_zero and f_c is None:
+            target += 0.0
         # under sample-mean the target is already measurable at t_i (module docstring)
         y_til = target if sample_mean else project(target, target)
         if not np.isfinite(y_til).all():
@@ -314,6 +368,11 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         if not np.isfinite(y_i).all():
             raise FloatingPointError(f"non-finite Y at step {i}")
         Y[:, i] = y_i
+    if z_after:  # Y_{i+1} dW_i^T / dt_i written into Z[:, i], then each node's block means in place
+        z = Z[:, :-1]
+        np.divide(np.multiply(Y[:, 1:, :, None], noise.dW[:, :, None, :], out=z), grid.dt[:, None, None], out=z)
+        nodes = Z.swapaxes(0, 1)[:-1].reshape(-1, k * d)  # node-major storage, one node's rows after another
+        _projector("sample-mean", None, grid.n_steps * n_blocks)[0](nodes, nodes)
     return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V)] + [conds]
 
 

@@ -224,6 +224,85 @@ def test_zero_penalty_step_is_the_generic_step_bit_for_bit(scheme, regression, p
         assert np.max(np.abs(a.U) + np.abs(a.V)) > 0.0  # the non-zero penalty acts
 
 
+_KINDS = {"zero": {"kind": "zero"}, "constant": {"kind": "constant", "value": -0.7},
+          "linear": {"kind": "linear", "a_y": -0.5, "c": 0.3},
+          "linear-z": {"kind": "linear", "a_y": 0.2, "a_z": 0.4, "c": -0.1},
+          "subnormal": {"kind": "constant", "value": -5e-324}}  # c dt underflows to -0.0
+
+
+class _NeverCalled(solver_module._Affine):
+    """A zero or constant coefficient, which the sweep resolves at set-up and must never call."""
+
+    def __call__(self, *args):
+        raise AssertionError("the sweep called a zero or constant coefficient")
+
+
+@functools.lru_cache(maxsize=None)
+def _coefficient_ensemble(sample_mean, d, n_paths):
+    """State-free paths with A = t^2, or a reflected ensemble (interval or
+    disc) with one shared backward draw; dA > 0 on some rows in both."""
+    grid = TimeGrid.uniform(0, 1, 30)
+    if sample_mean:
+        return generate_paths(grid, d, n_paths, seed=n_paths + d, a_spec=lambda t: np.asarray(t, float) ** 2)
+    noise = generate_paths(grid, d, n_paths, seed=n_paths + d, shared_backward=True)
+    domain = make_domain("interval", lo=-0.5, hi=0.5) if d == 1 else unit_ball(2, 0.5)
+    return simulate_reflected(domain, 0.0, 1.0, (0.0, np.zeros(d)), noise)
+
+
+@pytest.mark.parametrize("kinds", [("zero",) * 3, ("constant",) * 3, ("linear",) * 3, ("linear-z",) * 3,
+                                   ("constant", "zero", "zero"), ("zero", "constant", "zero"),
+                                   ("linear-z", "zero", "constant"), ("callable", "zero", "zero"),
+                                   ("subnormal", "zero", "zero")], ids="-".join)
+@pytest.mark.parametrize("regression", ["sample-mean", ("poly", 2), ("partition", 4)], ids=str)
+@pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
+def test_resolved_coefficients_are_the_generic_step_bit_for_bit(scheme, regression, kinds):
+    """Zero and constant scenario coefficients are resolved at set-up and
+    never called, and under sample-mean with no z read the Z fits run after
+    the sweep.  Y, Z, U, V and the condition numbers have the bytes of the
+    same maps wrapped in plain lambdas, which take the generic step; the
+    terminal -0.0 checks the sign of zero that the skipped +0.0 terms give:
+    the f of kind "callable", 0.5 y, a map the sweep cannot read, and the
+    subnormal constant f both give a -0.0 f term at y = -0.0."""
+    fast, generic = [], []
+    for role, kind in zip("fgh", kinds):
+        if kind == "callable":
+            fast.append(lambda t, x, y, z: 0.5 * y)
+            generic.append(fast[-1])
+            continue
+        spec = {key: v for key, v in _KINDS[kind].items() if role != "g" or key != "a_z"}
+        m = make_coefficients({role: spec})["fgh".index(role)]
+        fast.append(m if "linear" in kind else _NeverCalled(m.a_y, m.a_z, m.c, m.noise))
+        generic.append(lambda *args, m=m: m(*args))
+    z_max = 0.0
+    for d, n_paths, terminal in itertools.product((1, 2), (1, 9, 64), (0.8, -0.0)):
+        noise = _coefficient_ensemble(regression == "sample-mean", d, n_paths)
+        config = SolverConfig(noise.grid, eps=0.05, scheme=scheme, regression=regression)
+        phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
+        a = solve_penalized(_coeffs(*fast, terminal=terminal), phi, psi, config, noise)
+        b = solve_penalized(_coeffs(*generic, terminal=terminal), phi, psi, config, noise)
+        for name in ("Y", "Z", "U", "V"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (name, d, n_paths, terminal)
+        assert a.condition_numbers == b.condition_numbers
+        z_max = max(z_max, float(np.max(np.abs(a.Z))))
+    assert z_max > 0.0
+
+
+@pytest.mark.parametrize("name", ["dW", "dB", "shared dB"])
+def test_non_finite_increment_raises_at_set_up(name):
+    """A NaN in dW or dB is an error before the first step, even where no
+    step would read it: with f constant and h = 0 a NaN in dW would leave
+    Y finite and Z partly NaN.  A shared dB is checked on its one row."""
+    grid = TimeGrid.uniform(0, 1, 20)
+    noise = generate_paths(grid, 1, 10, seed=0, shared_backward=name == "shared dB")
+    key = name.split()[-1]
+    bad = np.array(getattr(noise, key)[:1] if name == "shared dB" else getattr(noise, key))
+    bad[3 if name != "shared dB" else 0, 7] = np.nan
+    noise = replace(noise, **{key: np.broadcast_to(bad, noise.dB.shape) if name == "shared dB" else bad})
+    coeffs = _coeffs(*make_coefficients({"f": {"kind": "constant", "value": 1.0}}), terminal=0.0)
+    with pytest.raises(ValueError, match=f"{key} increments must be finite"):
+        solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid), noise)
+
+
 # ---------------------------------------------------------------- cauchy
 
 def test_cauchy_slope_near_one():
