@@ -10,7 +10,7 @@ of the envelope psi_eps over dA, nonexpansive for any dA) or implicitly
 is fitted once per node and shared by the Z and Y targets; for ``poly`` and
 ``partition`` its condition number is s_max/s_min of the worst block's design.
 The state-free ``sample-mean`` estimator, the resolvent oracles, the zero
-penalties (skipped) and the zero or constant scenario coefficients are
+penalties (skipped), a scenario's constant f and its zero g and h are
 resolved once per sweep, not per step.  Each node's Z fit is written in place
 into the solution array, under ``sample-mean`` in one pass after the sweep
 when neither f nor h reads z.
@@ -59,8 +59,8 @@ class CoefficientSet:
     x is the Markov state (n, d) or None in the state-free regime.
     terminal is a constant xi (scalar or length-k) or a map chi(x_T).
     A map that is an _Affine (as a scenario's are) is read by the sweep: a
-    zero or constant one is never called there.  Any other callable is called
-    at every step.
+    constant f and a zero g or h are never called there.  Any other map is
+    called at every step.
     """
 
     f: Callable
@@ -251,9 +251,9 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     input the generic step gives the same bits: +0.0 multipliers, and
     j - 0 * dA = j).  Only the implicit psi step, where dA can be 0, goes
     through _prox.  A constant f adds the float c dt, a zero g or h term is
-    skipped, a constant h is filled once, and any other map is called at every
-    step.  A skipped term is +0.0, which only turns a -0.0 sum into +0.0, so
-    such a sweep adds 0.0 once.  Each node's Z fit is written into Z[:, i];
+    skipped, and any other map is called at every step.  A skipped term is
+    +0.0, which only turns a -0.0 sum into +0.0, so such a sweep adds 0.0
+    once, after the h term.  Each node's Z fit is written into Z[:, i];
     under sample-mean, when neither f nor h reads z, no step reads Z, and the
     fits are one pass over Z[:, :-1] after the sweep, in the step's layout."""
     grid = config.grid
@@ -294,11 +294,10 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
 
     Y, Z, U, V = (_node_major(rows, n_nodes, *tail) for tail in ((k,), (k, d), (k,), (k,)))
     Y[:, -1] = xi
-    # c of a map that reads neither y nor z, None for a map the sweep calls
+    # c of a map that reads neither y nor z, else None; only a nonzero constant h of these is called
     f_c, g_c, h_c = (m.c if isinstance(m, _Affine) and not (m.a_y or m.a_z) else None
                      for m in (coeffs.f, coeffs.g, coeffs.h))
-    plus_zero = g_c == 0.0 or h_c == 0.0  # a skipped +0.0 term: add 0.0 once, into c dt when f is constant
-    h_fill = np.full((rows, k, d), h_c) if h_c else None
+    plus_zero = g_c == 0.0 or h_c == 0.0  # a skipped +0.0 term: add 0.0 once
     z_after = sample_mean and all(isinstance(m, _Affine) and not m.a_z for m in (coeffs.f, coeffs.h))
     if sample_mean:
         project = _projector("sample-mean", None, n_blocks)[0]
@@ -335,15 +334,15 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         if f_c is None:
             target = y_next + np.asarray(coeffs.f(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k) * dt
         else:
-            target = y_next + (f_c * dt + 0.0 if plus_zero else f_c * dt)
+            target = y_next + f_c * dt
         if g_c is None:
             target += np.asarray(coeffs.g(t_next, x_next, y_next), dtype=float).reshape(rows, k) * da
         elif g_c:
             target += g_c * da
         if h_c != 0.0:
-            hv = h_fill if h_c else np.asarray(coeffs.h(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k, d)
+            hv = np.asarray(coeffs.h(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k, d)
             target += np.einsum("pkd,pd->pk", hv, db)
-        if plus_zero and f_c is None:
+        if plus_zero:
             target += 0.0
         # under sample-mean the target is already measurable at t_i (module docstring)
         y_til = target if sample_mean else project(target, target)

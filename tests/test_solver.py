@@ -231,7 +231,7 @@ _KINDS = {"zero": {"kind": "zero"}, "constant": {"kind": "constant", "value": -0
 
 
 class _NeverCalled(solver_module._Affine):
-    """A zero or constant coefficient, which the sweep resolves at set-up and must never call."""
+    """A constant f or a zero g or h, which the sweep resolves at set-up and must never call."""
 
     def __call__(self, *args):
         raise AssertionError("the sweep called a zero or constant coefficient")
@@ -256,13 +256,14 @@ def _coefficient_ensemble(sample_mean, d, n_paths):
 @pytest.mark.parametrize("regression", ["sample-mean", ("poly", 2), ("partition", 4)], ids=str)
 @pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
 def test_resolved_coefficients_are_the_generic_step_bit_for_bit(scheme, regression, kinds):
-    """Zero and constant scenario coefficients are resolved at set-up and
-    never called, and under sample-mean with no z read the Z fits run after
-    the sweep.  Y, Z, U, V and the condition numbers have the bytes of the
-    same maps wrapped in plain lambdas, which take the generic step; the
-    terminal -0.0 checks the sign of zero that the skipped +0.0 terms give:
-    the f of kind "callable", 0.5 y, a map the sweep cannot read, and the
-    subnormal constant f both give a -0.0 f term at y = -0.0."""
+    """A constant f and a zero g or h are resolved at set-up and never
+    called (a nonzero constant h is called), and under sample-mean with no
+    z read the Z fits run after the sweep.  Y, Z, U, V and the condition
+    numbers have the bytes of the same maps wrapped in plain lambdas, which
+    take the generic step; the terminal -0.0 checks the sign of zero that
+    the skipped +0.0 terms give: the f of kind "callable", 0.5 y, a map the
+    sweep cannot read, and the subnormal constant f both give a -0.0 f term
+    at y = -0.0."""
     fast, generic = [], []
     for role, kind in zip("fgh", kinds):
         if kind == "callable":
@@ -271,7 +272,8 @@ def test_resolved_coefficients_are_the_generic_step_bit_for_bit(scheme, regressi
             continue
         spec = {key: v for key, v in _KINDS[kind].items() if role != "g" or key != "a_z"}
         m = make_coefficients({role: spec})["fgh".index(role)]
-        fast.append(m if "linear" in kind else _NeverCalled(m.a_y, m.a_z, m.c, m.noise))
+        called = "linear" in kind or (role == "h" and m.c)
+        fast.append(m if called else _NeverCalled(m.a_y, m.a_z, m.c, m.noise))
         generic.append(lambda *args, m=m: m(*args))
     z_max = 0.0
     for d, n_paths, terminal in itertools.product((1, 2), (1, 9, 64), (0.8, -0.0)):
