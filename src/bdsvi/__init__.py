@@ -22,7 +22,6 @@ from .drivers import (
     PathBundle,
     TimeGrid,
     generate_paths,
-    load_a_table,
 )
 from .field import (
     FieldEstimate,

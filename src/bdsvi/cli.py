@@ -194,21 +194,19 @@ _COMMANDS = {
 }
 
 
-def _parser():
-    p = argparse.ArgumentParser(prog="bdsvi", description=__doc__)
-    p.add_argument("command", choices=sorted(_COMMANDS))
-    p.add_argument("--scenario", required=True, help="path to a YAML scenario file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default="out")
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--eps", default=None, help="eps override; a comma list replaces the ladder")
-    p.add_argument("--quiet", action="store_true")
-    return p
+_PARSER = argparse.ArgumentParser(prog="bdsvi", description=__doc__)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--scenario", required=True, help="path to a YAML scenario file")
+_PARSER.add_argument("--seed", type=int, default=None)
+_PARSER.add_argument("--out", default="out")
+_PARSER.add_argument("--paths", type=int, default=None)
+_PARSER.add_argument("--steps", type=int, default=None)
+_PARSER.add_argument("--eps", default=None, help="eps override; a comma list replaces the ladder")
+_PARSER.add_argument("--quiet", action="store_true")
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     overrides = {"seed": args.seed, "paths": args.paths, "steps": args.steps}
     try:
         if args.eps is not None:  # one value sets eps; a list sets the ladder and eps to its last rung

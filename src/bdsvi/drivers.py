@@ -14,7 +14,6 @@ bit-identical regardless of batch size, ordering, scheduling or thread count.
 """
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -25,7 +24,6 @@ __all__ = [
     "TimeGrid",
     "PathBundle",
     "generate_paths",
-    "load_a_table",
 ]
 
 
@@ -105,24 +103,6 @@ def _node_major(n_paths: int, n_nodes: int, *tail: int) -> np.ndarray:
     """A zero float array of shape (n_paths, n_nodes, *tail) whose time axis
     is outermost in memory, so each [:, i] is C-contiguous."""
     return np.zeros((n_nodes, n_paths) + tail).swapaxes(0, 1)
-
-
-def load_a_table(path) -> Callable[[np.ndarray], np.ndarray]:
-    """Load a tabulated increasing process from CSV with columns (t, A)."""
-    ts, vals = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() == "t":
-                continue
-            ts.append(float(row[0]))
-            vals.append(float(row[1]))
-    ts = np.asarray(ts)
-    vals = np.asarray(vals)
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("A table times must be strictly increasing")
-    if np.any(np.diff(vals) < 0):
-        raise ValueError("A table values must be nondecreasing")
-    return lambda t: np.interp(t, ts, vals)
 
 
 # key word 1 is tag << 62 | payload; the payload packs the ids, first id highest

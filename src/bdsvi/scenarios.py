@@ -8,7 +8,6 @@ every object a command uses, so a bad section fails at load for every command.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -16,7 +15,7 @@ import numpy as np
 import yaml
 
 from .convex import AssumptionConstants, ConvexFunction, make_convex, validate_weights
-from .drivers import TimeGrid, load_a_table
+from .drivers import TimeGrid
 from .field import FieldGrid
 from .reflected import DomainSpec, make_domain
 from .solver import CoefficientSet, SolverConfig, _Affine
@@ -111,7 +110,7 @@ class Scenario:
     start: np.ndarray  # (d,) launch point of a reflected ensemble
     sigma: float
     drift: float
-    a_spec: Optional[Callable]  # A = t, None for A = 0, or a table; the local time replaces it in a domain
+    a_spec: Optional[Callable]  # A = t, or None for A = 0; the local time replaces it in a domain
     lattice: Optional[FieldGrid]  # the field lattice, its times on grid nodes
     draws: int  # backward-noise draws of the field
     vi_test_points: list
@@ -174,8 +173,8 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             a_spec = lambda t: np.asarray(t, dtype=float)
         elif a_process == "none":
             a_spec = None
-        else:  # a table path, relative to the scenario file
-            a_spec = load_a_table(os.path.join(os.path.dirname(os.path.abspath(path)), a_process))
+        else:
+            raise ScenarioError(f"unknown a_process {a_process!r}; known: time, none")
         lattice, draws, lat = None, 1, raw.get("lattice")
         if lat is not None:
             _keys(lat, "lattice", "times", "points", "draws")

@@ -10,10 +10,11 @@ of the envelope psi_eps over dA, nonexpansive for any dA) or implicitly
 is fitted once per node and shared by the Z and Y targets; for ``poly`` and
 ``partition`` its condition number is s_max/s_min of the worst block's design.
 The state-free ``sample-mean`` estimator, the resolvent oracles, the zero
-penalties (skipped), a scenario's constant f and its zero g and h are
-resolved once per sweep, not per step.  Each node's Z fit is written in place
-into the solution array, under ``sample-mean`` in one pass after the sweep
-when neither f nor h reads z.
+penalties (skipped), a scenario's constant f and its zero g and h, and so
+which per-step views a step reads, are resolved once per sweep, not per step.
+Each step writes Y, Z, U and V in place into the solution arrays; the Z fit
+runs under ``sample-mean`` in one pass after the sweep when neither f nor h
+reads z.
 
 Conditional expectations:
 
@@ -244,16 +245,23 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
 
     What does not change from step to step is set up once here: the
     finiteness of dW, dB and dA, the sample-mean estimator, the resolvent
-    oracles of phi and psi, the explicit scheme's per-row eps column, which
-    penalties are zero, and which coefficients are zero or constant _Affine
-    maps.  A zero penalty's step is the identity and its multiplier exactly
-    0, so its resolvent, gradient and U or V store are skipped (for finite
-    input the generic step gives the same bits: +0.0 multipliers, and
-    j - 0 * dA = j).  Only the implicit psi step, where dA can be 0, goes
-    through _prox.  A constant f adds the float c dt, a zero g or h term is
-    skipped, and any other map is called at every step.  A skipped term is
-    +0.0, which only turns a -0.0 sum into +0.0, so such a sweep adds 0.0
-    once, after the h term.  Each node's Z fit is written into Z[:, i];
+    oracles of phi and psi, the explicit scheme's per-row eps and its column,
+    which penalties are zero, which coefficients are zero or constant _Affine
+    maps, and so which of the step's views (dW, dB and dA at step i; t, x
+    and z for the maps) a step reads.  A zero penalty's step is the identity
+    and its multiplier exactly 0, so its resolvent, gradient and U or V store
+    are skipped (for finite input the generic step gives the same bits: +0.0
+    multipliers, and j - 0 * dA = j).  Only the implicit psi step, where dA
+    can be 0, goes through _prox.  A zero g or h term is skipped, a constant
+    f adds the float c dt, and any other map is called at every step.  A
+    skipped term is +0.0, which only turns a -0.0 sum into +0.0, so such a
+    sweep adds 0.0 once: folded into the float, c dt + 0.0, for a constant
+    f, else after the h term.  The step writes Ytil and then Y_i into
+    Y[:, i], and U_i and V_i into U[:, i] and V[:, i], in place; each read
+    of the explicit psi step's input ends before it writes Y_i.  Ytil is
+    checked for finiteness only before a moving penalty, which can map it
+    to a finite Y_i; with none, Y_i is Ytil and the one check after the step
+    raises at the same step.  Each node's Z fit is written into Z[:, i];
     under sample-mean, when neither f nor h reads z, no step reads Z, and the
     fits are one pass over Z[:, :-1] after the sweep, in the step's layout."""
     grid = config.grid
@@ -298,78 +306,83 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     f_c, g_c, h_c = (m.c if isinstance(m, _Affine) and not (m.a_y or m.a_z) else None
                      for m in (coeffs.f, coeffs.g, coeffs.h))
     plus_zero = g_c == 0.0 or h_c == 0.0  # a skipped +0.0 term: add 0.0 once
+    if f_c is not None:  # c dt + 0.0 differs from c dt only at -0.0, which a late + 0.0 turns into +0.0
+        f_dts = [f_c * dt + 0.0 if plus_zero else f_c * dt for dt in grid.dt.tolist()]
+    late_zero = plus_zero and f_c is None
+    calls, reads_da = f_c is None or g_c is None or h_c != 0.0, g_c != 0.0 or move_psi
     z_after = sample_mean and all(isinstance(m, _Affine) and not m.a_z for m in (coeffs.f, coeffs.h))
     if sample_mean:
         project = _projector("sample-mean", None, n_blocks)[0]
     res_phi, res_psi = _oracle(phi), _oracle(psi)
     if explicit:
         eps_row = np.repeat(eps, n_paths)
+        eps_col = eps_row[:, None]
 
-        def grad(resolvent, e, y):  # the Yosida gradient (y - J_e(y)) / e at the per-row scale e
-            return (y - np.asarray(resolvent(e, y), dtype=float)) / e[:, None]
+        def grad(resolvent, e, e_col, y, out):  # the Yosida gradient (y - J_e(y)) / e at the per-row scale e
+            return np.divide(y - np.asarray(resolvent(e, y), dtype=float), e_col, out=out)
 
         if move_phi:
-            U[:, -1] = grad(res_phi, eps_row, xi)
+            grad(res_phi, eps_row, eps_col, xi, U[:, -1])
         if move_psi:
-            V[:, -1] = grad(res_psi, eps_row, xi)
+            grad(res_psi, eps_row, eps_col, xi, V[:, -1])
 
     conds = []
-    dts, t_nodes = grid.dt.tolist(), grid.nodes.tolist()
+    dts, t_nodes, dW = grid.dt.tolist(), grid.nodes.tolist(), noise.dW
     for i in range(grid.n_steps - 1, -1, -1):
         dt = dts[i]
-        dw = noise.dW[:, i]
-        db = noise.dB[:, i]
-        da = dA[:, i, None]
-        y_next = Y[:, i + 1]
-        x_next = X[:, i + 1] if X is not None else None
-        t_next = t_nodes[i + 1]
+        y_next, y_i = Y[:, i + 1], Y[:, i]  # y_i holds Ytil, then Y_i
+        da = dA[:, i, None] if reads_da else None
+        if calls:  # the maps' t, x and y, at the right endpoint
+            txy = (t_nodes[i + 1], X[:, i + 1] if X is not None else None, y_next)
 
         if not sample_mean:
             project, cond = _projector(config.regression, X[:, i], n_blocks)
             conds.append(cond)
-        z_i = Z[:, i]  # all zeros until the pass after the sweep when z_after
-        if not z_after:
-            project((y_next[:, :, None] * dw[:, None, :] / dt).reshape(rows, k * d), z_i.reshape(rows, k * d))
+        if not z_after:  # Y_{i+1} dW_i^T / dt_i into Z[:, i], then its fit in place
+            z_i = Z[:, i]
+            np.divide(np.multiply(y_next[:, :, None], dW[:, i, None, :], out=z_i), dt, out=z_i)
+            project(z_i.reshape(rows, k * d), z_i.reshape(rows, k * d))
 
         if f_c is None:
-            target = y_next + np.asarray(coeffs.f(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k) * dt
+            np.add(y_next, np.asarray(coeffs.f(*txy, Z[:, i]), dtype=float).reshape(rows, k) * dt, out=y_i)
         else:
-            target = y_next + f_c * dt
+            np.add(y_next, f_dts[i], out=y_i)
         if g_c is None:
-            target += np.asarray(coeffs.g(t_next, x_next, y_next), dtype=float).reshape(rows, k) * da
+            y_i += np.asarray(coeffs.g(*txy), dtype=float).reshape(rows, k) * da
         elif g_c:
-            target += g_c * da
+            y_i += g_c * da
         if h_c != 0.0:
-            hv = np.asarray(coeffs.h(t_next, x_next, y_next, z_i), dtype=float).reshape(rows, k, d)
-            target += np.einsum("pkd,pd->pk", hv, db)
-        if plus_zero:
-            target += 0.0
-        # under sample-mean the target is already measurable at t_i (module docstring)
-        y_til = target if sample_mean else project(target, target)
-        if not np.isfinite(y_til).all():
+            hv = np.asarray(coeffs.h(*txy, Z[:, i]), dtype=float).reshape(rows, k, d)
+            y_i += np.einsum("pkd,pd->pk", hv, noise.dB[:, i])
+        if late_zero:
+            y_i += 0.0
+        if not sample_mean:  # under sample-mean the target is already measurable at t_i (module docstring)
+            project(y_i, y_i)
+        # a moving penalty's resolvent can map a non-finite Ytil to a finite Y; with none, Y_i is Ytil
+        if (move_phi or move_psi) and not np.isfinite(y_i).all():
             raise FloatingPointError(f"non-finite Y at step {i}")
 
-        j_phi = y_til
+        j = y_i
         if move_phi and explicit:
-            U[:, i] = u = grad(res_phi, eps_row, y_til)
-            j_phi = y_til - u * dt
+            j = np.subtract(y_i, grad(res_phi, eps_row, eps_col, y_i, U[:, i]) * dt, out=y_i)
         elif move_phi:
-            j_phi = np.asarray(res_phi(dt, y_til), dtype=float)
-            U[:, i] = (y_til - j_phi) / dt
-        y_i = j_phi
+            j = np.asarray(res_phi(dt, y_i), dtype=float)
+            np.divide(np.subtract(y_i, j, out=U[:, i]), dt, out=U[:, i])
         if move_psi and explicit:
             # j - dA grad psi_{eps+dA}(j) = prox_{dA psi_eps}(j): nonexpansive for any dA
-            V[:, i] = v = grad(res_psi, eps_row + da[:, 0], j_phi)
-            y_i = j_phi - v * da
+            e = eps_row + da[:, 0]
+            j = np.subtract(j, grad(res_psi, e, e[:, None], j, V[:, i]) * da, out=y_i)
         elif move_psi:
-            y_i = _prox(psi, da[:, 0], j_phi)  # the identity on rows with dA_i = 0
-            np.divide(j_phi - y_i, da, out=V[:, i], where=da > 0.0)
+            y = _prox(psi, da[:, 0], j)  # the identity on rows with dA_i = 0
+            np.divide(j - y, da, out=V[:, i], where=da > 0.0)
+            j = y
+        if j is not y_i:
+            y_i[...] = j
         if not np.isfinite(y_i).all():
             raise FloatingPointError(f"non-finite Y at step {i}")
-        Y[:, i] = y_i
     if z_after:  # Y_{i+1} dW_i^T / dt_i written into Z[:, i], then each node's block means in place
         z = Z[:, :-1]
-        np.divide(np.multiply(Y[:, 1:, :, None], noise.dW[:, :, None, :], out=z), grid.dt[:, None, None], out=z)
+        np.divide(np.multiply(Y[:, 1:, :, None], dW[:, :, None, :], out=z), grid.dt[:, None, None], out=z)
         nodes = Z.swapaxes(0, 1)[:-1].reshape(-1, k * d)  # node-major storage, one node's rows after another
         _projector("sample-mean", None, grid.n_steps * n_blocks)[0](nodes, nodes)
     return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V)] + [conds]

@@ -86,14 +86,14 @@ def test_zero_overrides_apply(tmp_path):
     assert (tmp_path / "solve.txt").read_text().splitlines()[0].endswith(", eps 0")
 
 
-def test_a_table_path_is_relative_to_the_scenario(tmp_path, monkeypatch):
-    (tmp_path / "scn").mkdir()
-    (tmp_path / "scn" / "a.csv").write_text("t,A\n0.0,0.0\n1.0,2.0\n")
-    p = _variant(tmp_path / "scn", "zero.yaml", lambda raw: raw.update(a_process="a.csv"))
-    monkeypatch.chdir(tmp_path)
-    assert load_scenario(p).a_spec([0.5]) == 1.0
-    assert run(["solve", "--scenario", p, "--out", str(tmp_path / "out"), "--paths", "20", "--quiet"]) == 0
-    assert np.loadtxt(tmp_path / "out" / "solve.csv", delimiter=",", skiprows=1)[-1, 6] == 2.0
+def test_unknown_a_process_fails_at_load(tmp_path, capsys):
+    """a_process is time or none; any other value, such as a file name, is a
+    validation error named at load (exit 2)."""
+    p = _variant(tmp_path, "zero.yaml", lambda raw: raw.update(a_process="a.csv"))
+    with pytest.raises(ScenarioError, match="a_process 'a.csv'"):
+        load_scenario(p)
+    assert run(["solve", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
+    assert '"error": "validation"' in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, lattice", [("ball.yaml", {"times": 3, "points": 3}), ("field.yaml", [5, 5])],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bdsvi import TimeGrid, generate_paths, load_a_table
+from bdsvi import TimeGrid, generate_paths
 from bdsvi.drivers import _STREAM_TAGS, _rekey, _stream
 
 
@@ -175,18 +175,6 @@ def test_a_spec_attachment_and_normalization():
     assert np.allclose(b.A[:, 0], 0.0)
     assert np.allclose(b.A[:, -1], 2.0)
     assert np.all(b.dA >= 0)
-
-
-def test_load_a_table(tmp_path):
-    p = tmp_path / "a.csv"
-    p.write_text("t,A\n0.0,0.0\n0.5,1.0\n1.0,1.0\n")
-    a = load_a_table(p)
-    assert a(0.25) == pytest.approx(0.5)
-    assert a(0.75) == pytest.approx(1.0)
-    p2 = tmp_path / "bad.csv"
-    p2.write_text("0.0,1.0\n0.5,0.5\n")
-    with pytest.raises(ValueError):
-        load_a_table(p2)
 
 
 def test_endpoint_conventions_differ_by_quadratic_variation():

@@ -15,6 +15,7 @@ from bdsvi import (
     make_convex,
     make_domain,
     penalization_diagnostics,
+    prox,
     simulate_reflected,
     solve_penalized,
     unit_ball,
@@ -287,6 +288,75 @@ def test_resolved_coefficients_are_the_generic_step_bit_for_bit(scheme, regressi
         assert a.condition_numbers == b.condition_numbers
         z_max = max(z_max, float(np.max(np.abs(a.Z))))
     assert z_max > 0.0
+
+
+def _reference_sweep(coeffs, phi, psi, config, noise):
+    """Y, Z, U and V of the recursion in solve_penalized's docstring, one
+    step after another on fresh arrays, in the order of operations of a step
+    that writes nothing in place.  One ensemble; sample-mean fits are path
+    means, a state regression is the solver's own projector."""
+    grid, X, n, d = config.grid, noise.X, noise.n_paths, noise.d
+    dA = np.maximum(noise.dA, 0.0)
+    explicit, e_row = config.scheme == "explicit-yosida", np.full(n, config.eps)
+    terminal = coeffs.terminal
+    xi = terminal(X[:, -1]).reshape(n, 1) if callable(terminal) else np.full((n, 1), float(terminal))
+    Y, U, V = (np.zeros((n, grid.n_steps + 1, 1)) for _ in range(3))
+    Z = np.zeros((n, grid.n_steps + 1, 1, d))
+    Y[:, -1] = xi
+    if explicit:
+        U[:, -1] = (xi - prox(phi, e_row, xi)) / e_row[:, None]
+        V[:, -1] = (xi - prox(psi, e_row, xi)) / e_row[:, None]
+    for i in range(grid.n_steps - 1, -1, -1):
+        dt, t, da = grid.dt[i], grid.nodes[i + 1], dA[:, i, None]
+        x, y = (None if X is None else X[:, i + 1]), Y[:, i + 1]
+        if X is None:
+            fit = lambda a: np.broadcast_to(np.mean(a, axis=0), a.shape)
+        else:
+            project = _projector(config.regression, X[:, i], 1)[0]
+            fit = lambda a: project(a, np.empty_like(a))
+        z = fit((y[:, :, None] * noise.dW[:, i, None, :] / dt).reshape(n, d)).reshape(n, 1, d)
+        target = y + coeffs.f(t, x, y, z) * dt
+        target = target + coeffs.g(t, x, y) * da
+        target = target + np.einsum("pkd,pd->pk", coeffs.h(t, x, y, z), noise.dB[:, i])
+        y_til = target if X is None else fit(target)
+        if explicit:
+            u = (y_til - prox(phi, e_row, y_til)) / e_row[:, None]
+            j = y_til - u * dt
+            e = e_row + da[:, 0]
+            v = (j - prox(psi, e, j)) / e[:, None]
+            y_i = j - v * da
+        else:
+            j = prox(phi, dt, y_til)
+            u = (y_til - j) / dt
+            y_i = prox(psi, da[:, 0], j)
+            v = np.divide(j - y_i, da, out=np.zeros_like(j), where=da > 0.0)
+        Y[:, i], Z[:, i], U[:, i], V[:, i] = y_i, z, u, v
+    return {"Y": Y, "Z": Z, "U": U, "V": V}
+
+
+@pytest.mark.parametrize("psi", ["abs", "indicator_box(-inf,0.3)"])
+@pytest.mark.parametrize("regression", ["sample-mean", ("poly", 2)], ids=str)
+@pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
+def test_step_with_both_penalties_moving_is_the_reference_bit_for_bit(scheme, regression, psi):
+    """With phi = indicator_box(-inf,0.5) and a moving psi the sweep writes
+    Ytil, the phi step and the psi step into Y[:, i], U[:, i] and V[:, i] in
+    place.  Y, Z, U and V have the bytes of the plain per-step recursion, on
+    ensembles with dA > 0 on some rows (and dA = 0 on others for the
+    reflected one), where both penalties act."""
+    sample_mean = regression == "sample-mean"
+    noise = _coefficient_ensemble(sample_mean, 1, 64)
+    coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.2 * z[..., 0], g=lambda t, x, y: 0.4 + 0.1 * y,
+                     h=lambda t, x, y, z: 0.3 * y[..., None],
+                     terminal=0.8 if sample_mean else (lambda x: x[:, 0] ** 2 + 0.4))
+    assert np.max(noise.dA) > 0.0 and (sample_mean or np.min(noise.dA) == 0.0)
+    phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex(psi)
+    config = SolverConfig(noise.grid, eps=0.05, scheme=scheme, regression=regression)
+    sol = solve_penalized(coeffs, phi, psi, config, noise)
+    ref = _reference_sweep(coeffs, phi, psi, config, noise)
+    for name in ("Y", "Z", "U", "V"):
+        assert getattr(sol, name).tobytes() == ref[name].tobytes(), name
+    assert np.min(np.abs(sol.U[:, :-1])) == 0.0 < np.max(np.abs(sol.U))  # phi binds on some rows only
+    assert np.max(np.abs(sol.V[:, :-1])) > 0.0
 
 
 @pytest.mark.parametrize("name", ["dW", "dB", "shared dB"])
