@@ -32,7 +32,6 @@ from .field import (
 from .flow import FlowSample, FlowSpec, flow, flow_inverse, transform_penalized
 from .reflected import (
     DomainSpec,
-    ellipsoid,
     local_time_identity_residual,
     make_domain,
     simulate_reflected,

@@ -232,7 +232,7 @@ def run(argv=None) -> int:
         if not args.quiet:
             sys.stdout.write(text)
         return 0 if ok else 3
-    except (KeyError, FileNotFoundError, ValueError) as exc:
+    except (KeyError, OSError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": "validation", "detail": str(exc)}) + "\n")
         return 2
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .convex import ConvexFunction
 from .drivers import PathBundle, TimeGrid, _node_major, _rekey, _stream
-from .reflected import DomainSpec, simulate_reflected
+from .reflected import _BOUNDARY_TOL, DomainSpec, simulate_reflected
 from .solver import CoefficientSet, SolverConfig, _backward_sweep, _terminal_values
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "sample_field",
     "continuity_diagnostic",
 ]
-
-_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class FieldGrid:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != domain.d:
             raise ValueError(f"lattice points must have shape (n, {domain.d}), got {points.shape}")
-        if np.any(domain.level(points) < -_TOL):
+        if np.any(domain.level(points) < -_BOUNDARY_TOL):
             raise ValueError("lattice point outside the closure of the domain")
         return cls(times, points)
 

@@ -20,7 +20,6 @@ from .drivers import PathBundle, _node_major
 __all__ = [
     "DomainSpec",
     "unit_ball",
-    "ellipsoid",
     "smoothed_interval",
     "make_domain",
     "simulate_reflected",
@@ -46,7 +45,7 @@ class DomainSpec:
     bounding_box: tuple
     d: int
     project: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
+    name: str
 
 
 def unit_ball(dim: int, radius: float = 1.0) -> DomainSpec:
@@ -94,66 +93,9 @@ def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
     return DomainSpec(level, gradient, hessian, (np.array([lo]), np.array([hi])), 1, project, f"interval({lo},{hi})")
 
 
-def ellipsoid(semi_axes) -> DomainSpec:
-    """Axis-aligned ellipsoid.  The raw quadratic level is rescaled by the
-    norm of its own gradient so the boundary normal has unit length; the
-    Hessian of the rescaled level is taken by central differences of its
-    analytic gradient."""
-    a = np.asarray(semi_axes, dtype=float)
-    d = a.size
-    a2 = a * a
-
-    def raw(x):
-        return 1.0 - np.sum(x * x / a2, axis=-1)
-
-    def raw_grad(x):
-        return -2.0 * x / a2
-
-    def _gnorm(x):
-        # smooth positive regularization: equals |grad raw| on {raw = 0} and
-        # stays bounded away from zero at the center where grad raw vanishes
-        return np.sqrt(np.sum(raw_grad(x) ** 2, axis=-1) + raw(x) ** 2)
-
-    def level(x):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = raw(x)
-            # past |raw| = 1 the squares in _gnorm overflow first, so divide through by |raw| there
-            far = np.sign(r) / np.sqrt(1.0 + np.sum((raw_grad(x) / r[..., None]) ** 2, axis=-1))
-            return np.where(np.abs(r) > 1.0, far, r / _gnorm(x))
-
-    def gradient(x):
-        # level = raw / g, with grad g = (-2 grad raw / a^2 + raw grad raw) / g
-        r, gr, g = raw(x)[..., None], raw_grad(x), _gnorm(x)[..., None]
-        return gr / g - r * (-2.0 * gr / a2 + r * gr) / (g * g * g)
-
-    def hessian(x):
-        h = 1e-5
-        out = np.empty(x.shape[:-1] + (d, d))
-        for i, e in enumerate(h * np.eye(d)):
-            out[..., i, :] = (gradient(x + e) - gradient(x - e)) / (2.0 * h)
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-    def project(x):
-        # p = a^2 x / (a^2 + lam) = a r, lam the root of F = sum r^2 - 1 with r = a x / (a^2 + lam)
-        # (Eberly, "Distance from a point to an ellipse, an ellipsoid, or a hyperellipsoid").  F is
-        # convex and decreasing on lam >= 0, and r_k^2 <= F + 1 = 1 at the root bounds it below by
-        # max(0, max_k a_k |x_k| - a_k^2).  Newton from that bound rises to the root with every
-        # |r_k| <= 1 on the way, so no square overflows however far out x lies
-        lam = np.maximum(np.max(a * np.abs(x) - a2, axis=-1, keepdims=True), 0.0)
-        while True:
-            r = x * (a / (a2 + lam))
-            q = r * r  # F = sum q - 1, F' = -2 sum q / (a^2 + lam)
-            step = (np.sum(q, axis=-1, keepdims=True) - 1.0) / (2.0 * np.sum(q / (a2 + lam), axis=-1, keepdims=True))
-            if not np.any(lam + step > lam):
-                return a * r
-            lam = np.maximum(lam + step, lam)
-
-    return DomainSpec(level, gradient, hessian, (-a, a), d, project, f"ellipsoid({a.tolist()})")
-
-
 def make_domain(kind: str, **params) -> DomainSpec:
     """The builder of kind called with the section's keys: the defaults live in its signature alone."""
-    build = {"ball": unit_ball, "interval": smoothed_interval, "ellipsoid": ellipsoid}.get(kind)
+    build = {"ball": unit_ball, "interval": smoothed_interval}.get(kind)
     if build is None:
         raise KeyError(f"unknown domain kind {kind!r}")
     return build(**params)

@@ -87,12 +87,10 @@ def make_coefficients(co: dict):
 
 
 def make_terminal(spec: dict):
-    kind = _kind(spec, "terminal", "constant", {"constant": ("value",), "quadratic_norm": (), "identity": ()})
+    kind = _kind(spec, "terminal", "constant", {"constant": ("value",), "quadratic_norm": ()})
     if kind == "constant":
         return float(spec.get("value", 0.0))
-    if kind == "quadratic_norm":
-        return lambda x: np.sum(x * x, axis=-1)
-    return lambda x: x[..., 0]
+    return lambda x: np.sum(x * x, axis=-1)
 
 
 @dataclass
@@ -118,16 +116,15 @@ class Scenario:
 
 
 def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
-    with open(path) as fh:
-        raw = yaml.load(fh, Loader=_YAML_LOADER)
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario file must be a mapping")
-    raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
-
     def top(key, section, default):  # a top-level key, such as a CLI override, wins over its section's
         return raw[key] if raw.get(key) is not None else section.get(key, default)
 
     try:
+        with open(path) as fh:
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
+        if not isinstance(raw, dict):
+            raise ScenarioError("scenario file must be a mapping")
+        raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
         _keys(raw, "scenario", *"""name phi psi constants coefficients grid solver domain dim start sigma drift
               eps_ladder a_process lattice seed paths vi_test_points steps eps""".split())
         name = raw.get("name", "unnamed")
@@ -205,7 +202,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             draws=draws,
             vi_test_points=raw.get("vi_test_points", [-1.0, 0.0, 0.25, 0.5]),
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, yaml.YAMLError) as exc:
         raise ScenarioError(str(exc)) from exc
     wr = validate_weights(constants)
     if not wr.ok:

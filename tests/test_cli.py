@@ -207,6 +207,35 @@ def test_malformed_eps_is_a_validation_error(tmp_path, capsys, eps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["malformed-yaml", "directory"])
+def test_unreadable_scenario_is_a_validation_error(tmp_path, capsys, case):
+    """A file that does not parse as YAML, or a --scenario that names a
+    directory, exits 2 with a validation record, not a traceback and exit 1;
+    through the library a parse error is a ScenarioError."""
+    p = tmp_path
+    if case == "malformed-yaml":
+        p = tmp_path / "bad.yaml"
+        p.write_text("name: [unclosed\nsteps: 10\n")
+        with pytest.raises(ScenarioError):
+            load_scenario(p)
+    assert run(["solve", "--scenario", str(p), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert '"error": "validation"' in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edit, kind", [
+    (lambda raw: raw.update(domain={"kind": "ellipsoid", "semi_axes": [2.0, 0.5]}), "ellipsoid"),
+    (lambda raw: raw["coefficients"].update(terminal={"kind": "identity"}), "identity")],
+    ids=["domain", "terminal"])
+def test_unknown_domain_or_terminal_kind_fails_at_load(tmp_path, capsys, edit, kind):
+    """The domain kinds are ball and interval, the terminal kinds constant and
+    quadratic_norm; any other kind exits 2, naming it."""
+    p = _variant(tmp_path, "ball.yaml", edit)
+    assert run(["solve", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert '"error": "validation"' in err and f"kind '{kind}'" in err
+
+
 def test_sde_sim(tmp_path):
     rc = run(["sde-sim", "--scenario", _scn("ball.yaml"), "--out", str(tmp_path),
               "--paths", "50", "--steps", "100", "--quiet"])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from bdsvi import (
     PathBundle,
     TimeGrid,
-    ellipsoid,
     generate_paths,
     local_time_identity_residual,
     make_domain,
@@ -68,29 +67,9 @@ def test_interval_unit_slope_at_endpoints():
     assert float(dom.level(np.array([0.0]))) > 0.0
 
 
-def test_ellipsoid_unit_normal_on_boundary():
-    dom = ellipsoid([2.0, 0.5])
-    theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    pts = np.stack([2.0 * np.cos(theta), 0.5 * np.sin(theta)], axis=-1)
-    assert np.max(np.abs(dom.level(pts))) < 1e-9
-    assert np.allclose(np.linalg.norm(dom.gradient(pts), axis=-1), 1.0, rtol=0.0, atol=1e-12)
-    assert float(dom.level(np.zeros(2))) > 0.0
-    assert float(dom.level(np.array([3.0, 0.0]))) < 0.0
-
-
-def test_ellipsoid_gradient_matches_level_differences():
-    dom = ellipsoid([2.0, 0.5])
-    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 2)) * np.array([2.0, 0.5])
-    pts = pts[dom.level(pts) > 0.0]
-    h = 1e-6
-    fd = np.stack([(dom.level(pts + e) - dom.level(pts - e)) / (2.0 * h) for e in h * np.eye(2)], axis=-1)
-    assert np.max(np.abs(dom.gradient(pts) - fd)) < 1e-8
-
-
 def test_make_domain_dispatch():
     assert make_domain("ball", dim=3, radius=2.0).d == 3
     assert make_domain("interval", lo=0.0, hi=2.0).d == 1
-    assert make_domain("ellipsoid", semi_axes=[1.0, 2.0]).d == 2
     with pytest.raises(KeyError):
         make_domain("torus")
 
@@ -102,7 +81,7 @@ def test_make_domain_rejects_a_key_its_builder_lacks():
     with pytest.raises(TypeError, match="radius"):
         make_domain("interval", lo=0, hi=1, radius=2)
     with pytest.raises(TypeError, match="dim"):
-        make_domain("ellipsoid", semi_axes=[1.0, 2.0], dim=2)
+        make_domain("interval", lo=0, hi=1, dim=1)
 
 
 # ---------------------------------------------------------------- simulation
@@ -228,25 +207,6 @@ def test_reflected_bundle_shares_its_noise():
     assert (small.n_paths, small.d) == (7, 1)
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e154, 1e155, 1e300])
-def test_far_out_ellipsoid_point_is_outside(scale):
-    """Far outside the ellipsoid the squares of the raw level overflow.  The
-    level still reads -1 there with no warning, so a runaway Euler step is
-    not taken for an inside point and passed through with delta = 0.  The
-    projection squares no coordinate of x either: with no warning it lands
-    on the boundary point whose normal is parallel to (1, 1), and delta is
-    the distance to it."""
-    dom = ellipsoid([2.0, 0.5])
-    x = np.array([[scale, scale]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert dom.level(x)[0] == -1.0
-        out, delta = _project_out(dom, x)
-    assert dom.level(out)[0] >= 0.0
-    assert np.max(np.abs(out[0] - np.array([16.0, 1.0]) / np.sqrt(68.0))) <= 1e-13
-    assert delta[0] == pytest.approx(np.hypot(*(x[0] - out[0])), rel=1e-15)
-
-
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("scale", [1e154, 1e155, 1e300])
 def test_far_out_ball_point_projects_radially(scale, d):
@@ -275,7 +235,7 @@ def test_far_out_push_is_sized_by_the_projected_point(scale, d):
     assert abs(np.linalg.norm(out[0]) - 1.0) <= 2.3e-16
 
 
-@pytest.mark.parametrize("dom", [unit_ball(2), ellipsoid([2.0, 0.5])], ids=lambda dom: dom.name)
+@pytest.mark.parametrize("dom", [unit_ball(2)], ids=lambda dom: dom.name)
 def test_non_finite_step_raises(dom):
     """A drift that overflows the Euler step is a numerical failure, not a
     path of NaN or infinite local time."""
@@ -334,24 +294,6 @@ def test_closed_form_push_matches_bisection(dom):
         ref = np.where(x_star > 0.5 * (lo + hi), hi, lo)
     assert np.max(np.abs(out[outside] - ref[outside])) <= 1e-13
     assert np.max(np.abs(delta[outside] - np.linalg.norm(x_star - ref, axis=-1)[outside])) <= 1e-12
-
-
-def test_ellipsoid_projection_is_normal_to_the_boundary():
-    """Shallow, far-out and just-outside points of the (2, 0.5) ellipsoid
-    never raise.  Each lands on {raw = 0} to 1e-13 with level >= 0, and
-    x* - p is parallel to the normal at p, the optimality condition of the
-    Euclidean projection."""
-    dom = ellipsoid([2.0, 0.5])
-    a2 = dom.bounding_box[1] ** 2
-    x_star = _outside_points(dom, np.random.default_rng(2))
-    outside, out, delta = _assert_projected_exactly(dom, x_star)
-    assert np.max(np.abs(1.0 - np.sum(out * out / a2, axis=-1))) <= 1e-13
-    far = delta >= 1e-6
-    n = out[far] / a2
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    gap = x_star[far] - out[far]
-    sin = np.linalg.norm(gap - np.sum(gap * n, axis=-1, keepdims=True) * n, axis=-1) / delta[far]
-    assert np.all(outside) and np.max(sin) <= 1e-12
 
 
 def test_point_projecting_onto_itself_moves_toward_the_centre():
