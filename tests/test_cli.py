@@ -229,8 +229,11 @@ def test_unreadable_scenario_is_a_validation_error(tmp_path, capsys, case):
     ids=["domain", "terminal"])
 def test_unknown_domain_or_terminal_kind_fails_at_load(tmp_path, capsys, edit, kind):
     """The domain kinds are ball and interval, the terminal kinds constant and
-    quadratic_norm; any other kind exits 2, naming it."""
+    quadratic_norm; any other kind exits 2, naming it.  Through the library
+    it is a ScenarioError."""
     p = _variant(tmp_path, "ball.yaml", edit)
+    with pytest.raises(ScenarioError, match=kind):
+        load_scenario(p)
     assert run(["solve", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert '"error": "validation"' in err and f"kind '{kind}'" in err

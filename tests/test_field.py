@@ -12,6 +12,7 @@ from bdsvi import (
     SolverConfig,
     TimeGrid,
     continuity_diagnostic,
+    generate_paths,
     make_convex,
     sample_field,
     simulate_reflected,
@@ -22,6 +23,7 @@ from bdsvi import (
 )
 from bdsvi import field
 from bdsvi.drivers import _stream
+from bdsvi.reflected import _BOUNDARY_TOL
 from bdsvi.scenarios import load_scenario
 from field_stencils import boundary_mask, boundary_residual, interior_residual, manufactured_field
 
@@ -56,6 +58,24 @@ def test_field_grid_boundary_tagging():
 def test_field_grid_rejects_exterior_points():
     with pytest.raises(ValueError):
         FieldGrid.build(DOM, [0.0], np.array([[1.5]]))
+
+
+@pytest.mark.parametrize("depth, inside", [(0.5, True), (2.0, False)])
+def test_lattice_and_start_checks_share_one_tolerance(depth, inside):
+    """FieldGrid.build and simulate_reflected's start check read one boundary
+    tolerance: a point whose level is below -tol lies outside the closure for
+    both, and one whose level is above it lies inside for both."""
+    x = np.array([[1.0 + depth * _BOUNDARY_TOL]])
+    assert (DOM.level(x)[0] >= -_BOUNDARY_TOL) == inside
+    noise = generate_paths(TimeGrid.uniform(0, 1, 4), 1, 2, seed=0)
+    if inside:
+        assert np.array_equal(FieldGrid.build(DOM, [0.0], x).points, x)
+        assert simulate_reflected(DOM, 0.0, 1.0, (0.0, x[0]), noise).X.shape[0] == 2
+    else:
+        with pytest.raises(ValueError, match="outside the closure"):
+            FieldGrid.build(DOM, [0.0], x)
+        with pytest.raises(ValueError, match="outside the closure"):
+            simulate_reflected(DOM, 0.0, 1.0, (0.0, x[0]), noise)
 
 
 def test_field_grid_rejects_misshapen_points():

@@ -235,14 +235,14 @@ def test_far_out_push_is_sized_by_the_projected_point(scale, d):
     assert abs(np.linalg.norm(out[0]) - 1.0) <= 2.3e-16
 
 
-@pytest.mark.parametrize("dom", [unit_ball(2)], ids=lambda dom: dom.name)
+@pytest.mark.parametrize("dom", [unit_ball(2), unit_ball(3), smoothed_interval()], ids=lambda dom: dom.name)
 def test_non_finite_step_raises(dom):
     """A drift that overflows the Euler step is a numerical failure, not a
     path of NaN or infinite local time."""
     grid = TimeGrid.uniform(0, 1, 10)
     with pytest.raises(FloatingPointError, match="non-finite reflected path"), np.errstate(all="ignore"):
-        simulate_reflected(dom, lambda x: np.where(x[:, :1] > 0.5, np.inf, 10.0), 1.0, (0.0, np.zeros(2)),
-                           generate_paths(grid, 2, 20, seed=0))
+        simulate_reflected(dom, lambda x: np.where(x[:, :1] > 0.5, np.inf, 10.0), 1.0, (0.0, np.zeros(dom.d)),
+                           generate_paths(grid, dom.d, 20, seed=0))
 
 
 def test_simulate_rejects_outside_per_path_start():
