@@ -53,8 +53,10 @@ def flow(spec: FlowSpec, x, y, times: np.ndarray, B: np.ndarray) -> FlowSample:
 
     times: node times covering [t, T]; B: backward-Brownian values at those
     nodes (both one-dimensional).  y may be a scalar or an array (batched).
-    A scalar y runs on Python floats while h and d_u return 0-d values, with
-    the same IEEE operations as the array loop, and returns np.float64 values.
+    A scalar y starts on Python floats and takes h and d_u through float()
+    while they return 0-d values; from the first value that is not 0-d the
+    same loop goes on with arrays.  Floats and numpy values take the same
+    IEEE operations, and a 0-d result comes back as np.float64.
     The y-derivative is propagated by the exact derivative of the discrete
     update, so it is the Jacobian of the computed map, positive for any
     step size when h is smooth enough.
@@ -67,49 +69,29 @@ def flow(spec: FlowSpec, x, y, times: np.ndarray, B: np.ndarray) -> FlowSample:
     h, du = spec.h, spec.d_u
     t_nodes, b_nodes = times.ravel().tolist(), B.ravel().tolist()
     eta = np.asarray(y, dtype=float) + 0.0
-    scalar = _scalar_flow(h, du, x, float(eta), t_nodes, b_nodes) if np.ndim(eta) == 0 else None
-    if scalar is not None:
-        eta, dy = np.float64(scalar[0]), np.float64(scalar[1])
-    else:
-        dy = np.ones_like(eta)
-        for j in range(times.size - 2, -1, -1):
-            db = b_nodes[j + 1] - b_nodes[j]
-            t1 = t_nodes[j + 1]
-            t0 = t_nodes[j]
-            h1 = h(t1, x, eta)
-            d1 = du(t1, x, eta)
-            pred = eta + h1 * db
-            h2 = h(t0, x, pred)
-            d2 = du(t0, x, pred)
-            eta = eta + 0.5 * (h1 + h2) * db
-            dy = dy * (1.0 + 0.5 * (d1 + d2 * (1.0 + d1 * db)) * db)
-    if np.any(dy <= 0.0):
-        raise RuntimeError("flow derivative lost positivity; refine the integration grid")
-    return FlowSample(eta=eta, d_y_eta=dy)
-
-
-def _scalar_flow(h, du, x, eta, t_nodes, b_nodes):
-    """flow's Heun loop for one query on Python floats: (eta, d_y eta), or None as
-    soon as h or d_u returns a value that is not 0-d, which the array loop keeps."""
-    dy = 1.0
+    scalar = eta.ndim == 0  # while every value is 0-d; a Python float has no ndim
+    eta, dy = (float(eta), 1.0) if scalar else (eta, np.ones_like(eta))
     for j in range(len(t_nodes) - 2, -1, -1):
         db = b_nodes[j + 1] - b_nodes[j]
         t1 = t_nodes[j + 1]
         t0 = t_nodes[j]
         h1 = h(t1, x, eta)
         d1 = du(t1, x, eta)
-        if getattr(h1, "ndim", 0) or getattr(d1, "ndim", 0):  # a Python float has no ndim
-            return None
-        h1, d1 = float(h1), float(d1)
+        scalar = scalar and not (getattr(h1, "ndim", 0) or getattr(d1, "ndim", 0))
+        if scalar:
+            h1, d1 = float(h1), float(d1)
         pred = eta + h1 * db
         h2 = h(t0, x, pred)
         d2 = du(t0, x, pred)
-        if getattr(h2, "ndim", 0) or getattr(d2, "ndim", 0):
-            return None
-        h2, d2 = float(h2), float(d2)
+        scalar = scalar and not (getattr(h2, "ndim", 0) or getattr(d2, "ndim", 0))
+        if scalar:
+            h2, d2 = float(h2), float(d2)
         eta = eta + 0.5 * (h1 + h2) * db
         dy = dy * (1.0 + 0.5 * (d1 + d2 * (1.0 + d1 * db)) * db)
-    return eta, dy
+    if np.any(dy <= 0.0):
+        raise RuntimeError("flow derivative lost positivity; refine the integration grid")
+    eta, dy = (np.float64(v) if np.ndim(v) == 0 else v for v in (eta, dy))
+    return FlowSample(eta=eta, d_y_eta=dy)
 
 
 def flow_inverse(spec: FlowSpec, x, target, times, B):
@@ -152,8 +134,8 @@ def _flow_derivatives(spec: FlowSpec, x, y, times, B):
     xs = ([x] + [x + s * e[i] for i in range(d) for s in (1, -1)]
           + [x + si * e[i] + sj * e[j] for i, j in pairs for si in (1, -1) for sj in (1, -1)])
     runs = [flow(spec, p, y, times, B) for p in xs] + [flow(spec, x, y + s * h, times, B) for s in (1, -1)]
-    eta = np.array([float(r.eta) for r in runs])
-    dy = np.array([float(r.d_y_eta) for r in runs])
+    eta = np.array([r.eta.item() for r in runs])  # item(): a map that reads x gives eta of shape (1,)
+    dy = np.array([r.d_y_eta.item() for r in runs])
     xp, xm = eta[1:2 * d + 1:2], eta[2:2 * d + 1:2]
     d_xx = np.diag((xp - 2.0 * eta[0] + xm) / (h * h))
     for (i, j), (pp, pm, mp, mm) in zip(pairs, eta[2 * d + 1:-2].reshape(-1, 4)):
@@ -198,8 +180,8 @@ def transform_penalized(
     z = np.atleast_1d(np.asarray(z, dtype=float))
     bv, sig = _coefficients(b, sigma, x, x.size)
     base, d_x, d_xx, d_xy, d_yy = _flow_derivatives(spec, x, y, times, B)
-    eta = float(base.eta)
-    dy = float(base.d_y_eta)
+    eta = base.eta.item()
+    dy = base.d_y_eta.item()
     if dy <= 1e-12:
         raise RuntimeError("degenerate flow derivative")
 
@@ -210,4 +192,4 @@ def transform_penalized(
                + float(np.dot(sig.T @ d_xy, z)) + 0.5 * d_yy * float(np.dot(z, z))) / dy
     g_tilde = (g(t, x, eta) - float(np.dot(domain.gradient(x), d_x))) / dy
     gp, gq = (float(yosida_gradient(theta, delta, np.atleast_1d(eta))[0]) for theta in (phi, psi))
-    return float(f_tilde) - gp / dy, float(g_tilde) - gq / dy
+    return np.asarray(f_tilde).item() - gp / dy, np.asarray(g_tilde).item() - gq / dy

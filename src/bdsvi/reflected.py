@@ -78,8 +78,9 @@ def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
     lo, hi = float(lo), float(hi)
     width = hi - lo
 
-    def level(x):
-        return (hi - x[..., 0]) * (x[..., 0] - lo) / width
+    def level(x):  # far out the product overflows, and the level reads -inf
+        with np.errstate(over="ignore"):
+            return (hi - x[..., 0]) * (x[..., 0] - lo) / width
 
     def gradient(x):
         return ((hi + lo - 2.0 * x[..., 0]) / width)[..., None]
@@ -95,10 +96,11 @@ def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
 
 def make_domain(kind: str, **params) -> DomainSpec:
     """The builder of kind called with the section's keys: the defaults live in its signature alone."""
-    build = {"ball": unit_ball, "interval": smoothed_interval}.get(kind)
-    if build is None:
-        raise KeyError(f"unknown domain kind {kind!r}")
-    return build(**params)
+    builders = {"ball": unit_ball, "interval": smoothed_interval}
+    if kind not in builders:
+        what = "domain section names no kind" if kind is None else f"unknown domain kind {kind!r}"
+        raise KeyError(f"{what}; known: {', '.join(builders)}")
+    return builders[kind](**params)
 
 
 def _coefficients(b, sigma, x, d: int):

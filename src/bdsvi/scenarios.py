@@ -69,6 +69,8 @@ def _affine(spec: dict, role: str) -> _Affine:
                  {"zero": (), "constant": ("value",), "linear": ("a_y", "a_z", "c")})
     a_y, a_z, c = (float(spec.get(key, 0.0)) if kind == "linear" else 0.0 for key in ("a_y", "a_z", "c"))
     if kind == "constant":
+        if "value" not in spec:
+            raise ScenarioError(f"coefficient {role} of kind constant needs a value")
         c = float(spec["value"])
     return _Affine(a_y, a_z, c, role == "h")
 
@@ -155,7 +157,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             dspec = dict(_mapping(raw["domain"], "domain"))
             if "dim" in dspec:
                 dspec["dim"] = _whole(dspec["dim"], "domain dim")
-            domain = make_domain(dspec.pop("kind"), **dspec)
+            domain = make_domain(dspec.pop("kind", None), **dspec)
         d = domain.d if domain is not None else _whole(raw.get("dim", 1), "dim")
         start = np.atleast_1d(np.asarray(raw.get("start", np.zeros(d)), dtype=float))
         if start.shape != (d,):
@@ -203,7 +205,8 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             vi_test_points=raw.get("vi_test_points", [-1.0, 0.0, 0.25, 0.5]),
         )
     except (KeyError, TypeError, AttributeError, yaml.YAMLError) as exc:
-        raise ScenarioError(str(exc)) from exc
+        # a KeyError's str() is the repr of its message: the message itself, without quotes
+        raise ScenarioError(exc.args[0] if isinstance(exc, KeyError) else str(exc)) from exc
     wr = validate_weights(constants)
     if not wr.ok:
         # sufficient-not-necessary inequalities: warn, do not abort

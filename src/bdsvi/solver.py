@@ -485,12 +485,8 @@ def cauchy_study(
         raise ValueError("eps ladder must be strictly decreasing")
     cfg = replace(base_config, eps=ladder[-1])
 
-    def tile(a):  # a block of rows per rung; a shared draw (stride 0 on the path axis) stays one row
-        if a is None:
-            return None
-        if a.strides[0] == 0:
-            return np.broadcast_to(a[:1], (len(ladder) * len(a),) + a.shape[1:])
-        return np.tile(a, (len(ladder),) + (1,) * (a.ndim - 1))
+    def tile(a):  # a block of rows per rung: still a view of a shared draw's one row (path stride 0), else a copy
+        return None if a is None else np.broadcast_to(a, (len(ladder),) + a.shape).reshape((-1,) + a.shape[1:])
 
     rungs = replace(noise, dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A), X=tile(noise.X))
     Y, Z, U, V, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs)

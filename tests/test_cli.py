@@ -223,20 +223,25 @@ def test_unreadable_scenario_is_a_validation_error(tmp_path, capsys, case):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("edit, kind", [
-    (lambda raw: raw.update(domain={"kind": "ellipsoid", "semi_axes": [2.0, 0.5]}), "ellipsoid"),
-    (lambda raw: raw["coefficients"].update(terminal={"kind": "identity"}), "identity")],
-    ids=["domain", "terminal"])
-def test_unknown_domain_or_terminal_kind_fails_at_load(tmp_path, capsys, edit, kind):
+@pytest.mark.parametrize("edit, detail", [
+    (lambda raw: raw.update(domain={"kind": "ellipsoid", "semi_axes": [2.0, 0.5]}),
+     "unknown domain kind 'ellipsoid'; known: ball, interval"),
+    (lambda raw: raw.update(domain={"dim": 2}), "domain section names no kind; known: ball, interval"),
+    (lambda raw: raw["coefficients"].update(terminal={"kind": "identity"}), "unknown terminal kind 'identity'"),
+    (lambda raw: raw.update(phi="nosuch"), "unknown convex function 'nosuch'"),
+    (lambda raw: raw["coefficients"].update(g={"kind": "constant"}), "coefficient g of kind constant needs a value")],
+    ids=["domain", "domain-no-kind", "terminal", "convex", "constant-no-value"])
+def test_unknown_domain_or_terminal_kind_fails_at_load(tmp_path, capsys, edit, detail):
     """The domain kinds are ball and interval, the terminal kinds constant and
-    quadratic_norm; any other kind exits 2, naming it.  Through the library
-    it is a ScenarioError."""
+    quadratic_norm; any other kind, or a domain with none, exits 2 with a
+    record that names the section and the kind, as does an unknown convex
+    function.  Through the library it is a ScenarioError."""
     p = _variant(tmp_path, "ball.yaml", edit)
-    with pytest.raises(ScenarioError, match=kind):
+    with pytest.raises(ScenarioError) as exc:
         load_scenario(p)
+    assert str(exc.value) == detail
     assert run(["solve", "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert '"error": "validation"' in err and f"kind '{kind}'" in err
+    assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
 
 
 def test_sde_sim(tmp_path):

@@ -158,6 +158,23 @@ def test_transform_penalized_subtracts_scaled_gradients():
         transform_penalized(CONST, f, g, phi, psi, 0.0, dom, 1.0, 0.0, point, times, B)
 
 
+@pytest.mark.filterwarnings("error")
+def test_transform_of_maps_that_read_x_is_their_scalar_form_bit_for_bit():
+    """At d = 1, h, f and g that read x give eta and the transforms of shape
+    (1,); the transforms are those of the same maps written on float(x[0])."""
+    times, B = _path(seed=12)
+    point, dom = (0.3, np.array([0.2]), 0.6, np.array([0.3])), smoothed_interval(-1, 1)
+    phi, psi = make_convex("quadratic(1.0)"), make_convex("abs")
+    out = []
+    for read in (lambda x: x, lambda x: float(x[0])):
+        spec = FlowSpec(h=lambda t, x, u: 0.4 * read(x) * u + 0.1, d_u=lambda t, x, u: 0.4 * read(x) + 0.0 * u)
+        f = lambda t, x, y, z: 0.3 * read(x) * y + 0.1 * float(np.sum(z))
+        g = lambda t, x, y: 0.2 * read(x) - y
+        out.append(transform_penalized(spec, f, g, phi, psi, 0.5, dom, 1.0, 0.0, point, times, B))
+    assert all(type(v) is float for v in out[0])
+    assert np.array(out[0]).tobytes() == np.array(out[1]).tobytes()
+
+
 def test_transform_x_derivatives_closed_form():
     """h = c x0 x1 does not depend on u, so eta = y + c x0 x1 (B_T - B_t) and
     D_y eta = 1.  With a non-diagonal sigma, b != 0 and f depending on z, the
@@ -204,12 +221,17 @@ def _per_index_flow(spec, x, y, times, B):
 
 SIN = FlowSpec(h=lambda t, x, u: 0.5 * np.sin(u) + 0.2, d_u=lambda t, x, u: 0.5 * np.cos(u))
 # x of shape (1,) makes h(t, x, u) an array of shape (1,) for a scalar u: the scalar
-# query then keeps the array loop, whose eta has shape (1,)
+# query then goes on with arrays from the first step, and its eta has shape (1,)
 X_TIMES_U = FlowSpec(h=lambda t, x, u: 0.4 * x * u + 0.1, d_u=lambda t, x, u: 0.4 * x + 0.0 * u)
+# only d_u has shape (1,): a scalar eta stays a float, and comes back as np.float64
+DU_ARRAY = FlowSpec(h=lambda t, x, u: 0.3 * u + 0.2, d_u=lambda t, x, u: 0.3 + 0.0 * x)
+# h turns from 0-d to shape (1,) below t = 0.5, partway through the loop
+LATE = FlowSpec(h=lambda t, x, u: 0.4 * u + (0.1 * x if t < 0.5 else 0.1), d_u=lambda t, x, u: 0.4 + 0.0 * u)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("spec", [CONST, LINEAR, SIN, X_TIMES_U], ids=["constant", "linear", "sin", "x-times-u"])
+@pytest.mark.parametrize("spec", [CONST, LINEAR, SIN, X_TIMES_U, DU_ARRAY, LATE],
+                         ids=["constant", "linear", "sin", "x-times-u", "du-array", "late"])
 @pytest.mark.parametrize("y", [0.3, np.linspace(-2.0, 2.0, 41)], ids=["scalar", "batched"])
 def test_flow_matches_the_per_index_loop(spec, y):
     times, B = _path(n_steps=150, seed=4)

@@ -40,10 +40,12 @@ def test_ball_level_is_the_sum_of_squares_form(d):
         assert np.array_equal(dom.level(pts), (r * r - np.sum(pts * pts, axis=-1)) / (2.0 * r))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_ball_level_far_out_is_minus_inf_without_warning(d):
-    dom = unit_ball(d)
-    pts = np.array([np.full(d, v) for v in (1e155, -1e200, np.inf, -np.inf)])
+@pytest.mark.parametrize("dom", [unit_ball(1), unit_ball(2), unit_ball(3), smoothed_interval(-1.0, 1.0)],
+                         ids=["1", "2", "3", "interval"])
+def test_ball_level_far_out_is_minus_inf_without_warning(dom):
+    """Also the interval, the ball of d = 1 with a level of its own: a runaway
+    Euler step then projects, even where warnings are errors."""
+    pts = np.array([np.full(dom.d, v) for v in (1e155, -1e200, 1e300, np.inf, -np.inf)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         lv = dom.level(pts)
