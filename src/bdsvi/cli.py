@@ -127,8 +127,7 @@ def cmd_solve(scn: Scenario):
 def cmd_cauchy(scn: Scenario):
     """Coupled eps-ladder convergence study; the rate exponent of the
     weighted sup gap in (eps + delta) should sit near one."""
-    rep = cauchy_study(scn.coeffs, scn.phi, scn.psi, scn.solver, scn.eps_ladder, _build_run(scn),
-                       lam=scn.coeffs.constants.lam, mu=scn.coeffs.constants.mu)
+    rep = cauchy_study(scn.coeffs, scn.phi, scn.psi, scn.solver, scn.eps_ladder, _build_run(scn))
     rows = [(float(a), float(b), float(g)) for (a, b), g in zip(rep.eps_pairs, rep.gaps_sq)]
     ok = 0.75 <= rep.slope <= 1.25
     lines = [
@@ -157,13 +156,11 @@ def cmd_field(scn: Scenario):
 def cmd_report(scn: Scenario):
     """Full diagnostic pass: solve, weighted norms, penalization energies,
     and the subgradient-inequality audit."""
-    sol = _solve_scenario(scn)
-    c = scn.coeffs.constants
-    wr = validate_weights(c)
-    norms = weighted_norms(sol, c.lam, c.mu)
-    eps = scn.solver.eps  # eps = 0 (implicit-prox) has no Yosida envelope, so no energies
-    diag = penalization_diagnostics(sol, scn.phi, scn.psi, eps, c.lam, c.mu) if eps > 0.0 else {}
-    vi = verify_vi_inclusion(sol, scn.phi, scn.psi, scn.vi_test_points)
+    sol = _solve_scenario(scn)  # the analysis reads the constants, eps, phi and psi of the solve
+    wr = validate_weights(sol.constants)
+    norms = weighted_norms(sol)
+    diag = penalization_diagnostics(sol) if sol.config.eps > 0.0 else {}  # eps = 0: no envelope
+    vi = verify_vi_inclusion(sol, scn.vi_test_points)
     lines = [
         f"report: scenario {scn.name!r}",
         f"{_status(wr.ok)} weight exponents beyond the sufficient bounds "

@@ -44,6 +44,9 @@ class FieldGrid:
     def build(cls, domain: DomainSpec, times, points) -> "FieldGrid":
         times = np.asarray(times, dtype=float)
         points = np.asarray(points, dtype=float)
+        for name, a in (("times", times), ("points", points)):
+            if a.size == 0:
+                raise ValueError(f"lattice has no {name}")
         if points.ndim != 2 or points.shape[1] != domain.d:
             raise ValueError(f"lattice points must have shape (n, {domain.d}), got {points.shape}")
         if np.any(domain.level(points) < -_BOUNDARY_TOL):
@@ -151,10 +154,13 @@ def sample_field(
 def continuity_diagnostic(fld: FieldEstimate) -> dict:
     """Empirical continuity moduli |du| / (|dt|^{1/2} + |dx|) between lattice
     neighbours at stride 1 and stride 2; flags blow-up when the fine-scale
-    worst ratio exceeds ten times the coarse-scale worst ratio."""
+    worst ratio exceeds ten times the coarse-scale worst ratio.  A time or
+    point gap that is not positive is a ValueError."""
     u = fld.values
     times = fld.grid.times
     pts = fld.grid.points
+    if np.any(np.diff(times) <= 0.0) or np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) <= 0.0):
+        raise ValueError("lattice times must increase and neighbouring lattice points differ")
 
     def ratios(stride):
         out = []

@@ -18,7 +18,7 @@ from .convex import AssumptionConstants, ConvexFunction, make_convex, validate_w
 from .drivers import TimeGrid
 from .field import FieldGrid
 from .reflected import DomainSpec, make_domain
-from .solver import CoefficientSet, SolverConfig, _Affine
+from .solver import CoefficientSet, SolverConfig, _Affine, _check_regression
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "make_coefficients", "make_terminal"]
 
@@ -159,6 +159,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
                 dspec["dim"] = _whole(dspec["dim"], "domain dim")
             domain = make_domain(dspec.pop("kind", None), **dspec)
         d = domain.d if domain is not None else _whole(raw.get("dim", 1), "dim")
+        _check_regression(regression, d)
         start = np.atleast_1d(np.asarray(raw.get("start", np.zeros(d)), dtype=float))
         if start.shape != (d,):
             raise ScenarioError(f"start must be a point of dimension {d}, got shape {start.shape}")
@@ -180,6 +181,8 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             if domain is None or domain.d != 1:
                 raise ScenarioError("a field lattice needs a one-dimensional domain")
             n_times, n_points = (_whole(lat.get(key, 5), f"lattice {key}") for key in ("times", "points"))
+            if n_times > grid.n_steps + 1:  # two lattice times would snap to one node
+                raise ScenarioError(f"lattice times {n_times} exceed the {grid.n_steps + 1} grid nodes")
             idx = np.linspace(0, grid.n_steps, n_times).round().astype(int)
             lo, hi = domain.bounding_box
             pts = np.linspace(float(lo[0]), float(hi[0]), n_points)[:, None]

@@ -118,7 +118,8 @@ class BdsdeSolution:
     node-major like the arrays of PathBundle, so each [:, i] is contiguous;
     no consumer may assume C-contiguous path-major storage.  A is the A of
     the bundle that drove the sweep, dA its increments as the sweep applied
-    them, and grid the grid of config."""
+    them, and grid the grid of config.  constants, phi and psi are those of
+    the solve, which the analysis below reads instead of taking them again."""
 
     Y: np.ndarray  # (n_paths, n_nodes, k)
     Z: np.ndarray  # (n_paths, n_nodes, k, d)
@@ -126,6 +127,9 @@ class BdsdeSolution:
     V: np.ndarray  # (n_paths, n_nodes, k)
     A: np.ndarray  # (n_paths, n_nodes)
     config: SolverConfig
+    constants: AssumptionConstants  # lam and mu weight the norms, energies and Cauchy gaps
+    phi: ConvexFunction
+    psi: ConvexFunction
     condition_numbers: list = field(default_factory=list)
 
     @property
@@ -154,6 +158,15 @@ def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
     return np.moveaxis(cols, 0, -1)
 
 
+def _check_regression(spec, d: int):
+    """ValueError for a count _projector would change: a poly degree not in 0, 1, ..., or cells not m**d, m >= 1."""
+    kind, n = (spec, 0) if isinstance(spec, str) else spec  # a string is sample-mean or unknown to _projector
+    if kind == "poly" and not (n >= 0 and n % 1 == 0):
+        raise ValueError(f"regression poly degree must be a whole number >= 0, got {n}")
+    if kind == "partition" and not (1 <= n < np.inf and round(n ** (1 / d)) ** d == n):
+        raise ValueError(f"regression partition cells must be m**{d} for a whole m >= 1, got {n}")
+
+
 def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
     """The conditional-expectation estimator at one node, fitted once and
     shared by the Z and Y targets.
@@ -180,7 +193,7 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
     if spec[0] == "poly":
         features = _poly_features(states, int(spec[1]))
     elif spec[0] == "partition":
-        per_dim = max(1, int(round(int(spec[1]) ** (1.0 / d))))
+        per_dim = int(round(int(spec[1]) ** (1.0 / d)))  # a whole root: _check_regression
         ids = np.zeros((blocks, n), dtype=np.intp)
         for j in range(d):  # per_dim cells per axis, cut at the block's own quantiles
             qs = np.quantile(states[..., j], np.linspace(0, 1, per_dim + 1)[1:-1], axis=1).T
@@ -233,7 +246,7 @@ def solve_penalized(
           multipliers read off the resolvent gaps (V_i = 0 when dA_i = 0).
     """
     Y, Z, U, V, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise)
-    return BdsdeSolution(Y[0], Z[0], U[0], V[0], noise.A, config, conds)
+    return BdsdeSolution(Y[0], Z[0], U[0], V[0], noise.A, config, coeffs.constants, phi, psi, conds)
 
 
 def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
@@ -270,6 +283,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     rows, d = noise.n_paths, noise.d
     dA, X = noise.dA, noise.X
     sample_mean = config.regression == "sample-mean"
+    _check_regression(config.regression, d)
     if sample_mean and (X is not None or callable(coeffs.terminal)):
         # the pathwise value update it takes holds only for state-free data (module docstring)
         raise ValueError("regression sample-mean needs a constant terminal and no state ensemble;"
@@ -388,8 +402,9 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V)] + [conds]
 
 
-def _weights(grid: TimeGrid, A: np.ndarray, lam: float, mu: float) -> np.ndarray:
-    return np.exp(lam * grid.nodes[None, :] + mu * A)
+def _weights(sol: BdsdeSolution) -> np.ndarray:
+    """exp(lam t + mu A_t) at the nodes, with the lam and mu of the solve."""
+    return np.exp(sol.constants.lam * sol.grid.nodes[None, :] + sol.constants.mu * sol.A)
 
 
 def _m_norm2(grid: TimeGrid, w: np.ndarray, q2: np.ndarray) -> float:
@@ -404,9 +419,9 @@ def _mbar_norm2(w: np.ndarray, q2: np.ndarray, dA: np.ndarray) -> float:
     return float(np.mean(np.sum(np.ascontiguousarray(0.5 * (v[:, :-1] + v[:, 1:]) * dA), axis=1)))
 
 
-def weighted_norms(sol: BdsdeSolution, lam: float, mu: float) -> dict:
+def weighted_norms(sol: BdsdeSolution) -> dict:
     """Monte-Carlo weighted norms with weight exp(lam*t + mu*A_t)."""
-    w = _weights(sol.grid, sol.A, lam, mu)
+    w = _weights(sol)
     y2 = np.sum(sol.Y ** 2, axis=-1)
     z2 = np.sum(sol.Z ** 2, axis=(-2, -1))
     u2 = np.sum(sol.U ** 2, axis=-1)
@@ -422,16 +437,15 @@ def weighted_norms(sol: BdsdeSolution, lam: float, mu: float) -> dict:
     }
 
 
-def penalization_diagnostics(sol: BdsdeSolution, phi: ConvexFunction, psi: ConvexFunction,
-                             eps: float, lam: float = 0.0, mu: float = 0.0) -> dict:
-    """Penalization energies of a solved run: gradient energies, envelope
-    integrals at the resolvent points, the weighted distance to the resolvent
-    (sup over time of its expectation), and pointwise envelope expectations."""
-    A = sol.A
-    w = _weights(sol.grid, A, lam, mu)
-    dA = sol.dA
+def penalization_diagnostics(sol: BdsdeSolution) -> dict:
+    """Penalization energies of a solved run at its own eps, phi and psi:
+    gradient energies, envelope integrals at the resolvent points, the
+    weighted distance to the resolvent (sup over time of its expectation),
+    and pointwise envelope expectations."""
+    phi, psi, eps, dA = sol.phi, sol.psi, sol.config.eps, sol.dA
     if eps == 0.0:
         raise ValueError("penalization_diagnostics requires eps > 0")
+    w = _weights(sol)
     j_phi = prox(phi, eps, sol.Y)
     j_psi = prox(psi, eps, sol.Y)
     gp2 = np.sum(((sol.Y - j_phi) / eps) ** 2, axis=-1)  # Yosida gradients from the same resolvents
@@ -463,8 +477,6 @@ def cauchy_study(
     base_config: SolverConfig,
     eps_ladder,
     noise: PathBundle,
-    lam: float = 0.0,
-    mu: float = 0.0,
 ) -> CauchyReport:
     """Coupled-run convergence study along a decreasing eps ladder.
 
@@ -473,8 +485,9 @@ def cauchy_study(
     scheme whose step uses eps (ValueError otherwise).  For consecutive
     (eps, delta) the weighted expected sup of the squared gap is estimated
     and the rate exponent is fitted as the slope of log(gap) vs
-    log(eps + delta), where gap is the square root of the estimate.  A zero
-    gap leaves no rate to fit: FloatingPointError.
+    log(eps + delta), where gap is the square root of the estimate, weighted
+    with coeffs.constants.  A zero gap leaves no rate to fit:
+    FloatingPointError.
     """
     ladder = [float(e) for e in eps_ladder]
     if len(ladder) < 2:
@@ -490,8 +503,8 @@ def cauchy_study(
 
     rungs = replace(noise, dW=tile(noise.dW), dB=tile(noise.dB), A=tile(noise.A), X=tile(noise.X))
     Y, Z, U, V, conds = _backward_sweep(coeffs, phi, psi, cfg, ladder, rungs)
-    limit = BdsdeSolution(Y[-1], Z[-1], U[-1], V[-1], noise.A, cfg, conds)
-    w = _weights(cfg.grid, limit.A, lam, mu)
+    limit = BdsdeSolution(Y[-1], Z[-1], U[-1], V[-1], noise.A, cfg, coeffs.constants, phi, psi, conds)
+    w = _weights(limit)
     pairs = list(zip(ladder, ladder[1:]))
     gaps = [float(np.mean(np.max(w * np.sum((ya - yb) ** 2, axis=-1), axis=1))) for ya, yb in zip(Y, Y[1:])]
     if min(gaps) == 0.0:
@@ -503,8 +516,7 @@ def cauchy_study(
     return CauchyReport(pairs, gaps, slope, limit)
 
 
-def verify_vi_inclusion(sol: BdsdeSolution, phi: ConvexFunction, psi: ConvexFunction,
-                        test_points) -> dict:
+def verify_vi_inclusion(sol: BdsdeSolution, test_points) -> dict:
     """Worst violation of the subgradient inequality
 
         <U_t, r - J_t> + phi(J_t) - phi(r) <= 0
@@ -519,7 +531,7 @@ def verify_vi_inclusion(sol: BdsdeSolution, phi: ConvexFunction, psi: ConvexFunc
     explicit-yosida audits U at J^phi_eps(Ytil) and V at
     J^psi_{eps+dA}(Y + V dA), implicit-prox U at J^phi_dt(Ytil) and V at Y.
     """
-    Y = sol.Y
+    Y, phi, psi = sol.Y, sol.phi, sol.psi
     dt = np.append(sol.grid.dt, 0.0)
     dA = np.pad(sol.dA, ((0, 0), (0, 1)))
     y_til = Y + sol.U * dt[:, None] + sol.V * dA[..., None]

@@ -138,7 +138,7 @@ def test_04_cauchy_rate():
     noise = generate_paths(grid, 1, 2, seed=7, a_spec=_flat_a)
     phi = make_convex("indicator_box(-inf,0.5)")
     rep = cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid, eps=1e-1, scheme="explicit-yosida"),
-                       [1e-1, 1e-2, 1e-3, 1e-4], noise, lam=3.0, mu=1.5)
+                       [1e-1, 1e-2, 1e-3, 1e-4], noise)
     elapsed = time.perf_counter() - t0
     ok = 0.75 <= rep.slope <= 1.25 and elapsed < 60.0
     _report(4, "cauchy-rate", ok, f"slope {rep.slope:.3f}, {elapsed:.1f}s")
@@ -157,7 +157,7 @@ def test_05_penalization_distance():
     for eps in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3):
         sol = solve_penalized(coeffs, phi, ZERO,
                               SolverConfig(grid, eps=eps, scheme="explicit-yosida"), noise)
-        d = penalization_diagnostics(sol, phi, ZERO, eps, lam=3.0, mu=1.5)
+        d = penalization_diagnostics(sol)
         ratios.append(d["sup_resolvent_dist"] / eps)
     spread = max(ratios) / min(ratios)
     elapsed = time.perf_counter() - t0
@@ -270,7 +270,7 @@ def test_09_vi_inclusion():
     phi = make_convex("indicator_box(-inf,0.5)")
     sol = solve_penalized(_vi_coeffs(), phi, ZERO,
                           SolverConfig(grid, eps=1e-4, scheme="implicit-prox"), noise)
-    out = verify_vi_inclusion(sol, phi, ZERO, [-1.0, 0.0, 0.25, 0.5])
+    out = verify_vi_inclusion(sol, [-1.0, 0.0, 0.25, 0.5])
     ok = out["worst_phi"] <= 1e-2 and out["phi_infinite_nodes"] == 0
     _report(9, "vi-inclusion", ok,
             f"worst violation {out['worst_phi']:.2e}, infinite nodes {out['phi_infinite_nodes']}")

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bdsvi.cli import _build_run, _solve_scenario, run
+from bdsvi.cli import _COMMANDS, _build_run, _solve_scenario, run
 from bdsvi.convex import prox_property_suite
 from bdsvi.field import sample_field
 from bdsvi.scenarios import _YAML_LOADER, ScenarioError, load_scenario, make_coefficients, make_terminal
@@ -128,14 +129,63 @@ def test_section_that_is_not_a_mapping_names_itself(tmp_path, capsys, section, v
     ({"kind": "partition", "degree": 4}, "unknown regression key(s) degree"),
     ({"kind": "banana"}, "unknown regression kind 'banana'"),
     ({"degree": 2}, "unknown regression kind None"),
-    ("poly", "regression must be a mapping")], ids=["poly-cells", "partition-degree", "banana", "no-kind", "string"])
+    ("poly", "regression must be a mapping"),
+    ({"kind": "poly", "degree": -1}, "poly degree must be a whole number >= 0, got -1"),
+    ({"kind": "partition", "cells": 0}, "partition cells must be m**2 for a whole m >= 1, got 0"),
+    ({"kind": "partition", "cells": 2}, "partition cells must be m**2 for a whole m >= 1, got 2"),
+    ({"kind": "partition", "cells": 3}, "partition cells must be m**2 for a whole m >= 1, got 3")],
+    ids=["poly-cells", "partition-degree", "banana", "no-kind", "string", "negative-degree", "no-cells", "cells-2",
+         "cells-3"])
 def test_regression_fails_at_load_by_its_kind(tmp_path, capsys, regression, message, command):
     """poly takes a degree and partition cells: poly with cells: 3 ran degree
     3 and partition with degree: 4 ran 4 cells, and an unknown kind passed
-    prox-check, all with exit 0."""
+    prox-check, all with exit 0.  So did the counts the projector changed
+    on the planar ball: degree -1 fitted a constant, cells 0 one cell, and
+    cells 2 and 3 ran as 1 and 4 cells."""
     p = _variant(tmp_path, "ball.yaml", lambda raw: raw["solver"].update(regression=regression))
     assert run([command, "--scenario", p, "--out", str(tmp_path), "--quiet"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", ["1", "2", "3"])
+def test_lattice_with_more_times_than_grid_nodes_fails_at_load(tmp_path, capsys, steps):
+    """field.yaml's 5 lattice times on steps + 1 <= 4 nodes would snap two
+    times to one node, and the continuity check read a zero time gap as a
+    NaN ratio and passed."""
+    with pytest.raises(ScenarioError, match="lattice times 5 exceed"):
+        load_scenario(_scn("field.yaml"), {"steps": int(steps)})
+    assert run(["field", "--scenario", _scn("field.yaml"), "--steps", steps, "--out", str(tmp_path), "--quiet"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "validation" and "lattice times 5 exceed" in record["detail"]
+
+
+@pytest.mark.parametrize("key", ["times", "points"])
+def test_empty_lattice_is_a_validation_error(tmp_path, capsys, key):
+    """points: 0 divided by zero blocks in the sweep (exit 1), and times: 0
+    reduced an empty array (exit 2 with numpy's message)."""
+    p = _variant(tmp_path, "field.yaml", lambda raw: raw["lattice"].update({key: 0}))
+    assert run(["field", "--scenario", p, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "validation", "detail": f"lattice has no {key}"}
+
+
+def test_every_command_on_every_scenario_ends_in_a_known_exit_code(tmp_path, capsys):
+    """A short run of each command on each shipped scenario exits 0, 2 or 3,
+    with a numpy RuntimeWarning raised as an error: nothing escapes run as
+    an exception (exit 1)."""
+    names = sorted(f for f in os.listdir(SCEN) if f.endswith(".yaml"))
+    codes = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, command in itertools.product(names, sorted(_COMMANDS)):
+            argv = [command, "--scenario", _scn(name), "--steps", "3", "--paths", "2", "--out", str(tmp_path),
+                    "--quiet"]
+            try:
+                codes[name, command] = run(argv)
+            except Exception as exc:  # an exception escaping run is the exit 1 this test looks for
+                codes[name, command] = f"1 ({exc!r})"
+    assert len(codes) == 42
+    assert {key: code for key, code in codes.items() if code not in (0, 2, 3)} == {}
 
 
 # ---------------------------------------------------------------- commands

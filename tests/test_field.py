@@ -78,6 +78,12 @@ def test_lattice_and_start_checks_share_one_tolerance(depth, inside):
             simulate_reflected(DOM, 0.0, 1.0, (0.0, x[0]), noise)
 
 
+@pytest.mark.parametrize("times, points, key", [([], [[0.0]], "times"), ([0.0], np.empty((0, 1)), "points")])
+def test_field_grid_rejects_an_empty_lattice(times, points, key):
+    with pytest.raises(ValueError, match=f"lattice has no {key}"):
+        FieldGrid.build(DOM, times, points)
+
+
 def test_field_grid_rejects_misshapen_points():
     """Two 2-d points on the interval are an error, not four 1-d points."""
     with pytest.raises(ValueError, match="shape"):
@@ -287,6 +293,18 @@ def test_continuity_diagnostic_flags_nothing_on_smooth_field():
     est = manufactured_field(lambda t, x: float(np.sum(x * x)) + t, fg)
     out = continuity_diagnostic(est)
     assert not out["blowup"]
+
+
+@pytest.mark.parametrize("times, points", [
+    ([0.0, 0.5, 0.5, 1.0], [-1.0, 0.0, 1.0]),
+    ([0.0, 1.0, 0.5], [-1.0, 0.0, 1.0]),
+    ([0.0, 0.5, 1.0], [-1.0, 0.0, 0.0, 1.0])], ids=["repeated-time", "unsorted-times", "repeated-point"])
+def test_continuity_diagnostic_rejects_a_gap_that_is_not_positive(times, points):
+    """Two lattice times on one node divided by a zero gap and passed on a
+    NaN ratio, and unsorted times divided by a negative gap."""
+    est = manufactured_field(lambda t, x: t + float(x[0]), FieldGrid.build(DOM, times, np.array(points)[:, None]))
+    with pytest.raises(ValueError, match="lattice times must increase"):
+        continuity_diagnostic(est)
 
 
 def test_manufactured_quadratic_interior_residual():

@@ -102,8 +102,8 @@ def test_schemes_agree_without_penalty():
 
 # ---------------------------------------------------------------- VI oracle
 
-def _vi_coeffs():
-    return _coeffs(f=lambda t, x, y, z: np.ones_like(y), terminal=0.0)
+def _vi_coeffs(**const):
+    return _coeffs(f=lambda t, x, y, z: np.ones_like(y), terminal=0.0, **const)
 
 
 def _vi_limit_ode(eps, dt):
@@ -382,8 +382,8 @@ def test_cauchy_slope_near_one():
     noise = generate_paths(grid, 1, 2, seed=1,
                            a_spec=lambda t: np.zeros_like(np.asarray(t, float)))
     phi = make_convex("indicator_box(-inf,0.5)")
-    rep = cauchy_study(_vi_coeffs(), phi, ZERO, SolverConfig(grid, eps=1e-1, scheme="explicit-yosida"),
-                       [1e-1, 1e-2, 1e-3], noise)
+    rep = cauchy_study(_vi_coeffs(lam=0.0, mu=0.0), phi, ZERO,
+                       SolverConfig(grid, eps=1e-1, scheme="explicit-yosida"), [1e-1, 1e-2, 1e-3], noise)
     assert 0.75 <= rep.slope <= 1.25
     assert all(g2 > g1 for g1, g2 in zip(rep.gaps_sq[1:], rep.gaps_sq[:-1]))
 
@@ -422,8 +422,10 @@ def _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, lam, mu):
 def _assert_batched_ladder_matches(coeffs, phi, psi, grid, regression, noise):
     ladder = [1e-1, 1e-2, 5e-3]
     rep = cauchy_study(coeffs, phi, psi, SolverConfig(grid, scheme="explicit-yosida", regression=regression),
-                       ladder, noise, lam=3.0, mu=1.5)
-    limit, gaps, slope = _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, 3.0, 1.5)
+                       ladder, noise)
+    limit, gaps, slope = _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise,
+                                         coeffs.constants.lam, coeffs.constants.mu)
+    assert (coeffs.constants.lam, coeffs.constants.mu) == (3.0, 1.5)
     assert rep.eps_pairs == [(1e-1, 1e-2), (1e-2, 5e-3)]
     assert rep.gaps_sq == gaps
     assert rep.slope == slope
@@ -474,9 +476,8 @@ def test_cauchy_keeps_a_shared_dB_as_one_broadcast_row(monkeypatch):
     sweep = solver_module._backward_sweep
     monkeypatch.setattr(solver_module, "_backward_sweep",
                         lambda *args: seen.append(args[-1]) or sweep(*args))
-    shared = cauchy_study(coeffs, phi, psi, config, ladder, state, lam=3.0, mu=1.5)
-    tiled = cauchy_study(coeffs, phi, psi, config, ladder, replace(state, dB=np.array(state.dB)),
-                         lam=3.0, mu=1.5)
+    shared = cauchy_study(coeffs, phi, psi, config, ladder, state)
+    tiled = cauchy_study(coeffs, phi, psi, config, ladder, replace(state, dB=np.array(state.dB)))
     assert seen[0].dB.shape == (3 * 150, 200, 1) and seen[0].dB.strides[0] == 0
     assert seen[1].dB.strides[0] != 0
     assert shared.eps_pairs == tiled.eps_pairs and shared.gaps_sq == tiled.gaps_sq
@@ -492,6 +493,25 @@ def test_cauchy_with_equal_rungs_has_no_rate_to_fit():
     with pytest.raises(FloatingPointError, match="same Y: no rate to fit"):
         cauchy_study(_vi_coeffs(), ZERO, ZERO, SolverConfig(grid, scheme="explicit-yosida"),
                      [1e-1, 1e-2], noise)
+
+
+@pytest.mark.parametrize("regression, d, message", [
+    (("poly", -1), 1, "poly degree must be a whole number >= 0, got -1"),
+    (("poly", 2.5), 1, "poly degree must be a whole number >= 0, got 2.5"),
+    (("partition", 0), 1, r"cells must be m\*\*1 for a whole m >= 1, got 0"),
+    (("partition", 2), 2, r"cells must be m\*\*2 for a whole m >= 1, got 2"),
+    (("partition", 3), 2, r"cells must be m\*\*2 for a whole m >= 1, got 3")])
+def test_regression_count_the_projector_would_change_raises(regression, d, message):
+    """A degree below 0 fitted a constant, a fractional one was truncated,
+    and a cell count that is not m**d was rounded to one that is; m**d
+    cells run."""
+    grid = TimeGrid.uniform(0, 1, 10)
+    noise = generate_paths(grid, d, 20, seed=1, shared_backward=True)
+    state = simulate_reflected(unit_ball(d), 0.0, 1.0, (0.0, np.zeros(d)), noise)
+    coeffs = _coeffs(terminal=lambda x: x[:, 0] ** 2)
+    with pytest.raises(ValueError, match=message):
+        solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=regression), state)
+    solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=("partition", 2 ** d)), state)
 
 
 def _fit(project, targets):
@@ -570,8 +590,8 @@ def test_non_finite_value_in_sweep_raises(run):
 
 def test_weighted_norms_constant_solution():
     grid, noise = _bundle(n_paths=10)
-    sol = solve_penalized(_coeffs(terminal=2.0), ZERO, ZERO, SolverConfig(grid), noise)
-    norms = weighted_norms(sol, lam=0.0, mu=0.0)
+    sol = solve_penalized(_coeffs(terminal=2.0, lam=0.0, mu=0.0), ZERO, ZERO, SolverConfig(grid), noise)
+    norms = weighted_norms(sol)
     assert norms["Y_M2"] == pytest.approx(4.0)       # |Y|^2 * T
     assert norms["Y_S2"] == pytest.approx(4.0)
     assert norms["Y_Mbar2"] == 0.0                    # A = 0
@@ -582,20 +602,20 @@ def test_weighted_norms_constant_solution():
 
 def test_weighted_norms_with_weight_and_a():
     grid, noise = _bundle(n_paths=5, a="time")
-    sol = solve_penalized(_coeffs(terminal=1.0), ZERO, ZERO, SolverConfig(grid), noise)
-    norms = weighted_norms(sol, lam=1.0, mu=0.0)
+    sol = solve_penalized(_coeffs(terminal=1.0, lam=1.0, mu=0.0), ZERO, ZERO, SolverConfig(grid), noise)
+    norms = weighted_norms(sol)
     # int_0^1 e^t dt = e - 1 (trapezoid on 100 steps)
     assert norms["Y_M2"] == pytest.approx(np.e - 1.0, rel=1e-4)
-    norms2 = weighted_norms(sol, lam=0.0, mu=1.0)
+    norms2 = weighted_norms(replace(sol, constants=AssumptionConstants(lam=0.0, mu=1.0)))
     assert norms2["Y_Mbar2"] == pytest.approx(np.e - 1.0, rel=1e-3)
 
 
 def test_penalization_diagnostics_unconstrained_run_is_zero():
     grid, noise = _bundle(n_paths=5)
     phi = make_convex("indicator_box(-inf,0.5)")
-    sol = solve_penalized(_coeffs(terminal=0.2), phi, ZERO,
+    sol = solve_penalized(_coeffs(terminal=0.2, lam=0.0, mu=0.0), phi, ZERO,
                           SolverConfig(grid, eps=1e-3), noise)
-    d = penalization_diagnostics(sol, phi, ZERO, 1e-3)
+    d = penalization_diagnostics(sol)
     assert d["sup_resolvent_dist"] == 0.0
     assert d["grad_energy"] == 0.0
 
@@ -605,9 +625,28 @@ def test_vi_inclusion_on_oracle_run():
     phi = make_convex("indicator_box(-inf,0.5)")
     sol = solve_penalized(_vi_coeffs(), phi, ZERO,
                           SolverConfig(grid, eps=1e-4, scheme="implicit-prox"), noise)
-    out = verify_vi_inclusion(sol, phi, ZERO, [-1.0, 0.0, 0.25, 0.5])
+    out = verify_vi_inclusion(sol, [-1.0, 0.0, 0.25, 0.5])
     assert out["worst_phi"] <= 1e-10
     assert out["phi_infinite_nodes"] == 0
+
+
+def test_the_analysis_reads_its_problem_from_the_solve():
+    """A solve and a ladder study's limit record the constants, phi and psi
+    they ran with; the norms, energies and audit read them, and eps from the
+    config, so energies at eps = 0 are a ValueError."""
+    grid, noise = _bundle(n_steps=50, n_paths=4, a="time")
+    phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
+    coeffs = _vi_coeffs(lam=1.0, mu=0.5)
+    sol = solve_penalized(coeffs, phi, psi, SolverConfig(grid, eps=2e-2), noise)
+    ladder = cauchy_study(coeffs, phi, psi, SolverConfig(grid, scheme="explicit-yosida"), [1e-1, 5e-2, 2e-2], noise)
+    for s in (sol, ladder.limit):
+        assert s.constants is coeffs.constants and s.phi is phi and s.psi is psi
+    w = np.exp(1.0 * grid.nodes[None, :] + 0.5 * sol.A)
+    assert weighted_norms(sol)["Y_S2"] == float(np.mean(np.max(w * np.sum(sol.Y ** 2, axis=-1), axis=1)))
+    dist = np.sum((sol.Y - prox(phi, 2e-2, sol.Y)) ** 2 + (sol.Y - prox(psi, 2e-2, sol.Y)) ** 2, axis=-1)
+    assert penalization_diagnostics(sol)["sup_resolvent_dist"] == float(np.max(np.mean(w * dist, axis=0)))
+    with pytest.raises(ValueError, match="requires eps > 0"):
+        penalization_diagnostics(replace(sol, config=replace(sol.config, eps=0.0)))
 
 
 @pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
@@ -622,7 +661,7 @@ def test_vi_inclusion_at_the_resolvent_point(scheme):
                      h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3))
     sol = solve_penalized(coeffs, phi, psi, SolverConfig(grid, eps=1e-2, scheme=scheme), noise)
     assert np.max(sol.U) > 0.0 and np.max(sol.V) > 0.0
-    out = verify_vi_inclusion(sol, phi, psi, [-1.0, 0.0, 0.25, 0.3, 0.5])
+    out = verify_vi_inclusion(sol, [-1.0, 0.0, 0.25, 0.3, 0.5])
     assert out["phi_infinite_nodes"] == 0 and out["psi_infinite_nodes"] == 0
     assert out["worst_phi"] <= 1e-12 and out["worst_psi"] <= 1e-12
 
