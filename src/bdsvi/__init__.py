@@ -32,6 +32,7 @@ from .field import (
 from .flow import FlowSample, FlowSpec, flow, flow_inverse, transform_penalized
 from .reflected import (
     DomainSpec,
+    ForwardModel,
     local_time_identity_residual,
     make_domain,
     simulate_reflected,

@@ -39,10 +39,10 @@ _FMT = "%.17g"
 def _build_run(scn: Scenario):
     """The ensemble of a scenario: reflected in its domain when it has one."""
     grid = scn.solver.grid
-    if scn.domain is None:
+    if scn.model is None:
         return generate_paths(grid, scn.d, scn.n_paths, scn.seed, a_spec=scn.a_spec)
     noise = generate_paths(grid, scn.d, scn.n_paths, scn.seed, shared_backward=True)
-    return simulate_reflected(scn.domain, scn.drift, scn.sigma, (grid.t0, scn.start), noise)
+    return simulate_reflected(scn.model, (grid.t0, scn.start), noise)
 
 
 def _status(ok):
@@ -81,12 +81,12 @@ def cmd_compat_check(scn: Scenario):
 
 def cmd_sde_sim(scn: Scenario):
     """Reflected-diffusion ensemble with containment and local-time checks."""
-    if scn.domain is None:
+    if scn.model is None:
         raise ScenarioError("sde-sim needs a domain section")
     run = _build_run(scn)
-    lv = scn.domain.level(run.X)
+    lv = scn.model.domain.level(run.X)
     contained = float(np.min(lv))
-    res = local_time_identity_residual(run, scn.domain, scn.drift, scn.sigma)
+    res = local_time_identity_residual(run, scn.model)
     # node-major arrays: each node's paths are one contiguous row of lv.T and run.A.T
     lv_t, a_t = lv.T, run.A.T
     rows = zip(scn.solver.grid.nodes.tolist(), lv_t.mean(axis=1).tolist(), lv_t.min(axis=1).tolist(),
@@ -141,9 +141,8 @@ def cmd_cauchy(scn: Scenario):
 def cmd_field(scn: Scenario):
     if scn.lattice is None:
         raise ScenarioError("field needs domain and lattice sections")
-    est = sample_field(scn.domain, scn.coeffs, scn.phi, scn.psi, scn.solver, scn.lattice,
-                       n_paths=scn.n_paths, seed=scn.seed, sigma=scn.sigma, b=scn.drift,
-                       n_b_draws=scn.draws)
+    est = sample_field(scn.model, scn.coeffs, scn.phi, scn.psi, scn.solver, scn.lattice,
+                       n_paths=scn.n_paths, seed=scn.seed, n_b_draws=scn.draws)
     cont = continuity_diagnostic(est)
     t, x = np.meshgrid(est.grid.times, est.grid.points[:, 0], indexing="ij")
     rows = zip(t.ravel().tolist(), x.ravel().tolist(), est.values.ravel().tolist(), est.stderr.ravel().tolist())

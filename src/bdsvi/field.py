@@ -20,7 +20,7 @@ import numpy as np
 
 from .convex import ConvexFunction
 from .drivers import PathBundle, TimeGrid, _node_major, _rekey, _stream
-from .reflected import _BOUNDARY_TOL, DomainSpec, simulate_reflected
+from .reflected import _BOUNDARY_TOL, DomainSpec, ForwardModel, simulate_reflected
 from .solver import CoefficientSet, SolverConfig, _backward_sweep, _terminal_values
 
 __all__ = [
@@ -62,20 +62,10 @@ class FieldEstimate:
     per_draw: np.ndarray        # (n_draws, nt, npts)
 
 
-def sample_field(
-    domain: DomainSpec,
-    coeffs: CoefficientSet,
-    phi: ConvexFunction,
-    psi: ConvexFunction,
-    config: SolverConfig,
-    fgrid: FieldGrid,
-    n_paths: int,
-    seed: int,
-    sigma=1.0,
-    b=0.0,
-    n_b_draws: int = 1,
-) -> FieldEstimate:
-    """Estimate u(t, x) at every lattice node.
+def sample_field(model: ForwardModel, coeffs: CoefficientSet, phi: ConvexFunction, psi: ConvexFunction,
+                 config: SolverConfig, fgrid: FieldGrid, n_paths: int, seed: int,
+                 n_b_draws: int = 1) -> FieldEstimate:
+    """Estimate u(t, x) at every lattice node, each node's ensemble a reflected diffusion of model.
 
     Lattice times are snapped up to the master grid of the solver config,
     and the estimate's grid carries the snapped times; a time outside the
@@ -104,7 +94,7 @@ def sample_field(
     for t in fgrid.times:
         if not master.t0 - 1e-12 <= t <= master.T + 1e-12:
             raise ValueError(f"lattice time {t} lies outside the grid [{master.t0}, {master.T}]")
-    npts, d = fgrid.points.shape[0], domain.d
+    npts, d = fgrid.points.shape[0], model.domain.d
     shape = (n_b_draws, fgrid.times.size, npts)
     per_draw, per_draw_se = np.empty(shape), np.zeros(shape)
     starts = np.repeat(fgrid.points, n_paths, axis=0)
@@ -128,7 +118,7 @@ def sample_field(
                 rows += n_paths
             sub = TimeGrid(nodes[j0:j1 + 1])
             x0, a0 = np.concatenate([x] + [starts] * len(its)), np.pad(a, (0, rows - len(a)))[:, None]
-            ens.append(simulate_reflected(domain, b, sigma, (sub.t0, x0), PathBundle(
+            ens.append(simulate_reflected(model, (sub.t0, x0), PathBundle(
                 sub, dWs[s], np.broadcast_to(db_master[j0:j1], (rows, j1 - j0, d)),
                 np.broadcast_to(a0, (rows, j1 - j0 + 1)))))
             x, a = ens[-1].X[:, -1], ens[-1].A[:, -1]

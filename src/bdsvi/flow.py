@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .convex import ConvexFunction, yosida_gradient
-from .reflected import DomainSpec, _coefficients, _generator
+from .reflected import DomainSpec, ForwardModel, _coefficients, _generator
 
 __all__ = [
     "FlowSpec",
@@ -178,7 +178,7 @@ def transform_penalized(
     t, x, y, z = point
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    bv, sig = _coefficients(b, sigma, x, x.size)
+    bv, sig = _coefficients(ForwardModel(domain, b, sigma), x)
     base, d_x, d_xx, d_xy, d_yy = _flow_derivatives(spec, x, y, times, B)
     eta = base.eta.item()
     dy = base.d_y_eta.item()

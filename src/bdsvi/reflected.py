@@ -19,6 +19,7 @@ from .drivers import PathBundle, _node_major
 
 __all__ = [
     "DomainSpec",
+    "ForwardModel",
     "unit_ball",
     "smoothed_interval",
     "make_domain",
@@ -94,6 +95,22 @@ def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
     return DomainSpec(level, gradient, hessian, (np.array([lo]), np.array([hi])), 1, project, f"interval({lo},{hi})")
 
 
+@dataclass(frozen=True)
+class ForwardModel:
+    """The reflected diffusion dX = b dt + sigma dW + grad level dA in domain.  b and sigma map
+    points (..., d) to (..., d) and (..., d, d), or are constants: b a scalar or (d,), sigma a
+    scalar (sigma * I) or (d, d).  A constant of another shape is a ValueError here."""
+
+    domain: DomainSpec
+    b: Callable
+    sigma: Callable
+
+    def __post_init__(self):  # a callable is not checked: its values would be checked at every step
+        for name, value, shape in (("b", self.b, (self.domain.d,)), ("sigma", self.sigma, (self.domain.d,) * 2)):
+            if not callable(value) and np.shape(value) not in ((), shape):
+                raise ValueError(f"constant {name} must be a scalar or of shape {shape}, got {np.shape(value)}")
+
+
 def make_domain(kind: str, **params) -> DomainSpec:
     """The builder of kind called with the section's keys: the defaults live in its signature alone."""
     builders = {"ball": unit_ball, "interval": smoothed_interval}
@@ -103,10 +120,10 @@ def make_domain(kind: str, **params) -> DomainSpec:
     return builders[kind](**params)
 
 
-def _coefficients(b, sigma, x, d: int):
-    """Drift and diffusion at the points x, broadcast to (..., d) and
-    (..., d, d).  Either may be a callable of x or a constant; a scalar sigma
-    means sigma * I."""
+def _coefficients(model: ForwardModel, x):
+    """Drift and diffusion of model at the points x, broadcast to (..., d)
+    and (..., d, d); a scalar sigma means sigma * I."""
+    b, sigma, d = model.b, model.sigma, model.domain.d
     bv = b(x) if callable(b) else np.asarray(b, dtype=float)
     sig = sigma(x) if callable(sigma) else np.asarray(sigma, dtype=float)
     if np.ndim(sig) == 0:
@@ -166,28 +183,20 @@ def _project_out(domain: DomainSpec, x_star: np.ndarray):
     return out, delta
 
 
-def simulate_reflected(
-    domain: DomainSpec,
-    b: Callable,
-    sigma: Callable,
-    start: tuple,
-    noise: PathBundle,
-) -> PathBundle:
-    """Projection-Euler simulation of the reflected pair (X, A) from (t, x),
-    driven by the forward increments of noise on its grid.
+def simulate_reflected(model: ForwardModel, start: tuple, noise: PathBundle) -> PathBundle:
+    """Projection-Euler simulation of the reflected pair (X, A) of model from
+    (t, x), driven by the forward increments of noise on its grid.
 
     x is one point (d,) or one per path (n_paths, d).  Each path is projected
     on its own, so paths stacked from several start points run exactly as if
-    simulated apart.  b(x) -> (..., d) drift, sigma(x) -> (..., d, d)
-    diffusion matrix; both may also be constants, and a scalar sigma means
-    sigma * I.  The grid of noise must start at t.
+    simulated apart.  The grid of noise must start at t.
     Returns noise with X filled in and A replaced by noise.A[:, 0] plus the
     accumulated projection distance |x* - p| (the boundary local time of the
     scheme), so a path carried on from an earlier call goes on with its A.
     """
     t0, x0 = start
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    grid = noise.grid
+    grid, domain, sigma = noise.grid, model.domain, model.sigma
     if abs(grid.t0 - t0) > 1e-12:
         raise ValueError("grid must start at the launch time")
     if np.any(domain.level(x0) < -_BOUNDARY_TOL):
@@ -198,10 +207,10 @@ def simulate_reflected(
     X[:, 0], A[:, 0] = x0, noise.A[:, 0]
     scalar_sigma = not callable(sigma) and np.ndim(sigma) == 0
     # constant coefficients are broadcast once, not at every step
-    fixed = None if callable(b) or callable(sigma) else _coefficients(b, sigma, X[:, 0], d)
+    fixed = None if callable(model.b) or callable(sigma) else _coefficients(model, X[:, 0])
     for i in range(grid.n_steps):
         x = X[:, i]
-        bv, sig = fixed or _coefficients(b, sigma, x, d)
+        bv, sig = fixed or _coefficients(model, x)
         # sigma * I adds only exact zeros off the diagonal: the product is bit-identical
         sw = sigma * noise.dW[:, i] if scalar_sigma else np.einsum("pij,pj->pi", sig, noise.dW[:, i])
         x_new, delta = _project_out(domain, x + bv * grid.dt[i] + sw)
@@ -212,27 +221,23 @@ def simulate_reflected(
     return replace(noise, A=A, X=X)
 
 
-def local_time_identity_residual(path: PathBundle, domain: DomainSpec, b, sigma) -> dict:
-    """Residual between simulated A and its pathwise reconstruction
+def local_time_identity_residual(path: PathBundle, model: ForwardModel) -> dict:
+    """Residual between the A of path, simulated from model, and its
+    pathwise reconstruction
 
         A_s = level(X_s) - level(x0) - int L(level) dr - int grad(level)^T sigma dW,
 
     with left-endpoint sums.  Returns the rms and the max over paths of the
     per-path sup-norm residuals.
     """
-    X = path.X
-    grid = path.grid
-    n_paths, n_nodes = path.A.shape
+    X, grid, domain = path.X, path.grid, model.domain
     lv = domain.level(X)
-    recon = _node_major(n_paths, n_nodes)
-    acc = np.zeros(n_paths)
+    recon, acc = _node_major(*path.A.shape), np.zeros(path.n_paths)
     for i in range(grid.n_steps):
-        x = X[:, i]
-        bv, sig = _coefficients(b, sigma, x, domain.d)
-        grad = domain.gradient(x)
-        gen = _generator(sig, bv, grad, domain.hessian(x))
-        mart = np.einsum("pi,pij,pj->p", grad, sig, path.dW[:, i])
-        acc = acc + gen * grid.dt[i] + mart
+        bv, sig = _coefficients(model, X[:, i])
+        grad = domain.gradient(X[:, i])
+        acc = (acc + _generator(sig, bv, grad, domain.hessian(X[:, i])) * grid.dt[i]
+               + np.einsum("pi,pij,pj->p", grad, sig, path.dW[:, i]))
         recon[:, i + 1] = lv[:, i + 1] - lv[:, 0] - acc
     res = np.max(np.abs(path.A - recon), axis=1)
     return {"rms": float(np.sqrt(np.mean(res ** 2))), "max": float(np.max(res))}

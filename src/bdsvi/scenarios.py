@@ -17,7 +17,7 @@ import yaml
 from .convex import AssumptionConstants, ConvexFunction, make_convex, validate_weights
 from .drivers import TimeGrid
 from .field import FieldGrid
-from .reflected import DomainSpec, make_domain
+from .reflected import ForwardModel, make_domain
 from .solver import CoefficientSet, SolverConfig, _Affine, _check_regression
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "make_coefficients", "make_terminal"]
@@ -105,11 +105,9 @@ class Scenario:
     seed: int
     n_paths: int
     eps_ladder: list
-    domain: Optional[DomainSpec]
+    model: Optional[ForwardModel]  # the reflected diffusion (domain, drift, sigma), None without a domain
     d: int  # the domain's dimension, else the file's dim
     start: np.ndarray  # (d,) launch point of a reflected ensemble
-    sigma: float
-    drift: float
     a_spec: Optional[Callable]  # A = t, or None for A = 0; the local time replaces it in a domain
     lattice: Optional[FieldGrid]  # the field lattice, its times on grid nodes
     draws: int  # backward-noise draws of the field
@@ -152,12 +150,14 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             scheme=sv.get("scheme", "implicit-prox"),
             regression=regression,
         )
-        domain = None
+        domain = model = None
+        drift, sigma = float(raw.get("drift", 0.0)), float(raw.get("sigma", 1.0))  # checked with or without a domain
         if raw.get("domain"):
             dspec = dict(_mapping(raw["domain"], "domain"))
             if "dim" in dspec:
                 dspec["dim"] = _whole(dspec["dim"], "domain dim")
             domain = make_domain(dspec.pop("kind", None), **dspec)
+            model = ForwardModel(domain, drift, sigma)
         d = domain.d if domain is not None else _whole(raw.get("dim", 1), "dim")
         _check_regression(regression, d)
         start = np.atleast_1d(np.asarray(raw.get("start", np.zeros(d)), dtype=float))
@@ -180,14 +180,20 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             _keys(lat, "lattice", "times", "points", "draws")
             if domain is None or domain.d != 1:
                 raise ScenarioError("a field lattice needs a one-dimensional domain")
-            n_times, n_points = (_whole(lat.get(key, 5), f"lattice {key}") for key in ("times", "points"))
+            n_times, n_points, draws = (_whole(lat.get(key, n), f"lattice {key}")
+                                        for key, n in (("times", 5), ("points", 5), ("draws", 1)))
+            for key, n in (("times", n_times), ("points", n_points), ("draws", draws)):
+                if n < 1:
+                    raise ScenarioError(f"lattice has no {key}")
             if n_times > grid.n_steps + 1:  # two lattice times would snap to one node
                 raise ScenarioError(f"lattice times {n_times} exceed the {grid.n_steps + 1} grid nodes")
             idx = np.linspace(0, grid.n_steps, n_times).round().astype(int)
             lo, hi = domain.bounding_box
             pts = np.linspace(float(lo[0]), float(hi[0]), n_points)[:, None]
             lattice = FieldGrid.build(domain, grid.nodes[idx], pts)
-            draws = _whole(lat.get("draws", 1), "lattice draws")
+        n_paths = _whole(raw.get("paths", 100), "paths")
+        if n_paths < 1:
+            raise ScenarioError(f"paths must be at least 1, got {n_paths}")
         scn = Scenario(
             name=name,
             phi=phi,
@@ -195,13 +201,11 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             coeffs=coeffs,
             solver=solver,
             seed=_whole(raw.get("seed", 0), "seed"),
-            n_paths=_whole(raw.get("paths", 100), "paths"),
+            n_paths=n_paths,
             eps_ladder=ladder,
-            domain=domain,
+            model=model,
             d=d,
             start=start,
-            sigma=float(raw.get("sigma", 1.0)),
-            drift=float(raw.get("drift", 0.0)),
             a_spec=a_spec,
             lattice=lattice,
             draws=draws,

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from bdsvi import CoefficientSet, ConvexFunction, DomainSpec, FieldEstimate, FieldGrid, yosida_gradient
+from bdsvi import CoefficientSet, ConvexFunction, DomainSpec, FieldEstimate, FieldGrid, ForwardModel, yosida_gradient
 from bdsvi.reflected import _coefficients
 
 
@@ -37,23 +37,22 @@ def _require_line_lattice(fld: FieldEstimate):
 
 
 def interior_residual(fld: FieldEstimate, coeffs: CoefficientSet, phi: ConvexFunction,
-                      eps: float, domain: DomainSpec, sigma=1.0, b=0.0) -> dict:
+                      eps: float, model: ForwardModel) -> dict:
     """Finite-difference residual of the penalized interior equation
 
         du/dt + 0.5 sigma^2 u_xx + b u_x + f(t, x, u, sigma u_x)
               - grad phi_eps(u)
 
     on interior lattice nodes (deterministic reduction, backward noise off).
-    sigma and b take the contract of simulate_reflected and are evaluated at
-    every lattice point."""
+    The sigma and b of model are evaluated at every lattice point."""
     x = _require_line_lattice(fld)
     times = fld.grid.times
     u = fld.values
-    interior = ~boundary_mask(domain, fld.grid)
+    interior = ~boundary_mask(model.domain, fld.grid)
     interior[0] = interior[-1] = False
     if not np.any(interior):
         raise ValueError("no interior nodes on the lattice")
-    bv, sig = _coefficients(b, sigma, x[:, None], 1)
+    bv, sig = _coefficients(model, x[:, None])
     bv, sig = bv[:, 0], sig[:, 0, 0]
     res = np.full((times.size - 1, x.size), np.nan)
     for i in range(times.size - 1):

@@ -18,6 +18,7 @@ from bdsvi import (
     CoefficientSet,
     FieldGrid,
     FlowSpec,
+    ForwardModel,
     SolverConfig,
     TimeGrid,
     cauchy_study,
@@ -171,19 +172,20 @@ def test_06_reflected_diffusion():
     pathwise reconstruction residual."""
     t0 = time.perf_counter()
     dom = unit_ball(2)
+    model = ForwardModel(dom, 0.0, 1.0)
     grid = TimeGrid.uniform(0, 1, 1000)
     noise = generate_paths(grid, 2, 10_000, seed=5, shared_backward=True)
-    path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), noise)
+    path = simulate_reflected(model, (0.0, np.zeros(2)), noise)
     containment = float(np.min(dom.level(path.X)))
     pushed = dom.level(path.X[:, 1:])[path.dA > 0.0]  # the step-end levels of the local-time steps
 
     grid2 = TimeGrid.uniform(0, 1, 2000)
     r1 = local_time_identity_residual(
-        simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)),
-                           generate_paths(grid, 2, 2000, seed=6, shared_backward=True)), dom, 0.0, 1.0)
+        simulate_reflected(model, (0.0, np.zeros(2)), generate_paths(grid, 2, 2000, seed=6, shared_backward=True)),
+        model)
     r2 = local_time_identity_residual(
-        simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)),
-                           generate_paths(grid2, 2, 2000, seed=6, shared_backward=True)), dom, 0.0, 1.0)
+        simulate_reflected(model, (0.0, np.zeros(2)), generate_paths(grid2, 2, 2000, seed=6, shared_backward=True)),
+        model)
     shrink = r1["rms"] / r2["rms"]
     elapsed = time.perf_counter() - t0
     lo, hi = float(np.min(pushed, initial=np.inf)), float(np.max(pushed, initial=-np.inf))
@@ -242,17 +244,18 @@ def test_08_field_sampler():
     cfg = SolverConfig(TimeGrid.uniform(0, 1, 50), eps=1e-3,
                        scheme="implicit-prox", regression=("poly", 2))
     fg = FieldGrid.build(dom, np.linspace(0, 1, 5), np.linspace(-1, 1, 5)[:, None])
+    model = ForwardModel(dom, 0.0, 1.0)
 
-    const = sample_field(dom, _coeffs(terminal=0.7), ZERO, ZERO, cfg, fg, 30, seed=1)
+    const = sample_field(model, _coeffs(terminal=0.7), ZERO, ZERO, cfg, fg, 30, seed=1)
     const_err = float(np.max(np.abs(const.values - 0.7)))
 
-    drift = sample_field(dom, _coeffs(f=lambda t, x, y, z: np.ones_like(y)),
+    drift = sample_field(model, _coeffs(f=lambda t, x, y, z: np.ones_like(y)),
                          ZERO, ZERO, cfg, fg, 50, seed=2)
     lin_err = float(np.max(np.abs(drift.values - (1.0 - fg.times)[:, None])))
 
     fg20 = FieldGrid.build(dom, np.linspace(0, 1, 20), np.linspace(-1, 1, 20)[:, None])
     manu = manufactured_field(lambda t, x: float(np.sum(x * x)), fg20)
-    ir = interior_residual(manu, _coeffs(f=lambda t, x, y, z: -np.ones_like(y)), ZERO, 0.0, dom)
+    ir = interior_residual(manu, _coeffs(f=lambda t, x, y, z: -np.ones_like(y)), ZERO, 0.0, model)
     br = boundary_residual(manu, _coeffs(g=lambda t, x, y: 2.0 * np.ones_like(y)),
                            ZERO, 0.0, dom)
     ok = (const_err <= 1e-12 and lin_err <= 2 * cfg.grid.max_dt
@@ -343,12 +346,13 @@ def test_12_field_backward_noise_oracle():
     c, xi, seed, draws = 0.8, 0.7, 1, 3
     coeffs = _coeffs(h=lambda t, x, y, z: c * y[..., None], terminal=xi)
     dom = smoothed_interval(-1.0, 1.0)
+    model = ForwardModel(dom, 0.0, 1.0)
     fg = FieldGrid.build(dom, np.linspace(0, 1, 5), np.linspace(-1, 1, 5)[:, None])
     errs, gaps = [], []
     for steps in (50, 400):
         cfg = SolverConfig(TimeGrid.uniform(0, 1, steps), eps=1e-3,
                            scheme="implicit-prox", regression=("poly", 2))
-        est = sample_field(dom, coeffs, ZERO, ZERO, cfg, fg, 20, seed=seed, n_b_draws=draws)
+        est = sample_field(model, coeffs, ZERO, ZERO, cfg, fg, 20, seed=seed, n_b_draws=draws)
         grid = cfg.grid
         j = np.searchsorted(grid.nodes, fg.times - 1e-12)
         err = gap = 0.0
@@ -379,7 +383,7 @@ def test_13_local_time_oracle(tmp_path):
     for steps in (100, 400):
         grid = TimeGrid.uniform(0, 1, steps)
         noise = generate_paths(grid, 1, n_paths, seed=seed, shared_backward=True)
-        a_T = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)), noise).A[:, -1]
+        a_T = simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.zeros(1)), noise).A[:, -1]
         means[steps] = float(np.mean(a_T))
         target = np.sqrt(2.0 / np.pi) - 0.5826 * np.sqrt(grid.max_dt)
         zs.append(abs(means[steps] - target) / (np.std(a_T, ddof=1) / np.sqrt(n_paths)))

@@ -159,14 +159,34 @@ def test_lattice_with_more_times_than_grid_nodes_fails_at_load(tmp_path, capsys,
     assert record["error"] == "validation" and "lattice times 5 exceed" in record["detail"]
 
 
-@pytest.mark.parametrize("key", ["times", "points"])
-def test_empty_lattice_is_a_validation_error(tmp_path, capsys, key):
-    """points: 0 divided by zero blocks in the sweep (exit 1), and times: 0
-    reduced an empty array (exit 2 with numpy's message)."""
-    p = _variant(tmp_path, "field.yaml", lambda raw: raw["lattice"].update({key: 0}))
-    assert run(["field", "--scenario", p, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+@pytest.mark.parametrize("command", ["field", "sde-sim"])
+@pytest.mark.parametrize("key, count", [("times", 0), ("points", 0), ("draws", 0),
+                                        ("times", -1), ("points", -1), ("draws", -1)])
+def test_empty_lattice_is_a_validation_error(tmp_path, capsys, key, count, command):
+    """points: 0 divided by zero blocks in the sweep (exit 1), times: 0
+    reduced an empty array, and -1 exited 2 with numpy's message, naming
+    no key.  draws: 0 passed the load, so sde-sim exited 0.  Each count
+    below 1 now fails at load, for every command."""
+    p = _variant(tmp_path, "field.yaml", lambda raw: raw["lattice"].update({key: count}))
+    with pytest.raises(ScenarioError, match=f"lattice has no {key}"):
+        load_scenario(p)
+    assert run([command, "--scenario", p, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record == {"error": "validation", "detail": f"lattice has no {key}"}
+
+
+@pytest.mark.parametrize("command", ["compat-check", "prox-check"])
+@pytest.mark.parametrize("paths", [0, -3])
+def test_paths_below_one_fail_at_load(tmp_path, capsys, paths, command):
+    """paths: 0 and -3 ran compat-check and prox-check, which draw no paths,
+    to exit 0."""
+    p = _variant(tmp_path, "zero.yaml", lambda raw: raw.update(paths=paths))
+    detail = f"paths must be at least 1, got {paths}"
+    with pytest.raises(ScenarioError, match=detail):
+        load_scenario(p)
+    assert run([command, "--scenario", p, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_command_on_every_scenario_ends_in_a_known_exit_code(tmp_path, capsys):
@@ -449,7 +469,7 @@ def test_sde_sim_csv_matches_per_node_reductions(tmp_path, name):
                + [f"--{k}={v}" for k, v in overrides.items()]) == 0
     scn = load_scenario(_scn(name), overrides)
     ens = _build_run(scn)
-    lv = scn.domain.level(ens.X)
+    lv = scn.model.domain.level(ens.X)
     lines = (tmp_path / "sde_sim.csv").read_text().splitlines()[1:]
     for j, t in enumerate(scn.solver.grid.nodes):
         ref = (t, np.mean(lv[:, j]), np.min(lv[:, j]), np.mean(ens.A[:, j]), np.max(ens.A[:, j]))
@@ -463,8 +483,8 @@ def test_field_csv_matches_per_node_rows(tmp_path):
     assert run(["field", "--scenario", _scn("field.yaml"), "--out", str(tmp_path), "--quiet"]
                + [f"--{k}={v}" for k, v in overrides.items()]) == 0
     scn = load_scenario(_scn("field.yaml"), overrides)
-    est = sample_field(scn.domain, scn.coeffs, scn.phi, scn.psi, scn.solver, scn.lattice, scn.n_paths,
-                       scn.seed, scn.sigma, scn.drift, scn.draws)
+    est = sample_field(scn.model, scn.coeffs, scn.phi, scn.psi, scn.solver, scn.lattice, scn.n_paths,
+                       scn.seed, scn.draws)
     lines = (tmp_path / "field.csv").read_text().splitlines()[1:]
     times, pts = scn.lattice.times, scn.lattice.points
     ref = [(times[i], pts[j, 0], est.values[i, j], est.stderr[i, j])

@@ -8,6 +8,7 @@ from bdsvi import (
     AssumptionConstants,
     CoefficientSet,
     FieldGrid,
+    ForwardModel,
     PathBundle,
     SolverConfig,
     TimeGrid,
@@ -29,6 +30,7 @@ from field_stencils import boundary_mask, boundary_residual, interior_residual, 
 
 ZERO = make_convex("zero")
 DOM = smoothed_interval(-1.0, 1.0)
+MODEL = ForwardModel(DOM, 0.0, 1.0)
 
 
 def _coeffs(f=None, g=None, terminal=0.0):
@@ -70,12 +72,12 @@ def test_lattice_and_start_checks_share_one_tolerance(depth, inside):
     noise = generate_paths(TimeGrid.uniform(0, 1, 4), 1, 2, seed=0)
     if inside:
         assert np.array_equal(FieldGrid.build(DOM, [0.0], x).points, x)
-        assert simulate_reflected(DOM, 0.0, 1.0, (0.0, x[0]), noise).X.shape[0] == 2
+        assert simulate_reflected(MODEL, (0.0, x[0]), noise).X.shape[0] == 2
     else:
         with pytest.raises(ValueError, match="outside the closure"):
             FieldGrid.build(DOM, [0.0], x)
         with pytest.raises(ValueError, match="outside the closure"):
-            simulate_reflected(DOM, 0.0, 1.0, (0.0, x[0]), noise)
+            simulate_reflected(MODEL, (0.0, x[0]), noise)
 
 
 @pytest.mark.parametrize("times, points, key", [([], [[0.0]], "times"), ([0.0], np.empty((0, 1)), "points")])
@@ -97,7 +99,7 @@ def test_sample_field_labels_the_snapped_times():
     0.36, and the estimate carries the node times its values belong to:
     with f = 1 and a zero terminal, u = 1 - t at each of them."""
     fg = FieldGrid.build(DOM, [0.0, 0.35, 1.0], np.linspace(-1, 1, 3)[:, None])
-    est = sample_field(DOM, _coeffs(f=lambda t, x, y, z: np.ones_like(y)), ZERO, ZERO,
+    est = sample_field(MODEL, _coeffs(f=lambda t, x, y, z: np.ones_like(y)), ZERO, ZERO,
                        _config(50, ("poly", 1)), fg, n_paths=20, seed=1)
     assert np.allclose(est.grid.times, [0.0, 0.36, 1.0], rtol=0.0, atol=1e-15)
     assert np.allclose(est.values, 1.0 - est.grid.times[:, None], rtol=0.0, atol=1e-12)
@@ -106,7 +108,7 @@ def test_sample_field_labels_the_snapped_times():
 
 def test_constant_scenario_exact():
     fg = _fgrid()
-    est = sample_field(DOM, _coeffs(terminal=0.7), ZERO, ZERO, _config(), fg,
+    est = sample_field(MODEL, _coeffs(terminal=0.7), ZERO, ZERO, _config(), fg,
                        n_paths=20, seed=1)
     assert np.max(np.abs(est.values - 0.7)) < 1e-12
     assert np.max(est.stderr) < 1e-12
@@ -115,7 +117,7 @@ def test_constant_scenario_exact():
 def test_unit_drift_matches_linear_profile():
     fg = _fgrid()
     cfg = _config()
-    est = sample_field(DOM, _coeffs(f=lambda t, x, y, z: np.ones_like(y)),
+    est = sample_field(MODEL, _coeffs(f=lambda t, x, y, z: np.ones_like(y)),
                        ZERO, ZERO, cfg, fg, n_paths=50, seed=2)
     exact = (1.0 - fg.times)[:, None]
     assert np.max(np.abs(est.values - exact)) <= 2 * cfg.grid.max_dt
@@ -126,7 +128,7 @@ def test_terminal_slice_uses_exact_map():
     coeffs = _coeffs(terminal=0.0)
     coeffs = CoefficientSet(coeffs.f, coeffs.g, coeffs.h,
                             lambda x: np.sum(x * x, axis=-1), coeffs.constants)
-    est = sample_field(DOM, coeffs, ZERO, ZERO, _config(), fg, n_paths=3, seed=0)
+    est = sample_field(MODEL, coeffs, ZERO, ZERO, _config(), fg, n_paths=3, seed=0)
     assert np.allclose(est.values[0], np.linspace(-1, 1, 7) ** 2)
     assert np.all(est.stderr[0] == 0.0)
 
@@ -135,16 +137,16 @@ def test_field_determinism():
     fg = _fgrid(3, 3)
     cfg = _config(20)
     coeffs = _coeffs(f=lambda t, x, y, z: np.ones_like(y))
-    a = sample_field(DOM, coeffs, ZERO, ZERO, cfg, fg, n_paths=30, seed=5)
-    b = sample_field(DOM, coeffs, ZERO, ZERO, cfg, fg, n_paths=30, seed=5)
+    a = sample_field(MODEL, coeffs, ZERO, ZERO, cfg, fg, n_paths=30, seed=5)
+    b = sample_field(MODEL, coeffs, ZERO, ZERO, cfg, fg, n_paths=30, seed=5)
     assert np.array_equal(a.values, b.values)
 
 
-def _per_node_field(domain, coeffs, phi, psi, config, fgrid, n_paths, seed, sigma, b, n_b_draws):
+def _per_node_field(model, coeffs, phi, psi, config, fgrid, n_paths, seed, n_b_draws):
     """sample_field rebuilt node by node from public calls: one forward
     stream, reflected ensemble and backward solve per lattice node."""
     master = config.grid
-    d = domain.d
+    d = model.domain.d
     t_index = np.searchsorted(master.nodes, fgrid.times - 1e-12)
     shape = (n_b_draws, fgrid.times.size, fgrid.points.shape[0])
     per_draw, per_draw_se = np.empty(shape), np.zeros(shape)
@@ -161,7 +163,7 @@ def _per_node_field(domain, coeffs, phi, psi, config, fgrid, n_paths, seed, sigm
                       * np.sqrt(sub.dt)[:, None])
                 noise = PathBundle(sub, dW, np.broadcast_to(db[j0:], dW.shape).copy(),
                                    np.zeros((n_paths, sub.n_steps + 1)))
-                ens = simulate_reflected(domain, b, sigma, (sub.t0, x), noise)
+                ens = simulate_reflected(model, (sub.t0, x), noise)
                 y0 = solve_penalized(coeffs, phi, psi, replace(config, grid=sub), ens).Y[:, 0, 0]
                 per_draw[draw, it, jp] = np.mean(y0)
                 per_draw_se[draw, it, jp] = np.std(y0, ddof=1) / np.sqrt(n_paths)
@@ -195,9 +197,9 @@ def test_stacked_field_matches_per_node_solves(regression, terminal):
     phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
     cfg = _config(40, regression)
     fg = FieldGrid.build(DOM, [0.0, 0.35, 0.8, 1.0], np.linspace(-1, 1, 4)[:, None])
-    est = sample_field(DOM, coeffs, phi, psi, cfg, fg, 30, 4, _affine_sigma, _mean_reverting, n_b_draws=2)
-    values, stderr, per_draw = _per_node_field(DOM, coeffs, phi, psi, cfg, fg, 30, 4,
-                                               _affine_sigma, _mean_reverting, 2)
+    model = ForwardModel(DOM, _mean_reverting, _affine_sigma)
+    est = sample_field(model, coeffs, phi, psi, cfg, fg, 30, 4, n_b_draws=2)
+    values, stderr, per_draw = _per_node_field(model, coeffs, phi, psi, cfg, fg, 30, 4, 2)
     assert np.array_equal(est.values, values)
     assert np.array_equal(est.stderr, stderr)
     assert np.array_equal(est.per_draw, per_draw)
@@ -207,7 +209,7 @@ def test_sample_field_rejects_sample_mean():
     """Every field ensemble carries its reflected state, which sample-mean
     cannot use."""
     with pytest.raises(ValueError, match="sample-mean"):
-        sample_field(DOM, _coeffs(g=lambda t, x, y: np.full_like(y, 0.2)), ZERO, ZERO,
+        sample_field(MODEL, _coeffs(g=lambda t, x, y: np.full_like(y, 0.2)), ZERO, ZERO,
                      _config(20, "sample-mean"), _fgrid(3, 3), 20, 1)
 
 
@@ -222,8 +224,9 @@ def test_stacked_field_matches_per_node_solves_on_ball():
     )
     cfg = _config(30, ("poly", 2))
     fg = FieldGrid.build(dom, [0.0, 0.5], [[0.0, 0.0], [0.5, -0.2], [0.0, 1.0]])
-    est = sample_field(dom, coeffs, ZERO, make_convex("abs"), cfg, fg, 25, 8, 0.8, 0.0, n_b_draws=2)
-    values, stderr, per_draw = _per_node_field(dom, coeffs, ZERO, make_convex("abs"), cfg, fg, 25, 8, 0.8, 0.0, 2)
+    model = ForwardModel(dom, 0.0, 0.8)
+    est = sample_field(model, coeffs, ZERO, make_convex("abs"), cfg, fg, 25, 8, n_b_draws=2)
+    values, stderr, per_draw = _per_node_field(model, coeffs, ZERO, make_convex("abs"), cfg, fg, 25, 8, 2)
     assert np.array_equal(est.per_draw, per_draw)
     assert np.array_equal(est.values, values)
     assert np.array_equal(est.stderr, stderr)
@@ -244,9 +247,9 @@ def test_stretched_field_matches_per_node_solves_on_an_unsorted_lattice():
     phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
     cfg = SolverConfig(TimeGrid.uniform(0, 1, 40), eps=0.05, scheme="explicit-yosida", regression=("poly", 2))
     fg = FieldGrid.build(DOM, [0.8, 1.0, 0.34, 0.0, 0.35, 0.6], np.linspace(-1, 1, 4)[:, None])
-    est = sample_field(DOM, coeffs, phi, psi, cfg, fg, 20, 6, _affine_sigma, _mean_reverting, n_b_draws=2)
-    values, stderr, per_draw = _per_node_field(DOM, coeffs, phi, psi, cfg, fg, 20, 6,
-                                               _affine_sigma, _mean_reverting, 2)
+    model = ForwardModel(DOM, _mean_reverting, _affine_sigma)
+    est = sample_field(model, coeffs, phi, psi, cfg, fg, 20, 6, n_b_draws=2)
+    values, stderr, per_draw = _per_node_field(model, coeffs, phi, psi, cfg, fg, 20, 6, 2)
     assert np.allclose(est.grid.times, [0.8, 1.0, 0.35, 0.0, 0.35, 0.6], rtol=0.0, atol=1e-15)
     assert np.array_equal(est.per_draw, per_draw)
     assert np.array_equal(est.values, values)
@@ -259,7 +262,7 @@ def test_sample_field_rejects_times_outside_the_grid(times, bad):
     fail deep inside the sweep: both name the time."""
     fg = FieldGrid.build(DOM, times, np.linspace(-1, 1, 3)[:, None])
     with pytest.raises(ValueError, match=f"lattice time {bad} lies outside"):
-        sample_field(DOM, _coeffs(), ZERO, ZERO, _config(20), fg, n_paths=5, seed=1)
+        sample_field(MODEL, _coeffs(), ZERO, ZERO, _config(20), fg, n_paths=5, seed=1)
 
 
 def test_field_runs_each_stretch_of_the_grid_once(monkeypatch):
@@ -276,11 +279,10 @@ def test_field_runs_each_stretch_of_the_grid_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(field, "simulate_reflected", recording(field.simulate_reflected, "forward",
-                                                               lambda args: args[4].grid))
+                                                               lambda args: args[2].grid))
     monkeypatch.setattr(field, "_backward_sweep", recording(field._backward_sweep, "backward",
                                                             lambda args: args[3].grid))
-    sample_field(scn.domain, scn.coeffs, scn.phi, scn.psi, scn.solver, scn.lattice, scn.n_paths, scn.seed,
-                 scn.sigma, scn.drift, scn.draws)
+    sample_field(scn.model, scn.coeffs, scn.phi, scn.psi, scn.solver, scn.lattice, scn.n_paths, scn.seed, scn.draws)
     master = scn.solver.grid.nodes
     assert scn.draws == 1 and scn.lattice.times[0] == master[0]
     for nodes in (grids["forward"], grids["backward"][::-1]):
@@ -312,7 +314,7 @@ def test_manufactured_quadratic_interior_residual():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -np.ones_like(y)),
-                            ZERO, 0.0, DOM)
+                            ZERO, 0.0, MODEL)
     assert out["max_abs"] < 1e-12
 
 
@@ -321,7 +323,7 @@ def test_interior_residual_state_dependent_sigma():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -(1.0 + 0.25 * x) ** 2),
-                            ZERO, 0.0, DOM, sigma=_affine_sigma)
+                            ZERO, 0.0, ForwardModel(DOM, 0.0, _affine_sigma))
     assert out["max_abs"] <= 1e-12
 
 
@@ -330,7 +332,7 @@ def test_interior_residual_state_dependent_drift():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: -1.0 - x * x),
-                            ZERO, 0.0, DOM, b=lambda x: 0.5 * x)
+                            ZERO, 0.0, ForwardModel(DOM, lambda x: 0.5 * x, 1.0))
     assert out["max_abs"] <= 1e-12
 
 
@@ -364,7 +366,7 @@ def test_residual_detects_wrong_source():
     fg = _fgrid(20, 20)
     est = manufactured_field(lambda t, x: float(np.sum(x * x)), fg)
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: np.zeros_like(y)),
-                            ZERO, 0.0, DOM)
+                            ZERO, 0.0, MODEL)
     assert out["max_abs"] == pytest.approx(1.0)
 
 
@@ -375,7 +377,7 @@ def test_residual_includes_penalization_term():
     phi = make_convex("indicator_box(-inf,0.5)")
     eps = 0.1
     out = interior_residual(est, _coeffs(f=lambda t, x, y, z: np.full_like(y, 3.0)),
-                            phi, eps, DOM)
+                            phi, eps, MODEL)
     assert out["max_abs"] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -383,4 +385,4 @@ def test_residual_requires_line_lattice():
     fg = _fgrid(2, 2)
     est = manufactured_field(lambda t, x: 0.0, fg)
     with pytest.raises(ValueError):
-        interior_residual(est, _coeffs(), ZERO, 0.0, DOM)
+        interior_residual(est, _coeffs(), ZERO, 0.0, MODEL)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdsvi import (
+    ForwardModel,
     PathBundle,
     TimeGrid,
     generate_paths,
@@ -22,7 +23,7 @@ def _run(domain, n_paths=200, n_steps=200, seed=1, sigma=1.0, b=0.0, x0=None, T=
     noise = generate_paths(grid, domain.d, n_paths, seed=seed)
     if x0 is None:
         x0 = np.zeros(domain.d)
-    return simulate_reflected(domain, b, sigma, (0.0, x0), noise), grid
+    return simulate_reflected(ForwardModel(domain, b, sigma), (0.0, x0), noise), grid
 
 
 # ---------------------------------------------------------------- domains
@@ -127,8 +128,8 @@ def test_identity_residual_shrinks_with_dt():
     dom = unit_ball(2)
     coarse, _ = _run(dom, n_paths=400, n_steps=250, seed=7)
     fine, _ = _run(dom, n_paths=400, n_steps=500, seed=7)
-    rc = local_time_identity_residual(coarse, dom, 0.0, 1.0)
-    rf = local_time_identity_residual(fine, dom, 0.0, 1.0)
+    rc = local_time_identity_residual(coarse, ForwardModel(dom, 0.0, 1.0))
+    rf = local_time_identity_residual(fine, ForwardModel(dom, 0.0, 1.0))
     assert rc["rms"] / rf["rms"] > 1.2
 
 
@@ -137,7 +138,7 @@ def test_identity_residual_exact_without_reflection():
     # affine level... with curvature the Euler remainder is O(dt); check small
     dom = unit_ball(1, radius=50.0)
     path, _ = _run(dom, sigma=0.5, n_paths=20, n_steps=400)
-    res = local_time_identity_residual(path, dom, 0.0, 0.5)
+    res = local_time_identity_residual(path, ForwardModel(dom, 0.0, 0.5))
     assert res["max"] < 1e-3
 
 
@@ -146,7 +147,7 @@ def test_simulate_rejects_outside_start():
     grid = TimeGrid.uniform(0, 1, 10)
     noise = generate_paths(grid, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        simulate_reflected(dom, 0.0, 1.0, (0.0, np.array([2.0, 0.0])), noise)
+        simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.array([2.0, 0.0])), noise)
 
 
 def test_simulate_rejects_grid_time_mismatch():
@@ -154,7 +155,7 @@ def test_simulate_rejects_grid_time_mismatch():
     grid = TimeGrid.uniform(0.5, 1, 10)
     noise = generate_paths(grid, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), noise)
+        simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.zeros(2)), noise)
 
 
 def test_per_path_starts_match_separate_runs():
@@ -163,11 +164,11 @@ def test_per_path_starts_match_separate_runs():
     dom = unit_ball(2)
     grid = TimeGrid.uniform(0, 1, 200)
     starts = np.array([[0.0, 0.0], [0.6, 0.0], [0.0, -0.9]])
-    alone = [simulate_reflected(dom, 0.1, 1.0, (0.0, x), generate_paths(grid, 2, 100, seed=j))
+    alone = [simulate_reflected(ForwardModel(dom, 0.1, 1.0), (0.0, x), generate_paths(grid, 2, 100, seed=j))
              for j, x in enumerate(starts)]
     noise = generate_paths(grid, 2, 300, seed=0)
     noise = PathBundle(grid, np.concatenate([p.dW for p in alone]), noise.dB, noise.A)
-    stacked = simulate_reflected(dom, 0.1, 1.0, (0.0, np.repeat(starts, 100, axis=0)), noise)
+    stacked = simulate_reflected(ForwardModel(dom, 0.1, 1.0), (0.0, np.repeat(starts, 100, axis=0)), noise)
     assert np.array_equal(stacked.X, np.concatenate([p.X for p in alone]))
     assert np.array_equal(stacked.A, np.concatenate([p.A for p in alone]))
     assert np.any(stacked.A[:, -1] > 0.0)
@@ -181,13 +182,13 @@ def test_split_run_carrying_x_and_a_matches_one_run():
     grid = TimeGrid.uniform(0, 1, 60)
     noise = generate_paths(grid, 2, 80, seed=11)
     x0 = np.array([0.7, -0.3])
-    whole = simulate_reflected(dom, 0.2, 1.0, (0.0, x0), noise)
+    whole = simulate_reflected(ForwardModel(dom, 0.2, 1.0), (0.0, x0), noise)
     m = 23
-    first = simulate_reflected(dom, 0.2, 1.0, (0.0, x0), PathBundle(
+    first = simulate_reflected(ForwardModel(dom, 0.2, 1.0), (0.0, x0), PathBundle(
         TimeGrid(grid.nodes[:m + 1]), noise.dW[:, :m], noise.dB[:, :m], noise.A[:, :m + 1]))
     a = np.zeros((80, grid.n_steps - m + 1))
     a[:, 0] = first.A[:, -1]
-    second = simulate_reflected(dom, 0.2, 1.0, (grid.nodes[m], first.X[:, -1]), PathBundle(
+    second = simulate_reflected(ForwardModel(dom, 0.2, 1.0), (grid.nodes[m], first.X[:, -1]), PathBundle(
         TimeGrid(grid.nodes[m:]), noise.dW[:, m:], noise.dB[:, m:], a))
     assert np.any(first.A[:, -1] > 0.0) and np.any(second.A[:, -1] > first.A[:, -1])
     assert np.array_equal(np.concatenate([first.X, second.X[:, 1:]], axis=1), whole.X)
@@ -200,7 +201,7 @@ def test_reflected_bundle_shares_its_noise():
     dom = unit_ball(2)
     grid = TimeGrid.uniform(0, 1, 30)
     noise = generate_paths(grid, 2, 40, seed=3, shared_backward=True)
-    path = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(2)), noise)
+    path = simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.zeros(2)), noise)
     assert noise.X is None and path.X.shape == (40, 31, 2)
     assert path.dW is noise.dW and path.dB is noise.dB and path.grid is noise.grid
     assert path.A is not noise.A and np.any(path.A[:, -1] > 0.0) and np.all(noise.A == 0.0)
@@ -243,8 +244,8 @@ def test_non_finite_step_raises(dom):
     path of NaN or infinite local time."""
     grid = TimeGrid.uniform(0, 1, 10)
     with pytest.raises(FloatingPointError, match="non-finite reflected path"), np.errstate(all="ignore"):
-        simulate_reflected(dom, lambda x: np.where(x[:, :1] > 0.5, np.inf, 10.0), 1.0, (0.0, np.zeros(dom.d)),
-                           generate_paths(grid, dom.d, 20, seed=0))
+        simulate_reflected(ForwardModel(dom, lambda x: np.where(x[:, :1] > 0.5, np.inf, 10.0), 1.0),
+                           (0.0, np.zeros(dom.d)), generate_paths(grid, dom.d, 20, seed=0))
 
 
 def test_simulate_rejects_outside_per_path_start():
@@ -252,7 +253,37 @@ def test_simulate_rejects_outside_per_path_start():
     grid = TimeGrid.uniform(0, 1, 10)
     noise = generate_paths(grid, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        simulate_reflected(dom, 0.0, 1.0, (0.0, np.array([[0.0, 0.0], [2.0, 0.0]])), noise)
+        simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.array([[0.0, 0.0], [2.0, 0.0]])), noise)
+
+
+@pytest.mark.parametrize("dom, b, sigma, bad", [
+    (unit_ball(2), 0.0, [1.0, 2.0], "sigma"),  # read as the rank-1 matrix [[1, 2], [1, 2]]
+    (unit_ball(2), 0.0, np.eye(3), "sigma"),
+    (unit_ball(2), [0.1, 0.2, 0.3], 1.0, "b"),  # failed only in the step loop, on numpy's broadcast
+    (unit_ball(2), [0.1], 1.0, "b"),
+    (unit_ball(2), np.zeros((2, 2)), 1.0, "b"),
+    (smoothed_interval(), 0.0, np.eye(2), "sigma"),
+    (smoothed_interval(), [0.1, 0.2], 1.0, "b"),
+], ids=["ball-sigma-vector", "ball-sigma-3x3", "ball-b-3", "ball-b-1", "ball-b-matrix", "interval-sigma-2x2",
+        "interval-b-2"])
+def test_forward_model_rejects_a_constant_of_another_shape(dom, b, sigma, bad):
+    """A constant b is a scalar or (d,), a constant sigma a scalar or (d, d):
+    any other shape fails where the model is built, naming the coefficient."""
+    with pytest.raises(ValueError, match=f"constant {bad} must be a scalar or of shape"):
+        ForwardModel(dom, b, sigma)
+
+
+def test_forward_model_constant_shapes_run_as_their_scalars():
+    """A (d,) b and a (d, d) sigma are accepted and run through the matrix
+    step, bit for bit the scalar run when they equal b 1 and sigma I; a
+    callable is not checked where the model is built."""
+    dom = unit_ball(2)
+    noise = generate_paths(TimeGrid.uniform(0, 1, 50), 2, 30, seed=2)
+    scalar = simulate_reflected(ForwardModel(dom, 0.2, 0.7), (0.0, np.zeros(2)), noise)
+    full = simulate_reflected(ForwardModel(dom, np.full(2, 0.2), 0.7 * np.eye(2)), (0.0, np.zeros(2)), noise)
+    assert np.any(scalar.A[:, -1] > 0.0)
+    assert np.array_equal(full.X, scalar.X) and np.array_equal(full.A, scalar.A)
+    assert ForwardModel(dom, lambda x: np.zeros(3), lambda x: np.zeros(1)).domain is dom
 
 
 def _outside_points(dom, rng):
@@ -337,7 +368,7 @@ def test_containment_property(seed, sigma):
     dom = unit_ball(1)
     grid = TimeGrid.uniform(0, 0.5, 50)
     noise = generate_paths(grid, 1, 8, seed=seed)
-    path = simulate_reflected(dom, 0.0, sigma, (0.0, np.zeros(1)), noise)
+    path = simulate_reflected(ForwardModel(dom, 0.0, sigma), (0.0, np.zeros(1)), noise)
     assert float(np.min(dom.level(path.X))) >= -1e-12
 
 
@@ -348,7 +379,7 @@ def test_generator_on_quadratic():
     x = np.array([0.3, -0.4])
 
     def lv(sigma, b):
-        bv, sig = _coefficients(b, sigma, x, x.size)
+        bv, sig = _coefficients(ForwardModel(unit_ball(2), b, sigma), x)
         return float(_generator(sig, bv, 2.0 * x, 2.0 * np.eye(2)))
 
     assert lv(1.0, np.array([1.0, 2.0])) == pytest.approx(2.0 + 2.0 * (0.3 - 0.8))

@@ -8,6 +8,7 @@ import pytest
 from bdsvi import (
     AssumptionConstants,
     CoefficientSet,
+    ForwardModel,
     SolverConfig,
     TimeGrid,
     cauchy_study,
@@ -28,6 +29,7 @@ from bdsvi.scenarios import make_coefficients
 from bdsvi.solver import _poly_features, _projector
 
 ZERO = make_convex("zero")
+BM_ON_INTERVAL = ForwardModel(make_domain("interval", lo=-1.0, hi=1.0), 0.0, 1.0)  # reflected Brownian motion
 
 
 def _coeffs(f=None, g=None, h=None, terminal=0.0, **const):
@@ -185,7 +187,7 @@ def _interval_ensemble():
     shared backward draw; its local time increases on the boundary rows."""
     grid = TimeGrid.uniform(0, 1, 100)
     noise = generate_paths(grid, 1, 150, seed=5, shared_backward=True)
-    return simulate_reflected(make_domain("interval", lo=-1.0, hi=1.0), 0.0, 1.0, (0.0, np.zeros(1)), noise)
+    return simulate_reflected(BM_ON_INTERVAL, (0.0, np.zeros(1)), noise)
 
 
 def _resolvent_must_not_run(eps, x):
@@ -247,7 +249,7 @@ def _coefficient_ensemble(sample_mean, d, n_paths):
         return generate_paths(grid, d, n_paths, seed=n_paths + d, a_spec=lambda t: np.asarray(t, float) ** 2)
     noise = generate_paths(grid, d, n_paths, seed=n_paths + d, shared_backward=True)
     domain = make_domain("interval", lo=-0.5, hi=0.5) if d == 1 else unit_ball(2, 0.5)
-    return simulate_reflected(domain, 0.0, 1.0, (0.0, np.zeros(d)), noise)
+    return simulate_reflected(ForwardModel(domain, 0.0, 1.0), (0.0, np.zeros(d)), noise)
 
 
 @pytest.mark.parametrize("kinds", [("zero",) * 3, ("constant",) * 3, ("linear",) * 3, ("linear-z",) * 3,
@@ -448,8 +450,7 @@ def test_batched_ladder_matches_per_rung_solves_state_free():
 def test_batched_ladder_matches_per_rung_solves_reflected(regression):
     grid = TimeGrid.uniform(0, 1, 200)
     noise = generate_paths(grid, 1, 150, seed=5, shared_backward=True)
-    state = simulate_reflected(make_domain("interval", lo=-1.0, hi=1.0), 0.0, 1.0,
-                               (0.0, np.zeros(1)), noise)
+    state = simulate_reflected(BM_ON_INTERVAL, (0.0, np.zeros(1)), noise)
     coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.1 * x,
                      g=lambda t, x, y: np.full_like(y, 0.1),
                      terminal=lambda x: x[:, 0] ** 2)
@@ -462,8 +463,7 @@ def test_cauchy_keeps_a_shared_dB_as_one_broadcast_row(monkeypatch):
     report equals that of the same ensemble with dB written out in full."""
     grid = TimeGrid.uniform(0, 1, 200)
     noise = generate_paths(grid, 1, 150, seed=5, shared_backward=True)
-    state = simulate_reflected(make_domain("interval", lo=-1.0, hi=1.0), 0.0, 1.0,
-                               (0.0, np.zeros(1)), noise)
+    state = simulate_reflected(BM_ON_INTERVAL, (0.0, np.zeros(1)), noise)
     assert state.dB.strides[0] == 0
     coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.1 * x,
                      g=lambda t, x, y: np.full_like(y, 0.1),
@@ -507,7 +507,7 @@ def test_regression_count_the_projector_would_change_raises(regression, d, messa
     cells run."""
     grid = TimeGrid.uniform(0, 1, 10)
     noise = generate_paths(grid, d, 20, seed=1, shared_backward=True)
-    state = simulate_reflected(unit_ball(d), 0.0, 1.0, (0.0, np.zeros(d)), noise)
+    state = simulate_reflected(ForwardModel(unit_ball(d), 0.0, 1.0), (0.0, np.zeros(d)), noise)
     coeffs = _coeffs(terminal=lambda x: x[:, 0] ** 2)
     with pytest.raises(ValueError, match=message):
         solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=regression), state)
@@ -672,7 +672,7 @@ def _disc_ensemble():
     200 steps, one shared backward draw."""
     grid = TimeGrid.uniform(0, 1, 200)
     noise = generate_paths(grid, 2, 2000, seed=5, shared_backward=True)
-    return simulate_reflected(unit_ball(2), 0.0, 1.0, (0.0, np.array([0.3, 0.0])), noise)
+    return simulate_reflected(ForwardModel(unit_ball(2), 0.0, 1.0), (0.0, np.array([0.3, 0.0])), noise)
 
 
 # one rounding slack, fixed before any run: 64 ulp of the O(1) values |x|^2 <= 1
@@ -864,7 +864,7 @@ def test_sample_mean_rejects_state_dependent_data():
     paths where the true Y_0 is deterministic."""
     grid = TimeGrid.uniform(0, 1, 50)
     noise = generate_paths(grid, 2, 200, seed=3, shared_backward=True)
-    state = simulate_reflected(unit_ball(2), 0.0, 1.0, (0.0, np.zeros(2)), noise)
+    state = simulate_reflected(ForwardModel(unit_ball(2), 0.0, 1.0), (0.0, np.zeros(2)), noise)
     cfg = SolverConfig(grid, regression="sample-mean")
     with pytest.raises(ValueError, match="sample-mean"):
         solve_penalized(_coeffs(g=lambda t, x, y: np.full_like(y, 0.1)), ZERO, ZERO, cfg, state)
@@ -876,7 +876,7 @@ def test_markov_solve_with_reflected_state():
     dom = unit_ball(1)
     grid = TimeGrid.uniform(0, 1, 50)
     noise = generate_paths(grid, 1, 300, seed=2, shared_backward=True)
-    state = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)), noise)
+    state = simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.zeros(1)), noise)
     coeffs = CoefficientSet(
         f=lambda t, x, y, z: np.ones_like(y),
         g=lambda t, x, y: np.zeros_like(y),
@@ -888,7 +888,7 @@ def test_markov_solve_with_reflected_state():
     assert np.mean(sol.Y[:, 0, 0]) == pytest.approx(1.0, abs=0.02)
     assert np.all(np.diff(sol.A, axis=1) >= 0.0)
     assert np.shares_memory(sol.A, state.A)  # one A: the solution keeps a view of the bundle's
-    short = simulate_reflected(dom, 0.0, 1.0, (0.0, np.zeros(1)),
+    short = simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.zeros(1)),
                                generate_paths(grid, 1, 200, seed=2, shared_backward=True))
     with pytest.raises(ValueError, match="state ensemble"):  # not one state row per noise row
         solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=("poly", 2)), replace(state, X=short.X))
@@ -928,7 +928,7 @@ def test_node_major_storage_matches_path_major_copies(regression, scheme):
     assert not copy.dW[:, 0].flags.c_contiguous and np.array_equal(copy.dW, noise.dW)
     if not state_free:
         dom = unit_ball(2)
-        noise, ref = (simulate_reflected(dom, 0.3, 1.0, (0.0, np.zeros(2)), b) for b in (noise, copy))
+        noise, ref = (simulate_reflected(ForwardModel(dom, 0.3, 1.0), (0.0, np.zeros(2)), b) for b in (noise, copy))
         assert _node_slices_contiguous(noise.X) and _node_slices_contiguous(noise.A)
         assert np.array_equal(noise.X, ref.X) and np.array_equal(noise.A, ref.A)
         assert np.any(noise.A[:, -1] > 0.0)
