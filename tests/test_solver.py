@@ -1,5 +1,6 @@
 import functools
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -241,10 +242,10 @@ class _NeverCalled(solver_module._Affine):
 
 
 @functools.lru_cache(maxsize=None)
-def _coefficient_ensemble(sample_mean, d, n_paths):
+def _coefficient_ensemble(sample_mean, d, n_paths, n_steps=30):
     """State-free paths with A = t^2, or a reflected ensemble (interval or
     disc) with one shared backward draw; dA > 0 on some rows in both."""
-    grid = TimeGrid.uniform(0, 1, 30)
+    grid = TimeGrid.uniform(0, 1, n_steps)
     if sample_mean:
         return generate_paths(grid, d, n_paths, seed=n_paths + d, a_spec=lambda t: np.asarray(t, float) ** 2)
     noise = generate_paths(grid, d, n_paths, seed=n_paths + d, shared_backward=True)
@@ -339,14 +340,16 @@ def _reference_sweep(coeffs, phi, psi, config, noise):
 @pytest.mark.parametrize("psi", ["abs", "indicator_box(-inf,0.3)"])
 @pytest.mark.parametrize("regression", ["sample-mean", ("poly", 2)], ids=str)
 @pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
-def test_step_with_both_penalties_moving_is_the_reference_bit_for_bit(scheme, regression, psi):
+@pytest.mark.parametrize("n_steps", [30, 63, 64, 65, 129])
+def test_step_with_both_penalties_moving_is_the_reference_bit_for_bit(scheme, regression, psi, n_steps):
     """With phi = indicator_box(-inf,0.5) and a moving psi the sweep writes
     Ytil, the phi step and the psi step into Y[:, i], U[:, i] and V[:, i] in
     place.  Y, Z, U and V have the bytes of the plain per-step recursion, on
     ensembles with dA > 0 on some rows (and dA = 0 on others for the
-    reflected one), where both penalties act."""
+    reflected one), where both penalties act, and on grids that end on,
+    before and after an edge of the sweep's blocks of steps."""
     sample_mean = regression == "sample-mean"
-    noise = _coefficient_ensemble(sample_mean, 1, 64)
+    noise = _coefficient_ensemble(sample_mean, 1, 64, n_steps)
     coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.2 * z[..., 0], g=lambda t, x, y: 0.4 + 0.1 * y,
                      h=lambda t, x, y, z: 0.3 * y[..., None],
                      terminal=0.8 if sample_mean else (lambda x: x[:, 0] ** 2 + 0.4))
@@ -585,6 +588,84 @@ def test_non_finite_value_in_sweep_raises(run):
             runs[run](psi)
         raised.append(str(caught.value))
     assert raised[0] == raised[1]
+
+
+def _fault_case(case):
+    """A solve that turns non-finite or overflows: an interior inf from f under
+    the explicit scheme, the implicit scheme with a box that maps it to a
+    finite Y (with the closed-form and with the lattice-oracle resolvent) and
+    with no penalty; a value that grows until f overflows; and an implicit phi
+    step whose multiplier U overflows while Y stays finite."""
+    grid, noise = _bundle(n_steps=100, n_paths=4)
+    box = make_convex("indicator_box(-inf,0.5)")
+    explicit, implicit = SolverConfig(grid, eps=2e-2, scheme="explicit-yosida"), SolverConfig(grid)
+    if case == "u-overflow":  # the vi_oracle scenario with phi = quadratic(1000) and terminal 1e306
+        grid, noise = _bundle(n_steps=300, n_paths=8)
+        coeffs = _coeffs(*make_coefficients({"f": {"kind": "constant", "value": 1.0}}), terminal=1e306)
+        return solve_penalized(coeffs, make_convex("quadratic(1000.0)"), ZERO, SolverConfig(grid, eps=1e-4), noise)
+    if case == "overflow-growth":  # Y doubles each step from 1e285 until 100 y overflows
+        coeffs = _coeffs(f=lambda t, x, y, z: 100.0 * y, terminal=1e285)
+        return solve_penalized(coeffs, make_convex("quadratic(1.0)"), make_convex("abs"), explicit, noise)
+    phi, config = {"explicit-inf": (box, explicit), "implicit-box-inf": (box, implicit),
+                   "lattice-oracle-inf": (replace(box, prox_oracle=None), implicit),
+                   "no-penalty-inf": (ZERO, implicit)}[case]
+    f = lambda t, x, y, z: np.full_like(y, np.inf if t < 0.455 else 1.0)  # from step 44 down
+    return solve_penalized(_coeffs(f=f), phi, ZERO, config, noise)
+
+
+_ERRSTATES = {"default": dict(divide="warn", over="warn", under="ignore", invalid="warn"),
+              "ignore": dict(all="ignore"), "raise": dict(all="raise")}
+
+
+def _fault_record(case, errstate):
+    """(exception type, message, RuntimeWarning messages) of a fault case."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**_ERRSTATES[errstate]):
+        warnings.simplefilter("always")
+        try:
+            _fault_case(case)
+            raised = (None, None)
+        except Exception as exc:
+            raised = (type(exc).__name__, str(exc))
+    return raised + (tuple(str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)),)
+
+
+_OVER_MUL = "overflow encountered in multiply"
+_NON_FINITE_44 = ("FloatingPointError", "non-finite Y at step 44", ())
+
+
+@pytest.mark.parametrize("errstate", list(_ERRSTATES))
+@pytest.mark.parametrize("case, expected", [
+    ("explicit-inf", dict.fromkeys(_ERRSTATES, _NON_FINITE_44)),
+    ("implicit-box-inf", dict.fromkeys(_ERRSTATES, _NON_FINITE_44)),
+    ("lattice-oracle-inf", dict.fromkeys(_ERRSTATES, _NON_FINITE_44)),
+    ("no-penalty-inf", dict.fromkeys(_ERRSTATES, _NON_FINITE_44)),
+    ("overflow-growth", {"default": ("FloatingPointError", "non-finite Y at step 27", (_OVER_MUL,)),
+                         "ignore": ("FloatingPointError", "non-finite Y at step 27", ()),
+                         "raise": ("FloatingPointError", _OVER_MUL, ())}),
+    ("u-overflow", {"default": (None, None, ("overflow encountered in divide",)),
+                    "ignore": (None, None, ()),
+                    "raise": ("FloatingPointError", "overflow encountered in divide", ())}),
+])
+def test_a_fault_raises_and_warns_as_the_per_step_sweep(case, expected, errstate):
+    """Each fault case gives the exception type, the message with its step
+    index and the list of RuntimeWarnings of a sweep that checks every step,
+    under numpy's default, an ignoring and a raising errstate."""
+    assert _fault_record(case, errstate) == expected[errstate]
+
+
+@pytest.mark.parametrize("step", [0, 63, 64, 128])
+@pytest.mark.parametrize("phi, scheme", [("zero", "implicit-prox"), ("indicator_box(-inf,0.5)", "implicit-prox"),
+                                         ("indicator_box(-inf,0.5)", "explicit-yosida")])
+def test_a_fault_on_a_block_edge_names_its_own_step(step, phi, scheme):
+    """An inf from f at one step of a 129-step grid, on either side of an edge
+    of the sweep's blocks of steps and at its first and last step, raises at
+    that step, also where the box maps it to a finite Y."""
+    grid, noise = _bundle(n_steps=129, n_paths=4)
+    t_fault = grid.nodes[step + 1]  # f is taken at the right endpoint
+    coeffs = _coeffs(f=lambda t, x, y, z: np.full_like(y, np.inf if t == t_fault else 1.0))
+    config = SolverConfig(grid, eps=2e-2, scheme=scheme)
+    with pytest.raises(FloatingPointError, match=f"non-finite Y at step {step}$"), np.errstate(all="ignore"):
+        solve_penalized(coeffs, make_convex(phi), ZERO, config, noise)
 
 # ---------------------------------------------------------------- diagnostics
 
