@@ -40,6 +40,8 @@ import numpy as np
 from .convex import AssumptionConstants, ConvexFunction, _is_zero, _oracle, _prox, _subgradient_violation, prox
 from .drivers import PathBundle, TimeGrid, _node_major
 
+_BLOCK_STEPS = 64  # backward steps per finiteness check (_backward_sweep)
+
 __all__ = [
     "CoefficientSet",
     "SolverConfig",
@@ -341,59 +343,82 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
             grad(res_psi, eps_row, eps_col, xi, V[:, -1])
 
     conds = []
-    dts, t_nodes, dW = grid.dt.tolist(), grid.nodes.tolist(), noise.dW
-    for i in range(grid.n_steps - 1, -1, -1):
-        dt = dts[i]
-        y_next, y_i = Y[:, i + 1], Y[:, i]  # y_i holds Ytil, then Y_i
-        da = dA[:, i, None] if reads_da else None
-        if calls:  # the maps' t, x and y, at the right endpoint
-            txy = (t_nodes[i + 1], X[:, i + 1] if X is not None else None, y_next)
+    dts, t_nodes, dW, dB = grid.dt.tolist(), grid.nodes.tolist(), noise.dW, noise.dB
+    watched = [("Y", Y)] + [("U", U)] * move_phi + [("V", V)] * move_psi  # what a step writes, less a zero U or V
 
-        if not sample_mean:
-            project, cond = _projector(config.regression, X[:, i], n_blocks)
-            conds.append(cond)
-        if not z_after:  # Y_{i+1} dW_i^T / dt_i into Z[:, i], then its fit in place
-            z_i = Z[:, i]
-            np.divide(np.multiply(y_next[:, :, None], dW[:, i, None, :], out=z_i), dt, out=z_i)
-            project(z_i.reshape(rows, k * d), z_i.reshape(rows, k * d))
+    def steps(lo, hi, checked):  # steps hi - 1, ..., lo from Y[:, hi]; checked: the per-step finiteness checks
+        for i in range(hi - 1, lo - 1, -1):
+            dt = dts[i]
+            y_next, y_i = Y[:, i + 1], Y[:, i]  # y_i holds Ytil, then Y_i
+            da = dA[:, i, None] if reads_da else None
+            if calls:  # the maps' t, x and y, at the right endpoint
+                txy = (t_nodes[i + 1], X[:, i + 1] if X is not None else None, y_next)
 
-        if f_c is None:
-            np.add(y_next, np.asarray(coeffs.f(*txy, Z[:, i]), dtype=float).reshape(rows, k) * dt, out=y_i)
-        else:
-            np.add(y_next, f_dts[i], out=y_i)
-        if g_c is None:
-            y_i += np.asarray(coeffs.g(*txy), dtype=float).reshape(rows, k) * da
-        elif g_c:
-            y_i += g_c * da
-        if h_c != 0.0:
-            hv = np.asarray(coeffs.h(*txy, Z[:, i]), dtype=float).reshape(rows, k, d)
-            y_i += np.einsum("pkd,pd->pk", hv, noise.dB[:, i])
-        if late_zero:
-            y_i += 0.0
-        if not sample_mean:  # under sample-mean the target is already measurable at t_i (module docstring)
-            project(y_i, y_i)
-        # a moving penalty's resolvent can map a non-finite Ytil to a finite Y; with none, Y_i is Ytil
-        if (move_phi or move_psi) and not np.isfinite(y_i).all():
-            raise FloatingPointError(f"non-finite Y at step {i}")
+            if not sample_mean:
+                fit, cond = _projector(config.regression, X[:, i], n_blocks)
+                conds.append(cond)
+            else:
+                fit = project
+            if not z_after:  # Y_{i+1} dW_i^T / dt_i into Z[:, i], then its fit in place
+                z_i = Z[:, i]
+                np.divide(np.multiply(y_next[:, :, None], dW[:, i, None, :], out=z_i), dt, out=z_i)
+                fit(z_i.reshape(rows, k * d), z_i.reshape(rows, k * d))
 
-        j = y_i
-        if move_phi and explicit:
-            j = np.subtract(y_i, grad(res_phi, eps_row, eps_col, y_i, U[:, i]) * dt, out=y_i)
-        elif move_phi:
-            j = np.asarray(res_phi(dt, y_i), dtype=float)
-            np.divide(np.subtract(y_i, j, out=U[:, i]), dt, out=U[:, i])
-        if move_psi and explicit:
-            # j - dA grad psi_{eps+dA}(j) = prox_{dA psi_eps}(j): nonexpansive for any dA
-            e = eps_row + da[:, 0]
-            j = np.subtract(j, grad(res_psi, e, e[:, None], j, V[:, i]) * da, out=y_i)
-        elif move_psi:
-            y = _prox(psi, da[:, 0], j)  # the identity on rows with dA_i = 0
-            np.divide(j - y, da, out=V[:, i], where=da > 0.0)
-            j = y
-        if j is not y_i:
-            y_i[...] = j
-        if not np.isfinite(y_i).all():
-            raise FloatingPointError(f"non-finite Y at step {i}")
+            if f_c is None:
+                np.add(y_next, np.asarray(coeffs.f(*txy, Z[:, i]), dtype=float).reshape(rows, k) * dt, out=y_i)
+            else:
+                np.add(y_next, f_dts[i], out=y_i)
+            if g_c is None:
+                y_i += np.asarray(coeffs.g(*txy), dtype=float).reshape(rows, k) * da
+            elif g_c:
+                y_i += g_c * da
+            if h_c != 0.0:
+                hv = np.asarray(coeffs.h(*txy, Z[:, i]), dtype=float).reshape(rows, k, d)
+                y_i += np.einsum("pkd,pd->pk", hv, dB[:, i])
+            if late_zero:
+                y_i += 0.0
+            if not sample_mean:  # under sample-mean the target is already measurable at t_i (module docstring)
+                fit(y_i, y_i)
+            # a moving penalty's resolvent can map a non-finite Ytil to a finite Y; with none, Y_i is Ytil
+            if checked and (move_phi or move_psi) and not np.isfinite(y_i).all():
+                raise FloatingPointError(f"non-finite Y at step {i}")
+
+            j = y_i
+            if move_phi and explicit:
+                j = np.subtract(y_i, grad(res_phi, eps_row, eps_col, y_i, U[:, i]) * dt, out=y_i)
+            elif move_phi:
+                j = np.asarray(res_phi(dt, y_i), dtype=float)
+                np.divide(np.subtract(y_i, j, out=U[:, i]), dt, out=U[:, i])
+            if move_psi and explicit:
+                # j - dA grad psi_{eps+dA}(j) = prox_{dA psi_eps}(j): nonexpansive for any dA
+                e = eps_row + da[:, 0]
+                j = np.subtract(j, grad(res_psi, e, e[:, None], j, V[:, i]) * da, out=y_i)
+            elif move_psi:
+                y = _prox(psi, da[:, 0], j)  # the identity on rows with dA_i = 0
+                np.divide(j - y, da, out=V[:, i], where=da > 0.0)
+                j = y
+            if j is not y_i:
+                y_i[...] = j
+            if checked and not np.isfinite(y_i).all():
+                raise FloatingPointError(f"non-finite Y at step {i}")
+
+    # each block of steps runs first with no per-step check, under an errstate that records each FP
+    # event the caller would see; it stands if none was recorded or raised and its Y, U and V are
+    # finite, else it runs again from Y[:, hi], checked, under the caller's errstate
+    faults = []
+    optimistic = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
+    for lo in range((grid.n_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS, -1, -_BLOCK_STEPS):
+        hi, n_conds = min(lo + _BLOCK_STEPS, grid.n_steps), len(conds)
+        try:
+            with np.errstate(call=lambda kind, flag: faults.append(kind), **optimistic):
+                steps(lo, hi, False)
+            stands = not faults and all(np.isfinite(a[:, lo:hi]).all() for _, a in watched)
+        except Exception:
+            stands = False
+        if not stands:
+            faults.clear()
+            del conds[n_conds:]
+            steps(lo, hi, True)
     if z_after:  # Y_{i+1} dW_i^T / dt_i written into Z[:, i], then each node's block means in place
         z = Z[:, :-1]
         np.divide(np.multiply(Y[:, 1:, :, None], dW[:, :, None, :], out=z), grid.dt[:, None, None], out=z)
