@@ -10,11 +10,13 @@ of the envelope psi_eps over dA, nonexpansive for any dA) or implicitly
 is fitted once per node and shared by the Z and Y targets; for ``poly`` and
 ``partition`` its condition number is s_max/s_min of the worst block's design.
 The state-free ``sample-mean`` estimator, the resolvent oracles, the zero
-penalties (skipped), a scenario's constant f and its zero g and h, and so
-which per-step views a step reads, are resolved once per sweep, not per step.
-Each step writes Y, Z, U and V in place into the solution arrays; the Z fit
-runs under ``sample-mean`` in one pass after the sweep when neither f nor h
-reads z.
+penalties (skipped), a scenario's constant f, g and h, and so which per-step
+views a step reads, are resolved once per sweep, not per step.  Each step
+writes Y, Z, U and V in place into the solution arrays; the Z fit runs under
+``sample-mean`` in one pass after the sweep when neither f nor h reads z.
+Finiteness is checked once per block of steps; a block that fails the check
+runs again with a check at every step, which raises at the step where Y, U
+or V turns non-finite (FloatingPointError).
 
 Conditional expectations:
 
@@ -40,8 +42,6 @@ import numpy as np
 from .convex import AssumptionConstants, ConvexFunction, _is_zero, _oracle, _prox, _subgradient_violation, prox
 from .drivers import PathBundle, TimeGrid, _node_major
 
-_BLOCK_STEPS = 64  # backward steps per finiteness check (_backward_sweep)
-
 __all__ = [
     "CoefficientSet",
     "SolverConfig",
@@ -53,6 +53,8 @@ __all__ = [
     "verify_vi_inclusion",
 ]
 
+_BLOCK_STEPS = 64  # backward steps per finiteness check of the unchecked run (_backward_sweep)
+
 
 @dataclass(frozen=True)
 class CoefficientSet:
@@ -62,8 +64,8 @@ class CoefficientSet:
     x is the Markov state (n, d) or None in the state-free regime.
     terminal is a constant xi (scalar or length-k) or a map chi(x_T).
     A map that is an _Affine (as a scenario's are) is read by the sweep: a
-    constant f and a zero g or h are never called there.  Any other map is
-    called at every step.
+    constant f, g or h is never called there.  Any other map is called at
+    every step.
     """
 
     f: Callable
@@ -262,10 +264,11 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     finiteness of dW, dB and dA, the sample-mean estimator, the resolvent
     oracles of phi and psi, the explicit scheme's per-row eps and its column,
     which penalties are zero, which coefficients are zero or constant _Affine
-    maps, and so which of the step's views (dW, dB and dA at step i; t, x
-    and z for the maps) a step reads.  A zero penalty's step is the identity
-    and its multiplier exactly 0, so its resolvent, gradient and U or V store
-    are skipped (for finite input the generic step gives the same bits: +0.0
+    maps (a nonzero constant h is built once, as _Affine builds it), and so
+    which of the step's views (dW, dB and dA at step i; t, x and z for the
+    maps) a step reads.  A zero penalty's step is the identity and its
+    multiplier exactly 0, so its resolvent, gradient and U or V store are
+    skipped (for finite input the generic step gives the same bits: +0.0
     multipliers, and j - 0 * dA = j).  Only the implicit psi step, where dA
     can be 0, goes through _prox.  A zero g or h term is skipped, a constant
     f adds the float c dt, and any other map is called at every step.  A
@@ -273,12 +276,33 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     sweep adds 0.0 once: folded into the float, c dt + 0.0, for a constant
     f, else after the h term.  The step writes Ytil and then Y_i into
     Y[:, i], and U_i and V_i into U[:, i] and V[:, i], in place; each read
-    of the explicit psi step's input ends before it writes Y_i.  Ytil is
-    checked for finiteness only before a moving penalty, which can map it
-    to a finite Y_i; with none, Y_i is Ytil and the one check after the step
-    raises at the same step.  Each node's Z fit is written into Z[:, i];
-    under sample-mean, when neither f nor h reads z, no step reads Z, and the
-    fits are one pass over Z[:, :-1] after the sweep, in the step's layout."""
+    of the explicit psi step's input ends before it writes Y_i.  Each node's
+    Z fit is written into Z[:, i]; under sample-mean, when neither f nor h
+    reads z, no step reads Z, and the fits are one pass over Z[:, :-1] after
+    the sweep, in the step's layout.
+
+    Finiteness.  A checked step raises FloatingPointError naming the step:
+    on a non-finite Ytil before a moving penalty, whose resolvent can map it
+    to a finite Y_i, then on a non-finite Y_i, U_i or V_i (a moving
+    penalty's multiplier can overflow while Y_i stays finite).  The steps run
+    in blocks of _BLOCK_STEPS, aligned on its multiples, each first
+    unchecked: under an errstate that turns each FP category the caller does
+    not ignore into a 'call' to a recorder, with any Exception of a map or
+    an oracle caught.  The block stands if nothing was recorded or raised
+    and its Y, and U and V of a moving penalty, are finite.  Otherwise its
+    condition numbers are dropped and it runs again from Y[:, hi], checked,
+    under the caller's errstate.  Its inputs (Y[:, hi], the noise and the
+    maps, assumed pure) are unchanged and it redoes every write, so it
+    raises and warns as a sweep that checks every step; a map's own
+    warnings.warn is emitted a second time.
+
+    The block check misses no step whose Ytil check would raise: a
+    non-finite Ytil_i leaves a non-finite value in Y_i, U_i or V_i.  With
+    no moving penalty, Y_i = Ytil_i.  A moving phi writes
+    U_i = (Ytil_i - J(Ytil_i)) / tau in either scheme, non-finite for any J.
+    A moving psi alone writes V_i = (j - J(j)) / e in the explicit scheme;
+    the implicit one writes V_i = (j - J(j)) / dA on the rows with dA > 0
+    and keeps Y_i = j on the rows with dA = 0."""
     grid = config.grid
     if not np.array_equal(noise.grid.nodes, grid.nodes):
         raise ValueError("noise bundle and solver grid disagree")
@@ -318,14 +342,15 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
 
     Y, Z, U, V = (_node_major(rows, n_nodes, *tail) for tail in ((k,), (k, d), (k,), (k,)))
     Y[:, -1] = xi
-    # c of a map that reads neither y nor z, else None; only a nonzero constant h of these is called
+    # c of a map that reads neither y nor z, else None; a nonzero constant h is its value, built as _Affine builds it
     f_c, g_c, h_c = (m.c if isinstance(m, _Affine) and not (m.a_y or m.a_z) else None
                      for m in (coeffs.f, coeffs.g, coeffs.h))
     plus_zero = g_c == 0.0 or h_c == 0.0  # a skipped +0.0 term: add 0.0 once
     if f_c is not None:  # c dt + 0.0 differs from c dt only at -0.0, which a late + 0.0 turns into +0.0
         f_dts = [f_c * dt + 0.0 if plus_zero else f_c * dt for dt in grid.dt.tolist()]
     late_zero = plus_zero and f_c is None
-    calls, reads_da = f_c is None or g_c is None or h_c != 0.0, g_c != 0.0 or move_psi
+    h_v = np.full((rows, k), h_c)[..., None] * np.ones(d) if h_c else None
+    calls, reads_da = None in (f_c, g_c, h_c), g_c != 0.0 or move_psi
     z_after = sample_mean and all(isinstance(m, _Affine) and not m.a_z for m in (coeffs.f, coeffs.h))
     if sample_mean:
         project = _projector("sample-mean", None, n_blocks)[0]
@@ -373,7 +398,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
             elif g_c:
                 y_i += g_c * da
             if h_c != 0.0:
-                hv = np.asarray(coeffs.h(*txy, Z[:, i]), dtype=float).reshape(rows, k, d)
+                hv = h_v if h_c else np.asarray(coeffs.h(*txy, Z[:, i]), dtype=float).reshape(rows, k, d)
                 y_i += np.einsum("pkd,pd->pk", hv, dB[:, i])
             if late_zero:
                 y_i += 0.0
@@ -399,12 +424,12 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
                 j = y
             if j is not y_i:
                 y_i[...] = j
-            if checked and not np.isfinite(y_i).all():
-                raise FloatingPointError(f"non-finite Y at step {i}")
+            for name, a in watched if checked else ():  # a multiplier can overflow while Y_i stays finite
+                if not np.isfinite(a[:, i]).all():
+                    raise FloatingPointError(f"non-finite {name} at step {i}")
 
-    # each block of steps runs first with no per-step check, under an errstate that records each FP
-    # event the caller would see; it stands if none was recorded or raised and its Y, U and V are
-    # finite, else it runs again from Y[:, hi], checked, under the caller's errstate
+    # a block runs unchecked, recording the FP events the caller would see, then again checked if
+    # it faulted (docstring: Finiteness)
     faults = []
     optimistic = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
     for lo in range((grid.n_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS, -1, -_BLOCK_STEPS):

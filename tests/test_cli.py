@@ -545,6 +545,26 @@ def test_non_finite_value_is_numerical_error(tmp_path, capsys):
     assert '"error": "numerical"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("errstate", ["warn", "ignore"])
+def test_non_finite_multiplier_with_finite_y_is_numerical_error(tmp_path, capsys, errstate):
+    """phi = quadratic(1000) from the terminal 1e306 at 300 steps: the implicit
+    step keeps Y finite but its U overflows.  The run used to write inf into
+    mean_U of solve.csv with exit 0; it is now a numerical failure naming U
+    and the step, whether numpy warns of the overflow or not."""
+    def edit(raw):
+        raw["phi"] = "quadratic(1000.0)"
+        raw["coefficients"]["terminal"] = {"kind": "constant", "value": 1.0e306}
+
+    p = _variant(tmp_path, "vi_oracle.yaml", edit)
+    with warnings.catch_warnings(), np.errstate(all=errstate):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = run(["solve", "--scenario", p, "--steps", "300", "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "numerical", "detail": "non-finite U at step 299"}
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("steps, code", [(100, 3), (10_000, 0)])
 def test_explicit_scheme_past_its_stability_bound_is_numerical_error(tmp_path, capsys, steps, code):
     """The barrier oracle with the explicit scheme at eps = 1e-4: 100 steps

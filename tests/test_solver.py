@@ -235,7 +235,7 @@ _KINDS = {"zero": {"kind": "zero"}, "constant": {"kind": "constant", "value": -0
 
 
 class _NeverCalled(solver_module._Affine):
-    """A constant f or a zero g or h, which the sweep resolves at set-up and must never call."""
+    """A constant f, g or h, which the sweep resolves at set-up and must never call."""
 
     def __call__(self, *args):
         raise AssertionError("the sweep called a zero or constant coefficient")
@@ -260,9 +260,9 @@ def _coefficient_ensemble(sample_mean, d, n_paths, n_steps=30):
 @pytest.mark.parametrize("regression", ["sample-mean", ("poly", 2), ("partition", 4)], ids=str)
 @pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
 def test_resolved_coefficients_are_the_generic_step_bit_for_bit(scheme, regression, kinds):
-    """A constant f and a zero g or h are resolved at set-up and never
-    called (a nonzero constant h is called), and under sample-mean with no
-    z read the Z fits run after the sweep.  Y, Z, U, V and the condition
+    """A constant f, g or h is resolved at set-up and never called (a
+    nonzero constant h is built once, as _Affine builds it), and under
+    sample-mean with no z read the Z fits run after the sweep.  Y, Z, U, V and the condition
     numbers have the bytes of the same maps wrapped in plain lambdas, which
     take the generic step; the terminal -0.0 checks the sign of zero that
     the skipped +0.0 terms give: the f of kind "callable", 0.5 y, a map the
@@ -276,7 +276,7 @@ def test_resolved_coefficients_are_the_generic_step_bit_for_bit(scheme, regressi
             continue
         spec = {key: v for key, v in _KINDS[kind].items() if role != "g" or key != "a_z"}
         m = make_coefficients({role: spec})["fgh".index(role)]
-        called = "linear" in kind or (role == "h" and m.c)
+        called = "linear" in kind
         fast.append(m if called else _NeverCalled(m.a_y, m.a_z, m.c, m.noise))
         generic.append(lambda *args, m=m: m(*args))
     z_max = 0.0
@@ -594,8 +594,9 @@ def _fault_case(case):
     """A solve that turns non-finite or overflows: an interior inf from f under
     the explicit scheme, the implicit scheme with a box that maps it to a
     finite Y (with the closed-form and with the lattice-oracle resolvent) and
-    with no penalty; a value that grows until f overflows; and an implicit phi
-    step whose multiplier U overflows while Y stays finite."""
+    with no penalty; a value that grows until f overflows; an f whose every
+    call overflows or underflows to a finite value; and an implicit phi step
+    whose multiplier U overflows while Y stays finite."""
     grid, noise = _bundle(n_steps=100, n_paths=4)
     box = make_convex("indicator_box(-inf,0.5)")
     explicit, implicit = SolverConfig(grid, eps=2e-2, scheme="explicit-yosida"), SolverConfig(grid)
@@ -606,6 +607,10 @@ def _fault_case(case):
     if case == "overflow-growth":  # Y doubles each step from 1e285 until 100 y overflows
         coeffs = _coeffs(f=lambda t, x, y, z: 100.0 * y, terminal=1e285)
         return solve_penalized(coeffs, make_convex("quadratic(1.0)"), make_convex("abs"), explicit, noise)
+    if case in ("overflow-in-finite-f", "underflow-in-finite-f"):  # an FP event at every step, all values finite
+        big = case == "overflow-in-finite-f"
+        f = lambda t, x, y, z: np.minimum(np.full_like(y, 1e308 if big else 1e-300) * (10.0 if big else 1e-100), 1.0)
+        return solve_penalized(_coeffs(f=f), box, ZERO, explicit, noise)
     phi, config = {"explicit-inf": (box, explicit), "implicit-box-inf": (box, implicit),
                    "lattice-oracle-inf": (replace(box, prox_oracle=None), implicit),
                    "no-penalty-inf": (ZERO, implicit)}[case]
@@ -642,8 +647,13 @@ _NON_FINITE_44 = ("FloatingPointError", "non-finite Y at step 44", ())
     ("overflow-growth", {"default": ("FloatingPointError", "non-finite Y at step 27", (_OVER_MUL,)),
                          "ignore": ("FloatingPointError", "non-finite Y at step 27", ()),
                          "raise": ("FloatingPointError", _OVER_MUL, ())}),
-    ("u-overflow", {"default": (None, None, ("overflow encountered in divide",)),
-                    "ignore": (None, None, ()),
+    ("overflow-in-finite-f", {"default": (None, None, (_OVER_MUL,) * 100), "ignore": (None, None, ()),
+                              "raise": ("FloatingPointError", _OVER_MUL, ())}),
+    ("underflow-in-finite-f", {"default": (None, None, ()), "ignore": (None, None, ()),
+                               "raise": ("FloatingPointError", "underflow encountered in multiply", ())}),
+    # a sweep that checked Y only returned the inf U here, with exit 0 in the CLI
+    ("u-overflow", {"default": ("FloatingPointError", "non-finite U at step 299", ("overflow encountered in divide",)),
+                    "ignore": ("FloatingPointError", "non-finite U at step 299", ()),
                     "raise": ("FloatingPointError", "overflow encountered in divide", ())}),
 ])
 def test_a_fault_raises_and_warns_as_the_per_step_sweep(case, expected, errstate):
@@ -651,6 +661,20 @@ def test_a_fault_raises_and_warns_as_the_per_step_sweep(case, expected, errstate
     index and the list of RuntimeWarnings of a sweep that checks every step,
     under numpy's default, an ignoring and a raising errstate."""
     assert _fault_record(case, errstate) == expected[errstate]
+
+
+@pytest.mark.parametrize("penalty", ["phi", "psi"])
+def test_a_non_finite_multiplier_with_a_finite_y_raises(penalty):
+    """An implicit resolvent step of quadratic(1000) from 1e306 over dt = dA = 1/300
+    keeps Y finite, but its multiplier (Ytil - J) / dt overflows: the sweep
+    raises naming U (phi) or V (psi) and the step."""
+    grid, noise = _bundle(n_steps=300, n_paths=8, a="time")
+    steep = make_convex("quadratic(1000.0)")
+    phi, psi = (steep, ZERO) if penalty == "phi" else (ZERO, steep)
+    coeffs = _coeffs(*make_coefficients({"f": {"kind": "constant", "value": 1.0}}), terminal=1e306)
+    name = "U" if penalty == "phi" else "V"
+    with pytest.raises(FloatingPointError, match=f"non-finite {name} at step 299$"), np.errstate(all="ignore"):
+        solve_penalized(coeffs, phi, psi, SolverConfig(grid, eps=1e-4), noise)
 
 
 @pytest.mark.parametrize("step", [0, 63, 64, 128])
