@@ -431,11 +431,11 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     # a block runs unchecked, recording the FP events the caller would see, then again checked if
     # it faulted (docstring: Finiteness)
     faults = []
-    optimistic = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
+    unchecked = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
     for lo in range((grid.n_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS, -1, -_BLOCK_STEPS):
         hi, n_conds = min(lo + _BLOCK_STEPS, grid.n_steps), len(conds)
         try:
-            with np.errstate(call=lambda kind, flag: faults.append(kind), **optimistic):
+            with np.errstate(call=lambda kind, flag: faults.append(kind), **unchecked):
                 steps(lo, hi, False)
             stands = not faults and all(np.isfinite(a[:, lo:hi]).all() for _, a in watched)
         except Exception:
