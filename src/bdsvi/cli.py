@@ -231,7 +231,7 @@ def run(argv=None) -> int:
     except (KeyError, OSError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": "validation", "detail": str(exc)}) + "\n")
         return 2
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, RuntimeWarning, FloatingPointError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(json.dumps({"error": "numerical", "detail": str(exc)}) + "\n")
         return 3
 

@@ -112,21 +112,22 @@ class Scenario:
     lattice: Optional[FieldGrid]  # the field lattice, its times on grid nodes
     draws: int  # backward-noise draws of the field
     vi_test_points: list
-    weight_warning: Optional[str] = None
+    weight_warning: Optional[str]  # the weight constants outside the sufficient region, else None
 
 
 def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
-    def top(key, section, default):  # a top-level key, such as a CLI override, wins over its section's
-        return raw[key] if raw.get(key) is not None else section.get(key, default)
-
     try:
         with open(path) as fh:
             raw = yaml.load(fh, Loader=_YAML_LOADER)
         if not isinstance(raw, dict):
             raise ScenarioError("scenario file must be a mapping")
-        raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
+        over = {k: v for k, v in (overrides or {}).items() if v is not None}
+        for key, section in (("steps", "grid"), ("eps", "solver")):  # a CLI override wins over its section's key
+            if key in over:
+                raw[section] = {**_mapping(raw.get(section, {}), section), key: over.pop(key)}
+        raw.update(over)
         _keys(raw, "scenario", *"""name phi psi constants coefficients grid solver domain dim start sigma drift
-              eps_ladder a_process lattice seed paths vi_test_points steps eps""".split())
+              eps_ladder a_process lattice seed paths vi_test_points""".split())
         name = raw.get("name", "unnamed")
         phi = make_convex(raw.get("phi", "zero"))
         psi = make_convex(raw.get("psi", "zero"))
@@ -137,7 +138,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         coeffs = CoefficientSet(f, g, h, make_terminal(co.get("terminal", {"kind": "constant"})), constants)
         gs = _keys(raw.get("grid", {}), "grid", "t0", "T", "steps")
         grid = TimeGrid.uniform(float(gs.get("t0", 0.0)), float(gs.get("T", 1.0)),
-                                _whole(top("steps", gs, 100), "steps"))
+                                _whole(gs.get("steps", 100), "steps"))
         sv = _keys(raw.get("solver", {}), "solver", "eps", "scheme", "regression")
         regression = sv.get("regression", "sample-mean")
         if regression != "sample-mean":  # a poly or partition mapping, its count key named by its kind
@@ -146,7 +147,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             regression = (kind, _whole(regression.get(count, 2), f"regression {count}"))
         solver = SolverConfig(
             grid=grid,
-            eps=float(top("eps", sv, 1e-3)),
+            eps=float(sv.get("eps", 1e-3)),
             scheme=sv.get("scheme", "implicit-prox"),
             regression=regression,
         )
@@ -194,7 +195,8 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         n_paths = _whole(raw.get("paths", 100), "paths")
         if n_paths < 1:
             raise ScenarioError(f"paths must be at least 1, got {n_paths}")
-        scn = Scenario(
+        wr = validate_weights(constants)  # sufficient-not-necessary inequalities: warn, do not abort
+        return Scenario(
             name=name,
             phi=phi,
             psi=psi,
@@ -210,15 +212,9 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             lattice=lattice,
             draws=draws,
             vi_test_points=raw.get("vi_test_points", [-1.0, 0.0, 0.25, 0.5]),
+            weight_warning=None if wr.ok else (f"weight constants outside the sufficient region: "
+                                               f"lam margin {wr.lam_margin:.4g}, mu margin {wr.mu_margin:.4g}"),
         )
     except (KeyError, TypeError, AttributeError, yaml.YAMLError) as exc:
         # a KeyError's str() is the repr of its message: the message itself, without quotes
         raise ScenarioError(exc.args[0] if isinstance(exc, KeyError) else str(exc)) from exc
-    wr = validate_weights(constants)
-    if not wr.ok:
-        # sufficient-not-necessary inequalities: warn, do not abort
-        scn.weight_warning = (
-            f"weight constants outside the sufficient region: "
-            f"lam margin {wr.lam_margin:.4g}, mu margin {wr.mu_margin:.4g}"
-        )
-    return scn

@@ -14,9 +14,9 @@ penalties (skipped), a scenario's constant f, g and h, and so which per-step
 views a step reads, are resolved once per sweep, not per step.  Each step
 writes Y, Z, U and V in place into the solution arrays; the Z fit runs under
 ``sample-mean`` in one pass after the sweep when neither f nor h reads z.
-Finiteness is checked once per block of steps; a block that fails the check
-runs again with a check at every step, which raises at the step where Y, U
-or V turns non-finite (FloatingPointError).
+Finiteness is checked once, after an unchecked pass; a sweep that fails the
+check runs again with a check at every step, which raises at the step where
+Y, U or V turns non-finite (FloatingPointError).
 
 Conditional expectations:
 
@@ -52,9 +52,6 @@ __all__ = [
     "cauchy_study",
     "verify_vi_inclusion",
 ]
-
-_BLOCK_STEPS = 64  # backward steps per finiteness check of the unchecked run (_backward_sweep)
-
 
 @dataclass(frozen=True)
 class CoefficientSet:
@@ -134,7 +131,7 @@ class BdsdeSolution:
     constants: AssumptionConstants  # lam and mu weight the norms, energies and Cauchy gaps
     phi: ConvexFunction
     psi: ConvexFunction
-    condition_numbers: list = field(default_factory=list)
+    condition_numbers: list  # the worst block's per step; empty under sample-mean
 
     @property
     def grid(self) -> TimeGrid:
@@ -284,21 +281,20 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     Finiteness.  A checked step raises FloatingPointError naming the step:
     on a non-finite Ytil before a moving penalty, whose resolvent can map it
     to a finite Y_i, then on a non-finite Y_i, U_i or V_i (a moving
-    penalty's multiplier can overflow while Y_i stays finite).  The steps run
-    in blocks of _BLOCK_STEPS, aligned on its multiples, each first
-    unchecked: under an errstate that turns each FP category the caller does
-    not ignore into a 'call' to a recorder, with any Exception of a map or
-    an oracle caught.  The block stands if nothing was recorded or raised
-    and its Y, and U and V of a moving penalty, are finite.  Otherwise its
-    condition numbers are dropped and it runs again from Y[:, hi], checked,
-    under the caller's errstate.  Its inputs (Y[:, hi], the noise and the
-    maps, assumed pure) are unchanged and it redoes every write, so it
-    raises and warns as a sweep that checks every step; a map's own
-    warnings.warn is emitted a second time.
+    penalty's multiplier can overflow while Y_i stays finite).  The sweep
+    first runs every step unchecked, under an errstate that turns each FP
+    category the caller does not ignore into a 'call' to a recorder, with
+    any Exception of a map or an oracle caught.  It stands if nothing was
+    recorded or raised and the steps' Y, and U and V of a moving penalty,
+    are finite.  Otherwise its condition numbers are dropped and it runs
+    again from the terminal node, checked, under the caller's errstate.  Its
+    inputs (the terminal values, the noise and the maps, assumed pure) are
+    unchanged and it redoes every write, so it raises and warns as a sweep
+    that checks every step; a map's own warnings.warn is emitted again.
 
-    The block check misses no step whose Ytil check would raise: a
-    non-finite Ytil_i leaves a non-finite value in Y_i, U_i or V_i.  With
-    no moving penalty, Y_i = Ytil_i.  A moving phi writes
+    The scan misses no step whose Ytil check would raise: a non-finite
+    Ytil_i leaves a non-finite value in Y_i, U_i or V_i.  With no moving
+    penalty, Y_i = Ytil_i.  A moving phi writes
     U_i = (Ytil_i - J(Ytil_i)) / tau in either scheme, non-finite for any J.
     A moving psi alone writes V_i = (j - J(j)) / e in the explicit scheme;
     the implicit one writes V_i = (j - J(j)) / dA on the rows with dA > 0
@@ -371,8 +367,8 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     dts, t_nodes, dW, dB = grid.dt.tolist(), grid.nodes.tolist(), noise.dW, noise.dB
     watched = [("Y", Y)] + [("U", U)] * move_phi + [("V", V)] * move_psi  # what a step writes, less a zero U or V
 
-    def steps(lo, hi, checked):  # steps hi - 1, ..., lo from Y[:, hi]; checked: the per-step finiteness checks
-        for i in range(hi - 1, lo - 1, -1):
+    def steps(checked):  # every step from the terminal node; checked: the per-step finiteness checks
+        for i in range(grid.n_steps - 1, -1, -1):
             dt = dts[i]
             y_next, y_i = Y[:, i + 1], Y[:, i]  # y_i holds Ytil, then Y_i
             da = dA[:, i, None] if reads_da else None
@@ -428,22 +424,19 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
                 if not np.isfinite(a[:, i]).all():
                     raise FloatingPointError(f"non-finite {name} at step {i}")
 
-    # a block runs unchecked, recording the FP events the caller would see, then again checked if
-    # it faulted (docstring: Finiteness)
+    # one pass unchecked, recording the FP events the caller would see, then again checked if it
+    # faulted (docstring: Finiteness)
     faults = []
     unchecked = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
-    for lo in range((grid.n_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS, -1, -_BLOCK_STEPS):
-        hi, n_conds = min(lo + _BLOCK_STEPS, grid.n_steps), len(conds)
-        try:
-            with np.errstate(call=lambda kind, flag: faults.append(kind), **unchecked):
-                steps(lo, hi, False)
-            stands = not faults and all(np.isfinite(a[:, lo:hi]).all() for _, a in watched)
-        except Exception:
-            stands = False
-        if not stands:
-            faults.clear()
-            del conds[n_conds:]
-            steps(lo, hi, True)
+    try:
+        with np.errstate(call=lambda kind, flag: faults.append(kind), **unchecked):
+            steps(False)
+        stands = not faults and all(np.isfinite(a[:, :-1]).all() for _, a in watched)
+    except Exception:
+        stands = False
+    if not stands:
+        conds.clear()
+        steps(True)
     if z_after:  # Y_{i+1} dW_i^T / dt_i written into Z[:, i], then each node's block means in place
         z = Z[:, :-1]
         np.divide(np.multiply(Y[:, 1:, :, None], dW[:, :, None, :], out=z), grid.dt[:, None, None], out=z)

@@ -39,6 +39,21 @@ def test_overrides_apply():
     assert scn.solver.eps == 0.5
 
 
+@pytest.mark.parametrize("key, value", [("steps", 10), ("eps", 0.5)])
+def test_top_level_steps_or_eps_in_a_file_fails_at_load(tmp_path, capsys, key, value):
+    """steps belongs under grid and eps under solver.  A top-level one in a
+    file used to override its section's silently; now it is an unknown key,
+    named at load (exit 2).  The CLI's --steps and --eps go into the
+    sections (test_overrides_apply)."""
+    p = _variant(tmp_path, "zero.yaml", lambda raw: raw.update({key: value}))
+    with pytest.raises(ScenarioError, match=f"unknown scenario key\\(s\\) {key};"):
+        load_scenario(p)
+    assert run(["solve", "--scenario", p, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "validation" and f"key(s) {key};" in record["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_weight_warning_set_when_outside_region(tmp_path):
     raw = yaml.safe_load(open(_scn("zero.yaml")))
     raw["constants"]["lam"] = 0.1
@@ -545,23 +560,29 @@ def test_non_finite_value_is_numerical_error(tmp_path, capsys):
     assert '"error": "numerical"' in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("errstate", ["warn", "ignore"])
-def test_non_finite_multiplier_with_finite_y_is_numerical_error(tmp_path, capsys, errstate):
+@pytest.mark.parametrize("errstate, action, detail", [
+    ("warn", "ignore", "non-finite U at step 299"),
+    ("ignore", "ignore", "non-finite U at step 299"),
+    ("warn", "error", "overflow encountered in divide"),
+])
+def test_non_finite_multiplier_with_finite_y_is_numerical_error(tmp_path, capsys, errstate, action, detail):
     """phi = quadratic(1000) from the terminal 1e306 at 300 steps: the implicit
     step keeps Y finite but its U overflows.  The run used to write inf into
     mean_U of solve.csv with exit 0; it is now a numerical failure naming U
-    and the step, whether numpy warns of the overflow or not."""
+    and the step, whether numpy warns of the overflow or not.  With
+    RuntimeWarning raised as an error (PYTHONWARNINGS=error::RuntimeWarning)
+    the overflow's warning is the numerical failure, not a traceback."""
     def edit(raw):
         raw["phi"] = "quadratic(1000.0)"
         raw["coefficients"]["terminal"] = {"kind": "constant", "value": 1.0e306}
 
     p = _variant(tmp_path, "vi_oracle.yaml", edit)
     with warnings.catch_warnings(), np.errstate(all=errstate):
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter(action, RuntimeWarning)
         code = run(["solve", "--scenario", p, "--steps", "300", "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 3
     record = json.loads(capsys.readouterr().err)
-    assert record == {"error": "numerical", "detail": "non-finite U at step 299"}
+    assert record == {"error": "numerical", "detail": detail}
     assert not (tmp_path / "out").exists()
 
 

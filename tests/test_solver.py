@@ -346,8 +346,7 @@ def test_step_with_both_penalties_moving_is_the_reference_bit_for_bit(scheme, re
     Ytil, the phi step and the psi step into Y[:, i], U[:, i] and V[:, i] in
     place.  Y, Z, U and V have the bytes of the plain per-step recursion, on
     ensembles with dA > 0 on some rows (and dA = 0 on others for the
-    reflected one), where both penalties act, and on grids that end on,
-    before and after an edge of the sweep's blocks of steps."""
+    reflected one), where both penalties act, on grids of 30 to 129 steps."""
     sample_mean = regression == "sample-mean"
     noise = _coefficient_ensemble(sample_mean, 1, 64, n_steps)
     coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.2 * z[..., 0], g=lambda t, x, y: 0.4 + 0.1 * y,
@@ -680,16 +679,41 @@ def test_a_non_finite_multiplier_with_a_finite_y_raises(penalty):
 @pytest.mark.parametrize("step", [0, 63, 64, 128])
 @pytest.mark.parametrize("phi, scheme", [("zero", "implicit-prox"), ("indicator_box(-inf,0.5)", "implicit-prox"),
                                          ("indicator_box(-inf,0.5)", "explicit-yosida")])
-def test_a_fault_on_a_block_edge_names_its_own_step(step, phi, scheme):
-    """An inf from f at one step of a 129-step grid, on either side of an edge
-    of the sweep's blocks of steps and at its first and last step, raises at
-    that step, also where the box maps it to a finite Y."""
+def test_a_fault_at_one_step_names_that_step(step, phi, scheme):
+    """An inf from f at one step of a 129-step grid, at its first and last
+    step and at steps in between, raises at that step, also where the box
+    maps it to a finite Y."""
     grid, noise = _bundle(n_steps=129, n_paths=4)
     t_fault = grid.nodes[step + 1]  # f is taken at the right endpoint
     coeffs = _coeffs(f=lambda t, x, y, z: np.full_like(y, np.inf if t == t_fault else 1.0))
     config = SolverConfig(grid, eps=2e-2, scheme=scheme)
     with pytest.raises(FloatingPointError, match=f"non-finite Y at step {step}$"), np.errstate(all="ignore"):
         solve_penalized(coeffs, make_convex(phi), ZERO, config, noise)
+
+
+def test_a_sweep_that_runs_again_checked_returns_what_an_unchecked_one_does():
+    """An f whose every call overflows to a finite value: under numpy's
+    default errstate the unchecked pass records the overflow, so the sweep
+    runs again checked from the terminal node and emits one warning per
+    step; under over="ignore" nothing is recorded and the first pass stands.
+    Both give the same bytes of Y, Z, U and V and the same condition
+    numbers, one per step."""
+    noise = _coefficient_ensemble(False, 1, 200, 130)
+    f = lambda t, x, y, z: np.minimum(np.full_like(y, 1e308) * 10.0, 1.0)
+    coeffs = _coeffs(f=f, terminal=lambda x: x[:, 0] ** 2 + 0.4)
+    config = SolverConfig(noise.grid, regression=("poly", 2))
+    solve = functools.partial(solve_penalized, coeffs, make_convex("indicator_box(-inf,0.5)"), ZERO, config, noise)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**_ERRSTATES["default"]):
+        warnings.simplefilter("always")
+        again = solve()
+    assert [str(w.message) for w in caught] == [_OVER_MUL] * 130
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**_ERRSTATES["default"] | {"over": "ignore"}):
+        warnings.simplefilter("always")
+        once = solve()
+    assert caught == []
+    for name in ("Y", "Z", "U", "V"):
+        assert getattr(again, name).tobytes() == getattr(once, name).tobytes(), name
+    assert len(once.condition_numbers) == 130 and again.condition_numbers == once.condition_numbers
 
 # ---------------------------------------------------------------- diagnostics
 
