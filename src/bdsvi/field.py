@@ -20,7 +20,7 @@ import numpy as np
 
 from .convex import ConvexFunction
 from .drivers import PathBundle, TimeGrid, _node_major, _rekey, _stream
-from .reflected import _BOUNDARY_TOL, DomainSpec, ForwardModel, simulate_reflected
+from .reflected import DomainSpec, ForwardModel, _check_closure, simulate_reflected
 from .solver import CoefficientSet, SolverConfig, _backward_sweep, _terminal_values
 
 __all__ = [
@@ -49,8 +49,7 @@ class FieldGrid:
                 raise ValueError(f"lattice has no {name}")
         if points.ndim != 2 or points.shape[1] != domain.d:
             raise ValueError(f"lattice points must have shape (n, {domain.d}), got {points.shape}")
-        if np.any(domain.level(points) < -_BOUNDARY_TOL):
-            raise ValueError("lattice point outside the closure of the domain")
+        _check_closure(domain, points, "lattice point")
         return cls(times, points)
 
 

@@ -53,6 +53,8 @@ def unit_ball(dim: int, radius: float = 1.0) -> DomainSpec:
     """Ball of given radius; level = (r^2 - |x|^2) / (2r) has a unit inward
     normal -x/r on the boundary."""
     r = float(radius)
+    if not (dim >= 1 and 0.0 < r < np.inf):
+        raise ValueError(f"ball needs dim >= 1 and a finite radius > 0, got dim {dim}, radius {radius}")
 
     def level(x):  # far out |x|^2 overflows, and the level reads -inf
         if dim <= 2:  # two squares add with one rounding in any order: np.sum's value, with no overflow warning
@@ -78,6 +80,8 @@ def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
     endpoints."""
     lo, hi = float(lo), float(hi)
     width = hi - lo
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"interval needs finite lo < hi, got lo {lo}, hi {hi}")
 
     def level(x):  # far out the product overflows, and the level reads -inf
         with np.errstate(over="ignore"):
@@ -118,6 +122,12 @@ def make_domain(kind: str, **params) -> DomainSpec:
         what = "domain section names no kind" if kind is None else f"unknown domain kind {kind!r}"
         raise KeyError(f"{what}; known: {', '.join(builders)}")
     return builders[kind](**params)
+
+
+def _check_closure(domain: DomainSpec, x, what: str):
+    """ValueError naming what unless every point of x (..., d) lies in the closure of domain, up to _BOUNDARY_TOL."""
+    if not np.all(domain.level(x) >= -_BOUNDARY_TOL):  # so a NaN level, as at a NaN point, fails too
+        raise ValueError(f"{what} lies outside the closure of the domain")
 
 
 def _coefficients(model: ForwardModel, x):
@@ -199,8 +209,7 @@ def simulate_reflected(model: ForwardModel, start: tuple, noise: PathBundle) -> 
     grid, domain, sigma = noise.grid, model.domain, model.sigma
     if abs(grid.t0 - t0) > 1e-12:
         raise ValueError("grid must start at the launch time")
-    if np.any(domain.level(x0) < -_BOUNDARY_TOL):
-        raise ValueError("start point lies outside the closure of the domain")
+    _check_closure(domain, x0, "start point")
     n_paths, d = noise.n_paths, domain.d
     X = _node_major(n_paths, grid.n_steps + 1, d)
     A = _node_major(n_paths, grid.n_steps + 1)

@@ -5,6 +5,8 @@ coefficient selections, structural constants, optional domain, grid, solver
 settings, eps ladder, and seed.  All randomness in a run derives from the
 scenario seed.  `load_scenario` is the only reader of the file: it builds
 every object a command uses, so a bad section fails at load for every command.
+The estimator, eps-ladder, domain, closure and seed rules are checked by
+their owners, and `load_scenario` re-raises an owner's ValueError as a ScenarioError.
 """
 from __future__ import annotations
 
@@ -15,10 +17,10 @@ import numpy as np
 import yaml
 
 from .convex import AssumptionConstants, ConvexFunction, make_convex, validate_weights
-from .drivers import TimeGrid
+from .drivers import TimeGrid, _stream_key
 from .field import FieldGrid
-from .reflected import ForwardModel, make_domain
-from .solver import CoefficientSet, SolverConfig, _Affine, _check_regression
+from .reflected import ForwardModel, _check_closure, make_domain
+from .solver import CoefficientSet, SolverConfig, _Affine, _check_ladder, _check_regression
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "make_coefficients", "make_terminal"]
 
@@ -160,15 +162,24 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             domain = make_domain(dspec.pop("kind", None), **dspec)
             model = ForwardModel(domain, drift, sigma)
         d = domain.d if domain is not None else _whole(raw.get("dim", 1), "dim")
-        _check_regression(regression, d)
+        n_paths = _whole(raw.get("paths", 100), "paths")
+        for key, n in (("dim", d), ("paths", n_paths)):
+            if n < 1:
+                raise ScenarioError(f"{key} must be at least 1, got {n}")
+        _check_regression(regression, d, domain is not None, coeffs.terminal)
         start = np.atleast_1d(np.asarray(raw.get("start", np.zeros(d)), dtype=float))
         if start.shape != (d,):
             raise ScenarioError(f"start must be a point of dimension {d}, got shape {start.shape}")
-        if regression == "sample-mean" and (domain is not None or callable(coeffs.terminal)):
-            # the pathwise value update it takes holds only for state-free data
-            raise ScenarioError("regression sample-mean needs a constant terminal and no domain;"
-                                " use poly or partition")
+        if domain is not None:
+            _check_closure(domain, start, "start point")
         ladder = [float(e) for e in raw.get("eps_ladder", [])]
+        _check_ladder(ladder)
+        seed = _whole(raw.get("seed", 0), "seed")
+        _stream_key(seed, "W", 0)  # the key packer's range of seeds, for every command
+        vi_points = raw.get("vi_test_points", [-1.0, 0.0, 0.25, 0.5])  # points of dimension k = 1
+        if not (type(vi_points) is list and vi_points and all(type(r) in (int, float) for r in vi_points)
+                and np.isfinite(vi_points).all()):
+            raise ScenarioError(f"vi_test_points must be a non-empty list of finite numbers, got {vi_points!r}")
         a_process = raw.get("a_process", "time")
         if a_process == "time":
             a_spec = lambda t: np.asarray(t, dtype=float)
@@ -192,9 +203,6 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             lo, hi = domain.bounding_box
             pts = np.linspace(float(lo[0]), float(hi[0]), n_points)[:, None]
             lattice = FieldGrid.build(domain, grid.nodes[idx], pts)
-        n_paths = _whole(raw.get("paths", 100), "paths")
-        if n_paths < 1:
-            raise ScenarioError(f"paths must be at least 1, got {n_paths}")
         wr = validate_weights(constants)  # sufficient-not-necessary inequalities: warn, do not abort
         return Scenario(
             name=name,
@@ -202,7 +210,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             psi=psi,
             coeffs=coeffs,
             solver=solver,
-            seed=_whole(raw.get("seed", 0), "seed"),
+            seed=seed,
             n_paths=n_paths,
             eps_ladder=ladder,
             model=model,
@@ -211,10 +219,10 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             a_spec=a_spec,
             lattice=lattice,
             draws=draws,
-            vi_test_points=raw.get("vi_test_points", [-1.0, 0.0, 0.25, 0.5]),
+            vi_test_points=vi_points,
             weight_warning=None if wr.ok else (f"weight constants outside the sufficient region: "
                                                f"lam margin {wr.lam_margin:.4g}, mu margin {wr.mu_margin:.4g}"),
         )
-    except (KeyError, TypeError, AttributeError, yaml.YAMLError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, yaml.YAMLError) as exc:  # ValueError: an owner's rule
         # a KeyError's str() is the repr of its message: the message itself, without quotes
         raise ScenarioError(exc.args[0] if isinstance(exc, KeyError) else str(exc)) from exc

@@ -27,9 +27,9 @@ Conditional expectations:
   pathwise; only the Z extraction averages across paths (where the forward
   expectation genuinely acts).  The sweep rejects it for an ensemble that
   carries a state X or for a terminal map.
-* ``poly``/``partition`` regress on the Markov state.  They assume the
-  ensemble shares one backward-noise draw (common noise), which is how the
-  field sampler builds its ensembles.
+* ``poly``/``partition`` regress on the Markov state, which the sweep
+  requires.  They assume the ensemble shares one backward-noise draw
+  (common noise), which is how the field sampler builds its ensembles.
 """
 from __future__ import annotations
 
@@ -107,6 +107,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("explicit-yosida", "implicit-prox"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        reg = self.regression
+        if reg != "sample-mean" and not (isinstance(reg, tuple) and len(reg) == 2 and reg[0] in ("poly", "partition")):
+            raise ValueError(f"unknown regression {reg!r}; known: sample-mean, (poly, degree), (partition, cells)")
         if not (np.isfinite(self.eps) and self.eps >= 0.0):
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if self.scheme == "explicit-yosida" and self.eps == 0.0:
@@ -159,9 +162,14 @@ def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
     return np.moveaxis(cols, 0, -1)
 
 
-def _check_regression(spec, d: int):
-    """ValueError for a count _projector would change: a poly degree not in 0, 1, ..., or cells not m**d, m >= 1."""
-    kind, n = (spec, 0) if isinstance(spec, str) else spec  # a string is sample-mean or unknown to _projector
+def _check_regression(spec, d: int, has_state: bool, terminal):
+    """The estimator rule, a ValueError where it fails: sample-mean takes state-free data (module docstring), poly
+    and partition a state and a count _projector would not change: a degree in 0, 1, ..., or cells m**d, m >= 1."""
+    kind, n = (spec, 0) if spec == "sample-mean" else spec
+    if kind == "sample-mean" and (has_state or callable(terminal)):
+        raise ValueError("regression sample-mean needs no state or domain and a constant terminal; use poly/partition")
+    if kind != "sample-mean" and not has_state:
+        raise ValueError(f"regression {kind} needs a state: a domain, or an ensemble that carries X")
     if kind == "poly" and not (n >= 0 and n % 1 == 0):
         raise ValueError(f"regression poly degree must be a whole number >= 0, got {n}")
     if kind == "partition" and not (1 <= n < np.inf and round(n ** (1 / d)) ** d == n):
@@ -187,21 +195,17 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
             np.divide(np.add.reduce(rows, axis=1, keepdims=True), rows.shape[1], out=out.reshape(rows.shape))
             return out
         return project, None
-    if x_state is None:
-        raise ValueError("state-based regression needs a Markov state ensemble")
     states = x_state.reshape(blocks, -1, x_state.shape[-1])
     n, d = states.shape[1:]
     if spec[0] == "poly":
         features = _poly_features(states, int(spec[1]))
-    elif spec[0] == "partition":
+    else:  # partition
         per_dim = int(round(int(spec[1]) ** (1.0 / d)))  # a whole root: _check_regression
         ids = np.zeros((blocks, n), dtype=np.intp)
         for j in range(d):  # per_dim cells per axis, cut at the block's own quantiles
             qs = np.quantile(states[..., j], np.linspace(0, 1, per_dim + 1)[1:-1], axis=1).T
             ids = ids * per_dim + np.sum(qs[:, None, :] < states[..., j, None], axis=-1)
         features = (ids[..., None] == np.arange(per_dim ** d)).astype(float)
-    else:
-        raise ValueError(f"unknown regression spec {spec!r}")
     u, s, _ = np.linalg.svd(features, full_matrices=False)
     # keep the directions lstsq keeps: s > s_max * eps_mach * max(n, p); u * 1 is u, so a design of
     # full rank skips the pass
@@ -217,9 +221,7 @@ def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
 
 
 def _terminal_values(coeffs: CoefficientSet, n_paths: int, X_T: Optional[np.ndarray]):
-    if callable(coeffs.terminal):
-        if X_T is None:
-            raise ValueError("terminal map chi needs a state ensemble")
+    if callable(coeffs.terminal):  # X_T is not None: _check_regression
         xi = np.asarray(coeffs.terminal(X_T), dtype=float).reshape(len(X_T), -1)
     else:
         xi = np.atleast_1d(np.asarray(coeffs.terminal, dtype=float))
@@ -305,11 +307,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     rows, d = noise.n_paths, noise.d
     dA, X = noise.dA, noise.X
     sample_mean = config.regression == "sample-mean"
-    _check_regression(config.regression, d)
-    if sample_mean and (X is not None or callable(coeffs.terminal)):
-        # the pathwise value update it takes holds only for state-free data (module docstring)
-        raise ValueError("regression sample-mean needs a constant terminal and no state ensemble;"
-                         " use poly or partition")
+    _check_regression(config.regression, d, X is not None, coeffs.terminal)
     shared = noise.dB.strides[0] == 0  # one row, broadcast over the paths
     for name, inc in (("dW", noise.dW), ("dB", noise.dB[:1] if shared else noise.dB)):
         if not np.isfinite(inc).all():
@@ -318,9 +316,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         raise ValueError("dA increments must be finite and >= 0")
     dA = np.maximum(dA, 0.0)
     explicit = config.scheme == "explicit-yosida"
-    eps = np.asarray(eps_blocks, dtype=float)
-    if explicit and not np.all(np.isfinite(eps) & (eps > 0.0)):
-        raise ValueError("explicit scheme needs finite eps > 0")
+    eps = np.asarray(eps_blocks, dtype=float)  # finite and > 0 under explicit: SolverConfig or _check_ladder
     # the explicit phi step is stable while dt * Lip(grad phi_eps) = dt / eps <= 1; the slack is
     # the rounding of the grid's dt, so dt = eps passes
     move_phi, move_psi = not _is_zero(phi), not _is_zero(psi)
@@ -513,6 +509,12 @@ class CauchyReport:
     limit: BdsdeSolution
 
 
+def _check_ladder(ladder):
+    """ValueError unless every rung is finite and > 0 and the rungs strictly decrease, as eps goes to 0."""
+    if not all(0.0 < b < a for a, b in zip([np.inf] + ladder, ladder)):  # a first rung below inf is finite
+        raise ValueError(f"eps ladder must be finite, > 0 and strictly decreasing, got {ladder}")
+
+
 def cauchy_study(
     coeffs: CoefficientSet,
     phi: ConvexFunction,
@@ -537,8 +539,7 @@ def cauchy_study(
         raise ValueError("cauchy needs an eps_ladder with at least two entries")
     if base_config.scheme != "explicit-yosida":
         raise ValueError(f"cauchy runs the explicit-yosida scheme only, not {base_config.scheme!r}")
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
+    _check_ladder(ladder)
     cfg = replace(base_config, eps=ladder[-1])
 
     def tile(a):  # a block of rows per rung: still a view of a shared draw's one row (path stride 0), else a copy

@@ -204,6 +204,67 @@ def test_paths_below_one_fail_at_load(tmp_path, capsys, paths, command):
     assert not (tmp_path / "out").exists()
 
 
+def _without_start(raw, **domain):
+    raw["domain"].update(domain)
+    del raw["start"]
+
+
+_LADDER = "eps ladder must be finite, > 0 and strictly decreasing, got "
+_VI_POINTS = "vi_test_points must be a non-empty list of finite numbers, got "
+_LOAD_MUTATIONS = {  # id: (scenario, edit of its document, the owner's message)
+    "poly-no-domain": ("zero.yaml", lambda raw: raw["solver"].update(regression={"kind": "poly", "degree": 2}),
+                       "regression poly needs a state: a domain, or an ensemble that carries X"),
+    "partition-no-domain": ("zero.yaml", lambda raw: raw["solver"].update(regression={"kind": "partition",
+                                                                                      "cells": 4}),
+                            "regression partition needs a state: a domain, or an ensemble that carries X"),
+    "ladder-zero": ("zero.yaml", lambda raw: raw.update(eps_ladder=[0.1, 0]), _LADDER + "[0.1, 0.0]"),
+    "ladder-negative": ("zero.yaml", lambda raw: raw.update(eps_ladder=[0.1, -0.01]), _LADDER + "[0.1, -0.01]"),
+    "ladder-increasing": ("cauchy.yaml", lambda raw: raw.update(eps_ladder=[0.1, 0.2]), _LADDER + "[0.1, 0.2]"),
+    "start-outside": ("ball.yaml", lambda raw: raw.update(start=[5, 0]),
+                      "start point lies outside the closure of the domain"),
+    "start-nan": ("ball.yaml", lambda raw: raw.update(start=[float("nan"), 0.0]),
+                  "start point lies outside the closure of the domain"),
+    "vi-points-number": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=5), _VI_POINTS + "5"),
+    "vi-points-empty": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=[]), _VI_POINTS + "[]"),
+    "vi-points-2d": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=[[0.1, 0.2]]),
+                     _VI_POINTS + "[[0.1, 0.2]]"),
+    "vi-points-string": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=["a"]), _VI_POINTS + "['a']"),
+    "vi-points-nan": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=[0.0, float("nan")]),
+                      _VI_POINTS + "[0.0, nan]"),
+    "interval-empty": ("field.yaml", lambda raw: raw["domain"].update(lo=0.5, hi=0.5),
+                       "interval needs finite lo < hi, got lo 0.5, hi 0.5"),
+    "interval-reversed": ("field.yaml", lambda raw: raw["domain"].update(lo=1.0, hi=-1.0),
+                          "interval needs finite lo < hi, got lo 1.0, hi -1.0"),
+    "ball-radius-0": ("ball.yaml", lambda raw: raw["domain"].update(radius=0.0),
+                      "ball needs dim >= 1 and a finite radius > 0, got dim 2, radius 0.0"),
+    "ball-dim-0": ("ball.yaml", lambda raw: _without_start(raw, dim=0),
+                   "ball needs dim >= 1 and a finite radius > 0, got dim 0, radius 1.0"),
+    "dim-0": ("zero.yaml", lambda raw: raw.update(dim=0), "dim must be at least 1, got 0"),
+    "seed-negative": ("zero.yaml", lambda raw: raw.update(seed=-1), "seed -1 is outside [0, 2**64)"),
+    "seed-wide": ("zero.yaml", lambda raw: raw.update(seed=2 ** 70), f"seed {2 ** 70} is outside [0, 2**64)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOAD_MUTATIONS))
+def test_a_bad_input_fails_at_load_for_every_command(tmp_path, capsys, case):
+    """Each rule has one owner (the estimator rule, the eps ladder, the
+    domain's closure, a domain builder's parameters, the seed's range) and
+    the loader reaches it, so every command exits 2 with the owner's message
+    before it does any work.  Before the loader reached these rules the
+    commands disagreed on each case: some exited 0, some 1 with a traceback,
+    some 2 after a solve or with another message."""
+    name, edit, detail = _LOAD_MUTATIONS[case]
+    p = _variant(tmp_path, name, edit)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(p)
+    assert str(err.value) == detail
+    for command in sorted(_COMMANDS):
+        out = tmp_path / command
+        assert run([command, "--scenario", p, "--out", str(out), "--quiet"]) == 2, command
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}, command
+        assert not out.exists(), command
+
+
 def test_every_command_on_every_scenario_ends_in_a_known_exit_code(tmp_path, capsys):
     """A short run of each command on each shipped scenario exits 0, 2 or 3,
     with a numpy RuntimeWarning raised as an error: nothing escapes run as

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from bdsvi import (
     AssumptionConstants,
@@ -24,7 +25,7 @@ from bdsvi import (
 )
 from bdsvi import field
 from bdsvi.drivers import _stream
-from bdsvi.reflected import _BOUNDARY_TOL
+from bdsvi.reflected import _BOUNDARY_TOL, _check_closure
 from bdsvi.scenarios import load_scenario
 from field_stencils import boundary_mask, boundary_residual, interior_residual, manufactured_field
 
@@ -63,21 +64,27 @@ def test_field_grid_rejects_exterior_points():
 
 
 @pytest.mark.parametrize("depth, inside", [(0.5, True), (2.0, False)])
-def test_lattice_and_start_checks_share_one_tolerance(depth, inside):
-    """FieldGrid.build and simulate_reflected's start check read one boundary
-    tolerance: a point whose level is below -tol lies outside the closure for
-    both, and one whose level is above it lies inside for both."""
+def test_lattice_and_start_checks_share_one_tolerance(tmp_path, depth, inside):
+    """FieldGrid.build, simulate_reflected and the loader's start check call
+    one owner, reflected._check_closure: a point whose level is below -tol
+    lies outside the closure for all of them, and one whose level is above
+    it lies inside for all of them."""
     x = np.array([[1.0 + depth * _BOUNDARY_TOL]])
     assert (DOM.level(x)[0] >= -_BOUNDARY_TOL) == inside
     noise = generate_paths(TimeGrid.uniform(0, 1, 4), 1, 2, seed=0)
+    path = tmp_path / "start.yaml"
+    path.write_text(yaml.safe_dump({"domain": {"kind": "interval", "lo": -1.0, "hi": 1.0}, "start": [float(x[0, 0])],
+                                    "solver": {"regression": {"kind": "poly", "degree": 1}}}))
     if inside:
+        _check_closure(DOM, x, "point")
         assert np.array_equal(FieldGrid.build(DOM, [0.0], x).points, x)
         assert simulate_reflected(MODEL, (0.0, x[0]), noise).X.shape[0] == 2
+        assert np.array_equal(load_scenario(path).start, x[0])
     else:
-        with pytest.raises(ValueError, match="outside the closure"):
-            FieldGrid.build(DOM, [0.0], x)
-        with pytest.raises(ValueError, match="outside the closure"):
-            simulate_reflected(MODEL, (0.0, x[0]), noise)
+        for check in (lambda: _check_closure(DOM, x, "point"), lambda: FieldGrid.build(DOM, [0.0], x),
+                      lambda: simulate_reflected(MODEL, (0.0, x[0]), noise), lambda: load_scenario(path)):
+            with pytest.raises(ValueError, match="point lies outside the closure of the domain"):
+                check()
 
 
 @pytest.mark.parametrize("times, points, key", [([], [[0.0]], "times"), ([0.0], np.empty((0, 1)), "points")])

@@ -149,6 +149,16 @@ def test_explicit_scheme_requires_positive_eps():
         SolverConfig(grid, scheme="magic")
 
 
+@pytest.mark.parametrize("regression", ["sample_mean", "poly", ("poly",), ("foo", 2)],
+                         ids=["sample_mean", "poly", "poly-alone", "foo-2"])
+def test_solver_config_rejects_an_unknown_regression(regression):
+    """Each was accepted here and failed only inside the solve."""
+    with pytest.raises(ValueError, match="unknown regression"):
+        SolverConfig(TimeGrid.uniform(0, 1, 10), regression=regression)
+    for known in ("sample-mean", ("poly", 2), ("partition", 4)):
+        assert SolverConfig(TimeGrid.uniform(0, 1, 10), regression=known).regression == known
+
+
 def test_dA_penalization_uses_psi():
     # A = t makes dA act like dt: psi barrier at 0.5 caps the same flow
     grid, noise = _bundle(n_steps=1000, n_paths=2, a="time")
@@ -983,8 +993,11 @@ def test_partition_projector_is_the_per_cell_mean(d):
 
 
 def test_state_regression_requires_state():
-    with pytest.raises(ValueError):
-        _projector(("poly", 2), None, 1)
+    """poly regresses on the state X: on a state-free bundle the sweep
+    indexed X[:, i] on None (TypeError); its set-up names the rule."""
+    grid, noise = _bundle(n_steps=10, n_paths=8)
+    with pytest.raises(ValueError, match="regression poly needs a state"):
+        solve_penalized(_coeffs(), ZERO, ZERO, SolverConfig(grid, regression=("poly", 2)), noise)
 
 
 def test_sample_mean_rejects_state_dependent_data():
