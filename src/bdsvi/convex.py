@@ -69,6 +69,11 @@ class AssumptionConstants:
     lam: float = 3.0
     mu: float = 1.5
 
+    def __post_init__(self):  # a nan weight turns every weighted norm into nan
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"constant {name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class WeightReport:
@@ -403,12 +408,12 @@ def check_compatibility(
     gv = np.asarray(g(t, None, y), dtype=float)
     fv = np.asarray(f(t, None, y, z), dtype=float)
     dot = lambda a, b: _sum_last(a * b)
-    worst = [max(0.0, float(np.max(v))) for v in (
+    worst = [float(np.max(v, initial=0.0)) + 0.0 for v in (  # a nan stays nan, and fails; -0.0 + 0.0 is 0.0
         -dot(gp, gq),
         dot(gp, gv) - np.maximum(dot(gq, gv), 0.0),
         dot(gq, fv) - np.maximum(dot(gp, fv), 0.0),
     )]
-    return CompatibilityReport(max(worst) <= 1e-9, *worst)
+    return CompatibilityReport(all(w <= 1e-9 for w in worst), *worst)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ sums.  Every random stream of the package comes from one key packer,
 `_stream_key(seed, tag, *ids)`, which packs its arguments injectively into the
 2x64-bit key of a counter-based Philox generator (Salmon et al., SC'11).  Its
 four tags are W (path i), B (path i), B_SHARED (backward-noise draw) and
-FIELD_W (field node draw, lattice time, lattice point).  A call that draws
-many streams makes one generator and re-keys it for each (`_rekey`), which
-draws what a new generator on that key (`_stream`) draws.  No generator is
-shared across calls, and a stream depends on its key only, so bundles are
+FIELD_W (field node draw, lattice time, lattice point).  A call packs its
+keys once and re-keys one generator for each stream (`_rekey`), which draws
+what a new generator on that key (`_stream`) draws.  No generator is shared
+across calls, and a stream depends on its key only, so bundles are
 bit-identical regardless of batch size, ordering, scheduling or thread count.
 """
 from __future__ import annotations
@@ -36,6 +36,8 @@ class TimeGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a time grid needs at least two nodes")
+        if not np.isfinite(nodes).all():  # before np.diff, which warns on inf - inf; a nan dt passes the check below
+            raise ValueError("time grid nodes must be finite")
         dt = np.diff(nodes)
         if np.any(dt <= 0.0):
             raise ValueError("time grid nodes must be strictly increasing")
@@ -45,8 +47,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t0: float, T: float, n_steps: int) -> "TimeGrid":
-        if T <= t0:
-            raise ValueError("need T > t0")
+        if not (np.isfinite([t0, T]).all() and T > t0):  # before np.linspace, which warns on a non-finite end
+            raise ValueError(f"a time grid needs finite t0 < T, got t0 {t0}, T {T}")
         return cls(np.linspace(t0, T, n_steps + 1))
 
     @property
@@ -140,13 +142,13 @@ def _stream(seed: int, tag: str, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(_stream_key(seed, tag, *ids), dtype=np.uint64)))
 
 
-def _rekey(gen: np.random.Generator, seed: int, tag: str, *ids: int) -> np.random.Generator:
-    """gen with its Philox set to the fresh state of the key of (seed, tag,
-    ids): counter 0, empty buffer, no cached half word.  Its draws are then
-    those of _stream(seed, tag, *ids), without the cost of a new generator."""
-    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0),
-                               "key": _stream_key(seed, tag, *ids)}, "buffer": (0, 0, 0, 0),
-                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def _rekey(gen: np.random.Generator, key: tuple) -> np.random.Generator:
+    """gen with its Philox set to the fresh state of key, a (seed, word) that
+    _stream_key packed: counter 0, empty buffer, no cached half word.  Its
+    draws are then those of a new generator on key (_stream), without the
+    cost of making one; a caller packs its keys once, not once per stream."""
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+                               "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen
 
 
@@ -177,17 +179,18 @@ def generate_paths(
     gen = _stream(seed, "W", 0)  # re-keyed for every stream below
 
     def per_path(tag):
+        word0, last = _stream_key(seed, tag, n_paths - 1)  # checks the widest id; path i's word is id 0's plus i
         z = _node_major(n_paths, n_steps, d)
         for i0 in range(0, n_paths, len(buf)):
             block = buf[:n_paths - i0]
-            for j, row in enumerate(block):
-                _rekey(gen, seed, tag, i0 + j).standard_normal((n_steps, d), out=row)
+            for word1, row in enumerate(block, last - n_paths + 1 + i0):
+                _rekey(gen, (word0, word1)).standard_normal((n_steps, d), out=row)
             np.multiply(block, sqdt, out=z[i0:i0 + len(block)])
         return z
 
     dW = per_path("W")
     if shared_backward:
-        dB = np.broadcast_to(_rekey(gen, seed, "B_SHARED", 0).standard_normal((n_steps, d)) * sqdt,
+        dB = np.broadcast_to(_rekey(gen, _stream_key(seed, "B_SHARED", 0)).standard_normal((n_steps, d)) * sqdt,
                              (n_paths, n_steps, d))
     else:
         dB = per_path("B")

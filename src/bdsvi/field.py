@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convex import ConvexFunction
-from .drivers import PathBundle, TimeGrid, _node_major, _rekey, _stream
+from .drivers import PathBundle, TimeGrid, _node_major, _rekey, _stream, _stream_key
 from .reflected import DomainSpec, ForwardModel, _check_closure, simulate_reflected
 from .solver import CoefficientSet, SolverConfig, _backward_sweep, _terminal_values
 
@@ -106,12 +106,12 @@ def sample_field(model: ForwardModel, coeffs: CoefficientSet, phi: ConvexFunctio
     gen = _stream(seed, "B_SHARED", 0)  # re-keyed for every stream below
     alive = np.cumsum([len(its) for its in launched]) * npts * n_paths  # the rows of each stretch
     for draw in range(n_b_draws):
-        db_master = _rekey(gen, seed, "B_SHARED", draw).standard_normal((n, d)) * sqdt
+        db_master = _rekey(gen, _stream_key(seed, "B_SHARED", draw)).standard_normal((n, d)) * sqdt
         dWs = [_node_major(r, j1 - j0, d) for r, j0, j1 in zip(alive, cuts, cuts[1:])]
         rows, ens, x, a = 0, [], np.empty((0, d)), np.empty(0)
         for s, (j0, j1, its) in enumerate(zip(cuts, cuts[1:], launched)):
             for it, jp in itertools.product(its, range(npts)):
-                z = _rekey(gen, seed, "FIELD_W", draw, it, jp).standard_normal((n_paths, n - j0, d))
+                z = _rekey(gen, _stream_key(seed, "FIELD_W", draw, it, jp)).standard_normal((n_paths, n - j0, d))
                 for dw, k0, k1 in zip(dWs[s:], cuts[s:], cuts[s + 1:]):
                     np.multiply(z[:, k0 - j0:k1 - j0], sqdt[k0:k1], out=dw[rows:rows + n_paths])
                 rows += n_paths

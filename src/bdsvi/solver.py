@@ -84,6 +84,8 @@ class _Affine:
     noise: bool
 
     def __post_init__(self):  # a zero constant is +0.0, the term the sweep skips
+        if not np.isfinite([self.a_y, self.a_z, self.c]).all():
+            raise ValueError(f"coefficient a_y, a_z and c must be finite, got {self.a_y}, {self.a_z}, {self.c}")
         if not (self.a_y or self.a_z):
             object.__setattr__(self, "c", self.c or 0.0)
 
@@ -145,21 +147,24 @@ class BdsdeSolution:
         return np.maximum(np.diff(self.A, axis=1), 0.0)
 
 
-def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
-    """Monomials of x (..., d) up to degree, stacked on a new last axis: the
-    constant, then each degree's index combinations with replacement in
-    order.  Each column is its prefix's column times one more coordinate, so
-    a monomial is the product (1 * x_a) * x_b * ... taken left to right.  The
-    columns are contiguous in memory, which svd reads without a transposing
-    copy."""
+def _poly_features(d: int, degree: int):
+    """(features, p): features(x) stacks the p monomials of x (..., d) up to degree on a new last axis: the
+    constant, then each degree's index combinations with replacement in order, from a table built once here.
+    Each column is its prefix's column times one more coordinate, so a monomial is the product
+    (1 * x_a) * x_b * ... taken left to right.  The columns are contiguous in memory, which svd reads without
+    a transposing copy."""
     combos = [()]
     for deg in range(1, degree + 1):
-        combos += itertools.combinations_with_replacement(range(x.shape[-1]), deg)
-    cols = np.empty((len(combos),) + x.shape[:-1])
-    cols[0] = 1.0
-    for k, combo in enumerate(combos[1:], 1):
-        np.multiply(cols[combos.index(combo[:-1])], x[..., combo[-1]], out=cols[k])
-    return np.moveaxis(cols, 0, -1)
+        combos += itertools.combinations_with_replacement(range(d), deg)
+    table = [(combos.index(combo[:-1]), combo[-1]) for combo in combos[1:]]
+
+    def features(x):
+        cols = np.empty((len(combos),) + x.shape[:-1])
+        cols[0] = 1.0
+        for k, (parent, j) in enumerate(table, 1):
+            np.multiply(cols[parent], x[..., j], out=cols[k])
+        return cols.transpose(*range(1, cols.ndim), 0)
+    return features, len(combos)
 
 
 def _check_regression(spec, d: int, has_state: bool, terminal):
@@ -176,48 +181,51 @@ def _check_regression(spec, d: int, has_state: bool, terminal):
         raise ValueError(f"regression partition cells must be m**{d} for a whole m >= 1, got {n}")
 
 
-def _projector(spec, x_state: Optional[np.ndarray], blocks: int):
-    """The conditional-expectation estimator at one node, fitted once and
-    shared by the Z and Y targets.
-
-    project(t, out) writes the fit of targets t, (blocks * n, m), into out, a
-    C-contiguous array of t's shape that may be t itself, and returns out.
-    sample-mean fits each block's mean.  For poly/partition, x_state holds
-    `blocks` stacked ensembles of n rows, (blocks * n, d), and each row's fit
-    is the least-squares fit on its block's features: the monomials (poly), or
-    the indicators of its quantile cells (partition), on which the fit is
-    each cell's mean.  cond is the worst block's s_max/s_min of its design
-    (inf when s_min = 0, as for an empty cell; None for sample-mean).
-    """
+def _projector(spec, blocks: int, shape: Optional[tuple]):
+    """The plan of the conditional-expectation estimator of `blocks` stacked
+    ensembles: the monomial table, the quantile levels and cell ids, and
+    lstsq's cutoff, built once.  fit(x_state) fits it at one node, for the Z
+    and Y targets, and returns (project, cond).  project(t, out) writes the
+    fit of targets t, (blocks * n, m), into out, a C-contiguous array of t's
+    shape that may be t itself, and returns out.  sample-mean fits each
+    block's mean and reads no state.  For poly/partition, x_state, of shape
+    (blocks * n, d), holds the blocks' states, and each row's fit is the
+    least-squares fit on its block's features: the monomials (poly), or the
+    indicators of its quantile cells (partition), whose fit is each cell's
+    mean.  cond is the worst block's s_max/s_min of its design (inf when
+    s_min = 0, as for an empty cell; None for sample-mean)."""
     if spec == "sample-mean":
         def project(t, out):
             rows = t.reshape(blocks, -1, t.shape[-1])  # add.reduce / n is np.mean bit for bit, without its overhead
             np.divide(np.add.reduce(rows, axis=1, keepdims=True), rows.shape[1], out=out.reshape(rows.shape))
             return out
-        return project, None
-    states = x_state.reshape(blocks, -1, x_state.shape[-1])
-    n, d = states.shape[1:]
+        return lambda x_state: (project, None)
+    n, d = shape[0] // blocks, shape[1]
     if spec[0] == "poly":
-        features = _poly_features(states, int(spec[1]))
+        features, p = _poly_features(d, int(spec[1]))
     else:  # partition
         per_dim = int(round(int(spec[1]) ** (1.0 / d)))  # a whole root: _check_regression
-        ids = np.zeros((blocks, n), dtype=np.intp)
-        for j in range(d):  # per_dim cells per axis, cut at the block's own quantiles
-            qs = np.quantile(states[..., j], np.linspace(0, 1, per_dim + 1)[1:-1], axis=1).T
-            ids = ids * per_dim + np.sum(qs[:, None, :] < states[..., j, None], axis=-1)
-        features = (ids[..., None] == np.arange(per_dim ** d)).astype(float)
-    u, s, _ = np.linalg.svd(features, full_matrices=False)
-    # keep the directions lstsq keeps: s > s_max * eps_mach * max(n, p); u * 1 is u, so a design of
-    # full rank skips the pass
-    keep = s > s[:, :1] * np.finfo(float).eps * max(features.shape[1:])
-    q = u if keep.all() else u * keep[:, None, :]
-    cond = np.divide(s[:, 0], s[:, -1], out=np.full(blocks, np.inf), where=s[:, -1] > 0)
+        levels, cells, p = np.linspace(0, 1, per_dim + 1)[1:-1], np.arange(per_dim ** d), per_dim ** d
 
-    def project(t, out):
-        rows = t.reshape(-1, n, t.shape[-1])
-        np.matmul(q, q.transpose(0, 2, 1) @ rows, out=out.reshape(rows.shape))
-        return out
-    return project, float(np.max(cond))
+        def features(states):
+            ids = np.zeros((blocks, n), dtype=np.intp)
+            for j in range(d):  # per_dim cells per axis, cut at the block's own quantiles
+                qs = np.quantile(states[..., j], levels, axis=1).T
+                ids = ids * per_dim + np.sum(qs[:, None, :] < states[..., j, None], axis=-1)
+            return (ids[..., None] == cells).astype(float)
+    cutoff = np.finfo(float).eps * max(n, p)  # lstsq keeps the directions with s > s_max * eps_mach * max(n, p)
+
+    def fit(x_state):
+        u, s, _ = np.linalg.svd(features(x_state.reshape(blocks, n, d)), full_matrices=False)  # raises unless finite
+        keep = s > s[:, :1] * cutoff
+        q = u if keep.all() else u * keep[:, None, :]  # u * 1 is u, so a design of full rank skips the pass
+
+        def project(t, out):
+            rows = t.reshape(-1, n, t.shape[-1])
+            np.matmul(q, q.transpose(0, 2, 1) @ rows, out=out.reshape(rows.shape))
+            return out
+        return project, float((s[:, 0] / s[:, -1]).max()) if s[:, -1].all() else np.inf  # s >= 0: s > 0 is s != 0
+    return fit
 
 
 def _terminal_values(coeffs: CoefficientSet, n_paths: int, X_T: Optional[np.ndarray]):
@@ -259,26 +267,27 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     it matches a solve on its own.  Returns Y, Z, U and V, each of shape
     (B, n_paths, ...), and the worst block's condition number per step.
 
-    What does not change from step to step is set up once here: the
-    finiteness of dW, dB and dA, the sample-mean estimator, the resolvent
-    oracles of phi and psi, the explicit scheme's per-row eps and its column,
-    which penalties are zero, which coefficients are zero or constant _Affine
-    maps (a nonzero constant h is built once, as _Affine builds it), and so
-    which of the step's views (dW, dB and dA at step i; t, x and z for the
-    maps) a step reads.  A zero penalty's step is the identity and its
-    multiplier exactly 0, so its resolvent, gradient and U or V store are
-    skipped (for finite input the generic step gives the same bits: +0.0
-    multipliers, and j - 0 * dA = j).  Only the implicit psi step, where dA
-    can be 0, goes through _prox.  A zero g or h term is skipped, a constant
-    f adds the float c dt, and any other map is called at every step.  A
-    skipped term is +0.0, which only turns a -0.0 sum into +0.0, so such a
-    sweep adds 0.0 once: folded into the float, c dt + 0.0, for a constant
-    f, else after the h term.  The step writes Ytil and then Y_i into
-    Y[:, i], and U_i and V_i into U[:, i] and V[:, i], in place; each read
-    of the explicit psi step's input ends before it writes Y_i.  Each node's
-    Z fit is written into Z[:, i]; under sample-mean, when neither f nor h
-    reads z, no step reads Z, and the fits are one pass over Z[:, :-1] after
-    the sweep, in the step's layout.
+    What does not change from step to step is set up once here: the finiteness
+    of dW, dB and dA, dA clipped at 0 in place, the estimator's plan
+    (_projector; a state regression is fitted per node), the resolvent oracles
+    of phi and psi, the explicit scheme's per-row eps and its column, which
+    penalties are zero, which coefficients are zero or constant _Affine maps
+    (a nonzero constant h is built once, as _Affine builds it), and so which
+    of the step's views (dW, dB and dA at step i; t, x and z for the maps) a
+    step reads.  A zero penalty's step is the identity and its multiplier
+    exactly 0, so its resolvent, gradient and U or V store are skipped (for
+    finite input the generic step gives the same bits: +0.0 multipliers, and j
+    - 0 * dA = j).  Only the implicit psi step, where dA can be 0, goes
+    through _prox.  A zero g or h term is skipped, a constant f adds the float
+    c dt, and any other map is called at every step.  A skipped term is +0.0,
+    which only turns a -0.0 sum into +0.0, so such a sweep adds 0.0 once:
+    folded into the float, c dt + 0.0, for a constant f, else after the h
+    term.  The step writes Ytil and then Y_i into Y[:, i], and U_i and V_i
+    into U[:, i] and V[:, i], in place; each read of the explicit psi step's
+    input ends before it writes Y_i.  Each node's Z fit is written into Z[:,
+    i]; under sample-mean, when neither f nor h reads z, no step reads Z, and
+    the fits are one pass over Z[:, :-1] after the sweep, in the step's
+    layout.
 
     Finiteness.  A checked step raises FloatingPointError naming the step:
     on a non-finite Ytil before a moving penalty, whose resolvent can map it
@@ -314,7 +323,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
             raise ValueError(f"{name} increments must be finite")
     if not np.all(np.isfinite(dA)) or np.any(dA < -1e-12):
         raise ValueError("dA increments must be finite and >= 0")
-    dA = np.maximum(dA, 0.0)
+    np.maximum(dA, 0.0, out=dA)  # the fresh np.diff of noise.dA, clipped in place
     explicit = config.scheme == "explicit-yosida"
     eps = np.asarray(eps_blocks, dtype=float)  # finite and > 0 under explicit: SolverConfig or _check_ladder
     # the explicit phi step is stable while dt * Lip(grad phi_eps) = dt / eps <= 1; the slack is
@@ -344,8 +353,8 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     h_v = np.full((rows, k), h_c)[..., None] * np.ones(d) if h_c else None
     calls, reads_da = None in (f_c, g_c, h_c), g_c != 0.0 or move_psi
     z_after = sample_mean and all(isinstance(m, _Affine) and not m.a_z for m in (coeffs.f, coeffs.h))
-    if sample_mean:
-        project = _projector("sample-mean", None, n_blocks)[0]
+    plan = _projector(config.regression, n_blocks, (rows, d))  # the estimator, fitted at each node
+    project = plan(None)[0] if sample_mean else None
     res_phi, res_psi = _oracle(phi), _oracle(psi)
     if explicit:
         eps_row = np.repeat(eps, n_paths)
@@ -372,7 +381,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
                 txy = (t_nodes[i + 1], X[:, i + 1] if X is not None else None, y_next)
 
             if not sample_mean:
-                fit, cond = _projector(config.regression, X[:, i], n_blocks)
+                fit, cond = plan(X[:, i])
                 conds.append(cond)
             else:
                 fit = project
@@ -437,7 +446,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         z = Z[:, :-1]
         np.divide(np.multiply(Y[:, 1:, :, None], dW[:, :, None, :], out=z), grid.dt[:, None, None], out=z)
         nodes = Z.swapaxes(0, 1)[:-1].reshape(-1, k * d)  # node-major storage, one node's rows after another
-        _projector("sample-mean", None, grid.n_steps * n_blocks)[0](nodes, nodes)
+        _projector("sample-mean", grid.n_steps * n_blocks, None)(None)[0](nodes, nodes)
     return [a.reshape((n_blocks, n_paths) + a.shape[1:]) for a in (Y, Z, U, V)] + [conds]
 
 

@@ -242,17 +242,26 @@ _LOAD_MUTATIONS = {  # id: (scenario, edit of its document, the owner's message)
     "dim-0": ("zero.yaml", lambda raw: raw.update(dim=0), "dim must be at least 1, got 0"),
     "seed-negative": ("zero.yaml", lambda raw: raw.update(seed=-1), "seed -1 is outside [0, 2**64)"),
     "seed-wide": ("zero.yaml", lambda raw: raw.update(seed=2 ** 70), f"seed {2 ** 70} is outside [0, 2**64)"),
+    "grid-T-nan": ("zero.yaml", lambda raw: raw["grid"].update(T=float("nan")),
+                   "a time grid needs finite t0 < T, got t0 0.0, T nan"),
+    "constant-lam-nan": ("zero.yaml", lambda raw: raw["constants"].update(lam=float("nan")),
+                         "constant lam must be finite, got nan"),
+    "coefficient-c-nan": ("zero.yaml", lambda raw: raw["coefficients"].update(f={"kind": "linear", "a_y": -0.5,
+                                                                                 "c": float("nan")}),
+                          "coefficient a_y, a_z and c must be finite, got -0.5, 0.0, nan"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_LOAD_MUTATIONS))
 def test_a_bad_input_fails_at_load_for_every_command(tmp_path, capsys, case):
     """Each rule has one owner (the estimator rule, the eps ladder, the
-    domain's closure, a domain builder's parameters, the seed's range) and
-    the loader reaches it, so every command exits 2 with the owner's message
+    domain's closure, a domain builder's parameters, the seed's range, the
+    finiteness of the grid, the constants and the coefficients) and the
+    loader reaches it, so every command exits 2 with the owner's message
     before it does any work.  Before the loader reached these rules the
     commands disagreed on each case: some exited 0, some 1 with a traceback,
-    some 2 after a solve or with another message."""
+    some 2 after a solve or with another message, and a nan T, lam or c let
+    prox-check, report or compat-check exit 0."""
     name, edit, detail = _LOAD_MUTATIONS[case]
     p = _variant(tmp_path, name, edit)
     with pytest.raises(ScenarioError) as err:

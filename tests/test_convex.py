@@ -304,6 +304,15 @@ def test_weight_alpha_validation():
         validate_weights(AssumptionConstants(alpha=1.5))
 
 
+@pytest.mark.parametrize("name", ["beta1", "beta2", "K", "alpha", "lam", "mu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_structural_constants_must_be_finite(name, value):
+    """A nan lam or mu made every weighted norm nan with exit 0; the
+    constants reject any value that is not finite where they are built."""
+    with pytest.raises(ValueError, match=f"constant {name} must be finite, got {value}"):
+        AssumptionConstants(**{name: value})
+
+
 # ---------------------------------------------------------------- compatibility
 
 def _samples(n=32, seed=5):
@@ -330,6 +339,16 @@ def test_compat_zero_pair():
     assert rep.ok
     assert max(rep.worst_i, rep.worst_ii, rep.worst_iii) == 0.0
     assert all(np.copysign(1.0, w) == 1.0 for w in (rep.worst_i, rep.worst_ii, rep.worst_iii))
+
+
+def test_compat_nan_violation_fails():
+    """max(0.0, nan) is 0.0, so a nan violation read as a PASS; it stays nan
+    in the report and fails the check."""
+    nan_f = lambda t, x, y, z: np.full_like(y, np.nan)
+    rep = check_compatibility(make_convex("zero"), make_convex("quadratic(1.0)"), nan_f, ONES_G,
+                              [0.1, 0.01], *_samples())
+    assert np.isnan(rep.worst_iii) and not rep.ok
+    assert rep.worst_i == 0.0 and rep.worst_ii == 0.0
 
 
 def test_compat_abs_vs_quadratic_reports():

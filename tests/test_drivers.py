@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bdsvi import TimeGrid, generate_paths
-from bdsvi.drivers import _STREAM_TAGS, _rekey, _stream
+from bdsvi.drivers import _STREAM_TAGS, _rekey, _stream, _stream_key
 
 
 def test_grid_uniform():
@@ -21,6 +23,25 @@ def test_grid_dt_computed_once_and_read_only():
     assert not g.dt.flags.writeable
     with pytest.raises(ValueError):
         g.dt[0] = 1.0
+
+@pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0], [np.inf, np.inf]])
+def test_grid_rejects_non_finite_nodes(nodes):
+    """A nan node passed the ordering check (nan <= 0 is False), so a grid
+    with nan steps loaded; the finiteness check runs before np.diff, which
+    warns on inf - inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="time grid nodes must be finite"):
+            TimeGrid(np.array(nodes))
+
+
+@pytest.mark.parametrize("t0, T", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)])
+def test_uniform_grid_needs_finite_ends(t0, T):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.linspace warns on an infinite end
+        with pytest.raises(ValueError, match=f"a time grid needs finite t0 < T, got t0 {t0}, T {T}"):
+            TimeGrid.uniform(t0, T, 10)
+
 
 def test_grid_rejects_nonmonotone():
     with pytest.raises(ValueError):
@@ -69,21 +90,27 @@ def test_path_substreams_match_manual_keying():
     assert np.array_equal(shared.dB[2], _stream(13, "B_SHARED", 0).standard_normal((10, 1)) * sqdt)
 
 
-@pytest.mark.parametrize("n_steps, d", [(3, 1), (7, 3)])
-def test_rekeyed_paths_equal_fresh_streams(n_steps, d):
-    """generate_paths re-keys one generator per call.  n_steps * d is odd,
-    so each path leaves the Philox buffer partly used: the next path must
-    still draw exactly what a new generator with its key draws, for W and B,
-    and a smaller ensemble is a prefix of a larger one."""
+@pytest.mark.parametrize("n_steps, d, n_paths", [pytest.param(3, 1, 40, id="3-1"), pytest.param(7, 3, 40, id="7-3"),
+                                                   pytest.param(201, 1, 400, id="201-1-400")])
+def test_rekeyed_paths_equal_fresh_streams(n_steps, d, n_paths):
+    """generate_paths packs each tag's key once and re-keys one generator per
+    path.  n_steps * d is odd, so each path leaves the Philox buffer partly
+    used: the next path must still draw exactly what a new generator with
+    its key draws, for W and B, and a smaller ensemble is a prefix of a
+    larger one.  At 201 steps the 32768-value buffer holds 163 paths, so 400
+    paths fill it three times.  The widest id is the one checked: one past
+    the 62 bits of a path id fails before anything is drawn or allocated."""
     g = TimeGrid.uniform(0, 1, n_steps)
     sqdt = np.sqrt(g.dt)[:, None]
-    big = generate_paths(g, d, 40, seed=11)
-    for i in range(40):
+    big = generate_paths(g, d, n_paths, seed=11)
+    for i in range(n_paths):
         assert np.array_equal(big.dW[i], _stream(11, "W", i).standard_normal((n_steps, d)) * sqdt)
         assert np.array_equal(big.dB[i], _stream(11, "B", i).standard_normal((n_steps, d)) * sqdt)
-    for n in (1, 2, 17):
+    for n in (1, 2, 17, n_paths - 1):
         small = generate_paths(g, d, n, seed=11)
         assert np.array_equal(small.dW, big.dW[:n]) and np.array_equal(small.dB, big.dB[:n])
+    with pytest.raises(ValueError, match=f"stream W id {2 ** 62} does not fit in 62 bits"):
+        generate_paths(g, d, 2 ** 62 + 1, seed=11)
 
 
 def test_rekey_resets_counter_buffer_and_cached_half_word():
@@ -91,7 +118,7 @@ def test_rekey_resets_counter_buffer_and_cached_half_word():
     gen.standard_normal(5)
     gen.integers(0, 2**32, size=1, dtype=np.uint32)  # caches the other half of a 64-bit word
     assert gen.bit_generator.state["has_uint32"] == 1
-    _rekey(gen, 2**64 - 1, "FIELD_W", 1, 2, 3)
+    _rekey(gen, _stream_key(2**64 - 1, "FIELD_W", 1, 2, 3))
     fresh = _stream(2**64 - 1, "FIELD_W", 1, 2, 3)
     assert gen.bit_generator.state["state"]["key"].tolist() == fresh.bit_generator.state["state"]["key"].tolist()
     assert np.array_equal(gen.standard_normal(9), fresh.standard_normal(9))

@@ -28,6 +28,7 @@ from bdsvi import solver as solver_module
 from bdsvi.drivers import _node_major
 from bdsvi.scenarios import make_coefficients
 from bdsvi.solver import _poly_features, _projector
+from projector_reference import per_node_projector
 
 ZERO = make_convex("zero")
 BM_ON_INTERVAL = ForwardModel(make_domain("interval", lo=-1.0, hi=1.0), 0.0, 1.0)  # reflected Brownian motion
@@ -251,6 +252,15 @@ class _NeverCalled(solver_module._Affine):
         raise AssertionError("the sweep called a zero or constant coefficient")
 
 
+@pytest.mark.parametrize("a_y, a_z, c", [(-0.5, 0.0, np.nan), (np.inf, 0.0, 0.3), (0.0, -np.inf, 0.0),
+                                          (np.nan, 0.0, 0.0)])
+def test_affine_coefficient_must_be_finite(a_y, a_z, c):
+    """A nan c loaded and made a solve exit 3 while compat-check passed; an
+    affine map now rejects a non-finite a_y, a_z or c where it is built."""
+    with pytest.raises(ValueError, match="coefficient a_y, a_z and c must be finite"):
+        solver_module._Affine(a_y, a_z, c, False)
+
+
 @functools.lru_cache(maxsize=None)
 def _coefficient_ensemble(sample_mean, d, n_paths, n_steps=30):
     """State-free paths with A = t^2, or a reflected ensemble (interval or
@@ -325,7 +335,7 @@ def _reference_sweep(coeffs, phi, psi, config, noise):
         if X is None:
             fit = lambda a: np.broadcast_to(np.mean(a, axis=0), a.shape)
         else:
-            project = _projector(config.regression, X[:, i], 1)[0]
+            project = _projector(config.regression, 1, X[:, i].shape)(X[:, i])[0]
             fit = lambda a: project(a, np.empty_like(a))
         z = fit((y[:, :, None] * noise.dW[:, i, None, :] / dt).reshape(n, d)).reshape(n, 1, d)
         target = y + coeffs.f(t, x, y, z) * dt
@@ -536,10 +546,10 @@ def test_regressor_projects_each_block_on_its_own():
     x = rng.uniform(-1, 1, (3 * 40, 1))  # each block has its own state rows
     targets = rng.normal(size=(3 * 40, 2))
     for spec in ("sample-mean", ("poly", 2), ("partition", 4)):
-        out = _fit(_projector(spec, x, 3)[0], targets)
+        out = _fit(_projector(spec, 3, x.shape)(x)[0], targets)
         for b in range(3):
             rows = slice(40 * b, 40 * (b + 1))
-            alone = _fit(_projector(spec, x[rows], 1)[0], targets[rows])
+            alone = _fit(_projector(spec, 1, x[rows].shape)(x[rows])[0], targets[rows])
             assert np.array_equal(out[rows], alone)
 
 
@@ -548,7 +558,7 @@ def test_sample_mean_projector_is_np_mean_bit_for_bit(blocks):
     """The sample-mean fit, written as the sweep writes Z into one node of a
     node-major array, or in place over its targets, is each block's np.mean."""
     rng = np.random.default_rng(blocks)
-    project = _projector("sample-mean", None, blocks)[0]
+    project = _projector("sample-mean", blocks, None)(None)[0]
     for n in (1, 2, 7, 8, 9, 17, 128, 129, 2000):
         for m in (1, 2):
             targets = rng.normal(size=(blocks * n, m)) * rng.uniform(0.1, 1e3, size=(blocks * n, 1))
@@ -877,7 +887,7 @@ def test_affine_step_bound(scheme, psi, regression):
 # ---------------------------------------------------------------- regression backends
 
 def test_sample_mean_projects_z_targets():
-    project, cond = _projector("sample-mean", None, 1)
+    project, cond = _projector("sample-mean", 1, None)(None)
     out = _fit(project, np.array([[1.0], [3.0]]))
     assert np.allclose(out, 2.0)
     assert cond is None
@@ -887,7 +897,7 @@ def test_poly_regression_recovers_linear_map():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4000, 1))
     targets = (2.0 * x[:, 0] + 1.0 + 0.01 * rng.normal(size=4000))[:, None]
-    project, cond = _projector(("poly", 1), x, 1)
+    project, cond = _projector(("poly", 1), 1, x.shape)(x)
     out = _fit(project, targets)
     assert np.max(np.abs(out[:, 0] - (2.0 * x[:, 0] + 1.0))) < 0.01
     assert cond is not None
@@ -913,7 +923,7 @@ def test_poly_features_match_the_per_column_products(d, degree):
 
     for pts in (x, x[0]):
         ref = loop(pts)
-        out = _poly_features(pts, degree)
+        out = _poly_features(d, degree)[0](pts)
         assert out.shape == ref.shape and np.array_equal(out, ref)
         assert all(np.array_equal(a, b) for a, b in zip(np.linalg.svd(out, full_matrices=False),
                                                          np.linalg.svd(ref, full_matrices=False)))
@@ -926,25 +936,62 @@ def test_poly_projector_matches_lstsq_per_block():
     rng = np.random.default_rng(8)
     x = np.concatenate([rng.uniform(-1, 1, (2 * 300, 2)), np.tile([0.3, -0.2], (300, 1))])
     targets = rng.normal(size=(3 * 300, 3))
-    project, cond = _projector(("poly", 2), x, 3)
+    project, cond = _projector(("poly", 2), 3, x.shape)(x)
     out = _fit(project, targets)
     conds = []
     for b in range(3):
         rows = slice(300 * b, 300 * (b + 1))
-        phi = _poly_features(x[rows], 2)
+        phi = _poly_features(2, 2)[0](x[rows])
         coef, _, _, sv = np.linalg.lstsq(phi, targets[rows], rcond=None)
         assert np.max(np.abs(out[rows] - phi @ coef)) < 1e-12
         conds.append(sv[0] / sv[-1] if sv[-1] > 0 else np.inf)
     assert np.max(np.abs(out[600:] - np.mean(targets[600:], axis=0))) < 1e-12
     assert max(conds[:2]) < 1e3 and conds[2] > 1e12 and cond > 1e12  # huge or inf at the start node
-    assert _projector(("poly", 2), x[:600], 2)[1] == pytest.approx(max(conds[:2]), rel=1e-10)
+    assert _projector(("poly", 2), 2, (600, 2))(x[:600])[1] == pytest.approx(max(conds[:2]), rel=1e-10)
     assert np.max(np.abs(_fit(project, out) - out)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("spec", [("poly", k) for k in range(4)] + [("partition", c) for c in (1, 4, 9)],
+                         ids=lambda spec: f"{spec[0]}-{spec[1]}")
+def test_planned_projector_matches_the_per_node_projector_byte_for_byte(d, spec):
+    """One plan per block count, each fitted at three nodes, gives the bytes of
+    the per-node projector it replaced: each fit, written into a new array
+    and in place, and cond.  The nodes stack 1-3 blocks of spread states, of
+    one point (a rank-deficient poly design, and every partition row in one
+    cell) and of lopsided states (half at one point for d = 1, x_1 = x_2 for
+    d = 2: a rank-deficient design, and empty cells), each kind first in turn."""
+    rng = np.random.default_rng(10 * d + len(spec[0]) + spec[1])
+    n = 60
+    lopsided = (np.where(rng.random((n, 1)) < 0.5, 0.25, rng.uniform(-1, 1, (n, 1))) if d == 1
+                else np.repeat(rng.uniform(-1, 1, (n, 1)), 2, axis=1))
+    kinds = [rng.uniform(-1, 1, (n, d)), np.tile(rng.uniform(-1, 1, d), (n, 1)), lopsided]
+    conds = []
+    for blocks in (1, 2, 3):
+        plan = _projector(spec, blocks, (blocks * n, d))
+        for first in range(3):
+            x = np.concatenate([kinds[(first + b) % 3] for b in range(blocks)])
+            project, cond = plan(x)
+            ref_project, ref_cond = per_node_projector(spec, x, blocks)
+            assert np.float64(cond).tobytes() == np.float64(ref_cond).tobytes()
+            conds.append(cond)
+            for m in (1, 3):
+                targets = rng.normal(size=(blocks * n, m))
+                assert _fit(project, targets).tobytes() == _fit(ref_project, targets).tobytes()
+                in_place, ref_in_place = targets.copy(), targets.copy()
+                assert project(in_place, in_place) is in_place
+                ref_project(ref_in_place, ref_in_place)
+                assert in_place.tobytes() == ref_in_place.tobytes()
+    if spec in (("poly", 0), ("partition", 1)):  # the constant column alone
+        assert set(conds) == {1.0}
+    else:  # a degenerate block was fitted: an empty cell's cond is inf
+        assert max(conds) == np.inf if spec[0] == "partition" else max(conds) > 1e12
 
 
 def test_partition_regression_piecewise_means():
     x = np.linspace(-1, 1, 1000)[:, None]
     targets = np.where(x[:, 0] > 0, 1.0, -1.0)[:, None]
-    out = _fit(_projector(("partition", 2), x, 1)[0], targets)
+    out = _fit(_projector(("partition", 2), 1, x.shape)(x)[0], targets)
     assert np.max(np.abs(out - targets)) < 1e-12
 
 
@@ -978,7 +1025,7 @@ def test_partition_projector_is_the_per_cell_mean(d):
         lopsided = np.repeat(rng.uniform(-1, 1, (n, 1)), 2, axis=1)  # x_1 = x_2: the off-diagonal cells are empty
     x = np.concatenate([spread, tied, lopsided])
     targets = rng.normal(size=(3 * n, 3))
-    project, cond = _projector(("partition", 4), x, 3)
+    project, cond = _projector(("partition", 4), 3, x.shape)(x)
     out = _fit(project, targets)
     empty = []
     for b in range(3):
@@ -988,7 +1035,7 @@ def test_partition_projector_is_the_per_cell_mean(d):
         empty.append(has_empty)
     assert isinstance(cond, float)
     assert empty[2] and cond == np.inf
-    spread_cond = _projector(("partition", 4), spread, 1)[1]
+    spread_cond = _projector(("partition", 4), 1, spread.shape)(spread)[1]
     assert not empty[0] and np.isfinite(spread_cond)
 
 
