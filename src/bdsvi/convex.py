@@ -504,7 +504,7 @@ def make_convex(name: str) -> ConvexFunction:
     """
     m = _NAME_RE.match(name)
     if m is None or m.group(1) not in CATALOG:
-        raise KeyError(f"unknown convex function {name!r}")
+        raise ValueError(f"unknown convex function {name!r}")
     fn = CATALOG[m.group(1)]
     args = []
     if m.group(2):

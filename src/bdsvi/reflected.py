@@ -46,7 +46,6 @@ class DomainSpec:
     bounding_box: tuple
     d: int
     project: Callable[[np.ndarray], np.ndarray]
-    name: str
 
 
 def unit_ball(dim: int, radius: float = 1.0) -> DomainSpec:
@@ -71,8 +70,7 @@ def unit_ball(dim: int, radius: float = 1.0) -> DomainSpec:
     def project(x):
         return x * (r / _norm(x))[..., None]
 
-    return DomainSpec(level, gradient, hessian, (-r * np.ones(dim), r * np.ones(dim)), dim, project,
-                      f"ball(d={dim},r={r})")
+    return DomainSpec(level, gradient, hessian, (-r * np.ones(dim), r * np.ones(dim)), dim, project)
 
 
 def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
@@ -96,14 +94,14 @@ def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
     def project(x):
         return x.clip(lo, hi)
 
-    return DomainSpec(level, gradient, hessian, (np.array([lo]), np.array([hi])), 1, project, f"interval({lo},{hi})")
+    return DomainSpec(level, gradient, hessian, (np.array([lo]), np.array([hi])), 1, project)
 
 
 @dataclass(frozen=True)
 class ForwardModel:
     """The reflected diffusion dX = b dt + sigma dW + grad level dA in domain.  b and sigma map
     points (..., d) to (..., d) and (..., d, d), or are constants: b a scalar or (d,), sigma a
-    scalar (sigma * I) or (d, d).  A constant of another shape is a ValueError here."""
+    scalar (sigma * I) or (d, d).  A constant of another shape, or not finite, is a ValueError here."""
 
     domain: DomainSpec
     b: Callable
@@ -113,6 +111,8 @@ class ForwardModel:
         for name, value, shape in (("b", self.b, (self.domain.d,)), ("sigma", self.sigma, (self.domain.d,) * 2)):
             if not callable(value) and np.shape(value) not in ((), shape):
                 raise ValueError(f"constant {name} must be a scalar or of shape {shape}, got {np.shape(value)}")
+            if not callable(value) and not np.isfinite(value).all():
+                raise ValueError(f"constant {name} must be finite, got {value}")
 
 
 def make_domain(kind: str, **params) -> DomainSpec:
@@ -120,7 +120,7 @@ def make_domain(kind: str, **params) -> DomainSpec:
     builders = {"ball": unit_ball, "interval": smoothed_interval}
     if kind not in builders:
         what = "domain section names no kind" if kind is None else f"unknown domain kind {kind!r}"
-        raise KeyError(f"{what}; known: {', '.join(builders)}")
+        raise ValueError(f"{what}; known: {', '.join(builders)}")
     return builders[kind](**params)
 
 

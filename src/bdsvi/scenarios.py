@@ -1,12 +1,15 @@
 """Scenario files: named catalogs plus YAML parsing.
 
 One scenario file describes one experiment: the convex pair (phi, psi), the
-coefficient selections, structural constants, optional domain, grid, solver
-settings, eps ladder, and seed.  All randomness in a run derives from the
-scenario seed.  `load_scenario` is the only reader of the file: it builds
-every object a command uses, so a bad section fails at load for every command.
-The estimator, eps-ladder, domain, closure and seed rules are checked by
-their owners, and `load_scenario` re-raises an owner's ValueError as a ScenarioError.
+coefficient selections, structural constants, grid, solver settings, eps
+ladder, seed, and one of two forward models.  With a domain it is the reflected
+diffusion of start, sigma and drift; without one there is no state, and dim and
+a_process (A = t or A = 0) are read instead.  A key of the other kind fails at
+load.  All randomness in a run derives from the scenario seed.  `load_scenario`
+is the only reader of the file: it builds every object a command uses, so a
+bad section fails at load for every command.  The estimator, eps-ladder,
+domain, closure, forward-model and seed rules are checked by their owners,
+and `load_scenario` re-raises an owner's ValueError as a ScenarioError.
 """
 from __future__ import annotations
 
@@ -109,8 +112,8 @@ class Scenario:
     eps_ladder: list
     model: Optional[ForwardModel]  # the reflected diffusion (domain, drift, sigma), None without a domain
     d: int  # the domain's dimension, else the file's dim
-    start: np.ndarray  # (d,) launch point of a reflected ensemble
-    a_spec: Optional[Callable]  # A = t, or None for A = 0; the local time replaces it in a domain
+    start: Optional[np.ndarray]  # (d,) launch point of the reflected ensemble, None without a domain
+    a_spec: Optional[Callable]  # without a domain A = t, or None for A = 0; in one, None: the local time is A
     lattice: Optional[FieldGrid]  # the field lattice, its times on grid nodes
     draws: int  # backward-noise draws of the field
     vi_test_points: list
@@ -128,8 +131,8 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             if key in over:
                 raw[section] = {**_mapping(raw.get(section, {}), section), key: over.pop(key)}
         raw.update(over)
-        _keys(raw, "scenario", *"""name phi psi constants coefficients grid solver domain dim start sigma drift
-              eps_ladder a_process lattice seed paths vi_test_points""".split())
+        _keys(raw, "scenario", *"""name phi psi constants coefficients grid solver domain eps_ladder lattice seed paths
+              vi_test_points""".split(), *(("start", "sigma", "drift") if raw.get("domain") else ("dim", "a_process")))
         name = raw.get("name", "unnamed")
         phi = make_convex(raw.get("phi", "zero"))
         psi = make_convex(raw.get("psi", "zero"))
@@ -153,25 +156,27 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             scheme=sv.get("scheme", "implicit-prox"),
             regression=regression,
         )
-        domain = model = None
-        drift, sigma = float(raw.get("drift", 0.0)), float(raw.get("sigma", 1.0))  # checked with or without a domain
+        domain = model = start = a_spec = None
         if raw.get("domain"):
             dspec = dict(_mapping(raw["domain"], "domain"))
             if "dim" in dspec:
                 dspec["dim"] = _whole(dspec["dim"], "domain dim")
             domain = make_domain(dspec.pop("kind", None), **dspec)
-            model = ForwardModel(domain, drift, sigma)
-        d = domain.d if domain is not None else _whole(raw.get("dim", 1), "dim")
+            model, d = ForwardModel(domain, float(raw.get("drift", 0.0)), float(raw.get("sigma", 1.0))), domain.d
+            start = np.atleast_1d(np.asarray(raw.get("start", np.zeros(d)), dtype=float))
+            if start.shape != (d,):
+                raise ScenarioError(f"start must be a point of dimension {d}, got shape {start.shape}")
+            _check_closure(domain, start, "start point")
+        else:  # no state: A = t or A = 0
+            d, a_process = _whole(raw.get("dim", 1), "dim"), raw.get("a_process", "time")
+            if a_process not in ("time", "none"):
+                raise ScenarioError(f"unknown a_process {a_process!r}; known: time, none")
+            a_spec = (lambda t: np.asarray(t, dtype=float)) if a_process == "time" else None
         n_paths = _whole(raw.get("paths", 100), "paths")
         for key, n in (("dim", d), ("paths", n_paths)):
             if n < 1:
                 raise ScenarioError(f"{key} must be at least 1, got {n}")
         _check_regression(regression, d, domain is not None, coeffs.terminal)
-        start = np.atleast_1d(np.asarray(raw.get("start", np.zeros(d)), dtype=float))
-        if start.shape != (d,):
-            raise ScenarioError(f"start must be a point of dimension {d}, got shape {start.shape}")
-        if domain is not None:
-            _check_closure(domain, start, "start point")
         ladder = [float(e) for e in raw.get("eps_ladder", [])]
         _check_ladder(ladder)
         seed = _whole(raw.get("seed", 0), "seed")
@@ -180,13 +185,6 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         if not (type(vi_points) is list and vi_points and all(type(r) in (int, float) for r in vi_points)
                 and np.isfinite(vi_points).all()):
             raise ScenarioError(f"vi_test_points must be a non-empty list of finite numbers, got {vi_points!r}")
-        a_process = raw.get("a_process", "time")
-        if a_process == "time":
-            a_spec = lambda t: np.asarray(t, dtype=float)
-        elif a_process == "none":
-            a_spec = None
-        else:
-            raise ScenarioError(f"unknown a_process {a_process!r}; known: time, none")
         lattice, draws, lat = None, 1, raw.get("lattice")
         if lat is not None:
             _keys(lat, "lattice", "times", "points", "draws")
@@ -223,6 +221,5 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             weight_warning=None if wr.ok else (f"weight constants outside the sufficient region: "
                                                f"lam margin {wr.lam_margin:.4g}, mu margin {wr.mu_margin:.4g}"),
         )
-    except (KeyError, TypeError, AttributeError, ValueError, yaml.YAMLError) as exc:  # ValueError: an owner's rule
-        # a KeyError's str() is the repr of its message: the message itself, without quotes
-        raise ScenarioError(exc.args[0] if isinstance(exc, KeyError) else str(exc)) from exc
+    except (TypeError, AttributeError, ValueError, yaml.YAMLError) as exc:  # ValueError: an owner's rule
+        raise ScenarioError(str(exc)) from exc

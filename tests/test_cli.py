@@ -3,11 +3,13 @@ import itertools
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
+from bdsvi import scenarios
 from bdsvi.cli import _COMMANDS, _build_run, _solve_scenario, run
 from bdsvi.convex import prox_property_suite
 from bdsvi.field import sample_field
@@ -211,6 +213,10 @@ def _without_start(raw, **domain):
 
 _LADDER = "eps ladder must be finite, > 0 and strictly decreasing, got "
 _VI_POINTS = "vi_test_points must be a non-empty list of finite numbers, got "
+_KNOWN = "; known: name, phi, psi, constants, coefficients, grid, solver, domain, eps_ladder, lattice, seed, paths, " \
+         "vi_test_points, "
+_NO_DOMAIN_KEY = "unknown scenario key(s) {}" + _KNOWN + "dim, a_process"  # a key of a file without a domain
+_DOMAIN_KEY = "unknown scenario key(s) {}" + _KNOWN + "start, sigma, drift"  # a key of a file with one
 _LOAD_MUTATIONS = {  # id: (scenario, edit of its document, the owner's message)
     "poly-no-domain": ("zero.yaml", lambda raw: raw["solver"].update(regression={"kind": "poly", "degree": 2}),
                        "regression poly needs a state: a domain, or an ensemble that carries X"),
@@ -249,21 +255,23 @@ _LOAD_MUTATIONS = {  # id: (scenario, edit of its document, the owner's message)
     "coefficient-c-nan": ("zero.yaml", lambda raw: raw["coefficients"].update(f={"kind": "linear", "a_y": -0.5,
                                                                                  "c": float("nan")}),
                           "coefficient a_y, a_z and c must be finite, got -0.5, 0.0, nan"),
+    "zero-sigma": ("zero.yaml", lambda raw: raw.update(sigma=5), _NO_DOMAIN_KEY.format("sigma")),
+    "zero-drift": ("zero.yaml", lambda raw: raw.update(drift=2), _NO_DOMAIN_KEY.format("drift")),
+    "zero-start": ("zero.yaml", lambda raw: raw.update(start=[3]), _NO_DOMAIN_KEY.format("start")),
+    "ball-a-process": ("ball.yaml", lambda raw: raw.update(a_process="none"), _DOMAIN_KEY.format("a_process")),
+    "ball-dim-3": ("ball.yaml", lambda raw: raw.update(dim=3), _DOMAIN_KEY.format("dim")),
+    "ball-dim-negative": ("ball.yaml", lambda raw: raw.update(dim=-5), _DOMAIN_KEY.format("dim")),
+    "ball-sigma-nan": ("ball.yaml", lambda raw: raw.update(sigma=float("nan")),
+                       "constant sigma must be finite, got nan"),
+    "field-drift-inf": ("field.yaml", lambda raw: raw.update(drift=float("inf")),
+                        "constant b must be finite, got inf"),
+    "phi-quadratic-negative": ("zero.yaml", lambda raw: raw.update(phi="quadratic(-1.0)"),
+                               "quadratic coefficient must be >= 0"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_LOAD_MUTATIONS))
-def test_a_bad_input_fails_at_load_for_every_command(tmp_path, capsys, case):
-    """Each rule has one owner (the estimator rule, the eps ladder, the
-    domain's closure, a domain builder's parameters, the seed's range, the
-    finiteness of the grid, the constants and the coefficients) and the
-    loader reaches it, so every command exits 2 with the owner's message
-    before it does any work.  Before the loader reached these rules the
-    commands disagreed on each case: some exited 0, some 1 with a traceback,
-    some 2 after a solve or with another message, and a nan T, lam or c let
-    prox-check, report or compat-check exit 0."""
-    name, edit, detail = _LOAD_MUTATIONS[case]
-    p = _variant(tmp_path, name, edit)
+def _fails_at_load_for_every_command(tmp_path, capsys, p, detail):
+    """load_scenario raises detail, and every command exits 2 with it as one validation record and no artifact."""
     with pytest.raises(ScenarioError) as err:
         load_scenario(p)
     assert str(err.value) == detail
@@ -272,6 +280,70 @@ def test_a_bad_input_fails_at_load_for_every_command(tmp_path, capsys, case):
         assert run([command, "--scenario", p, "--out", str(out), "--quiet"]) == 2, command
         assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}, command
         assert not out.exists(), command
+
+
+@pytest.mark.parametrize("case", sorted(_LOAD_MUTATIONS))
+def test_a_bad_input_fails_at_load_for_every_command(tmp_path, capsys, case):
+    """Each rule has one owner (the estimator rule, the eps ladder, the
+    domain's closure, a domain builder's parameters, the seed's range, the
+    finiteness of the grid, the constants, the coefficients and the forward
+    model's drift and sigma, the catalog's parameters, and the keys of a run
+    kind) and the loader reaches it, so every command exits 2 with the
+    owner's message before it does any work.  Before the loader reached
+    these rules the commands disagreed on each case: some exited 0, some 1
+    with a traceback, some 2 after a solve or with another message, and a
+    nan T, lam or c let prox-check, report or compat-check exit 0.  The
+    forward-model keys of the other run kind (sigma, drift or start without
+    a domain; dim or a_process with one) were dropped, so every command
+    exited 0 as if they were absent; a nan sigma or an inf drift exited 3
+    from the simulating commands, blaming the time step, and 0 from
+    prox-check and compat-check."""
+    name, edit, detail = _LOAD_MUTATIONS[case]
+    _fails_at_load_for_every_command(tmp_path, capsys, _variant(tmp_path, name, edit), detail)
+
+
+def test_a_scenario_file_that_is_a_list_fails_at_load(tmp_path, capsys):
+    p = tmp_path / "list.yaml"
+    p.write_text(yaml.safe_dump([yaml.safe_load(open(_scn("zero.yaml")))]))
+    _fails_at_load_for_every_command(tmp_path, capsys, str(p), "scenario file must be a mapping")
+
+
+def test_a_start_the_loader_accepts_passes_containment(tmp_path, capsys):
+    """The loader's closure check and sde-sim's containment line share one
+    tolerance, reflected._BOUNDARY_TOL: a start 5e-10 outside the interval
+    loads, and its ensemble passes with min level -5e-10.  With a tolerance
+    of its own (-1e-12), sde-sim failed that start with exit 3."""
+    p = _variant(tmp_path, "field.yaml", lambda raw: [raw.pop("lattice"), raw.update(start=[1.0000000005])])
+    assert run(["sde-sim", "--scenario", p, "--out", str(tmp_path / "out"), "--paths", "20"]) == 0
+    assert "PASS containment in the closed domain: min level -5.000e-10" in capsys.readouterr().out
+
+
+def test_a_projection_that_stays_outside_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    """A domain whose project returns its point leaves an exited path
+    outside after every push round: sde-sim exits 3 with the numerical
+    record, and writes no artifact."""
+    make = scenarios.make_domain
+    monkeypatch.setattr(scenarios, "make_domain", lambda kind, **p: replace(make(kind, **p), project=lambda x: x))
+    out = tmp_path / "out"
+    assert run(["sde-sim", "--scenario", _scn("ball.yaml"), "--out", str(out), "--paths", "100", "--steps", "20",
+                "--quiet"]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "numerical", "detail": "projection did not reach the closed domain; reduce the time step"}
+    assert not out.exists()
+
+
+def test_weight_warning_goes_to_stderr_and_into_solve_txt(tmp_path, capsys):
+    """Weight constants outside the sufficient region warn and do not fail:
+    solve exits 0, writes WARN on stderr and into solve.txt, and --quiet
+    keeps it off stderr only."""
+    p = _variant(tmp_path, "zero.yaml", lambda raw: raw["constants"].update(lam=0.1))
+    warning = f"WARN {load_scenario(p).weight_warning}"
+    for quiet in (False, True):
+        out = tmp_path / f"quiet-{quiet}"
+        argv = ["solve", "--scenario", p, "--out", str(out), "--steps", "10", "--paths", "20"]
+        assert run(argv + ["--quiet"] * quiet) == 0
+        assert capsys.readouterr().err == ("" if quiet else warning + "\n")
+        assert warning in (out / "solve.txt").read_text().splitlines()
 
 
 def test_every_command_on_every_scenario_ends_in_a_known_exit_code(tmp_path, capsys):

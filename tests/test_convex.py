@@ -391,8 +391,14 @@ def test_batched_compat_matches_per_sample_loop(phi, psi):
 
 
 def test_make_convex_rejects_unknown():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown convex function 'nope\\(1.0\\)'"):
         make_convex("nope(1.0)")
+
+
+def test_grid_oracle_needs_a_domain_hint():
+    theta = replace(make_convex("abs"), domain_hint=None)
+    with pytest.raises(ValueError, match="grid oracle for 'abs' needs a domain_hint"):
+        grid_prox_oracle(theta, 0.1, np.zeros((3, 1)))
 
 
 def test_indicator_box_must_contain_zero():

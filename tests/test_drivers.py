@@ -204,6 +204,18 @@ def test_a_spec_attachment_and_normalization():
     assert np.all(b.dA >= 0)
 
 
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_generate_paths_needs_a_path(n_paths):
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        generate_paths(TimeGrid.uniform(0, 1, 4), 1, n_paths, seed=0)
+
+
+def test_a_spec_must_be_nondecreasing():
+    """A decreasing A is no local time: it fails before a bundle is returned."""
+    with pytest.raises(ValueError, match="a_spec must be nondecreasing on the grid"):
+        generate_paths(TimeGrid.uniform(0, 1, 4), 1, 2, seed=0, a_spec=lambda t: -np.asarray(t))
+
+
 def test_endpoint_conventions_differ_by_quadratic_variation():
     # sum B_{i+1} dB - sum B_i dB = sum (dB)^2 -> T in the mean
     g = TimeGrid.uniform(0, 1, 200)

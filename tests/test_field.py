@@ -93,6 +93,12 @@ def test_field_grid_rejects_an_empty_lattice(times, points, key):
         FieldGrid.build(DOM, times, points)
 
 
+@pytest.mark.parametrize("n_paths, n_b_draws", [(10, 0), (0, 1)], ids=["no-draws", "no-paths"])
+def test_sample_field_needs_paths_and_draws(n_paths, n_b_draws):
+    with pytest.raises(ValueError, match="n_paths and n_b_draws must be >= 1"):
+        sample_field(MODEL, _coeffs(), ZERO, ZERO, _config(), _fgrid(), n_paths, 0, n_b_draws)
+
+
 def test_field_grid_rejects_misshapen_points():
     """Two 2-d points on the interval are an error, not four 1-d points."""
     with pytest.raises(ValueError, match="shape"):

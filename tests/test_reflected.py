@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,14 +74,15 @@ def test_interval_unit_slope_at_endpoints():
 def test_make_domain_dispatch():
     assert make_domain("ball", dim=3, radius=2.0).d == 3
     assert make_domain("interval", lo=0.0, hi=2.0).d == 1
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown domain kind 'torus'; known: ball, interval"):
         make_domain("torus")
 
 
 def test_make_domain_rejects_a_key_its_builder_lacks():
     """The builders' signatures hold the defaults; a key a builder does not
     take raises instead of being dropped."""
-    assert make_domain("interval").name == smoothed_interval().name == "interval(0.0,1.0)"
+    lo, hi = make_domain("interval").bounding_box
+    assert (lo.tolist(), hi.tolist()) == ([0.0], [1.0])
     with pytest.raises(TypeError, match="radius"):
         make_domain("interval", lo=0, hi=1, radius=2)
     with pytest.raises(TypeError, match="dim"):
@@ -238,7 +240,8 @@ def test_far_out_push_is_sized_by_the_projected_point(scale, d):
     assert abs(np.linalg.norm(out[0]) - 1.0) <= 2.3e-16
 
 
-@pytest.mark.parametrize("dom", [unit_ball(2), unit_ball(3), smoothed_interval()], ids=lambda dom: dom.name)
+@pytest.mark.parametrize("dom", [unit_ball(2), unit_ball(3), smoothed_interval()],
+                         ids=["ball(d=2,r=1.0)", "ball(d=3,r=1.0)", "interval(0.0,1.0)"])
 def test_non_finite_step_raises(dom):
     """A drift that overflows the Euler step is a numerical failure, not a
     path of NaN or infinite local time."""
@@ -273,6 +276,16 @@ def test_forward_model_rejects_a_constant_of_another_shape(dom, b, sigma, bad):
         ForwardModel(dom, b, sigma)
 
 
+@pytest.mark.parametrize("b, sigma, bad", [
+    (0.0, np.nan, "sigma"), (np.inf, 1.0, "b"), ([0.1, np.nan], 1.0, "b"), (0.0, np.diag([1.0, np.inf]), "sigma")],
+    ids=["sigma-nan", "b-inf", "b-vector-nan", "sigma-matrix-inf"])
+def test_forward_model_rejects_a_non_finite_constant(b, sigma, bad):
+    """A nan sigma or an inf b made every step non-finite, and the simulation
+    failed blaming the time step; it fails where the model is built."""
+    with pytest.raises(ValueError, match=f"constant {bad} must be finite"):
+        ForwardModel(unit_ball(2), b, sigma)
+
+
 def test_forward_model_constant_shapes_run_as_their_scalars():
     """A (d,) b and a (d, d) sigma are accepted and run through the matrix
     step, bit for bit the scalar run when they equal b 1 and sigma I; a
@@ -284,6 +297,14 @@ def test_forward_model_constant_shapes_run_as_their_scalars():
     assert np.any(scalar.A[:, -1] > 0.0)
     assert np.array_equal(full.X, scalar.X) and np.array_equal(full.A, scalar.A)
     assert ForwardModel(dom, lambda x: np.zeros(3), lambda x: np.zeros(1)).domain is dom
+
+
+def test_a_projection_that_stays_outside_raises():
+    """A domain whose project returns its point leaves an outside point
+    outside: the push moves it one ulp toward the centre per round, and
+    after _PUSH_ROUNDS it is a numerical failure."""
+    with pytest.raises(RuntimeError, match="projection did not reach the closed domain"):
+        _project_out(replace(unit_ball(2), project=lambda x: x), np.array([[0.0, 0.0], [2.0, 0.0]]))
 
 
 def _outside_points(dom, rng):
@@ -312,16 +333,17 @@ def _assert_projected_exactly(dom, x_star):
     return outside, out, delta
 
 
-@pytest.mark.parametrize("dom", [unit_ball(1), unit_ball(2), unit_ball(3), smoothed_interval()],
-                         ids=lambda dom: dom.name)
-def test_closed_form_push_matches_bisection(dom):
+@pytest.mark.parametrize("kind, dom", [("ball", unit_ball(1)), ("ball", unit_ball(2)), ("ball", unit_ball(3)),
+                                       ("interval", smoothed_interval())],
+                         ids=["ball(d=1,r=1.0)", "ball(d=2,r=1.0)", "ball(d=3,r=1.0)", "interval(0.0,1.0)"])
+def test_closed_form_push_matches_bisection(kind, dom):
     """The closed-form projection, rounded inward, is the nearest point of
     the domain, checked from geometry alone: the radial point of the ball,
     the edge the point left by for the interval; delta is the distance to it."""
     x_star = _outside_points(dom, np.random.default_rng(dom.d))
     outside, out, delta = _assert_projected_exactly(dom, x_star)
     lo, hi = dom.bounding_box[0][0], dom.bounding_box[1][0]
-    if dom.name.startswith("ball"):
+    if kind == "ball":
         ref = hi * x_star / np.linalg.norm(x_star, axis=-1, keepdims=True)
     else:
         ref = np.where(x_star > 0.5 * (lo + hi), hi, lo)

@@ -399,6 +399,18 @@ def test_non_finite_increment_raises_at_set_up(name):
         solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid), noise)
 
 
+@pytest.mark.parametrize("value", [-1e-9, np.nan, np.inf], ids=["decrease", "nan", "inf"])
+def test_bad_dA_of_a_hand_built_bundle_raises_at_set_up(value):
+    """generate_paths and simulate_reflected build a finite, nondecreasing A;
+    a bundle built by hand whose A falls or is not finite fails before the
+    first step."""
+    grid, noise = _bundle(n_steps=20, n_paths=10)
+    A = np.array(noise.A)
+    A[3, 8] = value
+    with pytest.raises(ValueError, match="dA increments must be finite and >= 0"):
+        solve_penalized(_coeffs(), ZERO, ZERO, SolverConfig(grid), replace(noise, A=A))
+
+
 # ---------------------------------------------------------------- cauchy
 
 def test_cauchy_slope_near_one():
