@@ -30,10 +30,10 @@ __all__ = [
 
 # golden-section ratio 1/phi for the k = 1 prox search
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 53  # k = 1: the bracket left of [0, x] is 0.618**53 |x| < 1e-11 |x|
+_REFINEMENTS = 14  # k = 2: the final lattice spacing is |x| / (8 * 4**14) = |x| / 2**31
 _BLOCK_1D = 4096  # points per golden-section search (k = 1)
-_BLOCK_LATTICE = 512  # points per pass over the 65-point lattice (k = 1)
-_BLOCK_2D = 64  # points per lattice stage (k = 2)
-_RESOLUTION = 1e-8  # the grid prox oracle's final lattice spacing (k = 2) or 100x its bracket (k = 1)
+_BLOCK_2D = 64  # points per run of the lattice stages (k = 2)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class ConvexFunction:
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     prox_oracle: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    domain_hint: Optional[tuple] = None  # (lo, hi) arrays of length k
     label: str = ""
 
 
@@ -134,7 +133,8 @@ def prox(theta: ConvexFunction, eps, x) -> np.ndarray:
     """Resolvent J_eps(x) = (I + eps * dtheta)^{-1}(x).
 
     Minimizer of y -> 0.5|x-y|^2 + eps*theta(y).  Uses the closed-form
-    oracle when available, otherwise the lattice oracle over domain_hint.
+    oracle when available, otherwise grid_prox_oracle, which searches the
+    box that x implies.
     eps = 0 is the identity.
     """
     eps, x = _check_prox_args(eps, x)
@@ -143,7 +143,7 @@ def prox(theta: ConvexFunction, eps, x) -> np.ndarray:
 
 def _oracle(theta: ConvexFunction):
     """The resolvent map (eps, x) -> J_eps(x) for eps > 0: the closed form
-    when theta has one, otherwise the lattice oracle over domain_hint."""
+    when theta has one, otherwise grid_prox_oracle's search."""
     return theta.prox_oracle or (lambda e, y: grid_prox_oracle(theta, e, y))
 
 
@@ -183,123 +183,93 @@ def yosida_gradient(theta: ConvexFunction, eps, x) -> np.ndarray:
 
 
 def grid_prox_oracle(theta: ConvexFunction, eps, x) -> np.ndarray:
-    """Minimizer of F(y) = 0.5|x-y|^2 + eps*theta(y) over domain_hint, by search.
+    """Minimizer of F(y) = 0.5|x-y|^2 + eps*theta(y), by search on the box x implies.
 
-    Restricted to k <= 2.  Both paths start from a lattice over domain_hint
-    (65 points for k = 1, 17x17 for k = 2), so +inf values outside the
-    effective domain are handled by plain comparison.
+    Restricted to k <= 2.  theta >= 0 = theta(0) makes J_eps nonexpansive
+    with J_eps(0) = 0, so J_eps(x) lies between 0 and x at k = 1 and in
+    [-|x|, |x|]^2 at k = 2: each point is searched on its own box, and +inf
+    values outside the effective domain are handled by plain comparison.
 
-    k = 1: F is convex, so its minimizer lies within one cell of the lattice
-    argmin.  That bracket is shrunk by golden section to a width of at most
-    1e-10, and the best evaluated point is returned.
-    k = 2: the lattice is refined in stages (each stage keeps a window of a
-    few coarse cells around the current minimizer) down to a spacing of at
-    most 1e-8, and the lattice minimizer is returned.
+    k = 1: golden section on [min(0, x), max(0, x)] for a fixed 53 steps,
+    which leaves a bracket below 1e-11 |x|.  Where both interior values are
+    +inf, the domain, which holds 0, lies on the side of 0, which is kept.
+    The lowest F among x and the last two points is returned, x on a tie,
+    or 0 where that point's F exceeds F(0), read as y(y/2 - x) + eps*theta(y)
+    > 0, free of the rounding of x^2/2.  So J = x exactly for zero, and
+    J = 0 for abs at |x| <= eps.
+    k = 2: a 17x17 lattice on [-|x|, |x|]^2, then 14 stages, each a 17x17
+    lattice of a quarter of the last one's width about its minimizer, down to
+    a spacing of |x|/2^31; the lattice minimizer is returned.
 
-    Both run over blocks of points (the k = 1 lattice pass in blocks of 512
-    inside golden-section blocks of 4096, the k = 2 stages in blocks of 64),
-    so each block's value table stays in cache.  Every operation is
-    elementwise in the point, and the k = 2 stop rule is batch-wide (every
-    point runs the stages the widest window needs), so a point's result does
-    not depend on the batch or block it is solved in.
+    Both run over blocks of points (golden-section blocks of 4096, lattice
+    blocks of 64 that run all their stages in turn), so each block's arrays
+    stay in cache.  Every operation is elementwise in the point and the step
+    counts are fixed, so a point's result does not depend on the batch or
+    block it is solved in.
 
     The search compares values of F only.  Near a smooth minimizer y*, F
     exceeds its minimum F* by only 0.5*c*|y - y*|^2 (c >= 1 the curvature),
     which rounding to a few ulps of |F*| cannot resolve: the floor is about
     sqrt(8*ulp(|F*|)/c), about 6e-8 for |F*| ~ 3.  So the k = 1 result lies
-    within 1e-10 plus this floor of y*.  The k = 2 lattice meets the same
-    floor, so its error is of the order of its spacing plus the floor
-    (about 4e-8 from the catalog's closed forms).  The gradient laws of
-    prox_property_suite divide that error by eps, so on this oracle they
-    read up to about 1.2e-5 at k = 2 and eps >= 1e-3; a 1e-5 law bound holds
-    for k = 1 only.
+    within 1e-11 |x| plus this floor of y*.  The k = 2 lattice meets the same
+    floor, so its error is of the order of its spacing plus the floor.  The
+    gradient laws of prox_property_suite divide that error by eps, so on
+    this oracle they read up to about 3e-5 at k = 2 and eps >= 1e-3; a
+    1e-5 law bound holds for k = 1 only.
     """
     eps, x = _check_prox_args(eps, x)
-    if theta.domain_hint is None:
-        raise ValueError(f"grid oracle for {theta.label!r} needs a domain_hint")
     k = x.shape[-1]
     if k > 2:
         raise ValueError(f"grid oracle supports k <= 2, got k={k}")
-    lo = np.broadcast_to(np.asarray(theta.domain_hint[0], dtype=float), (k,)).copy()
-    hi = np.broadcast_to(np.asarray(theta.domain_hint[1], dtype=float), (k,)).copy()
     batch = x.shape[:-1]
-    eps_b = np.broadcast_to(eps, batch)
-    if k == 1:
-        # blocks of points small enough for the search's arrays to stay in cache
-        x1, eps1 = x[..., 0].reshape(-1), eps_b.reshape(-1)
-        out = np.empty_like(x1)
-        for s in range(0, x1.size, _BLOCK_1D):
-            blk = slice(s, s + _BLOCK_1D)
-            out[blk] = _golden_prox_1d(theta, eps1[blk], x1[blk], lo[0], hi[0], _RESOLUTION / 100.0)
-        return out.reshape(batch + (1,))
-
-    # the stop rule reads every point's window, so each point runs as many stages as the widest needs
-    x2, eps2 = x.reshape(-1, k), eps_b.reshape(-1)
-    lo_b = np.broadcast_to(lo, x2.shape).copy()
-    hi_b = np.broadcast_to(hi, x2.shape).copy()
-    best = np.empty_like(x2)
-    n_pts = 17
-    t = np.linspace(0.0, 1.0, n_pts)
-    while True:
-        step = max(np.max((hi_b[:, 0] - lo_b[:, 0]) / (n_pts - 1)),
-                   np.max((hi_b[:, 1] - lo_b[:, 1]) / (n_pts - 1)))
-        for s in range(0, len(x2), _BLOCK_2D):
-            blk = slice(s, s + _BLOCK_2D)
-            lo_k, width = lo_b[blk], hi_b[blk] - lo_b[blk]
-            g = lo_k[:, :, None] + width[:, :, None] * t  # (points, k, n_pts): each axis's lattice
-            pts = np.empty(g.shape[:1] + (n_pts, n_pts, k))
-            pts[..., 0], pts[..., 1] = g[:, 0, :, None], g[:, 1, None, :]
-            d2 = (x2[blk, :, None] - g) ** 2
-            vals = 0.5 * (d2[:, 0, :, None] + d2[:, 1, None, :]) + eps2[blk, None, None] * theta.evaluate(pts)
-            idx = np.argmin(vals.reshape(-1, n_pts * n_pts), axis=-1)
-            best[blk] = lo_k + width * t[np.stack(np.divmod(idx, n_pts), axis=-1)]  # g at the argmin
-            if step > _RESOLUTION:
-                half = 2.0 * width / (n_pts - 1)
-                lo_b[blk] = np.maximum(lo, best[blk] - half)
-                hi_b[blk] = np.minimum(hi, best[blk] + half)
-        if step <= _RESOLUTION:
-            return best.reshape(batch + (k,))
+    x2, eps2 = x.reshape(-1, k), np.broadcast_to(eps, batch).reshape(-1)
+    out = np.empty_like(x2)
+    block, search = (_BLOCK_1D, _golden_prox_1d) if k == 1 else (_BLOCK_2D, _lattice_prox_2d)
+    for s in range(0, len(x2), block):  # blocks of points small enough for the search's arrays to stay in cache
+        blk = slice(s, s + block)
+        out[blk] = search(theta, eps2[blk], x2[blk])
+    return out.reshape(batch + (k,))
 
 
-def _golden_prox_1d(theta, eps, x, lo, hi, width):
-    """Golden-section prox for k = 1 on scalar coordinates x, eps (same shape)."""
+def _golden_prox_1d(theta, eps, x):
+    """Golden-section prox on [min(0, x), max(0, x)] for points x (n, 1) and eps (n,)."""
+    x = x[:, 0]
 
     def objective(y):
-        return 0.5 * (x - y) ** 2 + eps * theta.evaluate(y[..., None])
+        return 0.5 * (x - y) ** 2 + eps * theta.evaluate(y[:, None])
 
-    n_pts = 65
-    grid = lo + (hi - lo) * np.linspace(0.0, 1.0, n_pts)
-    theta_grid = theta.evaluate(grid[:, None])
-    idx = np.empty(x.shape, dtype=np.intp)
-    f_anchor = np.empty_like(x)
-    for s in range(0, x.size, _BLOCK_LATTICE):  # sub-blocks, so the (points, 65) table stays in cache
-        blk = slice(s, s + _BLOCK_LATTICE)
-        vals = 0.5 * (x[blk, None] - grid) ** 2 + eps[blk, None] * theta_grid
-        idx[blk] = np.argmin(vals, axis=-1)
-        f_anchor[blk] = np.take_along_axis(vals, idx[blk, None], axis=-1)[:, 0]
-    anchor = grid[idx]
-    a = grid[np.maximum(idx - 1, 0)]
-    b = grid[np.minimum(idx + 1, n_pts - 1)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+    a, b = np.minimum(x, 0.0), np.maximum(x, 0.0)
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = objective(c), objective(d)
-    w0 = 2.0 * (hi - lo) / (n_pts - 1)  # the widest bracket, so n_iter does not depend on the batch
-    n_iter = int(np.ceil(np.log(w0 / width) / np.log(1.0 / _INVPHI))) if w0 > width else 0
-    for _ in range(n_iter):
-        # keep [a, d] when c is lower.  Both are +inf only outside the
-        # domain, which then lies on the side of the finite anchor.
-        left = fc < fd
-        tie = fc == fd
-        if tie.any():
-            left |= tie & (anchor <= c)
+    for _ in range(_GOLDEN_STEPS):
+        # keep [a, d] when c is lower, and on a tie the side of 0: [a, d] = [0, d] when x > 0
+        left = (fc < fd) | ((fc == fd) & (x > 0.0))
         b, a = np.where(left, d, b), np.where(left, a, c)  # faster than a masked copyto
         y = a + np.where(left, 1.0 - _INVPHI, _INVPHI) * (b - a)
         fy = objective(y)
         c, d = np.where(left, y, d), np.where(left, c, y)
         fc, fd = np.where(left, fy, fd), np.where(left, fc, fy)
-    # the lower interior point is the best golden-section point evaluated
-    best, best_f = np.where(fc <= fd, c, d), np.minimum(fc, fd)
-    return np.where(best_f < f_anchor, best, anchor)
+    best = np.take_along_axis(np.stack([x, c, d]), np.argmin(np.stack([objective(x), fc, fd]), axis=0)[None], 0)[0]
+    # F(best) - F(0) without the rounding of 0.5 x^2, which would hide a gap of 0.5 best^2 near 0
+    above = best * (0.5 * best - x) + eps * theta.evaluate(best[:, None]) > 0.0
+    return np.where(above, 0.0, best)[:, None]
+
+
+def _lattice_prox_2d(theta, eps, x):
+    """Lattice prox for points x (n, 2) and eps (n,): 17x17 lattices about the last
+    minimizer, from half-width |x| down by a factor 4 at each of _REFINEMENTS stages."""
+    u = np.linspace(-1.0, 1.0, 17)
+    best, half = np.zeros_like(x), np.hypot(x[:, 0], x[:, 1])
+    for _ in range(_REFINEMENTS + 1):
+        g = best[:, :, None] + half[:, None, None] * u  # (points, 2, 17): each axis's lattice
+        pts = np.empty(g.shape[:1] + (17, 17, 2))
+        pts[..., 0], pts[..., 1] = g[:, 0, :, None], g[:, 1, None, :]
+        d2 = (x[:, :, None] - g) ** 2
+        vals = 0.5 * (d2[:, 0, :, None] + d2[:, 1, None, :]) + eps[:, None, None] * theta.evaluate(pts)
+        idx = np.argmin(vals.reshape(-1, 17 * 17), axis=-1)
+        best = best + half[:, None] * u[np.stack(np.divmod(idx, 17), axis=-1)]  # g at the argmin
+        half = half / 4.0
+    return best
 
 
 def _subgradient_violation(theta: ConvexFunction, u, j, theta_j, test_points) -> float:
@@ -424,7 +394,6 @@ def _zero() -> ConvexFunction:
     return ConvexFunction(
         evaluate=lambda x: np.zeros(x.shape[:-1]),
         prox_oracle=lambda eps, x: x.copy(),
-        domain_hint=(-10.0, 10.0),
         label="zero",
     )
 
@@ -439,7 +408,7 @@ def _quadratic(a: float = 1.0) -> ConvexFunction:
     def px(eps, x):
         return x / (1.0 + np.asarray(eps)[..., None] * a)
 
-    return ConvexFunction(ev, px, (-10.0, 10.0), f"quadratic({a})")
+    return ConvexFunction(ev, px, f"quadratic({a})")
 
 
 def _abs() -> ConvexFunction:
@@ -449,7 +418,7 @@ def _abs() -> ConvexFunction:
     def px(eps, x):
         return np.sign(x) * np.maximum(np.abs(x) - np.asarray(eps)[..., None], 0.0)
 
-    return ConvexFunction(ev, px, (-10.0, 10.0), "abs")
+    return ConvexFunction(ev, px, "abs")
 
 
 def _indicator_box(lo, hi) -> ConvexFunction:
@@ -465,9 +434,7 @@ def _indicator_box(lo, hi) -> ConvexFunction:
     def px(eps, x):
         return x.clip(lo, hi)
 
-    glo = np.where(np.isfinite(lo), lo, -10.0) - 1.0
-    ghi = np.where(np.isfinite(hi), hi, 10.0) + 1.0
-    return ConvexFunction(ev, px, (glo, ghi), f"indicator_box({lo},{hi})")
+    return ConvexFunction(ev, px, f"indicator_box({lo},{hi})")
 
 
 def _hinge_sq() -> ConvexFunction:
@@ -477,7 +444,7 @@ def _hinge_sq() -> ConvexFunction:
     def px(eps, x):
         return np.where(x > 0.0, x / (1.0 + 2.0 * np.asarray(eps)[..., None]), x)
 
-    return ConvexFunction(ev, px, (-10.0, 10.0), "hinge_sq")
+    return ConvexFunction(ev, px, "hinge_sq")
 
 
 CATALOG = {

@@ -101,14 +101,15 @@ def smoothed_interval(lo: float = 0.0, hi: float = 1.0) -> DomainSpec:
 class ForwardModel:
     """The reflected diffusion dX = b dt + sigma dW + grad level dA in domain.  b and sigma map
     points (..., d) to (..., d) and (..., d, d), or are constants: b a scalar or (d,), sigma a
-    scalar (sigma * I) or (d, d).  A constant of another shape, or not finite, is a ValueError here."""
+    scalar (sigma * I) or (d, d).  A constant of another shape, or not finite, is a ValueError here,
+    naming b by its scenario key, drift."""
 
     domain: DomainSpec
     b: Callable
     sigma: Callable
 
     def __post_init__(self):  # a callable is not checked: its values would be checked at every step
-        for name, value, shape in (("b", self.b, (self.domain.d,)), ("sigma", self.sigma, (self.domain.d,) * 2)):
+        for name, value, shape in (("drift", self.b, (self.domain.d,)), ("sigma", self.sigma, (self.domain.d,) * 2)):
             if not callable(value) and np.shape(value) not in ((), shape):
                 raise ValueError(f"constant {name} must be a scalar or of shape {shape}, got {np.shape(value)}")
             if not callable(value) and not np.isfinite(value).all():

@@ -39,8 +39,9 @@ class ScenarioError(ValueError):
 
 def _whole(value, key):
     """A count or seed setting as an int: 7.0 loads as 7, but int() would truncate
-    7.9 to another run's setting, so a fraction, inf or nan fails."""
-    if isinstance(value, float) and not value.is_integer():
+    7.9 to another run's setting, and true would run as 1, so a fraction, inf, nan
+    or boolean fails."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 
@@ -132,7 +133,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
                 raw[section] = {**_mapping(raw.get(section, {}), section), key: over.pop(key)}
         raw.update(over)
         _keys(raw, "scenario", *"""name phi psi constants coefficients grid solver domain eps_ladder lattice seed paths
-              vi_test_points""".split(), *(("start", "sigma", "drift") if raw.get("domain") else ("dim", "a_process")))
+              vi_test_points""".split(), *(("start", "sigma", "drift") if "domain" in raw else ("dim", "a_process")))
         name = raw.get("name", "unnamed")
         phi = make_convex(raw.get("phi", "zero"))
         psi = make_convex(raw.get("psi", "zero"))
@@ -157,7 +158,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             regression=regression,
         )
         domain = model = start = a_spec = None
-        if raw.get("domain"):
+        if "domain" in raw:  # present, so an empty or null section fails as one
             dspec = dict(_mapping(raw["domain"], "domain"))
             if "dim" in dspec:
                 dspec["dim"] = _whole(dspec["dim"], "domain dim")

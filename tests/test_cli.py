@@ -211,6 +211,12 @@ def _without_start(raw, **domain):
     del raw["start"]
 
 
+def _with_domain(raw, section):
+    """zero.yaml with a domain section and without its domain-free key a_process."""
+    del raw["a_process"]
+    raw["domain"] = section
+
+
 _LADDER = "eps ladder must be finite, > 0 and strictly decreasing, got "
 _VI_POINTS = "vi_test_points must be a non-empty list of finite numbers, got "
 _KNOWN = "; known: name, phi, psi, constants, coefficients, grid, solver, domain, eps_ladder, lattice, seed, paths, " \
@@ -264,9 +270,17 @@ _LOAD_MUTATIONS = {  # id: (scenario, edit of its document, the owner's message)
     "ball-sigma-nan": ("ball.yaml", lambda raw: raw.update(sigma=float("nan")),
                        "constant sigma must be finite, got nan"),
     "field-drift-inf": ("field.yaml", lambda raw: raw.update(drift=float("inf")),
-                        "constant b must be finite, got inf"),
+                        "constant drift must be finite, got inf"),
     "phi-quadratic-negative": ("zero.yaml", lambda raw: raw.update(phi="quadratic(-1.0)"),
                                "quadratic coefficient must be >= 0"),
+    "domain-empty": ("zero.yaml", lambda raw: _with_domain(raw, {}), "domain section names no kind; known: ball, "
+                     "interval"),
+    "domain-list": ("zero.yaml", lambda raw: _with_domain(raw, []), "domain must be a mapping, got list []"),
+    "domain-zero": ("zero.yaml", lambda raw: _with_domain(raw, 0), "domain must be a mapping, got int 0"),
+    "domain-null": ("zero.yaml", lambda raw: _with_domain(raw, None), "domain must be a mapping, got NoneType None"),
+    "paths-true": ("zero.yaml", lambda raw: raw.update(paths=True), "paths must be a whole number, got True"),
+    "seed-false": ("zero.yaml", lambda raw: raw.update(seed=False), "seed must be a whole number, got False"),
+    "steps-true": ("zero.yaml", lambda raw: raw["grid"].update(steps=True), "steps must be a whole number, got True"),
 }
 
 
@@ -297,7 +311,9 @@ def test_a_bad_input_fails_at_load_for_every_command(tmp_path, capsys, case):
     a domain; dim or a_process with one) were dropped, so every command
     exited 0 as if they were absent; a nan sigma or an inf drift exited 3
     from the simulating commands, blaming the time step, and 0 from
-    prox-check and compat-check."""
+    prox-check and compat-check.  An empty or null domain section loaded as
+    a file without one, and a boolean count or seed ran as 1 or 0, each with
+    exit 0."""
     name, edit, detail = _LOAD_MUTATIONS[case]
     _fails_at_load_for_every_command(tmp_path, capsys, _variant(tmp_path, name, edit), detail)
 

@@ -169,8 +169,9 @@ def test_grid_oracle_two_dim():
 
 
 def _edge_heavy_points(rng, n, k):
-    """Points over [-3, 3]^k, a third of them near the domain hint's edges at +-2 of
-    indicator_box(-1,1), where the search windows are clipped at the hint."""
+    """Points over [-3, 3]^k, a third of them at 1.9-2.4 in modulus, where more than
+    half of each point's search box lies outside indicator_box(-1,1): its searches
+    meet +inf on both sides and keep the side of 0."""
     x = rng.uniform(-3.0, 3.0, (n, k))
     near = rng.uniform(1.9, 2.4, (n // 3, k)) * rng.choice([-1.0, 1.0], (n // 3, k))
     x[: n // 3] = near
@@ -179,7 +180,7 @@ def _edge_heavy_points(rng, n, k):
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_grid_oracle_k1_matches_the_unblocked_passes(name):
-    # 5000 points: two golden-section blocks, each of several lattice sub-blocks
+    # 5000 points: two golden-section blocks
     theta = replace(make_convex(name), prox_oracle=None)
     rng = np.random.default_rng(11)
     x = _edge_heavy_points(rng, 5000, 1)
@@ -192,9 +193,9 @@ def test_grid_oracle_k1_matches_the_unblocked_passes(name):
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_grid_oracle_k2_matches_the_unblocked_stages(name):
-    """Several stage blocks with mixed eps.  Windows clipped at the hint are
-    narrower than the rest, so a per-block or per-point stop rule would end
-    their stages early; the batch-wide rule keeps them to the same bits."""
+    """Several stage blocks with mixed eps: each point runs the same fixed
+    stages on its own box, so the blocked, batched and single-point calls
+    give the whole-batch search's bits."""
     theta = replace(make_convex(name), prox_oracle=None)
     rng = np.random.default_rng(12)
     x = _edge_heavy_points(rng, 150, 2)
@@ -205,6 +206,47 @@ def test_grid_oracle_k2_matches_the_unblocked_stages(name):
     assert got.shape == (3, 50, 2) and got.tobytes() == ref.tobytes()
     one = grid_prox_oracle(theta, eps[0], x[0])  # a single point, no batch axis
     assert one.shape == (2,) and one.tobytes() == unblocked_grid_prox_oracle(theta, eps[0], x[0]).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_grid_oracle_agrees_with_closed_form_far_out(name, k):
+    """|x| up to 1e3, far beyond any fixed search box (a box of +-10 returned
+    its edge).  Bound per point, from the docstring: the k = 2 spacing
+    |x|/2^31 (the k = 1 bracket is smaller), below 1e-9 max|x_i|, plus the
+    float floor sqrt(8 ulp(|F*|)) of the minimum value F*."""
+    theta = make_convex(name)
+    rng = np.random.default_rng(20 + k)
+    n = 2000 if k == 1 else 300
+    x = rng.uniform(-1.0, 1.0, (n, k)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    eps = 10.0 ** rng.uniform(-3.0, 1.0, n)
+    exact = theta.prox_oracle(eps, x)
+    f_min = 0.5 * np.sum((x - exact) ** 2, axis=-1) + eps * theta.evaluate(exact)
+    bound = 1e-9 * np.abs(x).max(axis=-1) + np.sqrt(8.0 * np.spacing(np.abs(f_min)))
+    err = np.abs(prox(replace(theta, prox_oracle=None), eps, x) - exact).max(axis=-1)
+    assert np.all(err <= bound), float(np.max(err / bound))
+
+
+def test_grid_oracle_quadratic_beyond_ten():
+    q = replace(make_convex("quadratic(1.0)"), prox_oracle=None)
+    assert prox(q, 0.1, [[50.0]])[0, 0] == pytest.approx(50.0 / 1.1, rel=0.0, abs=5e-7)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_grid_oracle_exact_where_the_resolvent_is_an_end(name):
+    """J(0) = 0 at k = 1 and 2; at k = 1, J = x for zero at any magnitude,
+    and J = 0 for abs at |x| <= eps, |x| = eps included."""
+    theta = replace(make_convex(name), prox_oracle=None)
+    rng = np.random.default_rng(30)
+    eps = 10.0 ** rng.uniform(-3.0, 1.0, 1000)
+    for k in (1, 2):
+        assert np.all(prox(theta, eps, np.zeros((1000, k))) == 0.0)
+    if name == "zero":
+        x = rng.uniform(-1.0, 1.0, (1000, 1)) * 10.0 ** rng.uniform(-300.0, 100.0, (1000, 1))
+        assert prox(theta, eps, x).tobytes() == x.tobytes()
+    if name == "abs":
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 1000) * eps, eps, -eps, eps * (1.0 - 1e-9)])[:, None]
+        assert np.all(prox(theta, np.tile(eps, 4), x) == 0.0)
 
 
 def test_grid_oracle_rejects_high_dim():
@@ -395,12 +437,6 @@ def test_make_convex_rejects_unknown():
         make_convex("nope(1.0)")
 
 
-def test_grid_oracle_needs_a_domain_hint():
-    theta = replace(make_convex("abs"), domain_hint=None)
-    with pytest.raises(ValueError, match="grid oracle for 'abs' needs a domain_hint"):
-        grid_prox_oracle(theta, 0.1, np.zeros((3, 1)))
-
-
 def test_indicator_box_must_contain_zero():
     with pytest.raises(ValueError):
         make_convex("indicator_box(1,2)")
@@ -507,10 +543,9 @@ def _four_call_suite(theta, n_samples, seed, k):
 @pytest.mark.parametrize("lattice", [False, True], ids=["closed-form", "lattice"])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_stacked_suite_matches_the_four_call_form(name, lattice, k, n_samples):
-    """One prox pass over [x; y; y; 0] gives the same bits as four calls: the
-    k = 1 golden-section search is pointwise with a batch-free iteration
-    count, and the k = 2 lattice stops on the widest window, the same in
-    every batch that holds an unclamped point."""
+    """One prox pass over [x; y; y; 0] gives the same bits as four calls: both
+    searches are pointwise, on each point's own box for a fixed number of
+    steps, so a point's result does not depend on its batch."""
     theta = make_convex(name)
     if lattice:
         theta = replace(theta, prox_oracle=None)

@@ -262,26 +262,29 @@ def test_simulate_rejects_outside_per_path_start():
 @pytest.mark.parametrize("dom, b, sigma, bad", [
     (unit_ball(2), 0.0, [1.0, 2.0], "sigma"),  # read as the rank-1 matrix [[1, 2], [1, 2]]
     (unit_ball(2), 0.0, np.eye(3), "sigma"),
-    (unit_ball(2), [0.1, 0.2, 0.3], 1.0, "b"),  # failed only in the step loop, on numpy's broadcast
-    (unit_ball(2), [0.1], 1.0, "b"),
-    (unit_ball(2), np.zeros((2, 2)), 1.0, "b"),
+    (unit_ball(2), [0.1, 0.2, 0.3], 1.0, "drift"),  # failed only in the step loop, on numpy's broadcast
+    (unit_ball(2), [0.1], 1.0, "drift"),
+    (unit_ball(2), np.zeros((2, 2)), 1.0, "drift"),
     (smoothed_interval(), 0.0, np.eye(2), "sigma"),
-    (smoothed_interval(), [0.1, 0.2], 1.0, "b"),
+    (smoothed_interval(), [0.1, 0.2], 1.0, "drift"),
 ], ids=["ball-sigma-vector", "ball-sigma-3x3", "ball-b-3", "ball-b-1", "ball-b-matrix", "interval-sigma-2x2",
         "interval-b-2"])
 def test_forward_model_rejects_a_constant_of_another_shape(dom, b, sigma, bad):
     """A constant b is a scalar or (d,), a constant sigma a scalar or (d, d):
-    any other shape fails where the model is built, naming the coefficient."""
+    any other shape fails where the model is built, naming the coefficient
+    by its scenario key (drift for b)."""
     with pytest.raises(ValueError, match=f"constant {bad} must be a scalar or of shape"):
         ForwardModel(dom, b, sigma)
 
 
 @pytest.mark.parametrize("b, sigma, bad", [
-    (0.0, np.nan, "sigma"), (np.inf, 1.0, "b"), ([0.1, np.nan], 1.0, "b"), (0.0, np.diag([1.0, np.inf]), "sigma")],
+    (0.0, np.nan, "sigma"), (np.inf, 1.0, "drift"), ([0.1, np.nan], 1.0, "drift"),
+    (0.0, np.diag([1.0, np.inf]), "sigma")],
     ids=["sigma-nan", "b-inf", "b-vector-nan", "sigma-matrix-inf"])
 def test_forward_model_rejects_a_non_finite_constant(b, sigma, bad):
     """A nan sigma or an inf b made every step non-finite, and the simulation
-    failed blaming the time step; it fails where the model is built."""
+    failed blaming the time step; it fails where the model is built, naming
+    b by its scenario key, drift."""
     with pytest.raises(ValueError, match=f"constant {bad} must be finite"):
         ForwardModel(unit_ball(2), b, sigma)
 
