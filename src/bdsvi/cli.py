@@ -159,7 +159,7 @@ def cmd_report(scn: Scenario):
     wr = validate_weights(sol.constants)
     norms = weighted_norms(sol)
     diag = penalization_diagnostics(sol) if sol.config.eps > 0.0 else {}  # eps = 0: no envelope
-    vi = verify_vi_inclusion(sol, scn.vi_test_points)
+    vi = verify_vi_inclusion(sol, (-1.0, 0.0, 0.25, 0.5))  # audit points r of dimension k = 1
     lines = [
         f"report: scenario {scn.name!r}",
         f"{_status(wr.ok)} weight exponents beyond the sufficient bounds "

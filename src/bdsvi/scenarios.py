@@ -46,6 +46,14 @@ def _whole(value, key):
     return int(value)
 
 
+def _real(value, key):
+    """A real setting as a float: YAML text such as 1e-3, which PyYAML reads as a string, loads as its number,
+    but true would run as 1.0, so a boolean fails."""
+    if isinstance(value, bool):
+        raise ScenarioError(f"{key} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _mapping(spec, where):
     """spec, which must be a mapping: a list or a number would fail later, with a message naming no section."""
     if not isinstance(spec, dict):
@@ -73,11 +81,12 @@ def _kind(spec, where, default, kinds):
 def _affine(spec: dict, role: str) -> _Affine:
     kind = _kind(spec, f"coefficient {role}", "zero",
                  {"zero": (), "constant": ("value",), "linear": ("a_y", "a_z", "c")})
-    a_y, a_z, c = (float(spec.get(key, 0.0)) if kind == "linear" else 0.0 for key in ("a_y", "a_z", "c"))
+    a_y, a_z, c = (_real(spec.get(key, 0.0), f"coefficient {role} {key}") if kind == "linear" else 0.0
+                   for key in ("a_y", "a_z", "c"))
     if kind == "constant":
         if "value" not in spec:
             raise ScenarioError(f"coefficient {role} of kind constant needs a value")
-        c = float(spec["value"])
+        c = _real(spec["value"], f"coefficient {role} value")
     return _Affine(a_y, a_z, c, role == "h")
 
 
@@ -97,7 +106,7 @@ def make_coefficients(co: dict):
 def make_terminal(spec: dict):
     kind = _kind(spec, "terminal", "constant", {"constant": ("value",), "quadratic_norm": ()})
     if kind == "constant":
-        return float(spec.get("value", 0.0))
+        return _real(spec.get("value", 0.0), "terminal value")
     return lambda x: np.sum(x * x, axis=-1)
 
 
@@ -117,7 +126,6 @@ class Scenario:
     a_spec: Optional[Callable]  # without a domain A = t, or None for A = 0; in one, None: the local time is A
     lattice: Optional[FieldGrid]  # the field lattice, its times on grid nodes
     draws: int  # backward-noise draws of the field
-    vi_test_points: list
     weight_warning: Optional[str]  # the weight constants outside the sufficient region, else None
 
 
@@ -132,18 +140,18 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             if key in over:
                 raw[section] = {**_mapping(raw.get(section, {}), section), key: over.pop(key)}
         raw.update(over)
-        _keys(raw, "scenario", *"""name phi psi constants coefficients grid solver domain eps_ladder lattice seed paths
-              vi_test_points""".split(), *(("start", "sigma", "drift") if "domain" in raw else ("dim", "a_process")))
+        _keys(raw, "scenario", *"""name phi psi constants coefficients grid solver domain eps_ladder lattice seed
+              paths""".split(), *(("start", "sigma", "drift") if "domain" in raw else ("dim", "a_process")))
         name = raw.get("name", "unnamed")
         phi = make_convex(raw.get("phi", "zero"))
         psi = make_convex(raw.get("psi", "zero"))
-        constants = AssumptionConstants(**{k: float(v) for k, v in
+        constants = AssumptionConstants(**{k: _real(v, f"constant {k}") for k, v in
                                            _mapping(raw.get("constants", {}), "constants").items()})
         co = _keys(raw.get("coefficients", {}), "coefficients", "f", "g", "h", "terminal")
         f, g, h = make_coefficients(co)
         coeffs = CoefficientSet(f, g, h, make_terminal(co.get("terminal", {"kind": "constant"})), constants)
         gs = _keys(raw.get("grid", {}), "grid", "t0", "T", "steps")
-        grid = TimeGrid.uniform(float(gs.get("t0", 0.0)), float(gs.get("T", 1.0)),
+        grid = TimeGrid.uniform(_real(gs.get("t0", 0.0), "t0"), _real(gs.get("T", 1.0), "T"),
                                 _whole(gs.get("steps", 100), "steps"))
         sv = _keys(raw.get("solver", {}), "solver", "eps", "scheme", "regression")
         regression = sv.get("regression", "sample-mean")
@@ -153,7 +161,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             regression = (kind, _whole(regression.get(count, 2), f"regression {count}"))
         solver = SolverConfig(
             grid=grid,
-            eps=float(sv.get("eps", 1e-3)),
+            eps=_real(sv.get("eps", 1e-3), "eps"),
             scheme=sv.get("scheme", "implicit-prox"),
             regression=regression,
         )
@@ -163,8 +171,12 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             if "dim" in dspec:
                 dspec["dim"] = _whole(dspec["dim"], "domain dim")
             domain = make_domain(dspec.pop("kind", None), **dspec)
-            model, d = ForwardModel(domain, float(raw.get("drift", 0.0)), float(raw.get("sigma", 1.0))), domain.d
-            start = np.atleast_1d(np.asarray(raw.get("start", np.zeros(d)), dtype=float))
+            for key, v in dspec.items():  # the builder read each number, but a boolean as 1.0 or 0.0
+                _real(v, f"domain {key}")
+            model, d = ForwardModel(domain, _real(raw.get("drift", 0.0), "drift"),
+                                    _real(raw.get("sigma", 1.0), "sigma")), domain.d
+            pts = np.atleast_1d(np.array(raw.get("start", [0.0] * d), dtype=object))  # a boolean stays one
+            start = np.reshape([_real(v, "start") for v in pts.flat], pts.shape)
             if start.shape != (d,):
                 raise ScenarioError(f"start must be a point of dimension {d}, got shape {start.shape}")
             _check_closure(domain, start, "start point")
@@ -178,17 +190,13 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             if n < 1:
                 raise ScenarioError(f"{key} must be at least 1, got {n}")
         _check_regression(regression, d, domain is not None, coeffs.terminal)
-        ladder = [float(e) for e in raw.get("eps_ladder", [])]
+        ladder = [_real(e, "eps_ladder") for e in raw.get("eps_ladder", [])]
         _check_ladder(ladder)
         seed = _whole(raw.get("seed", 0), "seed")
         _stream_key(seed, "W", 0)  # the key packer's range of seeds, for every command
-        vi_points = raw.get("vi_test_points", [-1.0, 0.0, 0.25, 0.5])  # points of dimension k = 1
-        if not (type(vi_points) is list and vi_points and all(type(r) in (int, float) for r in vi_points)
-                and np.isfinite(vi_points).all()):
-            raise ScenarioError(f"vi_test_points must be a non-empty list of finite numbers, got {vi_points!r}")
-        lattice, draws, lat = None, 1, raw.get("lattice")
-        if lat is not None:
-            _keys(lat, "lattice", "times", "points", "draws")
+        lattice, draws = None, 1
+        if "lattice" in raw:  # present, so a null section fails as one
+            lat = _keys(raw["lattice"], "lattice", "times", "points", "draws")
             if domain is None or domain.d != 1:
                 raise ScenarioError("a field lattice needs a one-dimensional domain")
             n_times, n_points, draws = (_whole(lat.get(key, n), f"lattice {key}")
@@ -218,7 +226,6 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             a_spec=a_spec,
             lattice=lattice,
             draws=draws,
-            vi_test_points=vi_points,
             weight_warning=None if wr.ok else (f"weight constants outside the sufficient region: "
                                                f"lam margin {wr.lam_margin:.4g}, mu margin {wr.mu_margin:.4g}"),
         )

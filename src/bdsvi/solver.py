@@ -455,33 +455,25 @@ def _weights(sol: BdsdeSolution) -> np.ndarray:
     return np.exp(sol.constants.lam * sol.grid.nodes[None, :] + sol.constants.mu * sol.A)
 
 
-def _m_norm2(grid: TimeGrid, w: np.ndarray, q2: np.ndarray) -> float:
-    """E int w |q|^2 dt by trapezoid.  q2: (n_paths, n_nodes) squared norms.
-    The node sums run on a path-major copy, so their order of addition does
-    not follow the layout of the solution arrays (here and in _mbar_norm2)."""
-    return float(np.mean(np.trapezoid(np.ascontiguousarray(w * q2), grid.nodes, axis=1)))
-
-
-def _mbar_norm2(w: np.ndarray, q2: np.ndarray, dA: np.ndarray) -> float:
-    v = w * q2
-    return float(np.mean(np.sum(np.ascontiguousarray(0.5 * (v[:, :-1] + v[:, 1:]) * dA), axis=1)))
+def _trapezoid(v: np.ndarray, dx: np.ndarray) -> float:
+    """E sum_i 0.5 (v_i + v_{i+1}) dx_i for v (n_paths, n_nodes) and increments dx: grid.dt for an M norm, dA for
+    an M-bar norm.  The node sums run on a path-major copy, so their order of addition does not follow the layout
+    of the solution arrays.  Halving is exact, so a term rounds (a + b) dx once, as np.trapezoid's dx (a + b) / 2."""
+    return float(np.mean(np.sum(np.ascontiguousarray(0.5 * (v[:, :-1] + v[:, 1:]) * dx), axis=1)))
 
 
 def weighted_norms(sol: BdsdeSolution) -> dict:
     """Monte-Carlo weighted norms with weight exp(lam*t + mu*A_t)."""
-    w = _weights(sol)
-    y2 = np.sum(sol.Y ** 2, axis=-1)
-    z2 = np.sum(sol.Z ** 2, axis=(-2, -1))
-    u2 = np.sum(sol.U ** 2, axis=-1)
-    v2 = np.sum(sol.V ** 2, axis=-1)
-    dA = sol.dA
+    w, dt, dA = _weights(sol), sol.grid.dt, sol.dA
+    wy2, wz2, wu2, wv2 = (w * np.sum(q ** 2, axis=axes) for q, axes in
+                          ((sol.Y, -1), (sol.Z, (-2, -1)), (sol.U, -1), (sol.V, -1)))
     return {
-        "Y_M2": _m_norm2(sol.grid, w, y2),
-        "Y_Mbar2": _mbar_norm2(w, y2, dA),
-        "Y_S2": float(np.mean(np.max(w * y2, axis=1))),
-        "Z_M2": _m_norm2(sol.grid, w, z2),
-        "U_M2": _m_norm2(sol.grid, w, u2),
-        "V_Mbar2": _mbar_norm2(w, v2, dA),
+        "Y_M2": _trapezoid(wy2, dt),
+        "Y_Mbar2": _trapezoid(wy2, dA),
+        "Y_S2": float(np.mean(np.max(wy2, axis=1))),
+        "Z_M2": _trapezoid(wz2, dt),
+        "U_M2": _trapezoid(wu2, dt),
+        "V_Mbar2": _trapezoid(wv2, dA),
     }
 
 
@@ -489,24 +481,23 @@ def penalization_diagnostics(sol: BdsdeSolution) -> dict:
     """Penalization energies of a solved run at its own eps, phi and psi:
     gradient energies, envelope integrals at the resolvent points, the
     weighted distance to the resolvent (sup over time of its expectation),
-    and pointwise envelope expectations."""
-    phi, psi, eps, dA = sol.phi, sol.psi, sol.config.eps, sol.dA
+    and pointwise envelope expectations.  phi is integrated against dt, psi
+    against dA, each from one resolvent; the two terms are then added."""
+    eps = sol.config.eps
     if eps == 0.0:
         raise ValueError("penalization_diagnostics requires eps > 0")
-    w = _weights(sol)
-    j_phi = prox(phi, eps, sol.Y)
-    j_psi = prox(psi, eps, sol.Y)
-    gp2 = np.sum(((sol.Y - j_phi) / eps) ** 2, axis=-1)  # Yosida gradients from the same resolvents
-    gq2 = np.sum(((sol.Y - j_psi) / eps) ** 2, axis=-1)
-    phi_j = phi.evaluate(j_phi)
-    psi_j = psi.evaluate(j_psi)
-    dist_phi = np.sum((sol.Y - j_phi) ** 2, axis=-1)
-    dist_psi = np.sum((sol.Y - j_psi) ** 2, axis=-1)
+    w, terms = _weights(sol), []
+    for theta, dx in ((sol.phi, sol.grid.dt), (sol.psi, sol.dA)):
+        j = prox(theta, eps, sol.Y)
+        theta_j = theta.evaluate(j)  # the Yosida gradient (Y - j) / eps comes from the same resolvent
+        terms.append((_trapezoid(w * np.sum(((sol.Y - j) / eps) ** 2, axis=-1), dx), _trapezoid(w * theta_j, dx),
+                      np.sum((sol.Y - j) ** 2, axis=-1), theta_j))
+    grad, envelope, dist, theta_j = (a + b for a, b in zip(*terms))
     return {
-        "grad_energy": _m_norm2(sol.grid, w, gp2) + _mbar_norm2(w, gq2, dA),
-        "envelope_integral": _m_norm2(sol.grid, w, phi_j) + _mbar_norm2(w, psi_j, dA),
-        "sup_resolvent_dist": float(np.max(np.mean(w * (dist_phi + dist_psi), axis=0))),
-        "sup_envelope": float(np.max(np.mean(w * (phi_j + psi_j), axis=0))),
+        "grad_energy": grad,
+        "envelope_integral": envelope,
+        "sup_resolvent_dist": float(np.max(np.mean(w * dist, axis=0))),
+        "sup_envelope": float(np.max(np.mean(w * theta_j, axis=0))),
     }
 
 

@@ -218,9 +218,8 @@ def _with_domain(raw, section):
 
 
 _LADDER = "eps ladder must be finite, > 0 and strictly decreasing, got "
-_VI_POINTS = "vi_test_points must be a non-empty list of finite numbers, got "
-_KNOWN = "; known: name, phi, psi, constants, coefficients, grid, solver, domain, eps_ladder, lattice, seed, paths, " \
-         "vi_test_points, "
+_REAL = "{} must be a real number, got {}"
+_KNOWN = "; known: name, phi, psi, constants, coefficients, grid, solver, domain, eps_ladder, lattice, seed, paths, "
 _NO_DOMAIN_KEY = "unknown scenario key(s) {}" + _KNOWN + "dim, a_process"  # a key of a file without a domain
 _DOMAIN_KEY = "unknown scenario key(s) {}" + _KNOWN + "start, sigma, drift"  # a key of a file with one
 _LOAD_MUTATIONS = {  # id: (scenario, edit of its document, the owner's message)
@@ -236,13 +235,8 @@ _LOAD_MUTATIONS = {  # id: (scenario, edit of its document, the owner's message)
                       "start point lies outside the closure of the domain"),
     "start-nan": ("ball.yaml", lambda raw: raw.update(start=[float("nan"), 0.0]),
                   "start point lies outside the closure of the domain"),
-    "vi-points-number": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=5), _VI_POINTS + "5"),
-    "vi-points-empty": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=[]), _VI_POINTS + "[]"),
-    "vi-points-2d": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=[[0.1, 0.2]]),
-                     _VI_POINTS + "[[0.1, 0.2]]"),
-    "vi-points-string": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=["a"]), _VI_POINTS + "['a']"),
-    "vi-points-nan": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=[0.0, float("nan")]),
-                      _VI_POINTS + "[0.0, nan]"),
+    "vi-test-points": ("vi_oracle.yaml", lambda raw: raw.update(vi_test_points=[-1.0, 0.0, 0.25, 0.5]),
+                       _NO_DOMAIN_KEY.format("vi_test_points")),
     "interval-empty": ("field.yaml", lambda raw: raw["domain"].update(lo=0.5, hi=0.5),
                        "interval needs finite lo < hi, got lo 0.5, hi 0.5"),
     "interval-reversed": ("field.yaml", lambda raw: raw["domain"].update(lo=1.0, hi=-1.0),
@@ -281,6 +275,24 @@ _LOAD_MUTATIONS = {  # id: (scenario, edit of its document, the owner's message)
     "paths-true": ("zero.yaml", lambda raw: raw.update(paths=True), "paths must be a whole number, got True"),
     "seed-false": ("zero.yaml", lambda raw: raw.update(seed=False), "seed must be a whole number, got False"),
     "steps-true": ("zero.yaml", lambda raw: raw["grid"].update(steps=True), "steps must be a whole number, got True"),
+    "eps-true": ("zero.yaml", lambda raw: raw["solver"].update(eps=True), _REAL.format("eps", True)),
+    "T-true": ("zero.yaml", lambda raw: raw["grid"].update(T=True), _REAL.format("T", True)),
+    "lam-true": ("zero.yaml", lambda raw: raw["constants"].update(lam=True), _REAL.format("constant lam", True)),
+    "a-y-true": ("zero.yaml", lambda raw: raw["coefficients"]["f"].update(a_y=True),
+                 _REAL.format("coefficient f a_y", True)),
+    "terminal-true": ("zero.yaml", lambda raw: raw["coefficients"]["terminal"].update(value=True),
+                      _REAL.format("terminal value", True)),
+    "ladder-true": ("zero.yaml", lambda raw: raw.update(eps_ladder=[True, 0.5]), _REAL.format("eps_ladder", True)),
+    "sigma-true": ("ball.yaml", lambda raw: raw.update(sigma=True), _REAL.format("sigma", True)),
+    "drift-false": ("ball.yaml", lambda raw: raw.update(drift=False), _REAL.format("drift", False)),
+    "start-booleans": ("ball.yaml", lambda raw: raw.update(start=[True, False]), _REAL.format("start", True)),
+    "radius-true": ("ball.yaml", lambda raw: raw["domain"].update(radius=True), _REAL.format("domain radius", True)),
+    "interval-booleans": ("field.yaml", lambda raw: raw["domain"].update(lo=False, hi=True),
+                          _REAL.format("domain hi", True)),  # safe_dump sorts the keys
+    "start-nested": ("ball.yaml", lambda raw: raw.update(start=[[0.0, 0.0]]),
+                     "start must be a point of dimension 2, got shape (1, 2)"),
+    "lattice-null": ("field.yaml", lambda raw: raw.update(lattice=None),
+                     "lattice must be a mapping, got NoneType None"),
 }
 
 
@@ -312,10 +324,26 @@ def test_a_bad_input_fails_at_load_for_every_command(tmp_path, capsys, case):
     exited 0 as if they were absent; a nan sigma or an inf drift exited 3
     from the simulating commands, blaming the time step, and 0 from
     prox-check and compat-check.  An empty or null domain section loaded as
-    a file without one, and a boolean count or seed ran as 1 or 0, each with
-    exit 0."""
+    a file without one, a boolean count or seed ran as 1 or 0, each with
+    exit 0, and so did a boolean real (eps, T, a constant, a coefficient, the
+    terminal value, a ladder rung, sigma, drift, start or a domain bound), read
+    as 1.0 or 0.0.  A null lattice section loaded as a file without one: solve
+    exited 0 and field 2 with "field needs domain and lattice sections"."""
     name, edit, detail = _LOAD_MUTATIONS[case]
     _fails_at_load_for_every_command(tmp_path, capsys, _variant(tmp_path, name, edit), detail)
+
+
+def test_real_keys_read_yaml_text_as_numbers(tmp_path):
+    """PyYAML reads 1e-3, which has no dot, as a string; a real key loads it
+    as its number, as float() did, while a boolean fails (_LOAD_MUTATIONS)."""
+    text = open(_scn("ball.yaml")).read().replace("eps: 1.0e-3", "eps: 1e-3").replace("T: 1.0", "T: 2e0")
+    text = text.replace("radius: 1.0", "radius: 1e0").replace("start: [0.0, 0.0]", "start: [1e-1, 0]")
+    p = tmp_path / "text.yaml"
+    p.write_text(text)
+    assert yaml.safe_load(text)["solver"]["eps"] == "1e-3"
+    scn = load_scenario(str(p))
+    assert scn.solver.eps == 1e-3 and scn.solver.grid.T == 2.0 and scn.model.domain.d == 2
+    assert scn.start.dtype == float and scn.start.tolist() == [0.1, 0.0]
 
 
 def test_a_scenario_file_that_is_a_list_fails_at_load(tmp_path, capsys):
