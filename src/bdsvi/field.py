@@ -117,7 +117,7 @@ def sample_field(model: ForwardModel, coeffs: CoefficientSet, phi: ConvexFunctio
                 rows += n_paths
             sub = TimeGrid(nodes[j0:j1 + 1])
             x0, a0 = np.concatenate([x] + [starts] * len(its)), np.pad(a, (0, rows - len(a)))[:, None]
-            ens.append(simulate_reflected(model, (sub.t0, x0), PathBundle(
+            ens.append(simulate_reflected(model, x0, PathBundle(
                 sub, dWs[s], np.broadcast_to(db_master[j0:j1], (rows, j1 - j0, d)),
                 np.broadcast_to(a0, (rows, j1 - j0 + 1)))))
             x, a = ens[-1].X[:, -1], ens[-1].A[:, -1]

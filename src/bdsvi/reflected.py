@@ -194,22 +194,19 @@ def _project_out(domain: DomainSpec, x_star: np.ndarray):
     return out, delta
 
 
-def simulate_reflected(model: ForwardModel, start: tuple, noise: PathBundle) -> PathBundle:
+def simulate_reflected(model: ForwardModel, x0, noise: PathBundle) -> PathBundle:
     """Projection-Euler simulation of the reflected pair (X, A) of model from
-    (t, x), driven by the forward increments of noise on its grid.
+    x0 at the first node of the grid of noise, driven by its forward increments.
 
-    x is one point (d,) or one per path (n_paths, d).  Each path is projected
+    x0 is one point (d,) or one per path (n_paths, d).  Each path is projected
     on its own, so paths stacked from several start points run exactly as if
-    simulated apart.  The grid of noise must start at t.
+    simulated apart.
     Returns noise with X filled in and A replaced by noise.A[:, 0] plus the
     accumulated projection distance |x* - p| (the boundary local time of the
     scheme), so a path carried on from an earlier call goes on with its A.
     """
-    t0, x0 = start
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     grid, domain, sigma = noise.grid, model.domain, model.sigma
-    if abs(grid.t0 - t0) > 1e-12:
-        raise ValueError("grid must start at the launch time")
     _check_closure(domain, x0, "start point")
     n_paths, d = noise.n_paths, domain.d
     X = _node_major(n_paths, grid.n_steps + 1, d)

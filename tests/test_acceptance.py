@@ -175,16 +175,16 @@ def test_06_reflected_diffusion():
     model = ForwardModel(dom, 0.0, 1.0)
     grid = TimeGrid.uniform(0, 1, 1000)
     noise = generate_paths(grid, 2, 10_000, seed=5, shared_backward=True)
-    path = simulate_reflected(model, (0.0, np.zeros(2)), noise)
+    path = simulate_reflected(model, np.zeros(2), noise)
     containment = float(np.min(dom.level(path.X)))
     pushed = dom.level(path.X[:, 1:])[path.dA > 0.0]  # the step-end levels of the local-time steps
 
     grid2 = TimeGrid.uniform(0, 1, 2000)
     r1 = local_time_identity_residual(
-        simulate_reflected(model, (0.0, np.zeros(2)), generate_paths(grid, 2, 2000, seed=6, shared_backward=True)),
+        simulate_reflected(model, np.zeros(2), generate_paths(grid, 2, 2000, seed=6, shared_backward=True)),
         model)
     r2 = local_time_identity_residual(
-        simulate_reflected(model, (0.0, np.zeros(2)), generate_paths(grid2, 2, 2000, seed=6, shared_backward=True)),
+        simulate_reflected(model, np.zeros(2), generate_paths(grid2, 2, 2000, seed=6, shared_backward=True)),
         model)
     shrink = r1["rms"] / r2["rms"]
     elapsed = time.perf_counter() - t0
@@ -383,7 +383,7 @@ def test_13_local_time_oracle(tmp_path):
     for steps in (100, 400):
         grid = TimeGrid.uniform(0, 1, steps)
         noise = generate_paths(grid, 1, n_paths, seed=seed, shared_backward=True)
-        a_T = simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.zeros(1)), noise).A[:, -1]
+        a_T = simulate_reflected(ForwardModel(dom, 0.0, 1.0), np.zeros(1), noise).A[:, -1]
         means[steps] = float(np.mean(a_T))
         target = np.sqrt(2.0 / np.pi) - 0.5826 * np.sqrt(grid.max_dt)
         zs.append(abs(means[steps] - target) / (np.std(a_T, ddof=1) / np.sqrt(n_paths)))

@@ -78,11 +78,11 @@ def test_lattice_and_start_checks_share_one_tolerance(tmp_path, depth, inside):
     if inside:
         _check_closure(DOM, x, "point")
         assert np.array_equal(FieldGrid.build(DOM, [0.0], x).points, x)
-        assert simulate_reflected(MODEL, (0.0, x[0]), noise).X.shape[0] == 2
+        assert simulate_reflected(MODEL, x[0], noise).X.shape[0] == 2
         assert np.array_equal(load_scenario(path).start, x[0])
     else:
         for check in (lambda: _check_closure(DOM, x, "point"), lambda: FieldGrid.build(DOM, [0.0], x),
-                      lambda: simulate_reflected(MODEL, (0.0, x[0]), noise), lambda: load_scenario(path)):
+                      lambda: simulate_reflected(MODEL, x[0], noise), lambda: load_scenario(path)):
             with pytest.raises(ValueError, match="point lies outside the closure of the domain"):
                 check()
 
@@ -176,7 +176,7 @@ def _per_node_field(model, coeffs, phi, psi, config, fgrid, n_paths, seed, n_b_d
                       * np.sqrt(sub.dt)[:, None])
                 noise = PathBundle(sub, dW, np.broadcast_to(db[j0:], dW.shape).copy(),
                                    np.zeros((n_paths, sub.n_steps + 1)))
-                ens = simulate_reflected(model, (sub.t0, x), noise)
+                ens = simulate_reflected(model, x, noise)
                 y0 = solve_penalized(coeffs, phi, psi, replace(config, grid=sub), ens).Y[:, 0, 0]
                 per_draw[draw, it, jp] = np.mean(y0)
                 per_draw_se[draw, it, jp] = np.std(y0, ddof=1) / np.sqrt(n_paths)

@@ -24,7 +24,7 @@ def _run(domain, n_paths=200, n_steps=200, seed=1, sigma=1.0, b=0.0, x0=None, T=
     noise = generate_paths(grid, domain.d, n_paths, seed=seed)
     if x0 is None:
         x0 = np.zeros(domain.d)
-    return simulate_reflected(ForwardModel(domain, b, sigma), (0.0, x0), noise), grid
+    return simulate_reflected(ForwardModel(domain, b, sigma), x0, noise), grid
 
 
 # ---------------------------------------------------------------- domains
@@ -103,6 +103,22 @@ def test_containment_interval():
     assert float(np.min(dom.level(path.X))) >= -1e-12
 
 
+@pytest.mark.parametrize("dom", [unit_ball(2), unit_ball(3), smoothed_interval(-1.0, 1.0),
+                                 smoothed_interval(0.0, 1e-3)],
+                         ids=["ball(d=2)", "ball(d=3)", "interval(-1,1)", "interval(0,1e-3)"])
+@pytest.mark.parametrize("sigma", [1.0, 30.0, 1e3])
+@pytest.mark.parametrize("n_steps", [1, 7, 50])
+def test_every_node_after_the_start_lies_in_the_closed_domain_exactly(dom, sigma, n_steps):
+    """The projection owns containment: each node after the start has
+    level >= 0 with no tolerance, however far the Euler steps overshoot,
+    so sde-sim's containment line reports a min level with no status."""
+    lo, hi = dom.bounding_box
+    for seed in range(3):
+        path, _ = _run(dom, n_paths=400, n_steps=n_steps, seed=seed, sigma=sigma, x0=0.5 * (lo + hi))
+        assert np.min(dom.level(path.X[:, 1:])) >= 0.0
+        assert np.any(path.A[:, -1] > 0.0)
+
+
 def test_local_time_nondecreasing_and_starts_zero():
     dom = unit_ball(1)
     path, _ = _run(dom, sigma=2.0)
@@ -149,15 +165,7 @@ def test_simulate_rejects_outside_start():
     grid = TimeGrid.uniform(0, 1, 10)
     noise = generate_paths(grid, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.array([2.0, 0.0])), noise)
-
-
-def test_simulate_rejects_grid_time_mismatch():
-    dom = unit_ball(2)
-    grid = TimeGrid.uniform(0.5, 1, 10)
-    noise = generate_paths(grid, 2, 2, seed=0)
-    with pytest.raises(ValueError):
-        simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.zeros(2)), noise)
+        simulate_reflected(ForwardModel(dom, 0.0, 1.0), np.array([2.0, 0.0]), noise)
 
 
 def test_per_path_starts_match_separate_runs():
@@ -166,11 +174,11 @@ def test_per_path_starts_match_separate_runs():
     dom = unit_ball(2)
     grid = TimeGrid.uniform(0, 1, 200)
     starts = np.array([[0.0, 0.0], [0.6, 0.0], [0.0, -0.9]])
-    alone = [simulate_reflected(ForwardModel(dom, 0.1, 1.0), (0.0, x), generate_paths(grid, 2, 100, seed=j))
+    alone = [simulate_reflected(ForwardModel(dom, 0.1, 1.0), x, generate_paths(grid, 2, 100, seed=j))
              for j, x in enumerate(starts)]
     noise = generate_paths(grid, 2, 300, seed=0)
     noise = PathBundle(grid, np.concatenate([p.dW for p in alone]), noise.dB, noise.A)
-    stacked = simulate_reflected(ForwardModel(dom, 0.1, 1.0), (0.0, np.repeat(starts, 100, axis=0)), noise)
+    stacked = simulate_reflected(ForwardModel(dom, 0.1, 1.0), np.repeat(starts, 100, axis=0), noise)
     assert np.array_equal(stacked.X, np.concatenate([p.X for p in alone]))
     assert np.array_equal(stacked.A, np.concatenate([p.A for p in alone]))
     assert np.any(stacked.A[:, -1] > 0.0)
@@ -184,13 +192,13 @@ def test_split_run_carrying_x_and_a_matches_one_run():
     grid = TimeGrid.uniform(0, 1, 60)
     noise = generate_paths(grid, 2, 80, seed=11)
     x0 = np.array([0.7, -0.3])
-    whole = simulate_reflected(ForwardModel(dom, 0.2, 1.0), (0.0, x0), noise)
+    whole = simulate_reflected(ForwardModel(dom, 0.2, 1.0), x0, noise)
     m = 23
-    first = simulate_reflected(ForwardModel(dom, 0.2, 1.0), (0.0, x0), PathBundle(
+    first = simulate_reflected(ForwardModel(dom, 0.2, 1.0), x0, PathBundle(
         TimeGrid(grid.nodes[:m + 1]), noise.dW[:, :m], noise.dB[:, :m], noise.A[:, :m + 1]))
     a = np.zeros((80, grid.n_steps - m + 1))
     a[:, 0] = first.A[:, -1]
-    second = simulate_reflected(ForwardModel(dom, 0.2, 1.0), (grid.nodes[m], first.X[:, -1]), PathBundle(
+    second = simulate_reflected(ForwardModel(dom, 0.2, 1.0), first.X[:, -1], PathBundle(
         TimeGrid(grid.nodes[m:]), noise.dW[:, m:], noise.dB[:, m:], a))
     assert np.any(first.A[:, -1] > 0.0) and np.any(second.A[:, -1] > first.A[:, -1])
     assert np.array_equal(np.concatenate([first.X, second.X[:, 1:]], axis=1), whole.X)
@@ -203,7 +211,7 @@ def test_reflected_bundle_shares_its_noise():
     dom = unit_ball(2)
     grid = TimeGrid.uniform(0, 1, 30)
     noise = generate_paths(grid, 2, 40, seed=3, shared_backward=True)
-    path = simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.zeros(2)), noise)
+    path = simulate_reflected(ForwardModel(dom, 0.0, 1.0), np.zeros(2), noise)
     assert noise.X is None and path.X.shape == (40, 31, 2)
     assert path.dW is noise.dW and path.dB is noise.dB and path.grid is noise.grid
     assert path.A is not noise.A and np.any(path.A[:, -1] > 0.0) and np.all(noise.A == 0.0)
@@ -248,7 +256,7 @@ def test_non_finite_step_raises(dom):
     grid = TimeGrid.uniform(0, 1, 10)
     with pytest.raises(FloatingPointError, match="non-finite reflected path"), np.errstate(all="ignore"):
         simulate_reflected(ForwardModel(dom, lambda x: np.where(x[:, :1] > 0.5, np.inf, 10.0), 1.0),
-                           (0.0, np.zeros(dom.d)), generate_paths(grid, dom.d, 20, seed=0))
+                           np.zeros(dom.d), generate_paths(grid, dom.d, 20, seed=0))
 
 
 def test_simulate_rejects_outside_per_path_start():
@@ -256,7 +264,7 @@ def test_simulate_rejects_outside_per_path_start():
     grid = TimeGrid.uniform(0, 1, 10)
     noise = generate_paths(grid, 2, 2, seed=0)
     with pytest.raises(ValueError):
-        simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.array([[0.0, 0.0], [2.0, 0.0]])), noise)
+        simulate_reflected(ForwardModel(dom, 0.0, 1.0), np.array([[0.0, 0.0], [2.0, 0.0]]), noise)
 
 
 @pytest.mark.parametrize("dom, b, sigma, bad", [
@@ -295,8 +303,8 @@ def test_forward_model_constant_shapes_run_as_their_scalars():
     callable is not checked where the model is built."""
     dom = unit_ball(2)
     noise = generate_paths(TimeGrid.uniform(0, 1, 50), 2, 30, seed=2)
-    scalar = simulate_reflected(ForwardModel(dom, 0.2, 0.7), (0.0, np.zeros(2)), noise)
-    full = simulate_reflected(ForwardModel(dom, np.full(2, 0.2), 0.7 * np.eye(2)), (0.0, np.zeros(2)), noise)
+    scalar = simulate_reflected(ForwardModel(dom, 0.2, 0.7), np.zeros(2), noise)
+    full = simulate_reflected(ForwardModel(dom, np.full(2, 0.2), 0.7 * np.eye(2)), np.zeros(2), noise)
     assert np.any(scalar.A[:, -1] > 0.0)
     assert np.array_equal(full.X, scalar.X) and np.array_equal(full.A, scalar.A)
     assert ForwardModel(dom, lambda x: np.zeros(3), lambda x: np.zeros(1)).domain is dom
@@ -393,7 +401,7 @@ def test_containment_property(seed, sigma):
     dom = unit_ball(1)
     grid = TimeGrid.uniform(0, 0.5, 50)
     noise = generate_paths(grid, 1, 8, seed=seed)
-    path = simulate_reflected(ForwardModel(dom, 0.0, sigma), (0.0, np.zeros(1)), noise)
+    path = simulate_reflected(ForwardModel(dom, 0.0, sigma), np.zeros(1), noise)
     assert float(np.min(dom.level(path.X))) >= -1e-12
 
 

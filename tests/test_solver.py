@@ -60,6 +60,27 @@ def test_constant_terminal_zero_coeffs():
     assert np.all(sol.U == 0.0) and np.all(sol.V == 0.0)
 
 
+@pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
+@pytest.mark.parametrize("terminal", ["constant", "callable"])
+def test_the_sweep_writes_the_terminal_value_bit_for_bit(scheme, terminal):
+    """Y at the last node is xi itself, a constant or chi(X_T), under live
+    f, g, h, phi and psi: the sweep owns terminal exactness, so no command
+    re-checks it."""
+    co = dict(f=lambda t, x, y, z: np.ones_like(y), g=lambda t, x, y: 0.5 * np.ones_like(y),
+              h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3))
+    if terminal == "constant":
+        grid, noise = _bundle(n_steps=100, n_paths=40, seed=8, a="time")
+        coeffs, regression, xi = _coeffs(**co, terminal=0.7), "sample-mean", np.full(40, 0.7)
+    else:
+        noise = _interval_ensemble()
+        chi = lambda x: np.cos(3.0 * x[:, 0]) + x[:, 0] ** 2  # noqa: E731
+        grid, coeffs, regression, xi = noise.grid, _coeffs(**co, terminal=chi), ("poly", 2), chi(noise.X[:, -1])
+    config = SolverConfig(grid, eps=2e-2, scheme=scheme, regression=regression)
+    sol = solve_penalized(coeffs, make_convex("indicator_box(-inf,0.5)"), make_convex("abs"), config, noise)
+    assert np.ascontiguousarray(sol.Y[:, -1, 0]).tobytes() == xi.tobytes()
+    assert np.any(sol.Y[:, 0, 0] != sol.Y[:, -1, 0])
+
+
 def test_noise_on_another_grid_with_the_same_step_count_raises():
     """A bundle on [0, 4] under a solver grid on [0, 1] would sum dt over one
     horizon and dA over the other; the sweep compares the grid nodes."""
@@ -199,7 +220,7 @@ def _interval_ensemble():
     shared backward draw; its local time increases on the boundary rows."""
     grid = TimeGrid.uniform(0, 1, 100)
     noise = generate_paths(grid, 1, 150, seed=5, shared_backward=True)
-    return simulate_reflected(BM_ON_INTERVAL, (0.0, np.zeros(1)), noise)
+    return simulate_reflected(BM_ON_INTERVAL, np.zeros(1), noise)
 
 
 def _resolvent_must_not_run(eps, x):
@@ -270,7 +291,7 @@ def _coefficient_ensemble(sample_mean, d, n_paths, n_steps=30):
         return generate_paths(grid, d, n_paths, seed=n_paths + d, a_spec=lambda t: np.asarray(t, float) ** 2)
     noise = generate_paths(grid, d, n_paths, seed=n_paths + d, shared_backward=True)
     domain = make_domain("interval", lo=-0.5, hi=0.5) if d == 1 else unit_ball(2, 0.5)
-    return simulate_reflected(ForwardModel(domain, 0.0, 1.0), (0.0, np.zeros(d)), noise)
+    return simulate_reflected(ForwardModel(domain, 0.0, 1.0), np.zeros(d), noise)
 
 
 @pytest.mark.parametrize("kinds", [("zero",) * 3, ("constant",) * 3, ("linear",) * 3, ("linear-z",) * 3,
@@ -443,6 +464,35 @@ def test_cauchy_validates_ladder():
 
 
 
+@pytest.mark.parametrize("seed", [41, 42])
+def test_penalization_rate_follows_h_on_the_barrier(seed):
+    """The table of the hypothesis behind the penalization rate: f = 1, phi
+    the barrier y <= 0.5, psi = 0, xi = 0, no A and no weight, 64 paths on
+    2000 steps.  Where h vanishes on the barrier the Cauchy slope is one
+    and U_M2 stays bounded from eps 1e-2 to 1e-3; with h = 0.3 the slope is
+    near 1/2 and U_M2 grows like eps^(-1/2) (sqrt(10) over that decade); an
+    h of 0.03 on the barrier falls in between.  The bands were set before
+    the run."""
+    grid = TimeGrid.uniform(0, 1, 2000)
+    noise = generate_paths(grid, 1, 64, seed=seed)  # A = 0
+    phi, config = make_convex("indicator_box(-inf,0.5)"), SolverConfig(grid, scheme="explicit-yosida")
+    rows = {"0": {"kind": "zero"}, "0.3": {"kind": "constant", "value": 0.3},
+            "0.3(y-0.5)": {"kind": "linear", "a_y": 0.3, "c": -0.15},
+            "0.3(y-0.5)+0.03": {"kind": "linear", "a_y": 0.3, "c": -0.12}}
+    slope, ratio = {}, {}
+    for name, h in rows.items():
+        f, g, h = make_coefficients({"f": {"kind": "constant", "value": 1.0}, "h": h})
+        coeffs = CoefficientSet(f, g, h, 0.0, AssumptionConstants(lam=0.0, mu=0.0))
+        slope[name] = cauchy_study(coeffs, phi, ZERO, config, [1e-1, 1e-2, 1e-3], noise).slope
+        u_m2 = [weighted_norms(solve_penalized(coeffs, phi, ZERO, replace(config, eps=e), noise))["U_M2"]
+                for e in (1e-2, 1e-3)]
+        ratio[name] = u_m2[1] / u_m2[0]
+    for name in ("0", "0.3(y-0.5)"):
+        assert 0.75 <= slope[name] <= 1.25 and ratio[name] <= 1.5, (name, slope[name], ratio[name])
+    assert 0.3 <= slope["0.3"] <= 0.7 and ratio["0.3"] >= 2.5, (slope["0.3"], ratio["0.3"])
+    assert slope["0.3"] < slope["0.3(y-0.5)+0.03"] < slope["0.3(y-0.5)"], slope
+
+
 def _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, lam, mu):
     """The ladder study as one solve_penalized per rung."""
     sols = [solve_penalized(coeffs, phi, psi,
@@ -484,7 +534,7 @@ def test_batched_ladder_matches_per_rung_solves_state_free():
 def test_batched_ladder_matches_per_rung_solves_reflected(regression):
     grid = TimeGrid.uniform(0, 1, 200)
     noise = generate_paths(grid, 1, 150, seed=5, shared_backward=True)
-    state = simulate_reflected(BM_ON_INTERVAL, (0.0, np.zeros(1)), noise)
+    state = simulate_reflected(BM_ON_INTERVAL, np.zeros(1), noise)
     coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.1 * x,
                      g=lambda t, x, y: np.full_like(y, 0.1),
                      terminal=lambda x: x[:, 0] ** 2)
@@ -497,7 +547,7 @@ def test_cauchy_keeps_a_shared_dB_as_one_broadcast_row(monkeypatch):
     report equals that of the same ensemble with dB written out in full."""
     grid = TimeGrid.uniform(0, 1, 200)
     noise = generate_paths(grid, 1, 150, seed=5, shared_backward=True)
-    state = simulate_reflected(BM_ON_INTERVAL, (0.0, np.zeros(1)), noise)
+    state = simulate_reflected(BM_ON_INTERVAL, np.zeros(1), noise)
     assert state.dB.strides[0] == 0
     coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.1 * x,
                      g=lambda t, x, y: np.full_like(y, 0.1),
@@ -541,7 +591,7 @@ def test_regression_count_the_projector_would_change_raises(regression, d, messa
     cells run."""
     grid = TimeGrid.uniform(0, 1, 10)
     noise = generate_paths(grid, d, 20, seed=1, shared_backward=True)
-    state = simulate_reflected(ForwardModel(unit_ball(d), 0.0, 1.0), (0.0, np.zeros(d)), noise)
+    state = simulate_reflected(ForwardModel(unit_ball(d), 0.0, 1.0), np.zeros(d), noise)
     coeffs = _coeffs(terminal=lambda x: x[:, 0] ** 2)
     with pytest.raises(ValueError, match=message):
         solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=regression), state)
@@ -852,7 +902,7 @@ def test_one_kernel_analysis_keeps_the_bits_of_two(scheme, a):
                      h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3), terminal=0.2, lam=1.0, mu=0.5)
     grid, regression = TimeGrid.uniform(0, 1, 100), "sample-mean"
     if a == "reflected":  # the local time of reflected Brownian motion on [-1, 1] from 0.8
-        noise = simulate_reflected(BM_ON_INTERVAL, (0.0, np.array([0.8])),
+        noise = simulate_reflected(BM_ON_INTERVAL, np.array([0.8]),
                                    generate_paths(grid, 1, 40, seed=3, shared_backward=True))
         coeffs, regression = replace(coeffs, terminal=lambda x: x[:, 0] ** 2), ("poly", 2)
     else:
@@ -890,7 +940,7 @@ def _disc_ensemble():
     200 steps, one shared backward draw."""
     grid = TimeGrid.uniform(0, 1, 200)
     noise = generate_paths(grid, 2, 2000, seed=5, shared_backward=True)
-    return simulate_reflected(ForwardModel(unit_ball(2), 0.0, 1.0), (0.0, np.array([0.3, 0.0])), noise)
+    return simulate_reflected(ForwardModel(unit_ball(2), 0.0, 1.0), np.array([0.3, 0.0]), noise)
 
 
 # one rounding slack, fixed before any run: 64 ulp of the O(1) values |x|^2 <= 1
@@ -1179,7 +1229,7 @@ def test_sample_mean_rejects_state_dependent_data():
     paths where the true Y_0 is deterministic."""
     grid = TimeGrid.uniform(0, 1, 50)
     noise = generate_paths(grid, 2, 200, seed=3, shared_backward=True)
-    state = simulate_reflected(ForwardModel(unit_ball(2), 0.0, 1.0), (0.0, np.zeros(2)), noise)
+    state = simulate_reflected(ForwardModel(unit_ball(2), 0.0, 1.0), np.zeros(2), noise)
     cfg = SolverConfig(grid, regression="sample-mean")
     with pytest.raises(ValueError, match="sample-mean"):
         solve_penalized(_coeffs(g=lambda t, x, y: np.full_like(y, 0.1)), ZERO, ZERO, cfg, state)
@@ -1191,7 +1241,7 @@ def test_markov_solve_with_reflected_state():
     dom = unit_ball(1)
     grid = TimeGrid.uniform(0, 1, 50)
     noise = generate_paths(grid, 1, 300, seed=2, shared_backward=True)
-    state = simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.zeros(1)), noise)
+    state = simulate_reflected(ForwardModel(dom, 0.0, 1.0), np.zeros(1), noise)
     coeffs = CoefficientSet(
         f=lambda t, x, y, z: np.ones_like(y),
         g=lambda t, x, y: np.zeros_like(y),
@@ -1203,7 +1253,7 @@ def test_markov_solve_with_reflected_state():
     assert np.mean(sol.Y[:, 0, 0]) == pytest.approx(1.0, abs=0.02)
     assert np.all(np.diff(sol.A, axis=1) >= 0.0)
     assert np.shares_memory(sol.A, state.A)  # one A: the solution keeps a view of the bundle's
-    short = simulate_reflected(ForwardModel(dom, 0.0, 1.0), (0.0, np.zeros(1)),
+    short = simulate_reflected(ForwardModel(dom, 0.0, 1.0), np.zeros(1),
                                generate_paths(grid, 1, 200, seed=2, shared_backward=True))
     with pytest.raises(ValueError, match="state ensemble"):  # not one state row per noise row
         solve_penalized(coeffs, ZERO, ZERO, SolverConfig(grid, regression=("poly", 2)), replace(state, X=short.X))
@@ -1243,7 +1293,7 @@ def test_node_major_storage_matches_path_major_copies(regression, scheme):
     assert not copy.dW[:, 0].flags.c_contiguous and np.array_equal(copy.dW, noise.dW)
     if not state_free:
         dom = unit_ball(2)
-        noise, ref = (simulate_reflected(ForwardModel(dom, 0.3, 1.0), (0.0, np.zeros(2)), b) for b in (noise, copy))
+        noise, ref = (simulate_reflected(ForwardModel(dom, 0.3, 1.0), np.zeros(2), b) for b in (noise, copy))
         assert _node_slices_contiguous(noise.X) and _node_slices_contiguous(noise.A)
         assert np.array_equal(noise.X, ref.X) and np.array_equal(noise.A, ref.A)
         assert np.any(noise.A[:, -1] > 0.0)
