@@ -140,35 +140,32 @@ def sample_field(model: ForwardModel, coeffs: CoefficientSet, phi: ConvexFunctio
     return FieldEstimate(replace(fgrid, times=nodes[t_index]), values, stderr, per_draw)
 
 
+def _continuity_pairs(times, points) -> dict:
+    """The continuity check's lattice rules, which load_scenario reaches too:
+    neighbouring gaps are positive, and strides 1 and 2 each pair neighbours
+    along the times or the points (ValueError otherwise).  Per stride, the
+    (axis, gaps) of each axis with pairs: sqrt(dt) on axis 0, |dx| on axis 1."""
+    if np.any(np.diff(times) <= 0.0) or np.any(np.linalg.norm(np.diff(points, axis=0), axis=1) <= 0.0):
+        raise ValueError("lattice times must increase and neighbouring lattice points differ")
+    if max(len(times), len(points)) <= 2:
+        raise ValueError("lattice too small for continuity pairs")
+    return {s: [(axis, gaps) for axis, gaps in ((0, np.sqrt(times[s:] - times[:-s])),
+                                                (1, np.linalg.norm(points[s:] - points[:-s], axis=1))) if gaps.size]
+            for s in (1, 2)}
+
+
 def continuity_diagnostic(fld: FieldEstimate) -> dict:
     """Empirical continuity moduli |du| / (|dt|^{1/2} + |dx|) between lattice
-    neighbours at stride 1 and stride 2; flags blow-up when the fine-scale
-    worst ratio exceeds ten times the coarse-scale worst ratio.  A time or
-    point gap that is not positive is a ValueError."""
-    u = fld.values
-    times = fld.grid.times
-    pts = fld.grid.points
-    if np.any(np.diff(times) <= 0.0) or np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) <= 0.0):
-        raise ValueError("lattice times must increase and neighbouring lattice points differ")
+    neighbours at stride 1 and stride 2 (the pairs of _continuity_pairs);
+    flags blow-up when the fine-scale worst ratio exceeds ten times the
+    coarse-scale worst ratio."""
 
-    def ratios(stride):
-        out = []
-        if times.size > stride:
-            dt = times[stride:] - times[:-stride]
-            du = np.abs(u[stride:] - u[:-stride])
-            out.append((du / np.sqrt(dt)[:, None]).ravel())
-        if pts.shape[0] > stride:
-            dx = np.linalg.norm(pts[stride:] - pts[:-stride], axis=1)
-            du = np.abs(u[:, stride:] - u[:, :-stride])
-            out.append((du / dx[None, :]).ravel())
-        if not out:
-            raise ValueError("lattice too small for continuity pairs")
-        return np.concatenate(out)
+    def ratios(axis, s, gaps):  # |u_a - u_b| / gap over the pairs s apart along one axis of the lattice
+        u = np.moveaxis(fld.values, axis, 0)
+        return (np.abs(u[s:] - u[:-s]) / gaps[:, None]).ravel()
 
-    fine = ratios(1)
-    coarse = ratios(2)
-    worst_fine = float(np.max(fine))
-    worst_coarse = float(np.max(coarse))
+    worst_fine, worst_coarse = (float(np.max(np.concatenate([ratios(axis, s, gaps) for axis, gaps in pairs])))
+                                for s, pairs in _continuity_pairs(fld.grid.times, fld.grid.points).items())
     return {
         "worst_fine": worst_fine,
         "worst_coarse": worst_coarse,

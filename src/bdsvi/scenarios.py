@@ -21,7 +21,7 @@ import yaml
 
 from .convex import AssumptionConstants, ConvexFunction, make_convex, validate_weights
 from .drivers import TimeGrid, _stream_key
-from .field import FieldGrid
+from .field import FieldGrid, _continuity_pairs
 from .reflected import ForwardModel, _check_closure, make_domain
 from .solver import CoefficientSet, SolverConfig, _Affine, _check_ladder, _check_regression
 
@@ -158,7 +158,9 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         if regression != "sample-mean":  # a poly or partition mapping, its count key named by its kind
             kind = _kind(regression, "regression", None, {"poly": ("degree",), "partition": ("cells",)})
             count = {"poly": "degree", "partition": "cells"}[kind]
-            regression = (kind, _whole(regression.get(count, 2), f"regression {count}"))
+            if count not in regression:
+                raise ScenarioError(f"regression {kind} needs its {count}")
+            regression = (kind, _whole(regression[count], f"regression {count}"))
         solver = SolverConfig(
             grid=grid,
             eps=_real(sv.get("eps", 1e-3), "eps"),
@@ -210,6 +212,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             lo, hi = domain.bounding_box
             pts = np.linspace(float(lo[0]), float(hi[0]), n_points)[:, None]
             lattice = FieldGrid.build(domain, grid.nodes[idx], pts)
+            _continuity_pairs(lattice.times, lattice.points)  # field's check, so a lattice too small for it fails here
         wr = validate_weights(constants)  # sufficient-not-necessary inequalities: warn, do not abort
         return Scenario(
             name=name,

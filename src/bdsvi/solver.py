@@ -583,15 +583,10 @@ def verify_vi_inclusion(sol: BdsdeSolution, test_points) -> dict:
         j_phi, j_psi = prox(phi, sol.config.eps, y_til), prox(psi, sol.config.eps + dA, Y + sol.V * dA[..., None])
     else:
         j_phi, j_psi = prox(phi, dt, y_til), Y
-    phi_j = phi.evaluate(j_phi)
-    psi_j = psi.evaluate(j_psi)
-    active = dA > 0.0
-    worst_phi = _subgradient_violation(phi, sol.U, j_phi, phi_j, test_points)
-    worst_psi = (_subgradient_violation(psi, sol.V[active], j_psi[active], psi_j[active], test_points)
-                 if np.any(active) else -np.inf)
-    return {
-        "worst_phi": worst_phi,
-        "worst_psi": worst_psi,
-        "phi_infinite_nodes": int(np.sum(~np.isfinite(phi_j))),
-        "psi_infinite_nodes": int(np.sum(~np.isfinite(psi_j[active]))),
-    }
+    out = {}
+    for name, theta, mult, j, rows in (("phi", phi, sol.U, j_phi, ...), ("psi", psi, sol.V, j_psi, dA > 0.0)):
+        theta_j = theta.evaluate(j[rows])  # every node for phi, the nodes with dA > 0 for psi
+        out[f"worst_{name}"] = (_subgradient_violation(theta, mult[rows], j[rows], theta_j, test_points)
+                                if theta_j.size else -np.inf)
+        out[f"{name}_infinite_nodes"] = int(np.sum(~np.isfinite(theta_j)))
+    return out

@@ -293,6 +293,14 @@ _LOAD_MUTATIONS = {  # id: (scenario, edit of its document, the owner's message)
                      "start must be a point of dimension 2, got shape (1, 2)"),
     "lattice-null": ("field.yaml", lambda raw: raw.update(lattice=None),
                      "lattice must be a mapping, got NoneType None"),
+    "lattice-2x2": ("field.yaml", lambda raw: raw["lattice"].update(times=2, points=2),
+                    "lattice too small for continuity pairs"),
+    "lattice-1x2": ("field.yaml", lambda raw: raw["lattice"].update(times=1, points=2),
+                    "lattice too small for continuity pairs"),
+    "poly-no-degree": ("ball.yaml", lambda raw: raw["solver"].update(regression={"kind": "poly"}),
+                       "regression poly needs its degree"),
+    "partition-no-cells": ("ball.yaml", lambda raw: raw["solver"].update(regression={"kind": "partition"}),
+                           "regression partition needs its cells"),
 }
 
 
@@ -328,7 +336,10 @@ def test_a_bad_input_fails_at_load_for_every_command(tmp_path, capsys, case):
     exit 0, and so did a boolean real (eps, T, a constant, a coefficient, the
     terminal value, a ladder rung, sigma, drift, start or a domain bound), read
     as 1.0 or 0.0.  A null lattice section loaded as a file without one: solve
-    exited 0 and field 2 with "field needs domain and lattice sections"."""
+    exited 0 and field 2 with "field needs domain and lattice sections".  A
+    lattice with fewer than three times and three points exited 0 from solve
+    and 2 from field only after sampling, and a regression without its count
+    ran with a count of 2 the file never wrote."""
     name, edit, detail = _LOAD_MUTATIONS[case]
     _fails_at_load_for_every_command(tmp_path, capsys, _variant(tmp_path, name, edit), detail)
 
@@ -708,12 +719,23 @@ def test_field_csv_matches_per_node_rows(tmp_path):
 
 
 def test_field_lattice_too_small_leaves_no_artifact(tmp_path):
-    """A lattice with no neighbours has no continuity pairs: exit 2, and no
-    field.csv is written before the check fails."""
+    """A lattice with no neighbours has no continuity pairs: exit 2 at load,
+    and no field.csv is written."""
     p = _variant(tmp_path, "field.yaml", lambda raw: raw.update(lattice={"times": 1, "points": 1}))
     out = tmp_path / "out"
     assert run(["field", "--scenario", p, "--out", str(out), "--paths", "10", "--quiet"]) == 2
     assert not (out / "field.csv").exists()
+
+
+@pytest.mark.parametrize("times, points", [(3, 1), (1, 3)])
+def test_field_runs_on_a_lattice_with_pairs_along_one_axis(tmp_path, times, points):
+    """The continuity check needs pairs at strides 1 and 2 along the times or
+    the points, not along both: three times of one point, or three points at
+    one time, load and run field with exit 0."""
+    p = _variant(tmp_path, "field.yaml", lambda raw: raw["lattice"].update(times=times, points=points))
+    out = tmp_path / "out"
+    assert run(["field", "--scenario", p, "--out", str(out), "--paths", "10", "--steps", "20", "--quiet"]) == 0
+    assert len((out / "field.csv").read_text().splitlines()) == 1 + times * points
 
 
 def test_missing_scenario_is_validation_error(tmp_path):

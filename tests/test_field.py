@@ -24,10 +24,11 @@ from bdsvi import (
     yosida_gradient,
 )
 from bdsvi import field
-from bdsvi.drivers import _stream
+from bdsvi.drivers import _rekey, _stream, _stream_key
 from bdsvi.reflected import _BOUNDARY_TOL, _check_closure
-from bdsvi.scenarios import load_scenario
+from bdsvi.scenarios import load_scenario, make_coefficients
 from field_stencils import boundary_mask, boundary_residual, interior_residual, manufactured_field
+from spde_oracle import solve_spde
 
 ZERO = make_convex("zero")
 DOM = smoothed_interval(-1.0, 1.0)
@@ -322,6 +323,51 @@ def test_continuity_diagnostic_rejects_a_gap_that_is_not_positive(times, points)
         continuity_diagnostic(est)
 
 
+def _two_block_continuity(fld):
+    """continuity_diagnostic as a time-pair block and a space-pair block per
+    stride: the reference of the one-kernel form."""
+    u, times, pts = fld.values, fld.grid.times, fld.grid.points
+
+    def ratios(stride):
+        out = []
+        if times.size > stride:
+            dt = times[stride:] - times[:-stride]
+            out.append((np.abs(u[stride:] - u[:-stride]) / np.sqrt(dt)[:, None]).ravel())
+        if pts.shape[0] > stride:
+            dx = np.linalg.norm(pts[stride:] - pts[:-stride], axis=1)
+            out.append((np.abs(u[:, stride:] - u[:, :-stride]) / dx[None, :]).ravel())
+        return np.concatenate(out)
+
+    fine, coarse = float(np.max(ratios(1))), float(np.max(ratios(2)))
+    return {"worst_fine": fine, "worst_coarse": coarse, "blowup": fine > 10.0 * max(coarse, 1e-12)}
+
+
+@pytest.mark.parametrize("nt, npts", [(5, 5), (6, 9), (3, 1), (1, 3)])
+def test_one_ratio_kernel_keeps_the_values_of_two_blocks(nt, npts):
+    """One ratio kernel over the (axis, gaps) pairs of both strides gives the
+    two blocks' values exactly, on lattices with pairs along both axes (5x5,
+    6x9), along the times only (3x1) and along the points only (1x3), with
+    uneven gaps and a random field."""
+    rng = np.random.default_rng(7)
+    fg = FieldGrid.build(DOM, np.sort(rng.uniform(0, 1, nt)), np.sort(rng.uniform(-1, 1, npts))[:, None])
+    vals = rng.standard_normal((nt, npts))
+    est = field.FieldEstimate(fg, vals, np.zeros_like(vals), vals[None])
+    got, ref = continuity_diagnostic(est), _two_block_continuity(est)
+    assert got.keys() == ref.keys()
+    for key in ("worst_fine", "worst_coarse"):
+        assert np.float64(got[key]).tobytes() == np.float64(ref[key]).tobytes(), (key, got[key], ref[key])
+    assert got["blowup"] is ref["blowup"]
+
+
+@pytest.mark.parametrize("nt, npts", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_a_lattice_without_pairs_at_stride_two_is_too_small(nt, npts):
+    """Stride 2 needs three times or three points; the rule's owner raises it
+    before any ratio is formed."""
+    est = manufactured_field(lambda t, x: t + float(x[0]), _fgrid(nt, npts))
+    with pytest.raises(ValueError, match="lattice too small for continuity pairs"):
+        continuity_diagnostic(est)
+
+
 def test_manufactured_quadratic_interior_residual():
     # u = x^2 solves u_t + 0.5 u_xx + f = 0 with f = -1
     fg = _fgrid(20, 20)
@@ -399,3 +445,74 @@ def test_residual_requires_line_lattice():
     est = manufactured_field(lambda t, x: 0.0, fg)
     with pytest.raises(ValueError):
         interior_residual(est, _coeffs(), ZERO, 0.0, MODEL)
+
+
+# ---------------------------------------------------------------- the backward SPDE as the per-draw oracle
+
+_SPDE_SEED, _SPDE_STEPS = 5, 200
+_SPDE_TIMES, _SPDE_POINTS = np.array([0.0, 0.25, 0.5, 0.75]), np.linspace(-1.0, 1.0, 9)
+# ROADMAP item 4: the field's mean signed error against the PDE at 200 steps with h = 0 (weak order 1/2 in dt)
+_FIELD_BIAS = 0.0177
+# the oracle's error at 401 nodes and 20 sub-steps, held by the convergence test
+_ORACLE_TOL = 1e-3
+
+
+def _field_draw():
+    """The backward increments of draw 0 of a field of seed _SPDE_SEED on the uniform 200-step grid of
+    [0, 1], drawn as sample_field draws them."""
+    grid = TimeGrid.uniform(0.0, 1.0, _SPDE_STEPS)
+    gen = _rekey(_stream(_SPDE_SEED, "B_SHARED", 0), _stream_key(_SPDE_SEED, "B_SHARED", 0))
+    return gen.standard_normal((_SPDE_STEPS, 1))[:, 0] * np.sqrt(grid.dt)
+
+
+def _oracle_on_lattice(c, n_nodes=401, sub_steps=20):
+    """The oracle with f = 0, g = 0.3, h = c y and chi = x^2 on the field's draw, at the lattice nodes."""
+    x, u = solve_spde(lambda x: x * x, 0.3, lambda u: c * u, _field_draw(), 1.0, n_nodes, sub_steps)
+    return np.array([np.interp(_SPDE_POINTS, x, u[i]) for i in np.rint(_SPDE_TIMES * _SPDE_STEPS).astype(int)])
+
+
+def test_spde_oracle_is_exact_on_a_quadratic_and_converges():
+    """The oracle's own accuracy.  u = g x^2 / 2 + g (T - t) / 2 solves the
+    heat part with outward flux g, and centred differences, the ghost point
+    and implicit Euler are exact on it, so the oracle returns it up to
+    rounding.  On the field's draw at c = 0.8, (201 nodes, 10 sub-steps) and
+    (401, 20) agree within _ORACLE_TOL at the lattice nodes, a bound fixed
+    before the run: implicit Euler's O(dt / sub_steps) halves and the
+    stencil's O(dx^2) quarters from one to the other, and item 4's oracle
+    moved by 6.5e-5 from 801 x 4000 to 1601 x 16000."""
+    x, u = solve_spde(lambda x: 0.15 * x * x, 0.3, lambda u: 0.0 * u, np.zeros(_SPDE_STEPS), 1.0)
+    t = np.linspace(0.0, 1.0, _SPDE_STEPS + 1)[:, None]
+    assert np.max(np.abs(u - (0.15 * x * x + 0.15 * (1.0 - t)))) <= 1e-11
+    gap = np.max(np.abs(_oracle_on_lattice(0.8, 201, 10) - _oracle_on_lattice(0.8)))
+    assert gap <= _ORACLE_TOL, gap
+
+
+@pytest.mark.parametrize("c", [0.0, 0.8])
+def test_one_draw_of_the_field_solves_the_backward_spde(c):
+    """per_draw[0] of a field with phi = psi = zero, f = 0, g = 0.3, h = c y
+    and chi = x^2 (implicit-prox, poly 2, 200 steps, 2000 paths, one draw)
+    against the oracle on the same backward draw, at lattice times 0, 0.25,
+    0.5 and 0.75 and 9 points.  The error is the forward scheme's
+    weak-order-1/2 bias plus Monte-Carlo noise.  Item 4 read the bias at
+    h = 0 as +0.0177 on average over such a lattice and 0.048 at worst; a
+    draw of c != 0 scales it by its size r (the lattice mean of |u| against
+    that of h = 0, at least 1), and item 18's four draws at c = 0.8 read
+    relative errors up to twice item 4's.  So, fixed before the run: the
+    lattice mean error within 3 r 0.0177 and every node within 6 r 0.0177,
+    each plus 4 of its standard errors and the oracle's tolerance.  The
+    launch node's fit is the ensemble mean, so today's stderr reads rounding
+    (item 3) and the bias terms carry the bound; item 4's worst error came
+    with 4000 paths' noise in it."""
+    grid = TimeGrid.uniform(0.0, 1.0, _SPDE_STEPS)
+    f, g, h = make_coefficients({"g": {"kind": "constant", "value": 0.3}, "h": {"kind": "linear", "a_y": c}})
+    coeffs = CoefficientSet(f, g, h, lambda x: np.sum(x * x, axis=-1), AssumptionConstants())
+    config = SolverConfig(grid, scheme="implicit-prox", regression=("poly", 2))
+    est = sample_field(MODEL, coeffs, ZERO, ZERO, config, FieldGrid.build(DOM, _SPDE_TIMES, _SPDE_POINTS[:, None]),
+                       2000, _SPDE_SEED)
+    u = _oracle_on_lattice(c)
+    r = max(1.0, np.mean(np.abs(u)) / np.mean(np.abs(_oracle_on_lattice(0.0))))
+    err, se = est.per_draw[0] - u, est.stderr
+    mean_bound = 3.0 * r * _FIELD_BIAS + 4.0 * np.sqrt(np.sum(se ** 2)) / se.size + _ORACLE_TOL
+    assert abs(np.mean(err)) <= mean_bound, (np.mean(err), mean_bound)
+    node_bound = 6.0 * r * _FIELD_BIAS + 4.0 * se + _ORACLE_TOL
+    assert np.all(np.abs(err) <= node_bound), (np.max(np.abs(err)), np.max(np.abs(err) / node_bound))

@@ -860,10 +860,11 @@ def test_the_analysis_reads_its_problem_from_the_solve():
         penalization_diagnostics(replace(sol, config=replace(sol.config, eps=0.0)))
 
 
-def _two_kernel_analysis(sol):
+def _two_kernel_analysis(sol, test_points):
     """weighted_norms and penalization_diagnostics as two trapezoid kernels,
     np.trapezoid over the nodes for dt and the dA sum, and a phi and a psi
-    copy of the resolvent work: the reference of the one-kernel form."""
+    copy of the resolvent work, and verify_vi_inclusion as a phi block and
+    a psi block: the reference of the one-kernel, one-loop form."""
     w = np.exp(sol.constants.lam * sol.grid.nodes[None, :] + sol.constants.mu * sol.A)
     dA, eps, Y = sol.dA, sol.config.eps, sol.Y
 
@@ -885,7 +886,27 @@ def _two_kernel_analysis(sol):
     diag = {"grad_energy": m(gp2) + mbar(gq2), "envelope_integral": m(phi_j) + mbar(psi_j),
             "sup_resolvent_dist": float(np.max(np.mean(w * dist, axis=0))),
             "sup_envelope": float(np.max(np.mean(w * (phi_j + psi_j), axis=0)))}
-    return norms, diag
+
+    def violation(theta, u, j, theta_j):
+        worst = -np.inf
+        for r in test_points:
+            r = np.atleast_1d(np.asarray(r, dtype=float))
+            worst = max(worst, float(np.max(np.sum(u * (r - j), axis=-1) + theta_j - float(theta.evaluate(r)))))
+        return worst
+
+    dt, dA1 = np.append(sol.grid.dt, 0.0), np.pad(dA, ((0, 0), (0, 1)))
+    y_til = Y + sol.U * dt[:, None] + sol.V * dA1[..., None]
+    if sol.config.scheme == "explicit-yosida":
+        j_phi, j_psi = prox(sol.phi, eps, y_til), prox(sol.psi, eps + dA1, Y + sol.V * dA1[..., None])
+    else:
+        j_phi, j_psi = prox(sol.phi, dt, y_til), Y
+    phi_j, psi_j, active = sol.phi.evaluate(j_phi), sol.psi.evaluate(j_psi), dA1 > 0.0
+    audit = {"worst_phi": violation(sol.phi, sol.U, j_phi, phi_j),
+             "worst_psi": (violation(sol.psi, sol.V[active], j_psi[active], psi_j[active])
+                           if np.any(active) else -np.inf),
+             "phi_infinite_nodes": int(np.sum(~np.isfinite(phi_j))),
+             "psi_infinite_nodes": int(np.sum(~np.isfinite(psi_j[active])))}
+    return norms, diag, audit
 
 
 @pytest.mark.parametrize("scheme, a", [("explicit-yosida", "time"), ("implicit-prox", "time"),
@@ -894,9 +915,11 @@ def test_one_kernel_analysis_keeps_the_bits_of_two(scheme, a):
     """One trapezoid kernel over increments (grid.dt or dA) and one loop over
     (phi, dt) and (psi, dA) give the values of the two kernels and the two
     copies bit for bit, the sign of zero included: 0.5 (a + b) dx and
-    np.trapezoid's dx (a + b) / 2 round the same product once.  psi is not
-    zero, so the dA terms carry work; A is t, a local time that differs by
-    path, or identically 0."""
+    np.trapezoid's dx (a + b) / 2 round the same product once.  So does the
+    audit's one loop over (phi, U, every node) and (psi, V, the nodes with
+    dA > 0), at report's points, -inf included where no dA is active.  psi
+    is not zero, so the dA terms carry work; A is t, a local time that
+    differs by path, or identically 0."""
     phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
     coeffs = _coeffs(f=lambda t, x, y, z: np.ones_like(y), g=lambda t, x, y: 0.5 * np.ones_like(y),
                      h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3), terminal=0.2, lam=1.0, mu=0.5)
@@ -910,8 +933,11 @@ def test_one_kernel_analysis_keeps_the_bits_of_two(scheme, a):
     sol = solve_penalized(coeffs, phi, psi, SolverConfig(grid, eps=2e-2, scheme=scheme, regression=regression), noise)
     assert (np.max(sol.A) == 0.0) == (a == "zero") and np.max(sol.U) > 0.0
     assert a == "zero" or np.max(np.abs(sol.V)) > 0.0
-    norms, diag = _two_kernel_analysis(sol)
-    for got, ref in ((weighted_norms(sol), norms), (penalization_diagnostics(sol), diag)):
+    points = (-1.0, 0.0, 0.25, 0.5)
+    norms, diag, audit = _two_kernel_analysis(sol, points)
+    assert (audit["worst_psi"] == -np.inf) == (a == "zero")
+    for got, ref in ((weighted_norms(sol), norms), (penalization_diagnostics(sol), diag),
+                     (verify_vi_inclusion(sol, points), audit)):
         assert got.keys() == ref.keys()
         for key in ref:
             assert np.float64(got[key]).tobytes() == np.float64(ref[key]).tobytes(), (key, got[key], ref[key])
@@ -1020,32 +1046,48 @@ def _row_multipliers(state, co):
     return m + (coef("f", "a_z") + coef("h", "a_z") * sum_db / dt) * state.dW.sum(axis=-1)
 
 
-def _ordered_solves(state, co, scheme, psi, regression, terminals):
-    """Y' - Y of two solves on one noise, phi = indicator_box(-inf,0.5) and eps 1e-2, with terminals Y_T <= Y'_T."""
+def _ordered_solves(state, cos, scheme, psi, regression, terminals):
+    """Y' - Y of two solves on one noise, phi = indicator_box(-inf,0.5) and eps 1e-2: Y under the coefficient
+    section cos[0] and terminal terminals[0], Y' under cos[1] and terminals[1]."""
     cfg = SolverConfig(state.grid, eps=1e-2, scheme=scheme, regression=regression)
-    f, g, h = make_coefficients(co)
-    Y, Y2 = (solve_penalized(_coeffs(f=f, g=g, h=h, terminal=chi), make_convex("indicator_box(-inf,0.5)"),
-                             make_convex(psi), cfg, state).Y[..., 0] for chi in terminals)
+    Y, Y2 = (solve_penalized(_coeffs(*make_coefficients(co), terminal=chi), make_convex("indicator_box(-inf,0.5)"),
+                             make_convex(psi), cfg, state).Y[..., 0] for co, chi in zip(cos, terminals))
     return Y2 - Y
 
 
-@pytest.mark.parametrize("coefficients", sorted(_COMPARISON_SETS))
+def _raised(role, by):
+    """_AFFINE with the constant c of one coefficient raised: a larger f, or a larger g on the boundary rows."""
+    return {**_AFFINE, role: {**_AFFINE[role], "c": _AFFINE[role]["c"] + by}}
+
+
+_QUAD = lambda x: np.sum(x * x, axis=-1)
+_BUMPED = lambda x: _QUAD(x) + 0.05 * (1.0 + np.cos(3.0 * x[:, 0]))
+# id: the coefficient sections of Y and Y', their terminals, and the least terminal gap Y'_T - Y_T
+_ORDERED_DATA = {**{key: ((co, co), (_QUAD, _BUMPED), 5e-4) for key, co in _COMPARISON_SETS.items()},
+                 "f-plus": ((_AFFINE, _raised("f", 0.05)), (_QUAD, _QUAD), 0.0),
+                 "g-plus": ((_AFFINE, _raised("g", 0.05)), (_QUAD, _QUAD), 0.0)}
+
+
+@pytest.mark.parametrize("data", sorted(_ORDERED_DATA))
 @pytest.mark.parametrize("scheme, psi", [("explicit-yosida", "indicator_box(-inf,0.5)"), ("implicit-prox", "abs")])
-def test_ordered_terminals_give_ordered_solutions(scheme, psi, coefficients):
+def test_ordered_terminals_give_ordered_solutions(scheme, psi, data):
     """Comparison (Shi, Gu and Liu 2005) in discrete form: on the disc
-    ensemble, terminals |x|^2 <= |x|^2 + 0.05 (1 + cos 3 x_0), at least 5e-4
-    apart on the disc, give Y <= Y' at every node and path.  A step keeps the
-    order when the fit has nonnegative weights (partition's cell means do),
-    every row's multiplier m_i + c_i sum_j dW_{i,j} is >= 0 (checked first,
-    on the run's own increments) and each penalty step is nondecreasing (a
-    resolvent in one dimension; the explicit phi step while dt <= eps)."""
-    state, co = _disc_ensemble(), _COMPARISON_SETS[coefficients]
-    assert np.min(_row_multipliers(state, co)) >= 0.0
-    quad = lambda x: np.sum(x * x, axis=-1)
-    gap = _ordered_solves(state, co, scheme, psi, ("partition", 9),
-                          (quad, lambda x: quad(x) + 0.05 * (1.0 + np.cos(3.0 * x[:, 0]))))
-    assert np.min(gap[:, -1]) >= 5e-4
+    ensemble, ordered data give Y <= Y' at every node and path.  The data
+    are terminals |x|^2 <= |x|^2 + 0.05 (1 + cos 3 x_0), at least 5e-4 apart
+    on the disc, under f's or h's a_z; or equal terminals |x|^2 with f' = f +
+    0.05, or with g' = g + 0.05, which acts on the boundary rows through dA.
+    A step keeps the order when the fit has nonnegative weights (partition's
+    cell means do), every row's multiplier m_i + c_i sum_j dW_{i,j} is >= 0
+    (checked first, for both coefficient sections, on the run's own
+    increments) and each penalty step is nondecreasing (a resolvent in one
+    dimension; the explicit phi step while dt <= eps).  Some entry's gap is
+    strictly positive, so the order is not that of equal solutions."""
+    state, (cos, terminals, least) = _disc_ensemble(), _ORDERED_DATA[data]
+    assert min(np.min(_row_multipliers(state, co)) for co in cos) >= 0.0
+    gap = _ordered_solves(state, cos, scheme, psi, ("partition", 9), terminals)
+    assert np.min(gap[:, -1]) >= least
     assert np.min(gap) >= -_ROUNDING_SLACK, np.min(gap)
+    assert np.max(gap) > 0.0
 
 
 @pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
@@ -1055,7 +1097,7 @@ def test_ordered_constant_terminals_give_ordered_solutions_under_sample_mean(sch
     0.45 give Y <= Y' at every node and path."""
     state = _bundle(n_steps=200, n_paths=500, seed=4, a="time")[1]
     assert np.min(_row_multipliers(state, _AFFINE)) >= 0.0
-    gap = _ordered_solves(state, _AFFINE, scheme, "abs", "sample-mean", (0.4, 0.45))
+    gap = _ordered_solves(state, (_AFFINE, _AFFINE), scheme, "abs", "sample-mean", (0.4, 0.45))
     assert np.min(gap[:, -1]) >= 0.05 - _ROUNDING_SLACK
     assert np.min(gap) >= -_ROUNDING_SLACK, np.min(gap)
 
