@@ -399,8 +399,8 @@ def _zero() -> ConvexFunction:
 
 
 def _quadratic(a: float = 1.0) -> ConvexFunction:
-    if a < 0:
-        raise ValueError("quadratic coefficient must be >= 0")
+    if not 0.0 <= a < np.inf:  # a nan fails too
+        raise ValueError(f"quadratic coefficient must be finite and >= 0, got {a}")
 
     def ev(x):
         return 0.5 * a * _sum_last(x * x)
@@ -424,7 +424,7 @@ def _abs() -> ConvexFunction:
 def _indicator_box(lo, hi) -> ConvexFunction:
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if np.any(lo > 0.0) or np.any(hi < 0.0):
+    if not (np.all(lo <= 0.0) and np.all(hi >= 0.0)):  # a nan bound fails; an infinite one is a half-line
         raise ValueError("indicator box must contain 0 (normalization theta(0)=0)")
 
     def ev(x):

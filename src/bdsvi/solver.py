@@ -122,10 +122,12 @@ class SolverConfig:
 class BdsdeSolution:
     """Solution arrays of one backward sweep.  Y, Z, U and V are stored
     node-major like the arrays of PathBundle, so each [:, i] is contiguous;
-    no consumer may assume C-contiguous path-major storage.  A is the A of
-    the bundle that drove the sweep, dA its increments as the sweep applied
-    them, and grid the grid of config.  constants, phi and psi are those of
-    the solve, which the analysis below reads instead of taking them again."""
+    no consumer may assume C-contiguous path-major storage.  U[:, i] and
+    V[:, i] are what step i applied (V = 0 where dA_i = 0); U_T = V_T = 0,
+    as no step ran there.  A is the A of the bundle that drove the sweep,
+    dA its increments as the sweep applied them, and grid the grid of
+    config.  constants, phi and psi are those of the solve, which the
+    analysis below reads instead of taking them again."""
 
     Y: np.ndarray  # (n_paths, n_nodes, k)
     Z: np.ndarray  # (n_paths, n_nodes, k, d)
@@ -254,7 +256,7 @@ def solve_penalized(
       (c) explicit-yosida:  j = Ytil - U_i dt with U_i = grad phi_eps(Ytil), then
           Y_i = prox_{dA psi_eps}(j) = j - V_i dA with V_i = grad psi_{eps+dA}(j);
           implicit-prox:    Y_i = J^psi_dA(J^phi_dt(Ytil)), with the
-          multipliers read off the resolvent gaps (V_i = 0 when dA_i = 0).
+          multipliers read off the resolvent gaps (either scheme: V_i = 0 when dA_i = 0).
     """
     Y, Z, U, V, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise)
     return BdsdeSolution(Y[0], Z[0], U[0], V[0], noise.A, config, coeffs.constants, phi, psi, conds)
@@ -307,9 +309,8 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     Ytil_i leaves a non-finite value in Y_i, U_i or V_i.  With no moving
     penalty, Y_i = Ytil_i.  A moving phi writes
     U_i = (Ytil_i - J(Ytil_i)) / tau in either scheme, non-finite for any J.
-    A moving psi alone writes V_i = (j - J(j)) / e in the explicit scheme;
-    the implicit one writes V_i = (j - J(j)) / dA on the rows with dA > 0
-    and keeps Y_i = j on the rows with dA = 0."""
+    A moving psi alone writes V_i = (j - J(j)) / e (explicit) or / dA
+    (implicit) on the rows with dA > 0, and keeps Y_i = j on the others."""
     grid = config.grid
     if not np.array_equal(noise.grid.nodes, grid.nodes):
         raise ValueError("noise bundle and solver grid disagree")
@@ -360,14 +361,6 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
         eps_row = np.repeat(eps, n_paths)
         eps_col = eps_row[:, None]
 
-        def grad(resolvent, e, e_col, y, out):  # the Yosida gradient (y - J_e(y)) / e at the per-row scale e
-            return np.divide(y - np.asarray(resolvent(e, y), dtype=float), e_col, out=out)
-
-        if move_phi:
-            grad(res_phi, eps_row, eps_col, xi, U[:, -1])
-        if move_psi:
-            grad(res_psi, eps_row, eps_col, xi, V[:, -1])
-
     conds = []
     dts, t_nodes, dW, dB = grid.dt.tolist(), grid.nodes.tolist(), noise.dW, noise.dB
     watched = [("Y", Y)] + [("U", U)] * move_phi + [("V", V)] * move_psi  # what a step writes, less a zero U or V
@@ -411,14 +404,16 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
 
             j = y_i
             if move_phi and explicit:
-                j = np.subtract(y_i, grad(res_phi, eps_row, eps_col, y_i, U[:, i]) * dt, out=y_i)
+                u = np.divide(y_i - np.asarray(res_phi(eps_row, y_i), dtype=float), eps_col, out=U[:, i])
+                j = np.subtract(y_i, u * dt, out=y_i)
             elif move_phi:
                 j = np.asarray(res_phi(dt, y_i), dtype=float)
                 np.divide(np.subtract(y_i, j, out=U[:, i]), dt, out=U[:, i])
             if move_psi and explicit:
-                # j - dA grad psi_{eps+dA}(j) = prox_{dA psi_eps}(j): nonexpansive for any dA
+                # j - dA grad psi_{eps+dA}(j) = prox_{dA psi_eps}(j): nonexpansive for any dA; V_i = 0 where dA_i = 0
                 e = eps_row + da[:, 0]
-                j = np.subtract(j, grad(res_psi, e, e[:, None], j, V[:, i]) * da, out=y_i)
+                v = np.divide(j - np.asarray(res_psi(e, j), dtype=float), e[:, None], out=V[:, i], where=da > 0.0)
+                j = np.subtract(j, v * da, out=y_i)
             elif move_psi:
                 y = _prox(psi, da[:, 0], j)  # the identity on rows with dA_i = 0
                 np.divide(j - y, da, out=V[:, i], where=da > 0.0)
@@ -455,25 +450,27 @@ def _weights(sol: BdsdeSolution) -> np.ndarray:
     return np.exp(sol.constants.lam * sol.grid.nodes[None, :] + sol.constants.mu * sol.A)
 
 
-def _trapezoid(v: np.ndarray, dx: np.ndarray) -> float:
-    """E sum_i 0.5 (v_i + v_{i+1}) dx_i for v (n_paths, n_nodes) and increments dx: grid.dt for an M norm, dA for
-    an M-bar norm.  The node sums run on a path-major copy, so their order of addition does not follow the layout
-    of the solution arrays.  Halving is exact, so a term rounds (a + b) dx once, as np.trapezoid's dx (a + b) / 2."""
-    return float(np.mean(np.sum(np.ascontiguousarray(0.5 * (v[:, :-1] + v[:, 1:]) * dx), axis=1)))
+def _step_sum(v: np.ndarray, dx: np.ndarray) -> float:
+    """E sum_{i<n} v_i dx_i for v (n_paths, n_nodes) and increments dx: grid.dt for an M norm, dA for an M-bar
+    norm.  Node i is read with step i, the step that wrote it, so the terminal node is not read.  The node sums
+    run on a path-major copy, so their order of addition does not follow the layout of the solution arrays."""
+    return float(np.mean(np.sum(np.ascontiguousarray(v[:, :-1] * dx), axis=1)))
 
 
 def weighted_norms(sol: BdsdeSolution) -> dict:
-    """Monte-Carlo weighted norms with weight exp(lam*t + mu*A_t)."""
+    """Monte-Carlo weighted norms with weight w = exp(lam*t + mu*A_t): the paper's ||q||_M^2 = E int w|q|^2 dt
+    and ||q||_Mbar^2 = E int w|q|^2 dA as left-point step sums, the pairing the sweep applies (_step_sum), and
+    Y_S2 = E sup_t w|Y|^2 over every node."""
     w, dt, dA = _weights(sol), sol.grid.dt, sol.dA
     wy2, wz2, wu2, wv2 = (w * np.sum(q ** 2, axis=axes) for q, axes in
                           ((sol.Y, -1), (sol.Z, (-2, -1)), (sol.U, -1), (sol.V, -1)))
     return {
-        "Y_M2": _trapezoid(wy2, dt),
-        "Y_Mbar2": _trapezoid(wy2, dA),
+        "Y_M2": _step_sum(wy2, dt),
+        "Y_Mbar2": _step_sum(wy2, dA),
         "Y_S2": float(np.mean(np.max(wy2, axis=1))),
-        "Z_M2": _trapezoid(wz2, dt),
-        "U_M2": _trapezoid(wu2, dt),
-        "V_Mbar2": _trapezoid(wv2, dA),
+        "Z_M2": _step_sum(wz2, dt),
+        "U_M2": _step_sum(wu2, dt),
+        "V_Mbar2": _step_sum(wv2, dA),
     }
 
 
@@ -482,7 +479,7 @@ def penalization_diagnostics(sol: BdsdeSolution) -> dict:
     gradient energies, envelope integrals at the resolvent points, the
     weighted distance to the resolvent (sup over time of its expectation),
     and pointwise envelope expectations.  phi is integrated against dt, psi
-    against dA, each from one resolvent; the two terms are then added."""
+    against dA (_step_sum), each from one resolvent; the terms are added."""
     eps = sol.config.eps
     if eps == 0.0:
         raise ValueError("penalization_diagnostics requires eps > 0")
@@ -490,7 +487,7 @@ def penalization_diagnostics(sol: BdsdeSolution) -> dict:
     for theta, dx in ((sol.phi, sol.grid.dt), (sol.psi, sol.dA)):
         j = prox(theta, eps, sol.Y)
         theta_j = theta.evaluate(j)  # the Yosida gradient (Y - j) / eps comes from the same resolvent
-        terms.append((_trapezoid(w * np.sum(((sol.Y - j) / eps) ** 2, axis=-1), dx), _trapezoid(w * theta_j, dx),
+        terms.append((_step_sum(w * np.sum(((sol.Y - j) / eps) ** 2, axis=-1), dx), _step_sum(w * theta_j, dx),
                       np.sum((sol.Y - j) ** 2, axis=-1), theta_j))
     grad, envelope, dist, theta_j = (a + b for a, b in zip(*terms))
     return {
@@ -565,27 +562,26 @@ def verify_vi_inclusion(sol: BdsdeSolution, test_points) -> dict:
 
         <U_t, r - J_t> + phi(J_t) - phi(r) <= 0
 
-    over nodes, paths and test points r, plus the dA-weighted analogue for
-    (V, psi) restricted to nodes with positive dA, and counts of finiteness
-    failures phi(J) = +inf (dt nodes) / psi(J) = +inf (dA nodes).
+    over the step nodes i < n, paths and test points r, plus the dA-weighted
+    analogue for (V, psi) on the step nodes with dA > 0, and counts of
+    finiteness failures phi(J) = +inf (dt nodes) / psi(J) = +inf (dA nodes).
 
     J_t is the resolvent point at which the scheme puts U_t in dphi, since
     grad theta_eps(x) lies in dtheta(J_eps x).  It is rebuilt from the step
-    input Ytil = Y + U dt + V dA (dt = dA = 0 at the terminal node):
+    input Ytil = Y + U dt + V dA (none at the terminal node, Y_T = xi):
     explicit-yosida audits U at J^phi_eps(Ytil) and V at
     J^psi_{eps+dA}(Y + V dA), implicit-prox U at J^phi_dt(Ytil) and V at Y.
     """
-    Y, phi, psi = sol.Y, sol.phi, sol.psi
-    dt = np.append(sol.grid.dt, 0.0)
-    dA = np.pad(sol.dA, ((0, 0), (0, 1)))
-    y_til = Y + sol.U * dt[:, None] + sol.V * dA[..., None]
+    Y, U, V, phi, psi = sol.Y[:, :-1], sol.U[:, :-1], sol.V[:, :-1], sol.phi, sol.psi
+    dt, dA = sol.grid.dt, sol.dA
+    y_til = Y + U * dt[:, None] + V * dA[..., None]
     if sol.config.scheme == "explicit-yosida":
-        j_phi, j_psi = prox(phi, sol.config.eps, y_til), prox(psi, sol.config.eps + dA, Y + sol.V * dA[..., None])
+        j_phi, j_psi = prox(phi, sol.config.eps, y_til), prox(psi, sol.config.eps + dA, Y + V * dA[..., None])
     else:
         j_phi, j_psi = prox(phi, dt, y_til), Y
     out = {}
-    for name, theta, mult, j, rows in (("phi", phi, sol.U, j_phi, ...), ("psi", psi, sol.V, j_psi, dA > 0.0)):
-        theta_j = theta.evaluate(j[rows])  # every node for phi, the nodes with dA > 0 for psi
+    for name, theta, mult, j, rows in (("phi", phi, U, j_phi, ...), ("psi", psi, V, j_psi, dA > 0.0)):
+        theta_j = theta.evaluate(j[rows])  # every step node for phi, the step nodes with dA > 0 for psi
         out[f"worst_{name}"] = (_subgradient_violation(theta, mult[rows], j[rows], theta_j, test_points)
                                 if theta_j.size else -np.inf)
         out[f"{name}_infinite_nodes"] = int(np.sum(~np.isfinite(theta_j)))

@@ -266,7 +266,13 @@ _LOAD_MUTATIONS = {  # id: (scenario, edit of its document, the owner's message)
     "field-drift-inf": ("field.yaml", lambda raw: raw.update(drift=float("inf")),
                         "constant drift must be finite, got inf"),
     "phi-quadratic-negative": ("zero.yaml", lambda raw: raw.update(phi="quadratic(-1.0)"),
-                               "quadratic coefficient must be >= 0"),
+                               "quadratic coefficient must be finite and >= 0, got -1.0"),
+    "phi-quadratic-nan": ("vi_oracle.yaml", lambda raw: raw.update(phi="quadratic(nan)"),
+                          "quadratic coefficient must be finite and >= 0, got nan"),
+    "phi-quadratic-inf": ("vi_oracle.yaml", lambda raw: raw.update(phi="quadratic(inf)"),
+                          "quadratic coefficient must be finite and >= 0, got inf"),
+    "phi-box-nan": ("vi_oracle.yaml", lambda raw: raw.update(phi="indicator_box(nan,0.5)"),
+                    "indicator box must contain 0 (normalization theta(0)=0)"),
     "domain-empty": ("zero.yaml", lambda raw: _with_domain(raw, {}), "domain section names no kind; known: ball, "
                      "interval"),
     "domain-list": ("zero.yaml", lambda raw: _with_domain(raw, []), "domain must be a mapping, got list []"),
@@ -339,7 +345,9 @@ def test_a_bad_input_fails_at_load_for_every_command(tmp_path, capsys, case):
     exited 0 and field 2 with "field needs domain and lattice sections".  A
     lattice with fewer than three times and three points exited 0 from solve
     and 2 from field only after sampling, and a regression without its count
-    ran with a count of 2 the file never wrote."""
+    ran with a count of 2 the file never wrote.  A nan catalog argument made
+    prox-check, compat-check, solve and report exit 3 as a numerical
+    failure, and quadratic(inf) let the same four exit 0."""
     name, edit, detail = _LOAD_MUTATIONS[case]
     _fails_at_load_for_every_command(tmp_path, capsys, _variant(tmp_path, name, edit), detail)
 
@@ -415,7 +423,7 @@ def test_every_command_on_every_scenario_ends_in_a_known_exit_code(tmp_path, cap
                 codes[name, command] = run(argv)
             except Exception as exc:  # an exception escaping run is the exit 1 this test looks for
                 codes[name, command] = f"1 ({exc!r})"
-    assert len(codes) == 42
+    assert len(codes) == 49  # 7 scenarios x 7 commands
     assert {key: code for key, code in codes.items() if code not in (0, 2, 3)} == {}
 
 

@@ -338,7 +338,10 @@ def _reference_sweep(coeffs, phi, psi, config, noise):
     """Y, Z, U and V of the recursion in solve_penalized's docstring, one
     step after another on fresh arrays, in the order of operations of a step
     that writes nothing in place.  One ensemble; sample-mean fits are path
-    means, a state regression is the solver's own projector."""
+    means, a state regression is the solver's own projector.  No multiplier
+    is written at the terminal node, and V only on the rows with dA > 0,
+    where a step applies it; on the others the explicit step's unmasked
+    gradient would give Y the same bytes, as j - grad * 0 = j."""
     grid, X, n, d = config.grid, noise.X, noise.n_paths, noise.d
     dA = np.maximum(noise.dA, 0.0)
     explicit, e_row = config.scheme == "explicit-yosida", np.full(n, config.eps)
@@ -347,9 +350,6 @@ def _reference_sweep(coeffs, phi, psi, config, noise):
     Y, U, V = (np.zeros((n, grid.n_steps + 1, 1)) for _ in range(3))
     Z = np.zeros((n, grid.n_steps + 1, 1, d))
     Y[:, -1] = xi
-    if explicit:
-        U[:, -1] = (xi - prox(phi, e_row, xi)) / e_row[:, None]
-        V[:, -1] = (xi - prox(psi, e_row, xi)) / e_row[:, None]
     for i in range(grid.n_steps - 1, -1, -1):
         dt, t, da = grid.dt[i], grid.nodes[i + 1], dA[:, i, None]
         x, y = (None if X is None else X[:, i + 1]), Y[:, i + 1]
@@ -367,8 +367,10 @@ def _reference_sweep(coeffs, phi, psi, config, noise):
             u = (y_til - prox(phi, e_row, y_til)) / e_row[:, None]
             j = y_til - u * dt
             e = e_row + da[:, 0]
-            v = (j - prox(psi, e, j)) / e[:, None]
+            grad = (j - prox(psi, e, j)) / e[:, None]
+            v = np.where(da > 0.0, grad, 0.0)
             y_i = j - v * da
+            assert y_i.tobytes() == (j - grad * da).tobytes()
         else:
             j = prox(phi, dt, y_til)
             u = (y_til - j) / dt
@@ -387,7 +389,8 @@ def test_step_with_both_penalties_moving_is_the_reference_bit_for_bit(scheme, re
     Ytil, the phi step and the psi step into Y[:, i], U[:, i] and V[:, i] in
     place.  Y, Z, U and V have the bytes of the plain per-step recursion, on
     ensembles with dA > 0 on some rows (and dA = 0 on others for the
-    reflected one), where both penalties act, on grids of 30 to 129 steps."""
+    reflected one), where both penalties act, on grids of 30 to 129 steps.
+    Under either scheme U_T = V_T = 0, and V is 0 on the rows with dA = 0."""
     sample_mean = regression == "sample-mean"
     noise = _coefficient_ensemble(sample_mean, 1, 64, n_steps)
     coeffs = _coeffs(f=lambda t, x, y, z: 1.0 - 0.5 * y + 0.2 * z[..., 0], g=lambda t, x, y: 0.4 + 0.1 * y,
@@ -400,6 +403,7 @@ def test_step_with_both_penalties_moving_is_the_reference_bit_for_bit(scheme, re
     ref = _reference_sweep(coeffs, phi, psi, config, noise)
     for name in ("Y", "Z", "U", "V"):
         assert getattr(sol, name).tobytes() == ref[name].tobytes(), name
+    assert not np.any(sol.U[:, -1]) and not np.any(sol.V[:, -1]) and not np.any(sol.V[:, :-1, 0][sol.dA == 0.0])
     assert np.min(np.abs(sol.U[:, :-1])) == 0.0 < np.max(np.abs(sol.U))  # phi binds on some rows only
     assert np.max(np.abs(sol.V[:, :-1])) > 0.0
 
@@ -491,6 +495,83 @@ def test_penalization_rate_follows_h_on_the_barrier(seed):
         assert 0.75 <= slope[name] <= 1.25 and ratio[name] <= 1.5, (name, slope[name], ratio[name])
     assert 0.3 <= slope["0.3"] <= 0.7 and ratio["0.3"] >= 2.5, (slope["0.3"], ratio["0.3"])
     assert slope["0.3"] < slope["0.3(y-0.5)+0.03"] < slope["0.3(y-0.5)"], slope
+
+
+_BOUNDARY_PSI = make_convex("indicator_box(-inf,0.5)")
+
+
+def _boundary_problem(seed, n_paths, h, regression):
+    """The boundary side of the penalization: reflected Brownian motion on
+    [-1, 1] from 0.9 on 200 steps, phi = 0, psi the barrier y <= 0.5, g = 1,
+    which pushes Y up on the boundary, f = 0, xi = 0 and no weight.  Returns
+    the noise and solve(config) on it."""
+    grid = TimeGrid.uniform(0, 1, 200)
+    noise = simulate_reflected(BM_ON_INTERVAL, np.array([0.9]),
+                               generate_paths(grid, 1, n_paths, seed=seed, shared_backward=True))
+    f, g, h = make_coefficients({"g": {"kind": "constant", "value": 1.0}, "h": h})
+    coeffs = CoefficientSet(f, g, h, 0.0, AssumptionConstants(lam=0.0, mu=0.0))
+
+    def solve(scheme, eps):
+        config = SolverConfig(grid, eps=eps, scheme=scheme, regression=regression)
+        return solve_penalized(coeffs, ZERO, _BOUNDARY_PSI, config, noise)
+    return coeffs, noise, solve
+
+
+_BOUNDARY_LADDER = [1e-1, 1e-2, 1e-3, 1e-4]
+
+
+@pytest.mark.parametrize("h", [{"kind": "zero"}, {"kind": "constant", "value": 0.3}], ids=["h=0", "h=0.3"])
+@pytest.mark.parametrize("seed", [33, 34])
+def test_boundary_penalization_rate_is_one_half(seed, h):
+    """On the boundary side the rate is 1/2 whatever h is: the explicit psi
+    step's gap on a boundary row is eps / (eps + dA_i) times the overshoot,
+    and the local time puts many rows at dA_i below eps.  (a) The Cauchy
+    slope of the ladder 1e-1 ... 1e-4 and (b) the slope in eps of
+    sqrt(E sup_t |Y^eps - Y^impl|^2), the explicit ladder's distance to the
+    implicit solve on the same noise, both lie in [0.35, 0.65]; the band was
+    set before the run.  poly 2, 500 paths.  The ensemble shares one
+    backward draw, which shifts every path alike under h = 0.3; the barrier
+    must bind on it (seed 31 keeps Y below 0.5 there, and every rung gives
+    the same Y)."""
+    coeffs, noise, solve = _boundary_problem(seed, 500, h, ("poly", 2))
+    y_impl = solve("implicit-prox", 0.0).Y
+    sols = [solve("explicit-yosida", e) for e in _BOUNDARY_LADDER]
+    assert np.max(sols[0].V) > 0.0  # the barrier binds
+    gaps = [np.sqrt(np.mean(np.max(np.sum((sol.Y - y_impl) ** 2, axis=-1), axis=1))) for sol in sols]
+    config = SolverConfig(noise.grid, scheme="explicit-yosida", regression=("poly", 2))
+    cauchy = cauchy_study(coeffs, ZERO, _BOUNDARY_PSI, config, _BOUNDARY_LADDER, noise).slope
+    limit = float(np.polyfit(np.log(_BOUNDARY_LADDER), np.log(gaps), 1)[0])
+    assert 0.35 <= cauchy <= 0.65 and 0.35 <= limit <= 0.65, (cauchy, limit, gaps)
+
+
+def test_boundary_energy_rises_towards_the_implicit_solve():
+    """In the pairing the step applies, V_i over dA_i, the boundary
+    multiplier's energy V_Mbar2 = E sum_i |V_i|^2 dA_i is nondecreasing
+    along the explicit ladder 1e-1 ... 1e-4 and stays below the implicit
+    solve's value on the same noise, as the bounded energies of the
+    penalization argument need.  Bounds set before the run; partition 4,
+    1000 paths.  A trapezoid that read V_{i+1} against dA_i, and V written
+    on rows with dA = 0, read 95.8 and 8.8e3 at 1e-3 and 1e-4 against an
+    implicit 55.4 on this problem."""
+    _, noise, solve = _boundary_problem(13, 1000, {"kind": "zero"}, ("partition", 4))
+    energy = [weighted_norms(solve("explicit-yosida", e))["V_Mbar2"] for e in _BOUNDARY_LADDER]
+    implicit = weighted_norms(solve("implicit-prox", 0.0))["V_Mbar2"]
+    assert all(a <= b for a, b in zip(energy, energy[1:])) and energy[-1] < implicit, (energy, implicit)
+
+
+def test_a_terminal_outside_dom_phi_is_not_a_multiplier_fault():
+    """chi = x^2 from 0.8 puts Y_T above the barrier 0.5 on some paths.  No
+    step ran at the terminal node, so the audit does not read it: phi's
+    worst violation is finite, with no infinite node."""
+    grid = TimeGrid.uniform(0, 1, 100)
+    noise = simulate_reflected(BM_ON_INTERVAL, np.array([0.8]),
+                               generate_paths(grid, 1, 60, seed=33, shared_backward=True))
+    config = SolverConfig(grid, eps=1e-3, scheme="implicit-prox", regression=("poly", 2))
+    sol = solve_penalized(_coeffs(terminal=lambda x: x[:, 0] ** 2), make_convex("indicator_box(-inf,0.5)"), ZERO,
+                          config, noise)
+    assert np.any(sol.Y[:, -1] > 0.5) and np.max(sol.U) > 0.0
+    out = verify_vi_inclusion(sol, [-1.0, 0.0, 0.25, 0.5])
+    assert out["worst_phi"] <= 1e-12 and out["phi_infinite_nodes"] == 0, out
 
 
 def _per_rung_study(coeffs, phi, psi, grid, regression, ladder, noise, lam, mu):
@@ -815,10 +896,12 @@ def test_weighted_norms_with_weight_and_a():
     grid, noise = _bundle(n_paths=5, a="time")
     sol = solve_penalized(_coeffs(terminal=1.0, lam=1.0, mu=0.0), ZERO, ZERO, SolverConfig(grid), noise)
     norms = weighted_norms(sol)
-    # int_0^1 e^t dt = e - 1 (trapezoid on 100 steps)
-    assert norms["Y_M2"] == pytest.approx(np.e - 1.0, rel=1e-4)
+    # the left-point sum of int_0^1 e^t dt on 100 steps: dt (e - 1) / (e^dt - 1), in the pairing the sweep applies
+    dt = grid.dt[0]
+    left_point = dt * (np.e - 1.0) / np.expm1(dt)
+    assert norms["Y_M2"] == pytest.approx(left_point, rel=1e-12)
     norms2 = weighted_norms(replace(sol, constants=AssumptionConstants(lam=0.0, mu=1.0)))
-    assert norms2["Y_Mbar2"] == pytest.approx(np.e - 1.0, rel=1e-3)
+    assert norms2["Y_Mbar2"] == pytest.approx(left_point, rel=1e-12)
 
 
 def test_penalization_diagnostics_unconstrained_run_is_zero():
@@ -861,29 +944,29 @@ def test_the_analysis_reads_its_problem_from_the_solve():
 
 
 def _two_kernel_analysis(sol, test_points):
-    """weighted_norms and penalization_diagnostics as two trapezoid kernels,
-    np.trapezoid over the nodes for dt and the dA sum, and a phi and a psi
-    copy of the resolvent work, and verify_vi_inclusion as a phi block and
-    a psi block: the reference of the one-kernel, one-loop form."""
+    """weighted_norms and penalization_diagnostics written out as left-point
+    step sums E sum_{i<n} w_i q_i dx_i, one path's sum after another, with a
+    phi and a psi copy of the resolvent work, and verify_vi_inclusion as a
+    phi block and a psi block over the n step nodes: the reference of the
+    one-kernel, one-loop form.  Node i is read with step i, the step that
+    wrote it; the sups read every node."""
     w = np.exp(sol.constants.lam * sol.grid.nodes[None, :] + sol.constants.mu * sol.A)
-    dA, eps, Y = sol.dA, sol.config.eps, sol.Y
+    dt, dA, eps, Y = sol.grid.dt, sol.dA, sol.config.eps, sol.Y
 
-    def m(q2):
-        return float(np.mean(np.trapezoid(np.ascontiguousarray(w * q2), sol.grid.nodes, axis=1)))
-
-    def mbar(q2):
-        v = w * q2
-        return float(np.mean(np.sum(np.ascontiguousarray(0.5 * (v[:, :-1] + v[:, 1:]) * dA), axis=1)))
+    def step_sum(q, dx):
+        dx = np.broadcast_to(dx, dA.shape)
+        return float(np.mean([np.sum(w[p, :-1] * q[p, :-1] * dx[p]) for p in range(len(q))]))
 
     y2, z2 = np.sum(Y ** 2, axis=-1), np.sum(sol.Z ** 2, axis=(-2, -1))
     u2, v2 = np.sum(sol.U ** 2, axis=-1), np.sum(sol.V ** 2, axis=-1)
-    norms = {"Y_M2": m(y2), "Y_Mbar2": mbar(y2), "Y_S2": float(np.mean(np.max(w * y2, axis=1))), "Z_M2": m(z2),
-             "U_M2": m(u2), "V_Mbar2": mbar(v2)}
+    norms = {"Y_M2": step_sum(y2, dt), "Y_Mbar2": step_sum(y2, dA), "Y_S2": float(np.mean(np.max(w * y2, axis=1))),
+             "Z_M2": step_sum(z2, dt), "U_M2": step_sum(u2, dt), "V_Mbar2": step_sum(v2, dA)}
     j_phi, j_psi = prox(sol.phi, eps, Y), prox(sol.psi, eps, Y)
     gp2, gq2 = np.sum(((Y - j_phi) / eps) ** 2, axis=-1), np.sum(((Y - j_psi) / eps) ** 2, axis=-1)
     phi_j, psi_j = sol.phi.evaluate(j_phi), sol.psi.evaluate(j_psi)
     dist = np.sum((Y - j_phi) ** 2, axis=-1) + np.sum((Y - j_psi) ** 2, axis=-1)
-    diag = {"grad_energy": m(gp2) + mbar(gq2), "envelope_integral": m(phi_j) + mbar(psi_j),
+    diag = {"grad_energy": step_sum(gp2, dt) + step_sum(gq2, dA),
+            "envelope_integral": step_sum(phi_j, dt) + step_sum(psi_j, dA),
             "sup_resolvent_dist": float(np.max(np.mean(w * dist, axis=0))),
             "sup_envelope": float(np.max(np.mean(w * (phi_j + psi_j), axis=0)))}
 
@@ -894,15 +977,15 @@ def _two_kernel_analysis(sol, test_points):
             worst = max(worst, float(np.max(np.sum(u * (r - j), axis=-1) + theta_j - float(theta.evaluate(r)))))
         return worst
 
-    dt, dA1 = np.append(sol.grid.dt, 0.0), np.pad(dA, ((0, 0), (0, 1)))
-    y_til = Y + sol.U * dt[:, None] + sol.V * dA1[..., None]
+    Y, U, V = Y[:, :-1], sol.U[:, :-1], sol.V[:, :-1]
+    y_til = Y + U * dt[:, None] + V * dA[..., None]
     if sol.config.scheme == "explicit-yosida":
-        j_phi, j_psi = prox(sol.phi, eps, y_til), prox(sol.psi, eps + dA1, Y + sol.V * dA1[..., None])
+        j_phi, j_psi = prox(sol.phi, eps, y_til), prox(sol.psi, eps + dA, Y + V * dA[..., None])
     else:
         j_phi, j_psi = prox(sol.phi, dt, y_til), Y
-    phi_j, psi_j, active = sol.phi.evaluate(j_phi), sol.psi.evaluate(j_psi), dA1 > 0.0
-    audit = {"worst_phi": violation(sol.phi, sol.U, j_phi, phi_j),
-             "worst_psi": (violation(sol.psi, sol.V[active], j_psi[active], psi_j[active])
+    phi_j, psi_j, active = sol.phi.evaluate(j_phi), sol.psi.evaluate(j_psi), dA > 0.0
+    audit = {"worst_phi": violation(sol.phi, U, j_phi, phi_j),
+             "worst_psi": (violation(sol.psi, V[active], j_psi[active], psi_j[active])
                            if np.any(active) else -np.inf),
              "phi_infinite_nodes": int(np.sum(~np.isfinite(phi_j))),
              "psi_infinite_nodes": int(np.sum(~np.isfinite(psi_j[active])))}
@@ -912,14 +995,18 @@ def _two_kernel_analysis(sol, test_points):
 @pytest.mark.parametrize("scheme, a", [("explicit-yosida", "time"), ("implicit-prox", "time"),
                                       ("implicit-prox", "reflected"), ("implicit-prox", "zero")])
 def test_one_kernel_analysis_keeps_the_bits_of_two(scheme, a):
-    """One trapezoid kernel over increments (grid.dt or dA) and one loop over
-    (phi, dt) and (psi, dA) give the values of the two kernels and the two
-    copies bit for bit, the sign of zero included: 0.5 (a + b) dx and
-    np.trapezoid's dx (a + b) / 2 round the same product once.  So does the
-    audit's one loop over (phi, U, every node) and (psi, V, the nodes with
+    """One step-sum kernel over increments (grid.dt or dA) and one loop over
+    (phi, dt) and (psi, dA) give the values of the written-out left-point
+    sums and the two copies bit for bit, the sign of zero included, for
+    node-major and path-major solution arrays alike (the sups' path means
+    add in the order of the layout, and are held on the sweep's node-major
+    arrays).  So does the audit's
+    one loop over (phi, U, every step node) and (psi, V, the step nodes with
     dA > 0), at report's points, -inf included where no dA is active.  psi
     is not zero, so the dA terms carry work; A is t, a local time that
-    differs by path, or identically 0."""
+    differs by path, or identically 0.  In the reflected case chi = x^2
+    leaves Y_T outside Dom phi on some paths, and the audit reads it
+    nowhere: no infinite phi node."""
     phi, psi = make_convex("indicator_box(-inf,0.5)"), make_convex("abs")
     coeffs = _coeffs(f=lambda t, x, y, z: np.ones_like(y), g=lambda t, x, y: 0.5 * np.ones_like(y),
                      h=lambda t, x, y, z: np.full(y.shape + (z.shape[-1],), 0.3), terminal=0.2, lam=1.0, mu=0.5)
@@ -933,14 +1020,18 @@ def test_one_kernel_analysis_keeps_the_bits_of_two(scheme, a):
     sol = solve_penalized(coeffs, phi, psi, SolverConfig(grid, eps=2e-2, scheme=scheme, regression=regression), noise)
     assert (np.max(sol.A) == 0.0) == (a == "zero") and np.max(sol.U) > 0.0
     assert a == "zero" or np.max(np.abs(sol.V)) > 0.0
+    assert (a == "reflected") == bool(np.any(sol.Y[:, -1] > 0.5))
     points = (-1.0, 0.0, 0.25, 0.5)
     norms, diag, audit = _two_kernel_analysis(sol, points)
-    assert (audit["worst_psi"] == -np.inf) == (a == "zero")
-    for got, ref in ((weighted_norms(sol), norms), (penalization_diagnostics(sol), diag),
-                     (verify_vi_inclusion(sol, points), audit)):
-        assert got.keys() == ref.keys()
-        for key in ref:
-            assert np.float64(got[key]).tobytes() == np.float64(ref[key]).tobytes(), (key, got[key], ref[key])
+    assert (audit["worst_psi"] == -np.inf) == (a == "zero") and audit["phi_infinite_nodes"] == 0
+    path_major = replace(sol, **{q: np.ascontiguousarray(getattr(sol, q)) for q in ("Y", "Z", "U", "V", "A")})
+    assert not sol.Y.flags.c_contiguous and path_major.Y.flags.c_contiguous
+    for s in (sol, path_major):
+        for got, ref in ((weighted_norms(s), norms), (penalization_diagnostics(s), diag),
+                         (verify_vi_inclusion(s, points), audit)):
+            assert got.keys() == ref.keys()
+            for key in ref if s is sol else set(ref) - {"sup_resolvent_dist", "sup_envelope"}:
+                assert np.float64(got[key]).tobytes() == np.float64(ref[key]).tobytes(), (key, got[key], ref[key])
 
 
 @pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
