@@ -275,10 +275,11 @@ def _lattice_prox_2d(theta, eps, x):
 def _subgradient_violation(theta: ConvexFunction, u, j, theta_j, test_points) -> float:
     """Worst <u, r - j> + theta(j) - theta(r) over the test points r, for
     multipliers u (..., k) at points j (..., k) with values theta_j = theta(j):
-    u lies in dtheta(j) when it is <= 0 for every r in Dom(theta)."""
+    u lies in dtheta(j) when it is <= 0 for every r in Dom(theta).  A scalar
+    r is the point (r, ..., r) of j's dimension, for theta and the product."""
     worst = -np.inf
     for r in test_points:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+        r = np.broadcast_to(np.asarray(r, dtype=float), j.shape[-1:])
         worst = max(worst, float(np.max(_sum_last(u * (r - j)) + theta_j - float(theta.evaluate(r)))))
     return worst
 

@@ -3,10 +3,10 @@
 The recursion runs from the terminal node to the start.  At each step the
 next value plus the dt, dA and backward-noise contributions is projected onto
 the chosen conditional-expectation estimator, the Z component is extracted
-from the correlation with the forward increments, and the penalization is
-applied either explicitly (a Yosida gradient step for phi, then the resolvent
-of the envelope psi_eps over dA, nonexpansive for any dA) or implicitly
-(resolvent steps, the stable surrogate of the small-eps limit).  The estimator
+from the correlation with the forward increments, and each moving penalty,
+phi over tau = dt then psi over tau = dA, takes one resolvent step: of the
+envelope theta_eps (explicit; nonexpansive for any tau, so dt needs no bound
+by eps) or of theta itself (implicit, the small-eps limit).  The estimator
 is fitted once per node and shared by the Z and Y targets; for ``poly`` and
 ``partition`` its condition number is s_max/s_min of the worst block's design.
 The state-free ``sample-mean`` estimator, the resolvent oracles, the zero
@@ -253,10 +253,11 @@ def solve_penalized(
       (a) Z_i from the regression of Y_{i+1} dW_i^T / dt_i;
       (b) Ytil_i = E_i[Y_{i+1} + f dt + g dA + h dB] (coefficients at the
           right endpoint in (t, x, y), current Z);
-      (c) explicit-yosida:  j = Ytil - U_i dt with U_i = grad phi_eps(Ytil), then
-          Y_i = prox_{dA psi_eps}(j) = j - V_i dA with V_i = grad psi_{eps+dA}(j);
-          implicit-prox:    Y_i = J^psi_dA(J^phi_dt(Ytil)), with the
-          multipliers read off the resolvent gaps (either scheme: V_i = 0 when dA_i = 0).
+      (c) from j = Ytil, a step for (theta, tau) = (phi, dt), then (psi, dA_i), each giving m (U_i, then V_i;
+          m = 0 where tau = 0) and the next j (the last is Y_i).  explicit-yosida: m = grad theta_{eps+tau}(j)
+          and j - tau m = prox_{tau theta_eps}(j); implicit-prox: J^theta_tau(j) and m = (j - J^theta_tau(j)) / tau.
+          As grad theta_{eps+tau}(x) = grad theta_eps(prox_{tau theta_eps}(x)), the explicit V_i = grad psi_eps(Y_i)
+          and U_i = grad phi_eps(Y_i) exactly, U_i where psi leaves Y_i as it is (psi zero or dA_i = 0).
     """
     Y, Z, U, V, conds = _backward_sweep(coeffs, phi, psi, config, [config.eps], noise)
     return BdsdeSolution(Y[0], Z[0], U[0], V[0], noise.A, config, coeffs.constants, phi, psi, conds)
@@ -272,23 +273,23 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     What does not change from step to step is set up once here: the finiteness
     of dW, dB and dA, dA clipped at 0 in place, the estimator's plan
     (_projector; a state regression is fitted per node), the resolvent oracles
-    of phi and psi, the explicit scheme's per-row eps and its column, which
-    penalties are zero, which coefficients are zero or constant _Affine maps
-    (a nonzero constant h is built once, as _Affine builds it), and so which
-    of the step's views (dW, dB and dA at step i; t, x and z for the maps) a
-    step reads.  A zero penalty's step is the identity and its multiplier
-    exactly 0, so its resolvent, gradient and U or V store are skipped (for
-    finite input the generic step gives the same bits: +0.0 multipliers, and j
-    - 0 * dA = j).  Only the implicit psi step, where dA can be 0, goes
-    through _prox.  A zero g or h term is skipped, a constant f adds the float
-    c dt, and any other map is called at every step.  A skipped term is +0.0,
-    which only turns a -0.0 sum into +0.0, so such a sweep adds 0.0 once:
-    folded into the float, c dt + 0.0, for a constant f, else after the h
-    term.  The step writes Ytil and then Y_i into Y[:, i], and U_i and V_i
-    into U[:, i] and V[:, i], in place; each read of the explicit psi step's
-    input ends before it writes Y_i.  Each node's Z fit is written into Z[:,
-    i]; under sample-mean, when neither f nor h reads z, no step reads Z, and
-    the fits are one pass over Z[:, :-1] after the sweep, in the step's
+    of phi and psi, the explicit scheme's per-row eps and its phi scale eps +
+    dt for each distinct dt, which penalties are zero, which coefficients are
+    zero or constant _Affine maps (a nonzero constant h is built once, as
+    _Affine builds it), and so which of the step's views (dW, dB and dA at step
+    i; t, x and z for the maps) a step reads.  A zero penalty's step is the
+    identity and its multiplier exactly 0, so its resolvent, gradient and U or
+    V store are skipped (for finite input the generic step gives the same bits:
+    +0.0 multipliers, and j - 0 * tau = j).  The implicit step goes through
+    _prox, the identity where tau = dA_i = 0.  A zero g or h term is skipped, a
+    constant f adds the float c dt, and any other map is called at every step.
+    A skipped term is +0.0, which only turns a -0.0 sum into +0.0, so such a
+    sweep adds 0.0 once: folded into the float, c dt + 0.0, for a constant f,
+    else after the h term.  The step writes Ytil and then Y_i into Y[:, i], and
+    U_i and V_i into U[:, i] and V[:, i], in place; each read of an explicit
+    step's input ends before it writes Y_i.  Each node's Z fit is written into
+    Z[:, i]; under sample-mean, when neither f nor h reads z, no step reads Z,
+    and the fits are one pass over Z[:, :-1] after the sweep, in the step's
     layout.
 
     Finiteness.  A checked step raises FloatingPointError naming the step:
@@ -307,10 +308,10 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
 
     The scan misses no step whose Ytil check would raise: a non-finite
     Ytil_i leaves a non-finite value in Y_i, U_i or V_i.  With no moving
-    penalty, Y_i = Ytil_i.  A moving phi writes
-    U_i = (Ytil_i - J(Ytil_i)) / tau in either scheme, non-finite for any J.
-    A moving psi alone writes V_i = (j - J(j)) / e (explicit) or / dA
-    (implicit) on the rows with dA > 0, and keeps Y_i = j on the others."""
+    penalty, Y_i = Ytil_i.  A moving penalty writes m = (j - J(j)) / e at its
+    input j, e = eps + tau (explicit) or tau (implicit): U_i at j = Ytil_i,
+    non-finite for any J, and a moving psi alone V_i on the rows with dA > 0,
+    keeping Y_i = j on the others."""
     grid = config.grid
     if not np.array_equal(noise.grid.nodes, grid.nodes):
         raise ValueError("noise bundle and solver grid disagree")
@@ -327,12 +328,7 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     np.maximum(dA, 0.0, out=dA)  # the fresh np.diff of noise.dA, clipped in place
     explicit = config.scheme == "explicit-yosida"
     eps = np.asarray(eps_blocks, dtype=float)  # finite and > 0 under explicit: SolverConfig or _check_ladder
-    # the explicit phi step is stable while dt * Lip(grad phi_eps) = dt / eps <= 1; the slack is
-    # the rounding of the grid's dt, so dt = eps passes
     move_phi, move_psi = not _is_zero(phi), not _is_zero(psi)
-    ratio = grid.max_dt / eps.min() if explicit and move_phi else 0.0
-    if ratio > 1.0 + 1e-9:
-        raise FloatingPointError(f"explicit scheme unstable: max dt / min eps = {ratio:.3g} > 1")
     n_blocks = eps.size
     n_paths = rows // n_blocks
     if X is not None and len(X) != rows:
@@ -356,10 +352,11 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
     z_after = sample_mean and all(isinstance(m, _Affine) and not m.a_z for m in (coeffs.f, coeffs.h))
     plan = _projector(config.regression, n_blocks, (rows, d))  # the estimator, fitted at each node
     project = plan(None)[0] if sample_mean else None
-    res_phi, res_psi = _oracle(phi), _oracle(psi)
+    # the moving penalties in step order: (theta, its resolvent, multiplier array, whether tau is dt or dA)
+    penalties = [(phi, _oracle(phi), U, True)] * move_phi + [(psi, _oracle(psi), V, False)] * move_psi
     if explicit:
         eps_row = np.repeat(eps, n_paths)
-        eps_col = eps_row[:, None]
+        phi_scale = {dt: eps_row + dt for dt in set(grid.dt.tolist())} if move_phi else None  # eps + dt per dt
 
     conds = []
     dts, t_nodes, dW, dB = grid.dt.tolist(), grid.nodes.tolist(), noise.dW, noise.dB
@@ -403,21 +400,16 @@ def _backward_sweep(coeffs, phi, psi, config, eps_blocks, noise):
                 raise FloatingPointError(f"non-finite Y at step {i}")
 
             j = y_i
-            if move_phi and explicit:
-                u = np.divide(y_i - np.asarray(res_phi(eps_row, y_i), dtype=float), eps_col, out=U[:, i])
-                j = np.subtract(y_i, u * dt, out=y_i)
-            elif move_phi:
-                j = np.asarray(res_phi(dt, y_i), dtype=float)
-                np.divide(np.subtract(y_i, j, out=U[:, i]), dt, out=U[:, i])
-            if move_psi and explicit:
-                # j - dA grad psi_{eps+dA}(j) = prox_{dA psi_eps}(j): nonexpansive for any dA; V_i = 0 where dA_i = 0
-                e = eps_row + da[:, 0]
-                v = np.divide(j - np.asarray(res_psi(e, j), dtype=float), e[:, None], out=V[:, i], where=da > 0.0)
-                j = np.subtract(j, v * da, out=y_i)
-            elif move_psi:
-                y = _prox(psi, da[:, 0], j)  # the identity on rows with dA_i = 0
-                np.divide(j - y, da, out=V[:, i], where=da > 0.0)
-                j = y
+            for theta, res, mult, on_dt in penalties:  # tau = dt for phi, dA_i for psi; multiplier 0 where tau = 0
+                tau, tau_row = (dt, dt) if on_dt else (da, da[:, 0])
+                if explicit:  # j - tau grad theta_{eps+tau}(j) = prox_{tau theta_eps}(j): nonexpansive for any tau
+                    e = phi_scale[dt] if on_dt else eps_row + tau_row
+                    m = np.divide(j - np.asarray(res(e, j), dtype=float), e[:, None], out=mult[:, i], where=tau > 0.0)
+                    j = np.subtract(j, m * tau, out=y_i)
+                else:
+                    y = _prox(theta, tau_row, j)  # the identity on rows with tau = 0
+                    np.divide(j - y, tau, out=mult[:, i], where=tau > 0.0)
+                    j = y
             if j is not y_i:
                 y_i[...] = j
             for name, a in watched if checked else ():  # a multiplier can overflow while Y_i stays finite
@@ -569,14 +561,14 @@ def verify_vi_inclusion(sol: BdsdeSolution, test_points) -> dict:
     J_t is the resolvent point at which the scheme puts U_t in dphi, since
     grad theta_eps(x) lies in dtheta(J_eps x).  It is rebuilt from the step
     input Ytil = Y + U dt + V dA (none at the terminal node, Y_T = xi):
-    explicit-yosida audits U at J^phi_eps(Ytil) and V at
+    explicit-yosida audits U at J^phi_{eps+dt}(Ytil) and V at
     J^psi_{eps+dA}(Y + V dA), implicit-prox U at J^phi_dt(Ytil) and V at Y.
     """
     Y, U, V, phi, psi = sol.Y[:, :-1], sol.U[:, :-1], sol.V[:, :-1], sol.phi, sol.psi
     dt, dA = sol.grid.dt, sol.dA
     y_til = Y + U * dt[:, None] + V * dA[..., None]
     if sol.config.scheme == "explicit-yosida":
-        j_phi, j_psi = prox(phi, sol.config.eps, y_til), prox(psi, sol.config.eps + dA, Y + V * dA[..., None])
+        j_phi, j_psi = prox(phi, sol.config.eps + dt, y_til), prox(psi, sol.config.eps + dA, Y + V * dA[..., None])
     else:
         j_phi, j_psi = prox(phi, dt, y_til), Y
     out = {}

@@ -14,6 +14,7 @@ from bdsvi.cli import _COMMANDS, _build_run, _solve_scenario, run
 from bdsvi.convex import prox_property_suite
 from bdsvi.field import sample_field
 from bdsvi.scenarios import _YAML_LOADER, ScenarioError, load_scenario, make_coefficients, make_terminal
+from bdsvi.solver import penalization_diagnostics, weighted_norms
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -423,7 +424,7 @@ def test_every_command_on_every_scenario_ends_in_a_known_exit_code(tmp_path, cap
                 codes[name, command] = run(argv)
             except Exception as exc:  # an exception escaping run is the exit 1 this test looks for
                 codes[name, command] = f"1 ({exc!r})"
-    assert len(codes) == 49  # 7 scenarios x 7 commands
+    assert len(codes) == 56  # 8 scenarios x 7 commands
     assert {key: code for key, code in codes.items() if code not in (0, 2, 3)} == {}
 
 
@@ -816,16 +817,34 @@ def test_non_finite_multiplier_with_finite_y_is_numerical_error(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("steps, code", [(100, 3), (10_000, 0)])
-def test_explicit_scheme_past_its_stability_bound_is_numerical_error(tmp_path, capsys, steps, code):
-    """The barrier oracle with the explicit scheme at eps = 1e-4: 100 steps
-    put dt / eps at 100, where the step used to return Y_0 = 0 (truth 0.5)
-    with exit 0.  It is now a numerical failure naming the ratio; at
-    dt = eps the run goes through."""
+@pytest.mark.parametrize("steps", [10, 100, 10_000])
+def test_explicit_scheme_runs_at_any_dt_over_eps(tmp_path, steps):
+    """The barrier oracle with the explicit scheme at eps = 1e-4: dt / eps
+    is 1000, 100 and 1.  The phi step is the resolvent of the envelope
+    phi_eps, nonexpansive at any dt, so each run exits 0 with Y_0 at the
+    penalized plateau 0.5 + eps.  (The gradient step that preceded it
+    returned Y_0 = 0 at 100 steps, and was then held to dt <= eps by a
+    guard that exited 3.)"""
     p = _variant(tmp_path, "vi_oracle.yaml", lambda raw: raw["solver"].update(scheme="explicit-yosida"))
-    assert run(["solve", "--scenario", p, "--steps", str(steps), "--out", str(tmp_path), "--quiet"]) == code
-    err = capsys.readouterr().err
-    assert ('"error": "numerical"' in err and "max dt / min eps = 100 > 1" in err) == (code == 3)
+    scn = load_scenario(p, {"steps": steps})
+    assert scn.solver.eps == 1e-4
+    assert abs(_solve_scenario(scn).Y[0, 0, 0] - (0.5 + 1e-4)) < 1e-9
+    assert run(["solve", "--scenario", p, "--steps", str(steps), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("name", ["cauchy.yaml", "penalization.yaml", "boundary.yaml"])
+def test_explicit_multipliers_are_the_yosida_gradients_at_the_solution(name):
+    """Under explicit-yosida U_i = grad phi_eps(Y_i) and V_i = grad psi_eps(Y_i):
+    each step is prox_{tau theta_eps}, whose multiplier grad theta_{eps+tau}(j)
+    is grad theta_eps at the step's output.  Each scenario moves one penalty,
+    so report's gradient energy, read at Y, is U_M2 + V_Mbar2 to rounding.
+    (The gradient step at Ytil missed it by 75% on cauchy.yaml.)"""
+    sol = _solve_scenario(load_scenario(_scn(name)))
+    assert sol.config.scheme == "explicit-yosida"
+    norms = weighted_norms(sol)
+    energy = norms["U_M2"] + norms["V_Mbar2"]
+    assert energy > 0.0
+    assert penalization_diagnostics(sol)["grad_energy"] == pytest.approx(energy, rel=1e-10, abs=0.0)
 
 
 def test_a_z_on_g_is_validation_error(tmp_path, capsys):

@@ -133,12 +133,13 @@ def _vi_coeffs(**const):
 
 def _vi_limit_ode(eps, dt):
     """Independent scalar oracle for the penalized backward flow: drift step
-    then penalization step, matching the solver's operator order."""
+    then penalization step, matching the solver's operator order.  The step
+    is the resolvent of the envelope, y - dt grad phi_{eps+dt}(y)."""
     n = int(round(1.0 / dt))
     y = 0.0
     for _ in range(n):
         y_til = y + dt
-        y = y_til - dt * max(y_til - 0.5, 0.0) / eps
+        y = y_til - dt * max(y_til - 0.5, 0.0) / (eps + dt)
     return y
 
 
@@ -364,7 +365,8 @@ def _reference_sweep(coeffs, phi, psi, config, noise):
         target = target + np.einsum("pkd,pd->pk", coeffs.h(t, x, y, z), noise.dB[:, i])
         y_til = target if X is None else fit(target)
         if explicit:
-            u = (y_til - prox(phi, e_row, y_til)) / e_row[:, None]
+            e = e_row + dt
+            u = (y_til - prox(phi, e, y_til)) / e[:, None]
             j = y_til - u * dt
             e = e_row + da[:, 0]
             grad = (j - prox(psi, e, j)) / e[:, None]
@@ -719,7 +721,7 @@ def _blows_up(t, x, y, z):
     return np.full_like(y, np.inf if t > 0.5 else 1.0)
 
 
-@pytest.mark.parametrize("run", ["explicit", "implicit", "ladder", "unstable", "explicit-phi-overflows"])
+@pytest.mark.parametrize("run", ["explicit", "implicit", "ladder", "explicit-phi-overflows"])
 def test_non_finite_value_in_sweep_raises(run):
     """A value that turns non-finite during the sweep raises
     FloatingPointError (exit code 3 in the CLI, a numerical failure rather
@@ -735,18 +737,14 @@ def test_non_finite_value_in_sweep_raises(run):
         "implicit": lambda psi: solve_penalized(coeffs, phi, psi, SolverConfig(grid), noise),
         "ladder": lambda psi: cauchy_study(coeffs, phi, psi, SolverConfig(grid, scheme="explicit-yosida"),
                                            [1e-1, 2e-2], noise),
-        # dt * Lip(grad phi_eps) = 0.01 * 5e5: the explicit step overflows
-        "unstable": lambda psi: solve_penalized(_coeffs(terminal=1.0), make_convex("quadratic(1e6)"), psi,
-                                                SolverConfig(grid, eps=1e-6, scheme="explicit-yosida"), noise),
-        # Ytil = 1e308 is finite, but grad phi_eps(Ytil) = Ytil / (1 + eps) / eps is not: the value
-        # turns non-finite in the phi step, and the step's own check raises
+        # Ytil = 1e308 is finite, but grad phi_{eps+dt}(Ytil) = a Ytil / (1 + (eps + dt) a) is not: the
+        # value turns non-finite in the phi step, and the step's own check raises
         "explicit-phi-overflows": lambda psi: solve_penalized(_coeffs(terminal=1e308), make_convex("quadratic(1e3)"),
                                                               psi, explicit, noise),
     }
-    message = "explicit scheme unstable" if run == "unstable" else "non-finite Y at step"
     raised = []
     for psi in (ZERO, replace(ZERO, label="zero on the generic step")):
-        with pytest.raises(FloatingPointError, match=message) as caught, np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite Y at step") as caught, np.errstate(all="ignore"):
             runs[run](psi)
         raised.append(str(caught.value))
     assert raised[0] == raised[1]
@@ -980,7 +978,7 @@ def _two_kernel_analysis(sol, test_points):
     Y, U, V = Y[:, :-1], sol.U[:, :-1], sol.V[:, :-1]
     y_til = Y + U * dt[:, None] + V * dA[..., None]
     if sol.config.scheme == "explicit-yosida":
-        j_phi, j_psi = prox(sol.phi, eps, y_til), prox(sol.psi, eps + dA, Y + V * dA[..., None])
+        j_phi, j_psi = prox(sol.phi, eps + dt, y_til), prox(sol.psi, eps + dA, Y + V * dA[..., None])
     else:
         j_phi, j_psi = prox(sol.phi, dt, y_til), Y
     phi_j, psi_j, active = sol.phi.evaluate(j_phi), sol.psi.evaluate(j_psi), dA > 0.0
@@ -1049,6 +1047,24 @@ def test_vi_inclusion_at_the_resolvent_point(scheme):
     out = verify_vi_inclusion(sol, [-1.0, 0.0, 0.25, 0.3, 0.5])
     assert out["phi_infinite_nodes"] == 0 and out["psi_infinite_nodes"] == 0
     assert out["worst_phi"] <= 1e-12 and out["worst_psi"] <= 1e-12
+
+
+@pytest.mark.parametrize("phi", ["abs", "quadratic(1.0)"])
+@pytest.mark.parametrize("scheme", ["explicit-yosida", "implicit-prox"])
+def test_vi_inclusion_takes_scalar_points_in_dimension_k(scheme, phi):
+    """At k = 2 a scalar audit point v is the point (v, v) of both theta(r)
+    and <U, r - J>.  theta was taken at the 1-vector (v,) while the product
+    broadcast r to (v, v), so a solve whose U lies in dphi(J) read a
+    violation of 0.5 for abs and 0.125 for quadratic(1.0).  The scalar
+    points now read what np.full(2, v) reads."""
+    grid, noise = _bundle(n_steps=100, n_paths=4)
+    coeffs = _coeffs(f=lambda t, x, y, z: np.ones_like(y), terminal=np.zeros(2))
+    sol = solve_penalized(coeffs, make_convex(phi), ZERO, SolverConfig(grid, eps=0.05, scheme=scheme), noise)
+    assert sol.Y.shape[-1] == 2 and np.max(np.abs(sol.U)) > 0.5
+    values = (-1.0, 0.0, 0.25, 0.5)
+    scalar, full = verify_vi_inclusion(sol, values), verify_vi_inclusion(sol, [np.full(2, v) for v in values])
+    assert scalar == full
+    assert scalar["worst_phi"] <= 1e-8
 
 
 @functools.lru_cache(maxsize=1)
@@ -1171,7 +1187,7 @@ def test_ordered_terminals_give_ordered_solutions(scheme, psi, data):
     cell means do), every row's multiplier m_i + c_i sum_j dW_{i,j} is >= 0
     (checked first, for both coefficient sections, on the run's own
     increments) and each penalty step is nondecreasing (a resolvent in one
-    dimension; the explicit phi step while dt <= eps).  Some entry's gap is
+    dimension, of the penalty or of its envelope).  Some entry's gap is
     strictly positive, so the order is not that of equal solutions."""
     state, (cos, terminals, least) = _disc_ensemble(), _ORDERED_DATA[data]
     assert min(np.min(_row_multipliers(state, co)) for co in cos) >= 0.0
